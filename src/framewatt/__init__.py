@@ -56,9 +56,7 @@ from .timeline import (
 from .power import (
     ConfigurationError,
     EnergyReport,
-    TrafficSummary,
     average_power,
-    dram_energy,
     report_from_timeline,
     streaming_report,
     window_energy_breakdown,

@@ -10,6 +10,7 @@ can do rate algebra without float drift.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
@@ -207,6 +208,7 @@ class SimConfig:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "SimConfig":
+        check_finite(data)
         unknown = set(data) - {"display", "system", "workload"}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
@@ -351,6 +353,35 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.code} [{self.field}]: {self.message}"
+
+
+class ConfigurationError(ValueError):
+    """Raised when a config or calibration fails validation."""
+
+    def __init__(self, violations: Sequence[Violation]):
+        self.violations = tuple(violations)
+        super().__init__("; ".join(str(v) for v in violations))
+
+
+def check_finite(data: Any) -> None:
+    """Raise ConfigurationError naming every NaN or infinite number in
+    parsed JSON (``json`` accepts ``NaN`` and ``Infinity`` literals)."""
+    found: list[Violation] = []
+
+    def walk(value: Any, where: str) -> None:
+        if isinstance(value, float) and not math.isfinite(value):
+            found.append(Violation("NON_FINITE", where or "<root>",
+                                   f"{value} is not a finite number"))
+        elif isinstance(value, Mapping):
+            for key, item in value.items():
+                walk(item, f"{where}.{key}" if where else str(key))
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                walk(item, f"{where}[{i}]")
+
+    walk(data, "")
+    if found:
+        raise ConfigurationError(found)
 
 
 def validate_config(cfg: SimConfig) -> list[Violation]:
@@ -512,6 +543,7 @@ __all__ = [
     "DEFAULT_DC_BUFFER_BYTES",
     "DEFAULT_EDP_MAX_BITS_PER_S",
     "NS_PER_S",
+    "ConfigurationError",
     "DisplayConfig",
     "RESOLUTIONS",
     "Resolution",
@@ -522,6 +554,7 @@ __all__ = [
     "WorkloadKind",
     "WorkloadSpec",
     "burst_transfer_time",
+    "check_finite",
     "dc_fetch_count",
     "encoded_frame_bytes",
     "frame_bytes",

@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Literal, Mapping
 
-from .core import Scheme
+from .core import Scheme, check_finite
 
 
 class PackageCState(Enum):
@@ -337,6 +337,7 @@ def _profile_from_dict(name: str, raw: Mapping[str, Any]) -> PowerProfile:
 
 
 def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
+    check_finite(data)
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ValueError(f"unknown keys in calibration: {sorted(unknown)}")

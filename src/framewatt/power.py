@@ -19,10 +19,10 @@ energy is additive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
-from .core import Scheme, SimConfig, SystemConfig, Violation, validate_config
+from .core import ConfigurationError, Scheme, SimConfig, SystemConfig, validate_config
 from .cstates import (
     STATE_DRAM_MODE,
     CalibrationSet,
@@ -32,65 +32,13 @@ from .cstates import (
     load_calibration,
     transition_cost,
 )
-from .timeline import WindowTimeline, build_timeline, state_spans_ns
-
-
-class ConfigurationError(ValueError):
-    """Raised when a config fails cross-field validation."""
-
-    def __init__(self, violations: Sequence[Violation]):
-        self.violations = tuple(violations)
-        super().__init__("; ".join(str(v) for v in violations))
-
-
-@dataclass(frozen=True)
-class TrafficSummary:
-    """Byte totals and state occupancy extracted from a timeline."""
-
-    dram_read_bytes: int
-    dram_write_bytes: int
-    edp_bytes: int
-    state_spans_ns: Mapping[PackageCState, int]
-    total_ns: int
-    n_windows: int
-
-
-#: States in which each traffic type may legitimately appear.  DRAM reads on
-#: C7 cover the direct-feed paths (encoded-stream and projection-source reads
-#: folded into the decoder-active state).
-_READ_STATES = {PackageCState.C0, PackageCState.C2, PackageCState.C7}
-_WRITE_STATES = {PackageCState.C0, PackageCState.C2}
-_LINK_SILENT_STATES = {PackageCState.C9, PackageCState.C10}
-
-
-def summarize_traffic(timeline: WindowTimeline) -> TrafficSummary:
-    return TrafficSummary(
-        dram_read_bytes=sum(iv.dram_read_bytes for iv in timeline.intervals),
-        dram_write_bytes=sum(iv.dram_write_bytes for iv in timeline.intervals),
-        edp_bytes=sum(iv.edp_bytes for iv in timeline.intervals),
-        state_spans_ns=state_spans_ns(timeline),
-        total_ns=timeline.total_ns,
-        n_windows=timeline.n_windows,
-    )
-
-
-def check_traffic_placement(timeline: WindowTimeline) -> list[str]:
-    """Traffic may only ride on states that can move it; returns violations."""
-    problems: list[str] = []
-    for iv in timeline.intervals:
-        if iv.dram_read_bytes and iv.state not in _READ_STATES:
-            problems.append(
-                f"window {iv.window}: DRAM read bytes on {iv.state} at {iv.start_ns} ns"
-            )
-        if iv.dram_write_bytes and iv.state not in _WRITE_STATES:
-            problems.append(
-                f"window {iv.window}: DRAM write bytes on {iv.state} at {iv.start_ns} ns"
-            )
-        if iv.edp_bytes and iv.state in _LINK_SILENT_STATES:
-            problems.append(
-                f"window {iv.window}: link bytes on {iv.state} at {iv.start_ns} ns"
-            )
-    return problems
+from .timeline import (
+    Interval,
+    TimelineTotals,
+    WindowTimeline,
+    build_timeline,
+    timeline_totals,
+)
 
 
 # -- closed-form average ------------------------------------------------------
@@ -125,11 +73,25 @@ def average_power(
 def transition_counts(
     timeline: WindowTimeline,
 ) -> dict[tuple[PackageCState, PackageCState], int]:
+    """State changes between adjacent intervals, keyed in order of first
+    occurrence along the timeline."""
+    inner: list[dict[tuple[PackageCState, PackageCState], int]] = []
+    for ivs in timeline.templates:
+        changes: dict[tuple[PackageCState, PackageCState], int] = {}
+        for prev, cur in zip(ivs, ivs[1:]):
+            if prev.state is not cur.state:
+                key = (prev.state, cur.state)
+                changes[key] = changes.get(key, 0) + 1
+        inner.append(changes)
     counts: dict[tuple[PackageCState, PackageCState], int] = {}
-    for prev, cur in zip(timeline.intervals, timeline.intervals[1:]):
-        if prev.state is not cur.state:
-            key = (prev.state, cur.state)
-            counts[key] = counts.get(key, 0) + 1
+    last: PackageCState | None = None
+    for t in timeline.window_template:
+        first = timeline.templates[t][0].state
+        if last is not None and last is not first:
+            counts[(last, first)] = counts.get((last, first), 0) + 1
+        for key, c in inner[t].items():
+            counts[key] = counts.get(key, 0) + c
+        last = timeline.templates[t][-1].state
     return counts
 
 
@@ -156,18 +118,17 @@ class DramEnergy:
         return self.operating_read_uj + self.operating_write_uj
 
 
-def dram_energy(timeline: WindowTimeline, system: SystemConfig) -> DramEnergy:
-    reads = sum(iv.dram_read_bytes for iv in timeline.intervals)
-    writes = sum(iv.dram_write_bytes for iv in timeline.intervals)
+def _dram_energy(totals: TimelineTotals, system: SystemConfig) -> DramEnergy:
     by_mode: dict[str, int] = {m: 0 for m in system.dram_background_mw}
-    for iv in timeline.intervals:
-        by_mode[STATE_DRAM_MODE[iv.state]] += iv.span_ns
+    for state, ns in totals.state_spans_ns.items():
+        if ns:
+            by_mode[STATE_DRAM_MODE[state]] += ns
     background_uj = sum(
         system.dram_background_mw[m] * ns * 1e-6 for m, ns in by_mode.items()
     )
     return DramEnergy(
-        operating_read_uj=reads * system.dram_coeff_read * 1e6,
-        operating_write_uj=writes * system.dram_coeff_write * 1e6,
+        operating_read_uj=totals.dram_read_bytes * system.dram_coeff_read * 1e6,
+        operating_write_uj=totals.dram_write_bytes * system.dram_coeff_write * 1e6,
         background_uj=background_uj,
         background_by_mode_ns=by_mode,
     )
@@ -265,7 +226,8 @@ def report_from_timeline(
     profile = calibration.profile_for(timeline.scheme)
     check_dram_split_consistency(profile, cfg.system.dram_background_mw)
 
-    spans = state_spans_ns(timeline)
+    totals = timeline_totals(timeline)
+    spans = totals.state_spans_ns
     total_ns = timeline.total_ns
     residency = {s: spans[s] / total_ns for s in PackageCState}
     state_uj = {s: profile.state_power_mw[s] * spans[s] * 1e-6 for s in PackageCState}
@@ -276,14 +238,11 @@ def report_from_timeline(
         for (frm, to), c in counts.items()
     )
 
-    dram = dram_energy(timeline, cfg.system)
+    dram = _dram_energy(totals, cfg.system)
 
-    drfb_ns = sum(iv.span_ns for iv in timeline.intervals if iv.drfb_active)
-    gpu_ns = sum(iv.span_ns for iv in timeline.intervals if iv.gpu_active)
-    fbc_ns = sum(iv.span_ns for iv in timeline.intervals if iv.fbc_active)
-    drfb_uj = calibration.drfb_power_mw * drfb_ns * 1e-6
-    gpu_uj = cfg.system.gpu_active_mw * gpu_ns * 1e-6
-    fbc_uj = cfg.system.fbc_compute_mw * fbc_ns * 1e-6
+    drfb_uj = calibration.drfb_power_mw * totals.drfb_ns * 1e-6
+    gpu_uj = cfg.system.gpu_active_mw * totals.gpu_ns * 1e-6
+    fbc_uj = cfg.system.fbc_compute_mw * totals.fbc_ns * 1e-6
 
     total_uj = (
         sum(state_uj.values()) + trans_uj + dram.operating_uj + drfb_uj + gpu_uj + fbc_uj
@@ -310,8 +269,6 @@ def report_from_timeline(
         "display": display_uj,
         "others": others_uj,
     }
-    traffic = summarize_traffic(timeline)
-
     return EnergyReport(
         scheme=timeline.scheme,
         calibration_name=calibration.name,
@@ -327,9 +284,9 @@ def report_from_timeline(
         drfb_energy_uj=drfb_uj,
         gpu_energy_uj=gpu_uj,
         fbc_energy_uj=fbc_uj,
-        dram_read_bytes=traffic.dram_read_bytes,
-        dram_write_bytes=traffic.dram_write_bytes,
-        edp_bytes=traffic.edp_bytes,
+        dram_read_bytes=totals.dram_read_bytes,
+        dram_write_bytes=totals.dram_write_bytes,
+        edp_bytes=totals.edp_bytes,
         component_energy_uj=component_uj,
         total_energy_uj=total_uj,
         average_power_mw=total_uj / total_ms,
@@ -344,57 +301,75 @@ def window_energy_breakdown(
     cfg: SimConfig,
     calibration: CalibrationSet,
 ) -> tuple[WindowEnergy, ...]:
-    """Per-window bill; boundary transitions are charged to the later window."""
+    """Per-window bill; boundary transitions are charged to the later window.
+
+    A window's bill depends only on its template and the state the previous
+    window ended in, so each such pair is priced once.
+    """
     profile = calibration.profile_for(timeline.scheme)
+    bills: dict[tuple[int, PackageCState | None], WindowEnergy] = {}
     out: list[WindowEnergy] = []
     prev_state: PackageCState | None = None
-    for w in range(timeline.n_windows):
-        ivs = timeline.window_intervals(w)
-        state_uj: dict[PackageCState, float] = {}
-        trans_uj = 0.0
-        dram_op_uj = 0.0
-        dram_bg_uj = 0.0
-        display_uj = 0.0
-        adders_uj = 0.0
-        for iv in ivs:
-            ms = iv.span_ns * 1e-6
-            state_uj[iv.state] = (
-                state_uj.get(iv.state, 0.0) + profile.state_power_mw[iv.state] * ms
-            )
-            if prev_state is not None and prev_state is not iv.state:
-                trans_uj += transition_cost(profile, prev_state, iv.state).energy_uj
-            prev_state = iv.state
-            dram_op_uj += (
-                iv.dram_read_bytes * cfg.system.dram_coeff_read
-                + iv.dram_write_bytes * cfg.system.dram_coeff_write
-            ) * 1e6
-            dram_bg_uj += cfg.system.dram_background_mw[STATE_DRAM_MODE[iv.state]] * ms
-            display_uj += profile.display_power_mw.get(iv.state, 0.0) * ms
-            if iv.drfb_active:
-                drfb = calibration.drfb_power_mw * ms
-                adders_uj += drfb
-                display_uj += drfb
-            if iv.gpu_active:
-                adders_uj += cfg.system.gpu_active_mw * ms
-            if iv.fbc_active:
-                adders_uj += cfg.system.fbc_compute_mw * ms
-        total = sum(state_uj.values()) + trans_uj + dram_op_uj + adders_uj
-        dram_uj = dram_bg_uj + dram_op_uj
-        out.append(
-            WindowEnergy(
-                window=w,
-                kind=ivs[0].kind if ivs else "",
-                state_uj=state_uj,
-                transition_uj=trans_uj,
-                dram_operating_uj=dram_op_uj,
-                adders_uj=adders_uj,
-                dram_uj=dram_uj,
-                display_uj=display_uj,
-                others_uj=total - dram_uj - display_uj,
-                total_uj=total,
-            )
-        )
+    for w, t in enumerate(timeline.window_template):
+        ivs = timeline.templates[t]
+        bill = bills.get((t, prev_state))
+        if bill is None:
+            bill = bills[(t, prev_state)] = _window_bill(
+                ivs, prev_state, profile, cfg.system, calibration.drfb_power_mw)
+        out.append(replace(bill, window=w))
+        prev_state = ivs[-1].state
     return tuple(out)
+
+
+def _window_bill(
+    ivs: Sequence[Interval],
+    prev_state: PackageCState | None,
+    profile: PowerProfile,
+    system: SystemConfig,
+    drfb_power_mw: float,
+) -> WindowEnergy:
+    state_uj: dict[PackageCState, float] = {}
+    trans_uj = 0.0
+    dram_op_uj = 0.0
+    dram_bg_uj = 0.0
+    display_uj = 0.0
+    adders_uj = 0.0
+    for iv in ivs:
+        ms = iv.span_ns * 1e-6
+        state_uj[iv.state] = (
+            state_uj.get(iv.state, 0.0) + profile.state_power_mw[iv.state] * ms
+        )
+        if prev_state is not None and prev_state is not iv.state:
+            trans_uj += transition_cost(profile, prev_state, iv.state).energy_uj
+        prev_state = iv.state
+        dram_op_uj += (
+            iv.dram_read_bytes * system.dram_coeff_read
+            + iv.dram_write_bytes * system.dram_coeff_write
+        ) * 1e6
+        dram_bg_uj += system.dram_background_mw[STATE_DRAM_MODE[iv.state]] * ms
+        display_uj += profile.display_power_mw.get(iv.state, 0.0) * ms
+        if iv.drfb_active:
+            drfb = drfb_power_mw * ms
+            adders_uj += drfb
+            display_uj += drfb
+        if iv.gpu_active:
+            adders_uj += system.gpu_active_mw * ms
+        if iv.fbc_active:
+            adders_uj += system.fbc_compute_mw * ms
+    total = sum(state_uj.values()) + trans_uj + dram_op_uj + adders_uj
+    dram_uj = dram_bg_uj + dram_op_uj
+    return WindowEnergy(
+        window=0,
+        kind=ivs[0].kind,
+        state_uj=state_uj,
+        transition_uj=trans_uj,
+        dram_operating_uj=dram_op_uj,
+        adders_uj=adders_uj,
+        dram_uj=dram_uj,
+        display_uj=display_uj,
+        others_uj=total - dram_uj - display_uj,
+        total_uj=total,
+    )
 
 
 def streaming_report(
@@ -430,14 +405,10 @@ __all__ = [
     "ConfigurationError",
     "DramEnergy",
     "EnergyReport",
-    "TrafficSummary",
     "WindowEnergy",
     "average_power",
-    "check_traffic_placement",
-    "dram_energy",
     "report_from_timeline",
     "streaming_report",
-    "summarize_traffic",
     "transition_counts",
     "window_energy_breakdown",
 ]

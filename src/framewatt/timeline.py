@@ -27,9 +27,9 @@ phasing fidelity for exact per-state totals.
 from __future__ import annotations
 
 import html
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 from .core import (
@@ -50,7 +50,8 @@ from .cstates import PackageCState
 class Interval:
     """One contiguous stretch of a single package state.
 
-    ``window`` indexes the refresh window the interval belongs to and
+    ``window`` indexes the refresh window the interval belongs to (0 in a
+    timeline's window templates, whose times are window-relative) and
     ``kind`` echoes that window's role (transfer/repeat/update/idle).  Byte
     counters attribute traffic to the interval; the three flags mark when a
     power adder applies (panel-side frame buffer refresh, GPU projection,
@@ -77,49 +78,127 @@ class Interval:
 
 @dataclass(frozen=True)
 class WindowTimeline:
-    """Interval tiling of ``n_windows`` refresh windows for one scheme."""
+    """Interval tiling of refresh windows for one scheme.
+
+    Windows built from the same recipe (kind, decodes, update bytes) are
+    identical once rounded, because rounding is relative to the window
+    start.  Each distinct window is therefore stored once, in ``templates``,
+    as intervals with window-relative times, and ``window_template`` gives
+    the template of every window.  ``intervals`` expands the full tiling on
+    demand; pricing and export work on the templates.
+    """
 
     scheme: Scheme
     window_ns: int
-    n_windows: int
-    intervals: tuple[Interval, ...]
+    templates: tuple[tuple[Interval, ...], ...]
+    window_template: tuple[int, ...]
+
+    @property
+    def n_windows(self) -> int:
+        return len(self.window_template)
 
     @property
     def total_ns(self) -> int:
         return self.window_ns * self.n_windows
 
-    def window_intervals(self, window: int) -> tuple[Interval, ...]:
-        return tuple(iv for iv in self.intervals if iv.window == window)
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        out: list[Interval] = []
+        for w, t in enumerate(self.window_template):
+            base = w * self.window_ns
+            out.extend(
+                Interval(w, iv.kind, iv.state, base + iv.start_ns, base + iv.end_ns,
+                         iv.label, iv.dram_read_bytes, iv.dram_write_bytes,
+                         iv.edp_bytes, iv.drfb_active, iv.gpu_active, iv.fbc_active)
+                for iv in self.templates[t]
+            )
+        return tuple(out)
 
     def check_coverage(self) -> None:
-        """Intervals must tile [0, total] exactly: no gaps, no overlaps."""
-        cursor = 0
-        for iv in self.intervals:
-            if iv.start_ns != cursor:
-                raise AssertionError(
-                    f"coverage gap at {cursor} ns (next interval starts {iv.start_ns})"
-                )
-            if iv.end_ns <= iv.start_ns:
-                raise AssertionError(f"empty or reversed interval at {iv.start_ns} ns")
-            cursor = iv.end_ns
-        if cursor != self.total_ns:
-            raise AssertionError(f"coverage ends at {cursor}, expected {self.total_ns}")
+        """Run :func:`check_timeline`: exact tiling and traffic placement."""
+        check_timeline(self)
+
+
+#: States in which each traffic type may legitimately appear.  DRAM reads on
+#: C7 cover the direct-feed paths (encoded-stream and projection-source reads
+#: folded into the decoder-active state).
+_READ_STATES = {PackageCState.C0, PackageCState.C2, PackageCState.C7}
+_WRITE_STATES = {PackageCState.C0, PackageCState.C2}
+_LINK_SILENT_STATES = {PackageCState.C9, PackageCState.C10}
+
+
+def check_timeline(timeline: WindowTimeline) -> None:
+    """Raise ValueError unless every distinct window tiles [0, window] exactly
+    (no gaps, overlaps or empty intervals) and its traffic rides only on
+    states that can move it."""
+    for t, ivs in enumerate(timeline.templates):
+        problem = _window_problem(ivs, timeline.window_ns)
+        if problem:
+            raise ValueError(f"window {timeline.window_template.index(t)}: {problem}")
+
+
+def _window_problem(ivs: Sequence[Interval], window_ns: int) -> str | None:
+    cursor = 0
+    for iv in ivs:
+        if iv.start_ns != cursor:
+            return f"coverage gap at {cursor} ns (next interval starts {iv.start_ns})"
+        if iv.end_ns <= iv.start_ns:
+            return f"empty or reversed interval at {iv.start_ns} ns"
+        if iv.dram_read_bytes and iv.state not in _READ_STATES:
+            return f"DRAM read bytes on {iv.state} at {iv.start_ns} ns"
+        if iv.dram_write_bytes and iv.state not in _WRITE_STATES:
+            return f"DRAM write bytes on {iv.state} at {iv.start_ns} ns"
+        if iv.edp_bytes and iv.state in _LINK_SILENT_STATES:
+            return f"link bytes on {iv.state} at {iv.start_ns} ns"
+        cursor = iv.end_ns
+    if cursor != window_ns:
+        return f"coverage ends at {cursor} ns, expected {window_ns}"
+    return None
+
+
+@dataclass(frozen=True)
+class TimelineTotals:
+    """Integer totals of a whole timeline: time per state, bytes moved, and
+    time with each power adder active."""
+
+    state_spans_ns: dict[PackageCState, int]
+    dram_read_bytes: int
+    dram_write_bytes: int
+    edp_bytes: int
+    drfb_ns: int
+    gpu_ns: int
+    fbc_ns: int
+
+
+def timeline_totals(timeline: WindowTimeline) -> TimelineTotals:
+    """Tally each template once, weighted by the windows that use it."""
+    spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
+    read = write = edp = drfb = gpu = fbc = 0
+    for t, m in Counter(timeline.window_template).items():
+        for iv in timeline.templates[t]:
+            span = iv.span_ns * m
+            spans[iv.state] += span
+            read += iv.dram_read_bytes * m
+            write += iv.dram_write_bytes * m
+            edp += iv.edp_bytes * m
+            if iv.drfb_active:
+                drfb += span
+            if iv.gpu_active:
+                gpu += span
+            if iv.fbc_active:
+                fbc += span
+    return TimelineTotals(spans, read, write, edp, drfb, gpu, fbc)
 
 
 def residencies(timeline: WindowTimeline) -> dict[PackageCState, float]:
     """Fraction of total time spent in each state (sums to 1.0)."""
-    spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
-    for iv in timeline.intervals:
-        spans[iv.state] += iv.span_ns
+    spans = state_spans_ns(timeline)
     total = timeline.total_ns
     return {s: spans[s] / total for s in PackageCState}
 
 
 def state_spans_ns(timeline: WindowTimeline) -> dict[PackageCState, int]:
-    spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
-    for iv in timeline.intervals:
-        spans[iv.state] += iv.span_ns
-    return spans
+    return timeline_totals(timeline).state_spans_ns
 
 
 # -- exact byte distribution -------------------------------------------------
@@ -569,60 +648,68 @@ def build_timeline(
             raise ValueError("dirty_trace only applies to single-plane workloads")
 
     vr = wl.kind is WorkloadKind.VR360
-    W_ns = frame_window_ns(cfg.display.refresh_hz)
-    intervals: list[Interval] = []
+    plane = wl.kind is WorkloadKind.SINGLE_PLANE
+    psr_alt = wl.psr_alternate_windows
 
+    def recipe(kind: str, decodes: int, link_bytes: int) -> list[_Rec]:
+        if plane:
+            if scheme is Scheme.BASELINE:
+                return _win_plane_stream(k)
+            return _win_plane_burst(k, link_bytes)
+        if scheme is Scheme.BASELINE:
+            return _win_baseline(k, kind, decodes, vr, psr_alt)
+        if scheme is Scheme.BYPASS_ONLY:
+            return _win_bypass(k, kind)
+        if scheme is Scheme.BURSTING_ONLY:
+            return _win_bursting(k, kind)
+        return _win_burstlink(k, kind, vr)
+
+    # A window is fully determined by (kind, decodes, link bytes); each
+    # distinct key is built and rounded once.
+    W_ns = frame_window_ns(cfg.display.refresh_hz)
+    templates: list[tuple[Interval, ...]] = []
+    index: dict[tuple[str, int, int], int] = {}
+    window_template: list[int] = []
     for w in range(n):
-        if wl.kind is WorkloadKind.SINGLE_PLANE:
+        if plane:
             dirty = float(dirty_trace[w])  # type: ignore[index]
             update = selective_update_bytes(k.F, dirty)
             if scheme is Scheme.BASELINE:
-                kind = "update"
-                recs = _win_plane_stream(k)
-                link_bytes = k.F
+                key = ("update", 0, k.F)
             else:
-                kind = "update" if update > 0 else "idle"
-                recs = _win_plane_burst(k, update)
-                link_bytes = update
+                key = ("update" if update > 0 else "idle", 0, update)
         else:
             is_transfer = w % k.group == 0
-            kind = "transfer" if is_transfer else "repeat"
-            if scheme is Scheme.BASELINE:
-                if is_transfer:
-                    frame_idx = w // k.group
-                    decodes = batch_every if frame_idx % batch_every == 0 else 0
-                    recs = _win_baseline(k, "transfer", decodes, vr, wl.psr_alternate_windows)
-                else:
-                    recs = _win_baseline(k, "repeat", 0, vr, wl.psr_alternate_windows)
-                link_bytes = 0 if (not is_transfer and wl.psr_alternate_windows) else k.F
-            elif scheme is Scheme.BYPASS_ONLY:
-                recs = _win_bypass(k, kind)
-                link_bytes = k.F if is_transfer else 0
-            elif scheme is Scheme.BURSTING_ONLY:
-                recs = _win_bursting(k, kind)
-                link_bytes = k.F if is_transfer else 0
-            else:
-                recs = _win_burstlink(k, kind, vr)
-                link_bytes = k.F if is_transfer else 0
+            decodes = 0
+            if (is_transfer and scheme is Scheme.BASELINE
+                    and (w // k.group) % batch_every == 0):
+                decodes = batch_every
+            restream = scheme is Scheme.BASELINE and not psr_alt
+            link_bytes = k.F if is_transfer or restream else 0
+            key = ("transfer" if is_transfer else "repeat", decodes, link_bytes)
+        t = index.get(key)
+        if t is None:
+            t = index[key] = len(templates)
+            templates.append(_round_window(recipe(*key), key[0], W_ns, key[2]))
+        window_template.append(t)
 
-        intervals.extend(_round_window(recs, w, kind, W_ns, link_bytes))
-
-    tl = WindowTimeline(scheme=scheme, window_ns=W_ns, n_windows=n,
-                        intervals=tuple(intervals))
-    tl.check_coverage()
+    tl = WindowTimeline(scheme=scheme, window_ns=W_ns, templates=tuple(templates),
+                        window_template=tuple(window_template))
+    check_timeline(tl)
     return tl
 
 
 def _round_window(
-    recs: list[_Rec], window: int, kind: str, W_ns: int, link_bytes: int
-) -> list[Interval]:
-    """Round one window's records to integer ns and assign link traffic."""
-    base = window * W_ns
+    recs: list[_Rec], kind: str, W_ns: int, link_bytes: int
+) -> tuple[Interval, ...]:
+    """Round one window's records to integer ns (relative to the window
+    start) and assign link traffic."""
     # Records must already abut exactly (Fraction arithmetic): rounding only
     # quantizes shared boundaries, it never papers over gaps.
     cursor = Fraction(0)
     for r in recs:
-        assert r.start == cursor, f"window recipe left a gap at {float(cursor)} s"
+        if r.start != cursor:
+            raise ValueError(f"window recipe left a gap at {float(cursor)} s")
         cursor = r.end
     bounds: list[int] = [0]
     for i, r in enumerate(recs):
@@ -649,25 +736,23 @@ def _round_window(
 
     spans = [e - s if r.streams else 0 for r, s, e in kept]
     shares = distribute_bytes(link_bytes, spans)
-    out: list[Interval] = []
-    for (r, s, e), edp in zip(kept, shares):
-        out.append(
-            Interval(
-                window=window,
-                kind=kind,
-                state=r.state,
-                start_ns=base + s,
-                end_ns=base + e,
-                label=r.label,
-                dram_read_bytes=r.read,
-                dram_write_bytes=r.write,
-                edp_bytes=edp,
-                drfb_active=r.drfb,
-                gpu_active=r.gpu,
-                fbc_active=r.fbc,
-            )
+    return tuple(
+        Interval(
+            window=0,
+            kind=kind,
+            state=r.state,
+            start_ns=s,
+            end_ns=e,
+            label=r.label,
+            dram_read_bytes=r.read,
+            dram_write_bytes=r.write,
+            edp_bytes=edp,
+            drfb_active=r.drfb,
+            gpu_active=r.gpu,
+            fbc_active=r.fbc,
         )
-    return out
+        for (r, s, e), edp in zip(kept, shares)
+    )
 
 
 # -- exports -----------------------------------------------------------------
@@ -679,14 +764,21 @@ CSV_HEADER = (
 
 
 def timeline_to_csv(timeline: WindowTimeline) -> str:
+    # Each template's rows are formatted once; windows add only their index
+    # and offset.
+    rows = [
+        [(f",{iv.kind},{iv.state},", iv.start_ns, iv.end_ns,
+          f",{iv.label},{iv.dram_read_bytes},{iv.dram_write_bytes},"
+          f"{iv.edp_bytes},{int(iv.drfb_active)},{int(iv.gpu_active)},"
+          f"{int(iv.fbc_active)}")
+         for iv in ivs]
+        for ivs in timeline.templates
+    ]
     lines = [CSV_HEADER]
-    for iv in timeline.intervals:
-        lines.append(
-            f"{iv.window},{iv.kind},{iv.state},{iv.start_ns},{iv.end_ns},"
-            f"{iv.label},{iv.dram_read_bytes},{iv.dram_write_bytes},"
-            f"{iv.edp_bytes},{int(iv.drfb_active)},{int(iv.gpu_active)},"
-            f"{int(iv.fbc_active)}"
-        )
+    for w, t in enumerate(timeline.window_template):
+        base = w * timeline.window_ns
+        lines.extend(f"{w}{head}{base + s},{base + e}{tail}"
+                     for head, s, e, tail in rows[t])
     return "\n".join(lines) + "\n"
 
 
@@ -723,19 +815,24 @@ def timeline_to_svg(timeline: WindowTimeline, width: int = 1000) -> str:
         f"{html.escape(timeline.scheme.value)}, {n} windows of "
         f"{timeline.window_ns / 1e6:.3f} ms</text>",
     ]
-    for iv in timeline.intervals:
-        y = top + iv.window * (row_h + gap)
-        x = left + (iv.start_ns - iv.window * timeline.window_ns) * sx
-        w = max(iv.span_ns * sx, 0.5)
-        color = _STATE_COLORS[iv.state]
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y}" width="{w:.2f}" height="{row_h}" '
-            f'fill="{color}"><title>{html.escape(iv.label)} {iv.state} '
-            f"[{iv.start_ns}-{iv.end_ns}] ns</title></rect>"
-        )
-    for w in range(n):
+    # Block geometry is window-relative, so each template's blocks are
+    # formatted once; windows add only their row and absolute times.
+    rects = [
+        [(f'<rect x="{left + iv.start_ns * sx:.2f}" y="',
+          f'" width="{max(iv.span_ns * sx, 0.5):.2f}" height="{row_h}" '
+          f'fill="{_STATE_COLORS[iv.state]}"><title>{html.escape(iv.label)} '
+          f"{iv.state} [", iv.start_ns, iv.end_ns)
+         for iv in ivs]
+        for ivs in timeline.templates
+    ]
+    for w, t in enumerate(timeline.window_template):
+        y = top + w * (row_h + gap)
+        base = w * timeline.window_ns
+        parts.extend(f"{head}{y}{mid}{base + s}-{base + e}] ns</title></rect>"
+                     for head, mid, s, e in rects[t])
+    for w, t in enumerate(timeline.window_template):
         y = top + w * (row_h + gap) + row_h - 8
-        kind = next((iv.kind for iv in timeline.intervals if iv.window == w), "")
+        kind = timeline.templates[t][0].kind
         parts.append(f'<text x="4" y="{y}">w{w} {html.escape(kind[:4])}</text>')
     lx = left
     ly = top + n * (row_h + gap) + 16
@@ -747,25 +844,18 @@ def timeline_to_svg(timeline: WindowTimeline, width: int = 1000) -> str:
     return "\n".join(parts)
 
 
-def write_timeline_csv(timeline: WindowTimeline, path: str | Path) -> None:
-    Path(path).write_text(timeline_to_csv(timeline), encoding="utf-8")
-
-
-def write_timeline_svg(timeline: WindowTimeline, path: str | Path) -> None:
-    Path(path).write_text(timeline_to_svg(timeline), encoding="utf-8")
-
-
 __all__ = [
     "CSV_HEADER",
     "Interval",
+    "TimelineTotals",
     "WindowTimeline",
     "build_timeline",
+    "check_timeline",
     "distribute_bytes",
     "residencies",
     "selective_update_bytes",
     "state_spans_ns",
+    "timeline_totals",
     "timeline_to_csv",
     "timeline_to_svg",
-    "write_timeline_csv",
-    "write_timeline_svg",
 ]

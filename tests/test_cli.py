@@ -96,6 +96,35 @@ def test_simulate_flags_invalid_configurations(broken_config_file, capsys):
     assert "BURST_NEEDS_DRFB" in err
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+def test_simulate_rejects_non_finite_config_numbers(literal, tmp_path, capsys):
+    doc = json.dumps(make_config("4k", 60, Scheme.BURSTLINK).to_dict())
+    path = tmp_path / "config.json"
+    path.write_text(doc.replace('"decode_rate": 22500000000.0',
+                                f'"decode_rate": {literal}'), encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "violation\tNON_FINITE\tsystem.decode_rate\t" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+def test_simulate_rejects_non_finite_calibration_numbers(literal, tmp_path, capsys):
+    from importlib import resources
+
+    text = resources.files("framewatt").joinpath(
+        "data", "default_calibration.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    doc["drfb_power_mw"] = "PLACEHOLDER"
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal),
+                    encoding="utf-8")
+    assert main(["simulate", "--preset", "4k60", "--calibration", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "violation\tNON_FINITE\tdrfb_power_mw\t" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_config_file_is_a_runtime_error(capsys):
     assert main(["simulate", "--config", "/does/not/exist.json"]) == 1
 

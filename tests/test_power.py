@@ -11,7 +11,6 @@ from framewatt.cstates import PackageCState, load_calibration
 from framewatt.power import (
     ConfigurationError,
     average_power,
-    dram_energy,
     report_from_timeline,
     streaming_report,
     transition_counts,
@@ -69,10 +68,10 @@ def test_average_power_reproduces_the_measured_burst_row(reference_cal):
 # -- DRAM energy ----------------------------------------------------------------
 
 
-def test_dram_operating_energy_charges_per_byte_coefficients():
+def test_dram_operating_energy_charges_per_byte_coefficients(default_cal):
     cfg = make_config("4k", 60, Scheme.BASELINE)
     tl = build_timeline(cfg, None)
-    de = dram_energy(tl, cfg.system)
+    de = report_from_timeline(tl, cfg, default_cal).dram
     reads = sum(iv.dram_read_bytes for iv in tl.intervals)
     writes = sum(iv.dram_write_bytes for iv in tl.intervals)
     # 43 pJ/B, expressed in uJ
@@ -83,10 +82,10 @@ def test_dram_operating_energy_charges_per_byte_coefficients():
     )
 
 
-def test_dram_background_energy_follows_state_modes():
+def test_dram_background_energy_follows_state_modes(default_cal):
     cfg = make_config("4k", 60, Scheme.BASELINE)
     tl = build_timeline(cfg, None)
-    de = dram_energy(tl, cfg.system)
+    de = report_from_timeline(tl, cfg, default_cal).dram
     spans = state_spans_ns(tl)
     active_ns = spans.get(C.C0, 0) + spans.get(C.C2, 0)
     idle_ns = sum(
@@ -96,12 +95,12 @@ def test_dram_background_energy_follows_state_modes():
     assert de.background_uj == pytest.approx(expect, rel=1e-9)
 
 
-def test_zero_coefficients_zero_the_operating_bill():
+def test_zero_coefficients_zero_the_operating_bill(default_cal):
     from framewatt.core import SystemConfig
 
     cfg = make_config(system=SystemConfig(dram_coeff_read=0.0, dram_coeff_write=0.0))
     tl = build_timeline(cfg, None)
-    de = dram_energy(tl, cfg.system)
+    de = report_from_timeline(tl, cfg, default_cal).dram
     assert de.operating_uj == 0.0
     assert de.background_uj > 0.0
 
@@ -204,6 +203,28 @@ def test_transition_counts_track_adjacent_state_changes():
     )
     assert sum(counts.values()) == changes
     assert all(frm is not to for frm, to in counts)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_transition_counts_keep_first_occurrence_order(scheme):
+    # report.json lists the counts, and sums their energies, in this order
+    tl = build_timeline(make_config("fhd", 30, scheme), 12)
+    expected: dict = {}
+    for prev, cur in zip(tl.intervals, tl.intervals[1:]):
+        if prev.state is not cur.state:
+            key = (prev.state, cur.state)
+            expected[key] = expected.get(key, 0) + 1
+    assert list(transition_counts(tl).items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_window_breakdown_charges_every_boundary_transition(scheme, latency_cal):
+    cfg = make_config("fhd", 30, scheme)
+    tl = build_timeline(cfg, 6)
+    report = report_from_timeline(tl, cfg, latency_cal)
+    rows = window_energy_breakdown(tl, cfg, latency_cal)
+    assert report.transition_energy_uj > 0
+    assert sum(r.transition_uj for r in rows) == pytest.approx(report.transition_energy_uj)
 
 
 def test_transition_energy_appears_only_with_latencied_calibrations():

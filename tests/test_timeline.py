@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+from importlib import resources
 
 import pytest
 
@@ -15,10 +17,13 @@ from framewatt.core import (
     frame_bytes,
     frame_window_ns,
 )
+from framewatt import timeline as tmod
 from framewatt.cstates import PackageCState
+from framewatt.scenarios import read_dirty_trace
 from framewatt.timeline import (
     CSV_HEADER,
     build_timeline,
+    check_timeline,
     distribute_bytes,
     residencies,
     selective_update_bytes,
@@ -75,6 +80,101 @@ def test_residencies_sum_to_one():
 def test_state_spans_add_up_to_the_run_length():
     tl = build_timeline(make_config("5k", 60, Scheme.BURSTING_ONLY), 3)
     assert sum(state_spans_ns(tl).values()) == tl.total_ns
+
+
+# -- distinct-window templates ------------------------------------------------
+
+
+def _rebuild(cfg, n, batch_every=1, dirty_trace=None):
+    """Reference timeline: run every window's recipe on its own and shift it."""
+    wl, scheme = cfg.workload, cfg.workload.scheme
+    k = tmod._knobs(cfg, 1.0, 1.0 - 0.34 if batch_every > 1 else 1.0)
+    W_ns = frame_window_ns(cfg.display.refresh_hz)
+    vr = wl.kind is WorkloadKind.VR360
+    out = []
+    for w in range(n):
+        if dirty_trace is not None:
+            update = selective_update_bytes(k.F, dirty_trace[w])
+            if scheme is Scheme.BASELINE:
+                kind, recs, link = "update", tmod._win_plane_stream(k), k.F
+            else:
+                kind = "update" if update > 0 else "idle"
+                recs, link = tmod._win_plane_burst(k, update), update
+        else:
+            transfer = w % k.group == 0
+            kind = "transfer" if transfer else "repeat"
+            link = k.F if transfer else 0
+            if scheme is Scheme.BASELINE:
+                batched = transfer and (w // k.group) % batch_every == 0
+                decodes = batch_every if batched else 0
+                recs = tmod._win_baseline(k, kind, decodes, vr, wl.psr_alternate_windows)
+                link = 0 if not transfer and wl.psr_alternate_windows else k.F
+            elif scheme is Scheme.BYPASS_ONLY:
+                recs = tmod._win_bypass(k, kind)
+            elif scheme is Scheme.BURSTING_ONLY:
+                recs = tmod._win_bursting(k, kind)
+            else:
+                recs = tmod._win_burstlink(k, kind, vr)
+        base = w * W_ns
+        out.extend(
+            dataclasses.replace(iv, window=w, start_ns=base + iv.start_ns,
+                                end_ns=base + iv.end_ns)
+            for iv in tmod._round_window(recs, kind, W_ns, link)
+        )
+    return tuple(out)
+
+
+@pytest.mark.parametrize("batch_every", [1, 2, 3, 4, 5])
+def test_batched_windows_expand_to_a_window_by_window_rebuild(batch_every):
+    cfg = make_config("fhd", 30, Scheme.BASELINE)
+    n = 4 * batch_every + 3
+    tl = build_timeline(cfg, n, batch_every=batch_every)
+    assert tl.intervals == _rebuild(cfg, n, batch_every)
+    assert len(tl.templates) == (2 if batch_every == 1 else 3)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("kind", [WorkloadKind.VIDEO, WorkloadKind.VR360])
+def test_scheme_windows_expand_to_a_window_by_window_rebuild(scheme, kind):
+    cfg = make_config("4k", 20, scheme, kind=kind)
+    assert build_timeline(cfg, 7).intervals == _rebuild(cfg, 7)
+
+
+def test_self_refresh_windows_expand_to_a_window_by_window_rebuild():
+    cfg = make_config("fhd", 30, psr_alternate=True)
+    assert build_timeline(cfg, 5).intervals == _rebuild(cfg, 5)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.BURSTING_ONLY])
+def test_trace_windows_expand_to_a_window_by_window_rebuild(scheme):
+    ref = resources.files("framewatt").joinpath("data", "traces", "productivity.csv")
+    with resources.as_file(ref) as path:
+        trace = read_dirty_trace(path)[:120]
+    cfg = make_config("fhd", 60, scheme, kind=WorkloadKind.SINGLE_PLANE)
+    tl = build_timeline(cfg, None, dirty_trace=trace)
+    assert tl.intervals == _rebuild(cfg, len(trace), dirty_trace=trace)
+    assert len(tl.templates) < tl.n_windows
+
+
+def test_timeline_check_rejects_traffic_on_a_silent_state():
+    tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), None)
+    idle = next(t for t, ivs in enumerate(tl.templates)
+                if ivs[-1].state is PackageCState.C9)
+    ivs = list(tl.templates[idle])
+    ivs[-1] = dataclasses.replace(ivs[-1], edp_bytes=1)
+    templates = tl.templates[:idle] + (tuple(ivs),) + tl.templates[idle + 1:]
+    broken = dataclasses.replace(tl, templates=templates)
+    with pytest.raises(ValueError, match="link bytes on C9"):
+        check_timeline(broken)
+
+
+def test_timeline_check_rejects_a_coverage_gap():
+    tl = build_timeline(make_config("fhd", 30, Scheme.BASELINE), None)
+    first = tl.templates[0]
+    gap = (dataclasses.replace(first[0], end_ns=first[0].end_ns - 1),) + first[1:]
+    broken = dataclasses.replace(tl, templates=(gap,) + tl.templates[1:])
+    with pytest.raises(ValueError, match="window 0: coverage gap"):
+        check_timeline(broken)
 
 
 # -- per-scheme traffic -------------------------------------------------------
