@@ -74,14 +74,25 @@ from .scenarios import (
     single_plane_burst,
     write_dirty_trace,
 )
-from .calibrate import (
-    AccuracyReport,
-    FitResult,
-    MeasuredRun,
-    UnderDeterminedError,
-    fit_state_powers,
-    load_runs,
-    model_accuracy,
-)
 
 __version__ = "0.1.0"
+
+# Calibration fitting pulls in numpy and scipy, which no other command needs,
+# so its names load on first access (PEP 562).
+_CALIBRATE_NAMES = frozenset({
+    "AccuracyReport",
+    "FitResult",
+    "MeasuredRun",
+    "UnderDeterminedError",
+    "fit_state_powers",
+    "load_runs",
+    "model_accuracy",
+})
+
+
+def __getattr__(name: str):
+    if name in _CALIBRATE_NAMES:
+        from . import calibrate
+
+        return getattr(calibrate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

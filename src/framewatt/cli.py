@@ -34,19 +34,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
-from .calibrate import (
-    UnderDeterminedError,
-    fit_state_powers,
-    load_runs,
-    model_accuracy,
-)
 from .core import (
     Scheme,
     SimConfig,
@@ -622,36 +614,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for batch in batch_axis
     ]
     # Each baseline reference is a no-overlay plain-scheme run at the same
-    # panel and frame rate; points are independent, so evaluate in parallel
-    # and assemble rows in grid order.
-    ref_keys = sorted({(res, refresh, fps) for res, refresh, fps, *_ in points})
-    workers = min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        ref_jobs = {
-            key: pool.submit(
-                _sweep_point, key[0], key[1], key[2], kind, Scheme.BASELINE,
-                1.0, 1, calibration, args.windows,
-            )
-            for key in ref_keys
-        }
-        point_jobs = [
-            pool.submit(_sweep_point, res, refresh, fps, knd, scheme, fbc, batch,
-                        calibration, args.windows)
-            for res, refresh, fps, knd, scheme, fbc, batch in points
-        ]
-        refs = {key: job.result()[1] for key, job in ref_jobs.items()}
-        rows = []
-        for (res, refresh, fps, knd, scheme, fbc, batch), job in zip(points,
-                                                                     point_jobs):
-            row, report = job.result()
-            if report is not None:
-                base = refs.get((res, refresh, fps))
-                if scheme is Scheme.BASELINE and fbc == 1.0 and batch == 1:
-                    row["reduction_vs_baseline_pct"] = 0.0
-                elif base is not None:
-                    row["reduction_vs_baseline_pct"] = round(
-                        energy_reduction(base, report), 4)
-            rows.append(row)
+    # panel and frame rate.  The work is pure Python, so points run in order.
+    refs = {
+        key: _sweep_point(key[0], key[1], key[2], kind, Scheme.BASELINE, 1.0, 1,
+                          calibration, args.windows)[1]
+        for key in sorted({(res, refresh, fps) for res, refresh, fps, *_ in points})
+    }
+    rows = []
+    for res, refresh, fps, knd, scheme, fbc, batch in points:
+        row, report = _sweep_point(res, refresh, fps, knd, scheme, fbc, batch,
+                                   calibration, args.windows)
+        if report is not None:
+            base = refs.get((res, refresh, fps))
+            if scheme is Scheme.BASELINE and fbc == 1.0 and batch == 1:
+                row["reduction_vs_baseline_pct"] = 0.0
+            elif base is not None:
+                row["reduction_vs_baseline_pct"] = round(energy_reduction(base, report), 4)
+        rows.append(row)
 
     print(" ".join(f"{h:>{max(len(h), 10)}}" for h in _SWEEP_COLUMNS))
     for r in rows:
@@ -710,6 +689,9 @@ def _fitted_calibration_doc(
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    # Imported here because it pulls in numpy and scipy.
+    from .calibrate import UnderDeterminedError, fit_state_powers, load_runs, model_accuracy
+
     runs = load_runs(args.runs)
     states = None
     if args.states:

@@ -2,11 +2,12 @@
 
 This module re-derives window state sequences from the config with a
 different implementation strategy: a per-window event loop over the
-producer/consumer buffer machine, float-second arithmetic, merged state
-periods, and tick-capped numerical energy integration.  It shares no code
-with :mod:`framewatt.timeline`; agreement between the two (state residencies
-within a tenth of a percentage point, energy within a tenth of a percent) is
-what the equivalence test suite asserts.
+producer/consumer buffer machine, float-second arithmetic and merged state
+periods, each priced at its own constant power.  It shares no interval
+construction with :mod:`framewatt.timeline` and no pricing with
+:mod:`framewatt.power`; agreement between the two (state residencies within
+a tenth of a percentage point, energy within a tenth of a percent) is what
+the equivalence test suite asserts.
 
 Semantics mirrored here (and nowhere loosened): the first two chunk fills of
 a phase land back-to-back, later fills wait for the chunk two places ahead
@@ -75,11 +76,12 @@ class OracleResult:
         calibration: CalibrationSet,
         tick_s: float = 1e-6,
     ) -> float:
-        """Numerically integrate the energy bill over the period list.
+        """Integrate the energy bill over the period list.
 
-        Integration advances in steps of at most ``tick_s`` inside each
-        period; halving the tick must not change the result beyond float
-        noise, which the test suite checks.
+        Power is constant within a period, so each period is integrated
+        exactly as power times span; a step size could change only float
+        rounding.  ``tick_s`` is kept for callers that pass one and is not
+        used.
         """
         profile = calibration.profile_for(cfg.workload.scheme)
         total_uj = 0.0
@@ -92,11 +94,7 @@ class OracleResult:
                 power_mw += cfg.system.gpu_active_mw
             if p.fbc:
                 power_mw += cfg.system.fbc_compute_mw
-            remaining = p.span_s
-            while remaining > 0:
-                dt = tick_s if remaining > tick_s else remaining
-                total_uj += power_mw * dt * 1e3  # mW * s -> uJ
-                remaining -= dt
+            total_uj += power_mw * p.span_s * 1e3  # mW * s -> uJ
             if prev_state is not None and prev_state is not p.state:
                 total_uj += transition_cost(profile, prev_state, p.state).energy_uj
             prev_state = p.state

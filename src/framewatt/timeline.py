@@ -30,7 +30,8 @@ import html
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Any, Sequence
 
 from .core import (
     NS_PER_S,
@@ -46,7 +47,7 @@ from .core import (
 from .cstates import PackageCState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """One contiguous stretch of a single package state.
 
@@ -231,13 +232,16 @@ def distribute_bytes(total: int, weights: Sequence[int]) -> list[int]:
 
 # -- window construction ------------------------------------------------------
 
-# Mutable record used while assembling a window; times are Fraction seconds
-# relative to the window start.
-@dataclass
+# Mutable record used while assembling a window.  Times are exact: integer
+# numerators over ``den`` seconds, relative to the window start.  The records
+# of one transfer phase share the phase's denominator, so each chunk costs
+# integer adds and compares and no ``Fraction`` is built per boundary.
+@dataclass(slots=True)
 class _Rec:
     state: PackageCState
-    start: Fraction
-    end: Fraction
+    start: int
+    end: int
+    den: int
     label: str
     read: int = 0
     write: int = 0
@@ -247,12 +251,12 @@ class _Rec:
     streams: bool = False  # eligible to carry link traffic
 
 
-def _chunk_sizes(payload: int, chunk: int) -> list[int]:
-    n = dc_fetch_count(payload, chunk)
-    if n == 0:
-        return []
-    rem = payload - (n - 1) * chunk
-    return [chunk] * (n - 1) + [rem]
+def _rec(state: PackageCState, start: Fraction, end: Fraction, label: str,
+         **flags: Any) -> _Rec:
+    """A record spanning [start, end] seconds, given as Fractions."""
+    den = lcm(start.denominator, end.denominator)
+    return _Rec(state, start.numerator * (den // start.denominator),
+                end.numerator * (den // end.denominator), den, label, **flags)
 
 
 def _duplex_phase(
@@ -280,85 +284,71 @@ def _duplex_phase(
     """
     if payload <= 0 or start >= hard_end:
         return [], start
-    chunks = _chunk_sizes(payload, chunk)
-    reads = distribute_bytes(fill_read_total, chunks)
-
+    n = dc_fetch_count(payload, chunk)
+    tail = payload - (n - 1) * chunk
+    reads = distribute_bytes(fill_read_total, [chunk] * (n - 1) + [tail])
     span_mode = drain_rate is None
     d: Fraction = (
         Fraction(payload) / (hard_end - start) if span_mode else drain_rate  # type: ignore[assignment]
     )
-    fill_durs = [Fraction(c) / fill_rate for c in chunks]
+    # Every boundary below is the start plus whole fill and drain durations
+    # of full and tail chunks, so all of them are integers over one common
+    # denominator D.
+    exact = (start, hard_end, chunk / fill_rate, tail / fill_rate, chunk / d, tail / d)
+    D = lcm(*(x.denominator for x in exact))
+    s, h, fill_full, fill_tail, drain_full, drain_tail = (
+        x.numerator * (D // x.denominator) for x in exact)
     recs: list[_Rec] = []
-
-    def _fill_rec(i: int, t: Fraction) -> _Rec:
-        return _Rec(
-            state=fill_state,
-            start=t,
-            end=t + fill_durs[i],
-            label=fill_label,
-            read=reads[i],
-            gpu=gpu_fill,
-            streams=True,
-        )
 
     if fill_rate <= d:
         # Producer-bound: chunks stream back-to-back at the producer's pace;
         # the consumer keeps up in lockstep, so there are no drain-only gaps.
-        t = start
-        for i in range(len(chunks)):
-            recs.append(_fill_rec(i, t))
-            t = recs[-1].end
-        phase_end = t
-        if span_mode and phase_end < hard_end:
+        t = s
+        for i in range(n):
+            e = t + (fill_full if i < n - 1 else fill_tail)
+            recs.append(_Rec(fill_state, t, e, D, fill_label, read=reads[i],
+                             gpu=gpu_fill, streams=True))
+            t = e
+        if span_mode and t < h:
             # Producer could not fill the window (underrun; flagged by
             # validation).  Pad with the drain state so coverage holds.
-            recs.append(
-                _Rec(drain_state, phase_end, hard_end, drain_label, streams=True)
-            )
-            phase_end = hard_end
+            recs.append(_Rec(drain_state, t, h, D, drain_label, streams=True))
+            t = h
+        phase_end = t
     else:
         # Consumer-bound: the first two fills land back-to-back (the drain
         # cannot start before the first chunk exists), then each later fill
         # waits for a buffer slot, i.e. for the chunk two places ahead of it
-        # to finish draining.
-        drain_done: list[Fraction] = []
-        acc = start + fill_durs[0]
-        for c in chunks:
-            acc += Fraction(c) / d
-            drain_done.append(acc)
-        fill_starts: list[Fraction] = []
-        for i in range(len(chunks)):
-            if i == 0:
-                fill_starts.append(start)
-            elif i == 1:
-                fill_starts.append(start + fill_durs[0])
-            else:
-                fill_starts.append(drain_done[i - 2])
-        t = start
-        for i in range(len(chunks)):
-            if fill_starts[i] > t:
-                recs.append(_Rec(drain_state, t, fill_starts[i], drain_label, streams=True))
-            recs.append(_fill_rec(i, fill_starts[i]))
-            t = recs[-1].end
-        if drain_done[-1] > t:
-            recs.append(_Rec(drain_state, t, drain_done[-1], drain_label, streams=True))
-        phase_end = drain_done[-1]
+        # to finish draining.  The drain runs without a stall from the end
+        # of the first fill, so full chunk j drains by
+        # drain_start + (j + 1) * drain_full.
+        drain_start = s + (fill_full if n > 1 else fill_tail)
+        t = fill_start = s
+        for i in range(n):
+            if fill_start > t:
+                recs.append(_Rec(drain_state, t, fill_start, D, drain_label, streams=True))
+            t = fill_start + (fill_full if i < n - 1 else fill_tail)
+            recs.append(_Rec(fill_state, fill_start, t, D, fill_label, read=reads[i],
+                             gpu=gpu_fill, streams=True))
+            fill_start = drain_start + i * drain_full
+        phase_end = drain_start + (n - 1) * drain_full + drain_tail
+        if phase_end > t:
+            recs.append(_Rec(drain_state, t, phase_end, D, drain_label, streams=True))
 
     # Clip to the hard end; fold clipped-off bytes into the last survivor so
     # traffic is conserved.
     clipped: list[_Rec] = []
     lost_read = 0
     for r in recs:
-        if r.start >= hard_end:
+        if r.start >= h:
             lost_read += r.read
             continue
-        if r.end > hard_end:
-            r.end = hard_end
+        if r.end > h:
+            r.end = h
         clipped.append(r)
     if lost_read and clipped:
         clipped[-1].read += lost_read
-    phase_end = min(phase_end, hard_end)
-    return clipped, phase_end
+    return clipped, Fraction(min(phase_end, h), D)
 
 
 @dataclass(frozen=True)
@@ -409,36 +399,20 @@ def _knobs(cfg: SimConfig, fbc_ratio: float, traffic_cut: float) -> _Knobs:
     )
 
 
-def _c0(
-    start: Fraction, end: Fraction, label: str, *, read: int = 0, write: int = 0,
-    gpu: bool = False, fbc: bool = False, streams: bool = False,
-) -> _Rec:
-    return _Rec(PackageCState.C0, start, end, label, read, write, gpu, fbc, False, streams)
+def _c0(start: Fraction, end: Fraction, label: str, **flags: Any) -> _Rec:
+    return _rec(PackageCState.C0, start, end, label, **flags)
 
 
 def _idle_tail(start: Fraction, end: Fraction, label: str = "idle") -> _Rec:
-    r = _Rec(PackageCState.C9, start, end, label)
-    r.drfb = True
-    return r
+    return _rec(PackageCState.C9, start, end, label, drfb=True)
 
 
-def _clip_c0(recs: list[_Rec], W: Fraction) -> list[_Rec]:
-    out = []
-    for r in recs:
-        if r.start >= W:
-            continue
-        if r.end > W:
-            r.end = W
-        out.append(r)
-    return out
-
-
-def _pad_to_window_end(recs: list[_Rec], W: Fraction, state: PackageCState,
+def _pad_to_window_end(recs: list[_Rec], t: Fraction, W: Fraction, state: PackageCState,
                        label: str, streams: bool) -> list[_Rec]:
-    """Fill any remaining window time (degenerate payloads) with one record."""
-    t = recs[-1].end if recs else Fraction(0)
+    """Fill any window time left after ``t`` (degenerate payloads) with one
+    record."""
     if t < W:
-        recs.append(_Rec(state, t, W, label, streams=streams))
+        recs.append(_rec(state, t, W, label, streams=streams))
     return recs
 
 
@@ -448,37 +422,31 @@ def _pad_to_window_end(recs: list[_Rec], W: Fraction, state: PackageCState,
 
 def _win_baseline(k: _Knobs, kind: str, n_decode: int, vr: bool, psr_alt: bool) -> list[_Rec]:
     if kind == "repeat" and psr_alt:
-        rec = _Rec(PackageCState.C9, Fraction(0), k.W, "psr")
-        rec.drfb = True
-        return [rec]
-    recs: list[_Rec] = []
-    t = Fraction(0)
+        return [_rec(PackageCState.C9, Fraction(0), k.W, "psr", drfb=True)]
+    # Wake-up records are clipped to the window: one that starts past its
+    # end is dropped.
     if kind == "transfer" and n_decode > 0:
-        t_dec = Fraction(n_decode * k.F) / k.f
-        decode_write = n_decode * (k.F if vr else k.disp)
-        recs.append(
-            _c0(t, t + k.o + t_dec, "wake+decode", read=n_decode * k.E,
-                write=decode_write, fbc=k.fbc_on and not vr, streams=True)
-        )
-        t = t + k.o + t_dec
+        t = k.o + Fraction(n_decode * k.F) / k.f
+        recs = [_c0(Fraction(0), min(t, k.W), "wake+decode", read=n_decode * k.E,
+                    write=n_decode * (k.F if vr else k.disp), fbc=k.fbc_on and not vr,
+                    streams=True)]
         if vr:
-            t_pt = Fraction(n_decode * k.F) / k.gpu
-            recs.append(
-                _c0(t, t + t_pt, "project", read=n_decode * k.F,
-                    write=n_decode * k.disp, gpu=True, fbc=k.fbc_on, streams=True)
-            )
-            t = t + t_pt
+            t_pt = t + Fraction(n_decode * k.F) / k.gpu
+            if t < k.W:
+                recs.append(_c0(t, min(t_pt, k.W), "project", read=n_decode * k.F,
+                                write=n_decode * k.disp, gpu=True, fbc=k.fbc_on,
+                                streams=True))
+            t = t_pt
     else:
-        recs.append(_c0(t, t + k.o, "wake", streams=True))
-        t = t + k.o
-    recs = _clip_c0(recs, k.W)
+        t = k.o
+        recs = [_c0(Fraction(0), min(t, k.W), "wake", streams=True)]
     t = min(t, k.W)
-    phase, _ = _duplex_phase(
+    phase, t_end = _duplex_phase(
         t, k.W, k.disp, k.chunk, k.b, None,
         PackageCState.C2, PackageCState.C8, "fetch", "stream",
         fill_read_total=k.disp,
     )
-    return _pad_to_window_end(recs + phase, k.W, PackageCState.C8, "stream", True)
+    return _pad_to_window_end(recs + phase, t_end, k.W, PackageCState.C8, "stream", True)
 
 
 def _win_bypass(k: _Knobs, kind: str) -> list[_Rec]:
@@ -489,12 +457,12 @@ def _win_bypass(k: _Knobs, kind: str) -> list[_Rec]:
         return recs
     recs = [_c0(Fraction(0), min(k.o, k.W), "wake", streams=True)]
     t = min(k.o, k.W)
-    phase, _ = _duplex_phase(
+    phase, t_end = _duplex_phase(
         t, k.W, k.F, k.chunk, k.p, None,
         PackageCState.C7, PackageCState.C7P, "decode-feed", "stream",
         fill_read_total=k.E,
     )
-    return _pad_to_window_end(recs + phase, k.W, PackageCState.C7P, "stream", True)
+    return _pad_to_window_end(recs + phase, t_end, k.W, PackageCState.C7P, "stream", True)
 
 
 def _win_bursting(k: _Knobs, kind: str) -> list[_Rec]:
@@ -561,12 +529,12 @@ def _win_plane_stream(k: _Knobs) -> list[_Rec]:
     """Single-plane window under conventional full-frame streaming."""
     recs = [_c0(Fraction(0), min(k.o, k.W), "wake", streams=True)]
     t = min(k.o, k.W)
-    phase, _ = _duplex_phase(
+    phase, t_end = _duplex_phase(
         t, k.W, k.F, k.chunk, k.b, None,
         PackageCState.C2, PackageCState.C8, "fetch", "stream",
         fill_read_total=k.F,
     )
-    return _pad_to_window_end(recs + phase, k.W, PackageCState.C8, "stream", True)
+    return _pad_to_window_end(recs + phase, t_end, k.W, PackageCState.C8, "stream", True)
 
 
 def _win_plane_burst(k: _Knobs, update_bytes: int) -> list[_Rec]:
@@ -623,6 +591,9 @@ def build_timeline(
         raise ValueError(f"fbc_ratio must be in (0, 1], got {fbc_ratio}")
     if batch_every < 1:
         raise ValueError(f"batch_every must be >= 1, got {batch_every}")
+    if not 0.0 <= cached_traffic_fraction <= 1.0:
+        raise ValueError(
+            f"cached_traffic_fraction must be in [0, 1], got {cached_traffic_fraction}")
     wl = cfg.workload
     scheme = wl.scheme
     if batch_every > 1 and (
@@ -699,24 +670,29 @@ def build_timeline(
     return tl
 
 
+def _round_half_even(n: int, d: int) -> int:
+    """``round(Fraction(n, d))`` for ``d > 0``: nearest integer, ties to even."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
+
+
 def _round_window(
     recs: list[_Rec], kind: str, W_ns: int, link_bytes: int
 ) -> tuple[Interval, ...]:
     """Round one window's records to integer ns (relative to the window
     start) and assign link traffic."""
-    # Records must already abut exactly (Fraction arithmetic): rounding only
+    # Records must already abut exactly (exact rational times): rounding only
     # quantizes shared boundaries, it never papers over gaps.
-    cursor = Fraction(0)
+    cursor, cursor_den = 0, 1
     for r in recs:
-        if r.start != cursor:
-            raise ValueError(f"window recipe left a gap at {float(cursor)} s")
-        cursor = r.end
+        if r.start * cursor_den != cursor * r.den:
+            raise ValueError(f"window recipe left a gap at {cursor / cursor_den} s")
+        cursor, cursor_den = r.end, r.den
     bounds: list[int] = [0]
+    last = len(recs) - 1
     for i, r in enumerate(recs):
-        start_ns = bounds[-1]
-        end_ns = W_ns if i == len(recs) - 1 else round(r.end * NS_PER_S)
-        end_ns = max(end_ns, start_ns)  # rounding must not reverse an edge
-        bounds.append(end_ns)
+        end_ns = W_ns if i == last else _round_half_even(r.end * NS_PER_S, r.den)
+        bounds.append(max(end_ns, bounds[-1]))  # rounding must not reverse an edge
 
     # Drop zero-span records, folding their traffic into the next survivor.
     kept: list[tuple[_Rec, int, int]] = []

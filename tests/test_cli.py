@@ -169,6 +169,16 @@ def test_compare_side_b_inherits_side_a_overlays(tmp_path, capsys):
     assert doc["delta"]["average_power_pct"] > 0
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-5", "1.5"])
+@pytest.mark.parametrize("command", [["simulate"], ["validate"],
+                                     ["compare", "--preset-b", "fhd30"]])
+def test_out_of_range_cached_fraction_is_a_usage_error(command, value, capsys):
+    argv = [command[0], "--preset", "fhd30", *command[1:], "--batch-every", "2",
+            "--cached-fraction", value]
+    assert main(argv) == 2
+    assert "cached_traffic_fraction must be in [0, 1]" in capsys.readouterr().err
+
+
 # -- sweep --------------------------------------------------------------------
 
 
@@ -304,3 +314,17 @@ def test_module_entry_point_reports_its_version():
     )
     assert proc.returncode == 0
     assert "framewatt" in proc.stdout
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import framewatt.cli", False),
+    ("from framewatt import fit_state_powers", True),
+])
+def test_scipy_loads_only_with_the_calibration_fitter(statement, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; {statement}; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == [str(loaded)]

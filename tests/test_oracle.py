@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from framewatt.core import Scheme, WorkloadKind
-from framewatt.cstates import PackageCState, load_calibration
+from framewatt.cstates import PackageCState, load_calibration, transition_cost
 from framewatt.oracle import oracle_simulate
 from framewatt.power import report_from_timeline
 from framewatt.timeline import build_timeline
@@ -113,6 +113,48 @@ def test_oracle_energy_is_tick_independent():
     coarse = oracle.energy_uj(cfg, cal, tick_s=1e-6)
     fine = oracle.energy_uj(cfg, cal, tick_s=2.5e-7)
     assert coarse == pytest.approx(fine, rel=1e-9)
+
+
+def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
+    """Reference energy: step through every period in ticks of ``tick_s``."""
+    profile = cal.profile_for(cfg.workload.scheme)
+    total_uj = 0.0
+    prev_state = None
+    for p in oracle.periods:
+        power_mw = profile.state_power_mw[p.state]
+        if p.drfb:
+            power_mw += cal.drfb_power_mw
+        if p.gpu:
+            power_mw += cfg.system.gpu_active_mw
+        if p.fbc:
+            power_mw += cfg.system.fbc_compute_mw
+        remaining = p.span_s
+        while remaining > 0:
+            dt = tick_s if remaining > tick_s else remaining
+            total_uj += power_mw * dt * 1e3
+            remaining -= dt
+        if prev_state is not None and prev_state is not p.state:
+            total_uj += transition_cost(profile, prev_state, p.state).energy_uj
+        prev_state = p.state
+    total_uj += oracle.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
+    total_uj += oracle.dram_write_bytes * cfg.system.dram_coeff_write * 1e6
+    return total_uj
+
+
+@pytest.mark.parametrize("cfg, calibration, n_windows, overlays", [
+    (make_config("4k", 60, Scheme.BASELINE), "default", 2, {}),
+    (make_config("fhd", 30, Scheme.BURSTLINK), "latency-demo", 4, {}),
+    (make_config("4k", 60, Scheme.BASELINE, kind=WorkloadKind.VR360), "default", 2,
+     {"fbc_ratio": 0.5}),
+    (make_config("4k", 60, Scheme.BASELINE), "default", 4, {"batch_every": 4}),
+    (make_config("fhd", 60, Scheme.BURSTING_ONLY, kind=WorkloadKind.SINGLE_PLANE),
+     "default", None, {"dirty_trace": [0.0, 0.1, 0.9, 1.0, 0.3]}),
+], ids=["baseline", "burstlink", "vr-fbc", "batching", "single-plane"])
+def test_closed_form_energy_matches_tick_quadrature(cfg, calibration, n_windows, overlays):
+    cal = load_calibration(calibration)
+    oracle = oracle_simulate(cfg, n_windows, **overlays)
+    assert oracle.energy_uj(cfg, cal) == pytest.approx(
+        tick_quadrature_uj(oracle, cfg, cal), rel=1e-9)
 
 
 def test_oracle_periods_tile_the_run():

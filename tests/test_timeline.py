@@ -5,11 +5,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framewatt.core import (
+    NS_PER_S,
     RESOLUTIONS,
     Scheme,
     WorkloadKind,
@@ -175,6 +178,105 @@ def test_timeline_check_rejects_a_coverage_gap():
     broken = dataclasses.replace(tl, templates=(gap,) + tl.templates[1:])
     with pytest.raises(ValueError, match="window 0: coverage gap"):
         check_timeline(broken)
+
+
+# -- integer-time window arithmetic ----------------------------------------------
+
+
+@given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=10**24))
+def test_integer_rounding_matches_fraction_rounding(n, d):
+    assert tmod._round_half_even(n * NS_PER_S, d) == round(Fraction(n, d) * NS_PER_S)
+
+
+@given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=10**9))
+def test_integer_rounding_breaks_exact_ties_to_even(k, m):
+    n, d = (2 * k + 1) * m, 2 * NS_PER_S * m  # exactly k + 1/2 ns
+    expected = k + k % 2
+    assert tmod._round_half_even(n * NS_PER_S, d) == expected
+    assert round(Fraction(n, d) * NS_PER_S) == expected
+
+
+def test_window_rounding_rejects_records_that_leave_a_gap():
+    recs = [tmod._rec(PackageCState.C0, Fraction(0), Fraction(1, 100), "wake"),
+            tmod._rec(PackageCState.C9, Fraction(1, 99), Fraction(1, 60), "idle")]
+    with pytest.raises(ValueError, match="left a gap at 0.01 s"):
+        tmod._round_window(recs, "update", frame_window_ns(60), 0)
+
+
+def fraction_phase(start, hard_end, payload, chunk, fill_rate, drain_rate):
+    """Reference phase: the per-chunk ``Fraction`` arithmetic that the
+    integer-time phase replaced, as [is_fill, start, end, read] records plus
+    the phase end."""
+    if start >= hard_end:
+        return [], start
+    n = -(-payload // chunk)
+    chunks = [chunk] * (n - 1) + [payload - (n - 1) * chunk]
+    reads = distribute_bytes(payload, chunks)
+    d = Fraction(payload) / (hard_end - start) if drain_rate is None else drain_rate
+    fill = [Fraction(c) / fill_rate for c in chunks]
+    recs = []
+    if fill_rate <= d:
+        t = start
+        for dur, read in zip(fill, reads):
+            recs.append([True, t, t + dur, read])
+            t += dur
+        end = t
+        if drain_rate is None and t < hard_end:
+            recs.append([False, t, hard_end, 0])
+            end = hard_end
+    else:
+        done, acc = [], start + fill[0]
+        for c in chunks:
+            acc += Fraction(c) / d
+            done.append(acc)
+        t = start
+        for i, (dur, read) in enumerate(zip(fill, reads)):
+            fs = start if i == 0 else start + fill[0] if i == 1 else done[i - 2]
+            if fs > t:
+                recs.append([False, t, fs, 0])
+            recs.append([True, fs, fs + dur, read])
+            t = fs + dur
+        if done[-1] > t:
+            recs.append([False, t, done[-1], 0])
+        end = done[-1]
+    kept, lost = [], 0
+    for r in recs:
+        if r[1] >= hard_end:
+            lost += r[3]
+            continue
+        r[2] = min(r[2], hard_end)
+        kept.append(r)
+    if lost and kept:
+        kept[-1][3] += lost
+    return kept, min(end, hard_end)
+
+
+_rates = st.floats(min_value=1e8, max_value=5e10).map(Fraction)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    start=st.floats(min_value=0.0, max_value=0.02).map(Fraction),
+    refresh=st.sampled_from([30, 60, 120, 144]),
+    payload=st.integers(min_value=1, max_value=3_000_000),
+    chunk=st.sampled_from([4096, 65536, 100_000, 512 * 1024]),
+    fill_rate=_rates,
+    drain_rate=st.none() | _rates,
+)
+def test_integer_time_phase_matches_the_fraction_reference(
+    start, refresh, payload, chunk, fill_rate, drain_rate
+):
+    hard_end = Fraction(1, refresh)
+    recs, end = tmod._duplex_phase(
+        start, hard_end, payload, chunk, fill_rate, drain_rate,
+        PackageCState.C2, PackageCState.C8, "fetch", "burst", fill_read_total=payload,
+    )
+    expected, expected_end = fraction_phase(start, hard_end, payload, chunk,
+                                            fill_rate, drain_rate)
+    got = [[r.state is PackageCState.C2, Fraction(r.start, r.den), Fraction(r.end, r.den),
+            r.read] for r in recs]
+    assert got == expected
+    assert end == expected_end
 
 
 # -- per-scheme traffic -------------------------------------------------------
