@@ -64,13 +64,11 @@ from .power import (
 from .oracle import OracleResult, oracle_simulate
 from .presets import PRESETS, Preset, get_preset, validation_grid
 from .scenarios import (
-    PlaneFlags,
     apply_batching,
     apply_fbc,
     compare_schemes,
     energy_reduction,
     read_dirty_trace,
-    select_scheme,
     single_plane_burst,
     write_dirty_trace,
 )

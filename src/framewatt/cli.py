@@ -53,7 +53,8 @@ from .core import (
 )
 from .cstates import PackageCState, calibration_from_dict, load_calibration
 from .oracle import oracle_simulate
-from .power import ConfigurationError, report_from_timeline, window_energy_breakdown
+from .power import (ConfigurationError, report_from_timeline, streaming_report,
+                    window_energy_breakdown)
 from .presets import PRESETS, get_preset, validation_grid
 from .scenarios import energy_reduction, read_dirty_trace
 from .timeline import build_timeline, timeline_to_csv, timeline_to_svg
@@ -130,22 +131,25 @@ def _add_out_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _load_source(config: str | None, preset: str | None,
+                 suffix: str = "") -> tuple[SimConfig, str] | None:
+    """Config and calibration name from --config or --preset; None if neither."""
+    if config and preset:
+        raise ValueError(f"--config{suffix} and --preset{suffix} are mutually exclusive")
+    if config:
+        return SimConfig.from_json(config), "default"
+    if preset:
+        found = get_preset(preset)
+        return found.config, found.calibration
+    return None
+
+
 def _resolve_config(args: argparse.Namespace) -> tuple[SimConfig, str]:
     """Turn --preset/--config plus overrides into a config and calibration."""
-    if args.config and args.preset:
-        raise ValueError("--config and --preset are mutually exclusive")
-    if args.config:
-        cfg = SimConfig.from_json(args.config)
-        calibration = "default"
-    elif args.preset:
-        preset = get_preset(args.preset)
-        cfg = preset.config
-        calibration = preset.calibration
-    else:
+    source = _load_source(args.config, args.preset)
+    if source is None:
         raise ValueError("one of --config or --preset is required")
-    if args.calibration:
-        calibration = args.calibration
-
+    cfg, calibration = source
     cfg = _apply_workload_overrides(
         cfg,
         scheme=getattr(args, "scheme", None),
@@ -153,7 +157,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple[SimConfig, str]:
         fps=getattr(args, "fps", None),
         psr_alternate=getattr(args, "psr_alternate", False),
     )
-    return cfg, calibration
+    return cfg, args.calibration or calibration
 
 
 def _apply_workload_overrides(
@@ -178,15 +182,14 @@ def _apply_workload_overrides(
     return cfg
 
 
-def _auto_windows(cfg: SimConfig, windows: int | None, batch_every: int) -> int | None:
-    """Default the window count to one full batch cycle when batching."""
-    if windows is not None or batch_every <= 1:
-        return windows
-    wl = cfg.workload
-    if wl.kind is WorkloadKind.SINGLE_PLANE:
-        return windows
-    group = max(1, cfg.display.refresh_hz // wl.video_fps)
-    return batch_every * group
+def _run_kwargs(args: argparse.Namespace) -> dict[str, Any]:
+    """The run-shape flags as :func:`build_timeline` keywords."""
+    return {
+        "fbc_ratio": args.fbc_ratio,
+        "batch_every": args.batch_every,
+        "cached_traffic_fraction": args.cached_fraction,
+        "dirty_trace": read_dirty_trace(args.trace) if args.trace else None,
+    }
 
 
 def _manifest(command: str, args: argparse.Namespace, calibration: str,
@@ -254,20 +257,7 @@ def _fmt_delta(delta: float | None, unit: str = "%") -> str:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg, calibration_id = _resolve_config(args)
     calibration = load_calibration(calibration_id)
-    trace = read_dirty_trace(args.trace) if args.trace else None
-    windows = _auto_windows(cfg, args.windows, args.batch_every)
-
-    violations = validate_config(cfg)
-    if violations:
-        raise ConfigurationError(violations)
-    timeline = build_timeline(
-        cfg,
-        windows,
-        fbc_ratio=args.fbc_ratio,
-        batch_every=args.batch_every,
-        cached_traffic_fraction=args.cached_fraction,
-        dirty_trace=trace,
-    )
+    timeline = build_timeline(cfg, args.windows, **_run_kwargs(args))
     report = report_from_timeline(timeline, cfg, calibration)
 
     total_s = report.total_ns * 1e-9
@@ -342,25 +332,15 @@ def _add_side_b_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_side_b(
-    args: argparse.Namespace, cfg_a: SimConfig, calibration_a: str
+    args: argparse.Namespace, cfg_a: SimConfig, calibration_a: str,
+    run_a: dict[str, Any],
 ) -> tuple[SimConfig, str, dict[str, Any]]:
-    """Side B = its own source (if given, pristine) else side A's result."""
-    if args.config_b and args.preset_b:
-        raise ValueError("--config-b and --preset-b are mutually exclusive")
-    has_source = bool(args.config_b or args.preset_b)
-    if args.config_b:
-        cfg = SimConfig.from_json(args.config_b)
-        calibration = "default"
-    elif args.preset_b:
-        preset = get_preset(args.preset_b)
-        cfg = preset.config
-        calibration = preset.calibration
-    else:
-        cfg = cfg_a
-        calibration = calibration_a
-    if args.calibration_b:
-        calibration = args.calibration_b
+    """Side B = its own source (if given, pristine) else side A's result.
 
+    Side B's run keywords are its own flags over side A's, or over the
+    builder's defaults when side B names its own source."""
+    source = _load_source(args.config_b, args.preset_b, "-b")
+    cfg, calibration = source or (cfg_a, calibration_a)
     cfg = _apply_workload_overrides(
         cfg,
         scheme=args.scheme_b,
@@ -368,24 +348,22 @@ def _resolve_side_b(
         fps=args.fps_b,
         psr_alternate=args.psr_alternate_b,
     )
-
-    def inherit(b_val: Any, a_val: Any, default: Any) -> Any:
-        if b_val is not None:
-            return b_val
-        return default if has_source else a_val
-
-    overlays = {
-        "fbc_ratio": inherit(args.fbc_ratio_b, args.fbc_ratio, 1.0),
-        "batch_every": inherit(args.batch_every_b, args.batch_every, 1),
-        "cached_fraction": inherit(args.cached_fraction_b, args.cached_fraction, 0.34),
-        "trace": inherit(args.trace_b, args.trace, None),
-    }
-    return cfg, calibration, overlays
+    run = {} if source else dict(run_a)
+    for key, value in (
+        ("fbc_ratio", args.fbc_ratio_b),
+        ("batch_every", args.batch_every_b),
+        ("cached_traffic_fraction", args.cached_fraction_b),
+        ("dirty_trace", read_dirty_trace(args.trace_b) if args.trace_b else None),
+    ):
+        if value is not None:
+            run[key] = value
+    return cfg, args.calibration_b or calibration, run
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg_a, calibration_id_a = _resolve_config(args)
-    cfg_b, calibration_id_b, overlays_b = _resolve_side_b(args, cfg_a, calibration_id_a)
+    run_a = _run_kwargs(args)
+    cfg_b, calibration_id_b, run_b = _resolve_side_b(args, cfg_a, calibration_id_a, run_a)
     cal_a = load_calibration(calibration_id_a)
     cal_b = load_calibration(calibration_id_b)
 
@@ -399,26 +377,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    def run(cfg: SimConfig, cal: Any, fbc: float, batch: int, cached: float,
-            trace_path: str | None) -> Any:
-        violations = validate_config(cfg)
-        if violations:
-            raise ConfigurationError(violations)
-        trace = read_dirty_trace(trace_path) if trace_path else None
-        timeline = build_timeline(
-            cfg,
-            _auto_windows(cfg, args.windows, batch),
-            fbc_ratio=fbc,
-            batch_every=batch,
-            cached_traffic_fraction=cached,
-            dirty_trace=trace,
-        )
-        return report_from_timeline(timeline, cfg, cal)
-
-    rep_a = run(cfg_a, cal_a, args.fbc_ratio, args.batch_every,
-                args.cached_fraction, args.trace)
-    rep_b = run(cfg_b, cal_b, overlays_b["fbc_ratio"], overlays_b["batch_every"],
-                overlays_b["cached_fraction"], overlays_b["trace"])
+    rep_a = streaming_report(cfg_a, cal_a, args.windows, **run_a)
+    rep_b = streaming_report(cfg_b, cal_b, args.windows, **run_b)
 
     epw_a = rep_a.total_energy_uj / rep_a.n_windows
     epw_b = rep_b.total_energy_uj / rep_b.n_windows
@@ -575,20 +535,14 @@ def _sweep_point(
         system=SystemConfig(),
         workload=WorkloadSpec(kind=kind, scheme=scheme, video_fps=fps),
     )
-    violations = validate_config(cfg)
-    if violations:
-        row["status"] = "skipped"
-        row["violations"] = ";".join(v.code for v in violations)
-        return row, None
     try:
-        timeline = build_timeline(
-            cfg, _auto_windows(cfg, windows, batch), fbc_ratio=fbc, batch_every=batch
-        )
+        report = streaming_report(cfg, calibration, windows, fbc_ratio=fbc,
+                                  batch_every=batch)
     except ValueError as exc:
         row["status"] = "skipped"
-        row["violations"] = str(exc)
+        row["violations"] = (";".join(v.code for v in exc.violations)
+                             if isinstance(exc, ConfigurationError) else str(exc))
         return row, None
-    report = report_from_timeline(timeline, cfg, calibration)
     row["n_windows"] = report.n_windows
     row["average_power_mw"] = round(report.average_power_mw, 4)
     row["energy_per_window_uj"] = round(report.total_energy_uj / report.n_windows, 4)
@@ -746,37 +700,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 # -- validate --------------------------------------------------------------------
 
 
-def _cross_check(
-    cfg: SimConfig, calibration: Any, windows: int | None,
-    fbc: float, batch: int, cached: float, trace: Sequence[float] | None,
-) -> tuple[float, float]:
-    """(energy deviation %, worst residency deviation pp) analytic vs oracle."""
-    timeline = build_timeline(
-        cfg, windows, fbc_ratio=fbc, batch_every=batch,
-        cached_traffic_fraction=cached, dirty_trace=trace,
-    )
-    report = report_from_timeline(timeline, cfg, calibration)
-    oracle = oracle_simulate(
-        cfg, windows, fbc_ratio=fbc, batch_every=batch,
-        cached_traffic_fraction=cached, dirty_trace=trace,
-    )
-    energy_dev = abs(oracle.energy_uj(cfg, calibration) - report.total_energy_uj)
-    energy_dev_pct = 100.0 * energy_dev / report.total_energy_uj
-    o_res = oracle.residency()
-    res_dev_pp = max(
-        abs(o_res.get(s, 0.0) - report.residency.get(s, 0.0)) * 100
-        for s in PackageCState
-    )
-    return energy_dev_pct, res_dev_pp
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    points: list[tuple[str, SimConfig, Any, dict[str, Any]]] = []
     if args.grid:
-        for label, cfg, calibration_id in validation_grid():
-            points.append((label, cfg, load_calibration(calibration_id),
-                           {"windows": None, "fbc": 1.0, "batch": 1,
-                            "cached": 0.34, "trace": None}))
+        points = [(label, cfg, load_calibration(calibration_id), None, {})
+                  for label, cfg, calibration_id in validation_grid()]
     else:
         cfg, calibration_id = _resolve_config(args)
         violations = validate_config(cfg)
@@ -784,24 +711,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             _print_violations(violations)
             return 2
         print("configuration OK")
-        trace = read_dirty_trace(args.trace) if args.trace else None
-        points.append((
-            "config", cfg, load_calibration(calibration_id),
-            {"windows": _auto_windows(cfg, args.windows, args.batch_every),
-             "fbc": args.fbc_ratio, "batch": args.batch_every,
-             "cached": args.cached_fraction, "trace": trace},
-        ))
+        run = _run_kwargs(args)
+        points = [("config", cfg, load_calibration(calibration_id), args.windows, run)]
 
     results = []
-    for label, cfg, calibration, opts in points:
-        violations = validate_config(cfg)
-        if violations:
-            _print_violations(violations)
-            return 2
-        energy_dev, res_dev = _cross_check(
-            cfg, calibration, opts["windows"], opts["fbc"], opts["batch"],
-            opts["cached"], opts["trace"],
-        )
+    for label, cfg, calibration, windows, run in points:
+        report = streaming_report(cfg, calibration, windows, **run)
+        oracle = oracle_simulate(cfg, report.n_windows, **run)
+        energy_dev = (100.0 * abs(oracle.energy_uj(cfg, calibration)
+                                  - report.total_energy_uj) / report.total_energy_uj)
+        o_res = oracle.residency()
+        res_dev = max(abs(o_res.get(s, 0.0) - report.residency.get(s, 0.0)) * 100
+                      for s in PackageCState)
         results.append({"label": label, "energy_deviation_pct": energy_dev,
                         "residency_deviation_pp": res_dev})
         print(f"{label:<28} energy {energy_dev:9.6f}%   "

@@ -208,14 +208,24 @@ class SimConfig:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "SimConfig":
+        if not isinstance(data, Mapping):
+            raise ValueError("config must be a JSON object")
         check_finite(data)
         unknown = set(data) - {"display", "system", "workload"}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
+        display = _section(data, "display", DisplayConfig)
+        if "resolution" in display:
+            display["resolution"] = parse_resolution(display["resolution"])
+        workload = _section(data, "workload", WorkloadSpec)
+        if "kind" in workload:
+            workload["kind"] = WorkloadKind(workload["kind"])
+        if "scheme" in workload:
+            workload["scheme"] = Scheme(workload["scheme"])
         return SimConfig(
-            display=_display_from_dict(data.get("display", {})),
-            system=_system_from_dict(data.get("system", {})),
-            workload=_workload_from_dict(data.get("workload", {})),
+            display=DisplayConfig(**display),
+            system=SystemConfig(**_section(data, "system", SystemConfig)),
+            workload=WorkloadSpec(**workload),
         )
 
     @staticmethod
@@ -258,36 +268,37 @@ class SimConfig:
         }
 
 
-def _check_unknown(section: str, data: Mapping[str, Any], allowed: set[str]) -> None:
-    unknown = set(data) - allowed
+#: JSON value types each config field annotation accepts, and their name.
+_JSON_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+    "bool": ((bool,), "true or false"),
+    "Mapping[str, float]": ((dict,), "an object"),
+    "Resolution": ((str,), "a string"),
+    "WorkloadKind": ((str,), "a string"),
+    "Scheme": ((str,), "a string"),
+}
+
+
+def _section(data: Mapping[str, Any], name: str, cls: type) -> dict[str, Any]:
+    """One config section as constructor keywords, each value of its field's
+    JSON type; raises ValueError naming the first offending key."""
+    section = data.get(name, {})
+    if not isinstance(section, Mapping):
+        raise ValueError(f"config section '{name}' must be an object, "
+                         f"got {json.dumps(section)}")
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = set(section) - set(annotations)
     if unknown:
-        raise ValueError(f"unknown keys in '{section}' config: {sorted(unknown)}")
-
-
-def _display_from_dict(data: Mapping[str, Any]) -> DisplayConfig:
-    allowed = {f.name for f in fields(DisplayConfig)}
-    _check_unknown("display", data, allowed)
-    kwargs = dict(data)
-    if "resolution" in kwargs:
-        kwargs["resolution"] = parse_resolution(kwargs["resolution"])
-    return DisplayConfig(**kwargs)
-
-
-def _system_from_dict(data: Mapping[str, Any]) -> SystemConfig:
-    allowed = {f.name for f in fields(SystemConfig)}
-    _check_unknown("system", data, allowed)
-    return SystemConfig(**data)
-
-
-def _workload_from_dict(data: Mapping[str, Any]) -> WorkloadSpec:
-    allowed = {f.name for f in fields(WorkloadSpec)}
-    _check_unknown("workload", data, allowed)
-    kwargs = dict(data)
-    if "kind" in kwargs:
-        kwargs["kind"] = WorkloadKind(kwargs["kind"])
-    if "scheme" in kwargs:
-        kwargs["scheme"] = Scheme(kwargs["scheme"])
-    return WorkloadSpec(**kwargs)
+        raise ValueError(f"unknown keys in '{name}' config: {sorted(unknown)}")
+    for key, value in section.items():
+        accepted, expected = _JSON_TYPES[annotations[key]]
+        if not isinstance(value, accepted) or (isinstance(value, bool)
+                                               and bool not in accepted):
+            raise ValueError(f"config key '{name}.{key}' must be {expected}, "
+                             f"got {json.dumps(value)}")
+    return dict(section)
 
 
 # -- frame arithmetic ------------------------------------------------------

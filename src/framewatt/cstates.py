@@ -196,24 +196,6 @@ class PowerProfile:
                     f"profile '{self.name}': display split for {s} outside [0, total]"
                 )
 
-    def power_mw(self, state: PackageCState) -> float:
-        return self.state_power_mw[state]
-
-    def split(
-        self, state: PackageCState, dram_background_mw: Mapping[str, float]
-    ) -> tuple[float, float, float]:
-        """(dram_background, display, rest) decomposition of a state's power."""
-        total = self.state_power_mw[state]
-        bg = float(dram_background_mw[STATE_DRAM_MODE[state]])
-        disp = float(self.display_power_mw.get(state, 0.0))
-        rest = total - bg - disp
-        if rest < -0.5:
-            raise ValueError(
-                f"profile '{self.name}': split components exceed total for {state} "
-                f"({bg} + {disp} > {total})"
-            )
-        return bg, disp, max(rest, 0.0)
-
 
 @dataclass(frozen=True)
 class TransitionCost:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
-from .core import ConfigurationError, Scheme, SimConfig, SystemConfig, validate_config
+from .core import ConfigurationError, Scheme, SimConfig, SystemConfig
 from .cstates import (
     STATE_DRAM_MODE,
     CalibrationSet,
@@ -381,15 +381,10 @@ def streaming_report(
     batch_every: int = 1,
     cached_traffic_fraction: float = 0.34,
     dirty_trace: Sequence[float] | None = None,
-    check: bool = True,
 ) -> EnergyReport:
     """Build the timeline for a config and price it in one step."""
     if isinstance(calibration, str):
         calibration = load_calibration(calibration)
-    if check:
-        violations = validate_config(cfg)
-        if violations:
-            raise ConfigurationError(violations)
     timeline = build_timeline(
         cfg,
         n_windows,

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import (
-    Scheme,
-    SimConfig,
-    WorkloadKind,
-    frame_bytes,
-    frame_window,
-    replace,
-)
+from .core import Scheme, SimConfig, WorkloadKind, replace
 from .cstates import CalibrationSet, load_calibration
 from .power import EnergyReport, streaming_report
 
@@ -96,8 +89,6 @@ def apply_batching(
     write/fetch traffic by ``cached_traffic_fraction``.  Only meaningful for
     plain video playback on the conventional scheme.
     """
-    if batch_every < 1:
-        raise ValueError(f"batch_every must be >= 1, got {batch_every}")
     if cfg.workload.kind is not WorkloadKind.VIDEO:
         raise ValueError("BATCH_KIND: decode batching applies to video playback only")
     if cfg.workload.scheme is not Scheme.BASELINE:
@@ -105,62 +96,15 @@ def apply_batching(
             "BATCH_SCHEME: decode batching requires the conventional scheme "
             f"(got '{cfg.workload.scheme.value}')"
         )
-    fbytes = frame_bytes(cfg.display.resolution, cfg.display.bits_per_pixel)
-    if batch_every * fbytes > cfg.system.dram_capacity_bytes:
-        raise ValueError(
-            f"BATCH_EXCEEDS_DRAM: {batch_every} frames of {fbytes} bytes exceed "
-            f"dram_capacity_bytes={cfg.system.dram_capacity_bytes}"
-        )
-    window_s = float(frame_window(cfg.display.refresh_hz))
-    busy = cfg.system.orchestration_time + batch_every * fbytes / cfg.system.decode_rate
-    if busy >= window_s:
-        raise ValueError(
-            f"BATCH_WINDOW_OVERRUN: decoding {batch_every} frames takes "
-            f"{busy * 1e3:.3f} ms, beyond the {window_s * 1e3:.3f} ms window"
-        )
     cal = _resolve(calibration)
-    group = max(cfg.display.refresh_hz // cfg.workload.video_fps, 1)
-    # Cover whole batch cycles so the cadence is represented faithfully.
-    n = n_windows if n_windows is not None else batch_every * group
-    base = streaming_report(cfg, cal, n)
+    # The batched run defaults to whole batch cycles, so the cadence is
+    # represented faithfully; the plain run covers the same windows.
     modified = streaming_report(
-        cfg, cal, n, batch_every=batch_every,
+        cfg, cal, n_windows, batch_every=batch_every,
         cached_traffic_fraction=cached_traffic_fraction,
     )
+    base = streaming_report(cfg, cal, modified.n_windows)
     return ScenarioResult(name=f"batching[{batch_every}]", base=base, modified=modified)
-
-
-@dataclass(frozen=True)
-class PlaneFlags:
-    """Per-window plane/display conditions that gate the fast schemes."""
-
-    video_plane_only: bool = True
-    single_video: bool = True
-    graphics_interrupt: bool = False
-    user_input_interrupt: bool = False
-    multiple_displays: bool = False
-
-
-def select_scheme(flags: PlaneFlags, requested: Scheme, drfb_present: bool) -> Scheme:
-    """Effective scheme for one window: the requested one only when safe.
-
-    A fast scheme runs only while a single video plane is alone on a single
-    display, nothing graphical or input-driven interrupts, and the panel has
-    the double-buffered remote frame buffer.  Any disturbance falls back to
-    conventional streaming for that window.  Pure decision function: same
-    inputs, same answer.
-    """
-    if requested is Scheme.BASELINE:
-        return Scheme.BASELINE
-    safe = (
-        flags.video_plane_only
-        and flags.single_video
-        and not flags.graphics_interrupt
-        and not flags.user_input_interrupt
-        and not flags.multiple_displays
-        and drfb_present
-    )
-    return requested if safe else Scheme.BASELINE
 
 
 @dataclass(frozen=True)
@@ -260,14 +204,12 @@ def write_dirty_trace(path: str | Path, trace: Sequence[float]) -> None:
 
 __all__ = [
     "PlaneComparison",
-    "PlaneFlags",
     "ScenarioResult",
     "apply_batching",
     "apply_fbc",
     "compare_schemes",
     "energy_reduction",
     "read_dirty_trace",
-    "select_scheme",
     "single_plane_burst",
     "write_dirty_trace",
 ]

@@ -35,6 +35,7 @@ from typing import Any, Sequence
 
 from .core import (
     NS_PER_S,
+    ConfigurationError,
     Scheme,
     SimConfig,
     WorkloadKind,
@@ -43,6 +44,7 @@ from .core import (
     frame_bytes,
     frame_window,
     frame_window_ns,
+    validate_config,
 )
 from .cstates import PackageCState
 
@@ -570,6 +572,24 @@ def selective_update_bytes(full_frame_bytes: int, dirty_fraction: float,
     return min(round(full_frame_bytes * dirty_fraction) + header_bytes, full_frame_bytes)
 
 
+def _check_batch_fits(cfg: SimConfig, batch_every: int) -> None:
+    """Raise ValueError unless ``batch_every`` decoded frames fit in DRAM and
+    their decodes fit in one refresh window."""
+    fbytes = frame_bytes(cfg.display.resolution, cfg.display.bits_per_pixel)
+    if batch_every * fbytes > cfg.system.dram_capacity_bytes:
+        raise ValueError(
+            f"BATCH_EXCEEDS_DRAM: {batch_every} frames of {fbytes} bytes exceed "
+            f"dram_capacity_bytes={cfg.system.dram_capacity_bytes}"
+        )
+    window_s = float(frame_window(cfg.display.refresh_hz))
+    busy = cfg.system.orchestration_time + batch_every * fbytes / cfg.system.decode_rate
+    if busy >= window_s:
+        raise ValueError(
+            f"BATCH_WINDOW_OVERRUN: decoding {batch_every} frames takes "
+            f"{busy * 1e3:.3f} ms, beyond the {window_s * 1e3:.3f} ms window"
+        )
+
+
 def build_timeline(
     cfg: SimConfig,
     n_windows: int | None = None,
@@ -586,7 +606,15 @@ def build_timeline(
     cuts the cached buffer traffic by ``cached_traffic_fraction``;
     ``dirty_trace`` drives single-plane workloads (one dirty fraction per
     window).  Defaults leave the plain scheme untouched.
+
+    This is the one gate every run passes: an invalid config raises
+    ``ConfigurationError``, and an impossible overlay or batch raises
+    ``ValueError``.  ``n_windows`` defaults to one batch cycle
+    (``batch_every`` frame groups); a dirty trace sets its own length.
     """
+    violations = validate_config(cfg)
+    if violations:
+        raise ConfigurationError(violations)
     if not 0.0 < fbc_ratio <= 1.0:
         raise ValueError(f"fbc_ratio must be in (0, 1], got {fbc_ratio}")
     if batch_every < 1:
@@ -596,12 +624,12 @@ def build_timeline(
             f"cached_traffic_fraction must be in [0, 1], got {cached_traffic_fraction}")
     wl = cfg.workload
     scheme = wl.scheme
-    if batch_every > 1 and (
-        wl.kind is not WorkloadKind.VIDEO or scheme is not Scheme.BASELINE
-    ):
-        raise ValueError(
-            "frame batching applies only to video playback under the plain scheme"
-        )
+    if batch_every > 1:
+        if wl.kind is not WorkloadKind.VIDEO or scheme is not Scheme.BASELINE:
+            raise ValueError(
+                "frame batching applies only to video playback under the plain scheme"
+            )
+        _check_batch_fits(cfg, batch_every)
     cut = (1.0 - cached_traffic_fraction) if batch_every > 1 else 1.0
     k = _knobs(cfg, fbc_ratio, cut)
 
@@ -612,7 +640,7 @@ def build_timeline(
         if n == 0:
             raise ValueError("dirty_trace must not be empty")
     else:
-        n = n_windows if n_windows is not None else k.group
+        n = n_windows if n_windows is not None else batch_every * k.group
         if n < 1:
             raise ValueError("n_windows must be >= 1")
         if dirty_trace is not None:

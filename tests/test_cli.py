@@ -125,6 +125,23 @@ def test_simulate_rejects_non_finite_calibration_numbers(literal, tmp_path, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc", [
+    '{"display": {"resolution": 5}}',
+    '{"display": {"refresh_hz": "60"}}',
+    '{"display": {"refresh_hz": 60.5}}',
+    '{"system": {"dc_buffer_bytes": 1.5}}',
+    '{"display": null}',
+])
+def test_simulate_rejects_config_values_of_the_wrong_json_type(doc, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_config_file_is_a_runtime_error(capsys):
     assert main(["simulate", "--config", "/does/not/exist.json"]) == 1
 
@@ -179,6 +196,16 @@ def test_out_of_range_cached_fraction_is_a_usage_error(command, value, capsys):
     assert "cached_traffic_fraction must be in [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("batch, code", [("14", "BATCH_WINDOW_OVERRUN"),
+                                         ("200", "BATCH_EXCEEDS_DRAM")])
+@pytest.mark.parametrize("command", ["simulate", "validate", "compare"])
+def test_infeasible_decode_batches_are_usage_errors(command, batch, code, capsys):
+    assert main([command, "--preset", "4k60", "--batch-every", batch]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {code}: ")
+
+
 # -- sweep --------------------------------------------------------------------
 
 
@@ -203,6 +230,16 @@ def test_sweep_marks_impossible_points_as_skipped(capsys):
     out = capsys.readouterr().out
     assert "skipped" in out
     assert "FPS_NOT_DIVISOR" in out
+
+
+def test_sweep_skips_infeasible_decode_batches(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--resolutions", "4k", "--fps", "60", "--schemes",
+                 "baseline", "--batch-sizes", "1,14", "--out", str(out_dir)]) == 0
+    rows = json.loads((out_dir / "sweep.json").read_text(encoding="utf-8"))["rows"]
+    assert [r["status"] for r in rows] == ["ok", "skipped"]
+    assert rows[1]["violations"].startswith("BATCH_WINDOW_OVERRUN: ")
+    assert rows[1]["reduction_vs_baseline_pct"] is None
 
 
 def test_sweep_output_is_deterministic(tmp_path, capsys):

@@ -166,25 +166,6 @@ def test_gated_decoder_state_sits_a_fixed_delta_below_the_decoder_state(default_
         assert default_cal.vd_gate_delta_mw == 95.0
 
 
-def test_split_components_reconstruct_the_state_total(default_cal):
-    dram_bg = {"active": 450.0, "fast_powerdown": 150.0,
-               "self_refresh": 25.0, "off": 0.0}
-    for prof in (default_cal.conventional, default_cal.burst):
-        for state in PackageCState:
-            bg, disp, rest = prof.split(state, dram_bg)
-            assert bg + disp + rest == pytest.approx(
-                prof.state_power_mw[state], abs=0.5
-            )
-            assert min(bg, disp, rest) >= 0.0
-
-
-def test_split_rejects_components_exceeding_the_total():
-    prof = PowerProfile("p", _powers(), {})
-    with pytest.raises(ValueError, match="exceed"):
-        prof.split(PackageCState.C10, {"active": 0, "fast_powerdown": 0,
-                                       "self_refresh": 0, "off": 10_000.0})
-
-
 def test_dram_split_consistency_check_accepts_shipped_tables(default_cal):
     dram_bg = {"active": 450.0, "fast_powerdown": 150.0,
                "self_refresh": 25.0, "off": 0.0}

@@ -1,4 +1,4 @@
-"""Energy-saving studies: compression, batching, scheme pick, dirty traces."""
+"""Energy-saving studies: compression, batching, scheme comparison, dirty traces."""
 
 from __future__ import annotations
 
@@ -11,13 +11,11 @@ from framewatt.core import Scheme, WorkloadKind
 from framewatt.cstates import PackageCState
 from framewatt.power import streaming_report
 from framewatt.scenarios import (
-    PlaneFlags,
     apply_batching,
     apply_fbc,
     compare_schemes,
     energy_reduction,
     read_dirty_trace,
-    select_scheme,
     single_plane_burst,
     write_dirty_trace,
 )
@@ -127,39 +125,6 @@ def test_batching_respects_the_decode_window():
     with pytest.raises(ValueError, match="BATCH_WINDOW_OVERRUN"):
         apply_batching(make_config("4k", 60, Scheme.BASELINE), batch_every=14,
                        calibration="default")
-
-
-# -- scheme selection ---------------------------------------------------------------
-
-
-SAFE = PlaneFlags()
-
-
-def test_safe_planes_keep_the_requested_fast_scheme():
-    assert select_scheme(SAFE, Scheme.BURSTLINK, True) is Scheme.BURSTLINK
-    assert select_scheme(SAFE, Scheme.BURSTING_ONLY, True) is Scheme.BURSTING_ONLY
-
-
-def test_plain_requests_stay_plain():
-    assert select_scheme(SAFE, Scheme.BASELINE, True) is Scheme.BASELINE
-
-
-def test_missing_panel_buffer_forces_the_plain_scheme():
-    assert select_scheme(SAFE, Scheme.BURSTLINK, False) is Scheme.BASELINE
-
-
-@pytest.mark.parametrize(
-    "flags",
-    [
-        PlaneFlags(video_plane_only=False),
-        PlaneFlags(single_video=False),
-        PlaneFlags(graphics_interrupt=True),
-        PlaneFlags(user_input_interrupt=True),
-        PlaneFlags(multiple_displays=True),
-    ],
-)
-def test_any_unsafe_plane_condition_forces_the_plain_scheme(flags):
-    assert select_scheme(flags, Scheme.BURSTLINK, True) is Scheme.BASELINE
 
 
 # -- scheme comparison ---------------------------------------------------------------

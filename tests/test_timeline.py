@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from framewatt.core import (
     NS_PER_S,
     RESOLUTIONS,
+    ConfigurationError,
     Scheme,
     WorkloadKind,
     encoded_frame_bytes,
@@ -66,6 +67,17 @@ def test_window_count_defaults_to_one_frame_group():
     assert build_timeline(make_config("4k", 60, Scheme.BASELINE), None).n_windows == 1
     assert build_timeline(make_config("fhd", 30, Scheme.BASELINE), None).n_windows == 2
     assert build_timeline(make_config("fhd", 20, Scheme.BASELINE), None).n_windows == 3
+
+
+def test_batched_window_count_defaults_to_one_batch_cycle():
+    assert build_timeline(make_config("fhd", 30, Scheme.BASELINE), None,
+                          batch_every=3).n_windows == 6
+
+
+def test_invalid_configurations_are_rejected_before_building():
+    cfg = make_config("fhd", 45, Scheme.BASELINE)
+    with pytest.raises(ConfigurationError, match="FPS_NOT_DIVISOR"):
+        build_timeline(cfg, None)
 
 
 def test_explicit_window_count_is_honored():
@@ -140,6 +152,11 @@ def test_batched_windows_expand_to_a_window_by_window_rebuild(batch_every):
 @pytest.mark.parametrize("kind", [WorkloadKind.VIDEO, WorkloadKind.VR360])
 def test_scheme_windows_expand_to_a_window_by_window_rebuild(scheme, kind):
     cfg = make_config("4k", 20, scheme, kind=kind)
+    if kind is WorkloadKind.VR360 and scheme in (Scheme.BYPASS_ONLY,
+                                                 Scheme.BURSTING_ONLY):
+        with pytest.raises(ConfigurationError, match="VR_SCHEME_UNSUPPORTED"):
+            build_timeline(cfg, 7)
+        return
     assert build_timeline(cfg, 7).intervals == _rebuild(cfg, 7)
 
 
