@@ -38,11 +38,9 @@ from .core import (
     validate_config,
 )
 from .cstates import (
-    Activity,
     CalibrationSet,
     PackageCState,
     PowerProfile,
-    deepest_state,
     transition_cost,
 )
 from .timeline import (

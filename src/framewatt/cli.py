@@ -49,7 +49,6 @@ from .core import (
     DisplayConfig,
     parse_resolution,
     replace,
-    validate_config,
 )
 from .cstates import PackageCState, calibration_from_dict, load_calibration
 from .oracle import oracle_simulate
@@ -706,17 +705,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                   for label, cfg, calibration_id in validation_grid()]
     else:
         cfg, calibration_id = _resolve_config(args)
-        violations = validate_config(cfg)
-        if violations:
-            _print_violations(violations)
-            return 2
-        print("configuration OK")
         run = _run_kwargs(args)
         points = [("config", cfg, load_calibration(calibration_id), args.windows, run)]
 
     results = []
     for label, cfg, calibration, windows, run in points:
+        # An invalid configuration or run shape raises here, before any
+        # verdict is printed.
         report = streaming_report(cfg, calibration, windows, **run)
+        if not args.grid:
+            print("configuration OK")
         oracle = oracle_simulate(cfg, report.n_windows, **run)
         energy_dev = (100.0 * abs(oracle.energy_uj(cfg, calibration)
                                   - report.total_energy_uj) / report.total_energy_uj)

@@ -24,6 +24,11 @@ NS_PER_S = 1_000_000_000
 #: burst in the timeline.
 DEFAULT_DC_BUFFER_BYTES = 512 * 1024
 
+#: Most DC buffer fills one frame may take.  A window's timeline holds a
+#: record per fill, so a tiny buffer makes builds crawl; 5K at 32 bpp in
+#: 4 KiB chunks (14,400 fills) still fits.
+MAX_DC_FETCHES_PER_FRAME = 16_384
+
 #: Display-link maximum payload rate, bits per second (four-lane HBR3-class
 #: link).  Used for burst transfers; conventional streaming runs at the
 #: panel's native rate, which must fit under this ceiling.
@@ -293,11 +298,15 @@ def _section(data: Mapping[str, Any], name: str, cls: type) -> dict[str, Any]:
     if unknown:
         raise ValueError(f"unknown keys in '{name}' config: {sorted(unknown)}")
     for key, value in section.items():
-        accepted, expected = _JSON_TYPES[annotations[key]]
-        if not isinstance(value, accepted) or (isinstance(value, bool)
-                                               and bool not in accepted):
-            raise ValueError(f"config key '{name}.{key}' must be {expected}, "
-                             f"got {json.dumps(value)}")
+        checks = [(f"{name}.{key}", value, annotations[key])]
+        if isinstance(value, Mapping):  # the one object field maps names to numbers
+            checks += [(f"{name}.{key}.{k}", v, "float") for k, v in value.items()]
+        for where, item, annotation in checks:
+            accepted, expected = _JSON_TYPES[annotation]
+            if not isinstance(item, accepted) or (isinstance(item, bool)
+                                                  and bool not in accepted):
+                raise ValueError(f"config key '{where}' must be {expected}, "
+                                 f"got {json.dumps(item)}")
     return dict(section)
 
 
@@ -472,6 +481,17 @@ def validate_config(cfg: SimConfig) -> list[Violation]:
     fbytes = frame_bytes(disp.resolution, disp.bits_per_pixel)
     window_s = float(frame_window(disp.refresh_hz))
 
+    fetches = dc_fetch_count(fbytes, sys_.dc_buffer_bytes)
+    if fetches > MAX_DC_FETCHES_PER_FRAME:
+        out.append(
+            Violation(
+                "DC_BUFFER_TOO_SMALL",
+                "system.dc_buffer_bytes",
+                f"a {sys_.dc_buffer_bytes} B buffer takes {fetches} fills per "
+                f"frame, above the {MAX_DC_FETCHES_PER_FRAME} supported",
+            )
+        )
+
     # A burst must fit inside one refresh window with room for orchestration.
     if wl.scheme.uses_bursting:
         t_burst = burst_transfer_time(fbytes, disp.edp_max_bits_per_s)
@@ -553,6 +573,7 @@ def _burst_orchestration_s(system: SystemConfig, refresh_hz: int) -> float:
 __all__ = [
     "DEFAULT_DC_BUFFER_BYTES",
     "DEFAULT_EDP_MAX_BITS_PER_S",
+    "MAX_DC_FETCHES_PER_FRAME",
     "NS_PER_S",
     "ConfigurationError",
     "DisplayConfig",

@@ -1,12 +1,9 @@
-"""Package power-state lattice, activity resolution, and power calibrations.
+"""Package power-state lattice and power calibrations.
 
-The package state at any instant is a pure function of which blocks are
-active: CPU cores, GPU, video decoder (VD), display controller (DC), the
-display link source/sink, DRAM mode, and the panel mode.  ``deepest_state``
-encodes that resolution; profiles attach a power figure (and optional
-transition latencies) to every state.
+Profiles attach a power figure (and optional transition latencies) to every
+package state.
 
-Two calibrations ship with the package:
+Three calibrations ship with the package:
 
 * ``default``         -- hand-seeded table used for all scenario studies.
 * ``reference-fhd30`` -- reproduces a measured full-HD 30 fps playback table
@@ -23,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Literal, Mapping
+from typing import Any, Mapping
 
 from .core import Scheme, check_finite
 
@@ -88,67 +85,6 @@ STATE_DRAM_MODE: dict[PackageCState, str] = {
     PackageCState.C9: "self_refresh",
     PackageCState.C10: "off",
 }
-
-VdMode = Literal["on", "gated", "off"]
-DramMode = Literal["active", "fast_powerdown", "self_refresh", "off"]
-PanelMode = Literal["streaming", "psr", "off"]
-
-
-class ActivityError(ValueError):
-    """The activity vector describes a physically impossible combination."""
-
-
-@dataclass(frozen=True)
-class Activity:
-    """Instantaneous on/off picture of every power-relevant block."""
-
-    cores: bool = False
-    gpu: bool = False
-    vd: VdMode = "off"
-    dc: bool = False
-    edp_source: bool = False
-    edp_sink: bool = False
-    dram: DramMode = "self_refresh"
-    panel: PanelMode = "psr"
-
-
-def _check_activity(a: Activity) -> None:
-    if a.panel == "streaming" and not (a.edp_source and a.edp_sink):
-        raise ActivityError("panel cannot stream without both link ends up")
-    if a.edp_sink and not a.edp_source:
-        raise ActivityError("link sink is up with no source driving it")
-    if a.edp_source and not a.dc:
-        raise ActivityError("link source is up with no display controller feeding it")
-    if a.vd == "gated" and not a.dc:
-        raise ActivityError("decoder is clock-gated awaiting a drain, but the DC is off")
-    if a.dc and a.dram == "off" and a.vd == "off":
-        raise ActivityError("DC is on but has no data source (DRAM off, decoder off)")
-    if (a.cores or a.gpu or a.vd != "off") and a.dram == "off":
-        raise ActivityError("compute blocks cannot run with DRAM fully off")
-
-
-def deepest_state(activity: Activity) -> PackageCState:
-    """Deepest package state permitted by the given activity vector.
-
-    The rules fire shallow-first; the first block that pins the package
-    decides.  Contradictory vectors raise :class:`ActivityError` instead of
-    resolving to a state.
-    """
-    a = activity
-    _check_activity(a)
-    if a.cores or a.gpu:
-        return PackageCState.C0
-    if a.dram == "active":
-        return PackageCState.C2
-    if a.vd == "on":
-        return PackageCState.C7
-    if a.vd == "gated":
-        return PackageCState.C7P
-    if a.dc or a.edp_source:
-        return PackageCState.C8
-    if a.panel != "off":
-        return PackageCState.C9
-    return PackageCState.C10
 
 
 # -- power profiles ---------------------------------------------------------
@@ -377,20 +313,14 @@ def check_dram_split_consistency(
 
 
 __all__ = [
-    "Activity",
-    "ActivityError",
     "CalibrationSet",
-    "DramMode",
     "PackageCState",
-    "PanelMode",
     "PowerProfile",
     "STATES_BY_DEPTH",
     "STATE_DRAM_MODE",
     "TransitionCost",
-    "VdMode",
     "calibration_from_dict",
     "check_dram_split_consistency",
-    "deepest_state",
     "load_calibration",
     "transition_cost",
 ]

@@ -6,7 +6,9 @@ All interval boundaries are computed as exact rationals and rounded to
 integer nanoseconds once, with the final interval of each window absorbing
 the rounding so coverage is exact by construction.
 
-The data movement inside a window follows a double-buffered producer/consumer
+Every window has one shape: a few wake-up records (wake, decode, projection)
+followed by one transfer phase that runs to the window end.  The data
+movement inside the phase follows a double-buffered producer/consumer
 machine: a producer (DRAM fetch engine, video decoder, or GPU) fills fixed
 size chunks of the display controller's buffer while a consumer (panel link)
 drains them.  When the producer outpaces the consumer the window shows
@@ -17,7 +19,8 @@ producer's pace.  Two pacing modes exist:
 * span-paced  -- the drain rate is whatever spreads the payload across the
                  remainder of the window (conventional streaming);
 * rate-paced  -- the drain runs at the link's maximum rate and the window
-                 ends in deep idle (burst transfers).
+                 ends in deep idle, the panel refreshing from its own frame
+                 buffer (burst transfers).
 
 Drain tails that would spill past a boundary are absorbed into the final
 interval: the model keeps every window fully drained, trading sub-chunk
@@ -274,22 +277,29 @@ def _duplex_phase(
     drain_label: str,
     fill_read_total: int = 0,
     gpu_fill: bool = False,
-) -> tuple[list[_Rec], Fraction]:
-    """Emit the fill/drain cycle records of one transfer phase.
+) -> list[_Rec]:
+    """Emit the fill/drain cycle records of one transfer phase; together
+    they tile [start, hard_end].
 
-    ``drain_rate`` of None selects span pacing (payload spread over
-    [start, hard_end]); otherwise the drain runs at that byte rate and the
-    phase ends when the last chunk is handed over.  Returns the records plus
-    the phase end time (== hard_end in span mode).  Records are clipped to
-    ``hard_end``; whatever the clip cuts off is considered drained (the
-    window never carries debt into the next one).
+    ``drain_rate`` of None selects span pacing: the payload is spread over
+    [start, hard_end] and any time left over stays in the drain state.
+    Otherwise the drain runs at that byte rate and, once the last chunk is
+    handed over, the phase idles in C9 while the panel refreshes from its
+    own frame buffer.  Records are clipped to ``hard_end``; whatever the
+    clip cuts off is considered drained (the window never carries debt into
+    the next one).
     """
-    if payload <= 0 or start >= hard_end:
-        return [], start
+    if start >= hard_end:
+        return []
+    span_mode = drain_rate is None
+    pad_state, pad_label, pad_flags = (
+        (drain_state, drain_label, {"streams": True}) if span_mode
+        else (PackageCState.C9, "idle", {"drfb": True}))
+    if payload <= 0:
+        return [_rec(pad_state, start, hard_end, pad_label, **pad_flags)]
     n = dc_fetch_count(payload, chunk)
     tail = payload - (n - 1) * chunk
     reads = distribute_bytes(fill_read_total, [chunk] * (n - 1) + [tail])
-    span_mode = drain_rate is None
     d: Fraction = (
         Fraction(payload) / (hard_end - start) if span_mode else drain_rate  # type: ignore[assignment]
     )
@@ -311,11 +321,6 @@ def _duplex_phase(
             recs.append(_Rec(fill_state, t, e, D, fill_label, read=reads[i],
                              gpu=gpu_fill, streams=True))
             t = e
-        if span_mode and t < h:
-            # Producer could not fill the window (underrun; flagged by
-            # validation).  Pad with the drain state so coverage holds.
-            recs.append(_Rec(drain_state, t, h, D, drain_label, streams=True))
-            t = h
         phase_end = t
     else:
         # Consumer-bound: the first two fills land back-to-back (the drain
@@ -350,7 +355,9 @@ def _duplex_phase(
         clipped.append(r)
     if lost_read and clipped:
         clipped[-1].read += lost_read
-    return clipped, Fraction(min(phase_end, h), D)
+    if phase_end < h:
+        clipped.append(_Rec(pad_state, phase_end, h, D, pad_label, **pad_flags))
+    return clipped
 
 
 @dataclass(frozen=True)
@@ -401,159 +408,59 @@ def _knobs(cfg: SimConfig, fbc_ratio: float, traffic_cut: float) -> _Knobs:
     )
 
 
-def _c0(start: Fraction, end: Fraction, label: str, **flags: Any) -> _Rec:
-    return _rec(PackageCState.C0, start, end, label, **flags)
+def _recipe(k: _Knobs, scheme: Scheme, kind: str, decodes: int, link_bytes: int,
+            vr: bool, psr_alt: bool) -> list[_Rec]:
+    """The records of one window (times relative to the window start), with
+    link bytes not yet assigned: wake-up records, then one transfer phase to
+    the window end.
 
-
-def _idle_tail(start: Fraction, end: Fraction, label: str = "idle") -> _Rec:
-    return _rec(PackageCState.C9, start, end, label, drfb=True)
-
-
-def _pad_to_window_end(recs: list[_Rec], t: Fraction, W: Fraction, state: PackageCState,
-                       label: str, streams: bool) -> list[_Rec]:
-    """Fill any window time left after ``t`` (degenerate payloads) with one
-    record."""
-    if t < W:
-        recs.append(_rec(state, t, W, label, streams=streams))
-    return recs
-
-
-# Per-scheme window recipes.  Each returns the records of one window (times
-# relative to the window start) with link bytes not yet assigned.
-
-
-def _win_baseline(k: _Knobs, kind: str, n_decode: int, vr: bool, psr_alt: bool) -> list[_Rec]:
-    if kind == "repeat" and psr_alt:
+    Windows that drive the panel at its native rate (the plain scheme, and
+    transfer windows of the direct-feed scheme) wake up conventionally and
+    stream for the rest of the window; every other window takes the short
+    wake-up, bursts at the link's peak rate and idles.  ``decodes`` counts
+    the frames the plain scheme decodes in this window.
+    """
+    if scheme is Scheme.BASELINE and kind == "repeat" and psr_alt:
         return [_rec(PackageCState.C9, Fraction(0), k.W, "psr", drfb=True)]
-    # Wake-up records are clipped to the window: one that starts past its
-    # end is dropped.
-    if kind == "transfer" and n_decode > 0:
-        t = k.o + Fraction(n_decode * k.F) / k.f
-        recs = [_c0(Fraction(0), min(t, k.W), "wake+decode", read=n_decode * k.E,
-                    write=n_decode * (k.F if vr else k.disp), fbc=k.fbc_on and not vr,
-                    streams=True)]
-        if vr:
-            t_pt = t + Fraction(n_decode * k.F) / k.gpu
-            if t < k.W:
-                recs.append(_c0(t, min(t_pt, k.W), "project", read=n_decode * k.F,
-                                write=n_decode * k.disp, gpu=True, fbc=k.fbc_on,
-                                streams=True))
-            t = t_pt
+    stream = scheme is Scheme.BASELINE or (scheme is Scheme.BYPASS_ONLY
+                                           and kind == "transfer")
+    # The decoder (or, for VR, the GPU) feeds the DC buffer directly.
+    feed = kind == "transfer" and scheme.uses_bypass
+    if scheme is not Scheme.BASELINE and kind == "transfer" and (vr or not feed):
+        decodes = 1  # the frame is decoded into DRAM first
+    t = (k.o if stream else k.o_b) + Fraction(decodes * k.F) / k.f
+    recs = [_rec(PackageCState.C0, Fraction(0), min(t, k.W),
+                 "wake+decode" if decodes else "wake", read=decodes * k.E,
+                 write=decodes * (k.F if vr else k.disp),
+                 fbc=bool(decodes) and k.fbc_on and not vr, streams=stream)]
+    if vr and decodes and not feed:
+        # The GPU re-projects the decoded frame into DRAM.  Wake-up records
+        # are clipped to the window: one that starts past its end is dropped.
+        t_pt = t + Fraction(decodes * k.F) / k.gpu
+        if t < k.W:
+            recs.append(_rec(PackageCState.C0, t, min(t_pt, k.W), "project",
+                             read=decodes * k.F, write=decodes * k.disp, gpu=True,
+                             fbc=k.fbc_on, streams=True))
+        t = t_pt
+    if feed:
+        fill_state, drain_state, payload = PackageCState.C7, PackageCState.C7P, k.F
+        fill_rate, fill_label, read = ((k.gpu, "project-feed", k.F) if vr
+                                       else (k.p, "decode-feed", k.E))
     else:
-        t = k.o
-        recs = [_c0(Fraction(0), min(t, k.W), "wake", streams=True)]
-    t = min(t, k.W)
-    phase, t_end = _duplex_phase(
-        t, k.W, k.disp, k.chunk, k.b, None,
-        PackageCState.C2, PackageCState.C8, "fetch", "stream",
-        fill_read_total=k.disp,
+        # The DC fetches from DRAM: the (compressed, batching-cut) display
+        # buffer of a video frame, or a single plane's update as it is.
+        fill_state, drain_state = PackageCState.C2, PackageCState.C8
+        payload = k.disp if kind in ("transfer", "repeat") and link_bytes else link_bytes
+        fill_rate, fill_label, read = k.b, "fetch", payload
+    # Fetched bytes leave the link as ``link_bytes``, so a compressed fetch
+    # drains proportionally slower in fetched-byte units.
+    drain = (None if stream
+             else k.e_B * Fraction(payload, link_bytes) if payload else k.e_B)
+    return recs + _duplex_phase(
+        min(t, k.W), k.W, payload, k.chunk, fill_rate, drain, fill_state, drain_state,
+        fill_label, "stream" if stream else "burst", fill_read_total=read,
+        gpu_fill=feed and vr,
     )
-    return _pad_to_window_end(recs + phase, t_end, k.W, PackageCState.C8, "stream", True)
-
-
-def _win_bypass(k: _Knobs, kind: str) -> list[_Rec]:
-    if kind == "repeat":
-        recs = [_c0(Fraction(0), min(k.o_b, k.W), "wake")]
-        if k.o_b < k.W:
-            recs.append(_idle_tail(k.o_b, k.W))
-        return recs
-    recs = [_c0(Fraction(0), min(k.o, k.W), "wake", streams=True)]
-    t = min(k.o, k.W)
-    phase, t_end = _duplex_phase(
-        t, k.W, k.F, k.chunk, k.p, None,
-        PackageCState.C7, PackageCState.C7P, "decode-feed", "stream",
-        fill_read_total=k.E,
-    )
-    return _pad_to_window_end(recs + phase, t_end, k.W, PackageCState.C7P, "stream", True)
-
-
-def _win_bursting(k: _Knobs, kind: str) -> list[_Rec]:
-    if kind == "repeat":
-        recs = [_c0(Fraction(0), min(k.o_b, k.W), "wake")]
-        if k.o_b < k.W:
-            recs.append(_idle_tail(k.o_b, k.W))
-        return recs
-    t_dec = Fraction(k.F) / k.f
-    recs = [
-        _c0(Fraction(0), min(k.o_b + t_dec, k.W), "wake+decode",
-            read=k.E, write=k.disp, fbc=k.fbc_on)
-    ]
-    t = min(k.o_b + t_dec, k.W)
-    # Fetched (possibly compressed) bytes leave the link as a full frame, so
-    # the drain rate in fetched-byte units scales with the compression ratio.
-    d_units = k.e_B * Fraction(k.disp, k.F) if k.disp != k.F else k.e_B
-    phase, t_end = _duplex_phase(
-        t, k.W, k.disp, k.chunk, k.b, d_units,
-        PackageCState.C2, PackageCState.C8, "fetch", "burst",
-        fill_read_total=k.disp,
-    )
-    recs += phase
-    if t_end < k.W:
-        recs.append(_idle_tail(t_end, k.W))
-    return recs
-
-
-def _win_burstlink(k: _Knobs, kind: str, vr: bool) -> list[_Rec]:
-    if kind == "repeat":
-        recs = [_c0(Fraction(0), min(k.o_b, k.W), "wake")]
-        if k.o_b < k.W:
-            recs.append(_idle_tail(k.o_b, k.W))
-        return recs
-    recs: list[_Rec] = []
-    if vr:
-        # Decode lands in DRAM; the GPU re-projects it straight into the DC
-        # buffer while the link bursts the projected frame out.
-        t_dec = Fraction(k.F) / k.f
-        recs.append(
-            _c0(Fraction(0), min(k.o_b + t_dec, k.W), "wake+decode", read=k.E, write=k.F)
-        )
-        t = min(k.o_b + t_dec, k.W)
-        phase, t_end = _duplex_phase(
-            t, k.W, k.F, k.chunk, k.gpu, k.e_B,
-            PackageCState.C7, PackageCState.C7P, "project-feed", "burst",
-            fill_read_total=k.F, gpu_fill=True,
-        )
-    else:
-        recs.append(_c0(Fraction(0), min(k.o_b, k.W), "wake"))
-        t = min(k.o_b, k.W)
-        phase, t_end = _duplex_phase(
-            t, k.W, k.F, k.chunk, k.p, k.e_B,
-            PackageCState.C7, PackageCState.C7P, "decode-feed", "burst",
-            fill_read_total=k.E,
-        )
-    recs += phase
-    if t_end < k.W:
-        recs.append(_idle_tail(t_end, k.W))
-    return recs
-
-
-def _win_plane_stream(k: _Knobs) -> list[_Rec]:
-    """Single-plane window under conventional full-frame streaming."""
-    recs = [_c0(Fraction(0), min(k.o, k.W), "wake", streams=True)]
-    t = min(k.o, k.W)
-    phase, t_end = _duplex_phase(
-        t, k.W, k.F, k.chunk, k.b, None,
-        PackageCState.C2, PackageCState.C8, "fetch", "stream",
-        fill_read_total=k.F,
-    )
-    return _pad_to_window_end(recs + phase, t_end, k.W, PackageCState.C8, "stream", True)
-
-
-def _win_plane_burst(k: _Knobs, update_bytes: int) -> list[_Rec]:
-    """Single-plane window bursting only the dirty region (or idling)."""
-    recs = [_c0(Fraction(0), min(k.o_b, k.W), "wake")]
-    t = min(k.o_b, k.W)
-    if update_bytes > 0:
-        phase, t_end = _duplex_phase(
-            t, k.W, update_bytes, k.chunk, k.b, k.e_B,
-            PackageCState.C2, PackageCState.C8, "fetch", "burst",
-            fill_read_total=update_bytes,
-        )
-        recs += phase
-        t = t_end
-    if t < k.W:
-        recs.append(_idle_tail(t, k.W))
-    return recs
 
 
 def selective_update_bytes(full_frame_bytes: int, dirty_fraction: float,
@@ -650,19 +557,6 @@ def build_timeline(
     plane = wl.kind is WorkloadKind.SINGLE_PLANE
     psr_alt = wl.psr_alternate_windows
 
-    def recipe(kind: str, decodes: int, link_bytes: int) -> list[_Rec]:
-        if plane:
-            if scheme is Scheme.BASELINE:
-                return _win_plane_stream(k)
-            return _win_plane_burst(k, link_bytes)
-        if scheme is Scheme.BASELINE:
-            return _win_baseline(k, kind, decodes, vr, psr_alt)
-        if scheme is Scheme.BYPASS_ONLY:
-            return _win_bypass(k, kind)
-        if scheme is Scheme.BURSTING_ONLY:
-            return _win_bursting(k, kind)
-        return _win_burstlink(k, kind, vr)
-
     # A window is fully determined by (kind, decodes, link bytes); each
     # distinct key is built and rounded once.
     W_ns = frame_window_ns(cfg.display.refresh_hz)
@@ -689,7 +583,8 @@ def build_timeline(
         t = index.get(key)
         if t is None:
             t = index[key] = len(templates)
-            templates.append(_round_window(recipe(*key), key[0], W_ns, key[2]))
+            templates.append(_round_window(_recipe(k, scheme, *key, vr, psr_alt),
+                                           key[0], W_ns, key[2]))
         window_template.append(t)
 
     tl = WindowTimeline(scheme=scheme, window_ns=W_ns, templates=tuple(templates),

@@ -131,6 +131,10 @@ def test_simulate_rejects_non_finite_calibration_numbers(literal, tmp_path, caps
     '{"display": {"refresh_hz": 60.5}}',
     '{"system": {"dc_buffer_bytes": 1.5}}',
     '{"display": null}',
+    '{"system": {"dram_background_mw": {"active": "x", "fast_powerdown": 1, '
+    '"self_refresh": 1, "off": 0}}}',
+    '{"system": {"dram_background_mw": {"active": true, "fast_powerdown": 1, '
+    '"self_refresh": 1, "off": 0}}}',
 ])
 def test_simulate_rejects_config_values_of_the_wrong_json_type(doc, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -140,6 +144,34 @@ def test_simulate_rejects_config_values_of_the_wrong_json_type(doc, tmp_path, ca
     assert err.startswith("error: config ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_wrong_type_inside_an_object_names_the_nested_key(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"system": {"dram_background_mw": {"active": "x"}}}',
+                    encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config key 'system.dram_background_mw.active' must be a number, "
+        'got "x"\n')
+
+
+def test_simulate_rejects_a_buffer_that_splits_the_frame_too_finely(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"display": {"resolution": "4k"}, "system": {"dc_buffer_bytes": 256}}',
+                    encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "violation\tDC_BUFFER_TOO_SMALL\tsystem.dc_buffer_bytes\t" in capsys.readouterr().err
+
+
+def test_simulate_accepts_5k_deep_color_in_small_chunks(tmp_path, capsys):
+    # 5120 x 2880 x 4 B in 4 KiB chunks is 14,400 fills per frame.
+    path = tmp_path / "config.json"
+    path.write_text('{"display": {"resolution": "5k", "bits_per_pixel": 32, '
+                    '"refresh_hz": 30}, "system": {"dc_buffer_bytes": 4096}, '
+                    '"workload": {"video_fps": 30}}', encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--scheme", "burstlink"]) == 0
+    assert "traffic          reads=921600 B" in capsys.readouterr().out
 
 
 def test_simulate_missing_config_file_is_a_runtime_error(capsys):
@@ -320,6 +352,13 @@ def test_validate_accepts_a_good_configuration(capsys):
 def test_validate_reports_violations_with_usage_exit(broken_config_file, capsys):
     assert main(["validate", "--config", str(broken_config_file)]) == 2
     assert "BURST_NEEDS_DRFB" in capsys.readouterr().err
+
+
+def test_validate_says_ok_only_once_the_run_builds(capsys):
+    assert main(["validate", "--preset", "4k60", "--batch-every", "14"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration OK" not in captured.out
+    assert captured.err.startswith("error: BATCH_WINDOW_OVERRUN: ")
 
 
 def test_validate_grid_cross_checks_every_point(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Idle-state lattice, activity resolution, power profiles, and calibrations."""
+"""Idle-state lattice, power profiles, and calibrations."""
 
 from __future__ import annotations
 
@@ -10,19 +10,14 @@ from framewatt.core import Scheme
 from framewatt.cstates import (
     STATE_DRAM_MODE,
     STATES_BY_DEPTH,
-    Activity,
-    ActivityError,
     CalibrationSet,
     PackageCState,
     PowerProfile,
     calibration_from_dict,
     check_dram_split_consistency,
-    deepest_state,
     load_calibration,
     transition_cost,
 )
-
-ALL_OFF = Activity(panel="off", dram="off")
 
 
 # -- lattice ---------------------------------------------------------------
@@ -43,75 +38,6 @@ def test_state_dram_modes():
     for s in (PackageCState.C3, PackageCState.C6, PackageCState.C7,
               PackageCState.C7P, PackageCState.C8, PackageCState.C9):
         assert STATE_DRAM_MODE[s] == "self_refresh"
-
-
-# -- activity resolution -----------------------------------------------------
-
-
-def test_running_cores_pin_the_package_awake():
-    a = Activity(cores=True, dram="active", dc=True, edp_source=True,
-                 edp_sink=True, panel="streaming")
-    assert deepest_state(a) is PackageCState.C0
-
-
-def test_gpu_alone_pins_the_package_awake():
-    assert deepest_state(Activity(gpu=True, dram="active")) is PackageCState.C0
-
-
-def test_active_dram_without_compute_resolves_to_shallow_idle():
-    a = Activity(dram="active", dc=True, edp_source=True, edp_sink=True,
-                 panel="streaming")
-    assert deepest_state(a) is PackageCState.C2
-
-
-def test_running_decoder_holds_a_mid_depth_state():
-    a = Activity(vd="on", dc=True, edp_source=True, edp_sink=True,
-                 panel="streaming")
-    assert deepest_state(a) is PackageCState.C7
-
-
-def test_gated_decoder_sits_one_step_deeper():
-    a = Activity(vd="gated", dc=True, edp_source=True, edp_sink=True,
-                 panel="streaming")
-    assert deepest_state(a) is PackageCState.C7P
-
-
-def test_display_controller_alone_holds_the_streaming_idle_state():
-    a = Activity(dc=True, edp_source=True, edp_sink=True, panel="streaming")
-    assert deepest_state(a) is PackageCState.C8
-
-
-def test_self_refreshing_panel_allows_near_total_package_sleep():
-    assert deepest_state(Activity(panel="psr")) is PackageCState.C9
-
-
-def test_everything_off_reaches_the_deepest_state():
-    assert deepest_state(ALL_OFF) is PackageCState.C10
-
-
-def test_streaming_panel_needs_both_link_ends():
-    with pytest.raises(ActivityError, match="stream"):
-        deepest_state(Activity(dc=True, panel="streaming"))
-
-
-def test_link_sink_without_source_is_contradictory():
-    with pytest.raises(ActivityError, match="sink"):
-        deepest_state(Activity(edp_sink=True))
-
-
-def test_link_source_without_display_controller_is_contradictory():
-    with pytest.raises(ActivityError, match="source"):
-        deepest_state(Activity(edp_source=True, edp_sink=True))
-
-
-def test_gated_decoder_requires_a_draining_display_controller():
-    with pytest.raises(ActivityError, match="gated"):
-        deepest_state(Activity(vd="gated"))
-
-
-def test_compute_blocks_cannot_run_with_memory_off():
-    with pytest.raises(ActivityError, match="DRAM"):
-        deepest_state(Activity(cores=True, dram="off", panel="off"))
 
 
 # -- power profiles -----------------------------------------------------------

@@ -108,13 +108,13 @@ def _rebuild(cfg, n, batch_every=1, dirty_trace=None):
     vr = wl.kind is WorkloadKind.VR360
     out = []
     for w in range(n):
+        decodes = 0
         if dirty_trace is not None:
             update = selective_update_bytes(k.F, dirty_trace[w])
             if scheme is Scheme.BASELINE:
-                kind, recs, link = "update", tmod._win_plane_stream(k), k.F
+                kind, link = "update", k.F
             else:
-                kind = "update" if update > 0 else "idle"
-                recs, link = tmod._win_plane_burst(k, update), update
+                kind, link = ("update" if update > 0 else "idle"), update
         else:
             transfer = w % k.group == 0
             kind = "transfer" if transfer else "repeat"
@@ -122,14 +122,8 @@ def _rebuild(cfg, n, batch_every=1, dirty_trace=None):
             if scheme is Scheme.BASELINE:
                 batched = transfer and (w // k.group) % batch_every == 0
                 decodes = batch_every if batched else 0
-                recs = tmod._win_baseline(k, kind, decodes, vr, wl.psr_alternate_windows)
                 link = 0 if not transfer and wl.psr_alternate_windows else k.F
-            elif scheme is Scheme.BYPASS_ONLY:
-                recs = tmod._win_bypass(k, kind)
-            elif scheme is Scheme.BURSTING_ONLY:
-                recs = tmod._win_bursting(k, kind)
-            else:
-                recs = tmod._win_burstlink(k, kind, vr)
+        recs = tmod._recipe(k, scheme, kind, decodes, link, vr, wl.psr_alternate_windows)
         base = w * W_ns
         out.extend(
             dataclasses.replace(iv, window=w, start_ns=base + iv.start_ns,
@@ -222,10 +216,12 @@ def test_window_rounding_rejects_records_that_leave_a_gap():
 
 def fraction_phase(start, hard_end, payload, chunk, fill_rate, drain_rate):
     """Reference phase: the per-chunk ``Fraction`` arithmetic that the
-    integer-time phase replaced, as [is_fill, start, end, read] records plus
-    the phase end."""
+    integer-time phase replaced, as [state, start, end, read] records that
+    run to ``hard_end``: C2 fills and C8 drains, then C8 (span pacing) or C9
+    (rate pacing) for whatever time is left."""
     if start >= hard_end:
-        return [], start
+        return []
+    fill_state, drain_state = PackageCState.C2, PackageCState.C8
     n = -(-payload // chunk)
     chunks = [chunk] * (n - 1) + [payload - (n - 1) * chunk]
     reads = distribute_bytes(payload, chunks)
@@ -235,12 +231,9 @@ def fraction_phase(start, hard_end, payload, chunk, fill_rate, drain_rate):
     if fill_rate <= d:
         t = start
         for dur, read in zip(fill, reads):
-            recs.append([True, t, t + dur, read])
+            recs.append([fill_state, t, t + dur, read])
             t += dur
         end = t
-        if drain_rate is None and t < hard_end:
-            recs.append([False, t, hard_end, 0])
-            end = hard_end
     else:
         done, acc = [], start + fill[0]
         for c in chunks:
@@ -250,11 +243,11 @@ def fraction_phase(start, hard_end, payload, chunk, fill_rate, drain_rate):
         for i, (dur, read) in enumerate(zip(fill, reads)):
             fs = start if i == 0 else start + fill[0] if i == 1 else done[i - 2]
             if fs > t:
-                recs.append([False, t, fs, 0])
-            recs.append([True, fs, fs + dur, read])
+                recs.append([drain_state, t, fs, 0])
+            recs.append([fill_state, fs, fs + dur, read])
             t = fs + dur
         if done[-1] > t:
-            recs.append([False, t, done[-1], 0])
+            recs.append([drain_state, t, done[-1], 0])
         end = done[-1]
     kept, lost = [], 0
     for r in recs:
@@ -265,7 +258,10 @@ def fraction_phase(start, hard_end, payload, chunk, fill_rate, drain_rate):
         kept.append(r)
     if lost and kept:
         kept[-1][3] += lost
-    return kept, min(end, hard_end)
+    if end < hard_end:
+        idle = drain_state if drain_rate is None else PackageCState.C9
+        kept.append([idle, end, hard_end, 0])
+    return kept
 
 
 _rates = st.floats(min_value=1e8, max_value=5e10).map(Fraction)
@@ -284,16 +280,14 @@ def test_integer_time_phase_matches_the_fraction_reference(
     start, refresh, payload, chunk, fill_rate, drain_rate
 ):
     hard_end = Fraction(1, refresh)
-    recs, end = tmod._duplex_phase(
+    recs = tmod._duplex_phase(
         start, hard_end, payload, chunk, fill_rate, drain_rate,
         PackageCState.C2, PackageCState.C8, "fetch", "burst", fill_read_total=payload,
     )
-    expected, expected_end = fraction_phase(start, hard_end, payload, chunk,
-                                            fill_rate, drain_rate)
-    got = [[r.state is PackageCState.C2, Fraction(r.start, r.den), Fraction(r.end, r.den),
-            r.read] for r in recs]
+    expected = fraction_phase(start, hard_end, payload, chunk, fill_rate, drain_rate)
+    got = [[r.state, Fraction(r.start, r.den), Fraction(r.end, r.den), r.read]
+           for r in recs]
     assert got == expected
-    assert end == expected_end
 
 
 # -- per-scheme traffic -------------------------------------------------------
