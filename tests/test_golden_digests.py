@@ -44,6 +44,12 @@ OPS = [
     *(f"simulate --preset fhd60 --kind single_plane --trace traces/{name}.csv "
       f"--scheme {scheme} --out out"
       for name in _TRACES for scheme in ("baseline", "bursting_only")),
+    "simulate --preset fhd30 --batch-every 3 --calibration latency-demo --out out",
+    "simulate --preset fhd30 --psr-alternate --windows 4 --calibration latency-demo --out out",
+    "simulate --preset 4k60-vr --scheme burstlink --windows 3 --calibration latency-demo --out out",
+    "simulate --preset fhd60 --kind single_plane --trace traces/gaming.csv "
+    "--scheme bursting_only --calibration latency-demo --out out",
+    "sweep --calibration latency-demo --out sw",
 ]
 
 
