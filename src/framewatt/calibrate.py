@@ -19,7 +19,8 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.optimize import nnls
 
-from .cstates import PackageCState
+from .core import json_number
+from .cstates import PackageCState, parse_state_map
 
 
 class UnderDeterminedError(ValueError):
@@ -231,17 +232,17 @@ def runs_from_json(path: str | Path) -> list[MeasuredRun]:
         raise ValueError("measured-runs file has no runs")
     out: list[MeasuredRun] = []
     for i, raw in enumerate(raw_runs):
+        if not isinstance(raw, dict):
+            raise ValueError(f"run {i} must be an object, got {json.dumps(raw)}")
         unknown = set(raw) - {"label", "residency", "average_power_mw"}
         if unknown:
             raise ValueError(f"run {i}: unknown keys {sorted(unknown)}")
         try:
-            residency = {
-                PackageCState(k): float(v) for k, v in raw["residency"].items()
-            }
             out.append(
                 MeasuredRun(
-                    residency=residency,
-                    average_power_mw=float(raw["average_power_mw"]),
+                    residency=parse_state_map(raw["residency"], f"run {i}.residency"),
+                    average_power_mw=json_number(raw["average_power_mw"],
+                                                 f"run {i}.average_power_mw"),
                     label=str(raw.get("label", f"run{i}")),
                 )
             )

@@ -172,7 +172,7 @@ def _apply_workload_overrides(
         wl = replace(wl, scheme=Scheme(scheme))
     if kind:
         wl = replace(wl, kind=WorkloadKind(kind))
-    if fps:
+    if fps is not None:
         wl = replace(wl, video_fps=fps)
     if psr_alternate:
         wl = replace(wl, psr_alternate_windows=True)

@@ -404,6 +404,13 @@ def check_finite(data: Any) -> None:
         raise ConfigurationError(found)
 
 
+def json_number(value: Any, where: str) -> float:
+    """``value`` as a float; ValueError naming ``where`` unless a JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def validate_config(cfg: SimConfig) -> list[Violation]:
     """Cross-field checks.  Returns an empty list when the config is runnable.
 
@@ -592,6 +599,7 @@ __all__ = [
     "frame_bytes",
     "frame_window",
     "frame_window_ns",
+    "json_number",
     "panel_stream_rate",
     "parse_resolution",
     "validate_config",

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .core import Scheme, check_finite
+from .core import Scheme, check_finite, json_number
 
 
 class PackageCState(Enum):
@@ -214,16 +214,20 @@ _PROFILE_KEYS = {
 _TOP_KEYS = {"name", "description", "vd_gate_delta_mw", "drfb_power_mw", "profiles"}
 
 
-def _parse_state_map(
-    raw: Mapping[str, Any], where: str, scale: float = 1.0, as_int: bool = False
+def parse_state_map(
+    raw: Any, where: str, scale: float = 1.0, as_int: bool = False
 ) -> dict[PackageCState, Any]:
+    """Per-state numbers from a JSON object; a ValueError names the key."""
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"{where} must be an object, got {json.dumps(raw)}")
     out: dict[PackageCState, Any] = {}
     for key, val in raw.items():
         try:
             state = PackageCState(key)
         except ValueError:
             raise ValueError(f"unknown state '{key}' in {where}") from None
-        out[state] = int(round(val * scale)) if as_int else float(val)
+        num = json_number(val, f"{where}.{key}")
+        out[state] = int(round(num * scale)) if as_int else num
     return out
 
 
@@ -235,20 +239,20 @@ def _profile_from_dict(name: str, raw: Mapping[str, Any]) -> PowerProfile:
         raise ValueError(f"profile '{name}' missing state_power_mw")
     return PowerProfile(
         name=name,
-        state_power_mw=_parse_state_map(raw["state_power_mw"], f"{name}.state_power_mw"),
-        display_power_mw=_parse_state_map(
+        state_power_mw=parse_state_map(raw["state_power_mw"], f"{name}.state_power_mw"),
+        display_power_mw=parse_state_map(
             raw.get("display_power_mw", {}), f"{name}.display_power_mw"
         ),
-        entry_latency_ns=_parse_state_map(
+        entry_latency_ns=parse_state_map(
             raw.get("entry_latency_us", {}), f"{name}.entry_latency_us", 1_000, True
         ),
-        exit_latency_ns=_parse_state_map(
+        exit_latency_ns=parse_state_map(
             raw.get("exit_latency_us", {}), f"{name}.exit_latency_us", 1_000, True
         ),
-        entry_power_mw=_parse_state_map(
+        entry_power_mw=parse_state_map(
             raw.get("entry_power_mw", {}), f"{name}.entry_power_mw"
         ),
-        exit_power_mw=_parse_state_map(
+        exit_power_mw=parse_state_map(
             raw.get("exit_power_mw", {}), f"{name}.exit_power_mw"
         ),
     )
@@ -322,5 +326,6 @@ __all__ = [
     "calibration_from_dict",
     "check_dram_split_consistency",
     "load_calibration",
+    "parse_state_map",
     "transition_cost",
 ]

@@ -6,10 +6,14 @@ Two deliberately different power views exist side by side:
   by residency, plus transition entry/exit energy spread over the run.  It
   is what a residency table alone can tell you.
 * :class:`EnergyReport` (via :func:`streaming_report`) is the full bill: it
-  integrates state powers over exact interval spans and adds DRAM traffic
-  energy (coefficients times bytes moved), transition costs, and the
-  conditional adders (panel-side frame buffer, GPU projection, compression
-  engine).  Its ``average_power_mw`` is total energy over total time.
+  charges state powers over exact state spans and adds DRAM traffic energy
+  (coefficients times bytes moved), transition costs, and the conditional
+  adders (panel-side frame buffer, GPU projection, compression engine).
+  Its ``average_power_mw`` is total energy over total time.
+
+Pricing is an integer tally, then one price: ``timeline_totals`` walks the
+intervals into state spans, bytes, adder spans and state changes, and one
+formula turns a tally into energies, for the whole run or for one window.
 
 DRAM background power is part of each state's package power, so the DRAM
 breakdown reports it as an attribution (carved out of the state totals using
@@ -20,7 +24,7 @@ energy is additive.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .core import ConfigurationError, Scheme, SimConfig, SystemConfig
 from .cstates import (
@@ -33,7 +37,6 @@ from .cstates import (
     transition_cost,
 )
 from .timeline import (
-    Interval,
     TimelineTotals,
     WindowTimeline,
     build_timeline,
@@ -75,24 +78,7 @@ def transition_counts(
 ) -> dict[tuple[PackageCState, PackageCState], int]:
     """State changes between adjacent intervals, keyed in order of first
     occurrence along the timeline."""
-    inner: list[dict[tuple[PackageCState, PackageCState], int]] = []
-    for ivs in timeline.templates:
-        changes: dict[tuple[PackageCState, PackageCState], int] = {}
-        for prev, cur in zip(ivs, ivs[1:]):
-            if prev.state is not cur.state:
-                key = (prev.state, cur.state)
-                changes[key] = changes.get(key, 0) + 1
-        inner.append(changes)
-    counts: dict[tuple[PackageCState, PackageCState], int] = {}
-    last: PackageCState | None = None
-    for t in timeline.window_template:
-        first = timeline.templates[t][0].state
-        if last is not None and last is not first:
-            counts[(last, first)] = counts.get((last, first), 0) + 1
-        for key, c in inner[t].items():
-            counts[key] = counts.get(key, 0) + c
-        last = timeline.templates[t][-1].state
-    return counts
+    return timeline_totals(timeline).transitions
 
 
 # -- DRAM energy ---------------------------------------------------------------
@@ -118,22 +104,6 @@ class DramEnergy:
         return self.operating_read_uj + self.operating_write_uj
 
 
-def _dram_energy(totals: TimelineTotals, system: SystemConfig) -> DramEnergy:
-    by_mode: dict[str, int] = {m: 0 for m in system.dram_background_mw}
-    for state, ns in totals.state_spans_ns.items():
-        if ns:
-            by_mode[STATE_DRAM_MODE[state]] += ns
-    background_uj = sum(
-        system.dram_background_mw[m] * ns * 1e-6 for m, ns in by_mode.items()
-    )
-    return DramEnergy(
-        operating_read_uj=totals.dram_read_bytes * system.dram_coeff_read * 1e6,
-        operating_write_uj=totals.dram_write_bytes * system.dram_coeff_write * 1e6,
-        background_uj=background_uj,
-        background_by_mode_ns=by_mode,
-    )
-
-
 # -- full report ----------------------------------------------------------------
 
 
@@ -148,7 +118,6 @@ class WindowEnergy:
 
     window: int
     kind: str
-    state_uj: Mapping[PackageCState, float]
     transition_uj: float
     dram_operating_uj: float
     adders_uj: float
@@ -217,6 +186,58 @@ class EnergyReport:
         }
 
 
+class _Bill(NamedTuple):
+    """Energies of one tally, in uJ."""
+
+    state_uj: dict[PackageCState, float]
+    transition_uj: float
+    dram: DramEnergy
+    drfb_uj: float
+    gpu_uj: float
+    fbc_uj: float
+    components: dict[str, float]
+    total_uj: float
+
+
+def _price(totals: TimelineTotals, profile: PowerProfile, system: SystemConfig,
+           drfb_power_mw: float) -> _Bill:
+    """The one pricing formula: energies of an integer tally."""
+    spans = totals.state_spans_ns
+    state_uj = {s: profile.state_power_mw[s] * spans[s] * 1e-6 for s in PackageCState}
+    trans_uj = sum(
+        c * transition_cost(profile, frm, to).energy_uj
+        for (frm, to), c in totals.transitions.items()
+    )
+    by_mode: dict[str, int] = {m: 0 for m in system.dram_background_mw}
+    for state, ns in spans.items():
+        by_mode[STATE_DRAM_MODE[state]] += ns
+    dram = DramEnergy(
+        operating_read_uj=totals.dram_read_bytes * system.dram_coeff_read * 1e6,
+        operating_write_uj=totals.dram_write_bytes * system.dram_coeff_write * 1e6,
+        background_uj=sum(
+            system.dram_background_mw[m] * ns * 1e-6 for m, ns in by_mode.items()),
+        background_by_mode_ns=by_mode,
+    )
+    drfb_uj = drfb_power_mw * totals.drfb_ns * 1e-6
+    gpu_uj = system.gpu_active_mw * totals.gpu_ns * 1e-6
+    fbc_uj = system.fbc_compute_mw * totals.fbc_ns * 1e-6
+    total_uj = (
+        sum(state_uj.values()) + trans_uj + dram.operating_uj + drfb_uj + gpu_uj + fbc_uj
+    )
+    # Three-way component view: the DRAM background and display slices are
+    # carved out of the state powers, the panel-side buffer adder is
+    # display-side, and everything else -- compute rest, transitions, GPU and
+    # compression adders -- lands in "others".
+    display_uj = (
+        sum(profile.display_power_mw.get(s, 0.0) * spans[s] * 1e-6 for s in PackageCState)
+        + drfb_uj
+    )
+    dram_uj = dram.background_uj + dram.operating_uj
+    components = {"dram": dram_uj, "display": display_uj,
+                  "others": total_uj - display_uj - dram_uj}
+    return _Bill(state_uj, trans_uj, dram, drfb_uj, gpu_uj, fbc_uj, components, total_uj)
+
+
 def report_from_timeline(
     timeline: WindowTimeline,
     cfg: SimConfig,
@@ -225,50 +246,18 @@ def report_from_timeline(
     """Price a timeline under a calibration."""
     profile = calibration.profile_for(timeline.scheme)
     check_dram_split_consistency(profile, cfg.system.dram_background_mw)
-
     totals = timeline_totals(timeline)
+    bill = _price(totals, profile, cfg.system, calibration.drfb_power_mw)
     spans = totals.state_spans_ns
     total_ns = timeline.total_ns
-    residency = {s: spans[s] / total_ns for s in PackageCState}
-    state_uj = {s: profile.state_power_mw[s] * spans[s] * 1e-6 for s in PackageCState}
-
-    counts = transition_counts(timeline)
-    trans_uj = sum(
-        c * transition_cost(profile, frm, to).energy_uj
-        for (frm, to), c in counts.items()
-    )
-
-    dram = _dram_energy(totals, cfg.system)
-
-    drfb_uj = calibration.drfb_power_mw * totals.drfb_ns * 1e-6
-    gpu_uj = cfg.system.gpu_active_mw * totals.gpu_ns * 1e-6
-    fbc_uj = cfg.system.fbc_compute_mw * totals.fbc_ns * 1e-6
-
-    total_uj = (
-        sum(state_uj.values()) + trans_uj + dram.operating_uj + drfb_uj + gpu_uj + fbc_uj
-    )
     total_ms = total_ns * 1e-6
-
-    # Three-way component view: the DRAM background and display slices are
-    # carved out of the state powers (split already validated above), the
-    # panel-side buffer adder is display-side, and everything else -- compute
-    # rest, transitions, GPU and compression adders -- lands in "others".
-    display_uj = (
-        sum(profile.display_power_mw.get(s, 0.0) * spans[s] * 1e-6 for s in PackageCState)
-        + drfb_uj
-    )
-    dram_component_uj = dram.background_uj + dram.operating_uj
-    others_uj = total_uj - display_uj - dram_component_uj
+    residency = {s: spans[s] / total_ns for s in PackageCState}
+    others_uj = bill.components["others"]
     if others_uj < -0.5 * total_ms:  # 0.5 mW of slack over the whole run
         raise ValueError(
             f"calibration '{calibration.name}': component splits exceed state "
             f"totals (others = {others_uj:.3f} uJ)"
         )
-    component_uj = {
-        "dram": dram_component_uj,
-        "display": display_uj,
-        "others": others_uj,
-    }
     return EnergyReport(
         scheme=timeline.scheme,
         calibration_name=calibration.name,
@@ -277,21 +266,21 @@ def report_from_timeline(
         total_ns=total_ns,
         residency=residency,
         state_spans_ns=spans,
-        state_energy_uj=state_uj,
-        transition_counts=counts,
-        transition_energy_uj=trans_uj,
-        dram=dram,
-        drfb_energy_uj=drfb_uj,
-        gpu_energy_uj=gpu_uj,
-        fbc_energy_uj=fbc_uj,
+        state_energy_uj=bill.state_uj,
+        transition_counts=totals.transitions,
+        transition_energy_uj=bill.transition_uj,
+        dram=bill.dram,
+        drfb_energy_uj=bill.drfb_uj,
+        gpu_energy_uj=bill.gpu_uj,
+        fbc_energy_uj=bill.fbc_uj,
         dram_read_bytes=totals.dram_read_bytes,
         dram_write_bytes=totals.dram_write_bytes,
         edp_bytes=totals.edp_bytes,
-        component_energy_uj=component_uj,
-        total_energy_uj=total_uj,
-        average_power_mw=total_uj / total_ms,
+        component_energy_uj=bill.components,
+        total_energy_uj=bill.total_uj,
+        average_power_mw=bill.total_uj / total_ms,
         analytic_average_power_mw=average_power(
-            profile, residency, counts, total_ns * 1e-9
+            profile, residency, totals.transitions, total_ns * 1e-9
         ),
     )
 
@@ -304,72 +293,29 @@ def window_energy_breakdown(
     """Per-window bill; boundary transitions are charged to the later window.
 
     A window's bill depends only on its template and the state the previous
-    window ended in, so each such pair is priced once.
+    window ended in, so each such pair is tallied and priced once.
     """
     profile = calibration.profile_for(timeline.scheme)
     bills: dict[tuple[int, PackageCState | None], WindowEnergy] = {}
     out: list[WindowEnergy] = []
-    prev_state: PackageCState | None = None
-    for w, t in enumerate(timeline.window_template):
-        ivs = timeline.templates[t]
-        bill = bills.get((t, prev_state))
-        if bill is None:
-            bill = bills[(t, prev_state)] = _window_bill(
-                ivs, prev_state, profile, cfg.system, calibration.drfb_power_mw)
-        out.append(replace(bill, window=w))
-        prev_state = ivs[-1].state
+    for w, pair in enumerate(timeline.window_pairs):
+        row = bills.get(pair)
+        if row is None:
+            bill = _price(timeline_totals(timeline, {pair: 1}), profile, cfg.system,
+                          calibration.drfb_power_mw)
+            row = bills[pair] = WindowEnergy(
+                window=0,
+                kind=timeline.templates[pair[0]][0].kind,
+                transition_uj=bill.transition_uj,
+                dram_operating_uj=bill.dram.operating_uj,
+                adders_uj=bill.drfb_uj + bill.gpu_uj + bill.fbc_uj,
+                dram_uj=bill.components["dram"],
+                display_uj=bill.components["display"],
+                others_uj=bill.components["others"],
+                total_uj=bill.total_uj,
+            )
+        out.append(replace(row, window=w))
     return tuple(out)
-
-
-def _window_bill(
-    ivs: Sequence[Interval],
-    prev_state: PackageCState | None,
-    profile: PowerProfile,
-    system: SystemConfig,
-    drfb_power_mw: float,
-) -> WindowEnergy:
-    state_uj: dict[PackageCState, float] = {}
-    trans_uj = 0.0
-    dram_op_uj = 0.0
-    dram_bg_uj = 0.0
-    display_uj = 0.0
-    adders_uj = 0.0
-    for iv in ivs:
-        ms = iv.span_ns * 1e-6
-        state_uj[iv.state] = (
-            state_uj.get(iv.state, 0.0) + profile.state_power_mw[iv.state] * ms
-        )
-        if prev_state is not None and prev_state is not iv.state:
-            trans_uj += transition_cost(profile, prev_state, iv.state).energy_uj
-        prev_state = iv.state
-        dram_op_uj += (
-            iv.dram_read_bytes * system.dram_coeff_read
-            + iv.dram_write_bytes * system.dram_coeff_write
-        ) * 1e6
-        dram_bg_uj += system.dram_background_mw[STATE_DRAM_MODE[iv.state]] * ms
-        display_uj += profile.display_power_mw.get(iv.state, 0.0) * ms
-        if iv.drfb_active:
-            drfb = drfb_power_mw * ms
-            adders_uj += drfb
-            display_uj += drfb
-        if iv.gpu_active:
-            adders_uj += system.gpu_active_mw * ms
-        if iv.fbc_active:
-            adders_uj += system.fbc_compute_mw * ms
-    total = sum(state_uj.values()) + trans_uj + dram_op_uj + adders_uj
-    dram_uj = dram_bg_uj + dram_op_uj
-    return WindowEnergy(
-        window=0,
-        kind=ivs[0].kind,
-        state_uj=state_uj,
-        transition_uj=trans_uj,
-        dram_operating_uj=dram_op_uj,
-        adders_uj=adders_uj,
-        dram_uj=dram_uj,
-        display_uj=display_uj,
-        others_uj=total - dram_uj - display_uj,
-        total_uj=total,
-    )
 
 
 def streaming_report(

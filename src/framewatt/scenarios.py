@@ -131,11 +131,6 @@ def single_plane_burst(
     C9.  The comparison pipeline streams the full frame every refresh no
     matter how little changed.
     """
-    if not dirty_trace:
-        raise ValueError("dirty_trace must not be empty")
-    for i, d in enumerate(dirty_trace):
-        if not 0.0 <= float(d) <= 1.0:
-            raise ValueError(f"dirty_trace[{i}] = {d} outside [0, 1]")
     cal = _resolve(calibration)
     base_wl = replace(cfg.workload, kind=WorkloadKind.SINGLE_PLANE)
     burst_cfg = replace(cfg, workload=replace(base_wl, scheme=Scheme.BURSTING_ONLY))

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from .core import (
     NS_PER_S,
@@ -120,6 +120,13 @@ class WindowTimeline:
             )
         return tuple(out)
 
+    @property
+    def window_pairs(self) -> list[tuple[int, PackageCState | None]]:
+        """Each window's template and the state the previous window ended in
+        (None for the first window)."""
+        ends = [self.templates[t][-1].state for t in self.window_template]
+        return list(zip(self.window_template, [None, *ends[:-1]]))
+
     def check_coverage(self) -> None:
         """Run :func:`check_timeline`: exact tiling and traffic placement."""
         check_timeline(self)
@@ -164,8 +171,8 @@ def _window_problem(ivs: Sequence[Interval], window_ns: int) -> str | None:
 
 @dataclass(frozen=True)
 class TimelineTotals:
-    """Integer totals of a whole timeline: time per state, bytes moved, and
-    time with each power adder active."""
+    """Integer tally of a multiset of windows, all that pricing needs: time
+    per state, bytes, time under each adder, and state changes in order."""
 
     state_spans_ns: dict[PackageCState, int]
     dram_read_bytes: int
@@ -174,13 +181,25 @@ class TimelineTotals:
     drfb_ns: int
     gpu_ns: int
     fbc_ns: int
+    transitions: dict[tuple[PackageCState, PackageCState], int]
 
 
-def timeline_totals(timeline: WindowTimeline) -> TimelineTotals:
-    """Tally each template once, weighted by the windows that use it."""
+def timeline_totals(
+    timeline: WindowTimeline,
+    pairs: Mapping[tuple[int, PackageCState | None], int] | None = None,
+) -> TimelineTotals:
+    """Tally windows given as (template, state the previous window ended in)
+    pairs with their counts; each distinct pair is walked once.  The change
+    into a window's first state is counted for that window.  ``pairs``
+    defaults to every window of the timeline (:attr:`WindowTimeline.window_pairs`),
+    counted in order, so the changes keep their order of first occurrence
+    along the timeline."""
+    if pairs is None:
+        pairs = Counter(timeline.window_pairs)
     spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
+    changes: dict[tuple[PackageCState, PackageCState], int] = {}
     read = write = edp = drfb = gpu = fbc = 0
-    for t, m in Counter(timeline.window_template).items():
+    for (t, prev), m in pairs.items():
         for iv in timeline.templates[t]:
             span = iv.span_ns * m
             spans[iv.state] += span
@@ -193,18 +212,17 @@ def timeline_totals(timeline: WindowTimeline) -> TimelineTotals:
                 gpu += span
             if iv.fbc_active:
                 fbc += span
-    return TimelineTotals(spans, read, write, edp, drfb, gpu, fbc)
+            if prev is not None and prev is not iv.state:
+                changes[(prev, iv.state)] = changes.get((prev, iv.state), 0) + m
+            prev = iv.state
+    return TimelineTotals(spans, read, write, edp, drfb, gpu, fbc, changes)
 
 
 def residencies(timeline: WindowTimeline) -> dict[PackageCState, float]:
     """Fraction of total time spent in each state (sums to 1.0)."""
-    spans = state_spans_ns(timeline)
+    spans = timeline_totals(timeline).state_spans_ns
     total = timeline.total_ns
     return {s: spans[s] / total for s in PackageCState}
-
-
-def state_spans_ns(timeline: WindowTimeline) -> dict[PackageCState, int]:
-    return timeline_totals(timeline).state_spans_ns
 
 
 # -- exact byte distribution -------------------------------------------------
@@ -537,6 +555,8 @@ def build_timeline(
                 "frame batching applies only to video playback under the plain scheme"
             )
         _check_batch_fits(cfg, batch_every)
+    if fbc_ratio != 1.0 and wl.kind is WorkloadKind.SINGLE_PLANE:
+        raise ValueError("frame-buffer compression does not apply to single-plane workloads")
     cut = (1.0 - cached_traffic_fraction) if batch_every > 1 else 1.0
     k = _knobs(cfg, fbc_ratio, cut)
 
@@ -753,7 +773,6 @@ __all__ = [
     "distribute_bytes",
     "residencies",
     "selective_update_bytes",
-    "state_spans_ns",
     "timeline_totals",
     "timeline_to_csv",
     "timeline_to_svg",

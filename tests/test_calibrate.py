@@ -221,6 +221,22 @@ def test_json_rejects_unknown_run_keys(tmp_path):
         runs_from_json(path)
 
 
+@pytest.mark.parametrize("runs, message", [
+    ([5], "run 0 must be an object, got 5"),
+    ([{"residency": 5, "average_power_mw": 1}], "run 0.residency must be an object, got 5"),
+    ([{"residency": {"C0": "x"}, "average_power_mw": 1}],
+     'run 0.residency.C0 must be a number, got "x"'),
+    ([{"residency": {"C0": 1.0}, "average_power_mw": None}],
+     "run 0.average_power_mw must be a number, got null"),
+])
+def test_json_runs_of_the_wrong_shape_name_the_key(runs, message, tmp_path):
+    path = tmp_path / "runs.json"
+    path.write_text(json.dumps({"runs": runs}), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        runs_from_json(path)
+    assert str(err.value) == message
+
+
 def test_load_runs_dispatches_on_extension(tmp_path):
     csv_path = tmp_path / "runs.csv"
     csv_path.write_text("label,C0,power_mw\nx,1.0,5940\n", encoding="utf-8")

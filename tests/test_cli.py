@@ -238,6 +238,32 @@ def test_infeasible_decode_batches_are_usage_errors(command, batch, code, capsys
     assert err[0].startswith(f"error: {code}: ")
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["simulate", "--preset", "fhd30", "--fps", "0"], None),
+    (["simulate", "--preset", "fhd30", "--fps", "-5"], None),
+    (["compare", "--preset", "fhd30", "--fps-b", "0"], None),
+    (["simulate", "--preset", "fhd60", "--kind", "single_plane", "--scheme",
+      "bursting_only", "--trace", "TRACE", "--fbc-ratio", "0.5"], None),
+    (["calibrate", "--runs", "JSON"], {"runs": [5]}),
+    (["calibrate", "--runs", "JSON"],
+     {"runs": [{"residency": 5, "average_power_mw": 1}]}),
+    (["simulate", "--preset", "fhd30", "--calibration", "JSON"],
+     {"profiles": {"conventional": {"state_power_mw": 5}, "burst": {}}}),
+])
+def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, tmp_path, capsys):
+    from importlib import resources
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    ref = resources.files("framewatt").joinpath("data", "traces", "gaming.csv")
+    with resources.as_file(ref) as trace:
+        subs = {"TRACE": str(trace), "JSON": str(path)}
+        assert main([subs.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+
+
 # -- sweep --------------------------------------------------------------------
 
 

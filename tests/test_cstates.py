@@ -232,6 +232,19 @@ def test_calibration_dict_rejects_unknown_states():
         calibration_from_dict(doc)
 
 
+@pytest.mark.parametrize("state_power, message", [
+    (5, "conventional.state_power_mw must be an object, got 5"),
+    ({"C0": "big"}, 'conventional.state_power_mw.C0 must be a number, got "big"'),
+    ({"C0": True}, "conventional.state_power_mw.C0 must be a number, got true"),
+])
+def test_calibration_state_maps_must_hold_json_numbers(state_power, message):
+    doc = {"profiles": {"conventional": {"state_power_mw": state_power},
+                        "burst": {"state_power_mw": {}}}}
+    with pytest.raises(ValueError) as err:
+        calibration_from_dict(doc)
+    assert str(err.value) == message
+
+
 def test_demo_calibration_latencies_parse_to_nanoseconds(latency_cal):
     prof = latency_cal.conventional
     assert prof.entry_latency_ns[PackageCState.C8] == 75_000

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
+from importlib import resources
 
 import pytest
 
 from framewatt.core import RESOLUTIONS, Scheme, WorkloadKind, frame_bytes
-from framewatt.cstates import PackageCState, load_calibration
+from framewatt.cstates import (
+    STATE_DRAM_MODE,
+    PackageCState,
+    load_calibration,
+    transition_cost,
+)
 from framewatt.power import (
     ConfigurationError,
     average_power,
@@ -16,7 +23,8 @@ from framewatt.power import (
     transition_counts,
     window_energy_breakdown,
 )
-from framewatt.timeline import build_timeline, state_spans_ns
+from framewatt.scenarios import read_dirty_trace
+from framewatt.timeline import build_timeline, timeline_totals
 from conftest import make_config
 
 C = PackageCState
@@ -86,7 +94,7 @@ def test_dram_background_energy_follows_state_modes(default_cal):
     cfg = make_config("4k", 60, Scheme.BASELINE)
     tl = build_timeline(cfg, None)
     de = report_from_timeline(tl, cfg, default_cal).dram
-    spans = state_spans_ns(tl)
+    spans = timeline_totals(tl).state_spans_ns
     active_ns = spans.get(C.C0, 0) + spans.get(C.C2, 0)
     idle_ns = sum(
         ns for s, ns in spans.items() if s not in (C.C0, C.C2, C.C10)
@@ -287,3 +295,114 @@ def test_compression_compute_energy_is_billed_when_compressing():
     assert squeezed.fbc_energy_uj > 0.0
     plain = streaming_report(cfg, "default")
     assert plain.fbc_energy_uj == 0.0
+
+
+# -- one tally, one price ---------------------------------------------------------
+
+
+def _window_bill(ivs, prev_state, profile, system, drfb_power_mw):
+    """Reference bill of one window, pricing every interval on its own in
+    floats; the breakdown prices the window's integer tally instead."""
+    state_uj: dict = {}
+    trans_uj = dram_op_uj = dram_bg_uj = display_uj = adders_uj = 0.0
+    for iv in ivs:
+        ms = iv.span_ns * 1e-6
+        state_uj[iv.state] = (
+            state_uj.get(iv.state, 0.0) + profile.state_power_mw[iv.state] * ms
+        )
+        if prev_state is not None and prev_state is not iv.state:
+            trans_uj += transition_cost(profile, prev_state, iv.state).energy_uj
+        prev_state = iv.state
+        dram_op_uj += (
+            iv.dram_read_bytes * system.dram_coeff_read
+            + iv.dram_write_bytes * system.dram_coeff_write
+        ) * 1e6
+        dram_bg_uj += system.dram_background_mw[STATE_DRAM_MODE[iv.state]] * ms
+        display_uj += profile.display_power_mw.get(iv.state, 0.0) * ms
+        if iv.drfb_active:
+            drfb = drfb_power_mw * ms
+            adders_uj += drfb
+            display_uj += drfb
+        if iv.gpu_active:
+            adders_uj += system.gpu_active_mw * ms
+        if iv.fbc_active:
+            adders_uj += system.fbc_compute_mw * ms
+    total = sum(state_uj.values()) + trans_uj + dram_op_uj + adders_uj
+    dram_uj = dram_bg_uj + dram_op_uj
+    return {
+        "kind": ivs[0].kind,
+        "transition_uj": trans_uj,
+        "dram_operating_uj": dram_op_uj,
+        "adders_uj": adders_uj,
+        "dram_uj": dram_uj,
+        "display_uj": display_uj,
+        "others_uj": total - dram_uj - display_uj,
+        "total_uj": total,
+    }
+
+
+def _gaming_slice(n):
+    ref = resources.files("framewatt").joinpath("data", "traces", "gaming.csv")
+    with resources.as_file(ref) as path:
+        return read_dirty_trace(path)[:n]
+
+
+# (config, build keywords): every scheme, repeat windows entered from C9
+# (PSR alternation), a decode batch, GPU and compression adders, and a slice
+# of a dirty trace.
+_PRICED_RUNS = [
+    *(pytest.param(make_config("fhd", 30, scheme), {"n_windows": 6}, id=scheme.value)
+      for scheme in Scheme),
+    pytest.param(make_config("fhd", 30, psr_alternate=True), {"n_windows": 6},
+                 id="psr-alternate"),
+    pytest.param(make_config("fhd", 30), {"n_windows": 9, "batch_every": 3}, id="batch-3"),
+    *(pytest.param(make_config("4k", 60, scheme, kind=WorkloadKind.VR360),
+                   {"n_windows": 3, "fbc_ratio": 0.5}, id=f"vr-{scheme.value}-fbc")
+      for scheme in (Scheme.BASELINE, Scheme.BURSTLINK)),
+    pytest.param(make_config("fhd", 60, Scheme.BURSTING_ONLY, kind=WorkloadKind.SINGLE_PLANE),
+                 {"dirty_trace": _gaming_slice(40)}, id="gaming-trace-40"),
+]
+
+
+@pytest.mark.parametrize("calibration", ["default", "latency-demo"])
+@pytest.mark.parametrize("cfg, kw", _PRICED_RUNS)
+def test_breakdown_rows_match_a_per_interval_bill(cfg, kw, calibration):
+    cal = load_calibration(calibration)
+    tl = build_timeline(cfg, **kw)
+    profile = cal.profile_for(tl.scheme)
+    rows = window_energy_breakdown(tl, cfg, cal)
+    assert len(rows) == tl.n_windows
+    prev = None
+    for w, (row, t) in enumerate(zip(rows, tl.window_template)):
+        ivs = tl.templates[t]
+        expect = _window_bill(ivs, prev, profile, cfg.system, cal.drfb_power_mw)
+        got = asdict(row)
+        assert got.pop("window") == w
+        assert got.pop("kind") == expect.pop("kind")
+        assert got == pytest.approx(expect, rel=1e-12)
+        prev = ivs[-1].state
+
+
+@pytest.mark.parametrize("cfg, kw", _PRICED_RUNS)
+def test_whole_run_tally_matches_a_tally_over_every_interval(cfg, kw):
+    tl = build_timeline(cfg, **kw)
+    spans = {s: 0 for s in PackageCState}
+    sums = dict.fromkeys(("read", "write", "edp", "drfb", "gpu", "fbc"), 0)
+    changes: dict = {}
+    ivs = tl.intervals
+    for i, iv in enumerate(ivs):
+        spans[iv.state] += iv.span_ns
+        sums["read"] += iv.dram_read_bytes
+        sums["write"] += iv.dram_write_bytes
+        sums["edp"] += iv.edp_bytes
+        sums["drfb"] += iv.span_ns * iv.drfb_active
+        sums["gpu"] += iv.span_ns * iv.gpu_active
+        sums["fbc"] += iv.span_ns * iv.fbc_active
+        if i and ivs[i - 1].state is not iv.state:
+            key = (ivs[i - 1].state, iv.state)
+            changes[key] = changes.get(key, 0) + 1
+    totals = timeline_totals(tl)
+    assert totals.state_spans_ns == spans
+    assert (totals.dram_read_bytes, totals.dram_write_bytes, totals.edp_bytes,
+            totals.drfb_ns, totals.gpu_ns, totals.fbc_ns) == tuple(sums.values())
+    assert list(totals.transitions.items()) == list(changes.items())

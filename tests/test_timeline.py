@@ -31,9 +31,9 @@ from framewatt.timeline import (
     distribute_bytes,
     residencies,
     selective_update_bytes,
-    state_spans_ns,
     timeline_to_csv,
     timeline_to_svg,
+    timeline_totals,
 )
 from conftest import make_config
 
@@ -94,7 +94,7 @@ def test_residencies_sum_to_one():
 
 def test_state_spans_add_up_to_the_run_length():
     tl = build_timeline(make_config("5k", 60, Scheme.BURSTING_ONLY), 3)
-    assert sum(state_spans_ns(tl).values()) == tl.total_ns
+    assert sum(timeline_totals(tl).state_spans_ns.values()) == tl.total_ns
 
 
 # -- distinct-window templates ------------------------------------------------
@@ -455,6 +455,10 @@ def test_dirty_traces_only_drive_single_plane_workloads():
     with pytest.raises(ValueError):
         build_timeline(make_config("4k", 60, Scheme.BURSTING_ONLY,
                                    kind=WorkloadKind.SINGLE_PLANE), None)
+    with pytest.raises(ValueError, match="compression"):
+        build_timeline(make_config("4k", 60, Scheme.BURSTING_ONLY,
+                                   kind=WorkloadKind.SINGLE_PLANE), None,
+                       fbc_ratio=0.5, dirty_trace=[0.5])
 
 
 def test_single_plane_updates_follow_the_dirty_trace():
