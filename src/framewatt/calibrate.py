@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.optimize import nnls
 
-from .core import json_number
+from .core import json_number, json_object
 from .cstates import PackageCState, parse_state_map
 
 
@@ -224,17 +224,17 @@ def runs_from_json(path: str | Path) -> list[MeasuredRun]:
     """Load measured runs from ``{"runs": [{label, residency, average_power_mw}]}``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    unknown = set(data) - {"runs"}
+    unknown = set(json_object(data, "measured-runs file")) - {"runs"}
     if unknown:
         raise ValueError(f"unknown keys in measured-runs file: {sorted(unknown)}")
     raw_runs = data.get("runs")
     if not raw_runs:
         raise ValueError("measured-runs file has no runs")
+    if not isinstance(raw_runs, list):
+        raise ValueError(f"runs must be an array, got {json.dumps(raw_runs)}")
     out: list[MeasuredRun] = []
     for i, raw in enumerate(raw_runs):
-        if not isinstance(raw, dict):
-            raise ValueError(f"run {i} must be an object, got {json.dumps(raw)}")
-        unknown = set(raw) - {"label", "residency", "average_power_mw"}
+        unknown = set(json_object(raw, f"run {i}")) - {"label", "residency", "average_power_mw"}
         if unknown:
             raise ValueError(f"run {i}: unknown keys {sorted(unknown)}")
         try:

@@ -411,6 +411,13 @@ def json_number(value: Any, where: str) -> float:
     return float(value)
 
 
+def json_object(value: Any, where: str) -> Mapping[str, Any]:
+    """``value`` unchanged; ValueError naming ``where`` unless a JSON object."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{where} must be an object, got {json.dumps(value)}")
+    return value
+
+
 def validate_config(cfg: SimConfig) -> list[Violation]:
     """Cross-field checks.  Returns an empty list when the config is runnable.
 
@@ -600,6 +607,7 @@ __all__ = [
     "frame_window",
     "frame_window_ns",
     "json_number",
+    "json_object",
     "panel_stream_rate",
     "parse_resolution",
     "validate_config",

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .core import Scheme, check_finite, json_number
+from .core import Scheme, check_finite, json_number, json_object
 
 
 class PackageCState(Enum):
@@ -43,6 +43,11 @@ class PackageCState(Enum):
     C8 = "C8"
     C9 = "C9"
     C10 = "C10"
+
+    # Members are singletons compared by identity, so they hash by identity
+    # too, skipping the Python-level ``Enum.__hash__``.  Set order then varies
+    # between processes, so no output iterates a set of states unsorted.
+    __hash__ = object.__hash__
 
     @property
     def depth(self) -> int:
@@ -218,10 +223,8 @@ def parse_state_map(
     raw: Any, where: str, scale: float = 1.0, as_int: bool = False
 ) -> dict[PackageCState, Any]:
     """Per-state numbers from a JSON object; a ValueError names the key."""
-    if not isinstance(raw, Mapping):
-        raise ValueError(f"{where} must be an object, got {json.dumps(raw)}")
     out: dict[PackageCState, Any] = {}
-    for key, val in raw.items():
+    for key, val in json_object(raw, where).items():
         try:
             state = PackageCState(key)
         except ValueError:
@@ -232,7 +235,7 @@ def parse_state_map(
 
 
 def _profile_from_dict(name: str, raw: Mapping[str, Any]) -> PowerProfile:
-    unknown = set(raw) - _PROFILE_KEYS
+    unknown = set(json_object(raw, f"profiles.{name}")) - _PROFILE_KEYS
     if unknown:
         raise ValueError(f"unknown keys in profile '{name}': {sorted(unknown)}")
     if "state_power_mw" not in raw:
@@ -260,10 +263,10 @@ def _profile_from_dict(name: str, raw: Mapping[str, Any]) -> PowerProfile:
 
 def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
     check_finite(data)
-    unknown = set(data) - _TOP_KEYS
+    unknown = set(json_object(data, "calibration")) - _TOP_KEYS
     if unknown:
         raise ValueError(f"unknown keys in calibration: {sorted(unknown)}")
-    profiles = data.get("profiles", {})
+    profiles = json_object(data.get("profiles", {}), "profiles")
     unknown_p = set(profiles) - {"conventional", "burst"}
     if unknown_p:
         raise ValueError(f"unknown profiles in calibration: {sorted(unknown_p)}")
@@ -275,8 +278,8 @@ def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
         description=str(data.get("description", "")),
         conventional=_profile_from_dict("conventional", profiles["conventional"]),
         burst=_profile_from_dict("burst", profiles["burst"]),
-        vd_gate_delta_mw=float(data.get("vd_gate_delta_mw", 95.0)),
-        drfb_power_mw=float(data.get("drfb_power_mw", 58.0)),
+        vd_gate_delta_mw=json_number(data.get("vd_gate_delta_mw", 95.0), "vd_gate_delta_mw"),
+        drfb_power_mw=json_number(data.get("drfb_power_mw", 58.0), "drfb_power_mw"),
     )
 
 

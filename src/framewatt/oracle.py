@@ -18,7 +18,7 @@ tail, and every window is cut off clean at its end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Scheme,
@@ -31,8 +31,10 @@ from .cstates import CalibrationSet, PackageCState, transition_cost
 from .timeline import selective_update_bytes
 
 
-@dataclass(frozen=True)
-class OraclePeriod:
+class OraclePeriod(NamedTuple):
+    """One merged stretch of one state and adder set, in float seconds: an
+    immutable named tuple, cheap to build and unpack; states hash by identity."""
+
     window: int
     state: PackageCState
     start_s: float
@@ -84,20 +86,23 @@ class OracleResult:
         used.
         """
         profile = calibration.profile_for(cfg.workload.scheme)
+        # Each state change's energy is looked up once per call.
+        change_uj = {(a, b): transition_cost(profile, a, b).energy_uj
+                     for a in PackageCState for b in PackageCState}
         total_uj = 0.0
         prev_state: PackageCState | None = None
-        for p in self.periods:
-            power_mw = profile.state_power_mw[p.state]
-            if p.drfb:
+        for _, state, start_s, end_s, drfb, gpu, fbc in self.periods:
+            power_mw = profile.state_power_mw[state]
+            if drfb:
                 power_mw += calibration.drfb_power_mw
-            if p.gpu:
+            if gpu:
                 power_mw += cfg.system.gpu_active_mw
-            if p.fbc:
+            if fbc:
                 power_mw += cfg.system.fbc_compute_mw
-            total_uj += power_mw * p.span_s * 1e3  # mW * s -> uJ
-            if prev_state is not None and prev_state is not p.state:
-                total_uj += transition_cost(profile, prev_state, p.state).energy_uj
-            prev_state = p.state
+            total_uj += power_mw * (end_s - start_s) * 1e3  # mW * s -> uJ
+            if prev_state is not None and prev_state is not state:
+                total_uj += change_uj[prev_state, state]
+            prev_state = state
         total_uj += self.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
         total_uj += self.dram_write_bytes * cfg.system.dram_coeff_write * 1e6
         return total_uj
@@ -143,11 +148,7 @@ class _WindowSim:
         self.t = self.end
 
     def periods(self) -> list[OraclePeriod]:
-        return [
-            OraclePeriod(self.window, s, a, b, drfb=d, gpu=g, fbc=f)
-            for s, a, b, d, g, f in self.spans
-            if b > a
-        ]
+        return [OraclePeriod(self.window, *sp) for sp in self.spans if sp[2] > sp[1]]
 
 
 def _chunks(payload: int, chunk: int) -> list[int]:

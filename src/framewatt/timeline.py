@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .core import (
     NS_PER_S,
@@ -52,8 +52,7 @@ from .core import (
 from .cstates import PackageCState
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(NamedTuple):
     """One contiguous stretch of a single package state.
 
     ``window`` indexes the refresh window the interval belongs to (0 in a
@@ -62,6 +61,9 @@ class Interval:
     counters attribute traffic to the interval; the three flags mark when a
     power adder applies (panel-side frame buffer refresh, GPU projection,
     frame-buffer compression).
+
+    Rows are immutable named tuples, cheap to build, that every window using
+    a template shares; their ``state`` hashes by identity.
     """
 
     window: int
@@ -112,12 +114,8 @@ class WindowTimeline:
         out: list[Interval] = []
         for w, t in enumerate(self.window_template):
             base = w * self.window_ns
-            out.extend(
-                Interval(w, iv.kind, iv.state, base + iv.start_ns, base + iv.end_ns,
-                         iv.label, iv.dram_read_bytes, iv.dram_write_bytes,
-                         iv.edp_bytes, iv.drfb_active, iv.gpu_active, iv.fbc_active)
-                for iv in self.templates[t]
-            )
+            out.extend(Interval(w, iv.kind, iv.state, base + iv.start_ns,
+                                base + iv.end_ns, *iv[5:]) for iv in self.templates[t])
         return tuple(out)
 
     @property
@@ -656,20 +654,7 @@ def _round_window(
     spans = [e - s if r.streams else 0 for r, s, e in kept]
     shares = distribute_bytes(link_bytes, spans)
     return tuple(
-        Interval(
-            window=0,
-            kind=kind,
-            state=r.state,
-            start_ns=s,
-            end_ns=e,
-            label=r.label,
-            dram_read_bytes=r.read,
-            dram_write_bytes=r.write,
-            edp_bytes=edp,
-            drfb_active=r.drfb,
-            gpu_active=r.gpu,
-            fbc_active=r.fbc,
-        )
+        Interval(0, kind, r.state, s, e, r.label, r.read, r.write, edp, r.drfb, r.gpu, r.fbc)
         for (r, s, e), edp in zip(kept, shares)
     )
 

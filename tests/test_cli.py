@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +266,36 @@ def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, tmp_path, capsys):
     assert err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, doc, message", [
+    (["calibrate", "--runs", "JSON"], {"runs": 5}, "runs must be an array, got 5"),
+    (["calibrate", "--runs", "JSON"],
+     [{"residency": {"C0": 1.0}, "average_power_mw": 1.0}],
+     "measured-runs file must be an object, got ["),
+    (["simulate", "--preset", "fhd30", "--calibration", "JSON"], {"profiles": 5},
+     "profiles must be an object, got 5"),
+    (["simulate", "--preset", "fhd30", "--calibration", "JSON"],
+     {"profiles": {"conventional": 5, "burst": {}}},
+     "profiles.conventional must be an object, got 5"),
+    (["simulate", "--preset", "fhd30", "--calibration", "CALIBRATION"],
+     {"vd_gate_delta_mw": [1]}, "vd_gate_delta_mw must be a number, got [1]"),
+    (["simulate", "--preset", "fhd30", "--calibration", "CALIBRATION"],
+     {"drfb_power_mw": "x"}, 'drfb_power_mw must be a number, got "x"'),
+])
+def test_json_of_the_wrong_shape_names_the_key(argv, doc, message, tmp_path, capsys):
+    if "CALIBRATION" in argv:  # one key of the default calibration replaced
+        from importlib import resources
+
+        text = resources.files("framewatt").joinpath(
+            "data", "default_calibration.json").read_text(encoding="utf-8")
+        doc = {**json.loads(text), **doc}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([str(path) if a in ("JSON", "CALIBRATION") else a for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {message}")
+
+
 # -- sweep --------------------------------------------------------------------
 
 
@@ -430,3 +462,31 @@ def test_scipy_loads_only_with_the_calibration_fitter(statement, loaded):
         check=True,
     )
     assert proc.stdout.split() == [str(loaded)]
+
+
+def test_outputs_do_not_depend_on_the_order_of_a_set_of_states(tmp_path):
+    # States hash by identity, so a set of states iterates in an order that
+    # differs between interpreters.  Run the command in fresh interpreters
+    # until two of them order the states differently, then compare every
+    # output file.  Each run writes to the same relative path because
+    # report.json records --out.
+    script = ("import sys; from framewatt.cli import main; "
+              "from framewatt.cstates import PackageCState; "
+              "print(*set(PackageCState), file=sys.stderr); sys.exit(main(sys.argv[1:]))")
+    argv = ["simulate", "--preset", "4k60-vr", "--scheme", "burstlink",
+            "--calibration", "latency-demo", "--out", "run"]
+    env = {**os.environ, "PYTHONPATH": str(Path(main.__code__.co_filename).parents[1])}
+    outputs: dict[str, dict[str, bytes]] = {}
+    for i in range(10):
+        cwd = tmp_path / str(i)
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, check=True)
+        order = proc.stderr.splitlines()[0]
+        outputs.setdefault(order, {p.name: p.read_bytes() for p in (cwd / "run").iterdir()})
+        if len(outputs) == 2:
+            break
+    assert len(outputs) == 2, "ten interpreters all ordered the states alike"
+    first, second = outputs.values()
+    assert sorted(first) == ["report.csv", "report.json", "timeline.csv", "timeline.svg"]
+    assert first == second

@@ -26,6 +26,7 @@ from framewatt.cstates import PackageCState
 from framewatt.scenarios import read_dirty_trace
 from framewatt.timeline import (
     CSV_HEADER,
+    Interval,
     build_timeline,
     check_timeline,
     distribute_bytes,
@@ -126,8 +127,8 @@ def _rebuild(cfg, n, batch_every=1, dirty_trace=None):
         recs = tmod._recipe(k, scheme, kind, decodes, link, vr, wl.psr_alternate_windows)
         base = w * W_ns
         out.extend(
-            dataclasses.replace(iv, window=w, start_ns=base + iv.start_ns,
-                                end_ns=base + iv.end_ns)
+            iv._replace(window=w, start_ns=base + iv.start_ns,
+                        end_ns=base + iv.end_ns)
             for iv in tmod._round_window(recs, kind, W_ns, link)
         )
     return tuple(out)
@@ -175,7 +176,7 @@ def test_timeline_check_rejects_traffic_on_a_silent_state():
     idle = next(t for t, ivs in enumerate(tl.templates)
                 if ivs[-1].state is PackageCState.C9)
     ivs = list(tl.templates[idle])
-    ivs[-1] = dataclasses.replace(ivs[-1], edp_bytes=1)
+    ivs[-1] = ivs[-1]._replace(edp_bytes=1)
     templates = tl.templates[:idle] + (tuple(ivs),) + tl.templates[idle + 1:]
     broken = dataclasses.replace(tl, templates=templates)
     with pytest.raises(ValueError, match="link bytes on C9"):
@@ -185,7 +186,7 @@ def test_timeline_check_rejects_traffic_on_a_silent_state():
 def test_timeline_check_rejects_a_coverage_gap():
     tl = build_timeline(make_config("fhd", 30, Scheme.BASELINE), None)
     first = tl.templates[0]
-    gap = (dataclasses.replace(first[0], end_ns=first[0].end_ns - 1),) + first[1:]
+    gap = (first[0]._replace(end_ns=first[0].end_ns - 1),) + first[1:]
     broken = dataclasses.replace(tl, templates=(gap,) + tl.templates[1:])
     with pytest.raises(ValueError, match="window 0: coverage gap"):
         check_timeline(broken)
@@ -506,6 +507,35 @@ def test_csv_export_has_the_documented_header_and_parses():
     assert len(rows) == len(tl.intervals) + 1
     total_read = sum(int(r[6]) for r in rows[1:])
     assert total_read == sum(iv.dram_read_bytes for iv in tl.intervals)
+
+
+def test_csv_columns_follow_the_row_type():
+    assert CSV_HEADER.split(",") == list(Interval._fields)
+    ref = resources.files("framewatt").joinpath("data", "traces", "gaming.csv")
+    with resources.as_file(ref) as path:
+        trace = read_dirty_trace(path)[:12]
+    cfg = make_config("4k", 60, Scheme.BURSTING_ONLY, kind=WorkloadKind.SINGLE_PLANE)
+    tl = build_timeline(cfg, None, dirty_trace=trace)
+    parse = {"window": int, "kind": str, "state": PackageCState, "label": str}
+    flag = {"0": False, "1": True}
+    rows = list(csv.DictReader(io.StringIO(timeline_to_csv(tl))))
+    assert len(rows) == len(tl.intervals)
+    for row, iv in zip(rows, tl.intervals):
+        for name in Interval._fields:
+            value = row[name]
+            got = (flag[value] if name.endswith("_active")
+                   else parse.get(name, int)(value))
+            assert got == getattr(iv, name), name
+
+
+def test_template_rows_are_shared_and_immutable():
+    tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), 4)
+    row = tl.templates[0][0]
+    with pytest.raises(AttributeError):
+        row.edp_bytes = 1
+    with pytest.raises(AttributeError):
+        row.state = PackageCState.C10
+    assert tl.intervals[0] == row  # window 0 reads the template row as built
 
 
 def test_csv_export_is_deterministic():
