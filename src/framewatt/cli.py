@@ -294,16 +294,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _write(out / "report.json", _dump_json(doc))
     if args.format in ("csv", "both"):
         _write(out / "timeline.csv", timeline_to_csv(timeline))
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["window", "kind", "total_uj", "dram_uj", "display_uj",
-                    "others_uj", "transition_uj", "dram_operating_uj", "adders_uj"])
+        # Windows with the same bill share its fields, formatted once.
+        lines = ["window,kind,total_uj,dram_uj,display_uj,others_uj,"
+                 "transition_uj,dram_operating_uj,adders_uj"]
+        fields: dict[tuple, str] = {}
         for we in window_energy_breakdown(timeline, cfg, calibration):
-            w.writerow([we.window, we.kind, f"{we.total_uj:.6f}",
-                        f"{we.dram_uj:.6f}", f"{we.display_uj:.6f}",
-                        f"{we.others_uj:.6f}", f"{we.transition_uj:.6f}",
-                        f"{we.dram_operating_uj:.6f}", f"{we.adders_uj:.6f}"])
-        _write(out / "report.csv", buf.getvalue())
+            bill = we[1:]
+            text = fields.get(bill)
+            if text is None:
+                text = fields[bill] = (
+                    f"{we.kind},{we.total_uj:.6f},{we.dram_uj:.6f},{we.display_uj:.6f},"
+                    f"{we.others_uj:.6f},{we.transition_uj:.6f},"
+                    f"{we.dram_operating_uj:.6f},{we.adders_uj:.6f}")
+            lines.append(f"{we.window},{text}")
+        _write(out / "report.csv", "\n".join(lines) + "\n")
     _write(out / "timeline.svg", timeline_to_svg(timeline))
     return 0
 

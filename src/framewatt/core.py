@@ -418,6 +418,13 @@ def json_object(value: Any, where: str) -> Mapping[str, Any]:
     return value
 
 
+def json_string(value: Any, where: str) -> str:
+    """``value`` unchanged; ValueError naming ``where`` unless a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def validate_config(cfg: SimConfig) -> list[Violation]:
     """Cross-field checks.  Returns an empty list when the config is runnable.
 
@@ -608,6 +615,7 @@ __all__ = [
     "frame_window_ns",
     "json_number",
     "json_object",
+    "json_string",
     "panel_stream_rate",
     "parse_resolution",
     "validate_config",

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .core import Scheme, check_finite, json_number, json_object
+from .core import Scheme, check_finite, json_number, json_object, json_string
 
 
 class PackageCState(Enum):
@@ -274,8 +274,8 @@ def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
     if missing:
         raise ValueError(f"calibration missing profiles: {sorted(missing)}")
     return CalibrationSet(
-        name=str(data.get("name", "unnamed")),
-        description=str(data.get("description", "")),
+        name=json_string(data.get("name", "unnamed"), "name"),
+        description=json_string(data.get("description", ""), "description"),
         conventional=_profile_from_dict("conventional", profiles["conventional"]),
         burst=_profile_from_dict("burst", profiles["burst"]),
         vd_gate_delta_mw=json_number(data.get("vd_gate_delta_mw", 95.0), "vd_gate_delta_mw"),

@@ -11,9 +11,11 @@ Two deliberately different power views exist side by side:
   adders (panel-side frame buffer, GPU projection, compression engine).
   Its ``average_power_mw`` is total energy over total time.
 
-Pricing is an integer tally, then one price: ``timeline_totals`` walks the
-intervals into state spans, bytes, adder spans and state changes, and one
-formula turns a tally into energies, for the whole run or for one window.
+Pricing is an integer tally, then one price: each distinct window's tally
+(state spans, bytes, adder spans and state changes) is made once, in the walk
+that checks it when the timeline is built; ``timeline_totals`` adds those
+tallies per (template, entry state) pair without walking rows, and one formula
+turns a tally into energies, for the whole run or for one window.
 
 DRAM background power is part of each state's package power, so the DRAM
 breakdown reports it as an attribution (carved out of the state totals using
@@ -23,7 +25,7 @@ energy is additive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .core import ConfigurationError, Scheme, SimConfig, SystemConfig
@@ -107,13 +109,13 @@ class DramEnergy:
 # -- full report ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WindowEnergy:
+class WindowEnergy(NamedTuple):
     """Energy bill of a single refresh window.
 
     ``dram_uj``/``display_uj``/``others_uj`` is the component view (background
     attribution plus operating traffic; display slice plus the panel-buffer
-    adder; everything else) and always sums to ``total_uj``.
+    adder; everything else) and always sums to ``total_uj``.  Windows with
+    the same bill share its values; ``_replace`` sets each one's index.
     """
 
     window: int
@@ -314,7 +316,7 @@ def window_energy_breakdown(
                 others_uj=bill.components["others"],
                 total_uj=bill.total_uj,
             )
-        out.append(replace(row, window=w))
+        out.append(row._replace(window=w))
     return tuple(out)
 
 

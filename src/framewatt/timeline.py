@@ -25,6 +25,13 @@ producer's pace.  Two pacing modes exist:
 Drain tails that would spill past a boundary are absorbed into the final
 interval: the model keeps every window fully drained, trading sub-chunk
 phasing fidelity for exact per-state totals.
+
+Each distinct window is built in three passes.  Its records are plain
+tuples, each transfer phase's over one integer denominator, clipped to the
+window end as they are emitted; a single rounding pass turns them into
+integer-ns rows and splits the link bytes; and one walk checks the rows and
+tallies them (``WindowTimeline.tallies``).  Pricing combines the tallies per
+(template, entry state) pair and never walks rows.
 """
 
 from __future__ import annotations
@@ -32,9 +39,10 @@ from __future__ import annotations
 import html
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     NS_PER_S,
@@ -85,6 +93,21 @@ class Interval(NamedTuple):
 
 
 @dataclass(frozen=True)
+class TimelineTotals:
+    """Integer tally of a multiset of windows, all that pricing needs: time
+    per state, bytes, time under each adder, and state changes in order."""
+
+    state_spans_ns: dict[PackageCState, int]
+    dram_read_bytes: int
+    dram_write_bytes: int
+    edp_bytes: int
+    drfb_ns: int
+    gpu_ns: int
+    fbc_ns: int
+    transitions: dict[tuple[PackageCState, PackageCState], int]
+
+
+@dataclass(frozen=True)
 class WindowTimeline:
     """Interval tiling of refresh windows for one scheme.
 
@@ -93,7 +116,8 @@ class WindowTimeline:
     start.  Each distinct window is therefore stored once, in ``templates``,
     as intervals with window-relative times, and ``window_template`` gives
     the template of every window.  ``intervals`` expands the full tiling on
-    demand; pricing and export work on the templates.
+    demand.  ``tallies`` holds each template's integer tally, made in the
+    one walk that checks it; pricing combines tallies and never walks rows.
     """
 
     scheme: Scheme
@@ -125,6 +149,19 @@ class WindowTimeline:
         ends = [self.templates[t][-1].state for t in self.window_template]
         return list(zip(self.window_template, [None, *ends[:-1]]))
 
+    @cached_property
+    def tallies(self) -> tuple[TimelineTotals, ...]:
+        """Each template's tally, its own state changes in order of first
+        occurrence; raises ValueError, naming the first window that uses
+        the template, unless the template passes :func:`check_timeline`."""
+        out = []
+        for t, ivs in enumerate(self.templates):
+            try:
+                out.append(_tally(ivs, self.window_ns))
+            except ValueError as exc:
+                raise ValueError(f"window {self.window_template.index(t)}: {exc}") from None
+        return tuple(out)
+
     def check_coverage(self) -> None:
         """Run :func:`check_timeline`: exact tiling and traffic placement."""
         check_timeline(self)
@@ -141,45 +178,43 @@ _LINK_SILENT_STATES = {PackageCState.C9, PackageCState.C10}
 def check_timeline(timeline: WindowTimeline) -> None:
     """Raise ValueError unless every distinct window tiles [0, window] exactly
     (no gaps, overlaps or empty intervals) and its traffic rides only on
-    states that can move it."""
-    for t, ivs in enumerate(timeline.templates):
-        problem = _window_problem(ivs, timeline.window_ns)
-        if problem:
-            raise ValueError(f"window {timeline.window_template.index(t)}: {problem}")
+    states that can move it.  The check is the walk that fills
+    :attr:`WindowTimeline.tallies`."""
+    timeline.tallies
 
 
-def _window_problem(ivs: Sequence[Interval], window_ns: int) -> str | None:
-    cursor = 0
-    for iv in ivs:
-        if iv.start_ns != cursor:
-            return f"coverage gap at {cursor} ns (next interval starts {iv.start_ns})"
-        if iv.end_ns <= iv.start_ns:
-            return f"empty or reversed interval at {iv.start_ns} ns"
-        if iv.dram_read_bytes and iv.state not in _READ_STATES:
-            return f"DRAM read bytes on {iv.state} at {iv.start_ns} ns"
-        if iv.dram_write_bytes and iv.state not in _WRITE_STATES:
-            return f"DRAM write bytes on {iv.state} at {iv.start_ns} ns"
-        if iv.edp_bytes and iv.state in _LINK_SILENT_STATES:
-            return f"link bytes on {iv.state} at {iv.start_ns} ns"
-        cursor = iv.end_ns
+def _tally(ivs: Sequence[Interval], window_ns: int) -> TimelineTotals:
+    """Check one template's rows and tally them in the same walk."""
+    spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
+    changes: dict[tuple[PackageCState, PackageCState], int] = {}
+    read = write = edp = drfb = gpu = fbc = cursor = 0
+    prev = None
+    for _, _, state, start, end, _, r, w, e, d, g, f in ivs:
+        if start != cursor:
+            raise ValueError(f"coverage gap at {cursor} ns (next interval starts {start})")
+        span = end - start
+        if span <= 0:
+            raise ValueError(f"empty or reversed interval at {start} ns")
+        if r and state not in _READ_STATES:
+            raise ValueError(f"DRAM read bytes on {state} at {start} ns")
+        if w and state not in _WRITE_STATES:
+            raise ValueError(f"DRAM write bytes on {state} at {start} ns")
+        if e and state in _LINK_SILENT_STATES:
+            raise ValueError(f"link bytes on {state} at {start} ns")
+        spans[state] += span
+        read += r
+        write += w
+        edp += e
+        drfb += span * d
+        gpu += span * g
+        fbc += span * f
+        if prev is not None and prev is not state:
+            changes[(prev, state)] = changes.get((prev, state), 0) + 1
+        prev = state
+        cursor = end
     if cursor != window_ns:
-        return f"coverage ends at {cursor} ns, expected {window_ns}"
-    return None
-
-
-@dataclass(frozen=True)
-class TimelineTotals:
-    """Integer tally of a multiset of windows, all that pricing needs: time
-    per state, bytes, time under each adder, and state changes in order."""
-
-    state_spans_ns: dict[PackageCState, int]
-    dram_read_bytes: int
-    dram_write_bytes: int
-    edp_bytes: int
-    drfb_ns: int
-    gpu_ns: int
-    fbc_ns: int
-    transitions: dict[tuple[PackageCState, PackageCState], int]
+        raise ValueError(f"coverage ends at {cursor} ns, expected {window_ns}")
+    return TimelineTotals(spans, read, write, edp, drfb, gpu, fbc, changes)
 
 
 def timeline_totals(
@@ -187,32 +222,32 @@ def timeline_totals(
     pairs: Mapping[tuple[int, PackageCState | None], int] | None = None,
 ) -> TimelineTotals:
     """Tally windows given as (template, state the previous window ended in)
-    pairs with their counts; each distinct pair is walked once.  The change
-    into a window's first state is counted for that window.  ``pairs``
-    defaults to every window of the timeline (:attr:`WindowTimeline.window_pairs`),
-    counted in order, so the changes keep their order of first occurrence
-    along the timeline."""
+    pairs with their counts, as each template's tally times its count.  The
+    change into a window's first state is counted for that window, before
+    the template's own changes.  ``pairs`` defaults to every window of the
+    timeline (:attr:`WindowTimeline.window_pairs`), counted in order, so the
+    changes keep their order of first occurrence along the timeline."""
     if pairs is None:
         pairs = Counter(timeline.window_pairs)
+    tallies = timeline.tallies
     spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
     changes: dict[tuple[PackageCState, PackageCState], int] = {}
     read = write = edp = drfb = gpu = fbc = 0
     for (t, prev), m in pairs.items():
-        for iv in timeline.templates[t]:
-            span = iv.span_ns * m
-            spans[iv.state] += span
-            read += iv.dram_read_bytes * m
-            write += iv.dram_write_bytes * m
-            edp += iv.edp_bytes * m
-            if iv.drfb_active:
-                drfb += span
-            if iv.gpu_active:
-                gpu += span
-            if iv.fbc_active:
-                fbc += span
-            if prev is not None and prev is not iv.state:
-                changes[(prev, iv.state)] = changes.get((prev, iv.state), 0) + m
-            prev = iv.state
+        tally = tallies[t]
+        first = timeline.templates[t][0].state
+        if prev is not None and prev is not first:
+            changes[(prev, first)] = changes.get((prev, first), 0) + m
+        for change, c in tally.transitions.items():
+            changes[change] = changes.get(change, 0) + c * m
+        for state, ns in tally.state_spans_ns.items():
+            spans[state] += ns * m
+        read += tally.dram_read_bytes * m
+        write += tally.dram_write_bytes * m
+        edp += tally.edp_bytes * m
+        drfb += tally.drfb_ns * m
+        gpu += tally.gpu_ns * m
+        fbc += tally.fbc_ns * m
     return TimelineTotals(spans, read, write, edp, drfb, gpu, fbc, changes)
 
 
@@ -223,61 +258,24 @@ def residencies(timeline: WindowTimeline) -> dict[PackageCState, float]:
     return {s: spans[s] / total for s in PackageCState}
 
 
-# -- exact byte distribution -------------------------------------------------
-
-
-def distribute_bytes(total: int, weights: Sequence[int]) -> list[int]:
-    """Split ``total`` proportionally to ``weights`` with an exact sum.
-
-    Uses cumulative flooring: allocation k is floor(total * cumw_k / W) minus
-    what was already handed out, so the parts always sum to ``total`` and no
-    part is negative.
-    """
-    if total < 0:
-        raise ValueError("total must be >= 0")
-    wsum = sum(weights)
-    if wsum <= 0:
-        return [0] * len(weights)
-    out: list[int] = []
-    cum_w = 0
-    handed = 0
-    for w in weights:
-        if w < 0:
-            raise ValueError("weights must be >= 0")
-        cum_w += w
-        target = total * cum_w // wsum
-        out.append(target - handed)
-        handed = target
-    return out
-
-
 # -- window construction ------------------------------------------------------
 
-# Mutable record used while assembling a window.  Times are exact: integer
-# numerators over ``den`` seconds, relative to the window start.  The records
-# of one transfer phase share the phase's denominator, so each chunk costs
-# integer adds and compares and no ``Fraction`` is built per boundary.
-@dataclass(slots=True)
-class _Rec:
-    state: PackageCState
-    start: int
-    end: int
-    den: int
-    label: str
-    read: int = 0
-    write: int = 0
-    gpu: bool = False
-    fbc: bool = False
-    drfb: bool = False
-    streams: bool = False  # eligible to carry link traffic
+# A record is a plain tuple ``(state, start, end, den, label, read, write,
+# gpu, fbc, drfb, streams)`` made while assembling a window.  Times are exact:
+# integer numerators over ``den`` seconds, relative to the window start.  The
+# records of one transfer phase share the phase's denominator, so each chunk
+# costs integer adds and compares and no ``Fraction`` is built per boundary.
+# ``streams`` marks a record eligible to carry link traffic.
 
 
 def _rec(state: PackageCState, start: Fraction, end: Fraction, label: str,
-         **flags: Any) -> _Rec:
+         read: int = 0, write: int = 0, gpu: bool = False, fbc: bool = False,
+         drfb: bool = False, streams: bool = False) -> tuple:
     """A record spanning [start, end] seconds, given as Fractions."""
     den = lcm(start.denominator, end.denominator)
-    return _Rec(state, start.numerator * (den // start.denominator),
-                end.numerator * (den // end.denominator), den, label, **flags)
+    return (state, start.numerator * (den // start.denominator),
+            end.numerator * (den // end.denominator), den, label, read, write,
+            gpu, fbc, drfb, streams)
 
 
 def _duplex_phase(
@@ -293,29 +291,30 @@ def _duplex_phase(
     drain_label: str,
     fill_read_total: int = 0,
     gpu_fill: bool = False,
-) -> list[_Rec]:
-    """Emit the fill/drain cycle records of one transfer phase; together
-    they tile [start, hard_end].
+) -> list[tuple]:
+    """Emit the fill/drain cycle records of one transfer phase, as tuples
+    over one phase denominator; together they tile [start, hard_end].
 
     ``drain_rate`` of None selects span pacing: the payload is spread over
     [start, hard_end] and any time left over stays in the drain state.
     Otherwise the drain runs at that byte rate and, once the last chunk is
     handed over, the phase idles in C9 while the panel refreshes from its
-    own frame buffer.  Records are clipped to ``hard_end``; whatever the
-    clip cuts off is considered drained (the window never carries debt into
-    the next one).
+    own frame buffer.  Each fill reads its chunk's share of
+    ``fill_read_total`` by cumulative flooring.  Records are clipped to
+    ``hard_end`` as they are emitted: the record that reaches it is cut
+    there and takes the reads of every chunk after it, which are considered
+    drained (the window never carries debt into the next one).
     """
     if start >= hard_end:
         return []
     span_mode = drain_rate is None
-    pad_state, pad_label, pad_flags = (
-        (drain_state, drain_label, {"streams": True}) if span_mode
-        else (PackageCState.C9, "idle", {"drfb": True}))
+    pad_state, pad_label = (drain_state, drain_label) if span_mode else (PackageCState.C9, "idle")
     if payload <= 0:
-        return [_rec(pad_state, start, hard_end, pad_label, **pad_flags)]
+        return [_rec(pad_state, start, hard_end, pad_label, drfb=not span_mode,
+                     streams=span_mode)]
     n = dc_fetch_count(payload, chunk)
     tail = payload - (n - 1) * chunk
-    reads = distribute_bytes(fill_read_total, [chunk] * (n - 1) + [tail])
+    total = fill_read_total
     d: Fraction = (
         Fraction(payload) / (hard_end - start) if span_mode else drain_rate  # type: ignore[assignment]
     )
@@ -326,17 +325,23 @@ def _duplex_phase(
     D = lcm(*(x.denominator for x in exact))
     s, h, fill_full, fill_tail, drain_full, drain_tail = (
         x.numerator * (D // x.denominator) for x in exact)
-    recs: list[_Rec] = []
+    recs: list[tuple] = []
+    # Reads handed to the fills so far; a record that reaches ``h`` is cut
+    # there, takes every read still unhanded and ends the phase.
+    handed = 0
 
     if fill_rate <= d:
         # Producer-bound: chunks stream back-to-back at the producer's pace;
         # the consumer keeps up in lockstep, so there are no drain-only gaps.
         t = s
-        for i in range(n):
-            e = t + (fill_full if i < n - 1 else fill_tail)
-            recs.append(_Rec(fill_state, t, e, D, fill_label, read=reads[i],
-                             gpu=gpu_fill, streams=True))
-            t = e
+        for i in range(1, n + 1):
+            e = t + (fill_full if i < n else fill_tail)
+            cut = total * i * chunk // payload if i < n and e < h else total
+            recs.append((fill_state, t, e if e < h else h, D, fill_label, cut - handed, 0,
+                         gpu_fill, False, False, True))
+            if e >= h:
+                return recs
+            handed, t = cut, e
         phase_end = t
     else:
         # Consumer-bound: the first two fills land back-to-back (the drain
@@ -347,33 +352,29 @@ def _duplex_phase(
         # drain_start + (j + 1) * drain_full.
         drain_start = s + (fill_full if n > 1 else fill_tail)
         t = fill_start = s
-        for i in range(n):
+        for i in range(1, n + 1):
             if fill_start > t:
-                recs.append(_Rec(drain_state, t, fill_start, D, drain_label, streams=True))
-            t = fill_start + (fill_full if i < n - 1 else fill_tail)
-            recs.append(_Rec(fill_state, fill_start, t, D, fill_label, read=reads[i],
-                             gpu=gpu_fill, streams=True))
-            fill_start = drain_start + i * drain_full
+                if fill_start >= h:
+                    recs.append((drain_state, t, h, D, drain_label, total - handed, 0,
+                                 False, False, False, True))
+                    return recs
+                recs.append((drain_state, t, fill_start, D, drain_label, 0, 0,
+                             False, False, False, True))
+            t = fill_start + (fill_full if i < n else fill_tail)
+            cut = total * i * chunk // payload if i < n and t < h else total
+            recs.append((fill_state, fill_start, t if t < h else h, D, fill_label,
+                         cut - handed, 0, gpu_fill, False, False, True))
+            if t >= h:
+                return recs
+            handed, fill_start = cut, drain_start + (i - 1) * drain_full
         phase_end = drain_start + (n - 1) * drain_full + drain_tail
         if phase_end > t:
-            recs.append(_Rec(drain_state, t, phase_end, D, drain_label, streams=True))
-
-    # Clip to the hard end; fold clipped-off bytes into the last survivor so
-    # traffic is conserved.
-    clipped: list[_Rec] = []
-    lost_read = 0
-    for r in recs:
-        if r.start >= h:
-            lost_read += r.read
-            continue
-        if r.end > h:
-            r.end = h
-        clipped.append(r)
-    if lost_read and clipped:
-        clipped[-1].read += lost_read
+            recs.append((drain_state, t, min(phase_end, h), D, drain_label, 0, 0,
+                         False, False, False, True))
     if phase_end < h:
-        clipped.append(_Rec(pad_state, phase_end, h, D, pad_label, **pad_flags))
-    return clipped
+        recs.append((pad_state, phase_end, h, D, pad_label, 0, 0, False, False,
+                     not span_mode, span_mode))
+    return recs
 
 
 @dataclass(frozen=True)
@@ -612,51 +613,64 @@ def build_timeline(
 
 
 def _round_half_even(n: int, d: int) -> int:
-    """``round(Fraction(n, d))`` for ``d > 0``: nearest integer, ties to even."""
+    """``round(Fraction(n, d))`` for ``d > 0``: nearest integer, ties to even.
+    ``_round_window`` inlines it for speed."""
     q, r = divmod(n, d)
     return q + (2 * r > d or (2 * r == d and q & 1))
 
 
 def _round_window(
-    recs: list[_Rec], kind: str, W_ns: int, link_bytes: int
+    recs: list[tuple], kind: str, W_ns: int, link_bytes: int
 ) -> tuple[Interval, ...]:
     """Round one window's records to integer ns (relative to the window
-    start) and assign link traffic."""
-    # Records must already abut exactly (exact rational times): rounding only
-    # quantizes shared boundaries, it never papers over gaps.
+    start) and assign link traffic.
+
+    One pass checks that the records abut exactly (exact rational times:
+    rounding only quantizes shared boundaries, it never papers over gaps),
+    rounds each end half-to-even (the last to the window end), folds the
+    traffic of records that round to nothing into the next survivor, and
+    sums the streaming spans; a second pass splits ``link_bytes`` over those
+    spans by cumulative flooring and builds the rows.
+    """
+    kept: list[tuple] = []
     cursor, cursor_den = 0, 1
-    for r in recs:
-        if r.start * cursor_den != cursor * r.den:
-            raise ValueError(f"window recipe left a gap at {cursor / cursor_den} s")
-        cursor, cursor_den = r.end, r.den
-    bounds: list[int] = [0]
+    prev_ns = carry_read = carry_write = streaming = 0
     last = len(recs) - 1
-    for i, r in enumerate(recs):
-        end_ns = W_ns if i == last else _round_half_even(r.end * NS_PER_S, r.den)
-        bounds.append(max(end_ns, bounds[-1]))  # rounding must not reverse an edge
-
-    # Drop zero-span records, folding their traffic into the next survivor.
-    kept: list[tuple[_Rec, int, int]] = []
-    carry_read = carry_write = 0
-    for r, s, e in zip(recs, bounds[:-1], bounds[1:]):
-        if e - s == 0:
-            carry_read += r.read
-            carry_write += r.write
+    for i, (state, start, end, den, label, read, write, gpu, fbc, drfb, streams) in enumerate(recs):
+        if (start != cursor if den == cursor_den else start * cursor_den != cursor * den):
+            raise ValueError(f"window recipe left a gap at {cursor / cursor_den} s")
+        cursor, cursor_den = end, den
+        if i == last:
+            end_ns = W_ns
+        else:
+            q, r = divmod(end * NS_PER_S, den)
+            end_ns = q + (2 * r > den or (2 * r == den and q & 1))
+        if end_ns <= prev_ns:  # rounding must not reverse an edge
+            carry_read += read
+            carry_write += write
             continue
-        r.read += carry_read
-        r.write += carry_write
+        kept.append((state, prev_ns, end_ns, label, read + carry_read,
+                     write + carry_write, drfb, gpu, fbc, streams))
         carry_read = carry_write = 0
-        kept.append((r, s, e))
+        if streams:
+            streaming += end_ns - prev_ns
+        prev_ns = end_ns
     if (carry_read or carry_write) and kept:
-        kept[-1][0].read += carry_read
-        kept[-1][0].write += carry_write
+        r = kept[-1]
+        kept[-1] = (*r[:4], r[4] + carry_read, r[5] + carry_write, *r[6:])
 
-    spans = [e - s if r.streams else 0 for r, s, e in kept]
-    shares = distribute_bytes(link_bytes, spans)
-    return tuple(
-        Interval(0, kind, r.state, s, e, r.label, r.read, r.write, edp, r.drfb, r.gpu, r.fbc)
-        for (r, s, e), edp in zip(kept, shares)
-    )
+    rows: list[Interval] = []
+    new_row = tuple.__new__  # skips the Python-level ``Interval.__new__``
+    cum = handed = 0
+    for state, s, e, label, read, write, drfb, gpu, fbc, streams in kept:
+        edp = 0
+        if streams and streaming:
+            cum += e - s
+            edp = link_bytes * cum // streaming - handed
+            handed += edp
+        rows.append(new_row(Interval, (0, kind, state, s, e, label, read, write, edp,
+                                       drfb, gpu, fbc)))
+    return tuple(rows)
 
 
 # -- exports -----------------------------------------------------------------
@@ -755,7 +769,6 @@ __all__ = [
     "WindowTimeline",
     "build_timeline",
     "check_timeline",
-    "distribute_bytes",
     "residencies",
     "selective_update_bytes",
     "timeline_totals",

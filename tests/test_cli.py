@@ -280,6 +280,10 @@ def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, tmp_path, capsys):
      {"vd_gate_delta_mw": [1]}, "vd_gate_delta_mw must be a number, got [1]"),
     (["simulate", "--preset", "fhd30", "--calibration", "CALIBRATION"],
      {"drfb_power_mw": "x"}, 'drfb_power_mw must be a number, got "x"'),
+    (["simulate", "--preset", "fhd30", "--calibration", "CALIBRATION"],
+     {"name": {"a": 1}}, 'name must be a string, got {"a": 1}'),
+    (["simulate", "--preset", "fhd30", "--calibration", "CALIBRATION"],
+     {"description": 5}, "description must be a string, got 5"),
 ])
 def test_json_of_the_wrong_shape_names_the_key(argv, doc, message, tmp_path, capsys):
     if "CALIBRATION" in argv:  # one key of the default calibration replaced

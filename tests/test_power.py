@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from importlib import resources
 
 import pytest
@@ -376,7 +375,7 @@ def test_breakdown_rows_match_a_per_interval_bill(cfg, kw, calibration):
     for w, (row, t) in enumerate(zip(rows, tl.window_template)):
         ivs = tl.templates[t]
         expect = _window_bill(ivs, prev, profile, cfg.system, cal.drfb_power_mw)
-        got = asdict(row)
+        got = row._asdict()
         assert got.pop("window") == w
         assert got.pop("kind") == expect.pop("kind")
         assert got == pytest.approx(expect, rel=1e-12)

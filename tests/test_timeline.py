@@ -22,14 +22,16 @@ from framewatt.core import (
     frame_window_ns,
 )
 from framewatt import timeline as tmod
-from framewatt.cstates import PackageCState
+from framewatt.cstates import PackageCState, load_calibration
+from framewatt.power import report_from_timeline, window_energy_breakdown
+from framewatt.presets import get_preset
 from framewatt.scenarios import read_dirty_trace
 from framewatt.timeline import (
     CSV_HEADER,
     Interval,
+    TimelineTotals,
     build_timeline,
     check_timeline,
-    distribute_bytes,
     residencies,
     selective_update_bytes,
     timeline_to_csv,
@@ -192,6 +194,82 @@ def test_timeline_check_rejects_a_coverage_gap():
         check_timeline(broken)
 
 
+# -- per-template tallies ------------------------------------------------------
+
+
+def _bundled_trace(name):
+    ref = resources.files("framewatt").joinpath("data", "traces", f"{name}.csv")
+    with resources.as_file(ref) as path:
+        return read_dirty_trace(path)
+
+
+def _tally_run(run):
+    """(config, build keywords) of a bundled trace burst or a preset."""
+    if run in ("gaming", "conferencing"):
+        cfg = get_preset("4k60").config
+        cfg = dataclasses.replace(cfg, workload=dataclasses.replace(
+            cfg.workload, kind=WorkloadKind.SINGLE_PLANE, scheme=Scheme.BURSTING_ONLY))
+        return cfg, {"dirty_trace": _bundled_trace(run)}
+    cfg = get_preset(run).config
+    return dataclasses.replace(cfg, workload=dataclasses.replace(
+        cfg.workload, scheme=Scheme.BURSTLINK)), {"n_windows": 24}
+
+
+def _walk(rows, prev=None):
+    """Reference tally: one walk over expanded rows, entered from ``prev``."""
+    spans = {s: 0 for s in PackageCState}
+    sums = [0] * 6
+    changes: dict = {}
+    for iv in rows:
+        spans[iv.state] += iv.span_ns
+        for i, v in enumerate((iv.dram_read_bytes, iv.dram_write_bytes, iv.edp_bytes,
+                               iv.span_ns * iv.drfb_active, iv.span_ns * iv.gpu_active,
+                               iv.span_ns * iv.fbc_active)):
+            sums[i] += v
+        if prev is not None and prev is not iv.state:
+            changes[(prev, iv.state)] = changes.get((prev, iv.state), 0) + 1
+        prev = iv.state
+    return TimelineTotals(spans, *sums, changes)
+
+
+@pytest.mark.parametrize("run", ["gaming", "conferencing", "4k60-vr"])
+def test_tallies_combine_to_a_walk_over_the_expanded_rows(run):
+    cfg, kw = _tally_run(run)
+    tl = build_timeline(cfg, **kw)
+    rows: dict[int, list] = {}
+    for iv in tl.intervals:
+        rows.setdefault(iv.window, []).append(iv)
+    whole = timeline_totals(tl)
+    assert whole == _walk(tl.intervals)
+    assert list(whole.transitions) == list(_walk(tl.intervals).transitions)
+    pairs = tl.window_pairs
+    for pair in dict.fromkeys(pairs):
+        got = timeline_totals(tl, {pair: 1})
+        expected = _walk(rows[pairs.index(pair)], pair[1])
+        assert got == expected
+        assert list(got.transitions) == list(expected.transitions)
+
+
+def test_each_template_is_walked_once_per_build(monkeypatch):
+    walked = []
+
+    def counting_tally(ivs, window_ns):
+        walked.append(ivs)
+        return tally(ivs, window_ns)
+
+    tally = tmod._tally
+    monkeypatch.setattr(tmod, "_tally", counting_tally)
+    cfg, kw = _tally_run("gaming")
+    tl = build_timeline(cfg, **kw)
+    cal = load_calibration("default")
+    report_from_timeline(tl, cfg, cal)
+    window_energy_breakdown(tl, cfg, cal)
+    timeline_totals(tl)
+    check_timeline(tl)
+    assert len(walked) == len(tl.templates) > 1
+    assert all(a is b for a, b in zip(walked, tl.templates))
+
+
 # -- integer-time window arithmetic ----------------------------------------------
 
 
@@ -206,6 +284,16 @@ def test_integer_rounding_breaks_exact_ties_to_even(k, m):
     expected = k + k % 2
     assert tmod._round_half_even(n * NS_PER_S, d) == expected
     assert round(Fraction(n, d) * NS_PER_S) == expected
+
+
+@given(st.integers(min_value=1, max_value=10**15), st.integers(min_value=1, max_value=10**6)
+       | st.just(2))
+def test_window_rounding_rounds_each_boundary_like_the_reference(n, d):
+    end = Fraction(n + d, d * NS_PER_S)  # 1 + n / d ns
+    recs = [tmod._rec(PackageCState.C0, Fraction(0), end, "wake"),
+            tmod._rec(PackageCState.C9, end, end + 1, "idle")]
+    rows = tmod._round_window(recs, "update", n // d + NS_PER_S, 0)
+    assert rows[0].end_ns == tmod._round_half_even(end.numerator * NS_PER_S, end.denominator)
 
 
 def test_window_rounding_rejects_records_that_leave_a_gap():
@@ -225,7 +313,7 @@ def fraction_phase(start, hard_end, payload, chunk, fill_rate, drain_rate):
     fill_state, drain_state = PackageCState.C2, PackageCState.C8
     n = -(-payload // chunk)
     chunks = [chunk] * (n - 1) + [payload - (n - 1) * chunk]
-    reads = distribute_bytes(payload, chunks)
+    reads = chunks  # the phase reads exactly what it fetches
     d = Fraction(payload) / (hard_end - start) if drain_rate is None else drain_rate
     fill = [Fraction(c) / fill_rate for c in chunks]
     recs = []
@@ -286,9 +374,49 @@ def test_integer_time_phase_matches_the_fraction_reference(
         PackageCState.C2, PackageCState.C8, "fetch", "burst", fill_read_total=payload,
     )
     expected = fraction_phase(start, hard_end, payload, chunk, fill_rate, drain_rate)
-    got = [[r.state, Fraction(r.start, r.den), Fraction(r.end, r.den), r.read]
-           for r in recs]
+    got = [[state, Fraction(start, den), Fraction(end, den), read]
+           for state, start, end, den, _, read, *_ in recs]
     assert got == expected
+
+
+_C2, _C8 = PackageCState.C2, PackageCState.C8
+_t = [Fraction(n, 10_000) for n in range(100)]  # _t[n] is n tenths of a ms
+
+
+@pytest.mark.parametrize("fill_rate, drain_rate, expected", [
+    # Producer-bound: ten 100 kB fills of 2 ms each against a faster drain.
+    # The fifth fill straddles the 9 ms end and is cut there; the five fills
+    # that would start later are dropped, their reads landing on it.
+    pytest.param(50_000_000, 100_000_000,
+                 [[_C2, _t[0], _t[20], 100_000], [_C2, _t[20], _t[40], 100_000],
+                  [_C2, _t[40], _t[60], 100_000], [_C2, _t[60], _t[80], 100_000],
+                  [_C2, _t[80], _t[90], 600_000]], id="producer-bound"),
+    # Consumer-bound: 0.1 ms fills against a 5 ms-per-chunk drain.  The
+    # drain that waits for the fourth buffer slot straddles the end and is
+    # cut there; the reads of the seven fills that would start later land on
+    # it.
+    pytest.param(10**9, 20_000_000,
+                 [[_C2, _t[0], _t[1], 100_000], [_C2, _t[1], _t[2], 100_000],
+                  [_C8, _t[2], _t[51], 0], [_C2, _t[51], _t[52], 100_000],
+                  [_C8, _t[52], _t[90], 700_000]], id="consumer-bound"),
+])
+def test_rate_paced_phase_is_clipped_at_the_hard_end(fill_rate, drain_rate, expected):
+    args = (Fraction(0), Fraction(9, 1000), 1_000_000, 100_000,
+            Fraction(fill_rate), Fraction(drain_rate))
+    recs = tmod._duplex_phase(*args, _C2, _C8, "fetch", "burst", fill_read_total=1_000_000)
+    assert [[state, Fraction(start, den), Fraction(end, den), read]
+            for state, start, end, den, _, read, *_ in recs] == expected
+    assert fraction_phase(*args) == expected
+
+
+def _streamed_link_bytes(link_bytes, *ends_ms):
+    """Link bytes that `_round_window` gives back-to-back streaming records
+    ending at ``ends_ms``."""
+    bounds = [Fraction(0), *(Fraction(e, 1000) for e in ends_ms)]
+    recs = [tmod._rec(PackageCState.C2, a, b, "fetch", streams=True)
+            for a, b in zip(bounds, bounds[1:])]
+    rows = tmod._round_window(recs, "update", ends_ms[-1] * 10**6, link_bytes)
+    return [iv.edp_bytes for iv in rows]
 
 
 # -- per-scheme traffic -------------------------------------------------------
@@ -382,24 +510,21 @@ def test_deep_idle_states_carry_no_traffic():
                 assert iv.edp_bytes == 0
 
 
-# -- byte distribution ---------------------------------------------------------
+# -- link-byte split -----------------------------------------------------------
 
 
-def test_distribute_bytes_is_exact_and_proportional():
-    spans = [3, 1, 1]
-    shares = distribute_bytes(1000, spans)
-    assert sum(shares) == 1000
-    assert shares[0] == 600
+def test_link_bytes_split_exactly_and_proportionally_to_streaming_spans():
+    assert _streamed_link_bytes(1000, 3, 4, 5) == [600, 200, 200]
 
 
-def test_distribute_bytes_handles_remainders_without_loss():
-    shares = distribute_bytes(10, [1, 1, 1])
+def test_link_bytes_split_remainders_without_loss():
+    shares = _streamed_link_bytes(10, 1, 2, 3)
     assert sum(shares) == 10
     assert all(s >= 0 for s in shares)
 
 
-def test_distribute_bytes_zero_total():
-    assert distribute_bytes(0, [5, 5]) == [0, 0]
+def test_link_bytes_split_zero_total():
+    assert _streamed_link_bytes(0, 5, 10) == [0, 0]
 
 
 # -- overlays -------------------------------------------------------------------
