@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -218,11 +219,29 @@ def test_config_dict_round_trip_preserves_everything():
 
 def test_config_dict_round_trip_with_overridden_system_knobs():
     cfg = SimConfig(
-        display=DisplayConfig(resolution=RESOLUTIONS["fhd"], refresh_hz=120),
-        system=SystemConfig(decode_rate=9e9, vd_paced_rate=1e9, dram_coeff_read=0.0),
-        workload=WorkloadSpec(kind=WorkloadKind.VR360, scheme=Scheme.BURSTLINK, video_fps=60),
+        display=DisplayConfig(
+            resolution=RESOLUTIONS["qhd"], refresh_hz=120, bits_per_pixel=30,
+            edp_max_bits_per_s=32.4e9, panel_psr_capable=False, panel_has_drfb=False,
+        ),
+        system=SystemConfig(
+            dc_buffer_bytes=256 * 1024, dram_fetch_rate=12e9, decode_rate=9e9,
+            vd_paced_rate=1e9, gpu_pt_rate=15e9, orchestration_time=1.5e-3,
+            burst_orchestration_time=2e-4, encoded_bits_per_pixel=0.75,
+            dram_coeff_read=0.0, dram_coeff_write=21e-12,
+            dram_background_mw={"active": 400.0, "fast_powerdown": 120.0,
+                                "self_refresh": 20.0, "off": 1.0},
+            dram_capacity_bytes=2 * 1024**3, fbc_compute_mw=35.0, gpu_active_mw=900.0,
+        ),
+        workload=WorkloadSpec(kind=WorkloadKind.VR360, scheme=Scheme.BURSTLINK,
+                              video_fps=60, psr_alternate_windows=True),
     )
+    default = SimConfig()
+    for section in ("display", "system", "workload"):
+        for f in fields(getattr(cfg, section)):
+            assert (getattr(getattr(cfg, section), f.name)
+                    != getattr(getattr(default, section), f.name)), f"{section}.{f.name}"
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
+    assert SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_config_json_is_deterministic():

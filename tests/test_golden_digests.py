@@ -33,10 +33,12 @@ _TRACES = ("conferencing", "gaming", "productivity")
 OPS = [
     "compare --preset 4k60 --scheme-b burstlink --out cmp",
     "compare --preset 4k60-vr --scheme-b burstlink --fbc-ratio-b 0.5 --out cmp",
+    "compare --preset 4k60 --preset-b fhd30 --batch-every-b 2 --out cmp",
     "validate --grid --out val",
     "validate --preset fhd30-ref-burstlink --windows 60 --out val",
     "calibrate --runs runs.csv --out fit",
     "simulate --preset 4k60-vr --scheme burstlink --out out",
+    "simulate --preset fhd30-ref-burstlink --windows 4 --out out",
     "simulate --preset fhd30 --scheme bypass_only --windows 4 --out out",
     "simulate --preset fhd30 --scheme bursting_only --windows 4 --out out",
     "simulate --preset fhd30 --psr-alternate --windows 4 --out out",
