@@ -64,7 +64,6 @@ from .presets import PRESETS, Preset, get_preset, validation_grid
 from .scenarios import (
     apply_batching,
     apply_fbc,
-    compare_schemes,
     energy_reduction,
     read_dirty_trace,
     single_plane_burst,

@@ -52,8 +52,8 @@ from .core import (
 )
 from .cstates import PackageCState, calibration_from_dict, load_calibration
 from .oracle import oracle_simulate
-from .power import (ConfigurationError, report_from_timeline, streaming_report,
-                    window_energy_breakdown)
+from .power import (ConfigurationError, EnergyReport, report_from_timeline,
+                    streaming_report, window_energy_breakdown)
 from .presets import PRESETS, get_preset, validation_grid
 from .scenarios import energy_reduction, read_dirty_trace
 from .timeline import build_timeline, timeline_to_csv, timeline_to_svg
@@ -69,7 +69,7 @@ _RESIDENCY_TOL_PP = 0.1
 # -- argument plumbing -----------------------------------------------------------
 
 
-def _add_source_args(p: argparse.ArgumentParser, *, overrides: bool = True) -> None:
+def _add_source_args(p: argparse.ArgumentParser) -> None:
     src = p.add_argument_group("configuration source")
     src.add_argument("--config", metavar="PATH", help="configuration JSON file")
     src.add_argument(
@@ -84,16 +84,15 @@ def _add_source_args(p: argparse.ArgumentParser, *, overrides: bool = True) -> N
         help="power calibration: built-in name or JSON path "
         "(default: the preset's, else 'default')",
     )
-    if overrides:
-        ov = p.add_argument_group("workload overrides")
-        ov.add_argument("--scheme", choices=_SCHEME_NAMES)
-        ov.add_argument("--kind", choices=_KIND_NAMES)
-        ov.add_argument("--fps", type=int, metavar="N", help="video frame rate")
-        ov.add_argument(
-            "--psr-alternate",
-            action="store_true",
-            help="let the plain scheme self-refresh on repeated windows",
-        )
+    ov = p.add_argument_group("workload overrides")
+    ov.add_argument("--scheme", choices=_SCHEME_NAMES)
+    ov.add_argument("--kind", choices=_KIND_NAMES)
+    ov.add_argument("--fps", type=int, metavar="N", help="video frame rate")
+    ov.add_argument(
+        "--psr-alternate",
+        action="store_true",
+        help="let the plain scheme self-refresh on repeated windows",
+    )
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
@@ -193,6 +192,7 @@ def _run_kwargs(args: argparse.Namespace) -> dict[str, Any]:
 
 def _manifest(command: str, args: argparse.Namespace, calibration: str,
               windows: int | None, **extra: Any) -> dict[str, Any]:
+    fbc, batch = getattr(args, "fbc_ratio", 1.0), getattr(args, "batch_every", 1)
     overrides = {
         k: v
         for k, v in (
@@ -200,15 +200,11 @@ def _manifest(command: str, args: argparse.Namespace, calibration: str,
             ("kind", getattr(args, "kind", None)),
             ("fps", getattr(args, "fps", None)),
             ("psr_alternate", getattr(args, "psr_alternate", None) or None),
-            ("fbc_ratio", getattr(args, "fbc_ratio", 1.0) != 1.0 or None),
-            ("batch_every", getattr(args, "batch_every", 1) != 1 or None),
+            ("fbc_ratio", fbc if fbc != 1.0 else None),
+            ("batch_every", batch if batch != 1 else None),
         )
-        if v
+        if v is not None
     }
-    if "fbc_ratio" in overrides:
-        overrides["fbc_ratio"] = args.fbc_ratio
-    if "batch_every" in overrides:
-        overrides["batch_every"] = args.batch_every
     doc = {
         "tool": "framewatt",
         "version": __version__,
@@ -273,9 +269,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"others={comp['others']:.1f} uJ"
     )
     residency = ", ".join(
-        f"{s.value}={r * 100:.2f}%" for s, r in sorted(
-            report.residency.items(), key=lambda kv: kv[0].depth
-        ) if r > 0
+        f"{s.value}={r * 100:.2f}%" for s, r in report.residency.items() if r > 0
     )
     print(f"residency        {residency}")
     print(
@@ -363,6 +357,24 @@ def _resolve_side_b(
     return cfg, args.calibration_b or calibration, run
 
 
+#: Per-window compare rows: (report key, compare.json delta group, row label,
+#: decimals).  The first three keys index ``component_energy_uj``.
+_PER_WINDOW_ROWS = (
+    ("dram", "component_pct", "component_dram_uj_per_window", 2),
+    ("display", "component_pct", "component_display_uj_per_window", 2),
+    ("others", "component_pct", "component_others_uj_per_window", 2),
+    ("dram_read_bytes", "traffic_pct", "dram_reads_per_window_B", 0),
+    ("dram_write_bytes", "traffic_pct", "dram_writes_per_window_B", 0),
+    ("edp_bytes", "traffic_pct", "link_bytes_per_window_B", 0),
+)
+
+
+def _per_window(report: EnergyReport, key: str) -> float:
+    """A component energy or traffic total of ``report``, per window."""
+    total = report.component_energy_uj.get(key)
+    return (getattr(report, key) if total is None else total) / report.n_windows
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg_a, calibration_id_a = _resolve_config(args)
     run_a = _run_kwargs(args)
@@ -392,19 +404,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         for s in PackageCState
         if rep_a.residency.get(s, 0.0) > 0 or rep_b.residency.get(s, 0.0) > 0
     }
-    component_pct = {
-        key: _pct_delta(rep_a.component_energy_uj[key] / rep_a.n_windows,
-                        rep_b.component_energy_uj[key] / rep_b.n_windows)
-        for key in ("dram", "display", "others")
-    }
-    traffic_pct = {
-        "dram_read_bytes": _pct_delta(rep_a.dram_read_bytes / rep_a.n_windows,
-                                      rep_b.dram_read_bytes / rep_b.n_windows),
-        "dram_write_bytes": _pct_delta(rep_a.dram_write_bytes / rep_a.n_windows,
-                                       rep_b.dram_write_bytes / rep_b.n_windows),
-        "edp_bytes": _pct_delta(rep_a.edp_bytes / rep_a.n_windows,
-                                rep_b.edp_bytes / rep_b.n_windows),
-    }
 
     rows: list[tuple[str, str, str, str]] = [
         ("scheme", rep_a.scheme.value, rep_b.scheme.value, ""),
@@ -415,29 +414,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ("energy_per_window_uj", f"{epw_a:.2f}", f"{epw_b:.2f}",
          _fmt_delta(delta_epw)),
     ]
-    for s in sorted(residency_pp, key=lambda st: st.depth):
+    for s in residency_pp:  # states iterate shallow to deep
         rows.append((
             f"residency_{s.value}_pct",
             f"{rep_a.residency.get(s, 0.0) * 100:.2f}",
             f"{rep_b.residency.get(s, 0.0) * 100:.2f}",
             _fmt_delta(residency_pp[s], "pp"),
         ))
-    for key in ("dram", "display", "others"):
-        rows.append((
-            f"component_{key}_uj_per_window",
-            f"{rep_a.component_energy_uj[key] / rep_a.n_windows:.2f}",
-            f"{rep_b.component_energy_uj[key] / rep_b.n_windows:.2f}",
-            _fmt_delta(component_pct[key]),
-        ))
-    for key, label in (("dram_read_bytes", "dram_reads_per_window_B"),
-                       ("dram_write_bytes", "dram_writes_per_window_B"),
-                       ("edp_bytes", "link_bytes_per_window_B")):
-        rows.append((
-            label,
-            f"{getattr(rep_a, key) / rep_a.n_windows:.0f}",
-            f"{getattr(rep_b, key) / rep_b.n_windows:.0f}",
-            _fmt_delta(traffic_pct[key]),
-        ))
+    per_window_pct: dict[str, dict[str, float | None]] = {"component_pct": {}, "traffic_pct": {}}
+    for key, group, label, digits in _PER_WINDOW_ROWS:
+        a, b = _per_window(rep_a, key), _per_window(rep_b, key)
+        per_window_pct[group][key] = _pct_delta(a, b)
+        rows.append((label, f"{a:.{digits}f}", f"{b:.{digits}f}",
+                     _fmt_delta(per_window_pct[group][key])))
 
     print(f"{'metric':<32} {'A':>16} {'B':>16} {'delta':>10}")
     for name, a, b, d in rows:
@@ -478,10 +467,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "delta": {
                 "average_power_pct": delta_power,
                 "energy_per_window_pct": delta_epw,
-                "residency_pp": {s.value: d for s, d in sorted(
-                    residency_pp.items(), key=lambda kv: kv[0].depth)},
-                "component_pct": component_pct,
-                "traffic_pct": traffic_pct,
+                "residency_pp": {s.value: d for s, d in residency_pp.items()},
+                **per_window_pct,
             },
         }
         _write(out / "compare.json", _dump_json(doc))
@@ -517,22 +504,10 @@ def _sweep_point(
     fbc: float, batch: int, calibration: Any, windows: int | None,
 ) -> tuple[dict[str, Any], Any]:
     """Evaluate one grid point; returns (row, report-or-None)."""
-    row: dict[str, Any] = {
-        "resolution": str(parse_resolution(res)),
-        "refresh_hz": refresh,
-        "fps": fps,
-        "kind": kind.value,
-        "scheme": scheme.value,
-        "fbc_ratio": fbc,
-        "batch_every": batch,
-        "calibration": calibration.name,
-        "status": "ok",
-        "violations": "",
-        "n_windows": None,
-        "average_power_mw": None,
-        "energy_per_window_uj": None,
-        "reduction_vs_baseline_pct": None,
-    }
+    row: dict[str, Any] = dict.fromkeys(_SWEEP_COLUMNS)
+    row.update(resolution=str(parse_resolution(res)), refresh_hz=refresh, fps=fps,
+               kind=kind.value, scheme=scheme.value, fbc_ratio=fbc, batch_every=batch,
+               calibration=calibration.name, status="ok", violations="")
     cfg = SimConfig(
         display=DisplayConfig(resolution=parse_resolution(res), refresh_hz=refresh),
         system=SystemConfig(),

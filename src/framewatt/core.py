@@ -181,9 +181,22 @@ class SystemConfig:
             raise ValueError("encoded_bits_per_pixel must be positive")
         if self.dram_coeff_read < 0 or self.dram_coeff_write < 0:
             raise ValueError("DRAM traffic coefficients must be >= 0")
-        missing = {"active", "fast_powerdown", "self_refresh", "off"} - set(self.dram_background_mw)
+        modes = {"active", "fast_powerdown", "self_refresh", "off"}
+        missing = modes - set(self.dram_background_mw)
         if missing:
             raise ValueError(f"dram_background_mw missing modes: {sorted(missing)}")
+        unknown = set(self.dram_background_mw) - modes
+        if unknown:
+            raise ValueError(f"dram_background_mw has unknown modes: {sorted(unknown)}")
+        for mode, mw in self.dram_background_mw.items():
+            if mw < 0:
+                raise ValueError(f"dram_background_mw.{mode} must be >= 0, got {mw}")
+        if self.dram_capacity_bytes <= 0:
+            raise ValueError(
+                f"dram_capacity_bytes must be positive, got {self.dram_capacity_bytes}")
+        for name in ("fbc_compute_mw", "gpu_active_mw"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -216,17 +229,11 @@ class SimConfig:
         if not isinstance(data, Mapping):
             raise ValueError("config must be a JSON object")
         check_finite(data)
-        unknown = set(data) - {"display", "system", "workload"}
+        unknown = set(data) - {f.name for f in fields(SimConfig)}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
         display = _section(data, "display", DisplayConfig)
-        if "resolution" in display:
-            display["resolution"] = parse_resolution(display["resolution"])
         workload = _section(data, "workload", WorkloadSpec)
-        if "kind" in workload:
-            workload["kind"] = WorkloadKind(workload["kind"])
-        if "scheme" in workload:
-            workload["scheme"] = Scheme(workload["scheme"])
         return SimConfig(
             display=DisplayConfig(**display),
             system=SystemConfig(**_section(data, "system", SystemConfig)),
@@ -239,38 +246,19 @@ class SimConfig:
             return SimConfig.from_dict(json.load(fh))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "display": {
-                "resolution": str(self.display.resolution),
-                "refresh_hz": self.display.refresh_hz,
-                "bits_per_pixel": self.display.bits_per_pixel,
-                "edp_max_bits_per_s": self.display.edp_max_bits_per_s,
-                "panel_psr_capable": self.display.panel_psr_capable,
-                "panel_has_drfb": self.display.panel_has_drfb,
-            },
-            "system": {
-                "dc_buffer_bytes": self.system.dc_buffer_bytes,
-                "dram_fetch_rate": self.system.dram_fetch_rate,
-                "decode_rate": self.system.decode_rate,
-                "vd_paced_rate": self.system.vd_paced_rate,
-                "gpu_pt_rate": self.system.gpu_pt_rate,
-                "orchestration_time": self.system.orchestration_time,
-                "burst_orchestration_time": self.system.burst_orchestration_time,
-                "encoded_bits_per_pixel": self.system.encoded_bits_per_pixel,
-                "dram_coeff_read": self.system.dram_coeff_read,
-                "dram_coeff_write": self.system.dram_coeff_write,
-                "dram_background_mw": dict(self.system.dram_background_mw),
-                "dram_capacity_bytes": self.system.dram_capacity_bytes,
-                "fbc_compute_mw": self.system.fbc_compute_mw,
-                "gpu_active_mw": self.system.gpu_active_mw,
-            },
-            "workload": {
-                "kind": self.workload.kind.value,
-                "scheme": self.workload.scheme.value,
-                "video_fps": self.workload.video_fps,
-                "psr_alternate_windows": self.workload.psr_alternate_windows,
-            },
-        }
+        sections = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: {f.name: _json_value(getattr(section, f.name)) for f in fields(section)}
+                for name, section in sections.items()}
+
+
+def _json_value(value: Any) -> Any:
+    """A config field's value as JSON: an enum by value, a resolution as
+    ``WxH`` and a mapping as a plain object."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Resolution):
+        return str(value)
+    return dict(value) if isinstance(value, Mapping) else value
 
 
 #: JSON value types each config field annotation accepts, and their name.
@@ -284,6 +272,9 @@ _JSON_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
     "WorkloadKind": ((str,), "a string"),
     "Scheme": ((str,), "a string"),
 }
+
+#: Parsers of the field types JSON holds as strings.
+_PARSERS = {"Resolution": parse_resolution, "WorkloadKind": WorkloadKind, "Scheme": Scheme}
 
 
 def _section(data: Mapping[str, Any], name: str, cls: type) -> dict[str, Any]:
@@ -307,7 +298,10 @@ def _section(data: Mapping[str, Any], name: str, cls: type) -> dict[str, Any]:
                                                   and bool not in accepted):
                 raise ValueError(f"config key '{where}' must be {expected}, "
                                  f"got {json.dumps(item)}")
-    return dict(section)
+    # Parsed in declaration order, so the first bad field named is the same
+    # whatever the key order of the input.
+    return {f.name: _PARSERS[f.type](section[f.name]) if f.type in _PARSERS
+            else section[f.name] for f in fields(cls) if f.name in section}
 
 
 # -- frame arithmetic ------------------------------------------------------

@@ -57,26 +57,10 @@ class PackageCState(Enum):
         return self.value
 
 
-_DEPTH: dict[PackageCState, int] = {
-    s: i
-    for i, s in enumerate(
-        (
-            PackageCState.C0,
-            PackageCState.C2,
-            PackageCState.C3,
-            PackageCState.C6,
-            PackageCState.C7,
-            PackageCState.C7P,
-            PackageCState.C8,
-            PackageCState.C9,
-            PackageCState.C10,
-        )
-    )
-}
+#: Members are declared shallow to deep, so declaration order is depth order.
+_DEPTH: dict[PackageCState, int] = {s: i for i, s in enumerate(PackageCState)}
 
-STATES_BY_DEPTH: tuple[PackageCState, ...] = tuple(
-    sorted(PackageCState, key=lambda s: s.depth)
-)
+STATES_BY_DEPTH: tuple[PackageCState, ...] = tuple(PackageCState)
 
 #: DRAM mode implied by each package state (background-power attribution).
 STATE_DRAM_MODE: dict[PackageCState, str] = {
@@ -301,18 +285,18 @@ def load_calibration(name_or_path: str | Path = "default") -> CalibrationSet:
 
 
 def check_dram_split_consistency(
-    profile: PowerProfile, dram_background_mw: Mapping[str, float], tol_mw: float = 0.5
+    profile: PowerProfile, dram_background_mw: Mapping[str, float]
 ) -> None:
     """Ensure per-state splits are computable against a DRAM background map.
 
     Every state's implied background must fit under the state total together
-    with the display split (within ``tol_mw`` of slack); raises otherwise.
+    with the display split (within 0.5 mW of slack); raises otherwise.
     """
     for state in PackageCState:
         bg = float(dram_background_mw[STATE_DRAM_MODE[state]])
         disp = float(profile.display_power_mw.get(state, 0.0))
         total = profile.state_power_mw[state]
-        if bg + disp > total + tol_mw:
+        if bg + disp > total + 0.5:
             raise ValueError(
                 f"profile '{profile.name}': DRAM background {bg} mW + display "
                 f"{disp} mW exceeds {state} total {total} mW"

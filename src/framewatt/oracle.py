@@ -72,18 +72,11 @@ class OracleResult:
         total = self.total_s
         return {s: t / total for s, t in times.items()}
 
-    def energy_uj(
-        self,
-        cfg: SimConfig,
-        calibration: CalibrationSet,
-        tick_s: float = 1e-6,
-    ) -> float:
+    def energy_uj(self, cfg: SimConfig, calibration: CalibrationSet) -> float:
         """Integrate the energy bill over the period list.
 
         Power is constant within a period, so each period is integrated
-        exactly as power times span; a step size could change only float
-        rounding.  ``tick_s`` is kept for callers that pass one and is not
-        used.
+        exactly as power times span.
         """
         profile = calibration.profile_for(cfg.workload.scheme)
         # Each state change's energy is looked up once per call.
@@ -244,7 +237,12 @@ def oracle_simulate(
     cached_traffic_fraction: float = 0.34,
     dirty_trace: Sequence[float] | None = None,
 ) -> OracleResult:
-    """Simulate the run with the event machine and return merged periods."""
+    """Simulate the run with the event machine and return merged periods.
+
+    Takes :func:`build_timeline`'s keywords and, like it, defaults to one
+    batch cycle (``batch_every`` frame groups); a dirty trace sets its own
+    length.
+    """
     disp_cfg, sys_cfg, wl = cfg.display, cfg.system, cfg.workload
     F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
     W = 1.0 / disp_cfg.refresh_hz
@@ -275,7 +273,7 @@ def oracle_simulate(
             raise ValueError("single-plane workloads need a dirty_trace")
         n = len(dirty_trace)
     else:
-        n = n_windows if n_windows is not None else par.group
+        n = n_windows if n_windows is not None else batch_every * par.group
 
     periods: list[OraclePeriod] = []
     reads = writes = link = 0

@@ -26,7 +26,7 @@ energy is additive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple
 
 from .core import ConfigurationError, Scheme, SimConfig, SystemConfig
 from .cstates import (
@@ -189,16 +189,16 @@ class EnergyReport:
 
 
 class _Bill(NamedTuple):
-    """Energies of one tally, in uJ."""
+    """Energies of one tally, in uJ, under their :class:`EnergyReport` names."""
 
-    state_uj: dict[PackageCState, float]
-    transition_uj: float
+    state_energy_uj: dict[PackageCState, float]
+    transition_energy_uj: float
     dram: DramEnergy
-    drfb_uj: float
-    gpu_uj: float
-    fbc_uj: float
-    components: dict[str, float]
-    total_uj: float
+    drfb_energy_uj: float
+    gpu_energy_uj: float
+    fbc_energy_uj: float
+    component_energy_uj: dict[str, float]
+    total_energy_uj: float
 
 
 def _price(totals: TimelineTotals, profile: PowerProfile, system: SystemConfig,
@@ -254,7 +254,7 @@ def report_from_timeline(
     total_ns = timeline.total_ns
     total_ms = total_ns * 1e-6
     residency = {s: spans[s] / total_ns for s in PackageCState}
-    others_uj = bill.components["others"]
+    others_uj = bill.component_energy_uj["others"]
     if others_uj < -0.5 * total_ms:  # 0.5 mW of slack over the whole run
         raise ValueError(
             f"calibration '{calibration.name}': component splits exceed state "
@@ -268,19 +268,12 @@ def report_from_timeline(
         total_ns=total_ns,
         residency=residency,
         state_spans_ns=spans,
-        state_energy_uj=bill.state_uj,
         transition_counts=totals.transitions,
-        transition_energy_uj=bill.transition_uj,
-        dram=bill.dram,
-        drfb_energy_uj=bill.drfb_uj,
-        gpu_energy_uj=bill.gpu_uj,
-        fbc_energy_uj=bill.fbc_uj,
         dram_read_bytes=totals.dram_read_bytes,
         dram_write_bytes=totals.dram_write_bytes,
         edp_bytes=totals.edp_bytes,
-        component_energy_uj=bill.components,
-        total_energy_uj=bill.total_uj,
-        average_power_mw=bill.total_uj / total_ms,
+        **bill._asdict(),
+        average_power_mw=bill.total_energy_uj / total_ms,
         analytic_average_power_mw=average_power(
             profile, residency, totals.transitions, total_ns * 1e-9
         ),
@@ -308,13 +301,13 @@ def window_energy_breakdown(
             row = bills[pair] = WindowEnergy(
                 window=0,
                 kind=timeline.templates[pair[0]][0].kind,
-                transition_uj=bill.transition_uj,
+                transition_uj=bill.transition_energy_uj,
                 dram_operating_uj=bill.dram.operating_uj,
-                adders_uj=bill.drfb_uj + bill.gpu_uj + bill.fbc_uj,
-                dram_uj=bill.components["dram"],
-                display_uj=bill.components["display"],
-                others_uj=bill.components["others"],
-                total_uj=bill.total_uj,
+                adders_uj=bill.drfb_energy_uj + bill.gpu_energy_uj + bill.fbc_energy_uj,
+                dram_uj=bill.component_energy_uj["dram"],
+                display_uj=bill.component_energy_uj["display"],
+                others_uj=bill.component_energy_uj["others"],
+                total_uj=bill.total_energy_uj,
             )
         out.append(row._replace(window=w))
     return tuple(out)
@@ -324,24 +317,17 @@ def streaming_report(
     cfg: SimConfig,
     calibration: CalibrationSet | str = "default",
     n_windows: int | None = None,
-    *,
-    fbc_ratio: float = 1.0,
-    batch_every: int = 1,
-    cached_traffic_fraction: float = 0.34,
-    dirty_trace: Sequence[float] | None = None,
+    **run: Any,
 ) -> EnergyReport:
-    """Build the timeline for a config and price it in one step."""
+    """Build the timeline for a config and price it in one step.
+
+    ``calibration`` is a :class:`CalibrationSet` or a name or path string
+    for :func:`load_calibration`; ``run`` takes :func:`build_timeline`'s
+    keywords.
+    """
     if isinstance(calibration, str):
         calibration = load_calibration(calibration)
-    timeline = build_timeline(
-        cfg,
-        n_windows,
-        fbc_ratio=fbc_ratio,
-        batch_every=batch_every,
-        cached_traffic_fraction=cached_traffic_fraction,
-        dirty_trace=dirty_trace,
-    )
-    return report_from_timeline(timeline, cfg, calibration)
+    return report_from_timeline(build_timeline(cfg, n_windows, **run), cfg, calibration)
 
 
 __all__ = [

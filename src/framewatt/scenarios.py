@@ -1,10 +1,10 @@
 """What-if studies layered on the base schemes.
 
 Each study rebuilds the timeline with one knob turned and prices both the
-plain and the modified run, so results always come as a pair.  The knobs are
-independent of each other (compression scales buffer traffic, batching
-changes the decode cadence) and applying them in either order yields the
-same configuration, which the property suite verifies.
+plain and the modified run, so results always come as a pair.  Compression
+scales buffer traffic and batching changes the decode cadence; both are
+keywords of the one timeline build, which scales the display buffer by their
+product, so there is no order in which they are applied.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import Scheme, SimConfig, WorkloadKind, replace
-from .cstates import CalibrationSet, load_calibration
+from .cstates import CalibrationSet
 from .power import EnergyReport, streaming_report
 
 
@@ -44,10 +44,6 @@ class ScenarioResult:
         return energy_reduction(self.base, self.modified)
 
 
-def _resolve(calibration: CalibrationSet | str) -> CalibrationSet:
-    return load_calibration(calibration) if isinstance(calibration, str) else calibration
-
-
 def apply_fbc(
     cfg: SimConfig,
     ratio: float,
@@ -62,7 +58,6 @@ def apply_fbc(
     compress: the knob is ignored with a warning and the result shows no
     change.
     """
-    cal = _resolve(calibration)
     if cfg.workload.scheme.uses_bypass and ratio != 1.0:
         warnings.warn(
             f"scheme '{cfg.workload.scheme.value}' keeps no DRAM frame buffer; "
@@ -70,8 +65,8 @@ def apply_fbc(
             stacklevel=2,
         )
         ratio = 1.0
-    base = streaming_report(cfg, cal, n_windows)
-    modified = streaming_report(cfg, cal, n_windows, fbc_ratio=ratio)
+    base = streaming_report(cfg, calibration, n_windows)
+    modified = streaming_report(cfg, calibration, n_windows, fbc_ratio=ratio)
     return ScenarioResult(name=f"fbc[{ratio}]", base=base, modified=modified)
 
 
@@ -96,14 +91,13 @@ def apply_batching(
             "BATCH_SCHEME: decode batching requires the conventional scheme "
             f"(got '{cfg.workload.scheme.value}')"
         )
-    cal = _resolve(calibration)
     # The batched run defaults to whole batch cycles, so the cadence is
     # represented faithfully; the plain run covers the same windows.
     modified = streaming_report(
-        cfg, cal, n_windows, batch_every=batch_every,
+        cfg, calibration, n_windows, batch_every=batch_every,
         cached_traffic_fraction=cached_traffic_fraction,
     )
-    base = streaming_report(cfg, cal, modified.n_windows)
+    base = streaming_report(cfg, calibration, modified.n_windows)
     return ScenarioResult(name=f"batching[{batch_every}]", base=base, modified=modified)
 
 
@@ -131,30 +125,13 @@ def single_plane_burst(
     C9.  The comparison pipeline streams the full frame every refresh no
     matter how little changed.
     """
-    cal = _resolve(calibration)
     base_wl = replace(cfg.workload, kind=WorkloadKind.SINGLE_PLANE)
     burst_cfg = replace(cfg, workload=replace(base_wl, scheme=Scheme.BURSTING_ONLY))
     stream_cfg = replace(cfg, workload=replace(base_wl, scheme=Scheme.BASELINE))
     return PlaneComparison(
-        burst=streaming_report(burst_cfg, cal, dirty_trace=list(dirty_trace)),
-        stream=streaming_report(stream_cfg, cal, dirty_trace=list(dirty_trace)),
+        burst=streaming_report(burst_cfg, calibration, dirty_trace=list(dirty_trace)),
+        stream=streaming_report(stream_cfg, calibration, dirty_trace=list(dirty_trace)),
     )
-
-
-def compare_schemes(
-    cfg: SimConfig,
-    calibration: CalibrationSet | str = "default",
-    schemes: Iterable[Scheme] | None = None,
-    n_windows: int | None = None,
-) -> dict[Scheme, EnergyReport]:
-    """Price the same playback under several schemes."""
-    cal = _resolve(calibration)
-    chosen = list(schemes) if schemes is not None else list(Scheme)
-    out: dict[Scheme, EnergyReport] = {}
-    for scheme in chosen:
-        scheme_cfg = replace(cfg, workload=replace(cfg.workload, scheme=scheme))
-        out[scheme] = streaming_report(scheme_cfg, cal, n_windows)
-    return out
 
 
 # -- dirty-fraction trace files -------------------------------------------------
@@ -202,7 +179,6 @@ __all__ = [
     "ScenarioResult",
     "apply_batching",
     "apply_fbc",
-    "compare_schemes",
     "energy_reduction",
     "read_dirty_trace",
     "single_plane_burst",

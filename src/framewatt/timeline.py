@@ -426,7 +426,7 @@ def _knobs(cfg: SimConfig, fbc_ratio: float, traffic_cut: float) -> _Knobs:
 
 
 def _recipe(k: _Knobs, scheme: Scheme, kind: str, decodes: int, link_bytes: int,
-            vr: bool, psr_alt: bool) -> list[_Rec]:
+            vr: bool, psr_alt: bool) -> list[tuple]:
     """The records of one window (times relative to the window start), with
     link bytes not yet assigned: wake-up records, then one transfer phase to
     the window end.
@@ -480,9 +480,9 @@ def _recipe(k: _Knobs, scheme: Scheme, kind: str, decodes: int, link_bytes: int,
     )
 
 
-def selective_update_bytes(full_frame_bytes: int, dirty_fraction: float,
-                           header_bytes: int = 128) -> int:
-    """Link payload for a partial update: dirty pixels plus a rectangle header.
+def selective_update_bytes(full_frame_bytes: int, dirty_fraction: float) -> int:
+    """Link payload for a partial update: dirty pixels plus a 128-byte
+    rectangle header.
 
     The header is charged even when nothing changed (the panel still receives
     an update descriptor), while a fully dirty frame is sent whole with no
@@ -493,7 +493,7 @@ def selective_update_bytes(full_frame_bytes: int, dirty_fraction: float,
         raise ValueError(f"dirty_fraction must be in [0, 1], got {dirty_fraction}")
     if dirty_fraction == 1.0:
         return full_frame_bytes
-    return min(round(full_frame_bytes * dirty_fraction) + header_bytes, full_frame_bytes)
+    return min(round(full_frame_bytes * dirty_fraction) + 128, full_frame_bytes)
 
 
 def _check_batch_fits(cfg: SimConfig, batch_every: int) -> None:
@@ -713,13 +713,13 @@ _STATE_COLORS = {
 }
 
 
-def timeline_to_svg(timeline: WindowTimeline, width: int = 1000) -> str:
+def timeline_to_svg(timeline: WindowTimeline) -> str:
     """Render the timeline as a self-contained Gantt-style SVG string.
 
     One row per refresh window, blocks colored by package state, with a
     legend; pure text output with no plotting dependencies.
     """
-    row_h, gap, left, top = 26, 6, 70, 30
+    width, row_h, gap, left, top = 1000, 26, 6, 70, 30
     legend_h = 40
     n = timeline.n_windows
     height = top + n * (row_h + gap) + legend_h

@@ -99,7 +99,7 @@ def test_criterion_3_executor_grid_agreement():
         report = report_from_timeline(build_timeline(cfg), cfg, cal)
         oracle = oracle_simulate(cfg)
         energy_pct = (
-            abs(oracle.energy_uj(cfg, cal, tick_s=1e-6) - report.total_energy_uj)
+            abs(oracle.energy_uj(cfg, cal) - report.total_energy_uj)
             / report.total_energy_uj
             * 100.0
         )

@@ -158,6 +158,29 @@ def test_wrong_type_inside_an_object_names_the_nested_key(tmp_path, capsys):
         'got "x"\n')
 
 
+_DRAM_MODES = {"active": 450.0, "fast_powerdown": 150.0, "self_refresh": 25.0, "off": 0.0}
+
+
+@pytest.mark.parametrize("system, argv, message", [
+    ({"gpu_active_mw": -5}, ["--kind", "vr360"], "gpu_active_mw must be >= 0, got -5"),
+    ({"fbc_compute_mw": -1e9}, ["--fbc-ratio", "0.5"],
+     "fbc_compute_mw must be >= 0, got -1000000000.0"),
+    ({"dram_background_mw": {**_DRAM_MODES, "active": -100}}, [],
+     "dram_background_mw.active must be >= 0, got -100"),
+    ({"dram_background_mw": {**_DRAM_MODES, "extra": 5}}, [],
+     "dram_background_mw has unknown modes: ['extra']"),
+    ({"dram_capacity_bytes": 0}, [], "dram_capacity_bytes must be positive, got 0"),
+    ({"dram_capacity_bytes": -1}, [], "dram_capacity_bytes must be positive, got -1"),
+], ids=["gpu", "fbc", "negative-mode", "unknown-mode", "zero-capacity", "negative-capacity"])
+def test_impossible_system_values_name_the_field(system, argv, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"system": system}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), *argv, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out_dir.exists()
+
+
 def test_simulate_rejects_a_buffer_that_splits_the_frame_too_finely(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text('{"display": {"resolution": "4k"}, "system": {"dc_buffer_bytes": 256}}',

@@ -3,7 +3,7 @@
 The two implementations share no interval-construction code; agreement on
 energy, residency, and traffic is the core cross-validation of the package.
 The full 50-point grid runs in the acceptance gate; these tests probe the
-corners (overlays, traces, tick independence) the grid does not cover.
+corners (overlays, traces, default run length) the grid does not cover.
 """
 
 from __future__ import annotations
@@ -106,13 +106,12 @@ def test_oracle_traffic_matches_the_analytic_books():
         assert oracle.edp_bytes == report.edp_bytes
 
 
-def test_oracle_energy_is_tick_independent():
-    cfg = make_config("4k", 60, Scheme.BURSTLINK)
-    cal = load_calibration("default")
-    oracle = oracle_simulate(cfg, None)
-    coarse = oracle.energy_uj(cfg, cal, tick_s=1e-6)
-    fine = oracle.energy_uj(cfg, cal, tick_s=2.5e-7)
-    assert coarse == pytest.approx(fine, rel=1e-9)
+@pytest.mark.parametrize("batch_every", [1, 3])
+def test_oracle_default_length_matches_the_builder(batch_every):
+    cfg = make_config("fhd", 30)  # 30 fps on a 60 Hz panel: two windows a frame
+    oracle = oracle_simulate(cfg, batch_every=batch_every)
+    assert oracle.n_windows == build_timeline(cfg, batch_every=batch_every).n_windows
+    assert oracle.n_windows == 2 * batch_every
 
 
 def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):

@@ -13,7 +13,6 @@ from framewatt.power import streaming_report
 from framewatt.scenarios import (
     apply_batching,
     apply_fbc,
-    compare_schemes,
     energy_reduction,
     read_dirty_trace,
     single_plane_burst,
@@ -125,17 +124,6 @@ def test_batching_respects_the_decode_window():
     with pytest.raises(ValueError, match="BATCH_WINDOW_OVERRUN"):
         apply_batching(make_config("4k", 60, Scheme.BASELINE), batch_every=14,
                        calibration="default")
-
-
-# -- scheme comparison ---------------------------------------------------------------
-
-
-def test_compare_schemes_prices_each_requested_scheme():
-    reports = compare_schemes(make_config("4k", 60, Scheme.BASELINE), "default")
-    assert set(reports) == set(Scheme)
-    energy = {s: r.total_energy_uj for s, r in reports.items()}
-    assert energy[Scheme.BURSTLINK] < energy[Scheme.BYPASS_ONLY] < energy[Scheme.BASELINE]
-    assert energy[Scheme.BURSTING_ONLY] < energy[Scheme.BASELINE]
 
 
 # -- dirty-rect traces ----------------------------------------------------------------
