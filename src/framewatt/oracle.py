@@ -79,9 +79,8 @@ class OracleResult:
         exactly as power times span.
         """
         profile = calibration.profile_for(cfg.workload.scheme)
-        # Each state change's energy is looked up once per call.
-        change_uj = {(a, b): transition_cost(profile, a, b).energy_uj
-                     for a in PackageCState for b in PackageCState}
+        # Each state change that occurs is looked up once per call.
+        change_uj: dict[tuple[PackageCState, PackageCState], float] = {}
         total_uj = 0.0
         prev_state: PackageCState | None = None
         for _, state, start_s, end_s, drfb, gpu, fbc in self.periods:
@@ -94,7 +93,11 @@ class OracleResult:
                 power_mw += cfg.system.fbc_compute_mw
             total_uj += power_mw * (end_s - start_s) * 1e3  # mW * s -> uJ
             if prev_state is not None and prev_state is not state:
-                total_uj += change_uj[prev_state, state]
+                uj = change_uj.get((prev_state, state))
+                if uj is None:
+                    uj = change_uj[prev_state, state] = transition_cost(
+                        profile, prev_state, state).energy_uj
+                total_uj += uj
             prev_state = state
         total_uj += self.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
         total_uj += self.dram_write_bytes * cfg.system.dram_coeff_write * 1e6

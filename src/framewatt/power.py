@@ -25,7 +25,8 @@ energy is additive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from typing import Any, Mapping, NamedTuple
 
 from .core import ConfigurationError, Scheme, SimConfig, SystemConfig
@@ -156,36 +157,26 @@ class EnergyReport:
     analytic_average_power_mw: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "scheme": self.scheme.value,
-            "calibration": self.calibration_name,
-            "profile": self.profile_name,
-            "n_windows": self.n_windows,
-            "total_ns": self.total_ns,
-            "residency": {s.value: r for s, r in self.residency.items()},
-            "state_spans_ns": {s.value: v for s, v in self.state_spans_ns.items()},
-            "state_energy_uj": {s.value: e for s, e in self.state_energy_uj.items()},
-            "transition_counts": {
-                f"{a.value}->{b.value}": c for (a, b), c in self.transition_counts.items()
-            },
-            "transition_energy_uj": self.transition_energy_uj,
-            "dram": {
-                "operating_read_uj": self.dram.operating_read_uj,
-                "operating_write_uj": self.dram.operating_write_uj,
-                "background_uj": self.dram.background_uj,
-                "background_by_mode_ns": dict(self.dram.background_by_mode_ns),
-            },
-            "drfb_energy_uj": self.drfb_energy_uj,
-            "gpu_energy_uj": self.gpu_energy_uj,
-            "fbc_energy_uj": self.fbc_energy_uj,
-            "dram_read_bytes": self.dram_read_bytes,
-            "dram_write_bytes": self.dram_write_bytes,
-            "edp_bytes": self.edp_bytes,
-            "component_energy_uj": dict(self.component_energy_uj),
-            "total_energy_uj": self.total_energy_uj,
-            "average_power_mw": self.average_power_mw,
-            "analytic_average_power_mw": self.analytic_average_power_mw,
-        }
+        return {_REPORT_KEYS.get(f.name, f.name): _report_json(getattr(self, f.name))
+                for f in fields(self)}
+
+
+#: Report fields that ``report.json`` names differently.
+_REPORT_KEYS = {"calibration_name": "calibration", "profile_name": "profile"}
+
+
+def _report_json(value: Any) -> Any:
+    """A report field's value as JSON: an enum by value, the DRAM view as an
+    object of its fields, and a mapping as an object keyed by state value
+    (a state change as ``from->to``)."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, DramEnergy):
+        return {f.name: _report_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        return {"->".join(s.value for s in k) if isinstance(k, tuple) else _report_json(k): v
+                for k, v in value.items()}
+    return value
 
 
 class _Bill(NamedTuple):
@@ -300,7 +291,7 @@ def window_energy_breakdown(
                           calibration.drfb_power_mw)
             row = bills[pair] = WindowEnergy(
                 window=0,
-                kind=timeline.templates[pair[0]][0].kind,
+                kind=timeline.templates[pair[0]].kind,
                 transition_uj=bill.transition_energy_uj,
                 dram_operating_uj=bill.dram.operating_uj,
                 adders_uj=bill.drfb_energy_uj + bill.gpu_energy_uj + bill.fbc_energy_uj,

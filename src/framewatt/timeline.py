@@ -26,12 +26,16 @@ Drain tails that would spill past a boundary are absorbed into the final
 interval: the model keeps every window fully drained, trading sub-chunk
 phasing fidelity for exact per-state totals.
 
-Each distinct window is built in three passes.  Its records are plain
-tuples, each transfer phase's over one integer denominator, clipped to the
-window end as they are emitted; a single rounding pass turns them into
-integer-ns rows and splits the link bytes; and one walk checks the rows and
-tallies them (``WindowTimeline.tallies``).  Pricing combines the tallies per
-(template, entry state) pair and never walks rows.
+Each distinct window is kept as a small template record: its wake-up
+records (plain tuples over their own denominator), one transfer-phase
+descriptor (every boundary an integer over one phase denominator) and its
+kind.  The record is tallied when the timeline is built, in O(phases) and
+not O(chunks): the records at the edges of a phase are rounded, checked and
+tallied one by one, and the run of whole fill/drain chunk cycles between
+them is tallied in closed form, as sums of rounded arithmetic progressions.
+Pricing combines the tallies per (template, entry state) pair.  Rows are
+expanded from the record only where rows are read -- the CSV and SVG
+exports and ``WindowTimeline.intervals`` -- once per template.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -64,11 +68,11 @@ class Interval(NamedTuple):
     """One contiguous stretch of a single package state.
 
     ``window`` indexes the refresh window the interval belongs to (0 in a
-    timeline's window templates, whose times are window-relative) and
-    ``kind`` echoes that window's role (transfer/repeat/update/idle).  Byte
-    counters attribute traffic to the interval; the three flags mark when a
-    power adder applies (panel-side frame buffer refresh, GPU projection,
-    frame-buffer compression).
+    template's rows, :attr:`WindowTimeline.rows`, whose times are
+    window-relative) and ``kind`` echoes that window's role
+    (transfer/repeat/update/idle).  Byte counters attribute traffic to the
+    interval; the three flags mark when a power adder applies (panel-side
+    frame buffer refresh, GPU projection, frame-buffer compression).
 
     Rows are immutable named tuples, cheap to build, that every window using
     a template shares; their ``state`` hashes by identity.
@@ -107,6 +111,51 @@ class TimelineTotals:
     transitions: dict[tuple[PackageCState, PackageCState], int]
 
 
+class _Phase(NamedTuple):
+    """One transfer phase: chunks of a payload fill the display controller's
+    buffer at one rate while the link drains them at another.
+
+    Times are integers over the phase denominator ``D`` seconds, relative to
+    the window start: the start ``s``, the hard end ``h``, and the fill and
+    drain durations of a full chunk and of the tail chunk.  ``n`` counts the
+    chunks (0 for an empty payload); ``producer`` marks fills that stream
+    back-to-back at the producer's pace; ``span_mode`` marks span pacing.
+    """
+
+    s: int
+    h: int
+    fill_full: int
+    fill_tail: int
+    drain_full: int
+    drain_tail: int
+    D: int
+    n: int
+    chunk: int
+    payload: int
+    producer: bool
+    span_mode: bool
+    fill_state: PackageCState
+    drain_state: PackageCState
+    fill_label: str
+    drain_label: str
+    read_total: int
+    gpu_fill: bool
+
+
+class Template(NamedTuple):
+    """One distinct window: its wake-up records, its transfer phase (None if
+    the wake-up records fill the window), and what the build derived from
+    them -- the states its first and last rows are in and its tally."""
+
+    kind: str
+    link_bytes: int
+    wake: tuple[tuple, ...]
+    phase: _Phase | None
+    first: PackageCState
+    last: PackageCState
+    totals: TimelineTotals
+
+
 @dataclass(frozen=True)
 class WindowTimeline:
     """Interval tiling of refresh windows for one scheme.
@@ -114,15 +163,14 @@ class WindowTimeline:
     Windows built from the same recipe (kind, decodes, update bytes) are
     identical once rounded, because rounding is relative to the window
     start.  Each distinct window is therefore stored once, in ``templates``,
-    as intervals with window-relative times, and ``window_template`` gives
-    the template of every window.  ``intervals`` expands the full tiling on
-    demand.  ``tallies`` holds each template's integer tally, made in the
-    one walk that checks it; pricing combines tallies and never walks rows.
+    and ``window_template`` gives the template of every window.  Pricing
+    combines the templates' tallies; ``rows`` and ``intervals`` expand the
+    rows for export, on demand.
     """
 
     scheme: Scheme
     window_ns: int
-    templates: tuple[tuple[Interval, ...], ...]
+    templates: tuple[Template, ...]
     window_template: tuple[int, ...]
 
     @property
@@ -133,34 +181,27 @@ class WindowTimeline:
     def total_ns(self) -> int:
         return self.window_ns * self.n_windows
 
+    @cached_property
+    def rows(self) -> tuple[tuple[Interval, ...], ...]:
+        """Each template's rows, with window-relative times, expanded once."""
+        return tuple(_expand(t, self.window_ns) for t in self.templates)
+
     @property
     def intervals(self) -> tuple[Interval, ...]:
         out: list[Interval] = []
+        rows = self.rows
         for w, t in enumerate(self.window_template):
             base = w * self.window_ns
             out.extend(Interval(w, iv.kind, iv.state, base + iv.start_ns,
-                                base + iv.end_ns, *iv[5:]) for iv in self.templates[t])
+                                base + iv.end_ns, *iv[5:]) for iv in rows[t])
         return tuple(out)
 
     @property
     def window_pairs(self) -> list[tuple[int, PackageCState | None]]:
         """Each window's template and the state the previous window ended in
         (None for the first window)."""
-        ends = [self.templates[t][-1].state for t in self.window_template]
+        ends = [self.templates[t].last for t in self.window_template]
         return list(zip(self.window_template, [None, *ends[:-1]]))
-
-    @cached_property
-    def tallies(self) -> tuple[TimelineTotals, ...]:
-        """Each template's tally, its own state changes in order of first
-        occurrence; raises ValueError, naming the first window that uses
-        the template, unless the template passes :func:`check_timeline`."""
-        out = []
-        for t, ivs in enumerate(self.templates):
-            try:
-                out.append(_tally(ivs, self.window_ns))
-            except ValueError as exc:
-                raise ValueError(f"window {self.window_template.index(t)}: {exc}") from None
-        return tuple(out)
 
     def check_coverage(self) -> None:
         """Run :func:`check_timeline`: exact tiling and traffic placement."""
@@ -176,45 +217,17 @@ _LINK_SILENT_STATES = {PackageCState.C9, PackageCState.C10}
 
 
 def check_timeline(timeline: WindowTimeline) -> None:
-    """Raise ValueError unless every distinct window tiles [0, window] exactly
-    (no gaps, overlaps or empty intervals) and its traffic rides only on
-    states that can move it.  The check is the walk that fills
-    :attr:`WindowTimeline.tallies`."""
-    timeline.tallies
-
-
-def _tally(ivs: Sequence[Interval], window_ns: int) -> TimelineTotals:
-    """Check one template's rows and tally them in the same walk."""
-    spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
-    changes: dict[tuple[PackageCState, PackageCState], int] = {}
-    read = write = edp = drfb = gpu = fbc = cursor = 0
-    prev = None
-    for _, _, state, start, end, _, r, w, e, d, g, f in ivs:
-        if start != cursor:
-            raise ValueError(f"coverage gap at {cursor} ns (next interval starts {start})")
-        span = end - start
-        if span <= 0:
-            raise ValueError(f"empty or reversed interval at {start} ns")
-        if r and state not in _READ_STATES:
-            raise ValueError(f"DRAM read bytes on {state} at {start} ns")
-        if w and state not in _WRITE_STATES:
-            raise ValueError(f"DRAM write bytes on {state} at {start} ns")
-        if e and state in _LINK_SILENT_STATES:
-            raise ValueError(f"link bytes on {state} at {start} ns")
-        spans[state] += span
-        read += r
-        write += w
-        edp += e
-        drfb += span * d
-        gpu += span * g
-        fbc += span * f
-        if prev is not None and prev is not state:
-            changes[(prev, state)] = changes.get((prev, state), 0) + 1
-        prev = state
-        cursor = end
-    if cursor != window_ns:
-        raise ValueError(f"coverage ends at {cursor} ns, expected {window_ns}")
-    return TimelineTotals(spans, read, write, edp, drfb, gpu, fbc, changes)
+    """Raise ValueError, naming the first window that uses the template,
+    unless every distinct window tiles [0, window] exactly (no gaps, overlaps
+    or empty intervals), its traffic rides only on states that can move it,
+    and its record still holds the tally its wake-up records and phase give.
+    The build makes the same check as it tallies each template."""
+    for t, tpl in enumerate(timeline.templates):
+        try:
+            if _template(*tpl[:4], timeline.window_ns) != tpl:
+                raise ValueError("template tally disagrees with its records")
+        except ValueError as exc:
+            raise ValueError(f"window {timeline.window_template.index(t)}: {exc}") from None
 
 
 def timeline_totals(
@@ -229,13 +242,12 @@ def timeline_totals(
     changes keep their order of first occurrence along the timeline."""
     if pairs is None:
         pairs = Counter(timeline.window_pairs)
-    tallies = timeline.tallies
     spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
     changes: dict[tuple[PackageCState, PackageCState], int] = {}
     read = write = edp = drfb = gpu = fbc = 0
     for (t, prev), m in pairs.items():
-        tally = tallies[t]
-        first = timeline.templates[t][0].state
+        tpl = timeline.templates[t]
+        tally, first = tpl.totals, tpl.first
         if prev is not None and prev is not first:
             changes[(prev, first)] = changes.get((prev, first), 0) + m
         for change, c in tally.transitions.items():
@@ -278,7 +290,7 @@ def _rec(state: PackageCState, start: Fraction, end: Fraction, label: str,
             gpu, fbc, drfb, streams)
 
 
-def _duplex_phase(
+def _phase(
     start: Fraction,
     hard_end: Fraction,
     payload: int,
@@ -291,57 +303,69 @@ def _duplex_phase(
     drain_label: str,
     fill_read_total: int = 0,
     gpu_fill: bool = False,
-) -> list[tuple]:
-    """Emit the fill/drain cycle records of one transfer phase, as tuples
-    over one phase denominator; together they tile [start, hard_end].
+) -> _Phase | None:
+    """Describe one transfer phase over [start, hard_end] seconds (None if it
+    is empty); :func:`_phase_records` emits its records.
 
     ``drain_rate`` of None selects span pacing: the payload is spread over
     [start, hard_end] and any time left over stays in the drain state.
     Otherwise the drain runs at that byte rate and, once the last chunk is
     handed over, the phase idles in C9 while the panel refreshes from its
-    own frame buffer.  Each fill reads its chunk's share of
-    ``fill_read_total`` by cumulative flooring.  Records are clipped to
-    ``hard_end`` as they are emitted: the record that reaches it is cut
-    there and takes the reads of every chunk after it, which are considered
-    drained (the window never carries debt into the next one).
+    own frame buffer.  The fills read ``fill_read_total`` between them.
     """
     if start >= hard_end:
-        return []
-    span_mode = drain_rate is None
-    pad_state, pad_label = (drain_state, drain_label) if span_mode else (PackageCState.C9, "idle")
-    if payload <= 0:
-        return [_rec(pad_state, start, hard_end, pad_label, drfb=not span_mode,
-                     streams=span_mode)]
-    n = dc_fetch_count(payload, chunk)
+        return None
+    n = dc_fetch_count(payload, chunk) if payload > 0 else 0
     tail = payload - (n - 1) * chunk
-    total = fill_read_total
     d: Fraction = (
-        Fraction(payload) / (hard_end - start) if span_mode else drain_rate  # type: ignore[assignment]
+        Fraction(payload) / (hard_end - start) if drain_rate is None else drain_rate
     )
-    # Every boundary below is the start plus whole fill and drain durations
-    # of full and tail chunks, so all of them are integers over one common
-    # denominator D.
-    exact = (start, hard_end, chunk / fill_rate, tail / fill_rate, chunk / d, tail / d)
+    # Every boundary of the phase is the start plus whole fill and drain
+    # durations of full and tail chunks, so all of them are integers over
+    # one common denominator D.
+    exact = ((start, hard_end, chunk / fill_rate, tail / fill_rate, chunk / d, tail / d)
+             if n else (start, hard_end))
     D = lcm(*(x.denominator for x in exact))
-    s, h, fill_full, fill_tail, drain_full, drain_tail = (
-        x.numerator * (D // x.denominator) for x in exact)
+    times = [x.numerator * (D // x.denominator) for x in exact]
+    return _Phase(*times, *[0] * (6 - len(times)), D, n, chunk, payload,
+                  fill_rate <= d, drain_rate is None, fill_state, drain_state,
+                  fill_label, drain_label, fill_read_total, gpu_fill)
+
+
+def _phase_records(ph: _Phase, body: int = 0) -> list[tuple]:
+    """Emit the fill/drain cycle records of one transfer phase, as tuples
+    over the phase denominator; together they tile [start, hard_end].
+
+    Each fill reads its chunk's share of the read total by cumulative
+    flooring.  Records are clipped to the hard end as they are emitted: the
+    record that reaches it is cut there and takes the reads of every chunk
+    after it, which are considered drained (the window never carries debt
+    into the next one).  A ``body`` of m (see :func:`_body`) emits chunks
+    3..m as one record: their merged fills when the phase is producer-bound,
+    else a record of state None that stands for their fill/drain cycles.
+    """
+    (s, h, fill_full, fill_tail, drain_full, drain_tail, D, n, chunk, payload,
+     producer, span_mode, fill_state, drain_state, fill_label, drain_label,
+     total, gpu_fill) = ph
     recs: list[tuple] = []
     # Reads handed to the fills so far; a record that reaches ``h`` is cut
     # there, takes every read still unhanded and ends the phase.
     handed = 0
-
-    if fill_rate <= d:
+    if not n:
+        phase_end = s
+    elif producer:
         # Producer-bound: chunks stream back-to-back at the producer's pace;
         # the consumer keeps up in lockstep, so there are no drain-only gaps.
-        t = s
-        for i in range(1, n + 1):
-            e = t + (fill_full if i < n else fill_tail)
-            cut = total * i * chunk // payload if i < n and e < h else total
+        t, i = s, 1
+        while i <= n:
+            last = body if i == 3 and body else i  # the last chunk this record fills
+            e = s + last * fill_full if last < n else t + fill_tail
+            cut = total * last * chunk // payload if last < n and e < h else total
             recs.append((fill_state, t, e if e < h else h, D, fill_label, cut - handed, 0,
                          gpu_fill, False, False, True))
             if e >= h:
                 return recs
-            handed, t = cut, e
+            handed, t, i = cut, e, last + 1
         phase_end = t
     else:
         # Consumer-bound: the first two fills land back-to-back (the drain
@@ -352,7 +376,16 @@ def _duplex_phase(
         # drain_start + (j + 1) * drain_full.
         drain_start = s + (fill_full if n > 1 else fill_tail)
         t = fill_start = s
-        for i in range(1, n + 1):
+        i = 1
+        while i <= n:
+            if i == 3 and body:
+                cut = total * body * chunk // payload
+                e = drain_start + (body - 2) * drain_full + fill_full
+                recs.append((None, t, e, D, fill_label, cut - handed, 0, gpu_fill, False,
+                             False, True))
+                handed, t, i = cut, e, body + 1
+                fill_start = drain_start + (body - 1) * drain_full
+                continue
             if fill_start > t:
                 if fill_start >= h:
                     recs.append((drain_state, t, h, D, drain_label, total - handed, 0,
@@ -367,14 +400,41 @@ def _duplex_phase(
             if t >= h:
                 return recs
             handed, fill_start = cut, drain_start + (i - 1) * drain_full
+            i += 1
         phase_end = drain_start + (n - 1) * drain_full + drain_tail
         if phase_end > t:
             recs.append((drain_state, t, min(phase_end, h), D, drain_label, 0, 0,
                          False, False, False, True))
     if phase_end < h:
+        pad_state, pad_label = ((drain_state, drain_label) if span_mode
+                                else (PackageCState.C9, "idle"))
         recs.append((pad_state, phase_end, h, D, pad_label, 0, 0, False, False,
                      not span_mode, span_mode))
     return recs
+
+
+def _body(ph: _Phase) -> int:
+    """The last chunk m of the phase's body, chunks 3..m, or 0 if it has none.
+
+    The body is every whole chunk after the first two whose fill ends before
+    the hard end.  Its records need no rounding one by one: each of them
+    spans more than 1 ns (a fill, and a drain gap when consumer-bound), so
+    each survives rounding and nothing is carried across it, and its states
+    can carry the traffic it moves, so it cannot fail a check.
+    """
+    s, h, fill_full, _, drain_full, _, D, n = ph[:8]
+    if (n < 4 or fill_full * NS_PER_S <= D or ph.fill_state not in _READ_STATES
+            or {ph.fill_state, ph.drain_state} & _LINK_SILENT_STATES):
+        return 0
+    if ph.producer:
+        m = -(-(h - s) // fill_full) - 1
+    elif (drain_full - fill_full) * NS_PER_S <= D:
+        return 0
+    else:
+        # Chunk i's fill starts at s + fill_full + (i - 2) * drain_full.
+        m = -(-(h - s - 2 * fill_full) // drain_full) + 1
+    m = min(m, n - 1)
+    return m if m >= 3 else 0
 
 
 @dataclass(frozen=True)
@@ -426,10 +486,10 @@ def _knobs(cfg: SimConfig, fbc_ratio: float, traffic_cut: float) -> _Knobs:
 
 
 def _recipe(k: _Knobs, scheme: Scheme, kind: str, decodes: int, link_bytes: int,
-            vr: bool, psr_alt: bool) -> list[tuple]:
-    """The records of one window (times relative to the window start), with
-    link bytes not yet assigned: wake-up records, then one transfer phase to
-    the window end.
+            vr: bool, psr_alt: bool) -> tuple[tuple[tuple, ...], _Phase | None]:
+    """One window (times relative to the window start), with link bytes not
+    yet assigned: its wake-up records, and the transfer phase that runs from
+    them to the window end.
 
     Windows that drive the panel at its native rate (the plain scheme, and
     transfer windows of the direct-feed scheme) wake up conventionally and
@@ -438,7 +498,7 @@ def _recipe(k: _Knobs, scheme: Scheme, kind: str, decodes: int, link_bytes: int,
     the frames the plain scheme decodes in this window.
     """
     if scheme is Scheme.BASELINE and kind == "repeat" and psr_alt:
-        return [_rec(PackageCState.C9, Fraction(0), k.W, "psr", drfb=True)]
+        return (_rec(PackageCState.C9, Fraction(0), k.W, "psr", drfb=True),), None
     stream = scheme is Scheme.BASELINE or (scheme is Scheme.BYPASS_ONLY
                                            and kind == "transfer")
     # The decoder (or, for VR, the GPU) feeds the DC buffer directly.
@@ -473,7 +533,7 @@ def _recipe(k: _Knobs, scheme: Scheme, kind: str, decodes: int, link_bytes: int,
     # drains proportionally slower in fetched-byte units.
     drain = (None if stream
              else k.e_B * Fraction(payload, link_bytes) if payload else k.e_B)
-    return recs + _duplex_phase(
+    return tuple(recs), _phase(
         min(t, k.W), k.W, payload, k.chunk, fill_rate, drain, fill_state, drain_state,
         fill_label, "stream" if stream else "burst", fill_read_total=read,
         gpu_fill=feed and vr,
@@ -577,9 +637,9 @@ def build_timeline(
     psr_alt = wl.psr_alternate_windows
 
     # A window is fully determined by (kind, decodes, link bytes); each
-    # distinct key is built and rounded once.
+    # distinct key is built and tallied once.
     W_ns = frame_window_ns(cfg.display.refresh_hz)
-    templates: list[tuple[Interval, ...]] = []
+    templates: list[Template] = []
     index: dict[tuple[str, int, int], int] = {}
     window_template: list[int] = []
     for w in range(n):
@@ -602,35 +662,73 @@ def build_timeline(
         t = index.get(key)
         if t is None:
             t = index[key] = len(templates)
-            templates.append(_round_window(_recipe(k, scheme, *key, vr, psr_alt),
-                                           key[0], W_ns, key[2]))
+            try:
+                templates.append(_template(key[0], key[2],
+                                           *_recipe(k, scheme, *key, vr, psr_alt), W_ns))
+            except ValueError as exc:
+                raise ValueError(f"window {w}: {exc}") from None
         window_template.append(t)
 
-    tl = WindowTimeline(scheme=scheme, window_ns=W_ns, templates=tuple(templates),
-                        window_template=tuple(window_template))
-    check_timeline(tl)
-    return tl
+    return WindowTimeline(scheme=scheme, window_ns=W_ns, templates=tuple(templates),
+                          window_template=tuple(window_template))
 
 
 def _round_half_even(n: int, d: int) -> int:
     """``round(Fraction(n, d))`` for ``d > 0``: nearest integer, ties to even.
-    ``_round_window`` inlines it for speed."""
+    ``_keep`` inlines it for speed."""
     q, r = divmod(n, d)
     return q + (2 * r > d or (2 * r == d and q & 1))
 
 
-def _round_window(
-    recs: list[tuple], kind: str, W_ns: int, link_bytes: int
-) -> tuple[Interval, ...]:
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """``sum((a * i + b) // m for i in range(n))`` for ``m > 0`` and
+    ``a, b >= 0``, in O(log m) steps (``floor_sum`` of the AtCoder Library,
+    https://github.com/atcoder/ac-library/blob/master/document_en/math.md)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y = a * n + b
+        if y < m:
+            return total
+        n, b = divmod(y, m)
+        m, a = a, m
+
+
+def _round_sum(a: int, p: int, k: int, D: int) -> int:
+    """``sum(_round_half_even((a + i * p) * NS_PER_S, D) for i in range(k))``
+    for ``a, p >= 0``: the sum rounding half up, less the exact ties whose
+    floor is even, which round down instead."""
+    n2 = 2 * NS_PER_S
+    up = _floor_sum(k, 2 * D, n2 * p, n2 * a + D)
+    # (a + i * p) * NS_PER_S is an even integer plus a half times D exactly
+    # when 2 * (a + i * p) * NS_PER_S + 3 * D is a multiple of 4 * D, which
+    # no i makes it unless the step's gcd with 4 * D divides the offset.
+    c = n2 * a + 3 * D
+    if c % gcd(n2 * p, 4 * D):
+        return up
+    return up - _floor_sum(k, 4 * D, n2 * p, c) + _floor_sum(k, 4 * D, n2 * p, c - 1)
+
+
+def _records(wake: tuple[tuple, ...], phase: _Phase | None, body: int = 0) -> list[tuple]:
+    """A window's records: its wake-up records, then its phase's."""
+    return [*wake, *_phase_records(phase, body)] if phase else list(wake)
+
+
+def _keep(recs: list[tuple], W_ns: int) -> tuple[list[tuple], int]:
     """Round one window's records to integer ns (relative to the window
-    start) and assign link traffic.
+    start): the rows that survive, as ``(state, start_ns, end_ns, label,
+    read, write, drfb, gpu, fbc, streams)``, and their streaming time.
 
     One pass checks that the records abut exactly (exact rational times:
     rounding only quantizes shared boundaries, it never papers over gaps),
     rounds each end half-to-even (the last to the window end), folds the
     traffic of records that round to nothing into the next survivor, and
-    sums the streaming spans; a second pass splits ``link_bytes`` over those
-    spans by cumulative flooring and builds the rows.
+    sums the streaming spans.
     """
     kept: list[tuple] = []
     cursor, cursor_den = 0, 1
@@ -638,7 +736,8 @@ def _round_window(
     last = len(recs) - 1
     for i, (state, start, end, den, label, read, write, gpu, fbc, drfb, streams) in enumerate(recs):
         if (start != cursor if den == cursor_den else start * cursor_den != cursor * den):
-            raise ValueError(f"window recipe left a gap at {cursor / cursor_den} s")
+            raise ValueError(
+                f"coverage gap: window recipe left a gap at {cursor / cursor_den} s")
         cursor, cursor_den = end, den
         if i == last:
             end_ns = W_ns
@@ -658,7 +757,15 @@ def _round_window(
     if (carry_read or carry_write) and kept:
         r = kept[-1]
         kept[-1] = (*r[:4], r[4] + carry_read, r[5] + carry_write, *r[6:])
+    return kept, streaming
 
+
+def _round_window(
+    recs: list[tuple], kind: str, W_ns: int, link_bytes: int
+) -> tuple[Interval, ...]:
+    """Round one window's records to rows (:func:`_keep`) and split
+    ``link_bytes`` over the streaming rows' spans by cumulative flooring."""
+    kept, streaming = _keep(recs, W_ns)
     rows: list[Interval] = []
     new_row = tuple.__new__  # skips the Python-level ``Interval.__new__``
     cum = handed = 0
@@ -671,6 +778,77 @@ def _round_window(
         rows.append(new_row(Interval, (0, kind, state, s, e, label, read, write, edp,
                                        drfb, gpu, fbc)))
     return tuple(rows)
+
+
+def _expand(tpl: Template, W_ns: int) -> tuple[Interval, ...]:
+    """A template's rows, every record rounded one by one."""
+    return _round_window(_records(tpl.wake, tpl.phase), tpl.kind, W_ns, tpl.link_bytes)
+
+
+def _template(kind: str, link_bytes: int, wake: tuple[tuple, ...], phase: _Phase | None,
+              W_ns: int) -> Template:
+    """Check and tally one window's records without expanding its body.
+
+    The records are rounded as :func:`_round_window` rounds them, except
+    the phase body (:func:`_body`), which stays one record.  One walk over
+    the rows checks that traffic rides only on states that can move it and
+    tallies them; the body's fill and drain spans are sums of rounded
+    arithmetic progressions, and each of its cycles changes state twice.
+    Raises ValueError naming the offending row.
+    """
+    m = _body(phase) if phase else 0
+    kept, streaming = _keep(_records(wake, phase, m), W_ns)
+    spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
+    changes: dict[tuple[PackageCState, PackageCState], int] = {}
+    read = write = drfb = gpu = fbc = cum = handed = 0
+    prev = None
+    for state, start, end, _, r, w, d, g, f, streams in kept:
+        span = end - start
+        edp = 0
+        if streams and streaming:
+            cum += span
+            edp = link_bytes * cum // streaming - handed
+            handed += edp
+        if state is None:  # the consumer-bound body: chunk cycles 3..m
+            state, drain, fill_ns = _cycles_fill_ns(phase, m)  # type: ignore[arg-type]
+            spans[drain] += span - fill_ns
+            span = fill_ns
+            if drain is not state:
+                changes[(state, drain)] = changes.get((state, drain), 0) + m - 2
+                changes[(drain, state)] = changes.get((drain, state), 0) + m - 2
+        else:
+            if r and state not in _READ_STATES:
+                raise ValueError(f"DRAM read bytes on {state} at {start} ns")
+            if w and state not in _WRITE_STATES:
+                raise ValueError(f"DRAM write bytes on {state} at {start} ns")
+            if edp and state in _LINK_SILENT_STATES:
+                raise ValueError(f"link bytes on {state} at {start} ns")
+            if prev is not None and prev is not state:
+                changes[(prev, state)] = changes.get((prev, state), 0) + 1
+        spans[state] += span
+        read += r
+        write += w
+        drfb += span * d
+        gpu += span * g
+        fbc += span * f
+        prev = state
+    if kept[-1][2] != W_ns:
+        raise ValueError(f"coverage ends at {kept[-1][2]} ns, expected {W_ns}")
+    totals = TimelineTotals(spans, read, write, link_bytes if streaming else 0,
+                            drfb, gpu, fbc, changes)
+    return Template(kind, link_bytes, wake, phase, kept[0][0], prev, totals)
+
+
+def _cycles_fill_ns(ph: _Phase, m: int) -> tuple[PackageCState, PackageCState, int]:
+    """The fill and drain states of a consumer-bound body, chunk cycles
+    3..m, and its rounded fill time.  Chunk i's fill spans [a_i, a_i +
+    fill_full] with a_i = s + fill_full + (i - 2) * drain_full, and its
+    drain gap ends at a_i, so the fill time is a sum of rounded ends less a
+    sum of rounded starts, each over an arithmetic progression."""
+    a = ph.s + ph.fill_full + ph.drain_full
+    fill_ns = (_round_sum(a + ph.fill_full, ph.drain_full, m - 2, ph.D)
+               - _round_sum(a, ph.drain_full, m - 2, ph.D))
+    return ph.fill_state, ph.drain_state, fill_ns
 
 
 # -- exports -----------------------------------------------------------------
@@ -690,7 +868,7 @@ def timeline_to_csv(timeline: WindowTimeline) -> str:
           f"{iv.edp_bytes},{int(iv.drfb_active)},{int(iv.gpu_active)},"
           f"{int(iv.fbc_active)}")
          for iv in ivs]
-        for ivs in timeline.templates
+        for ivs in timeline.rows
     ]
     lines = [CSV_HEADER]
     for w, t in enumerate(timeline.window_template):
@@ -741,7 +919,7 @@ def timeline_to_svg(timeline: WindowTimeline) -> str:
           f'fill="{_STATE_COLORS[iv.state]}"><title>{html.escape(iv.label)} '
           f"{iv.state} [", iv.start_ns, iv.end_ns)
          for iv in ivs]
-        for ivs in timeline.templates
+        for ivs in timeline.rows
     ]
     for w, t in enumerate(timeline.window_template):
         y = top + w * (row_h + gap)
@@ -750,7 +928,7 @@ def timeline_to_svg(timeline: WindowTimeline) -> str:
                      for head, mid, s, e in rects[t])
     for w, t in enumerate(timeline.window_template):
         y = top + w * (row_h + gap) + row_h - 8
-        kind = timeline.templates[t][0].kind
+        kind = timeline.templates[t].kind
         parts.append(f'<text x="4" y="{y}">w{w} {html.escape(kind[:4])}</text>')
     lx = left
     ly = top + n * (row_h + gap) + 16
@@ -765,6 +943,7 @@ def timeline_to_svg(timeline: WindowTimeline) -> str:
 __all__ = [
     "CSV_HEADER",
     "Interval",
+    "Template",
     "TimelineTotals",
     "WindowTimeline",
     "build_timeline",

@@ -373,7 +373,7 @@ def test_breakdown_rows_match_a_per_interval_bill(cfg, kw, calibration):
     assert len(rows) == tl.n_windows
     prev = None
     for w, (row, t) in enumerate(zip(rows, tl.window_template)):
-        ivs = tl.templates[t]
+        ivs = tl.rows[t]
         expect = _window_bill(ivs, prev, profile, cfg.system, cal.drfb_power_mw)
         got = row._asdict()
         assert got.pop("window") == w

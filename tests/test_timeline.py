@@ -9,7 +9,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from framewatt.core import (
     NS_PER_S,
@@ -24,8 +24,8 @@ from framewatt.core import (
 from framewatt import timeline as tmod
 from framewatt.cstates import PackageCState, load_calibration
 from framewatt.power import report_from_timeline, window_energy_breakdown
-from framewatt.presets import get_preset
-from framewatt.scenarios import read_dirty_trace
+from framewatt.presets import PRESETS, get_preset
+from framewatt.scenarios import read_dirty_trace, single_plane_burst
 from framewatt.timeline import (
     CSV_HEADER,
     Interval,
@@ -126,7 +126,8 @@ def _rebuild(cfg, n, batch_every=1, dirty_trace=None):
                 batched = transfer and (w // k.group) % batch_every == 0
                 decodes = batch_every if batched else 0
                 link = 0 if not transfer and wl.psr_alternate_windows else k.F
-        recs = tmod._recipe(k, scheme, kind, decodes, link, vr, wl.psr_alternate_windows)
+        recs = tmod._records(*tmod._recipe(k, scheme, kind, decodes, link, vr,
+                                           wl.psr_alternate_windows))
         base = w * W_ns
         out.extend(
             iv._replace(window=w, start_ns=base + iv.start_ns,
@@ -173,25 +174,35 @@ def test_trace_windows_expand_to_a_window_by_window_rebuild(scheme):
     assert len(tl.templates) < tl.n_windows
 
 
+def _replace_template(tl, t, **fields):
+    templates = list(tl.templates)
+    templates[t] = templates[t]._replace(**fields)
+    return dataclasses.replace(tl, templates=tuple(templates))
+
+
 def test_timeline_check_rejects_traffic_on_a_silent_state():
     tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), None)
-    idle = next(t for t, ivs in enumerate(tl.templates)
-                if ivs[-1].state is PackageCState.C9)
-    ivs = list(tl.templates[idle])
-    ivs[-1] = ivs[-1]._replace(edp_bytes=1)
-    templates = tl.templates[:idle] + (tuple(ivs),) + tl.templates[idle + 1:]
-    broken = dataclasses.replace(tl, templates=templates)
+    burst = next(t for t, tpl in enumerate(tl.templates) if tpl.phase and tpl.phase.n)
+    phase = tl.templates[burst].phase._replace(drain_state=PackageCState.C9)
+    broken = _replace_template(tl, burst, phase=phase)
     with pytest.raises(ValueError, match="link bytes on C9"):
         check_timeline(broken)
 
 
 def test_timeline_check_rejects_a_coverage_gap():
     tl = build_timeline(make_config("fhd", 30, Scheme.BASELINE), None)
-    first = tl.templates[0]
-    gap = (first[0]._replace(end_ns=first[0].end_ns - 1),) + first[1:]
-    broken = dataclasses.replace(tl, templates=(gap,) + tl.templates[1:])
+    wake = tl.templates[0].wake
+    state, start, end, *rest = wake[0]
+    broken = _replace_template(tl, 0, wake=((state, start, end - 1, *rest),) + wake[1:])
     with pytest.raises(ValueError, match="window 0: coverage gap"):
         check_timeline(broken)
+
+
+def test_timeline_check_rejects_a_stale_tally():
+    tl = build_timeline(make_config("fhd", 30, Scheme.BASELINE), None)
+    totals = dataclasses.replace(tl.templates[1].totals, edp_bytes=0)
+    with pytest.raises(ValueError, match="window 1: template tally disagrees"):
+        check_timeline(_replace_template(tl, 1, totals=totals))
 
 
 # -- per-template tallies ------------------------------------------------------
@@ -250,24 +261,190 @@ def test_tallies_combine_to_a_walk_over_the_expanded_rows(run):
         assert list(got.transitions) == list(expected.transitions)
 
 
-def test_each_template_is_walked_once_per_build(monkeypatch):
-    walked = []
+def _template_matches_its_rows(tpl, W_ns):
+    rows = tmod._expand(tpl, W_ns)
+    expected = _walk(rows)
+    assert tpl.totals == expected
+    assert list(tpl.totals.transitions) == list(expected.transitions)
+    assert (tpl.first, tpl.last) == (rows[0].state, rows[-1].state)
 
-    def counting_tally(ivs, window_ns):
-        walked.append(ivs)
-        return tally(ivs, window_ns)
 
-    tally = tmod._tally
-    monkeypatch.setattr(tmod, "_tally", counting_tally)
+def _preset_and_trace_runs():
+    for name in sorted(PRESETS):
+        for scheme in Scheme:
+            yield pytest.param(name, scheme, id=f"{name}-{scheme.value}")
+    for name in ("gaming", "conferencing", "productivity"):
+        for scheme in (Scheme.BASELINE, Scheme.BURSTING_ONLY):
+            yield pytest.param(name, scheme, id=f"{name}-{scheme.value}")
+
+
+@pytest.mark.parametrize("run, scheme", _preset_and_trace_runs())
+def test_closed_form_tallies_match_a_walk_over_every_preset_and_trace(run, scheme):
+    if run in PRESETS:
+        cfg, kw = get_preset(run).config, {"n_windows": 4}
+    else:
+        cfg, kw = make_config("4k", 60, kind=WorkloadKind.SINGLE_PLANE), {
+            "dirty_trace": _bundled_trace(run)}
+    cfg = dataclasses.replace(cfg, workload=dataclasses.replace(cfg.workload, scheme=scheme))
+    try:
+        tl = build_timeline(cfg, **kw)
+    except ConfigurationError:
+        return  # e.g. VR under a scheme that cannot project
+    for tpl in tl.templates:
+        _template_matches_its_rows(tpl, tl.window_ns)
+
+
+def _first_violation(rows):
+    """The message the row checks give the first row whose traffic its
+    state cannot carry, or None."""
+    for iv in rows:
+        for moved, allowed, what in ((iv.dram_read_bytes, tmod._READ_STATES, "DRAM read"),
+                                     (iv.dram_write_bytes, tmod._WRITE_STATES, "DRAM write")):
+            if moved and iv.state not in allowed:
+                return f"{what} bytes on {iv.state} at {iv.start_ns} ns"
+        if iv.edp_bytes and iv.state in tmod._LINK_SILENT_STATES:
+            return f"link bytes on {iv.state} at {iv.start_ns} ns"
+    return None
+
+
+def _phase_template(start, W, payload, chunk, fill_rate, drain_rate, feed=False,
+                    read_total=None, wake_read=0, wake_write=0, link_bytes=None,
+                    gpu_fill=False, wake_streams=False):
+    """A window of one C0 wake-up record over [0, start] and one transfer
+    phase over [start, W], and its length in ns."""
+    states = ((PackageCState.C7, PackageCState.C7P, "decode-feed") if feed
+              else (PackageCState.C2, PackageCState.C8, "fetch"))
+    wake = (tmod._rec(PackageCState.C0, Fraction(0), start, "wake", read=wake_read,
+                      write=wake_write, streams=wake_streams),)
+    phase = tmod._phase(start, W, payload, chunk, fill_rate, drain_rate, *states, "burst",
+                        fill_read_total=payload if read_total is None else read_total,
+                        gpu_fill=gpu_fill)
+    W_ns = tmod._round_half_even(W.numerator * NS_PER_S, W.denominator)
+    link = payload if link_bytes is None else link_bytes
+    return (wake, phase, link), W_ns
+
+
+def _check_phase_template(parts, W_ns):
+    wake, phase, link = parts
+    rows = tmod._round_window(tmod._records(wake, phase), "update", W_ns, link)
+    violation = _first_violation(rows)
+    if violation is not None:
+        with pytest.raises(ValueError, match=f"^{violation}$"):
+            tmod._template("update", link, wake, phase, W_ns)
+        return None
+    tpl = tmod._template("update", link, wake, phase, W_ns)
+    _template_matches_its_rows(tpl, W_ns)
+    return tpl
+
+
+_ratios = st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.fractions(min_value=0, max_value=Fraction(1, 50), max_denominator=10**9),
+    W=st.sampled_from([Fraction(1, 30), Fraction(1, 60), Fraction(1, 144),
+                       Fraction(1001, 60_000)]),
+    chunk=st.sampled_from([1, 7, 4096, 65536, 100_000, 512 * 1024]),
+    chunks=st.integers(min_value=1, max_value=300),
+    tail=st.floats(min_value=0.0, max_value=1.0),
+    fill_rate=st.sampled_from([10**7, 10**9, 3 * 10**9, 10**10]).flatmap(
+        lambda r: _ratios.map(lambda x: r * x)),
+    drain_rate=st.none() | st.sampled_from([10**7, 10**9, 3 * 10**9]).flatmap(
+        lambda r: _ratios.map(lambda x: r * x)),
+    feed=st.booleans(),
+    read_share=st.fractions(min_value=0, max_value=1, max_denominator=8),
+    wake_traffic=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    link_share=st.fractions(min_value=0, max_value=2, max_denominator=8),
+    flags=st.tuples(st.booleans(), st.booleans()),
+)
+def test_closed_form_tally_matches_a_walk_over_the_rows(
+    start, W, chunk, chunks, tail, fill_rate, drain_rate, feed, read_share, wake_traffic,
+    link_share, flags,
+):
+    payload = (chunks - 1) * chunk + max(1, round(chunk * tail))
+    parts, W_ns = _phase_template(
+        min(start, W), W, payload, chunk, fill_rate, drain_rate, feed=feed,
+        read_total=int(payload * read_share), wake_read=wake_traffic[0],
+        wake_write=wake_traffic[1], link_bytes=int(payload * link_share),
+        gpu_fill=flags[0], wake_streams=flags[1])
+    _check_phase_template(parts, W_ns)
+
+
+def test_a_body_of_sub_nanosecond_records_is_rounded_record_by_record():
+    # 0.4 ns fills against 1.5 ns drains: fills and drain gaps round to
+    # nothing now and then, so the body is not tallied in closed form.
+    parts, W_ns = _phase_template(Fraction(1, 10**6), Fraction(1, 60), 1000, 4,
+                                  Fraction(10**10), Fraction(8 * 10**9, 3), read_total=0)
+    assert tmod._body(parts[1]) == 0
+    records = tmod._records(*parts[:2])
+    assert len(tmod._round_window(records, "update", W_ns, parts[2])) < len(records)
+    _check_phase_template(parts, W_ns)
+
+
+def test_a_body_of_longer_records_is_tallied_in_closed_form():
+    parts, W_ns = _phase_template(Fraction(1, 10**4), Fraction(1, 60), 10**6, 4096,
+                                  Fraction(10**10), Fraction(10**9))
+    assert tmod._body(parts[1]) == 244  # chunks 3..244 of 245
+    assert _check_phase_template(parts, W_ns) is not None
+
+
+@pytest.mark.parametrize("payload, chunk, fill_rate, drain_rate, where", [
+    # The fill that would start after the hard end is dropped; its reads
+    # land on the drain record cut at the end.
+    pytest.param(1_000_000, 100_000, 10**9, 20_000_000, 5_200_000, id="clipped-drain"),
+    # 0.1 ns fills against 10 ns drains round to nothing, and their reads
+    # are carried onto the drain gap that follows each of them.
+    pytest.param(1000, 1, 10**10, 10**8, 0, id="sub-nanosecond-fills"),
+])
+def test_reads_carried_onto_a_drain_state_are_rejected(payload, chunk, fill_rate, drain_rate,
+                                                       where):
+    parts, W_ns = _phase_template(Fraction(0), Fraction(9, 1000), payload, chunk,
+                                  Fraction(fill_rate), Fraction(drain_rate))
+    with pytest.raises(ValueError, match=f"^DRAM read bytes on C8 at {where} ns$"):
+        tmod._template("update", parts[2], *parts[:2], W_ns)
+
+
+def _counting(monkeypatch, name):
+    """Patch ``timeline.<name>`` to record the template of each call."""
+    calls = []
+    fn = getattr(tmod, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return fn(*args)
+
+    monkeypatch.setattr(tmod, name, counted)
+    return calls
+
+
+def test_each_template_is_tallied_once_per_build(monkeypatch):
+    tallied = _counting(monkeypatch, "_template")
     cfg, kw = _tally_run("gaming")
     tl = build_timeline(cfg, **kw)
+    assert len(tallied) == len(tl.templates) > 1
     cal = load_calibration("default")
     report_from_timeline(tl, cfg, cal)
     window_energy_breakdown(tl, cfg, cal)
     timeline_totals(tl)
+    assert len(tallied) == len(tl.templates)
+    check_timeline(tl)  # re-derives every template from its records
+    assert len(tallied) == 2 * len(tl.templates)
+
+
+def test_rows_are_expanded_only_for_export(monkeypatch):
+    expanded = _counting(monkeypatch, "_expand")
+    cfg, kw = _tally_run("gaming")
+    cal = load_calibration("default")
+    single_plane_burst(cfg, kw["dirty_trace"], cal)
+    tl = build_timeline(cfg, **kw)
+    report_from_timeline(tl, cfg, cal)
+    window_energy_breakdown(tl, cfg, cal)
     check_timeline(tl)
-    assert len(walked) == len(tl.templates) > 1
-    assert all(a is b for a, b in zip(walked, tl.templates))
+    assert expanded == []
+    timeline_to_csv(tl)
+    timeline_to_svg(tl)
+    assert expanded == list(tl.templates)
 
 
 # -- integer-time window arithmetic ----------------------------------------------
@@ -286,6 +463,32 @@ def test_integer_rounding_breaks_exact_ties_to_even(k, m):
     assert round(Fraction(n, d) * NS_PER_S) == expected
 
 
+@st.composite
+def _progressions(draw):
+    """(a, p, k, D) for sums of ``round((a + i * p) * 1e9 / D)``; half of
+    them put exact half-ns ties on the progression."""
+    k = draw(st.integers(min_value=0, max_value=60))
+    if draw(st.booleans()):
+        # a * 1e9 / D is j + 1/2, and each step moves it by a whole or a
+        # half ns, so ties recur along the progression.
+        u = draw(st.integers(min_value=1, max_value=10**6))
+        D = 2 * NS_PER_S * u
+        a = u * (2 * draw(st.integers(min_value=0, max_value=10**9)) + 1)
+        return a, u * draw(st.integers(min_value=0, max_value=10**6)), k, D
+    D = draw(st.integers(min_value=1, max_value=10**30))
+    a = draw(st.integers(min_value=0, max_value=10**40))
+    return a, draw(st.integers(min_value=0, max_value=10**36)), k, D
+
+
+@example((1, 2, 5, 2 * NS_PER_S))  # 0.5, 1.5, ..., 4.5 ns: every term a tie
+@example((3, 0, 4, 2 * NS_PER_S))  # 1.5 ns four times
+@given(_progressions())
+def test_progression_round_sum_matches_rounding_each_term(case):
+    a, p, k, D = case
+    assert tmod._round_sum(a, p, k, D) == sum(
+        tmod._round_half_even((a + i * p) * NS_PER_S, D) for i in range(k))
+
+
 @given(st.integers(min_value=1, max_value=10**15), st.integers(min_value=1, max_value=10**6)
        | st.just(2))
 def test_window_rounding_rounds_each_boundary_like_the_reference(n, d):
@@ -301,6 +504,11 @@ def test_window_rounding_rejects_records_that_leave_a_gap():
             tmod._rec(PackageCState.C9, Fraction(1, 99), Fraction(1, 60), "idle")]
     with pytest.raises(ValueError, match="left a gap at 0.01 s"):
         tmod._round_window(recs, "update", frame_window_ns(60), 0)
+
+
+def duplex_phase(*args, **kwargs):
+    """Every record of one transfer phase, none merged into a body."""
+    return tmod._records((), tmod._phase(*args, **kwargs))
 
 
 def fraction_phase(start, hard_end, payload, chunk, fill_rate, drain_rate):
@@ -369,7 +577,7 @@ def test_integer_time_phase_matches_the_fraction_reference(
     start, refresh, payload, chunk, fill_rate, drain_rate
 ):
     hard_end = Fraction(1, refresh)
-    recs = tmod._duplex_phase(
+    recs = duplex_phase(
         start, hard_end, payload, chunk, fill_rate, drain_rate,
         PackageCState.C2, PackageCState.C8, "fetch", "burst", fill_read_total=payload,
     )
@@ -403,7 +611,7 @@ _t = [Fraction(n, 10_000) for n in range(100)]  # _t[n] is n tenths of a ms
 def test_rate_paced_phase_is_clipped_at_the_hard_end(fill_rate, drain_rate, expected):
     args = (Fraction(0), Fraction(9, 1000), 1_000_000, 100_000,
             Fraction(fill_rate), Fraction(drain_rate))
-    recs = tmod._duplex_phase(*args, _C2, _C8, "fetch", "burst", fill_read_total=1_000_000)
+    recs = duplex_phase(*args, _C2, _C8, "fetch", "burst", fill_read_total=1_000_000)
     assert [[state, Fraction(start, den), Fraction(end, den), read]
             for state, start, end, den, _, read, *_ in recs] == expected
     assert fraction_phase(*args) == expected
@@ -655,7 +863,7 @@ def test_csv_columns_follow_the_row_type():
 
 def test_template_rows_are_shared_and_immutable():
     tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), 4)
-    row = tl.templates[0][0]
+    row = tl.rows[0][0]
     with pytest.raises(AttributeError):
         row.edp_bytes = 1
     with pytest.raises(AttributeError):
