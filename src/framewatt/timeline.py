@@ -675,7 +675,7 @@ def build_timeline(
 
 def _round_half_even(n: int, d: int) -> int:
     """``round(Fraction(n, d))`` for ``d > 0``: nearest integer, ties to even.
-    ``_keep`` inlines it for speed."""
+    ``_round_records`` inlines it for speed."""
     q, r = divmod(n, d)
     return q + (2 * r > d or (2 * r == d and q & 1))
 
@@ -719,18 +719,19 @@ def _records(wake: tuple[tuple, ...], phase: _Phase | None, body: int = 0) -> li
     return [*wake, *_phase_records(phase, body)] if phase else list(wake)
 
 
-def _keep(recs: list[tuple], W_ns: int) -> tuple[list[tuple], int]:
+def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]:
     """Round one window's records to integer ns (relative to the window
-    start): the rows that survive, as ``(state, start_ns, end_ns, label,
-    read, write, drfb, gpu, fbc, streams)``, and their streaming time.
+    start) and assign link traffic: the rows that survive, as ``(state,
+    start_ns, end_ns, label, read, write, edp, drfb, gpu, fbc)``.
 
     One pass checks that the records abut exactly (exact rational times:
     rounding only quantizes shared boundaries, it never papers over gaps),
     rounds each end half-to-even (the last to the window end), folds the
     traffic of records that round to nothing into the next survivor, and
-    sums the streaming spans.
+    sums the streaming spans; a second pass splits ``link_bytes`` over
+    those spans by cumulative flooring.
     """
-    kept: list[tuple] = []
+    kept: list[list] = []
     cursor, cursor_den = 0, 1
     prev_ns = carry_read = carry_write = streaming = 0
     last = len(recs) - 1
@@ -748,36 +749,33 @@ def _keep(recs: list[tuple], W_ns: int) -> tuple[list[tuple], int]:
             carry_read += read
             carry_write += write
             continue
-        kept.append((state, prev_ns, end_ns, label, read + carry_read,
-                     write + carry_write, drfb, gpu, fbc, streams))
+        kept.append([state, prev_ns, end_ns, label, read + carry_read,
+                     write + carry_write, streams, drfb, gpu, fbc])
         carry_read = carry_write = 0
         if streams:
             streaming += end_ns - prev_ns
         prev_ns = end_ns
-    if (carry_read or carry_write) and kept:
-        r = kept[-1]
-        kept[-1] = (*r[:4], r[4] + carry_read, r[5] + carry_write, *r[6:])
-    return kept, streaming
+    if kept:
+        kept[-1][4] += carry_read
+        kept[-1][5] += carry_write
+    cum = handed = 0
+    for row in kept:
+        edp = 0
+        if row[6] and streaming:
+            cum += row[2] - row[1]
+            edp = link_bytes * cum // streaming - handed
+            handed += edp
+        row[6] = edp
+    return kept
 
 
 def _round_window(
     recs: list[tuple], kind: str, W_ns: int, link_bytes: int
 ) -> tuple[Interval, ...]:
-    """Round one window's records to rows (:func:`_keep`) and split
-    ``link_bytes`` over the streaming rows' spans by cumulative flooring."""
-    kept, streaming = _keep(recs, W_ns)
-    rows: list[Interval] = []
+    """One window's rows: its records rounded by :func:`_round_records`."""
     new_row = tuple.__new__  # skips the Python-level ``Interval.__new__``
-    cum = handed = 0
-    for state, s, e, label, read, write, drfb, gpu, fbc, streams in kept:
-        edp = 0
-        if streams and streaming:
-            cum += e - s
-            edp = link_bytes * cum // streaming - handed
-            handed += edp
-        rows.append(new_row(Interval, (0, kind, state, s, e, label, read, write, edp,
-                                       drfb, gpu, fbc)))
-    return tuple(rows)
+    return tuple(new_row(Interval, (0, kind, *row))
+                 for row in _round_records(recs, W_ns, link_bytes))
 
 
 def _expand(tpl: Template, W_ns: int) -> tuple[Interval, ...]:
@@ -790,25 +788,20 @@ def _template(kind: str, link_bytes: int, wake: tuple[tuple, ...], phase: _Phase
     """Check and tally one window's records without expanding its body.
 
     The records are rounded as :func:`_round_window` rounds them, except
-    the phase body (:func:`_body`), which stays one record.  One walk over
+    the phase body (:func:`_body`), which stays one row.  One walk over
     the rows checks that traffic rides only on states that can move it and
     tallies them; the body's fill and drain spans are sums of rounded
     arithmetic progressions, and each of its cycles changes state twice.
     Raises ValueError naming the offending row.
     """
     m = _body(phase) if phase else 0
-    kept, streaming = _keep(_records(wake, phase, m), W_ns)
+    rows = _round_records(_records(wake, phase, m), W_ns, link_bytes)
     spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
     changes: dict[tuple[PackageCState, PackageCState], int] = {}
-    read = write = drfb = gpu = fbc = cum = handed = 0
+    read = write = edp = drfb = gpu = fbc = 0
     prev = None
-    for state, start, end, _, r, w, d, g, f, streams in kept:
+    for state, start, end, _, r, w, e, d, g, f in rows:
         span = end - start
-        edp = 0
-        if streams and streaming:
-            cum += span
-            edp = link_bytes * cum // streaming - handed
-            handed += edp
         if state is None:  # the consumer-bound body: chunk cycles 3..m
             state, drain, fill_ns = _cycles_fill_ns(phase, m)  # type: ignore[arg-type]
             spans[drain] += span - fill_ns
@@ -821,22 +814,22 @@ def _template(kind: str, link_bytes: int, wake: tuple[tuple, ...], phase: _Phase
                 raise ValueError(f"DRAM read bytes on {state} at {start} ns")
             if w and state not in _WRITE_STATES:
                 raise ValueError(f"DRAM write bytes on {state} at {start} ns")
-            if edp and state in _LINK_SILENT_STATES:
+            if e and state in _LINK_SILENT_STATES:
                 raise ValueError(f"link bytes on {state} at {start} ns")
             if prev is not None and prev is not state:
                 changes[(prev, state)] = changes.get((prev, state), 0) + 1
         spans[state] += span
         read += r
         write += w
+        edp += e
         drfb += span * d
         gpu += span * g
         fbc += span * f
         prev = state
-    if kept[-1][2] != W_ns:
-        raise ValueError(f"coverage ends at {kept[-1][2]} ns, expected {W_ns}")
-    totals = TimelineTotals(spans, read, write, link_bytes if streaming else 0,
-                            drfb, gpu, fbc, changes)
-    return Template(kind, link_bytes, wake, phase, kept[0][0], prev, totals)
+    if rows[-1][2] != W_ns:
+        raise ValueError(f"coverage ends at {rows[-1][2]} ns, expected {W_ns}")
+    totals = TimelineTotals(spans, read, write, edp, drfb, gpu, fbc, changes)
+    return Template(kind, link_bytes, wake, phase, rows[0][0], prev, totals)
 
 
 def _cycles_fill_ns(ph: _Phase, m: int) -> tuple[PackageCState, PackageCState, int]:
