@@ -371,11 +371,17 @@ def test_closed_form_tally_matches_a_walk_over_the_rows(
     _check_phase_template(parts, W_ns)
 
 
-def test_a_body_of_sub_nanosecond_records_is_rounded_record_by_record():
-    # 0.4 ns fills against 1.5 ns drains: fills and drain gaps round to
-    # nothing now and then, so the body is not tallied in closed form.
-    parts, W_ns = _phase_template(Fraction(1, 10**6), Fraction(1, 60), 1000, 4,
-                                  Fraction(10**10), Fraction(8 * 10**9, 3), read_total=0)
+@pytest.mark.parametrize("start, chunk, drain_rate", [
+    # 0.4 ns fills, one every 1.5 ns.
+    pytest.param(Fraction(1, 10**6), 4, Fraction(8 * 10**9, 3), id="0.4ns-fills"),
+    # Fills of exactly 1 ns, one every 3 ns, each starting on a half ns:
+    # every other one rounds from 1.5 to 2 and from 2.5 to 2 ns.
+    pytest.param(Fraction(1, 2 * 10**9), 10, Fraction(10**10, 3), id="1ns-fills-on-ties"),
+])
+def test_a_body_of_records_up_to_1ns_is_rounded_record_by_record(start, chunk, drain_rate):
+    # Some fills round to nothing, so the body is not tallied in closed form.
+    parts, W_ns = _phase_template(start, Fraction(1, 60), 100 * chunk, chunk,
+                                  Fraction(10**10), drain_rate, read_total=0)
     assert tmod._body(parts[1]) == 0
     records = tmod._records(*parts[:2])
     assert len(tmod._round_window(records, "update", W_ns, parts[2])) < len(records)
