@@ -2,9 +2,11 @@
 
 A timeline is an exact tiling of refresh windows with intervals, each pinned
 to one package state and carrying its share of DRAM and display-link traffic.
-All interval boundaries are computed as exact rationals and rounded to
-integer nanoseconds once, with the final interval of each window absorbing
-the rounding so coverage is exact by construction.
+The knobs are resolved once per build into integers over one build tick of
+1/Q seconds, in which every time and every rate's time per byte is a whole
+number of ticks, so each interval boundary is an exact integer; it is
+rounded to integer nanoseconds once, with the final interval of each window
+absorbing the rounding so coverage is exact by construction.
 
 Every window has one shape: a few wake-up records (wake, decode, projection)
 followed by one transfer phase that runs to the window end.  The data
@@ -117,7 +119,10 @@ class _Phase(NamedTuple):
 
     Times are integers over the phase denominator ``D`` seconds, relative to
     the window start: the start ``s``, the hard end ``h``, and the fill and
-    drain durations of a full chunk and of the tail chunk.  ``n`` counts the
+    drain durations of a full chunk and of the tail chunk.  ``D`` is the
+    build tick's ``Q`` times the denominator of the drain's ticks per byte,
+    not necessarily the least denominator: every use of the times compares
+    or rounds ratios, which scaling leaves alone.  ``n`` counts the
     chunks (0 for an empty payload); ``producer`` marks fills that stream
     back-to-back at the producer's pace; ``span_mode`` marks span pacing.
     """
@@ -214,6 +219,8 @@ class WindowTimeline:
 _READ_STATES = {PackageCState.C0, PackageCState.C2, PackageCState.C7}
 _WRITE_STATES = {PackageCState.C0, PackageCState.C2}
 _LINK_SILENT_STATES = {PackageCState.C9, PackageCState.C10}
+#: Zero time in every state, in declaration order (reports follow it).
+_NO_SPANS: dict[PackageCState, int] = dict.fromkeys(PackageCState, 0)
 
 
 def check_timeline(timeline: WindowTimeline) -> None:
@@ -242,7 +249,7 @@ def timeline_totals(
     changes keep their order of first occurrence along the timeline."""
     if pairs is None:
         pairs = Counter(timeline.window_pairs)
-    spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
+    spans = _NO_SPANS.copy()
     changes: dict[tuple[PackageCState, PackageCState], int] = {}
     read = write = edp = drfb = gpu = fbc = 0
     for (t, prev), m in pairs.items():
@@ -274,29 +281,22 @@ def residencies(timeline: WindowTimeline) -> dict[PackageCState, float]:
 
 # A record is a plain tuple ``(state, start, end, den, label, read, write,
 # gpu, fbc, drfb, streams)`` made while assembling a window.  Times are exact:
-# integer numerators over ``den`` seconds, relative to the window start.  The
-# records of one transfer phase share the phase's denominator, so each chunk
-# costs integer adds and compares and no ``Fraction`` is built per boundary.
-# ``streams`` marks a record eligible to carry link traffic.
-
-
-def _rec(state: PackageCState, start: Fraction, end: Fraction, label: str,
-         read: int = 0, write: int = 0, gpu: bool = False, fbc: bool = False,
-         drfb: bool = False, streams: bool = False) -> tuple:
-    """A record spanning [start, end] seconds, given as Fractions."""
-    den = lcm(start.denominator, end.denominator)
-    return (state, start.numerator * (den // start.denominator),
-            end.numerator * (den // end.denominator), den, label, read, write,
-            gpu, fbc, drfb, streams)
+# integer numerators over ``den`` seconds, relative to the window start.  A
+# wake-up record counts build ticks (``den`` is the build's ``Q``); the
+# records of one transfer phase share the phase's denominator.  So each
+# boundary costs integer multiplies, adds and compares, and no ``Fraction``
+# is built per window.  ``streams`` marks a record eligible to carry link
+# traffic.
 
 
 def _phase(
-    start: Fraction,
-    hard_end: Fraction,
+    s: int,
+    h: int,
+    Q: int,
     payload: int,
     chunk: int,
-    fill_rate: Fraction,
-    drain_rate: Fraction | None,
+    fill_tpb: int,
+    drain: tuple[int, int] | None,
     fill_state: PackageCState,
     drain_state: PackageCState,
     fill_label: str,
@@ -304,32 +304,31 @@ def _phase(
     fill_read_total: int = 0,
     gpu_fill: bool = False,
 ) -> _Phase | None:
-    """Describe one transfer phase over [start, hard_end] seconds (None if it
-    is empty); :func:`_phase_records` emits its records.
+    """Describe one transfer phase over [s, h] build ticks of 1/Q seconds
+    (None if it is empty); :func:`_phase_records` emits its records.
 
-    ``drain_rate`` of None selects span pacing: the payload is spread over
-    [start, hard_end] and any time left over stays in the drain state.
-    Otherwise the drain runs at that byte rate and, once the last chunk is
-    handed over, the phase idles in C9 while the panel refreshes from its
-    own frame buffer.  The fills read ``fill_read_total`` between them.
+    A fill moves a byte in ``fill_tpb`` ticks.  ``drain`` of None selects
+    span pacing: the payload is spread over [s, h] and any time left over
+    stays in the drain state.  Otherwise the drain moves a byte in A/B ticks
+    for ``drain = (A, B)`` and, once the last chunk is handed over, the phase
+    idles in C9 while the panel refreshes from its own frame buffer.  The
+    fills read ``fill_read_total`` between them.
     """
-    if start >= hard_end:
+    if s >= h:
         return None
     n = dc_fetch_count(payload, chunk) if payload > 0 else 0
-    tail = payload - (n - 1) * chunk
-    d: Fraction = (
-        Fraction(payload) / (hard_end - start) if drain_rate is None else drain_rate
-    )
+    A, B = (h - s, payload) if drain is None else drain
+    rest = (n, chunk, payload, fill_tpb * B >= A, drain is None, fill_state, drain_state,
+            fill_label, drain_label, fill_read_total, gpu_fill)
+    if not n:
+        return _Phase(s, h, 0, 0, 0, 0, Q, *rest)
     # Every boundary of the phase is the start plus whole fill and drain
-    # durations of full and tail chunks, so all of them are integers over
-    # one common denominator D.
-    exact = ((start, hard_end, chunk / fill_rate, tail / fill_rate, chunk / d, tail / d)
-             if n else (start, hard_end))
-    D = lcm(*(x.denominator for x in exact))
-    times = [x.numerator * (D // x.denominator) for x in exact]
-    return _Phase(*times, *[0] * (6 - len(times)), D, n, chunk, payload,
-                  fill_rate <= d, drain_rate is None, fill_state, drain_state,
-                  fill_label, drain_label, fill_read_total, gpu_fill)
+    # durations of full and tail chunks, so over D = Q * B all of them are
+    # integers.
+    g = gcd(A, B)
+    A, B = A // g, B // g
+    fill, tail = fill_tpb * B, payload - (n - 1) * chunk
+    return _Phase(s * B, h * B, chunk * fill, tail * fill, chunk * A, tail * A, Q * B, *rest)
 
 
 def _phase_records(ph: _Phase, body: int = 0) -> list[tuple]:
@@ -437,51 +436,48 @@ def _body(ph: _Phase) -> int:
     return m if m >= 3 else 0
 
 
-@dataclass(frozen=True)
-class _Knobs:
-    """Resolved per-build quantities shared by all windows."""
+class _Knobs(NamedTuple):
+    """Resolved per-build quantities shared by all windows, as integers over
+    one build tick of 1/Q seconds: times in ticks, rates in ticks per byte."""
 
-    W: Fraction  # window period, seconds
+    Q: int  # build ticks per second
+    W: int  # window period, ticks
     F: int  # frame bytes
     E: int  # encoded-stream bytes per frame
     chunk: int
-    o: Fraction  # conventional wake-up, seconds
-    o_b: Fraction  # short (hardware-assisted) wake-up, seconds
-    f: Fraction  # decode rate, B/s
-    b: Fraction  # DRAM fetch rate, B/s
-    p: Fraction  # decoder direct-feed pacing, B/s
-    e_B: Fraction  # link max rate, B/s
-    gpu: Fraction  # GPU projection rate, B/s
+    o: int  # conventional wake-up, ticks
+    o_b: int  # short (hardware-assisted) wake-up, ticks
+    f: int  # decode, ticks per byte
+    b: int  # DRAM fetch, ticks per byte
+    p: int  # decoder direct-feed pacing, ticks per byte
+    e_B: int  # link at its max rate, ticks per byte
+    gpu: int  # GPU projection, ticks per byte
     group: int  # windows per video frame
     disp: int  # display-buffer bytes per window (after fbc/batching cuts)
     fbc_on: bool
 
 
 def _knobs(cfg: SimConfig, fbc_ratio: float, traffic_cut: float) -> _Knobs:
+    """The build's knobs over the least tick Q that makes every time a whole
+    number of ticks and every rate's time per byte too.  These are the only
+    ``Fraction``s of a build (the configs hold floats)."""
     disp_cfg, sys_cfg, wl = cfg.display, cfg.system, cfg.workload
     F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
-    W = frame_window(disp_cfg.refresh_hz)
-    o_b = (
-        Fraction(sys_cfg.burst_orchestration_time)
-        if sys_cfg.burst_orchestration_time is not None
-        else W * Fraction(1, 50)
-    )
-    group = max(disp_cfg.refresh_hz // wl.video_fps, 1)
+    W, burst_o = frame_window(disp_cfg.refresh_hz), sys_cfg.burst_orchestration_time
+    times = (W, Fraction(sys_cfg.orchestration_time),
+             W * Fraction(1, 50) if burst_o is None else Fraction(burst_o))
+    rates = (*map(Fraction, (sys_cfg.decode_rate, sys_cfg.dram_fetch_rate,
+                             sys_cfg.vd_paced_rate or sys_cfg.decode_rate)),
+             Fraction(disp_cfg.edp_max_bits_per_s) / 8, Fraction(sys_cfg.gpu_pt_rate))
+    Q = lcm(*(x.denominator for x in times), *(r.numerator for r in rates))
+    W, o, o_b = (Q // x.denominator * x.numerator for x in times)
+    f, b, p, e_B, gpu = (Q // r.numerator * r.denominator for r in rates)
     return _Knobs(
-        W=W,
-        F=F,
+        Q=Q, W=W, F=F,
         E=encoded_frame_bytes(disp_cfg.resolution, sys_cfg.encoded_bits_per_pixel),
-        chunk=sys_cfg.dc_buffer_bytes,
-        o=Fraction(sys_cfg.orchestration_time),
-        o_b=o_b,
-        f=Fraction(sys_cfg.decode_rate),
-        b=Fraction(sys_cfg.dram_fetch_rate),
-        p=Fraction(sys_cfg.vd_paced_rate if sys_cfg.vd_paced_rate else sys_cfg.decode_rate),
-        e_B=Fraction(disp_cfg.edp_max_bits_per_s) / 8,
-        gpu=Fraction(sys_cfg.gpu_pt_rate),
-        group=group,
-        disp=round(F * fbc_ratio * traffic_cut),
-        fbc_on=fbc_ratio != 1.0,
+        chunk=sys_cfg.dc_buffer_bytes, o=o, o_b=o_b, f=f, b=b, p=p, e_B=e_B, gpu=gpu,
+        group=max(disp_cfg.refresh_hz // wl.video_fps, 1),
+        disp=round(F * fbc_ratio * traffic_cut), fbc_on=fbc_ratio != 1.0,
     )
 
 
@@ -497,44 +493,43 @@ def _recipe(k: _Knobs, scheme: Scheme, kind: str, decodes: int, link_bytes: int,
     wake-up, bursts at the link's peak rate and idles.  ``decodes`` counts
     the frames the plain scheme decodes in this window.
     """
+    Q, W = k.Q, k.W
     if scheme is Scheme.BASELINE and kind == "repeat" and psr_alt:
-        return (_rec(PackageCState.C9, Fraction(0), k.W, "psr", drfb=True),), None
+        return ((PackageCState.C9, 0, W, Q, "psr", 0, 0, False, False, True, False),), None
     stream = scheme is Scheme.BASELINE or (scheme is Scheme.BYPASS_ONLY
                                            and kind == "transfer")
     # The decoder (or, for VR, the GPU) feeds the DC buffer directly.
     feed = kind == "transfer" and scheme.uses_bypass
     if scheme is not Scheme.BASELINE and kind == "transfer" and (vr or not feed):
         decodes = 1  # the frame is decoded into DRAM first
-    t = (k.o if stream else k.o_b) + Fraction(decodes * k.F) / k.f
-    recs = [_rec(PackageCState.C0, Fraction(0), min(t, k.W),
-                 "wake+decode" if decodes else "wake", read=decodes * k.E,
-                 write=decodes * (k.F if vr else k.disp),
-                 fbc=bool(decodes) and k.fbc_on and not vr, streams=stream)]
+    t = (k.o if stream else k.o_b) + decodes * k.F * k.f
+    recs = [(PackageCState.C0, 0, min(t, W), Q, "wake+decode" if decodes else "wake",
+             decodes * k.E, decodes * (k.F if vr else k.disp), False,
+             bool(decodes) and k.fbc_on and not vr, False, stream)]
     if vr and decodes and not feed:
         # The GPU re-projects the decoded frame into DRAM.  Wake-up records
         # are clipped to the window: one that starts past its end is dropped.
-        t_pt = t + Fraction(decodes * k.F) / k.gpu
-        if t < k.W:
-            recs.append(_rec(PackageCState.C0, t, min(t_pt, k.W), "project",
-                             read=decodes * k.F, write=decodes * k.disp, gpu=True,
-                             fbc=k.fbc_on, streams=True))
+        t_pt = t + decodes * k.F * k.gpu
+        if t < W:
+            recs.append((PackageCState.C0, t, min(t_pt, W), Q, "project", decodes * k.F,
+                         decodes * k.disp, True, k.fbc_on, False, True))
         t = t_pt
     if feed:
         fill_state, drain_state, payload = PackageCState.C7, PackageCState.C7P, k.F
-        fill_rate, fill_label, read = ((k.gpu, "project-feed", k.F) if vr
-                                       else (k.p, "decode-feed", k.E))
+        fill_tpb, fill_label, read = ((k.gpu, "project-feed", k.F) if vr
+                                      else (k.p, "decode-feed", k.E))
     else:
         # The DC fetches from DRAM: the (compressed, batching-cut) display
         # buffer of a video frame, or a single plane's update as it is.
         fill_state, drain_state = PackageCState.C2, PackageCState.C8
         payload = k.disp if kind in ("transfer", "repeat") and link_bytes else link_bytes
-        fill_rate, fill_label, read = k.b, "fetch", payload
+        fill_tpb, fill_label, read = k.b, "fetch", payload
     # Fetched bytes leave the link as ``link_bytes``, so a compressed fetch
     # drains proportionally slower in fetched-byte units.
     drain = (None if stream
-             else k.e_B * Fraction(payload, link_bytes) if payload else k.e_B)
+             else (k.e_B * link_bytes, payload) if payload else (k.e_B, 1))
     return tuple(recs), _phase(
-        min(t, k.W), k.W, payload, k.chunk, fill_rate, drain, fill_state, drain_state,
+        min(t, W), W, Q, payload, k.chunk, fill_tpb, drain, fill_state, drain_state,
         fill_label, "stream" if stream else "burst", fill_read_total=read,
         gpu_fill=feed and vr,
     )
@@ -796,7 +791,7 @@ def _template(kind: str, link_bytes: int, wake: tuple[tuple, ...], phase: _Phase
     """
     m = _body(phase) if phase else 0
     rows = _round_records(_records(wake, phase, m), W_ns, link_bytes)
-    spans: dict[PackageCState, int] = {s: 0 for s in PackageCState}
+    spans = _NO_SPANS.copy()
     changes: dict[tuple[PackageCState, PackageCState], int] = {}
     read = write = edp = drfb = gpu = fbc = 0
     prev = None

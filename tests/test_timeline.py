@@ -7,6 +7,7 @@ import dataclasses
 import io
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,9 +17,12 @@ from framewatt.core import (
     RESOLUTIONS,
     ConfigurationError,
     Scheme,
+    SystemConfig,
     WorkloadKind,
+    dc_fetch_count,
     encoded_frame_bytes,
     frame_bytes,
+    frame_window,
     frame_window_ns,
 )
 from framewatt import timeline as tmod
@@ -280,17 +284,8 @@ def _preset_and_trace_runs():
 
 @pytest.mark.parametrize("run, scheme", _preset_and_trace_runs())
 def test_closed_form_tallies_match_a_walk_over_every_preset_and_trace(run, scheme):
-    if run in PRESETS:
-        cfg, kw = get_preset(run).config, {"n_windows": 4}
-    else:
-        cfg, kw = make_config("4k", 60, kind=WorkloadKind.SINGLE_PLANE), {
-            "dirty_trace": _bundled_trace(run)}
-    cfg = dataclasses.replace(cfg, workload=dataclasses.replace(cfg.workload, scheme=scheme))
-    try:
-        tl = build_timeline(cfg, **kw)
-    except ConfigurationError:
-        return  # e.g. VR under a scheme that cannot project
-    for tpl in tl.templates:
+    tl = _preset_or_trace_timeline(run, scheme)
+    for tpl in tl.templates if tl else ():
         _template_matches_its_rows(tpl, tl.window_ns)
 
 
@@ -307,6 +302,27 @@ def _first_violation(rows):
     return None
 
 
+def _rec(state: PackageCState, start: Fraction, end: Fraction, label: str,
+         read: int = 0, write: int = 0, gpu: bool = False, fbc: bool = False,
+         drfb: bool = False, streams: bool = False) -> tuple:
+    """A record spanning [start, end] seconds, given as Fractions."""
+    den = lcm(start.denominator, end.denominator)
+    return (state, start.numerator * (den // start.denominator),
+            end.numerator * (den // end.denominator), den, label, read, write,
+            gpu, fbc, drfb, streams)
+
+
+def _tick_phase(start, hard_end, payload, chunk, fill_rate, drain_rate, *args, **kwargs):
+    """``tmod._phase`` over [start, hard_end] seconds with byte rates, all
+    given as Fractions (``drain_rate`` None for span pacing): the times in
+    ticks of the least tick that makes them and the times per byte whole."""
+    rates = [fill_rate] if drain_rate is None else [fill_rate, drain_rate]
+    Q = lcm(start.denominator, hard_end.denominator, *(r.numerator for r in rates))
+    fill_tpb, *drain = [Q // r.numerator * r.denominator for r in rates]
+    return tmod._phase(int(start * Q), int(hard_end * Q), Q, payload, chunk, fill_tpb,
+                       (drain[0], 1) if drain else None, *args, **kwargs)
+
+
 def _phase_template(start, W, payload, chunk, fill_rate, drain_rate, feed=False,
                     read_total=None, wake_read=0, wake_write=0, link_bytes=None,
                     gpu_fill=False, wake_streams=False):
@@ -314,9 +330,9 @@ def _phase_template(start, W, payload, chunk, fill_rate, drain_rate, feed=False,
     phase over [start, W], and its length in ns."""
     states = ((PackageCState.C7, PackageCState.C7P, "decode-feed") if feed
               else (PackageCState.C2, PackageCState.C8, "fetch"))
-    wake = (tmod._rec(PackageCState.C0, Fraction(0), start, "wake", read=wake_read,
-                      write=wake_write, streams=wake_streams),)
-    phase = tmod._phase(start, W, payload, chunk, fill_rate, drain_rate, *states, "burst",
+    wake = (_rec(PackageCState.C0, Fraction(0), start, "wake", read=wake_read,
+                 write=wake_write, streams=wake_streams),)
+    phase = _tick_phase(start, W, payload, chunk, fill_rate, drain_rate, *states, "burst",
                         fill_read_total=payload if read_total is None else read_total,
                         gpu_fill=gpu_fill)
     W_ns = tmod._round_half_even(W.numerator * NS_PER_S, W.denominator)
@@ -499,22 +515,22 @@ def test_progression_round_sum_matches_rounding_each_term(case):
        | st.just(2))
 def test_window_rounding_rounds_each_boundary_like_the_reference(n, d):
     end = Fraction(n + d, d * NS_PER_S)  # 1 + n / d ns
-    recs = [tmod._rec(PackageCState.C0, Fraction(0), end, "wake"),
-            tmod._rec(PackageCState.C9, end, end + 1, "idle")]
+    recs = [_rec(PackageCState.C0, Fraction(0), end, "wake"),
+            _rec(PackageCState.C9, end, end + 1, "idle")]
     rows = tmod._round_window(recs, "update", n // d + NS_PER_S, 0)
     assert rows[0].end_ns == tmod._round_half_even(end.numerator * NS_PER_S, end.denominator)
 
 
 def test_window_rounding_rejects_records_that_leave_a_gap():
-    recs = [tmod._rec(PackageCState.C0, Fraction(0), Fraction(1, 100), "wake"),
-            tmod._rec(PackageCState.C9, Fraction(1, 99), Fraction(1, 60), "idle")]
+    recs = [_rec(PackageCState.C0, Fraction(0), Fraction(1, 100), "wake"),
+            _rec(PackageCState.C9, Fraction(1, 99), Fraction(1, 60), "idle")]
     with pytest.raises(ValueError, match="left a gap at 0.01 s"):
         tmod._round_window(recs, "update", frame_window_ns(60), 0)
 
 
 def duplex_phase(*args, **kwargs):
     """Every record of one transfer phase, none merged into a body."""
-    return tmod._records((), tmod._phase(*args, **kwargs))
+    return tmod._records((), _tick_phase(*args, **kwargs))
 
 
 def fraction_phase(start, hard_end, payload, chunk, fill_rate, drain_rate):
@@ -627,11 +643,256 @@ def _streamed_link_bytes(link_bytes, *ends_ms):
     """Link bytes that `_round_window` gives back-to-back streaming records
     ending at ``ends_ms``."""
     bounds = [Fraction(0), *(Fraction(e, 1000) for e in ends_ms)]
-    recs = [tmod._rec(PackageCState.C2, a, b, "fetch", streams=True)
+    recs = [_rec(PackageCState.C2, a, b, "fetch", streams=True)
             for a, b in zip(bounds, bounds[1:])]
     rows = tmod._round_window(recs, "update", ends_ms[-1] * 10**6, link_bytes)
     return [iv.edp_bytes for iv in rows]
 
+
+
+# -- the integer recipe against the Fraction recipe ---------------------------------
+#
+# _RefKnobs, _ref_knobs, _ref_recipe and _ref_phase are the Fraction-valued
+# knobs and window recipe that the build-tick integers replaced, kept
+# verbatim as the reference the integer build must reproduce exactly.
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefKnobs:
+    """Resolved per-build quantities shared by all windows."""
+
+    W: Fraction  # window period, seconds
+    F: int  # frame bytes
+    E: int  # encoded-stream bytes per frame
+    chunk: int
+    o: Fraction  # conventional wake-up, seconds
+    o_b: Fraction  # short (hardware-assisted) wake-up, seconds
+    f: Fraction  # decode rate, B/s
+    b: Fraction  # DRAM fetch rate, B/s
+    p: Fraction  # decoder direct-feed pacing, B/s
+    e_B: Fraction  # link max rate, B/s
+    gpu: Fraction  # GPU projection rate, B/s
+    group: int  # windows per video frame
+    disp: int  # display-buffer bytes per window (after fbc/batching cuts)
+    fbc_on: bool
+
+
+def _ref_knobs(cfg, fbc_ratio, traffic_cut):
+    disp_cfg, sys_cfg, wl = cfg.display, cfg.system, cfg.workload
+    F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
+    W = frame_window(disp_cfg.refresh_hz)
+    o_b = (
+        Fraction(sys_cfg.burst_orchestration_time)
+        if sys_cfg.burst_orchestration_time is not None
+        else W * Fraction(1, 50)
+    )
+    group = max(disp_cfg.refresh_hz // wl.video_fps, 1)
+    return _RefKnobs(
+        W=W,
+        F=F,
+        E=encoded_frame_bytes(disp_cfg.resolution, sys_cfg.encoded_bits_per_pixel),
+        chunk=sys_cfg.dc_buffer_bytes,
+        o=Fraction(sys_cfg.orchestration_time),
+        o_b=o_b,
+        f=Fraction(sys_cfg.decode_rate),
+        b=Fraction(sys_cfg.dram_fetch_rate),
+        p=Fraction(sys_cfg.vd_paced_rate if sys_cfg.vd_paced_rate else sys_cfg.decode_rate),
+        e_B=Fraction(disp_cfg.edp_max_bits_per_s) / 8,
+        gpu=Fraction(sys_cfg.gpu_pt_rate),
+        group=group,
+        disp=round(F * fbc_ratio * traffic_cut),
+        fbc_on=fbc_ratio != 1.0,
+    )
+
+
+def _ref_phase(
+    start: Fraction,
+    hard_end: Fraction,
+    payload: int,
+    chunk: int,
+    fill_rate: Fraction,
+    drain_rate: Fraction | None,
+    fill_state: PackageCState,
+    drain_state: PackageCState,
+    fill_label: str,
+    drain_label: str,
+    fill_read_total: int = 0,
+    gpu_fill: bool = False,
+):
+    if start >= hard_end:
+        return None
+    n = dc_fetch_count(payload, chunk) if payload > 0 else 0
+    tail = payload - (n - 1) * chunk
+    d: Fraction = (
+        Fraction(payload) / (hard_end - start) if drain_rate is None else drain_rate
+    )
+    # Every boundary of the phase is the start plus whole fill and drain
+    # durations of full and tail chunks, so all of them are integers over
+    # one common denominator D.
+    exact = ((start, hard_end, chunk / fill_rate, tail / fill_rate, chunk / d, tail / d)
+             if n else (start, hard_end))
+    D = lcm(*(x.denominator for x in exact))
+    times = [x.numerator * (D // x.denominator) for x in exact]
+    return tmod._Phase(*times, *[0] * (6 - len(times)), D, n, chunk, payload,
+                       fill_rate <= d, drain_rate is None, fill_state, drain_state,
+                       fill_label, drain_label, fill_read_total, gpu_fill)
+
+
+def _ref_recipe(k, scheme, kind, decodes, link_bytes, vr, psr_alt):
+    if scheme is Scheme.BASELINE and kind == "repeat" and psr_alt:
+        return (_rec(PackageCState.C9, Fraction(0), k.W, "psr", drfb=True),), None
+    stream = scheme is Scheme.BASELINE or (scheme is Scheme.BYPASS_ONLY
+                                           and kind == "transfer")
+    # The decoder (or, for VR, the GPU) feeds the DC buffer directly.
+    feed = kind == "transfer" and scheme.uses_bypass
+    if scheme is not Scheme.BASELINE and kind == "transfer" and (vr or not feed):
+        decodes = 1  # the frame is decoded into DRAM first
+    t = (k.o if stream else k.o_b) + Fraction(decodes * k.F) / k.f
+    recs = [_rec(PackageCState.C0, Fraction(0), min(t, k.W),
+                 "wake+decode" if decodes else "wake", read=decodes * k.E,
+                 write=decodes * (k.F if vr else k.disp),
+                 fbc=bool(decodes) and k.fbc_on and not vr, streams=stream)]
+    if vr and decodes and not feed:
+        # The GPU re-projects the decoded frame into DRAM.  Wake-up records
+        # are clipped to the window: one that starts past its end is dropped.
+        t_pt = t + Fraction(decodes * k.F) / k.gpu
+        if t < k.W:
+            recs.append(_rec(PackageCState.C0, t, min(t_pt, k.W), "project",
+                             read=decodes * k.F, write=decodes * k.disp, gpu=True,
+                             fbc=k.fbc_on, streams=True))
+        t = t_pt
+    if feed:
+        fill_state, drain_state, payload = PackageCState.C7, PackageCState.C7P, k.F
+        fill_rate, fill_label, read = ((k.gpu, "project-feed", k.F) if vr
+                                       else (k.p, "decode-feed", k.E))
+    else:
+        # The DC fetches from DRAM: the (compressed, batching-cut) display
+        # buffer of a video frame, or a single plane's update as it is.
+        fill_state, drain_state = PackageCState.C2, PackageCState.C8
+        payload = k.disp if kind in ("transfer", "repeat") and link_bytes else link_bytes
+        fill_rate, fill_label, read = k.b, "fetch", payload
+    # Fetched bytes leave the link as ``link_bytes``, so a compressed fetch
+    # drains proportionally slower in fetched-byte units.
+    drain = (None if stream
+             else k.e_B * Fraction(payload, link_bytes) if payload else k.e_B)
+    return tuple(recs), _ref_phase(
+        min(t, k.W), k.W, payload, k.chunk, fill_rate, drain, fill_state, drain_state,
+        fill_label, "stream" if stream else "burst", fill_read_total=read,
+        gpu_fill=feed and vr,
+    )
+
+
+def _in_seconds(wake, phase):
+    """A window's wake-up records and phase with every time as a Fraction of
+    a second, whatever denominator it was built over."""
+    recs = [(r[0], Fraction(r[1], r[3]), Fraction(r[2], r[3]), *r[4:]) for r in wake]
+    if phase is None:
+        return recs, None
+    return recs, (*(Fraction(x, phase.D) for x in phase[:6]), *phase[7:])
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _mostly(usual, rare):
+    """Draws from ``usual``, and one in eight from ``rare``."""
+    return st.integers(0, 7).flatmap(lambda i: rare if i == 0 else usual)
+
+
+# Rates (B/s) and times (s): ordinary values, values that are not integers,
+# and tiny and huge valid floats; times at or past the window leave no phase.
+_float_rates = _mostly(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(9, 10))
+    | st.sampled_from([1e9 / 3, 22.5e9, 31.104e9]),
+    st.sampled_from([5e-324, 1e-3, 1e300]))
+_float_times = _mostly(st.floats(0.0, 0.004) | st.sampled_from([0.0, 1.9e-3, 1e-300]),
+                       st.sampled_from([5e-324, 1 / 60, 1 / 30, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # the DRAM fetch and the link move a byte in the same time
+    system=SystemConfig(), res="fhd", refresh=60, edp=8 * SystemConfig().dram_fetch_rate,
+    scheme=Scheme.BURSTING_ONLY, vr=False, psr_alt=False, fbc_ratio=1.0, traffic_cut=1.0,
+    window=("update", 0, "frame"))
+@given(
+    system=st.builds(
+        SystemConfig,
+        dc_buffer_bytes=st.sampled_from([65536, 100_000, 512 * 1024, 10**6]),
+        dram_fetch_rate=_float_rates,
+        decode_rate=_float_rates,
+        vd_paced_rate=st.none() | _float_rates,
+        gpu_pt_rate=_float_rates,
+        orchestration_time=_float_times,
+        burst_orchestration_time=st.none() | _float_times,
+    ),
+    res=st.sampled_from(["fhd", "qhd", "4k"]),
+    refresh=st.sampled_from([30, 60, 90, 120, 144]),
+    edp=_float_rates,
+    scheme=st.sampled_from(list(Scheme)),
+    vr=st.booleans(),
+    psr_alt=st.booleans(),
+    fbc_ratio=st.sampled_from([1.0, 0.55]) | st.floats(min_value=0.01, max_value=1.0),
+    traffic_cut=st.sampled_from([1.0, 0.66, 0.0]) | st.floats(min_value=0.0, max_value=1.0),
+    window=st.tuples(st.sampled_from(["transfer", "repeat", "update", "idle"]),
+                     st.integers(min_value=0, max_value=3),
+                     st.sampled_from(["none", "frame", "display", "part"])),
+)
+def test_integer_recipe_matches_the_fraction_recipe(
+    system, res, refresh, edp, scheme, vr, psr_alt, fbc_ratio, traffic_cut, window,
+):
+    display = dataclasses.replace(make_config(res, refresh=refresh).display,
+                                  edp_max_bits_per_s=edp)
+    cfg = make_config(res, refresh, display=display, system=system)
+    k, ref = tmod._knobs(cfg, fbc_ratio, traffic_cut), _ref_knobs(cfg, fbc_ratio, traffic_cut)
+    assert type(k) is tmod._Knobs and all(type(x) in (int, bool) for x in k)
+    kind, decodes, link = window
+    link_bytes = {"none": 0, "frame": k.F, "display": k.disp, "part": k.F // 3 + 128}[link]
+    if kind == "transfer":
+        link_bytes = link_bytes or k.F  # a transfer window always moves a frame
+    args = (scheme, kind, decodes, link_bytes, vr, psr_alt)
+    got, expected = tmod._recipe(k, *args), _ref_recipe(ref, *args)
+    assert _in_seconds(*got) == _in_seconds(*expected)
+    W_ns = frame_window_ns(refresh)
+    rows = [_outcome(tmod._round_window, tmod._records(*parts), kind, W_ns, link_bytes)
+            for parts in (got, expected)]
+    assert rows[0] == rows[1]
+    tpls = [_outcome(tmod._template, kind, link_bytes, *parts, W_ns)
+            for parts in (got, expected)]
+    if isinstance(tpls[0], str):
+        assert tpls[0] == tpls[1]
+    else:  # equal but for the denominators their records are kept over
+        assert tpls[0]._replace(wake=None, phase=None) == tpls[1]._replace(wake=None, phase=None)
+        assert list(tpls[0].totals.transitions) == list(tpls[1].totals.transitions)
+
+
+def _preset_or_trace_timeline(run, scheme):
+    """The timeline of a preset (4 windows) or a bundled trace at 4K under
+    ``scheme``, or None if the preset's workload cannot run under it."""
+    if run in PRESETS:
+        cfg, kw = get_preset(run).config, {"n_windows": 4}
+    else:
+        cfg, kw = make_config("4k", 60, kind=WorkloadKind.SINGLE_PLANE), {
+            "dirty_trace": _bundled_trace(run)}
+    cfg = dataclasses.replace(cfg, workload=dataclasses.replace(cfg.workload, scheme=scheme))
+    try:
+        return build_timeline(cfg, **kw)
+    except ConfigurationError:
+        return None  # e.g. VR under a scheme that cannot project
+
+
+@pytest.mark.parametrize("run, scheme", _preset_and_trace_runs())
+def test_every_built_time_is_an_int(run, scheme):
+    tl = _preset_or_trace_timeline(run, scheme)
+    for tpl in tl.templates if tl else ():
+        for rec in tpl.wake:
+            assert all(type(x) is int for x in rec[1:4]), rec
+        if tpl.phase:
+            assert all(type(x) is int for x in tpl.phase[:7]), tpl.phase
 
 # -- per-scheme traffic -------------------------------------------------------
 
