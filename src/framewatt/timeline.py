@@ -37,7 +37,9 @@ tallied one by one, and the run of whole fill/drain chunk cycles between
 them is tallied in closed form, as sums of rounded arithmetic progressions.
 Pricing combines the tallies per (template, entry state) pair.  Rows are
 expanded from the record only where rows are read -- the CSV and SVG
-exports and ``WindowTimeline.intervals`` -- once per template.
+exports and ``WindowTimeline.intervals`` -- once per template.  The exports
+also format each template's rows once, as flat lists of text pieces, and
+stitch every window from them, converting each row boundary to a string once.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     NS_PER_S,
@@ -215,7 +217,11 @@ class WindowTimeline:
 
 #: States in which each traffic type may legitimately appear.  DRAM reads on
 #: C7 cover the direct-feed paths (encoded-stream and projection-source reads
-#: folded into the decoder-active state).
+#: folded into the decoder-active state), although ``cstates.STATE_DRAM_MODE``
+#: prices C7's DRAM as ``self_refresh``.  The sets are written by hand because
+#: they are the independent rule that ``check_timeline`` holds the recipe to:
+#: derived from the states the recipe and phase emit traffic on, the check
+#: would pass by construction.
 _READ_STATES = {PackageCState.C0, PackageCState.C2, PackageCState.C7}
 _WRITE_STATES = {PackageCState.C0, PackageCState.C2}
 _LINK_SILENT_STATES = {PackageCState.C9, PackageCState.C10}
@@ -847,23 +853,47 @@ CSV_HEADER = (
 )
 
 
+def _stitch(timeline: WindowTimeline, cells: Callable, keys: Iterable[str]) -> list[str]:
+    """Each window's rows as one string, stitched from its template's pieces.
+
+    ``cells(iv)`` gives a template row's fixed text around its three slots
+    (the window's key from ``keys``, then the row's absolute start and end)
+    as ``(before_key, key_to_start, start_to_end, after_end)``.  Rows abut, so
+    a window converts each boundary to a string once.  Raises ValueError,
+    before any window is stitched, if a template's rows do not abut.
+    """
+    layouts = []
+    for t, ivs in enumerate(timeline.rows):
+        bounds = [iv.start_ns for iv in ivs] + [ivs[-1].end_ns]
+        if [iv.end_ns for iv in ivs] != bounds[1:]:
+            raise ValueError(f"window {timeline.window_template.index(t)}: rows do not abut")
+        parts = [""]  # a row's head is joined onto the piece before it
+        for iv in ivs:
+            head, mid, sep, tail = cells(iv)
+            parts[-1] += head
+            parts += ("", mid, "", sep, "", tail)
+        layouts.append((parts, bounds))
+    blocks = []
+    for w, (t, key) in enumerate(zip(timeline.window_template, keys)):
+        parts, bounds = layouts[t]
+        b = list(map(str, map((w * timeline.window_ns).__add__, bounds)))
+        parts[1::6] = [key] * (len(b) - 1)
+        parts[3::6] = b[:-1]
+        parts[5::6] = b[1:]
+        blocks.append("".join(parts))
+    return blocks
+
+
 def timeline_to_csv(timeline: WindowTimeline) -> str:
-    # Each template's rows are formatted once; windows add only their index
-    # and offset.
-    rows = [
-        [(f",{iv.kind},{iv.state},", iv.start_ns, iv.end_ns,
-          f",{iv.label},{iv.dram_read_bytes},{iv.dram_write_bytes},"
-          f"{iv.edp_bytes},{int(iv.drfb_active)},{int(iv.gpu_active)},"
-          f"{int(iv.fbc_active)}")
-         for iv in ivs]
-        for ivs in timeline.rows
-    ]
-    lines = [CSV_HEADER]
-    for w, t in enumerate(timeline.window_template):
-        base = w * timeline.window_ns
-        lines.extend(f"{w}{head}{base + s},{base + e}{tail}"
-                     for head, s, e, tail in rows[t])
-    return "\n".join(lines) + "\n"
+    # Each template's rows are formatted once; see _stitch for the windows.
+    def cells(iv: Interval) -> tuple[str, str, str, str]:
+        return ("", f",{iv.kind},{iv.state},", ",",
+                f",{iv.label},{iv.dram_read_bytes},{iv.dram_write_bytes},"
+                f"{iv.edp_bytes},{int(iv.drfb_active)},{int(iv.gpu_active)},"
+                f"{int(iv.fbc_active)}\n")
+
+    blocks = _stitch(timeline, cells, map(str, range(timeline.n_windows)))
+    return "".join([CSV_HEADER + "\n", *blocks])
 
 
 _STATE_COLORS = {
@@ -891,33 +921,28 @@ def timeline_to_svg(timeline: WindowTimeline) -> str:
     height = top + n * (row_h + gap) + legend_h
     sx = (width - left - 10) / timeline.window_ns
 
-    parts = [
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'height="{height}" font-family="monospace" font-size="11">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>\n'
         f'<text x="{left}" y="16">package-state timeline: '
         f"{html.escape(timeline.scheme.value)}, {n} windows of "
-        f"{timeline.window_ns / 1e6:.3f} ms</text>",
-    ]
+        f"{timeline.window_ns / 1e6:.3f} ms</text>\n"
+    )
+
     # Block geometry is window-relative, so each template's blocks are
-    # formatted once; windows add only their row and absolute times.
-    rects = [
-        [(f'<rect x="{left + iv.start_ns * sx:.2f}" y="',
-          f'" width="{max(iv.span_ns * sx, 0.5):.2f}" height="{row_h}" '
-          f'fill="{_STATE_COLORS[iv.state]}"><title>{html.escape(iv.label)} '
-          f"{iv.state} [", iv.start_ns, iv.end_ns)
-         for iv in ivs]
-        for ivs in timeline.rows
-    ]
-    for w, t in enumerate(timeline.window_template):
-        y = top + w * (row_h + gap)
-        base = w * timeline.window_ns
-        parts.extend(f"{head}{y}{mid}{base + s}-{base + e}] ns</title></rect>"
-                     for head, mid, s, e in rects[t])
-    for w, t in enumerate(timeline.window_template):
-        y = top + w * (row_h + gap) + row_h - 8
-        kind = timeline.templates[t].kind
-        parts.append(f'<text x="4" y="{y}">w{w} {html.escape(kind[:4])}</text>')
+    # formatted once; windows add only their row and boundaries (see _stitch).
+    def cells(iv: Interval) -> tuple[str, str, str, str]:
+        return (f'<rect x="{left + iv.start_ns * sx:.2f}" y="',
+                f'" width="{max(iv.span_ns * sx, 0.5):.2f}" height="{row_h}" '
+                f'fill="{_STATE_COLORS[iv.state]}"><title>{html.escape(iv.label)} '
+                f"{iv.state} [", "-", "] ns</title></rect>\n")
+
+    ys = range(top, top + n * (row_h + gap), row_h + gap)
+    blocks = _stitch(timeline, cells, map(str, ys))
+    labels = [html.escape(tpl.kind[:4]) for tpl in timeline.templates]
+    parts = [f'<text x="4" y="{y + row_h - 8}">w{w} {labels[t]}</text>'
+             for w, (t, y) in enumerate(zip(timeline.window_template, ys))]
     lx = left
     ly = top + n * (row_h + gap) + 16
     for state, color in _STATE_COLORS.items():
@@ -925,7 +950,7 @@ def timeline_to_svg(timeline: WindowTimeline) -> str:
         parts.append(f'<text x="{lx + 16}" y="{ly}">{state}</text>')
         lx += 64
     parts.append("</svg>")
-    return "\n".join(parts)
+    return "".join([head, *blocks, "\n".join(parts)])
 
 
 __all__ = [

@@ -491,6 +491,21 @@ def test_scipy_loads_only_with_the_calibration_fitter(statement, loaded):
     assert proc.stdout.split() == [str(loaded)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["presets"],
+    ["simulate", "--preset", "fhd30", "--windows", "4", "--out", "run"],
+])
+def test_presets_and_simulate_load_neither_numpy_nor_scipy(argv, tmp_path):
+    script = ("import sys; from framewatt.cli import main; rc = main(sys.argv[1:]); "
+              "print([m for m in ('numpy', 'scipy') if m in sys.modules]); sys.exit(rc)")
+    env = {**os.environ, "PYTHONPATH": str(Path(main.__code__.co_filename).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+    if argv[0] == "simulate":
+        assert (tmp_path / "run" / "timeline.svg").is_file()
+
+
 def test_outputs_do_not_depend_on_the_order_of_a_set_of_states(tmp_path):
     # States hash by identity, so a set of states iterates in an order that
     # differs between interpreters.  Run the command in fresh interpreters

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import html
 import io
 from fractions import Fraction
 from importlib import resources
@@ -1152,3 +1153,123 @@ def test_svg_export_draws_every_occupied_state():
     assert svg.rstrip().endswith("</svg>")
     for state in {iv.state for iv in tl.intervals}:
         assert state.value in svg
+
+
+# -- exports against the row-by-row reference ----------------------------------
+# _ref_csv and _ref_svg are the exports as they were before each window was
+# stitched from its template's pieces, formatting every row on its own.
+
+_STATE_COLORS = tmod._STATE_COLORS
+
+
+def _ref_csv(timeline):
+    # Each template's rows are formatted once; windows add only their index
+    # and offset.
+    rows = [
+        [(f",{iv.kind},{iv.state},", iv.start_ns, iv.end_ns,
+          f",{iv.label},{iv.dram_read_bytes},{iv.dram_write_bytes},"
+          f"{iv.edp_bytes},{int(iv.drfb_active)},{int(iv.gpu_active)},"
+          f"{int(iv.fbc_active)}")
+         for iv in ivs]
+        for ivs in timeline.rows
+    ]
+    lines = [CSV_HEADER]
+    for w, t in enumerate(timeline.window_template):
+        base = w * timeline.window_ns
+        lines.extend(f"{w}{head}{base + s},{base + e}{tail}"
+                     for head, s, e, tail in rows[t])
+    return "\n".join(lines) + "\n"
+
+
+def _ref_svg(timeline):
+    """Render the timeline as a self-contained Gantt-style SVG string.
+
+    One row per refresh window, blocks colored by package state, with a
+    legend; pure text output with no plotting dependencies.
+    """
+    width, row_h, gap, left, top = 1000, 26, 6, 70, 30
+    legend_h = 40
+    n = timeline.n_windows
+    height = top + n * (row_h + gap) + legend_h
+    sx = (width - left - 10) / timeline.window_ns
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" font-family="monospace" font-size="11">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{left}" y="16">package-state timeline: '
+        f"{html.escape(timeline.scheme.value)}, {n} windows of "
+        f"{timeline.window_ns / 1e6:.3f} ms</text>",
+    ]
+    # Block geometry is window-relative, so each template's blocks are
+    # formatted once; windows add only their row and absolute times.
+    rects = [
+        [(f'<rect x="{left + iv.start_ns * sx:.2f}" y="',
+          f'" width="{max(iv.span_ns * sx, 0.5):.2f}" height="{row_h}" '
+          f'fill="{_STATE_COLORS[iv.state]}"><title>{html.escape(iv.label)} '
+          f"{iv.state} [", iv.start_ns, iv.end_ns)
+         for iv in ivs]
+        for ivs in timeline.rows
+    ]
+    for w, t in enumerate(timeline.window_template):
+        y = top + w * (row_h + gap)
+        base = w * timeline.window_ns
+        parts.extend(f"{head}{y}{mid}{base + s}-{base + e}] ns</title></rect>"
+                     for head, mid, s, e in rects[t])
+    for w, t in enumerate(timeline.window_template):
+        y = top + w * (row_h + gap) + row_h - 8
+        kind = timeline.templates[t].kind
+        parts.append(f'<text x="4" y="{y}">w{w} {html.escape(kind[:4])}</text>')
+    lx = left
+    ly = top + n * (row_h + gap) + 16
+    for state, color in _STATE_COLORS.items():
+        parts.append(f'<rect x="{lx}" y="{ly - 10}" width="12" height="12" fill="{color}"/>')
+        parts.append(f'<text x="{lx + 16}" y="{ly}">{state}</text>')
+        lx += 64
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def _export_timelines():
+    """(id, timeline) of every preset x scheme, the overlays, the three
+    bundled traces cut to 24 windows, a 1-window run and a run whose
+    windows use more than one template."""
+    for name in sorted(PRESETS):
+        for scheme in Scheme:
+            tl = _preset_or_trace_timeline(name, scheme)
+            if tl:
+                yield f"{name}-{scheme.value}", tl
+    fhd30, vr = get_preset("fhd30").config, get_preset("4k60-vr").config
+    yield "batch-2", build_timeline(fhd30, None, batch_every=2)
+    yield "fbc-0.55", build_timeline(vr, 8, fbc_ratio=0.55)
+    yield "psr-alternation", build_timeline(make_config("fhd", 30, psr_alternate=True), 6)
+    yield "vr", build_timeline(vr, 6)
+    for name in ("gaming", "conferencing", "productivity"):
+        for scheme in (Scheme.BASELINE, Scheme.BURSTING_ONLY):
+            cfg = make_config("4k", 60, scheme, kind=WorkloadKind.SINGLE_PLANE)
+            trace = _bundled_trace(name)[:24]
+            yield f"{name}-{scheme.value}", build_timeline(cfg, None, dirty_trace=trace)
+    yield "one-window", build_timeline(get_preset("4k60").config, 1)
+
+
+def test_exports_match_the_row_by_row_reference():
+    seen = set()
+    for case, tl in _export_timelines():
+        assert timeline_to_csv(tl) == _ref_csv(tl), case
+        assert timeline_to_svg(tl) == _ref_svg(tl), case
+        seen.add(case)
+        if len(tl.templates) > 1:
+            seen.add("several-templates")
+    assert {"one-window", "several-templates", "gaming-baseline"} <= seen
+
+
+def test_exports_reject_template_rows_that_do_not_abut(monkeypatch):
+    tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), 4)
+    rows = list(tl.rows)
+    first, *rest = rows[1]
+    rows[1] = (first._replace(end_ns=first.end_ns - 1), *rest)
+    monkeypatch.setitem(vars(tl), "rows", tuple(rows))
+    window = tl.window_template.index(1)
+    for export in (timeline_to_csv, timeline_to_svg):
+        with pytest.raises(ValueError, match=f"window {window}: rows do not abut"):
+            export(tl)
