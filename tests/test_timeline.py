@@ -1253,14 +1253,12 @@ def _export_timelines():
 
 
 def test_exports_match_the_row_by_row_reference():
-    seen = set()
-    for case, tl in _export_timelines():
+    cases = dict(_export_timelines())
+    assert cases["one-window"].n_windows == 1
+    assert any(len(tl.templates) > 1 for tl in cases.values())
+    for case, tl in cases.items():
         assert timeline_to_csv(tl) == _ref_csv(tl), case
         assert timeline_to_svg(tl) == _ref_svg(tl), case
-        seen.add(case)
-        if len(tl.templates) > 1:
-            seen.add("several-templates")
-    assert {"one-window", "several-templates", "gaming-baseline"} <= seen
 
 
 def test_exports_reject_template_rows_that_do_not_abut(monkeypatch):
