@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.optimize import nnls
 
-from .core import json_number, json_object
+from .core import ConfigurationError, check_finite, json_number, json_object, read_json
 from .cstates import PackageCState, parse_state_map
 
 
@@ -193,18 +193,20 @@ def runs_from_csv(path: str | Path) -> list[MeasuredRun]:
             raise ValueError(f"{path}: missing power_mw column")
         for lineno, row in enumerate(reader, start=2):
             try:
-                residency = {
-                    PackageCState(c): float(row[c])
-                    for c in reader.fieldnames
-                    if c in state_names and row[c] not in (None, "")
-                }
+                cells = {c: float(row[c]) for c in reader.fieldnames
+                         if c in state_names and row[c] not in (None, "")}
+                cells["power_mw"] = float(row["power_mw"])
+                check_finite({f"{path}:{lineno}": cells})
+                power = cells.pop("power_mw")
                 out.append(
                     MeasuredRun(
-                        residency=residency,
-                        average_power_mw=float(row["power_mw"]),
+                        residency={PackageCState(c): r for c, r in cells.items()},
+                        average_power_mw=power,
                         label=row.get("label") or f"run{lineno - 2}",
                     )
                 )
+            except ConfigurationError:
+                raise
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad run row: {exc}") from None
     if not out:
@@ -222,8 +224,8 @@ def load_runs(path: str | Path) -> list[MeasuredRun]:
 
 def runs_from_json(path: str | Path) -> list[MeasuredRun]:
     """Load measured runs from ``{"runs": [{label, residency, average_power_mw}]}``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
+    check_finite(data)
     unknown = set(json_object(data, "measured-runs file")) - {"runs"}
     if unknown:
         raise ValueError(f"unknown keys in measured-runs file: {sorted(unknown)}")

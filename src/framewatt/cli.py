@@ -7,7 +7,10 @@ Subcommands
     ``report.json`` / ``report.csv`` / ``timeline.csv`` / ``timeline.svg``.
 ``compare``
     Price two configurations (side A vs side B) and report side-by-side
-    residencies, powers, component breakdowns, and percentage deltas.
+    residencies, powers, component breakdowns, and percentage deltas.  Each
+    of side A's flags has a ``-b`` twin for side B, which starts untouched from
+    its own source when it names one, else from side A's resolved run
+    (configuration, calibration, run shape); its own twins apply last.
 ``sweep``
     Grid of resolution x frame-rate x scheme x overlay axes into one
     ``sweep.csv`` / ``sweep.json``; every row carries its energy reduction
@@ -59,7 +62,6 @@ from .scenarios import energy_reduction, read_dirty_trace
 from .timeline import build_timeline, timeline_to_csv, timeline_to_svg
 
 _SCHEME_NAMES = [s.value for s in Scheme]
-_KIND_NAMES = [k.value for k in WorkloadKind]
 
 #: Cross-check tolerance: analytic vs event-driven executor.
 _ENERGY_TOL_PCT = 0.1
@@ -69,53 +71,68 @@ _RESIDENCY_TOL_PP = 0.1
 # -- argument plumbing -----------------------------------------------------------
 
 
-def _add_source_args(p: argparse.ArgumentParser) -> None:
-    src = p.add_argument_group("configuration source")
-    src.add_argument("--config", metavar="PATH", help="configuration JSON file")
-    src.add_argument(
-        "--preset",
-        metavar="NAME",
-        choices=sorted(PRESETS),
-        help="built-in configuration (see the 'presets' subcommand)",
-    )
-    src.add_argument(
-        "--calibration",
-        metavar="NAME_OR_PATH",
-        help="power calibration: built-in name or JSON path "
-        "(default: the preset's, else 'default')",
-    )
-    ov = p.add_argument_group("workload overrides")
-    ov.add_argument("--scheme", choices=_SCHEME_NAMES)
-    ov.add_argument("--kind", choices=_KIND_NAMES)
-    ov.add_argument("--fps", type=int, metavar="N", help="video frame rate")
-    ov.add_argument(
-        "--psr-alternate",
-        action="store_true",
-        help="let the plain scheme self-refresh on repeated windows",
-    )
+#: The flags of one run side, one row each: (group, flag, argparse keywords,
+#: side A's default).  ``compare`` declares every row again for side B as
+#: ``<flag>-b``, with no help and no default, so None there means "not given".
+_SIDE_FLAGS: tuple[tuple[str, str, dict[str, Any], Any], ...] = (
+    ("configuration source", "--config",
+     dict(metavar="PATH", help="configuration JSON file"), None),
+    ("configuration source", "--preset",
+     dict(metavar="NAME", choices=sorted(PRESETS),
+          help="built-in configuration (see the 'presets' subcommand)"), None),
+    ("configuration source", "--calibration",
+     dict(metavar="NAME_OR_PATH",
+          help="power calibration: built-in name or JSON path "
+               "(default: the preset's, else 'default')"), None),
+    ("workload overrides", "--scheme", dict(choices=_SCHEME_NAMES), None),
+    ("workload overrides", "--kind", dict(choices=[k.value for k in WorkloadKind]), None),
+    ("workload overrides", "--fps",
+     dict(type=int, metavar="N", help="video frame rate"), None),
+    ("workload overrides", "--psr-alternate",
+     dict(action="store_true",
+          help="let the plain scheme self-refresh on repeated windows"), False),
+    ("run shape", "--fbc-ratio",
+     dict(type=float, metavar="R",
+          help="frame-buffer compression ratio in (0,1]; 1 disables (default)"), 1.0),
+    ("run shape", "--batch-every",
+     dict(type=int, metavar="B",
+          help="decode B frames ahead in one window; 1 disables (default)"), 1),
+    ("run shape", "--cached-fraction",
+     dict(type=float, metavar="F",
+          help="buffer-traffic fraction saved by batching (default 0.34)"), 0.34),
+    ("run shape", "--trace",
+     dict(metavar="PATH", help="dirty-fraction CSV driving single-plane workloads"), None),
+)
+
+#: Side A's default of each per-side flag, by argparse dest.
+_SIDE_DEFAULTS = {flag[2:].replace("-", "_"): default
+                  for _, flag, _, default in _SIDE_FLAGS}
+
+#: The flags a side's manifest records under "overrides" when set away from
+#: the side's default (side B has none, so every value it is given counts).
+_RECORDED = ("scheme", "kind", "fps", "psr_alternate", "fbc_ratio", "batch_every")
 
 
-def _add_run_args(p: argparse.ArgumentParser) -> None:
-    run = p.add_argument_group("run shape")
-    run.add_argument("--windows", type=int, metavar="N",
-                     help="refresh windows to simulate (default: one frame "
-                          "group, or one full batch cycle when batching)")
-    run.add_argument("--seed", type=int, metavar="N",
-                     help="recorded in the manifest for downstream tooling")
-    run.add_argument(
-        "--fbc-ratio", type=float, default=1.0, metavar="R",
-        help="frame-buffer compression ratio in (0,1]; 1 disables (default)",
-    )
-    run.add_argument(
-        "--batch-every", type=int, default=1, metavar="B",
-        help="decode B frames ahead in one window; 1 disables (default)",
-    )
-    run.add_argument(
-        "--cached-fraction", type=float, default=0.34, metavar="F",
-        help="buffer-traffic fraction saved by batching (default 0.34)",
-    )
-    run.add_argument("--trace", metavar="PATH",
-                     help="dirty-fraction CSV driving single-plane workloads")
+def _add_side_args(p: argparse.ArgumentParser, suffix: str = "") -> None:
+    """Declare one run side's flags: side A's as tabled, with the ``--windows``
+    and ``--seed`` both sides share, or ``<flag><suffix>`` twins in one group."""
+    groups: dict[str, Any] = {}
+    for title, flag, kwargs, default in _SIDE_FLAGS:
+        if suffix:
+            title, kwargs, default = (
+                f"side B (side A's flags with a {suffix} suffix; defaults: side A's "
+                "resolved run, unless side B names its own source)",
+                {**kwargs, "help": None}, None)
+        if title not in groups:
+            groups[title] = p.add_argument_group(title)
+        groups[title].add_argument(flag + suffix, default=default, **kwargs)
+    if not suffix:
+        run = groups["run shape"]
+        run.add_argument("--windows", type=int, metavar="N",
+                         help="refresh windows to simulate (default: one frame "
+                              "group, or one full batch cycle when batching)")
+        run.add_argument("--seed", type=int, metavar="N",
+                         help="recorded in the manifest for downstream tooling")
 
 
 def _add_out_args(p: argparse.ArgumentParser) -> None:
@@ -129,96 +146,79 @@ def _add_out_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_source(config: str | None, preset: str | None,
-                 suffix: str = "") -> tuple[SimConfig, str] | None:
-    """Config and calibration name from --config or --preset; None if neither."""
-    if config and preset:
+def _side(args: argparse.Namespace, suffix: str) -> dict[str, Any]:
+    """One side's flag values by side A's dest; None where the command lacks one."""
+    tail = suffix.replace("-", "_")
+    return {name: getattr(args, name + tail, None) for name in _SIDE_DEFAULTS}
+
+
+def _resolve_side(
+    args: argparse.Namespace, suffix: str = "",
+    base: tuple[SimConfig, str, dict[str, Any]] | None = None,
+) -> tuple[SimConfig, str, dict[str, Any]]:
+    """One side's config, calibration name and :func:`build_timeline` keywords.
+
+    A side naming its own ``--config``/``--preset`` starts from that source,
+    untouched, with the builder's defaults; side B without one starts from
+    ``base``, side A's result.  The side's own flags apply last."""
+    side = _side(args, suffix)
+    if side["config"] and side["preset"]:
         raise ValueError(f"--config{suffix} and --preset{suffix} are mutually exclusive")
-    if config:
-        return SimConfig.from_json(config), "default"
-    if preset:
-        found = get_preset(preset)
-        return found.config, found.calibration
-    return None
-
-
-def _resolve_config(args: argparse.Namespace) -> tuple[SimConfig, str]:
-    """Turn --preset/--config plus overrides into a config and calibration."""
-    source = _load_source(args.config, args.preset)
-    if source is None:
+    if side["config"]:
+        cfg, calibration, run = SimConfig.from_json(side["config"]), "default", {}
+    elif side["preset"]:
+        found = get_preset(side["preset"])
+        cfg, calibration, run = found.config, found.calibration, {}
+    elif base is not None:
+        cfg, calibration, run = base[0], base[1], dict(base[2])
+    else:
         raise ValueError("one of --config or --preset is required")
-    cfg, calibration = source
-    cfg = _apply_workload_overrides(
-        cfg,
-        scheme=getattr(args, "scheme", None),
-        kind=getattr(args, "kind", None),
-        fps=getattr(args, "fps", None),
-        psr_alternate=getattr(args, "psr_alternate", False),
-    )
-    return cfg, args.calibration or calibration
-
-
-def _apply_workload_overrides(
-    cfg: SimConfig,
-    *,
-    scheme: str | None,
-    kind: str | None,
-    fps: int | None,
-    psr_alternate: bool,
-) -> SimConfig:
     wl = cfg.workload
-    if scheme:
-        wl = replace(wl, scheme=Scheme(scheme))
-    if kind:
-        wl = replace(wl, kind=WorkloadKind(kind))
-    if fps is not None:
-        wl = replace(wl, video_fps=fps)
-    if psr_alternate:
+    if side["scheme"]:
+        wl = replace(wl, scheme=Scheme(side["scheme"]))
+    if side["kind"]:
+        wl = replace(wl, kind=WorkloadKind(side["kind"]))
+    if side["fps"] is not None:
+        wl = replace(wl, video_fps=side["fps"])
+    if side["psr_alternate"]:
         wl = replace(wl, psr_alternate_windows=True)
     if wl is not cfg.workload:
         cfg = replace(cfg, workload=wl)
-    return cfg
+    for key, name in (("fbc_ratio", "fbc_ratio"), ("batch_every", "batch_every"),
+                      ("cached_traffic_fraction", "cached_fraction")):
+        if side[name] is not None:
+            run[key] = side[name]
+    if side["trace"]:
+        run["dirty_trace"] = read_dirty_trace(side["trace"])
+    return cfg, side["calibration"] or calibration, run
 
 
-def _run_kwargs(args: argparse.Namespace) -> dict[str, Any]:
-    """The run-shape flags as :func:`build_timeline` keywords."""
+def _side_manifest(args: argparse.Namespace, calibration: str,
+                   suffix: str = "") -> dict[str, Any]:
+    """One side's manifest block: its source, calibration and overrides."""
+    side = _side(args, suffix)
+    defaults = {} if suffix else _SIDE_DEFAULTS
     return {
-        "fbc_ratio": args.fbc_ratio,
-        "batch_every": args.batch_every,
-        "cached_traffic_fraction": args.cached_fraction,
-        "dirty_trace": read_dirty_trace(args.trace) if args.trace else None,
+        "preset": side["preset"],
+        "config_paths": [side["config"]] if side["config"] else [],
+        "calibration": calibration,
+        "overrides": {name: side[name] for name in _RECORDED
+                      if side[name] is not None and side[name] != defaults.get(name)},
     }
 
 
 def _manifest(command: str, args: argparse.Namespace, calibration: str,
               windows: int | None, **extra: Any) -> dict[str, Any]:
-    fbc, batch = getattr(args, "fbc_ratio", 1.0), getattr(args, "batch_every", 1)
-    overrides = {
-        k: v
-        for k, v in (
-            ("scheme", getattr(args, "scheme", None)),
-            ("kind", getattr(args, "kind", None)),
-            ("fps", getattr(args, "fps", None)),
-            ("psr_alternate", getattr(args, "psr_alternate", None) or None),
-            ("fbc_ratio", fbc if fbc != 1.0 else None),
-            ("batch_every", batch if batch != 1 else None),
-        )
-        if v is not None
-    }
-    doc = {
+    return {
         "tool": "framewatt",
         "version": __version__,
         "command": command,
-        "preset": getattr(args, "preset", None),
-        "config_paths": [args.config] if getattr(args, "config", None) else [],
-        "calibration": calibration,
+        **_side_manifest(args, calibration),
         "out": getattr(args, "out", None),
         "windows": windows,
         "seed": getattr(args, "seed", None),
-        "overrides": overrides,
+        **extra,
     }
-    doc.update(extra)
-    return doc
 
 
 def _dump_json(doc: dict[str, Any]) -> str:
@@ -250,9 +250,9 @@ def _fmt_delta(delta: float | None, unit: str = "%") -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, calibration_id = _resolve_config(args)
+    cfg, calibration_id, run = _resolve_side(args)
     calibration = load_calibration(calibration_id)
-    timeline = build_timeline(cfg, args.windows, **_run_kwargs(args))
+    timeline = build_timeline(cfg, args.windows, **run)
     report = report_from_timeline(timeline, cfg, calibration)
 
     total_s = report.total_ns * 1e-9
@@ -309,54 +309,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # -- compare ---------------------------------------------------------------------
 
 
-def _add_side_b_args(p: argparse.ArgumentParser) -> None:
-    b = p.add_argument_group(
-        "side B (defaults: side A's configuration and overlays; flags below "
-        "override per side)"
-    )
-    b.add_argument("--config-b", metavar="PATH", help="side B configuration JSON")
-    b.add_argument("--preset-b", metavar="NAME", choices=sorted(PRESETS),
-                   help="side B built-in configuration")
-    b.add_argument("--calibration-b", metavar="NAME_OR_PATH")
-    b.add_argument("--scheme-b", choices=_SCHEME_NAMES)
-    b.add_argument("--kind-b", choices=_KIND_NAMES)
-    b.add_argument("--fps-b", type=int, metavar="N")
-    b.add_argument("--psr-alternate-b", action="store_true")
-    b.add_argument("--fbc-ratio-b", type=float, metavar="R")
-    b.add_argument("--batch-every-b", type=int, metavar="B")
-    b.add_argument("--cached-fraction-b", type=float, metavar="F")
-    b.add_argument("--trace-b", metavar="PATH")
-
-
-def _resolve_side_b(
-    args: argparse.Namespace, cfg_a: SimConfig, calibration_a: str,
-    run_a: dict[str, Any],
-) -> tuple[SimConfig, str, dict[str, Any]]:
-    """Side B = its own source (if given, pristine) else side A's result.
-
-    Side B's run keywords are its own flags over side A's, or over the
-    builder's defaults when side B names its own source."""
-    source = _load_source(args.config_b, args.preset_b, "-b")
-    cfg, calibration = source or (cfg_a, calibration_a)
-    cfg = _apply_workload_overrides(
-        cfg,
-        scheme=args.scheme_b,
-        kind=args.kind_b,
-        fps=args.fps_b,
-        psr_alternate=args.psr_alternate_b,
-    )
-    run = {} if source else dict(run_a)
-    for key, value in (
-        ("fbc_ratio", args.fbc_ratio_b),
-        ("batch_every", args.batch_every_b),
-        ("cached_traffic_fraction", args.cached_fraction_b),
-        ("dirty_trace", read_dirty_trace(args.trace_b) if args.trace_b else None),
-    ):
-        if value is not None:
-            run[key] = value
-    return cfg, args.calibration_b or calibration, run
-
-
 #: Per-window compare rows: (report key, compare.json delta group, row label,
 #: decimals).  The first three keys index ``component_energy_uj``.
 _PER_WINDOW_ROWS = (
@@ -376,9 +328,9 @@ def _per_window(report: EnergyReport, key: str) -> float:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg_a, calibration_id_a = _resolve_config(args)
-    run_a = _run_kwargs(args)
-    cfg_b, calibration_id_b, run_b = _resolve_side_b(args, cfg_a, calibration_id_a, run_a)
+    side_a = _resolve_side(args)
+    cfg_a, calibration_id_a, run_a = side_a
+    cfg_b, calibration_id_b, run_b = _resolve_side(args, "-b", side_a)
     cal_a = load_calibration(calibration_id_a)
     cal_b = load_calibration(calibration_id_b)
 
@@ -438,26 +390,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(
-        "compare", args, cal_a.name, args.windows,
-        side_b={
-            "preset": args.preset_b,
-            "config_paths": [args.config_b] if args.config_b else [],
-            "calibration": cal_b.name,
-            "overrides": {
-                k: v
-                for k, v in (
-                    ("scheme", args.scheme_b),
-                    ("kind", args.kind_b),
-                    ("fps", args.fps_b),
-                    ("psr_alternate", args.psr_alternate_b or None),
-                    ("fbc_ratio", args.fbc_ratio_b),
-                    ("batch_every", args.batch_every_b),
-                )
-                if v is not None
-            },
-        },
-    )
+    manifest = _manifest("compare", args, cal_a.name, args.windows,
+                         side_b=_side_manifest(args, cal_b.name, "-b"))
     if args.format in ("json", "both"):
         doc = {
             "manifest": manifest,
@@ -683,8 +617,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         points = [(label, cfg, load_calibration(calibration_id), None, {})
                   for label, cfg, calibration_id in validation_grid()]
     else:
-        cfg, calibration_id = _resolve_config(args)
-        run = _run_kwargs(args)
+        cfg, calibration_id, run = _resolve_side(args)
         points = [("config", cfg, load_calibration(calibration_id), args.windows, run)]
 
     results = []
@@ -750,15 +683,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one configuration and price it")
-    _add_source_args(p)
-    _add_run_args(p)
+    _add_side_args(p)
     _add_out_args(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="price two configurations side by side")
-    _add_source_args(p)
-    _add_run_args(p)
-    _add_side_b_args(p)
+    _add_side_args(p)
+    _add_side_args(p, "-b")
     _add_out_args(p)
     p.set_defaults(func=_cmd_compare)
 
@@ -803,8 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="check a configuration and cross-check analytic vs event timelines",
     )
-    _add_source_args(p)
-    _add_run_args(p)
+    _add_side_args(p)
     p.add_argument("--grid", action="store_true",
                    help="cross-check the whole 50-point validation grid")
     p.add_argument("--out", metavar="DIR", help="directory for validate.json")

@@ -242,8 +242,7 @@ class SimConfig:
 
     @staticmethod
     def from_json(path: str | Path) -> "SimConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return SimConfig.from_dict(json.load(fh))
+        return SimConfig.from_dict(read_json(path))
 
     def to_dict(self) -> dict[str, Any]:
         sections = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -396,6 +395,15 @@ def check_finite(data: Any) -> None:
     walk(data, "")
     if found:
         raise ConfigurationError(found)
+
+
+def read_json(path: str | Path) -> Any:
+    """The parsed JSON file at ``path``; ValueError naming it if nested too deeply."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def json_number(value: Any, where: str) -> float:
@@ -612,6 +620,7 @@ __all__ = [
     "json_string",
     "panel_stream_rate",
     "parse_resolution",
+    "read_json",
     "validate_config",
     "replace",
 ]

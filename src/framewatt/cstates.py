@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .core import Scheme, check_finite, json_number, json_object, json_string
+from .core import Scheme, check_finite, json_number, json_object, json_string, read_json
 
 
 class PackageCState(Enum):
@@ -276,8 +276,7 @@ def load_calibration(name_or_path: str | Path = "default") -> CalibrationSet:
         return calibration_from_dict(data)
     path = Path(name_or_path)
     if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            return calibration_from_dict(json.load(fh))
+        return calibration_from_dict(read_json(path))
     raise ValueError(
         f"unknown calibration {name_or_path!r}; built-ins are "
         f"{sorted(_BUILTIN_FILES)} or pass a JSON file path"

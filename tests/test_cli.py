@@ -243,6 +243,111 @@ def test_compare_side_b_inherits_side_a_overlays(tmp_path, capsys):
     assert doc["delta"]["average_power_pct"] > 0
 
 
+def _result(tmp_path, argv):
+    """The JSON document ``argv`` writes under a fresh --out directory."""
+    out_dir = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    assert main([*argv, "--out", str(out_dir), "--format", "json"]) == 0
+    (path,) = out_dir.glob("*.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_manifest_records_side_a_overlays_only_off_their_defaults(tmp_path, capsys):
+    doc = _result(tmp_path, ["compare", "--preset", "4k60", "--fbc-ratio", "1.0",
+                             "--batch-every", "1", "--fbc-ratio-b", "1.0"])
+    assert doc["manifest"]["overrides"] == {}
+    # side B has no defaults: any value it is given is recorded
+    assert doc["manifest"]["side_b"]["overrides"] == {"fbc_ratio": 1.0}
+    doc = _result(tmp_path, ["simulate", "--preset", "4k60", "--fbc-ratio", "1.0",
+                             "--batch-every", "1"])
+    assert doc["manifest"]["overrides"] == {}
+
+
+def test_compare_side_b_with_its_own_preset_starts_pristine(tmp_path, capsys):
+    doc = _result(tmp_path, ["compare", "--preset", "4k60", "--scheme", "burstlink",
+                             "--fbc-ratio", "0.5", "--calibration", "latency-demo",
+                             "--preset-b", "4k60"])
+    alone = _result(tmp_path, ["simulate", "--preset", "4k60"])
+    assert doc["b"] == {"config": alone["config"], "report": alone["report"]}
+    assert doc["manifest"]["side_b"] == {"preset": "4k60", "config_paths": [],
+                                         "calibration": "default", "overrides": {}}
+
+
+def test_compare_side_b_without_a_source_inherits_side_a(tmp_path, capsys):
+    side_a = ["--preset", "4k60", "--scheme", "baseline", "--fbc-ratio", "0.5",
+              "--batch-every", "2", "--cached-fraction", "0.5",
+              "--calibration", "latency-demo"]
+    doc = _result(tmp_path, ["compare", *side_a, "--fps-b", "30"])
+    alone = _result(tmp_path, ["simulate", *side_a, "--fps", "30"])
+    assert doc["b"] == {"config": alone["config"], "report": alone["report"]}
+    assert doc["manifest"]["side_b"] == {"preset": None, "config_paths": [],
+                                         "calibration": "latency-demo",
+                                         "overrides": {"fps": 30}}
+
+
+def test_compare_trace_b_drives_side_b_only(tmp_path, capsys):
+    from importlib import resources
+
+    run = ["--preset", "fhd60", "--kind", "single_plane", "--scheme",
+           "bursting_only", "--windows", "12"]
+    traces = resources.files("framewatt").joinpath("data", "traces")
+    with resources.as_file(traces / "gaming.csv") as gaming, \
+            resources.as_file(traces / "productivity.csv") as productivity:
+        doc = _result(tmp_path, ["compare", *run, "--trace", str(gaming),
+                                 "--trace-b", str(productivity)])
+        a = _result(tmp_path, ["simulate", *run, "--trace", str(gaming)])
+        b = _result(tmp_path, ["simulate", *run, "--trace", str(productivity)])
+    assert doc["a"]["report"] == a["report"]
+    assert doc["b"]["report"] == b["report"]
+    assert a["report"] != b["report"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--preset", "4k60", "--config-b", "CONFIG", "--preset-b", "fhd30"], 2,
+     "error: --config-b and --preset-b are mutually exclusive"),
+    (["--preset-b", "fhd30"], 2, "error: one of --config or --preset is required"),
+    # errors come in order: A's source, A's trace, B's source, B's trace
+    (["--config", "CONFIG", "--preset", "4k60", "--trace", "MISSING",
+      "--config-b", "CONFIG", "--preset-b", "fhd30"], 2,
+     "error: --config and --preset are mutually exclusive"),
+    (["--preset", "fhd60", "--trace", "MISSING", "--config-b", "CONFIG",
+      "--preset-b", "fhd30"], 1, "error: [Errno 2] No such file or directory"),
+    (["--preset", "fhd60", "--config-b", "CONFIG", "--preset-b", "fhd30",
+      "--trace-b", "MISSING"], 2,
+     "error: --config-b and --preset-b are mutually exclusive"),
+])
+def test_compare_side_errors_name_the_side(argv, code, message, config_file, tmp_path,
+                                           capsys):
+    subs = {"CONFIG": str(config_file), "MISSING": str(tmp_path / "missing.csv")}
+    assert main(["compare", *(subs.get(a, a) for a in argv)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(message)
+
+
+def test_every_side_a_flag_has_a_side_b_twin_without_a_default():
+    from framewatt.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices
+    shared = {"help", "windows", "seed", "out", "format"}
+    side_a = {a.dest: a for a in sub["simulate"]._actions if a.dest not in shared}
+    side_b = {a.dest: a for a in sub["compare"]._actions if a.dest.endswith("_b")}
+    assert len(side_a) == 11
+    assert set(side_b) == {dest + "_b" for dest in side_a}
+    for dest, a in side_a.items():
+        b = side_b[dest + "_b"]
+        assert b.option_strings == [s + "-b" for s in a.option_strings]
+        assert (type(b), b.type, b.choices, b.default) == (type(a), a.type, a.choices, None)
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "calibrate",
+                                     "validate", "presets"])
+def test_every_subcommand_prints_its_help(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: framewatt {command}")
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-5", "1.5"])
 @pytest.mark.parametrize("command", [["simulate"], ["validate"],
                                      ["compare", "--preset-b", "fhd30"]])
@@ -307,6 +412,17 @@ def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, tmp_path, capsys):
      {"name": {"a": 1}}, 'name must be a string, got {"a": 1}'),
     (["simulate", "--preset", "fhd30", "--calibration", "CALIBRATION"],
      {"description": 5}, "description must be a string, got 5"),
+    # a str doc is written as is: arrays nested deeper than the decoder goes
+    pytest.param(["simulate", "--config", "JSON"], "[" * 100_000 + "]" * 100_000,
+                 "PATH: JSON nested too deeply to read", id="deep-config"),
+    pytest.param(["simulate", "--config", "JSON"], "[" * 990 + "]" * 990,
+                 "PATH: JSON nested too deeply to read", id="deep-990-config"),
+    pytest.param(["simulate", "--preset", "fhd30", "--calibration", "JSON"],
+                 "[" * 100_000 + "]" * 100_000, "PATH: JSON nested too deeply to read",
+                 id="deep-calibration"),
+    pytest.param(["calibrate", "--runs", "JSON"],
+                 '{"runs": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 "PATH: JSON nested too deeply to read", id="deep-runs"),
 ])
 def test_json_of_the_wrong_shape_names_the_key(argv, doc, message, tmp_path, capsys):
     if "CALIBRATION" in argv:  # one key of the default calibration replaced
@@ -316,11 +432,28 @@ def test_json_of_the_wrong_shape_names_the_key(argv, doc, message, tmp_path, cap
             "data", "default_calibration.json").read_text(encoding="utf-8")
         doc = {**json.loads(text), **doc}
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     assert main([str(path) if a in ("JSON", "CALIBRATION") else a for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"error: {message}")
+    assert err[0].startswith(f"error: {message.replace('PATH', str(path))}")
+
+
+@pytest.mark.parametrize("name, text, field", [
+    ("runs.json", '{"runs": [{"residency": {"C0": 1.0}, "average_power_mw": NaN}]}',
+     "runs[0].average_power_mw"),
+    ("runs.json", '{"runs": [{"residency": {"C0": Infinity}, "average_power_mw": 1}]}',
+     "runs[0].residency.C0"),
+    ("runs.csv", "label,C0,power_mw\nidle,1.0,nan\n", "PATH:2.power_mw"),
+    ("runs.csv", "label,C0,C8,power_mw\nidle,1.0,0,5\nbusy,inf,0,5\n", "PATH:3.C0"),
+], ids=["json-power", "json-residency", "csv-power", "csv-residency"])
+def test_calibrate_names_non_finite_measured_values(name, text, field, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["calibrate", "--runs", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"violation\tNON_FINITE\t{field.replace('PATH', str(path))}\t")
+    assert len(err.splitlines()) == 1
 
 
 # -- sweep --------------------------------------------------------------------
