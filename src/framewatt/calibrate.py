@@ -10,7 +10,6 @@ Powers are physical quantities, so the solver is non-negative least squares.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -19,7 +18,8 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.optimize import nnls
 
-from .core import ConfigurationError, check_finite, json_number, json_object, read_json
+from .core import (ConfigurationError, check_finite, json_excerpt, json_number,
+                   json_object, read_json)
 from .cstates import PackageCState, parse_state_map
 
 
@@ -233,7 +233,7 @@ def runs_from_json(path: str | Path) -> list[MeasuredRun]:
     if not raw_runs:
         raise ValueError("measured-runs file has no runs")
     if not isinstance(raw_runs, list):
-        raise ValueError(f"runs must be an array, got {json.dumps(raw_runs)}")
+        raise ValueError(f"runs must be an array, got {json_excerpt(raw_runs)}")
     out: list[MeasuredRun] = []
     for i, raw in enumerate(raw_runs):
         unknown = set(json_object(raw, f"run {i}")) - {"label", "residency", "average_power_mw"}

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -42,22 +43,12 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
-from .core import (
-    Scheme,
-    SimConfig,
-    SystemConfig,
-    Violation,
-    WorkloadKind,
-    WorkloadSpec,
-    DisplayConfig,
-    parse_resolution,
-    replace,
-)
+from .core import Scheme, SimConfig, Violation, WorkloadKind, replace
 from .cstates import PackageCState, calibration_from_dict, load_calibration
 from .oracle import oracle_simulate
 from .power import (ConfigurationError, EnergyReport, report_from_timeline,
                     streaming_report, window_energy_breakdown)
-from .presets import PRESETS, get_preset, validation_grid
+from .presets import PRESETS, _video, get_preset, validation_grid
 from .scenarios import energy_reduction, read_dirty_trace
 from .timeline import build_timeline, timeline_to_csv, timeline_to_svg
 
@@ -438,15 +429,11 @@ def _sweep_point(
     fbc: float, batch: int, calibration: Any, windows: int | None,
 ) -> tuple[dict[str, Any], Any]:
     """Evaluate one grid point; returns (row, report-or-None)."""
+    cfg = _video(res, refresh, fps, scheme, kind)
     row: dict[str, Any] = dict.fromkeys(_SWEEP_COLUMNS)
-    row.update(resolution=str(parse_resolution(res)), refresh_hz=refresh, fps=fps,
+    row.update(resolution=str(cfg.display.resolution), refresh_hz=refresh, fps=fps,
                kind=kind.value, scheme=scheme.value, fbc_ratio=fbc, batch_every=batch,
                calibration=calibration.name, status="ok", violations="")
-    cfg = SimConfig(
-        display=DisplayConfig(resolution=parse_resolution(res), refresh_hz=refresh),
-        system=SystemConfig(),
-        workload=WorkloadSpec(kind=kind, scheme=scheme, video_fps=fps),
-    )
     try:
         report = streaming_report(cfg, calibration, windows, fbc_ratio=fbc,
                                   batch_every=batch)
@@ -480,16 +467,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for batch in batch_axis
     ]
     # Each baseline reference is a no-overlay plain-scheme run at the same
-    # panel and frame rate.  The work is pure Python, so points run in order.
-    refs = {
-        key: _sweep_point(key[0], key[1], key[2], kind, Scheme.BASELINE, 1.0, 1,
-                          calibration, args.windows)[1]
-        for key in sorted({(res, refresh, fps) for res, refresh, fps, *_ in points})
-    }
+    # panel and frame rate.  Each distinct point runs once, so a reference
+    # that is also a grid point shares its row's report.  The work is pure
+    # Python, so points run in order.
+    run = functools.cache(lambda point: _sweep_point(*point, calibration, args.windows))
+    refs = {key: run((*key, kind, Scheme.BASELINE, 1.0, 1))[1]
+            for key in sorted({point[:3] for point in points})}
     rows = []
-    for res, refresh, fps, knd, scheme, fbc, batch in points:
-        row, report = _sweep_point(res, refresh, fps, knd, scheme, fbc, batch,
-                                   calibration, args.windows)
+    for point in points:
+        res, refresh, fps, _, scheme, fbc, batch = point
+        row, report = run(point)
         if report is not None:
             base = refs.get((res, refresh, fps))
             if scheme is Scheme.BASELINE and fbc == 1.0 and batch == 1:
@@ -614,7 +601,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     if args.grid:
-        points = [(label, cfg, load_calibration(calibration_id), None, {})
+        load = functools.cache(load_calibration)  # 2 distinct calibrations, 50 points
+        points = [(label, cfg, load(calibration_id), None, {})
                   for label, cfg, calibration_id in validation_grid()]
     else:
         cfg, calibration_id, run = _resolve_side(args)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 NS_PER_S = 1_000_000_000
 
@@ -282,7 +282,7 @@ def _section(data: Mapping[str, Any], name: str, cls: type) -> dict[str, Any]:
     section = data.get(name, {})
     if not isinstance(section, Mapping):
         raise ValueError(f"config section '{name}' must be an object, "
-                         f"got {json.dumps(section)}")
+                         f"got {json_excerpt(section)}")
     annotations = {f.name: f.type for f in fields(cls)}
     unknown = set(section) - set(annotations)
     if unknown:
@@ -296,7 +296,7 @@ def _section(data: Mapping[str, Any], name: str, cls: type) -> dict[str, Any]:
             if not isinstance(item, accepted) or (isinstance(item, bool)
                                                   and bool not in accepted):
                 raise ValueError(f"config key '{where}' must be {expected}, "
-                                 f"got {json.dumps(item)}")
+                                 f"got {json_excerpt(item)}")
     # Parsed in declaration order, so the first bad field named is the same
     # whatever the key order of the input.
     return {f.name: _PARSERS[f.type](section[f.name]) if f.type in _PARSERS
@@ -352,8 +352,7 @@ def dc_fetch_count(n_bytes: int, dc_buffer_bytes: int) -> int:
 # -- validation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One machine-readable config problem.
 
     ``code`` is stable (screaming-snake identifier), ``field`` names the
@@ -406,24 +405,36 @@ def read_json(path: str | Path) -> Any:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
+#: Most characters of an offending value's JSON that an error line quotes.
+_EXCERPT_CHARS = 60
+
+
+def json_excerpt(value: Any) -> str:
+    """``value`` as JSON for an error line, cut to ``_EXCERPT_CHARS``
+    characters and ``...`` when longer, so a large input of the wrong
+    shape still gives a short line."""
+    text = json.dumps(value)
+    return text if len(text) <= _EXCERPT_CHARS else text[:_EXCERPT_CHARS] + "..."
+
+
 def json_number(value: Any, where: str) -> float:
     """``value`` as a float; ValueError naming ``where`` unless a JSON number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} must be a number, got {json.dumps(value)}")
+        raise ValueError(f"{where} must be a number, got {json_excerpt(value)}")
     return float(value)
 
 
 def json_object(value: Any, where: str) -> Mapping[str, Any]:
     """``value`` unchanged; ValueError naming ``where`` unless a JSON object."""
     if not isinstance(value, Mapping):
-        raise ValueError(f"{where} must be an object, got {json.dumps(value)}")
+        raise ValueError(f"{where} must be an object, got {json_excerpt(value)}")
     return value
 
 
 def json_string(value: Any, where: str) -> str:
     """``value`` unchanged; ValueError naming ``where`` unless a JSON string."""
     if not isinstance(value, str):
-        raise ValueError(f"{where} must be a string, got {json.dumps(value)}")
+        raise ValueError(f"{where} must be a string, got {json_excerpt(value)}")
     return value
 
 
@@ -615,6 +626,7 @@ __all__ = [
     "frame_bytes",
     "frame_window",
     "frame_window_ns",
+    "json_excerpt",
     "json_number",
     "json_object",
     "json_string",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .core import Scheme, check_finite, json_number, json_object, json_string, read_json
 
@@ -122,8 +122,7 @@ class PowerProfile:
                 )
 
 
-@dataclass(frozen=True)
-class TransitionCost:
+class TransitionCost(NamedTuple):
     latency_ns: int
     energy_uj: float
 

@@ -17,7 +17,6 @@ tail, and every window is cut off clean at its end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -48,8 +47,7 @@ class OraclePeriod(NamedTuple):
         return self.end_s - self.start_s
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     n_windows: int
     window_s: float
     periods: tuple[OraclePeriod, ...]
@@ -211,8 +209,7 @@ def _run_phase(
     return min(drain_done[-1], sim.end)
 
 
-@dataclass
-class _P:
+class _P(NamedTuple):
     """Per-run scalar parameters, all plain floats/ints."""
 
     W: float
@@ -295,12 +292,18 @@ def oracle_simulate(
                 r, wr, lk = _sim_baseline(
                     sim, par, is_transfer, decodes, vr, wl.psr_alternate_windows
                 )
+            elif not is_transfer:
+                # Every other scheme parks a repeat window on the panel's
+                # own frame buffer after a short wake-up.
+                sim.emit(PackageCState.C0, sim.t + par.o_b)
+                sim.finish(PackageCState.C9, drfb=True)
+                r = wr = lk = 0
             elif wl.scheme is Scheme.BYPASS_ONLY:
-                r, wr, lk = _sim_bypass(sim, par, is_transfer)
+                r, wr, lk = _sim_bypass(sim, par)
             elif wl.scheme is Scheme.BURSTING_ONLY:
-                r, wr, lk = _sim_bursting(sim, par, is_transfer)
+                r, wr, lk = _sim_bursting(sim, par)
             else:
-                r, wr, lk = _sim_burstlink(sim, par, is_transfer, vr)
+                r, wr, lk = _sim_burstlink(sim, par, vr)
         reads += r
         writes += wr
         link += lk
@@ -342,11 +345,7 @@ def _sim_baseline(
     return reads, writes, par.F
 
 
-def _sim_bypass(sim: _WindowSim, par: _P, is_transfer: bool) -> tuple[int, int, int]:
-    if not is_transfer:
-        sim.emit(PackageCState.C0, sim.t + par.o_b)
-        sim.finish(PackageCState.C9, drfb=True)
-        return 0, 0, 0
+def _sim_bypass(sim: _WindowSim, par: _P) -> tuple[int, int, int]:
     sim.emit(PackageCState.C0, sim.t + par.o)
     _run_phase(sim, par.F, par.chunk, par.p, None,
                PackageCState.C7, PackageCState.C7P)
@@ -354,11 +353,7 @@ def _sim_bypass(sim: _WindowSim, par: _P, is_transfer: bool) -> tuple[int, int, 
     return par.E, 0, par.F
 
 
-def _sim_bursting(sim: _WindowSim, par: _P, is_transfer: bool) -> tuple[int, int, int]:
-    if not is_transfer:
-        sim.emit(PackageCState.C0, sim.t + par.o_b)
-        sim.finish(PackageCState.C9, drfb=True)
-        return 0, 0, 0
+def _sim_bursting(sim: _WindowSim, par: _P) -> tuple[int, int, int]:
     sim.emit(PackageCState.C0, sim.t + par.o_b + par.F / par.f, fbc=par.fbc_on)
     d_units = par.e_B * par.disp / par.F if par.disp != par.F else par.e_B
     _run_phase(sim, par.disp, par.chunk, par.b, d_units,
@@ -367,13 +362,7 @@ def _sim_bursting(sim: _WindowSim, par: _P, is_transfer: bool) -> tuple[int, int
     return par.E + par.disp, par.disp, par.F
 
 
-def _sim_burstlink(
-    sim: _WindowSim, par: _P, is_transfer: bool, vr: bool
-) -> tuple[int, int, int]:
-    if not is_transfer:
-        sim.emit(PackageCState.C0, sim.t + par.o_b)
-        sim.finish(PackageCState.C9, drfb=True)
-        return 0, 0, 0
+def _sim_burstlink(sim: _WindowSim, par: _P, vr: bool) -> tuple[int, int, int]:
     if vr:
         sim.emit(PackageCState.C0, sim.t + par.o_b + par.F / par.f)
         _run_phase(sim, par.F, par.chunk, par.gpu, par.e_B,

@@ -25,7 +25,6 @@ energy is additive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Mapping, NamedTuple
 
@@ -87,8 +86,7 @@ def transition_counts(
 # -- DRAM energy ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DramEnergy:
+class DramEnergy(NamedTuple):
     """DRAM energy view: additive operating energy, attributed background.
 
     ``operating_*_uj`` charge the per-byte coefficients (these add to the
@@ -130,8 +128,7 @@ class WindowEnergy(NamedTuple):
     total_uj: float
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Complete energy accounting for one simulated run."""
 
     scheme: Scheme
@@ -157,8 +154,7 @@ class EnergyReport:
     analytic_average_power_mw: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {_REPORT_KEYS.get(f.name, f.name): _report_json(getattr(self, f.name))
-                for f in fields(self)}
+        return {_REPORT_KEYS.get(k, k): _report_json(v) for k, v in self._asdict().items()}
 
 
 #: Report fields that ``report.json`` names differently.
@@ -172,7 +168,7 @@ def _report_json(value: Any) -> Any:
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, DramEnergy):
-        return {f.name: _report_json(getattr(value, f.name)) for f in fields(value)}
+        return {k: _report_json(v) for k, v in value._asdict().items()}
     if isinstance(value, Mapping):
         return {"->".join(s.value for s in k) if isinstance(k, tuple) else _report_json(k): v
                 for k, v in value.items()}

@@ -11,7 +11,7 @@ the ``default`` calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     RESOLUTIONS,
@@ -21,11 +21,11 @@ from .core import (
     SystemConfig,
     WorkloadKind,
     WorkloadSpec,
+    parse_resolution,
 )
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     config: SimConfig
     calibration: str
     note: str
@@ -49,7 +49,7 @@ _REF_SYSTEM = SystemConfig(
 def _video(res: str, refresh: int, fps: int, scheme: Scheme = Scheme.BASELINE,
            kind: WorkloadKind = WorkloadKind.VIDEO) -> SimConfig:
     return SimConfig(
-        display=DisplayConfig(resolution=RESOLUTIONS[res], refresh_hz=refresh),
+        display=DisplayConfig(resolution=parse_resolution(res), refresh_hz=refresh),
         system=SystemConfig(),
         workload=WorkloadSpec(kind=kind, scheme=scheme, video_fps=fps),
     )

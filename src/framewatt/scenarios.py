@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Scheme, SimConfig, WorkloadKind, replace
 from .cstates import CalibrationSet
@@ -31,8 +30,7 @@ def energy_reduction(base: EnergyReport, improved: EnergyReport) -> float:
     return 100.0 * (1.0 - imp_rate / base_rate)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """A plain run and its modified counterpart."""
 
     name: str
@@ -101,8 +99,7 @@ def apply_batching(
     return ScenarioResult(name=f"batching[{batch_every}]", base=base, modified=modified)
 
 
-@dataclass(frozen=True)
-class PlaneComparison:
+class PlaneComparison(NamedTuple):
     """Selective-update bursting versus conventional full streaming."""
 
     burst: EnergyReport

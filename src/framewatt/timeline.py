@@ -100,8 +100,7 @@ class Interval(NamedTuple):
         return self.end_ns - self.start_ns
 
 
-@dataclass(frozen=True)
-class TimelineTotals:
+class TimelineTotals(NamedTuple):
     """Integer tally of a multiset of windows, all that pricing needs: time
     per state, bytes, time under each adder, and state changes in order."""
 

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from framewatt import cli
 from framewatt.cli import main
 from framewatt.cstates import load_calibration
 from conftest import make_config
 from framewatt.core import Scheme
+from framewatt.power import streaming_report
 
 
 @pytest.fixture()
@@ -423,6 +425,19 @@ def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, tmp_path, capsys):
     pytest.param(["calibrate", "--runs", "JSON"],
                  '{"runs": ' + "[" * 100_000 + "]" * 100_000 + "}",
                  "PATH: JSON nested too deeply to read", id="deep-runs"),
+    # values the decoder reads (under the test runner's deeper stack too) but of
+    # the wrong type: the line quotes only their start
+    pytest.param(["simulate", "--preset", "fhd30", "--calibration", "JSON"],
+                 "[" * 500 + "]" * 500,
+                 "calibration must be an object, got " + "[" * 60 + "...",
+                 id="deep-calibration-value"),
+    pytest.param(["simulate", "--config", "JSON"],
+                 '{"display": {"refresh_hz": ' + "[" * 500 + "]" * 500 + "}}",
+                 "config key 'display.refresh_hz' must be an integer, got "
+                 + "[" * 60 + "...", id="deep-refresh-hz-value"),
+    pytest.param(["calibrate", "--runs", "JSON"],
+                 '{"runs": [' + "[" * 500 + "]" * 500 + "]}",
+                 "run 0 must be an object, got " + "[" * 60 + "...", id="deep-run-value"),
 ])
 def test_json_of_the_wrong_shape_names_the_key(argv, doc, message, tmp_path, capsys):
     if "CALIBRATION" in argv:  # one key of the default calibration replaced
@@ -436,6 +451,7 @@ def test_json_of_the_wrong_shape_names_the_key(argv, doc, message, tmp_path, cap
     assert main([str(path) if a in ("JSON", "CALIBRATION") else a for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
+    assert len(err[0]) < 200  # short however large the value
     assert err[0].startswith(f"error: {message.replace('PATH', str(path))}")
 
 
@@ -490,6 +506,20 @@ def test_sweep_skips_infeasible_decode_batches(tmp_path, capsys):
     assert [r["status"] for r in rows] == ["ok", "skipped"]
     assert rows[1]["violations"].startswith("BATCH_WINDOW_OVERRUN: ")
     assert rows[1]["reduction_vs_baseline_pct"] is None
+
+
+def test_sweep_runs_each_distinct_point_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(cfg, calibration, windows, **run):
+        calls.append((str(cfg.display.resolution), cfg.workload.video_fps,
+                      cfg.workload.scheme, run["fbc_ratio"], run["batch_every"]))
+        return streaming_report(cfg, calibration, windows, **run)
+
+    monkeypatch.setattr(cli, "streaming_report", counting)
+    assert main(["sweep", "--resolutions", "fhd,4k", "--fps", "30,60",
+                 "--schemes", "baseline,burstlink"]) == 0
+    assert len(calls) == len(set(calls)) == 8
 
 
 def test_sweep_output_is_deterministic(tmp_path, capsys):
@@ -587,6 +617,18 @@ def test_validate_grid_cross_checks_every_point(tmp_path, capsys):
     assert len(doc["points"]) == 50
     assert doc["max_energy_deviation_pct"] < 0.1
     assert doc["max_residency_deviation_pp"] < 0.1
+
+
+def test_validate_grid_loads_each_calibration_once(monkeypatch, capsys):
+    loads = []
+
+    def counting(name):
+        loads.append(name)
+        return load_calibration(name)
+
+    monkeypatch.setattr(cli, "load_calibration", counting)
+    assert main(["validate", "--grid"]) == 0
+    assert sorted(loads) == ["default", "reference-fhd30"]
 
 
 # -- presets / entry points --------------------------------------------------------

@@ -163,6 +163,36 @@ def test_resolution_pixel_count():
 # -- dataclass field validation ------------------------------------------------
 
 
+#: The dataclasses outside ``calibrate``: each validates in ``__post_init__``,
+#: is rebuilt by ``replace`` and walked by ``fields`` (``SimConfig``), or
+#: caches a property (``WindowTimeline``).  Plain records are named tuples.
+_KEPT_DATACLASSES = {
+    "core.Resolution", "core.DisplayConfig", "core.SystemConfig", "core.WorkloadSpec",
+    "core.SimConfig", "cstates.PowerProfile", "cstates.CalibrationSet",
+    "timeline.WindowTimeline",
+}
+
+
+def test_only_validating_replaced_or_caching_classes_are_dataclasses():
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import framewatt
+
+    found = set()
+    for info in pkgutil.iter_modules(framewatt.__path__):
+        if info.name in ("__main__", "calibrate"):  # calibrate loads with numpy
+            continue
+        module = importlib.import_module(f"framewatt.{info.name}")
+        found |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  and obj.__module__ == module.__name__}
+    assert not found - _KEPT_DATACLASSES, (
+        f"plain records should be NamedTuples: {sorted(found - _KEPT_DATACLASSES)}")
+    assert found == _KEPT_DATACLASSES
+
+
 def test_display_config_rejects_nonpositive_refresh():
     with pytest.raises(ValueError, match="refresh_hz"):
         DisplayConfig(refresh_hz=0)

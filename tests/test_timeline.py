@@ -205,7 +205,7 @@ def test_timeline_check_rejects_a_coverage_gap():
 
 def test_timeline_check_rejects_a_stale_tally():
     tl = build_timeline(make_config("fhd", 30, Scheme.BASELINE), None)
-    totals = dataclasses.replace(tl.templates[1].totals, edp_bytes=0)
+    totals = tl.templates[1].totals._replace(edp_bytes=0)
     with pytest.raises(ValueError, match="window 1: template tally disagrees"):
         check_timeline(_replace_template(tl, 1, totals=totals))
 
