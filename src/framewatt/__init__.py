@@ -22,6 +22,7 @@ discrete-event oracle cross-checks every analytic timeline builder.
 """
 
 from .core import (
+    ConfigurationError,
     DisplayConfig,
     Resolution,
     Scheme,
@@ -52,7 +53,6 @@ from .timeline import (
     timeline_to_svg,
 )
 from .power import (
-    ConfigurationError,
     EnergyReport,
     average_power,
     report_from_timeline,

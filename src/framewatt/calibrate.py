@@ -10,6 +10,7 @@ Powers are physical quantities, so the solver is non-negative least squares.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -19,7 +20,7 @@ from scipy.linalg import qr
 from scipy.optimize import nnls
 
 from .core import (ConfigurationError, check_finite, json_excerpt, json_number,
-                   json_object, read_json)
+                   json_object, read_json, read_text)
 from .cstates import PackageCState, parse_state_map
 
 
@@ -180,35 +181,34 @@ def runs_from_csv(path: str | Path) -> list[MeasuredRun]:
     """Load measured runs from CSV: label, one residency column per state,
     power_mw, and an optional dram_bandwidth column (ignored by the fit)."""
     out: list[MeasuredRun] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty runs file")
-        state_names = {s.value for s in PackageCState}
-        known = state_names | {"label", "power_mw", "dram_bandwidth"}
-        unknown = set(reader.fieldnames) - known
-        if unknown:
-            raise ValueError(f"{path}: unknown columns {sorted(unknown)}")
-        if "power_mw" not in reader.fieldnames:
-            raise ValueError(f"{path}: missing power_mw column")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                cells = {c: float(row[c]) for c in reader.fieldnames
-                         if c in state_names and row[c] not in (None, "")}
-                cells["power_mw"] = float(row["power_mw"])
-                check_finite({f"{path}:{lineno}": cells})
-                power = cells.pop("power_mw")
-                out.append(
-                    MeasuredRun(
-                        residency={PackageCState(c): r for c, r in cells.items()},
-                        average_power_mw=power,
-                        label=row.get("label") or f"run{lineno - 2}",
-                    )
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    if reader.fieldnames is None:
+        raise ValueError(f"{path}: empty runs file")
+    state_names = {s.value for s in PackageCState}
+    known = state_names | {"label", "power_mw", "dram_bandwidth"}
+    unknown = set(reader.fieldnames) - known
+    if unknown:
+        raise ValueError(f"{path}: unknown columns {sorted(unknown)}")
+    if "power_mw" not in reader.fieldnames:
+        raise ValueError(f"{path}: missing power_mw column")
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            cells = {c: float(row[c]) for c in reader.fieldnames
+                     if c in state_names and row[c] not in (None, "")}
+            cells["power_mw"] = float(row["power_mw"])
+            check_finite({f"{path}:{lineno}": cells})
+            power = cells.pop("power_mw")
+            out.append(
+                MeasuredRun(
+                    residency={PackageCState(c): r for c, r in cells.items()},
+                    average_power_mw=power,
+                    label=row.get("label") or f"run{lineno - 2}",
                 )
-            except ConfigurationError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad run row: {exc}") from None
+            )
+        except ConfigurationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad run row: {exc}") from None
     if not out:
         raise ValueError(f"{path}: runs file has no rows")
     return out

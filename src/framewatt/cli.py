@@ -43,11 +43,11 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
-from .core import Scheme, SimConfig, Violation, WorkloadKind, replace
+from .core import ConfigurationError, Scheme, SimConfig, WorkloadKind, replace
 from .cstates import PackageCState, calibration_from_dict, load_calibration
 from .oracle import oracle_simulate
-from .power import (ConfigurationError, EnergyReport, report_from_timeline,
-                    streaming_report, window_energy_breakdown)
+from .power import (EnergyReport, report_from_timeline, streaming_report,
+                    window_energy_breakdown)
 from .presets import PRESETS, _video, get_preset, validation_grid
 from .scenarios import energy_reduction, read_dirty_trace
 from .timeline import build_timeline, timeline_to_csv, timeline_to_svg
@@ -219,11 +219,6 @@ def _dump_json(doc: dict[str, Any]) -> str:
 def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
     print(f"wrote {path}")
-
-
-def _print_violations(violations: Sequence[Violation]) -> None:
-    for v in violations:
-        print(f"violation\t{v.code}\t{v.field}\t{v.message}", file=sys.stderr)
 
 
 def _pct_delta(a: float, b: float) -> float | None:
@@ -740,7 +735,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigurationError as exc:
-        _print_violations(exc.violations)
+        for v in exc.violations:
+            print(f"violation\t{v.code}\t{v.field}\t{v.message}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

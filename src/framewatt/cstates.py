@@ -22,7 +22,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
-from .core import Scheme, check_finite, json_number, json_object, json_string, read_json
+from .core import (ConfigurationError, Scheme, Violation, check_finite, json_number, json_object,
+                   json_string, out_of_range, read_json, reject)
 
 
 class PackageCState(Enum):
@@ -100,26 +101,25 @@ class PowerProfile:
     exit_power_mw: Mapping[PackageCState, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        missing = set(PackageCState) - set(self.state_power_mw)
+        where, powers = f"profiles.{self.name}", self.state_power_mw
+        missing = set(PackageCState) - set(powers)
         if missing:
-            raise ValueError(
-                f"profile '{self.name}' lacks powers for {sorted(s.value for s in missing)}"
-            )
-        for s, p in self.state_power_mw.items():
-            if p < 0:
-                raise ValueError(f"profile '{self.name}': negative power for {s}")
+            raise ConfigurationError([Violation(
+                "MISSING_STATE_POWER", f"{where}.state_power_mw", f"profile '{self.name}' "
+                f"lacks powers for {sorted(s.value for s in missing)}")])
+        found = out_of_range(f"{where}.state_power_mw.", powers, at_least_zero=STATES_BY_DEPTH)
         # Deeper must never draw more than shallower.
-        for prev, cur in zip(STATES_BY_DEPTH, STATES_BY_DEPTH[1:]):
-            if self.state_power_mw[cur] > self.state_power_mw[prev] + 1e-9:
-                raise ValueError(
-                    f"profile '{self.name}': {cur} draws more than shallower {prev}"
-                )
+        found += [Violation("DEEPER_STATE_DRAWS_MORE", f"{where}.state_power_mw.{cur}",
+                            f"profile '{self.name}': {cur} draws more than shallower {prev}")
+                  for prev, cur in zip(STATES_BY_DEPTH, STATES_BY_DEPTH[1:])
+                  if powers[cur] > powers[prev] + 1e-9]
         for s in PackageCState:
             disp = self.display_power_mw.get(s, 0.0)
-            if disp < 0 or disp > self.state_power_mw[s]:
-                raise ValueError(
-                    f"profile '{self.name}': display split for {s} outside [0, total]"
-                )
+            if disp < 0 or disp > powers[s]:
+                found.append(Violation("DISPLAY_SPLIT_OUTSIDE_TOTAL",
+                                       f"{where}.display_power_mw.{s}", f"profile "
+                                       f"'{self.name}': display split for {s} outside [0, total]"))
+        reject(found)
 
 
 class TransitionCost(NamedTuple):
@@ -166,17 +166,17 @@ class CalibrationSet:
     drfb_power_mw: float = 58.0
 
     def __post_init__(self) -> None:
-        if self.vd_gate_delta_mw < 0 or self.drfb_power_mw < 0:
-            raise ValueError("calibration adders must be >= 0")
+        found = out_of_range("", vars(self), at_least_zero=("vd_gate_delta_mw", "drfb_power_mw"))
         for prof in (self.conventional, self.burst):
             c7 = prof.state_power_mw[PackageCState.C7]
             c7p = prof.state_power_mw[PackageCState.C7P]
             want = c7 - self.vd_gate_delta_mw
             if abs(c7p - want) > 1e-6:
-                raise ValueError(
-                    f"profile '{prof.name}': C7P must equal C7 - "
-                    f"{self.vd_gate_delta_mw} mW (expected {want}, got {c7p})"
-                )
+                found.append(Violation(
+                    "C7P_GATE_DELTA", f"profiles.{prof.name}.state_power_mw.C7P",
+                    f"profile '{prof.name}': C7P must equal C7 - {self.vd_gate_delta_mw} mW "
+                    f"(expected {want}, got {c7p})"))
+        reject(found)
 
     def profile_for(self, scheme: Scheme) -> PowerProfile:
         return self.burst if scheme is Scheme.BURSTLINK else self.conventional
@@ -288,17 +288,20 @@ def check_dram_split_consistency(
     """Ensure per-state splits are computable against a DRAM background map.
 
     Every state's implied background must fit under the state total together
-    with the display split (within 0.5 mW of slack); raises otherwise.
+    with the display split (within 0.5 mW of slack); raises
+    ConfigurationError naming each state that does not.
     """
+    found: list[Violation] = []
     for state in PackageCState:
         bg = float(dram_background_mw[STATE_DRAM_MODE[state]])
         disp = float(profile.display_power_mw.get(state, 0.0))
         total = profile.state_power_mw[state]
         if bg + disp > total + 0.5:
-            raise ValueError(
+            found.append(Violation(
+                "SPLIT_EXCEEDS_TOTAL", f"profiles.{profile.name}.state_power_mw.{state}",
                 f"profile '{profile.name}': DRAM background {bg} mW + display "
-                f"{disp} mW exceeds {state} total {total} mW"
-            )
+                f"{disp} mW exceeds {state} total {total} mW"))
+    reject(found)
 
 
 __all__ = [

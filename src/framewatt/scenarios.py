@@ -10,11 +10,12 @@ product, so there is no order in which they are applied.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .core import Scheme, SimConfig, WorkloadKind, replace
+from .core import Scheme, SimConfig, WorkloadKind, read_text, replace
 from .cstates import CalibrationSet
 from .power import EnergyReport, streaming_report
 
@@ -137,27 +138,26 @@ def single_plane_burst(
 def read_dirty_trace(path: str | Path) -> list[float]:
     """Load a per-window dirty-fraction trace CSV (columns: window, dirty_fraction)."""
     rows: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty trace file")
-        if [c.strip() for c in header] != ["window", "dirty_fraction"]:
-            raise ValueError(
-                f"{path}: expected header 'window,dirty_fraction', got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                idx, dirty = int(row[0]), float(row[1])
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad trace row {row}") from exc
-            if idx != len(rows):
-                raise ValueError(f"{path}:{lineno}: window indices must be 0,1,2,...")
-            if not 0.0 <= dirty <= 1.0:
-                raise ValueError(f"{path}:{lineno}: dirty fraction {dirty} outside [0, 1]")
-            rows.append(dirty)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty trace file")
+    if [c.strip() for c in header] != ["window", "dirty_fraction"]:
+        raise ValueError(
+            f"{path}: expected header 'window,dirty_fraction', got {header}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            idx, dirty = int(row[0]), float(row[1])
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad trace row {row}") from exc
+        if idx != len(rows):
+            raise ValueError(f"{path}:{lineno}: window indices must be 0,1,2,...")
+        if not 0.0 <= dirty <= 1.0:
+            raise ValueError(f"{path}:{lineno}: dirty fraction {dirty} outside [0, 1]")
+        rows.append(dirty)
     if not rows:
         raise ValueError(f"{path}: trace has no rows")
     return rows

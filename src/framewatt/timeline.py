@@ -54,7 +54,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     NS_PER_S,
-    ConfigurationError,
     Scheme,
     SimConfig,
     WorkloadKind,
@@ -63,6 +62,7 @@ from .core import (
     frame_bytes,
     frame_window,
     frame_window_ns,
+    reject,
     validate_config,
 )
 from .cstates import PackageCState
@@ -596,9 +596,7 @@ def build_timeline(
     ``ValueError``.  ``n_windows`` defaults to one batch cycle
     (``batch_every`` frame groups); a dirty trace sets its own length.
     """
-    violations = validate_config(cfg)
-    if violations:
-        raise ConfigurationError(violations)
+    reject(validate_config(cfg))
     if not 0.0 < fbc_ratio <= 1.0:
         raise ValueError(f"fbc_ratio must be in (0, 1], got {fbc_ratio}")
     if batch_every < 1:

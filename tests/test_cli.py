@@ -160,26 +160,175 @@ def test_wrong_type_inside_an_object_names_the_nested_key(tmp_path, capsys):
         'got "x"\n')
 
 
+_WINDOW = "leaving no room in the 16.667 ms window"
+
+
+@pytest.mark.parametrize("doc, lines", [
+    pytest.param({"display": {"resolution": "4k", "edp_max_bits_per_s": 1e9}},
+                 ["LINK_TOO_SLOW\tdisplay.edp_max_bits_per_s\tpanel needs 11.944 Gb/s to "
+                  "stream 3840x2160@60 but the link caps at 1.000 Gb/s"], id="link-too-slow"),
+    pytest.param({"workload": {"video_fps": 120}},
+                 ["FPS_ABOVE_REFRESH\tworkload.video_fps\tvideo at 120 fps cannot be shown "
+                  "on a 60 Hz panel"], id="fps-above-refresh"),
+    pytest.param({"workload": {"video_fps": 7}},
+                 ["FPS_NOT_DIVISOR\tworkload.video_fps\trefresh 60 Hz must be an integer "
+                  "multiple of video fps 7 (repeat-window cadence would drift)"],
+                 id="fps-not-divisor"),
+    pytest.param({"display": {"panel_has_drfb": False},
+                  "workload": {"scheme": "bursting_only"}},
+                 ["BURST_NEEDS_DRFB\tdisplay.panel_has_drfb\tscheme 'bursting_only' parks "
+                  "the panel on its remote frame buffer; this panel has none"],
+                 id="burst-needs-drfb"),
+    pytest.param({"display": {"panel_psr_capable": False, "panel_has_drfb": False},
+                  "workload": {"scheme": "burstlink"}},
+                 ["BURST_NEEDS_DRFB\tdisplay.panel_has_drfb\tscheme 'burstlink' parks the "
+                  "panel on its remote frame buffer; this panel has none",
+                  "BURST_NEEDS_PSR\tdisplay.panel_psr_capable\tscheme 'burstlink' requires "
+                  "a self-refresh-capable panel"], id="burst-needs-psr"),
+    pytest.param({"display": {"panel_psr_capable": False}},
+                 ["DRFB_NEEDS_PSR\tdisplay.panel_has_drfb\ta remote frame buffer is only "
+                  "usable on a self-refresh-capable panel"], id="drfb-needs-psr"),
+    pytest.param({"display": {"panel_psr_capable": False, "panel_has_drfb": False},
+                  "workload": {"psr_alternate_windows": True}},
+                 ["PSR_NOT_CAPABLE\tworkload.psr_alternate_windows\trepeat windows cannot "
+                  "self-refresh on a panel without PSR"], id="psr-not-capable"),
+    pytest.param({"display": {"resolution": "4k"}, "system": {"dc_buffer_bytes": 256}},
+                 ["DC_BUFFER_TOO_SMALL\tsystem.dc_buffer_bytes\ta 256 B buffer takes 97200 "
+                  "fills per frame, above the 16384 supported"], id="dc-buffer-too-small"),
+    pytest.param({"display": {"edp_max_bits_per_s": 2e9},
+                  "workload": {"scheme": "bursting_only"}},
+                 ["LINK_TOO_SLOW\tdisplay.edp_max_bits_per_s\tpanel needs 2.986 Gb/s to "
+                  "stream 1920x1080@60 but the link caps at 2.000 Gb/s",
+                  "BURST_EXCEEDS_WINDOW\tdisplay.edp_max_bits_per_s\tbursting one frame "
+                  "takes 24.883 ms, longer than the 16.667 ms refresh window",
+                  "WINDOW_OVERRUN\tsystem.decode_rate\twake-up + decode + burst takes "
+                  f"25.493 ms, {_WINDOW}"], id="burst-exceeds-window"),
+    pytest.param({"system": {"decode_rate": 1e8}},
+                 [f"WINDOW_OVERRUN\tsystem.decode_rate\twake-up + decode takes 64.108 ms, "
+                  f"{_WINDOW}"], id="overrun-decode"),
+    pytest.param({"system": {"decode_rate": 2e8}, "workload": {"scheme": "bursting_only"}},
+                 ["WINDOW_OVERRUN\tsystem.decode_rate\twake-up + decode + burst takes "
+                  f"33.357 ms, {_WINDOW}"], id="overrun-decode-burst"),
+    pytest.param({"system": {"decode_rate": 1e8}, "workload": {"scheme": "bypass_only"}},
+                 ["WINDOW_OVERRUN\tsystem.decode_rate\twake-up + direct-feed transfer takes "
+                  f"64.108 ms, {_WINDOW}"], id="overrun-direct-feed"),
+    pytest.param({"system": {"vd_paced_rate": 1e8}, "workload": {"scheme": "burstlink"}},
+                 ["WINDOW_OVERRUN\tsystem.vd_paced_rate\twake-up + direct-feed transfer "
+                  f"takes 62.541 ms, {_WINDOW}"], id="overrun-direct-feed-paced"),
+    pytest.param({"workload": {"kind": "vr360", "scheme": "bypass_only"}},
+                 ["VR_SCHEME_UNSUPPORTED\tworkload.scheme\t360-degree playback is modeled "
+                  "for 'baseline' and 'burstlink' only"], id="vr-scheme-unsupported"),
+])
+def test_each_cross_field_rule_prints_its_violation_line(doc, lines, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"violation\t{line}" for line in lines]
+
+
 _DRAM_MODES = {"active": 450.0, "fast_powerdown": 150.0, "self_refresh": 25.0, "off": 0.0}
 
 
-@pytest.mark.parametrize("system, argv, message", [
-    ({"gpu_active_mw": -5}, ["--kind", "vr360"], "gpu_active_mw must be >= 0, got -5"),
-    ({"fbc_compute_mw": -1e9}, ["--fbc-ratio", "0.5"],
-     "fbc_compute_mw must be >= 0, got -1000000000.0"),
-    ({"dram_background_mw": {**_DRAM_MODES, "active": -100}}, [],
-     "dram_background_mw.active must be >= 0, got -100"),
-    ({"dram_background_mw": {**_DRAM_MODES, "extra": 5}}, [],
-     "dram_background_mw has unknown modes: ['extra']"),
-    ({"dram_capacity_bytes": 0}, [], "dram_capacity_bytes must be positive, got 0"),
-    ({"dram_capacity_bytes": -1}, [], "dram_capacity_bytes must be positive, got -1"),
-], ids=["gpu", "fbc", "negative-mode", "unknown-mode", "zero-capacity", "negative-capacity"])
-def test_impossible_system_values_name_the_field(system, argv, message, tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"system": system}), encoding="utf-8")
+def _default_calibration_with(keys: tuple[str, ...], value: object) -> dict:
+    """The default calibration's JSON with the value at ``keys`` replaced,
+    or removed when ``value`` is None."""
+    from importlib import resources
+
+    doc = json.loads(resources.files("framewatt").joinpath(
+        "data", "default_calibration.json").read_text(encoding="utf-8"))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    if value is None:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return doc
+
+
+_CONV = ("profiles", "conventional")
+_C7P = "must equal C7 - 50.0 mW (expected"
+
+
+@pytest.mark.parametrize("config, calibration, argv, lines", [
+    ({"display": {"refresh_hz": 0}}, None, [],
+     ["OUT_OF_RANGE\tdisplay.refresh_hz\trefresh_hz must be positive, got 0"]),
+    ({"display": {"bits_per_pixel": 12}}, None, [],
+     ["OUT_OF_RANGE\tdisplay.bits_per_pixel\tbits_per_pixel must be one of 16/24/30/32, "
+      "got 12"]),
+    ({"display": {"edp_max_bits_per_s": 0}}, None, [],
+     ["OUT_OF_RANGE\tdisplay.edp_max_bits_per_s\tedp_max_bits_per_s must be positive, got 0"]),
+    *[({"system": {name: 0}}, None, [],
+       [f"OUT_OF_RANGE\tsystem.{name}\t{name} must be positive, got 0"])
+      for name in ("dc_buffer_bytes", "dram_fetch_rate", "decode_rate", "vd_paced_rate",
+                   "gpu_pt_rate", "encoded_bits_per_pixel", "dram_capacity_bytes")],
+    ({"system": {"dram_capacity_bytes": -1}}, None, [],
+     ["OUT_OF_RANGE\tsystem.dram_capacity_bytes\tdram_capacity_bytes must be positive, "
+      "got -1"]),
+    *[({"system": {name: -1e-3}}, None, [],
+       [f"OUT_OF_RANGE\tsystem.{name}\t{name} must be non-negative (>= 0), got -0.001"])
+      for name in ("orchestration_time", "burst_orchestration_time", "dram_coeff_read",
+                   "dram_coeff_write")],
+    ({"system": {"gpu_active_mw": -5}}, None, ["--kind", "vr360"],
+     ["OUT_OF_RANGE\tsystem.gpu_active_mw\tgpu_active_mw must be non-negative (>= 0), "
+      "got -5"]),
+    ({"system": {"fbc_compute_mw": -1e9}}, None, ["--fbc-ratio", "0.5"],
+     ["OUT_OF_RANGE\tsystem.fbc_compute_mw\tfbc_compute_mw must be non-negative (>= 0), "
+      "got -1000000000.0"]),
+    ({"system": {"dram_background_mw": {**_DRAM_MODES, "active": -100}}}, None, [],
+     ["OUT_OF_RANGE\tsystem.dram_background_mw.active\tactive must be non-negative (>= 0), "
+      "got -100"]),
+    ({"system": {"dram_background_mw": {**_DRAM_MODES, "extra": 5}}}, None, [],
+     ["DRAM_MODES\tsystem.dram_background_mw\tdram_background_mw has unknown modes: "
+      "['extra']"]),
+    ({"system": {"dram_background_mw": {"active": 450.0, "off": 0.0}}}, None, [],
+     ["DRAM_MODES\tsystem.dram_background_mw\tdram_background_mw missing modes: "
+      "['fast_powerdown', 'self_refresh']"]),
+    ({"system": {"dram_background_mw": {**_DRAM_MODES, "off": 1000.0}}}, None, [],
+     ["SPLIT_EXCEEDS_TOTAL\tprofiles.conventional.state_power_mw.C10\tprofile "
+      "'conventional': DRAM background 1000.0 mW + display 0.0 mW exceeds C10 total "
+      "350.0 mW"]),
+    ({"workload": {"video_fps": 0}}, None, [],
+     ["OUT_OF_RANGE\tworkload.video_fps\tvideo_fps must be positive, got 0"]),
+    (None, ((*_CONV, "state_power_mw", "C6"), None), [],
+     ["MISSING_STATE_POWER\tprofiles.conventional.state_power_mw\tprofile 'conventional' "
+      "lacks powers for ['C6']"]),
+    (None, ((*_CONV, "state_power_mw", "C10"), -1), [],
+     ["OUT_OF_RANGE\tprofiles.conventional.state_power_mw.C10\tC10 must be non-negative "
+      "(>= 0), got -1.0",
+      "DISPLAY_SPLIT_OUTSIDE_TOTAL\tprofiles.conventional.display_power_mw.C10\tprofile "
+      "'conventional': display split for C10 outside [0, total]"]),
+    (None, ((*_CONV, "state_power_mw", "C9"), 1300), [],
+     ["DEEPER_STATE_DRAWS_MORE\tprofiles.conventional.state_power_mw.C9\tprofile "
+      "'conventional': C9 draws more than shallower C8"]),
+    (None, ((*_CONV, "display_power_mw", "C10"), 400), [],
+     ["DISPLAY_SPLIT_OUTSIDE_TOTAL\tprofiles.conventional.display_power_mw.C10\tprofile "
+      "'conventional': display split for C10 outside [0, total]"]),
+    (None, (("vd_gate_delta_mw",), 50), [],
+     [f"C7P_GATE_DELTA\tprofiles.conventional.state_power_mw.C7P\tprofile 'conventional': "
+      f"C7P {_C7P} 1335.0, got 1290.0)",
+      f"C7P_GATE_DELTA\tprofiles.burst.state_power_mw.C7P\tprofile 'burst': "
+      f"C7P {_C7P} 1480.0, got 1435.0)"]),
+    (None, (("drfb_power_mw",), -1), [],
+     ["OUT_OF_RANGE\tdrfb_power_mw\tdrfb_power_mw must be non-negative (>= 0), got -1.0"]),
+], ids=["refresh", "bpp", "link", "dc-buffer", "fetch-rate", "decode-rate", "paced-rate",
+        "gpu-rate", "encoded-bpp", "zero-capacity", "negative-capacity", "orchestration",
+        "burst-orchestration", "coeff-read", "coeff-write", "gpu", "fbc", "negative-mode",
+        "unknown-mode", "missing-mode", "split-exceeds-total", "fps", "missing-state-power",
+        "negative-state-power", "deeper-draws-more", "display-split", "c7p-delta",
+        "negative-drfb"])
+def test_impossible_values_name_the_rule_and_key_path(config, calibration, argv, lines,
+                                                       tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if config is not None:
+        path.write_text(json.dumps(config), encoding="utf-8")
+        source = ["--config", str(path)]
+    else:
+        path.write_text(json.dumps(_default_calibration_with(*calibration)), encoding="utf-8")
+        source = ["--preset", "fhd30", "--calibration", str(path)]
     out_dir = tmp_path / "out"
-    assert main(["simulate", "--config", str(path), *argv, "--out", str(out_dir)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert main(["simulate", *source, *argv, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"violation\t{line}" for line in lines]
     assert not out_dir.exists()
 
 
@@ -370,19 +519,23 @@ def test_infeasible_decode_batches_are_usage_errors(command, batch, code, capsys
     assert err[0].startswith(f"error: {code}: ")
 
 
-@pytest.mark.parametrize("argv, doc", [
-    (["simulate", "--preset", "fhd30", "--fps", "0"], None),
-    (["simulate", "--preset", "fhd30", "--fps", "-5"], None),
-    (["compare", "--preset", "fhd30", "--fps-b", "0"], None),
+_FPS = "violation\tOUT_OF_RANGE\tworkload.video_fps\tvideo_fps must be positive, got "
+
+
+@pytest.mark.parametrize("argv, doc, start", [
+    (["simulate", "--preset", "fhd30", "--fps", "0"], None, _FPS + "0"),
+    (["simulate", "--preset", "fhd30", "--fps", "-5"], None, _FPS + "-5"),
+    (["compare", "--preset", "fhd30", "--fps-b", "0"], None, _FPS + "0"),
     (["simulate", "--preset", "fhd60", "--kind", "single_plane", "--scheme",
-      "bursting_only", "--trace", "TRACE", "--fbc-ratio", "0.5"], None),
-    (["calibrate", "--runs", "JSON"], {"runs": [5]}),
+      "bursting_only", "--trace", "TRACE", "--fbc-ratio", "0.5"], None, "error: "),
+    (["calibrate", "--runs", "JSON"], {"runs": [5]}, "error: "),
     (["calibrate", "--runs", "JSON"],
-     {"runs": [{"residency": 5, "average_power_mw": 1}]}),
+     {"runs": [{"residency": 5, "average_power_mw": 1}]}, "error: "),
     (["simulate", "--preset", "fhd30", "--calibration", "JSON"],
-     {"profiles": {"conventional": {"state_power_mw": 5}, "burst": {}}}),
-])
-def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, tmp_path, capsys):
+     {"profiles": {"conventional": {"state_power_mw": 5}, "burst": {}}}, "error: "),
+], ids=["argv0-None", "argv1-None", "argv2-None", "argv3-None", "argv4-doc4", "argv5-doc5",
+        "argv6-doc6"])
+def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, start, tmp_path, capsys):
     from importlib import resources
 
     path = tmp_path / "input.json"
@@ -393,7 +546,7 @@ def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, tmp_path, capsys):
         assert main([subs.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: ")
+    assert err[0].startswith(start)
 
 
 @pytest.mark.parametrize("argv, doc, message", [
@@ -453,6 +606,48 @@ def test_json_of_the_wrong_shape_names_the_key(argv, doc, message, tmp_path, cap
     assert len(err) == 1
     assert len(err[0]) < 200  # short however large the value
     assert err[0].startswith(f"error: {message.replace('PATH', str(path))}")
+
+
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position"
+
+
+@pytest.mark.parametrize("name, data, argv, position", [
+    ("config.json", b'{"display": \xff}', ["simulate", "--config", "PATH"], 12),
+    ("calibration.json", b"\xff", ["simulate", "--preset", "fhd30", "--calibration", "PATH"],
+     0),
+    ("trace.csv", b"window,dirty_fraction\n0,\xff\n",
+     ["simulate", "--preset", "fhd60", "--kind", "single_plane", "--scheme", "burstlink",
+      "--trace", "PATH"], 24),
+    ("runs.csv", b"label,C0,power_mw\nidle,1.0,\xff\n", ["calibrate", "--runs", "PATH"], 27),
+    ("runs.json", b'{"runs": \xff}', ["calibrate", "--runs", "PATH"], 9),
+], ids=["config", "calibration", "trace", "runs-csv", "runs-json"])
+def test_undecodable_input_files_name_the_path(name, data, argv, position, tmp_path,
+                                               capsys):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main([str(path) if a == "PATH" else a for a in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: {_NOT_UTF8} {position}: invalid start byte"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["simulate", "--config", "PATH"],
+     '{"display": {"refresh_hz": ' + "[" * 984 + "]" * 984 + "}}"),
+    (["simulate", "--preset", "fhd30", "--calibration", "PATH"], "[" * 986 + "]" * 986),
+], ids=["config", "calibration"])
+def test_json_nested_just_below_the_decoder_limit_is_a_usage_error(argv, text, tmp_path):
+    # Under the test runner's deeper stack the decoder refuses these depths
+    # first, so the command runs in a fresh interpreter, as from a shell.
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(main.__code__.co_filename).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "framewatt",
+                           *[str(path) if a == "PATH" else a for a in argv]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("name, text, field", [

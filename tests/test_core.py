@@ -3,26 +3,30 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
 from framewatt.core import (
     RESOLUTIONS,
+    ConfigurationError,
     DisplayConfig,
     Resolution,
     Scheme,
     SimConfig,
     SystemConfig,
+    Violation,
     WorkloadKind,
     WorkloadSpec,
     burst_transfer_time,
+    check_finite,
     dc_fetch_count,
     encoded_frame_bytes,
     frame_bytes,
     frame_window,
     frame_window_ns,
+    json_excerpt,
     panel_stream_rate,
     parse_resolution,
     validate_config,
@@ -225,8 +229,34 @@ def test_system_config_rejects_negative_orchestration():
 
 
 def test_system_config_rejects_negative_dram_coefficients():
-    with pytest.raises(ValueError, match="coefficients"):
+    with pytest.raises(ConfigurationError) as exc:
         SystemConfig(dram_coeff_read=-1e-12)
+    assert exc.value.violations == (Violation(
+        "OUT_OF_RANGE", "system.dram_coeff_read",
+        "dram_coeff_read must be non-negative (>= 0), got -1e-12"),)
+
+
+@pytest.mark.parametrize("build, violation", [
+    (lambda: replace(SystemConfig(), dc_buffer_bytes=0),
+     ("OUT_OF_RANGE", "system.dc_buffer_bytes", "dc_buffer_bytes must be positive, got 0")),
+    (lambda: Resolution(0, 5),
+     ("OUT_OF_RANGE", "display.resolution", "resolution must be positive, got 0x5")),
+], ids=["replace", "resolution"])
+def test_constructors_and_replace_raise_coded_violations(build, violation):
+    with pytest.raises(ConfigurationError) as exc:
+        build()
+    assert exc.value.violations == (Violation(*violation),)
+
+
+def test_every_failing_range_rule_is_reported_at_once():
+    with pytest.raises(ConfigurationError) as exc:
+        SystemConfig(decode_rate=0, gpu_active_mw=-1, dram_background_mw={"active": -1})
+    assert [(v.code, v.field) for v in exc.value.violations] == [
+        ("OUT_OF_RANGE", "system.decode_rate"),
+        ("OUT_OF_RANGE", "system.gpu_active_mw"),
+        ("DRAM_MODES", "system.dram_background_mw"),
+        ("OUT_OF_RANGE", "system.dram_background_mw.active"),
+    ]
 
 
 def test_system_config_requires_all_dram_modes():
@@ -439,3 +469,34 @@ def test_violations_render_with_code_field_and_message():
     text = str(v)
     assert "LINK_TOO_SLOW" in text
     assert "display.edp_max_bits_per_s" in text
+
+
+def _nested(depth: int, leaf: object) -> list:
+    value = leaf
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_finite_check_and_excerpt_take_any_depth_without_recursing():
+    deep = {"a": _nested(100_000, float("nan"))}
+    with pytest.raises(ConfigurationError) as exc:
+        check_finite(deep)
+    (violation,) = exc.value.violations
+    assert violation.field == "a" + "[0]" * 100_000
+    assert json_excerpt(deep) == '{"a": ' + "[" * 54 + "..."
+
+
+@pytest.mark.parametrize("value", [
+    5, "x", None, [1, 2], {"a": [1, {"b": "c"}]}, _nested(29, 1), list(range(14)),
+    list(range(40)), _nested(70, 1), {str(i): i for i in range(30)}, "y" * 100,
+])
+def test_excerpt_quotes_the_start_of_the_full_json(value):
+    text = json.dumps(value)
+    assert json_excerpt(value) == (text if len(text) <= 60 else text[:60] + "...")
+
+
+def test_finite_check_names_non_finite_values_in_document_order():
+    with pytest.raises(ConfigurationError) as exc:
+        check_finite({"b": [1.0, float("inf")], "a": {"x": float("nan"), "y": -float("inf")}})
+    assert [v.field for v in exc.value.violations] == ["b[1]", "a.x", "a.y"]
