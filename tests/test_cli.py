@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -499,6 +501,30 @@ def test_every_subcommand_prints_its_help(command, capsys):
     assert capsys.readouterr().out.startswith(f"usage: framewatt {command}")
 
 
+#: The exit code, stdout and stderr of each help and one usage error, printed
+#: at 80 columns.  Re-record with ``PYTHONPATH=src python tests/test_cli.py``.
+_HELP_TEXTS = Path(__file__).resolve().parent / "data" / "cli_help.json"
+_HELP_ARGV = [["--help"], *([command, "--help"] for command in
+              ("simulate", "compare", "sweep", "calibrate", "validate", "presets")),
+              ["simulate", "--scheme", "nope"]]
+
+
+def _help_text(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with (pytest.raises(SystemExit) as exit_, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        main(argv)
+    return {"exit": exit_.value.code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("argv", _HELP_ARGV, ids=" ".join)
+def test_help_and_usage_errors_keep_their_text(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = json.loads(_HELP_TEXTS.read_text(encoding="utf-8"))[" ".join(argv)]
+    assert _help_text(argv) == pinned
+    assert _help_text(argv) == pinned  # the same on a second call
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-5", "1.5"])
 @pytest.mark.parametrize("command", [["simulate"], ["validate"],
                                      ["compare", "--preset-b", "fhd30"]])
@@ -902,3 +928,9 @@ def test_outputs_do_not_depend_on_the_order_of_a_set_of_states(tmp_path):
     first, second = outputs.values()
     assert sorted(first) == ["report.csv", "report.json", "timeline.csv", "timeline.svg"]
     assert first == second
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    texts = {" ".join(argv): _help_text(argv) for argv in _HELP_ARGV}
+    _HELP_TEXTS.write_text(json.dumps(texts, indent=2) + "\n", encoding="utf-8")

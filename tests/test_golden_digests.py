@@ -36,6 +36,12 @@ OPS = [
     "compare --preset 4k60 --preset-b fhd30 --batch-every-b 2 --out cmp",
     "validate --grid --out val",
     "validate --preset fhd30-ref-burstlink --windows 60 --out val",
+    "validate --preset fhd30 --windows 600 --out val",
+    "validate --preset 4k60-vr --fbc-ratio 0.5 --out val",
+    "validate --preset fhd30 --batch-every 2 --out val",
+    "validate --preset fhd30 --psr-alternate --windows 4 --out val",
+    "validate --preset fhd60 --kind single_plane --trace traces/gaming.csv "
+    "--scheme bursting_only --out val",
     "calibrate --runs runs.csv --out fit",
     "simulate --preset 4k60-vr --scheme burstlink --out out",
     "simulate --preset fhd30-ref-burstlink --windows 4 --out out",
