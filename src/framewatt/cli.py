@@ -656,6 +656,7 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was, so every main call reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framewatt",

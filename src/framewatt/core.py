@@ -106,9 +106,11 @@ def parse_resolution(value: str | Resolution) -> Resolution:
     if "x" in key:
         w, _, h = key.partition("x")
         try:
-            return Resolution(int(w), int(h))
+            size = int(w), int(h)
         except ValueError:
             pass
+        else:  # a size out of range raises Resolution's coded violation
+            return Resolution(*size)
     raise ValueError(
         f"unknown resolution {value!r}; use one of {sorted(RESOLUTIONS)} or 'WIDTHxHEIGHT'"
     )
@@ -420,10 +422,12 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path) -> Any:
-    """The parsed JSON file at ``path``; ValueError naming it if nested too
-    deeply or not UTF-8."""
+    """The parsed JSON file at ``path``; ValueError naming it if it is not
+    UTF-8, not JSON or nested too deeply."""
     try:
         return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 

@@ -1,13 +1,16 @@
 """Independent event-driven cross-check for the analytic timeline builders.
 
 This module re-derives window state sequences from the config with a
-different implementation strategy: a per-window event loop over the
-producer/consumer buffer machine, float-second arithmetic and merged state
-periods, each priced at its own constant power.  It shares no interval
-construction with :mod:`framewatt.timeline` and no pricing with
-:mod:`framewatt.power`; agreement between the two (state residencies within
-a tenth of a percentage point, energy within a tenth of a percent) is what
-the equivalence test suite asserts.
+different implementation strategy: an event loop over the producer/consumer
+buffer machine that steps every window, float-second arithmetic and merged
+state spans, each priced at its own constant power.  Spans merge on one
+interned (state, drfb, gpu, fbc) key; each window's spans are folded into
+per-state time as the window closes, one walk over all spans prices the
+energy, and :attr:`OracleResult.periods` is built only when read.  It
+shares no interval construction with :mod:`framewatt.timeline` and no
+pricing with :mod:`framewatt.power`; agreement between the two (state
+residencies within a tenth of a percentage point, energy within a tenth of
+a percent) is what the equivalence test suite asserts.
 
 Semantics mirrored here (and nowhere loosened): the first two chunk fills of
 a phase land back-to-back, later fills wait for the chunk two places ahead
@@ -17,17 +20,23 @@ tail, and every window is cut off clean at its end.
 
 from __future__ import annotations
 
+from itertools import accumulate, product
 from typing import NamedTuple, Sequence
 
-from .core import (
-    Scheme,
-    SimConfig,
-    WorkloadKind,
-    encoded_frame_bytes,
-    frame_bytes,
-)
+from .core import Scheme, SimConfig, WorkloadKind, encoded_frame_bytes, frame_bytes
 from .cstates import CalibrationSet, PackageCState, transition_cost
 from .timeline import selective_update_bytes
+
+
+#: A span's merge key, (state, drfb, gpu, fbc).  ``_KEYS`` holds one object
+#: for each, so spans merge on an identity check.
+_Key = tuple[PackageCState, bool, bool, bool]
+_KEYS: dict[_Key, _Key] = {k: k for k in product(PackageCState, *[(False, True)] * 3)}
+
+
+def _key(state: PackageCState, drfb: bool = False, gpu: bool = False,
+         fbc: bool = False) -> _Key:
+    return _KEYS[state, drfb, gpu, fbc]
 
 
 class OraclePeriod(NamedTuple):
@@ -48,9 +57,15 @@ class OraclePeriod(NamedTuple):
 
 
 class OracleResult(NamedTuple):
+    """``spans`` holds the merged ``[key, start_s, end_s]`` spans in time
+    order, window ``w``'s at ``spans[window_bounds[w]:window_bounds[w + 1]]``;
+    ``state_s`` is each state's time, summed in that order as windows close."""
+
     n_windows: int
     window_s: float
-    periods: tuple[OraclePeriod, ...]
+    spans: list[list]
+    window_bounds: list[int]
+    state_s: dict[PackageCState, float]
     dram_read_bytes: int
     dram_write_bytes: int
     edp_bytes: int
@@ -59,37 +74,41 @@ class OracleResult(NamedTuple):
     def total_s(self) -> float:
         return self.n_windows * self.window_s
 
-    def state_time_s(self) -> dict[PackageCState, float]:
-        out = {s: 0.0 for s in PackageCState}
-        for p in self.periods:
-            out[p.state] += p.span_s
-        return out
+    @property
+    def periods(self) -> tuple[OraclePeriod, ...]:
+        """The spans as :class:`OraclePeriod` records, built on each read."""
+        bounds = self.window_bounds
+        return tuple(OraclePeriod(w, state, start_s, end_s, drfb, gpu, fbc)
+                     for w, (first, end) in enumerate(zip(bounds, bounds[1:]))
+                     for (state, drfb, gpu, fbc), start_s, end_s in self.spans[first:end])
 
     def residency(self) -> dict[PackageCState, float]:
-        times = self.state_time_s()
         total = self.total_s
-        return {s: t / total for s, t in times.items()}
+        return {s: t / total for s, t in self.state_s.items()}
 
     def energy_uj(self, cfg: SimConfig, calibration: CalibrationSet) -> float:
-        """Integrate the energy bill over the period list.
-
-        Power is constant within a period, so each period is integrated
-        exactly as power times span.
-        """
+        """Integrate the energy bill over the spans in one walk.  Power is
+        constant within a span, so each is integrated exactly as power times span."""
         profile = calibration.profile_for(cfg.workload.scheme)
-        # Each state change that occurs is looked up once per call.
+        # Each key and each state change that occurs is priced once per call.
+        power: dict[_Key, float] = {}
         change_uj: dict[tuple[PackageCState, PackageCState], float] = {}
         total_uj = 0.0
         prev_state: PackageCState | None = None
-        for _, state, start_s, end_s, drfb, gpu, fbc in self.periods:
-            power_mw = profile.state_power_mw[state]
-            if drfb:
-                power_mw += calibration.drfb_power_mw
-            if gpu:
-                power_mw += cfg.system.gpu_active_mw
-            if fbc:
-                power_mw += cfg.system.fbc_compute_mw
+        for key, start_s, end_s in self.spans:
+            power_mw = power.get(key)
+            if power_mw is None:
+                state, drfb, gpu, fbc = key
+                power_mw = profile.state_power_mw[state]
+                if drfb:
+                    power_mw += calibration.drfb_power_mw
+                if gpu:
+                    power_mw += cfg.system.gpu_active_mw
+                if fbc:
+                    power_mw += cfg.system.fbc_compute_mw
+                power[key] = power_mw
             total_uj += power_mw * (end_s - start_s) * 1e3  # mW * s -> uJ
+            state = key[0]
             if prev_state is not None and prev_state is not state:
                 uj = change_uj.get((prev_state, state))
                 if uj is None:
@@ -105,44 +124,51 @@ class OracleResult(NamedTuple):
 # -- the event machine ---------------------------------------------------------
 
 
-class _WindowSim:
-    """Accumulates (state, flags) spans for one window and merges runs."""
+_C0 = _key(PackageCState.C0)
+_C8 = _key(PackageCState.C8)
+_C7P = _key(PackageCState.C7P)
+_C9_DRFB = _key(PackageCState.C9, drfb=True)
+#: Matches no key, so a window's first span never merges into the last window.
+_NO_SPAN: list = [None, 0.0, 0.0]
 
-    def __init__(self, window: int, start_s: float, end_s: float):
-        self.window = window
-        self.start = start_s
+
+class _WindowSim:
+    """Steps one window at a time, appending merged ``[key, start, end]``
+    spans to one run-long list and folding each into its state's time as
+    the window closes."""
+
+    def __init__(self) -> None:
+        self.spans: list[list] = []
+        self.window_bounds = [0]
+        self.state_s = dict.fromkeys(PackageCState, 0.0)
+
+    def open(self, start_s: float, end_s: float) -> None:
         self.end = end_s
         self.t = start_s
-        self.spans: list[list] = []  # [state, start, end, drfb, gpu, fbc]
+        self.last = _NO_SPAN
 
-    def emit(self, state: PackageCState, until: float, *, drfb: bool = False,
-             gpu: bool = False, fbc: bool = False) -> None:
-        until = min(until, self.end)
+    def emit(self, key: _Key, until: float) -> None:
+        if until > self.end:
+            until = self.end
         if until <= self.t:
             return
-        last = self.spans[-1] if self.spans else None
-        if (
-            last is not None
-            and last[0] is state
-            and last[3] == drfb
-            and last[4] == gpu
-            and last[5] == fbc
-        ):
+        last = self.last
+        if last[0] is key:
             last[2] = until
         else:
-            self.spans.append([state, self.t, until, drfb, gpu, fbc])
+            self.last = [key, self.t, until]
+            self.spans.append(self.last)
         self.t = until
 
-    def finish(self, tail_state: PackageCState, *, drfb: bool = False) -> None:
+    def finish(self, tail: _Key) -> None:
+        # Every span ends at or before the window's end, and the tail runs
+        # up to it exactly, so no float drift leaks across windows.
         if self.t < self.end:
-            self.emit(tail_state, self.end, drfb=drfb)
-        # Snap the final edge so float drift never leaks across windows.
-        if self.spans:
-            self.spans[-1][2] = self.end
-        self.t = self.end
-
-    def periods(self) -> list[OraclePeriod]:
-        return [OraclePeriod(self.window, *sp) for sp in self.spans if sp[2] > sp[1]]
+            self.emit(tail, self.end)
+        state_s = self.state_s
+        for key, start_s, end_s in self.spans[self.window_bounds[-1]:]:
+            state_s[key[0]] += end_s - start_s
+        self.window_bounds.append(len(self.spans))
 
 
 def _chunks(payload: int, chunk: int) -> list[int]:
@@ -150,23 +176,15 @@ def _chunks(payload: int, chunk: int) -> list[int]:
     return [chunk] * (n - 1) + [payload - (n - 1) * chunk] if n else []
 
 
-def _run_phase(
-    sim: _WindowSim,
-    payload: int,
-    chunk: int,
-    fill_rate: float,
-    drain_rate: float | None,
-    fill_state: PackageCState,
-    drain_state: PackageCState,
-    *,
-    gpu_fill: bool = False,
-) -> float:
-    """Drive the buffer machine; returns the phase end time.
-
-    ``drain_rate`` None means span pacing across the rest of the window.
-    """
+def _run_phase(sim: _WindowSim, payload: int, chunk: int, fill_rate: float,
+               drain_rate: float | None, fill_state: PackageCState,
+               drain_state: PackageCState, *, gpu_fill: bool = False) -> None:
+    """Drive the buffer machine; ``drain_rate`` None paces the drain across
+    the rest of the window."""
     if payload <= 0 or sim.t >= sim.end:
-        return sim.t
+        return
+    fill, drain = _key(fill_state, gpu=gpu_fill), _key(drain_state)
+    emit = sim.emit
     start = sim.t
     span_mode = drain_rate is None
     d = payload / (sim.end - start) if span_mode else float(drain_rate)
@@ -176,19 +194,13 @@ def _run_phase(
         # Lockstep: consumer is never the constraint; chunks go out as they
         # are produced and the phase ends with the last fill.
         for c in sizes:
-            sim.emit(fill_state, sim.t + c / fill_rate, gpu=gpu_fill)
-        phase_end = sim.t
-        if span_mode and sim.t < sim.end:
-            sim.emit(drain_state, sim.end)
-            phase_end = sim.end
-        return phase_end
+            emit(fill, sim.t + c / fill_rate)
+        if span_mode:
+            emit(drain, sim.end)
+        return
 
     first_fill_end = start + sizes[0] / fill_rate
-    drained_after = 0
-    drain_done: list[float] = []
-    for c in sizes:
-        drained_after += c
-        drain_done.append(first_fill_end + drained_after / d)
+    drain_done = [first_fill_end + drained_after / d for drained_after in accumulate(sizes)]
 
     fill_end_prev = start
     for i, c in enumerate(sizes):
@@ -199,14 +211,12 @@ def _run_phase(
         else:
             fill_start = max(fill_end_prev, drain_done[i - 2])
         if fill_start > sim.t:
-            sim.emit(drain_state, fill_start)
-        sim.emit(fill_state, fill_start + c / fill_rate, gpu=gpu_fill)
+            emit(drain, fill_start)
         fill_end_prev = fill_start + c / fill_rate
+        emit(fill, fill_end_prev)
         if sim.t >= sim.end:
-            return sim.end
-    if drain_done[-1] > sim.t:
-        sim.emit(drain_state, drain_done[-1])
-    return min(drain_done[-1], sim.end)
+            return
+    emit(drain, drain_done[-1])
 
 
 class _P(NamedTuple):
@@ -228,16 +238,11 @@ class _P(NamedTuple):
     fbc_on: bool
 
 
-def oracle_simulate(
-    cfg: SimConfig,
-    n_windows: int | None = None,
-    *,
-    fbc_ratio: float = 1.0,
-    batch_every: int = 1,
-    cached_traffic_fraction: float = 0.34,
-    dirty_trace: Sequence[float] | None = None,
-) -> OracleResult:
-    """Simulate the run with the event machine and return merged periods.
+def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
+                    fbc_ratio: float = 1.0, batch_every: int = 1,
+                    cached_traffic_fraction: float = 0.34,
+                    dirty_trace: Sequence[float] | None = None) -> OracleResult:
+    """Simulate the run with the event machine and return merged spans.
 
     Takes :func:`build_timeline`'s keywords and, like it, defaults to one
     batch cycle (``batch_every`` frame groups); a dirty trace sets its own
@@ -253,11 +258,8 @@ def oracle_simulate(
         E=encoded_frame_bytes(disp_cfg.resolution, sys_cfg.encoded_bits_per_pixel),
         chunk=sys_cfg.dc_buffer_bytes,
         o=sys_cfg.orchestration_time,
-        o_b=(
-            sys_cfg.burst_orchestration_time
-            if sys_cfg.burst_orchestration_time is not None
-            else 0.02 * W
-        ),
+        o_b=(sys_cfg.burst_orchestration_time
+             if sys_cfg.burst_orchestration_time is not None else 0.02 * W),
         f=sys_cfg.decode_rate,
         b=sys_cfg.dram_fetch_rate,
         p=sys_cfg.vd_paced_rate if sys_cfg.vd_paced_rate else sys_cfg.decode_rate,
@@ -275,10 +277,10 @@ def oracle_simulate(
     else:
         n = n_windows if n_windows is not None else batch_every * par.group
 
-    periods: list[OraclePeriod] = []
+    sim = _WindowSim()
     reads = writes = link = 0
     for w in range(n):
-        sim = _WindowSim(w, w * W, (w + 1) * W)
+        sim.open(w * W, (w + 1) * W)
         if wl.kind is WorkloadKind.SINGLE_PLANE:
             r, wr, lk = _sim_plane(sim, par, wl.scheme, float(dirty_trace[w]))  # type: ignore[index]
         else:
@@ -295,8 +297,8 @@ def oracle_simulate(
             elif not is_transfer:
                 # Every other scheme parks a repeat window on the panel's
                 # own frame buffer after a short wake-up.
-                sim.emit(PackageCState.C0, sim.t + par.o_b)
-                sim.finish(PackageCState.C9, drfb=True)
+                sim.emit(_C0, sim.t + par.o_b)
+                sim.finish(_C9_DRFB)
                 r = wr = lk = 0
             elif wl.scheme is Scheme.BYPASS_ONLY:
                 r, wr, lk = _sim_bypass(sim, par)
@@ -307,72 +309,64 @@ def oracle_simulate(
         reads += r
         writes += wr
         link += lk
-        periods.extend(sim.periods())
 
-    return OracleResult(
-        n_windows=n,
-        window_s=W,
-        periods=tuple(periods),
-        dram_read_bytes=reads,
-        dram_write_bytes=writes,
-        edp_bytes=link,
-    )
+    return OracleResult(n, W, sim.spans, sim.window_bounds, sim.state_s, reads, writes, link)
 
 
 def _sim_baseline(
     sim: _WindowSim, par: _P, is_transfer: bool, decodes: int, vr: bool, psr_alt: bool
 ) -> tuple[int, int, int]:
     if not is_transfer and psr_alt:
-        sim.finish(PackageCState.C9, drfb=True)
+        sim.finish(_C9_DRFB)
         return 0, 0, 0
     reads = writes = 0
     if is_transfer and decodes > 0:
-        sim.emit(PackageCState.C0, sim.t + par.o + decodes * par.F / par.f,
-                 fbc=par.fbc_on and not vr)
+        sim.emit(_key(PackageCState.C0, fbc=par.fbc_on and not vr),
+                 sim.t + par.o + decodes * par.F / par.f)
         reads += decodes * par.E
         writes += decodes * (par.F if vr else par.disp)
         if vr:
-            sim.emit(PackageCState.C0, sim.t + decodes * par.F / par.gpu,
-                     gpu=True, fbc=par.fbc_on)
+            sim.emit(_key(PackageCState.C0, gpu=True, fbc=par.fbc_on),
+                     sim.t + decodes * par.F / par.gpu)
             reads += decodes * par.F
             writes += decodes * par.disp
     else:
-        sim.emit(PackageCState.C0, sim.t + par.o)
+        sim.emit(_C0, sim.t + par.o)
     _run_phase(sim, par.disp, par.chunk, par.b, None,
                PackageCState.C2, PackageCState.C8)
-    sim.finish(PackageCState.C8)
+    sim.finish(_C8)
     reads += par.disp
     return reads, writes, par.F
 
 
 def _sim_bypass(sim: _WindowSim, par: _P) -> tuple[int, int, int]:
-    sim.emit(PackageCState.C0, sim.t + par.o)
+    sim.emit(_C0, sim.t + par.o)
     _run_phase(sim, par.F, par.chunk, par.p, None,
                PackageCState.C7, PackageCState.C7P)
-    sim.finish(PackageCState.C7P)
+    sim.finish(_C7P)
     return par.E, 0, par.F
 
 
 def _sim_bursting(sim: _WindowSim, par: _P) -> tuple[int, int, int]:
-    sim.emit(PackageCState.C0, sim.t + par.o_b + par.F / par.f, fbc=par.fbc_on)
+    sim.emit(_key(PackageCState.C0, fbc=par.fbc_on), sim.t + par.o_b + par.F / par.f)
     d_units = par.e_B * par.disp / par.F if par.disp != par.F else par.e_B
     _run_phase(sim, par.disp, par.chunk, par.b, d_units,
                PackageCState.C2, PackageCState.C8)
-    sim.finish(PackageCState.C9, drfb=True)
+    sim.finish(_C9_DRFB)
     return par.E + par.disp, par.disp, par.F
 
 
 def _sim_burstlink(sim: _WindowSim, par: _P, vr: bool) -> tuple[int, int, int]:
     if vr:
-        sim.emit(PackageCState.C0, sim.t + par.o_b + par.F / par.f)
+        sim.emit(_C0, sim.t + par.o_b + par.F / par.f)
         _run_phase(sim, par.F, par.chunk, par.gpu, par.e_B,
                    PackageCState.C7, PackageCState.C7P, gpu_fill=True)
-        sim.finish(PackageCState.C9, drfb=True)
+        sim.finish(_C9_DRFB)
         return par.E + par.F, par.F, par.F
-    sim.emit(PackageCState.C0, sim.t + par.o_b)
+    sim.emit(_C0, sim.t + par.o_b)
     _run_phase(sim, par.F, par.chunk, par.p, par.e_B,
                PackageCState.C7, PackageCState.C7P)
-    sim.finish(PackageCState.C9, drfb=True)
+    sim.finish(_C9_DRFB)
     return par.E, 0, par.F
 
 
@@ -380,17 +374,17 @@ def _sim_plane(
     sim: _WindowSim, par: _P, scheme: Scheme, dirty: float
 ) -> tuple[int, int, int]:
     if scheme is Scheme.BASELINE:
-        sim.emit(PackageCState.C0, sim.t + par.o)
+        sim.emit(_C0, sim.t + par.o)
         _run_phase(sim, par.F, par.chunk, par.b, None,
                    PackageCState.C2, PackageCState.C8)
-        sim.finish(PackageCState.C8)
+        sim.finish(_C8)
         return par.F, 0, par.F
     update = selective_update_bytes(par.F, dirty)
-    sim.emit(PackageCState.C0, sim.t + par.o_b)
+    sim.emit(_C0, sim.t + par.o_b)
     if update > 0:
         _run_phase(sim, update, par.chunk, par.b, par.e_B,
                    PackageCState.C2, PackageCState.C8)
-    sim.finish(PackageCState.C9, drfb=True)
+    sim.finish(_C9_DRFB)
     return update, 0, update
 
 

@@ -525,6 +525,16 @@ def test_help_and_usage_errors_keep_their_text(argv, monkeypatch):
     assert _help_text(argv) == pinned  # the same on a second call
 
 
+def test_two_main_calls_build_the_parser_once(monkeypatch, capsys):
+    calls = []
+    add_side_args = cli._add_side_args
+    monkeypatch.setattr(cli, "_add_side_args", lambda *a: calls.append(a) or add_side_args(*a))
+    cli.build_parser.cache_clear()
+    assert main(["presets"]) == 0
+    assert main(["validate", "--preset", "fhd30"]) == 0
+    assert len(calls) == 4  # simulate, compare's two sides and validate, once each
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-5", "1.5"])
 @pytest.mark.parametrize("command", [["simulate"], ["validate"],
                                      ["compare", "--preset-b", "fhd30"]])
@@ -654,6 +664,28 @@ def test_undecodable_input_files_name_the_path(name, data, argv, position, tmp_p
     assert main([str(path) if a == "PATH" else a for a in argv]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: {path}: {_NOT_UTF8} {position}: invalid start byte"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "PATH"],
+    ["simulate", "--preset", "fhd30", "--calibration", "PATH"],
+    ["calibrate", "--runs", "PATH"],
+], ids=["config", "calibration", "runs"])
+def test_json_syntax_errors_name_the_path(argv, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text('{"display": }', encoding="utf-8")
+    assert main([str(path) if a == "PATH" else a for a in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: Expecting value: line 1 column 13 (char 12)"]
+
+
+def test_a_resolution_out_of_range_prints_its_violation(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"display": {"resolution": "0x5"}}', encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "violation\tOUT_OF_RANGE\tdisplay.resolution\tresolution must be positive, got 0x5"]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv, text", [

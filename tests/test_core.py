@@ -156,6 +156,15 @@ def test_parse_resolution_rejects_unknown_names():
         parse_resolution("8k")
 
 
+def test_parse_resolution_raises_the_coded_violation_for_a_size_out_of_range():
+    with pytest.raises(ConfigurationError) as exc:
+        parse_resolution("0x5")
+    assert exc.value.violations == (Violation(
+        "OUT_OF_RANGE", "display.resolution", "resolution must be positive, got 0x5"),)
+    with pytest.raises(ValueError, match="unknown resolution 'wxh'"):
+        parse_resolution("wxh")
+
+
 def test_resolution_renders_as_width_x_height():
     assert str(Resolution(1920, 1080)) == "1920x1080"
 

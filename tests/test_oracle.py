@@ -8,7 +8,10 @@ corners (overlays, traces, default run length) the grid does not cover.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from framewatt.core import Scheme, WorkloadKind
 from framewatt.cstates import PackageCState, load_calibration, transition_cost
@@ -16,6 +19,7 @@ from framewatt.oracle import oracle_simulate
 from framewatt.power import report_from_timeline
 from framewatt.timeline import build_timeline
 from conftest import make_config
+from test_acceptance import _valid_configs
 
 
 def cross_check(cfg, calibration, n_windows=None, **overlays):
@@ -163,3 +167,78 @@ def test_oracle_periods_tile_the_run():
     for prev, cur in zip(oracle.periods, oracle.periods[1:]):
         assert prev.end_s == pytest.approx(cur.start_s)
     assert sum(oracle.residency().values()) == pytest.approx(1.0)
+
+
+def _ref_state_time_s(oracle):
+    """Reference: each state's time, summed over the periods in order."""
+    out = {s: 0.0 for s in PackageCState}
+    for p in oracle.periods:
+        out[p.state] += p.span_s
+    return out
+
+
+def _ref_energy_uj(oracle, cfg, calibration):
+    """Reference: the energy bill priced period by period."""
+    profile = calibration.profile_for(cfg.workload.scheme)
+    total_uj = 0.0
+    prev_state = None
+    for _, state, start_s, end_s, drfb, gpu, fbc in oracle.periods:
+        power_mw = profile.state_power_mw[state]
+        if drfb:
+            power_mw += calibration.drfb_power_mw
+        if gpu:
+            power_mw += cfg.system.gpu_active_mw
+        if fbc:
+            power_mw += cfg.system.fbc_compute_mw
+        total_uj += power_mw * (end_s - start_s) * 1e3
+        if prev_state is not None and prev_state is not state:
+            total_uj += transition_cost(profile, prev_state, state).energy_uj
+        prev_state = state
+    total_uj += oracle.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
+    total_uj += oracle.dram_write_bytes * cfg.system.dram_coeff_write * 1e6
+    return total_uj
+
+
+@st.composite
+def _oracle_runs(draw):
+    """A criterion-4 config with a run shape: compression, batching, PSR
+    alternation, or a dirty trace on a single-plane workload."""
+    cfg, _ = draw(_valid_configs())
+    run = {}
+    if draw(st.booleans()):
+        run["fbc_ratio"] = draw(st.sampled_from([0.5, 0.55, 0.7, 0.95]))
+    if draw(st.booleans()):
+        run["batch_every"] = draw(st.integers(2, 4))
+        run["cached_traffic_fraction"] = draw(st.floats(0.0, 1.0))
+    shape = draw(st.sampled_from(["video", "psr", "trace"]))
+    if shape == "psr":
+        cfg = replace(cfg, workload=replace(cfg.workload, scheme=Scheme.BASELINE,
+                                            psr_alternate_windows=True))
+    elif shape == "trace":
+        cfg = replace(cfg, workload=replace(cfg.workload, kind=WorkloadKind.SINGLE_PLANE,
+                                            video_fps=cfg.display.refresh_hz))
+        run = {"dirty_trace": draw(st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=6))}
+    n_windows = None if shape == "trace" else draw(st.none() | st.integers(1, 6))
+    return cfg, n_windows, run, draw(st.sampled_from(["default", "latency-demo"]))
+
+
+@given(_oracle_runs())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_folded_state_time_and_energy_equal_a_walk_over_the_periods(case):
+    cfg, n_windows, run, calibration = case
+    cal = load_calibration(calibration)
+    oracle = oracle_simulate(cfg, n_windows, **run)
+    times = _ref_state_time_s(oracle)
+    assert oracle.residency() == {s: t / oracle.total_s for s, t in times.items()}
+    assert oracle.energy_uj(cfg, cal) == _ref_energy_uj(oracle, cfg, cal)
+
+    periods = oracle.periods
+    assert [p.window for p in periods] == sorted(p.window for p in periods)
+    for w in range(oracle.n_windows):
+        mine = [p for p in periods if p.window == w]
+        assert mine[0].start_s == w * oracle.window_s
+        assert mine[-1].end_s == (w + 1) * oracle.window_s
+        assert all(p.end_s > p.start_s for p in mine)
+        assert all(a.end_s == b.start_s for a, b in zip(mine, mine[1:]))
