@@ -36,11 +36,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TextIO
 
 from . import __version__
 from .core import ConfigurationError, Scheme, SimConfig, WorkloadKind, replace
@@ -216,8 +215,12 @@ def _dump_json(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+def _write(path: Path, content: str | Callable[[TextIO], object]) -> None:
+    with path.open("w", encoding="utf-8") as f:
+        if callable(content):
+            content(f)
+        else:
+            f.write(content)
     print(f"wrote {path}")
 
 
@@ -273,7 +276,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         doc = {"manifest": manifest, "config": cfg.to_dict(), "report": report.to_dict()}
         _write(out / "report.json", _dump_json(doc))
     if args.format in ("csv", "both"):
-        _write(out / "timeline.csv", timeline_to_csv(timeline))
+        _write(out / "timeline.csv", lambda f: timeline_to_csv(timeline, f))
         # Windows with the same bill share its fields, formatted once.
         lines = ["window,kind,total_uj,dram_uj,display_uj,others_uj,"
                  "transition_uj,dram_operating_uj,adders_uj"]
@@ -288,7 +291,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     f"{we.dram_operating_uj:.6f},{we.adders_uj:.6f}")
             lines.append(f"{we.window},{text}")
         _write(out / "report.csv", "\n".join(lines) + "\n")
-    _write(out / "timeline.svg", timeline_to_svg(timeline))
+    _write(out / "timeline.svg", lambda f: timeline_to_svg(timeline, f))
     return 0
 
 
@@ -393,11 +396,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         }
         _write(out / "compare.json", _dump_json(doc))
     if args.format in ("csv", "both"):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["metric", "a", "b", "delta"])
-        w.writerows(rows)
-        _write(out / "compare.csv", buf.getvalue())
+        _write(out / "compare.csv", lambda f: csv.writer(f, lineterminator="\n").writerows(
+            [["metric", "a", "b", "delta"], *rows]))
     return 0
 
 
@@ -490,13 +490,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.format in ("csv", "both"):
-            buf = io.StringIO()
-            w = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS, lineterminator="\n")
-            w.writeheader()
-            for r in rows:
-                w.writerow({h: ("" if r[h] is None else r[h])
-                            for h in _SWEEP_COLUMNS})
-            _write(out / "sweep.csv", buf.getvalue())
+            _write(out / "sweep.csv", lambda f: csv.writer(f, lineterminator="\n").writerows(
+                [_SWEEP_COLUMNS, *([r[h] for h in _SWEEP_COLUMNS] for r in rows)]))
         if args.format in ("json", "both"):
             doc = {
                 "manifest": _manifest("sweep", args, calibration.name, args.windows),

@@ -37,20 +37,21 @@ tallied one by one, and the run of whole fill/drain chunk cycles between
 them is tallied in closed form, as sums of rounded arithmetic progressions.
 Pricing combines the tallies per (template, entry state) pair.  Rows are
 expanded from the record only where rows are read -- the CSV and SVG
-exports and ``WindowTimeline.intervals`` -- once per template.  The exports
-also format each template's rows once, as flat lists of text pieces, and
-stitch every window from them, converting each row boundary to a string once.
+exports and ``WindowTimeline.intervals`` -- once per template.  Each row
+boundary becomes text once per timeline, for both exports; each stitches its
+windows from text pieces formatted once per template and streams them, one
+window at a time, to the file given as ``out`` (else it returns a string).
 """
 
 from __future__ import annotations
 
-import html
+import io
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .core import (
     NS_PER_S,
@@ -191,6 +192,22 @@ class WindowTimeline:
     def rows(self) -> tuple[tuple[Interval, ...], ...]:
         """Each template's rows, with window-relative times, expanded once."""
         return tuple(_expand(t, self.window_ns) for t in self.templates)
+
+    @cached_property
+    def boundary_text(self) -> tuple[list[str], list[int]]:
+        """Every row boundary as absolute-ns text (windows share their edges)
+        and each window's offset into it.  Raises ValueError, naming the first
+        window of a template whose rows do not abut each other and its edges."""
+        starts = [[iv.start_ns for iv in ivs] for ivs in self.rows]
+        for t, (s, ivs) in enumerate(zip(starts, self.rows)):
+            if [*s, self.window_ns] != [0, *(iv.end_ns for iv in ivs)]:
+                raise ValueError(f"window {self.window_template.index(t)}: rows do not abut")
+        text, offsets = [], []
+        for w, t in enumerate(self.window_template):
+            offsets.append(len(text))
+            text += map(str, map((w * self.window_ns).__add__, starts[t]))
+        text.append(str(self.total_ns))
+        return text, offsets
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
@@ -850,38 +867,36 @@ CSV_HEADER = (
 )
 
 
-def _stitch(timeline: WindowTimeline, cells: Callable, keys: Iterable[str]) -> list[str]:
-    """Each window's rows as one string, stitched from its template's pieces.
+def _stitch(timeline: WindowTimeline, cells: Callable, keys: Iterable[str], head: str,
+            out: TextIO) -> None:
+    """Write ``head``, then each window stitched from its template's pieces.
 
     ``cells(iv)`` gives a template row's fixed text around its three slots
     (the window's key from ``keys``, then the row's absolute start and end)
-    as ``(before_key, key_to_start, start_to_end, after_end)``.  Rows abut, so
-    a window converts each boundary to a string once.  Raises ValueError,
-    before any window is stitched, if a template's rows do not abut.
+    as ``(before_key, key_to_start, start_to_end, after_end)``; the start and
+    end are sliced from :attr:`WindowTimeline.boundary_text`, which raises
+    ValueError before ``head`` is written if a template's rows do not abut.
     """
+    text, offsets = timeline.boundary_text
     layouts = []
-    for t, ivs in enumerate(timeline.rows):
-        bounds = [iv.start_ns for iv in ivs] + [ivs[-1].end_ns]
-        if [iv.end_ns for iv in ivs] != bounds[1:]:
-            raise ValueError(f"window {timeline.window_template.index(t)}: rows do not abut")
+    for ivs in timeline.rows:
         parts = [""]  # a row's head is joined onto the piece before it
         for iv in ivs:
-            head, mid, sep, tail = cells(iv)
-            parts[-1] += head
+            before, mid, sep, tail = cells(iv)
+            parts[-1] += before
             parts += ("", mid, "", sep, "", tail)
-        layouts.append((parts, bounds))
-    blocks = []
-    for w, (t, key) in enumerate(zip(timeline.window_template, keys)):
-        parts, bounds = layouts[t]
-        b = list(map(str, map((w * timeline.window_ns).__add__, bounds)))
-        parts[1::6] = [key] * (len(b) - 1)
-        parts[3::6] = b[:-1]
-        parts[5::6] = b[1:]
-        blocks.append("".join(parts))
-    return blocks
+        layouts.append((parts, len(ivs)))
+    out.write(head)
+    for t, key, i in zip(timeline.window_template, keys, offsets):
+        parts, k = layouts[t]
+        parts[1::6] = [key] * k
+        parts[3::6] = text[i:i + k]
+        parts[5::6] = text[i + 1:i + k + 1]
+        out.write("".join(parts))
 
 
-def timeline_to_csv(timeline: WindowTimeline) -> str:
+def timeline_to_csv(timeline: WindowTimeline, out: TextIO | None = None) -> str | None:
+    """Write the rows as CSV to ``out``, or return them as text without it."""
     # Each template's rows are formatted once; see _stitch for the windows.
     def cells(iv: Interval) -> tuple[str, str, str, str]:
         return ("", f",{iv.kind},{iv.state},", ",",
@@ -889,8 +904,9 @@ def timeline_to_csv(timeline: WindowTimeline) -> str:
                 f"{iv.edp_bytes},{int(iv.drfb_active)},{int(iv.gpu_active)},"
                 f"{int(iv.fbc_active)}\n")
 
-    blocks = _stitch(timeline, cells, map(str, range(timeline.n_windows)))
-    return "".join([CSV_HEADER + "\n", *blocks])
+    buf = io.StringIO() if out is None else out
+    _stitch(timeline, cells, map(str, range(timeline.n_windows)), CSV_HEADER + "\n", buf)
+    return buf.getvalue() if out is None else None
 
 
 _STATE_COLORS = {
@@ -906,14 +922,14 @@ _STATE_COLORS = {
 }
 
 
-def timeline_to_svg(timeline: WindowTimeline) -> str:
-    """Render the timeline as a self-contained Gantt-style SVG string.
+def timeline_to_svg(timeline: WindowTimeline, out: TextIO | None = None) -> str | None:
+    """Render the timeline as a self-contained Gantt-style SVG, to ``out`` or as a string.
 
     One row per refresh window, blocks colored by package state, with a
-    legend; pure text output with no plotting dependencies.
+    legend; pure text output with no plotting dependencies.  Its words (scheme,
+    window kinds, row labels) hold no markup characters, so none are escaped.
     """
-    width, row_h, gap, left, top = 1000, 26, 6, 70, 30
-    legend_h = 40
+    width, row_h, gap, left, top, legend_h = 1000, 26, 6, 70, 30, 40
     n = timeline.n_windows
     height = top + n * (row_h + gap) + legend_h
     sx = (width - left - 10) / timeline.window_ns
@@ -923,7 +939,7 @@ def timeline_to_svg(timeline: WindowTimeline) -> str:
         f'height="{height}" font-family="monospace" font-size="11">\n'
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
         f'<text x="{left}" y="16">package-state timeline: '
-        f"{html.escape(timeline.scheme.value)}, {n} windows of "
+        f"{timeline.scheme.value}, {n} windows of "
         f"{timeline.window_ns / 1e6:.3f} ms</text>\n"
     )
 
@@ -932,13 +948,13 @@ def timeline_to_svg(timeline: WindowTimeline) -> str:
     def cells(iv: Interval) -> tuple[str, str, str, str]:
         return (f'<rect x="{left + iv.start_ns * sx:.2f}" y="',
                 f'" width="{max(iv.span_ns * sx, 0.5):.2f}" height="{row_h}" '
-                f'fill="{_STATE_COLORS[iv.state]}"><title>{html.escape(iv.label)} '
+                f'fill="{_STATE_COLORS[iv.state]}"><title>{iv.label} '
                 f"{iv.state} [", "-", "] ns</title></rect>\n")
 
     ys = range(top, top + n * (row_h + gap), row_h + gap)
-    blocks = _stitch(timeline, cells, map(str, ys))
-    labels = [html.escape(tpl.kind[:4]) for tpl in timeline.templates]
-    parts = [f'<text x="4" y="{y + row_h - 8}">w{w} {labels[t]}</text>'
+    buf = io.StringIO() if out is None else out
+    _stitch(timeline, cells, map(str, ys), head, buf)
+    parts = [f'<text x="4" y="{y + row_h - 8}">w{w} {timeline.templates[t].kind[:4]}</text>'
              for w, (t, y) in enumerate(zip(timeline.window_template, ys))]
     lx = left
     ly = top + n * (row_h + gap) + 16
@@ -947,7 +963,8 @@ def timeline_to_svg(timeline: WindowTimeline) -> str:
         parts.append(f'<text x="{lx + 16}" y="{ly}">{state}</text>')
         lx += 64
     parts.append("</svg>")
-    return "".join([head, *blocks, "\n".join(parts)])
+    buf.write("\n".join(parts))
+    return buf.getvalue() if out is None else None
 
 
 __all__ = [

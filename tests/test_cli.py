@@ -60,6 +60,13 @@ def test_simulate_writes_the_result_files(tmp_path, capsys):
     assert doc["config"]["workload"]["scheme"] == "baseline"
 
 
+def test_simulate_reports_each_written_file_in_order(tmp_path, capsys):
+    assert main(["simulate", "--preset", "fhd30", "--out", str(tmp_path)]) == 0
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
+    assert wrote == [f"wrote {tmp_path / name}" for name in
+                     ("report.json", "timeline.csv", "report.csv", "timeline.svg")]
+
+
 def test_simulate_accepts_config_files(config_file, capsys):
     assert main(["simulate", "--config", str(config_file)]) == 0
     assert "burstlink" in capsys.readouterr().out
@@ -924,8 +931,10 @@ def test_scipy_loads_only_with_the_calibration_fitter(statement, loaded):
     ["simulate", "--preset", "fhd30", "--windows", "4", "--out", "run"],
 ])
 def test_presets_and_simulate_load_neither_numpy_nor_scipy(argv, tmp_path):
+    # Nor html: the SVG export's words hold no markup, so nothing is escaped.
     script = ("import sys; from framewatt.cli import main; rc = main(sys.argv[1:]); "
-              "print([m for m in ('numpy', 'scipy') if m in sys.modules]); sys.exit(rc)")
+              "print([m for m in ('numpy', 'scipy', 'html') if m in sys.modules]); "
+              "sys.exit(rc)")
     env = {**os.environ, "PYTHONPATH": str(Path(main.__code__.co_filename).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)

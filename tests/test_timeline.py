@@ -8,6 +8,7 @@ import html
 import io
 from fractions import Fraction
 from importlib import resources
+from itertools import accumulate
 from math import lcm
 
 import pytest
@@ -27,6 +28,7 @@ from framewatt.core import (
     frame_window_ns,
 )
 from framewatt import timeline as tmod
+from framewatt.cli import main
 from framewatt.cstates import PackageCState, load_calibration
 from framewatt.power import report_from_timeline, window_energy_breakdown
 from framewatt.presets import PRESETS, get_preset
@@ -1271,3 +1273,78 @@ def test_exports_reject_template_rows_that_do_not_abut(monkeypatch):
     for export in (timeline_to_csv, timeline_to_svg):
         with pytest.raises(ValueError, match=f"window {window}: rows do not abut"):
             export(tl)
+
+
+def test_exports_reject_a_template_whose_last_row_ends_short_of_the_window(monkeypatch):
+    tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), 4)
+    rows = list(tl.rows)
+    *rest, last = rows[1]
+    rows[1] = (*rest, last._replace(end_ns=last.end_ns - 1))
+    monkeypatch.setitem(vars(tl), "rows", tuple(rows))
+    window = tl.window_template.index(1)
+    for export in (timeline_to_csv, timeline_to_svg):
+        with pytest.raises(ValueError, match=f"window {window}: rows do not abut"):
+            export(tl)
+
+
+class _Recording(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_exports_write_nothing_when_rows_do_not_abut(monkeypatch):
+    tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), 4)
+    first, *rest = tl.rows[0]
+    monkeypatch.setitem(vars(tl), "rows", ((first._replace(start_ns=1), *rest), *tl.rows[1:]))
+    for export in (timeline_to_csv, timeline_to_svg):
+        out = _Recording()
+        with pytest.raises(ValueError, match="window 0: rows do not abut"):
+            export(tl, out)
+        assert out.writes == [] and out.getvalue() == ""
+
+
+def test_exports_write_to_a_stream_what_they_return():
+    for case, tl in _export_timelines():
+        for export in (timeline_to_csv, timeline_to_svg):
+            out = _Recording()
+            assert export(tl, out) is None
+            assert out.getvalue() == export(tl), case
+            assert len(out.writes) > tl.n_windows  # one write per window, and more
+
+
+def test_boundary_text_is_every_interval_start_and_the_run_end():
+    for case, tl in _export_timelines():
+        text, offsets = tl.boundary_text
+        assert text == [str(iv.start_ns) for iv in tl.intervals] + [str(tl.total_ns)], case
+        lengths = [len(tl.rows[t]) for t in tl.window_template]
+        assert offsets == list(accumulate(lengths, initial=0))[:-1], case
+
+
+def test_svg_words_need_no_escaping():
+    words = {scheme.value for scheme in Scheme}
+    for _, tl in _export_timelines():
+        words |= {tpl.kind for tpl in tl.templates}
+        words |= {iv.label for ivs in tl.rows for iv in ivs}
+    assert {"wake+decode", "fetch", "idle", "psr", "transfer"} <= words
+    assert all(html.escape(word) == word and not set(word) & set("&<>\"'")
+               for word in words)
+
+
+@pytest.mark.parametrize("argv, preset, run", [
+    (["--preset", "4k60"], "4k60", {}),
+    (["--preset", "4k60-vr", "--fbc-ratio", "0.6"], "4k60-vr", {"fbc_ratio": 0.6}),
+    (["--preset", "fhd30", "--batch-every", "3"], "fhd30", {"batch_every": 3}),
+])
+def test_simulate_streams_the_exports_the_string_api_returns(argv, preset, run, tmp_path,
+                                                             capsys):
+    assert main(["simulate", *argv, "--windows", "24", "--out", str(tmp_path)]) == 0
+    tl = build_timeline(get_preset(preset).config, 24, **run)
+    for name, export, ref in (("timeline.csv", timeline_to_csv, _ref_csv),
+                              ("timeline.svg", timeline_to_svg, _ref_svg)):
+        written = (tmp_path / name).read_bytes()
+        assert written == export(tl).encode() == ref(tl).encode(), name
