@@ -1331,8 +1331,7 @@ def test_svg_words_need_no_escaping():
         words |= {tpl.kind for tpl in tl.templates}
         words |= {iv.label for ivs in tl.rows for iv in ivs}
     assert {"wake+decode", "fetch", "idle", "psr", "transfer"} <= words
-    assert all(html.escape(word) == word and not set(word) & set("&<>\"'")
-               for word in words)
+    assert not any(set(word) & set("&<>\"'") for word in words)
 
 
 @pytest.mark.parametrize("argv, preset, run", [
