@@ -21,73 +21,40 @@ per-state powers plus DRAM traffic coefficients, and an independent
 discrete-event oracle cross-checks every analytic timeline builder.
 """
 
-from .core import (
-    ConfigurationError,
-    DisplayConfig,
-    Resolution,
-    Scheme,
-    SimConfig,
-    SystemConfig,
-    Violation,
-    WorkloadKind,
-    WorkloadSpec,
-    burst_transfer_time,
-    frame_bytes,
-    frame_window,
-    frame_window_ns,
-    panel_stream_rate,
-    validate_config,
-)
-from .cstates import (
-    CalibrationSet,
-    PackageCState,
-    PowerProfile,
-    transition_cost,
-)
-from .timeline import (
-    Interval,
-    WindowTimeline,
-    build_timeline,
-    residencies,
-    timeline_to_csv,
-    timeline_to_svg,
-)
-from .power import (
-    EnergyReport,
-    average_power,
-    report_from_timeline,
-    streaming_report,
-    window_energy_breakdown,
-)
-from .oracle import OracleResult, oracle_simulate
-from .presets import PRESETS, Preset, get_preset, validation_grid
-from .scenarios import (
-    apply_batching,
-    apply_fbc,
-    energy_reduction,
-    read_dirty_trace,
-    single_plane_burst,
-    write_dirty_trace,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Calibration fitting pulls in numpy and scipy, which no other command needs,
-# so its names load on first access (PEP 562).
-_CALIBRATE_NAMES = frozenset({
-    "AccuracyReport",
-    "FitResult",
-    "MeasuredRun",
-    "UnderDeterminedError",
-    "fit_state_powers",
-    "load_runs",
-    "model_accuracy",
-})
+#: Every public name by the module that defines it.  A name loads its module
+#: on first access (PEP 562), so ``import framewatt.core`` loads no other
+#: module and numpy and scipy load only with the calibration fitter.
+_NAMES = {name: module for module, names in {
+    "core": ("ConfigurationError", "DisplayConfig", "Resolution", "Scheme", "SimConfig",
+             "SystemConfig", "Violation", "WorkloadKind", "WorkloadSpec",
+             "burst_transfer_time", "frame_bytes", "frame_window", "frame_window_ns",
+             "panel_stream_rate", "validate_config"),
+    "cstates": ("CalibrationSet", "PackageCState", "PowerProfile", "transition_cost"),
+    "timeline": ("Interval", "WindowTimeline", "build_timeline", "residencies",
+                 "timeline_to_csv", "timeline_to_svg"),
+    "power": ("EnergyReport", "average_power", "report_from_timeline", "streaming_report",
+              "window_energy_breakdown"),
+    "oracle": ("OracleResult", "oracle_simulate"),
+    "presets": ("PRESETS", "Preset", "get_preset", "validation_grid"),
+    "scenarios": ("apply_batching", "apply_fbc", "energy_reduction", "read_dirty_trace",
+                  "single_plane_burst", "write_dirty_trace"),
+    "calibrate": ("AccuracyReport", "FitResult", "MeasuredRun", "UnderDeterminedError",
+                  "fit_state_powers", "load_runs", "model_accuracy"),
+}.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name in _CALIBRATE_NAMES:
-        from . import calibrate
-
-        return getattr(calibrate, name)
+    module = _NAMES.get(name)
+    if module is not None:
+        return getattr(import_module(f".{module}", __name__), name)
+    if name in _NAMES.values():  # a submodule not imported yet
+        return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_NAMES})

@@ -45,6 +45,10 @@ class MeasuredRun:
     label: str = ""
 
     def __post_init__(self) -> None:
+        outside = [s.value for s, r in self.residency.items() if not 0.0 <= r <= 1.0]
+        if outside:
+            raise ValueError(f"run '{self.label}': residencies of {', '.join(outside)} "
+                             "outside [0, 1]")
         total = sum(self.residency.values())
         if not 0.99 <= total <= 1.01:
             raise ValueError(

@@ -24,11 +24,12 @@ Subcommands
 ``presets``
     List the built-in named configurations.
 
-Exit codes: 0 on success, 1 on runtime errors (unreadable files, cross-check
-deviation), 2 on usage or configuration problems (bad flags, failed
-validation, under-determined fits).  All file output is deterministic:
-reports embed a run manifest with the resolved inputs and the tool version,
-never timestamps, so identical invocations produce byte-identical files.
+Exit codes: 0 on success, 1 on a file that cannot be opened or written and on
+a cross-check deviation, 2 on usage or input problems (bad flags, unknown
+calibrations, files that are not UTF-8 or not JSON, failed validation,
+under-determined fits).  All file output is deterministic: reports embed a
+run manifest with the resolved inputs and the tool version, never
+timestamps, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from pathlib import Path
 from typing import Any, Callable, Sequence, TextIO
 
 from . import __version__
-from .core import ConfigurationError, Scheme, SimConfig, WorkloadKind, replace
+from .core import (CACHED_TRAFFIC_FRACTION, ConfigurationError, Scheme, SimConfig, WorkloadKind,
+                   replace)
 from .cstates import PackageCState, calibration_from_dict, load_calibration
 from .oracle import oracle_simulate
 from .power import (EnergyReport, report_from_timeline, streaming_report,
@@ -89,7 +91,8 @@ _SIDE_FLAGS: tuple[tuple[str, str, dict[str, Any], Any], ...] = (
           help="decode B frames ahead in one window; 1 disables (default)"), 1),
     ("run shape", "--cached-fraction",
      dict(type=float, metavar="F",
-          help="buffer-traffic fraction saved by batching (default 0.34)"), 0.34),
+          help="buffer-traffic fraction saved by batching (default %(default)s)"),
+     CACHED_TRAFFIC_FRACTION),
     ("run shape", "--trace",
      dict(metavar="PATH", help="dirty-fraction CSV driving single-plane workloads"), None),
 )
@@ -216,6 +219,7 @@ def _dump_json(doc: dict[str, Any]) -> str:
 
 
 def _write(path: Path, content: str | Callable[[TextIO], object]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:
         if callable(content):
             content(f)
@@ -270,27 +274,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not args.out:
         return 0
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest("simulate", args, calibration.name, report.n_windows)
     if args.format in ("json", "both"):
         doc = {"manifest": manifest, "config": cfg.to_dict(), "report": report.to_dict()}
         _write(out / "report.json", _dump_json(doc))
     if args.format in ("csv", "both"):
         _write(out / "timeline.csv", lambda f: timeline_to_csv(timeline, f))
-        # Windows with the same bill share its fields, formatted once.
-        lines = ["window,kind,total_uj,dram_uj,display_uj,others_uj,"
-                 "transition_uj,dram_operating_uj,adders_uj"]
-        fields: dict[tuple, str] = {}
-        for we in window_energy_breakdown(timeline, cfg, calibration):
-            bill = we[1:]
-            text = fields.get(bill)
-            if text is None:
-                text = fields[bill] = (
-                    f"{we.kind},{we.total_uj:.6f},{we.dram_uj:.6f},{we.display_uj:.6f},"
-                    f"{we.others_uj:.6f},{we.transition_uj:.6f},"
-                    f"{we.dram_operating_uj:.6f},{we.adders_uj:.6f}")
-            lines.append(f"{we.window},{text}")
-        _write(out / "report.csv", "\n".join(lines) + "\n")
+        bills, window_bill = window_energy_breakdown(timeline, cfg, calibration)
+        text = [f"{b.kind},{b.total_uj:.6f},{b.dram_uj:.6f},{b.display_uj:.6f},"
+                f"{b.others_uj:.6f},{b.transition_uj:.6f},"
+                f"{b.dram_operating_uj:.6f},{b.adders_uj:.6f}" for b in bills]
+        _write(out / "report.csv", "window,kind,total_uj,dram_uj,display_uj,others_uj,"
+               "transition_uj,dram_operating_uj,adders_uj\n"
+               + "".join(f"{w},{text[b]}\n" for w, b in enumerate(window_bill)))
     _write(out / "timeline.svg", lambda f: timeline_to_svg(timeline, f))
     return 0
 
@@ -378,7 +374,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not args.out:
         return 0
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest("compare", args, cal_a.name, args.windows,
                          side_b=_side_manifest(args, cal_b.name, "-b"))
     if args.format in ("json", "both"):
@@ -488,7 +483,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         if args.format in ("csv", "both"):
             _write(out / "sweep.csv", lambda f: csv.writer(f, lineterminator="\n").writerows(
                 [_SWEEP_COLUMNS, *([r[h] for h in _SWEEP_COLUMNS] for r in rows)]))
@@ -560,7 +554,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if not args.out:
         return 0
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     base = load_calibration(args.base)
     residuals = [
         {"label": run.label, "measured_mw": m, "predicted_mw": round(p, 6),
@@ -626,7 +619,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         doc = {
             "manifest": _manifest("validate", args, "per-point", None,
                                   grid=bool(args.grid)),

@@ -35,6 +35,12 @@ MAX_DC_FETCHES_PER_FRAME = 16_384
 #: panel's native rate, which must fit under this ceiling.
 DEFAULT_EDP_MAX_BITS_PER_S = 25.92e9
 
+#: Buffer-traffic share that decode batching's cached layout saves, by default.
+CACHED_TRAFFIC_FRACTION = 0.34
+
+#: Burst-window wake-up as a share of the refresh window, by default.
+BURST_WAKE_SHARE = Fraction(1, 50)
+
 
 class Scheme(str, Enum):
     """Display pipeline scheme.
@@ -153,7 +159,7 @@ class SystemConfig:
     gpu_pt_rate: float = 20e9               # GPU projection throughput (vr360)
     orchestration_time: float = 1.9e-3      # software wake-up per active window
     burst_orchestration_time: float | None = None  # hardware-assisted wake-up;
-                                            # None = 2% of the refresh window
+                                            # None = BURST_WAKE_SHARE of the window
     encoded_bits_per_pixel: float = 0.5     # compressed stream density
     dram_coeff_read: float = 43e-12         # J per byte read
     dram_coeff_write: float = 43e-12        # J per byte written
@@ -536,13 +542,13 @@ def validate_config(cfg: SimConfig) -> list[Violation]:
     # pacing itself below its peak rate (and, under burstlink, below the
     # link); the others decode into DRAM, then burst the frame or stream it
     # in what is left of the window.  Burst schemes wake up with hardware
-    # help, by default in 2% of the window.
+    # help, by default in BURST_WAKE_SHARE of the window.
     if not bursting:
         t_orch = sys_.orchestration_time
     elif sys_.burst_orchestration_time is not None:
         t_orch = sys_.burst_orchestration_time
     else:
-        t_orch = window_s * 0.02
+        t_orch = window_s * float(BURST_WAKE_SHARE)
     if bypass:
         pace = sys_.vd_paced_rate or sys_.decode_rate
         busy = t_orch + fbytes / (min(pace, link / 8) if bursting else pace)

@@ -119,6 +119,14 @@ class PowerProfile:
                 found.append(Violation("DISPLAY_SPLIT_OUTSIDE_TOTAL",
                                        f"{where}.display_power_mw.{s}", f"profile "
                                        f"'{self.name}': display split for {s} outside [0, total]"))
+        # Transition energy is latency x power, so neither may be negative; latencies show in us.
+        for key, values in (("entry_latency_us", self.entry_latency_ns),
+                            ("exit_latency_us", self.exit_latency_ns),
+                            ("entry_power_mw", self.entry_power_mw),
+                            ("exit_power_mw", self.exit_power_mw)):
+            if key.endswith("_us"):
+                values = {s: ns / 1_000 for s, ns in values.items()}
+            found += out_of_range(f"{where}.{key}.", values, at_least_zero=values)
         reject(found)
 
 
@@ -190,13 +198,15 @@ _BUILTIN_FILES = {
     "latency-demo": "latency_demo.json",
 }
 
+#: Each profile key by the :class:`PowerProfile` field it fills; a latency
+#: is given in us and kept in integer ns.
 _PROFILE_KEYS = {
-    "state_power_mw",
-    "display_power_mw",
-    "entry_latency_us",
-    "exit_latency_us",
-    "entry_power_mw",
-    "exit_power_mw",
+    "state_power_mw": "state_power_mw",
+    "display_power_mw": "display_power_mw",
+    "entry_latency_us": "entry_latency_ns",
+    "exit_latency_us": "exit_latency_ns",
+    "entry_power_mw": "entry_power_mw",
+    "exit_power_mw": "exit_power_mw",
 }
 
 _TOP_KEYS = {"name", "description", "vd_gate_delta_mw", "drfb_power_mw", "profiles"}
@@ -218,30 +228,15 @@ def parse_state_map(
 
 
 def _profile_from_dict(name: str, raw: Mapping[str, Any]) -> PowerProfile:
-    unknown = set(json_object(raw, f"profiles.{name}")) - _PROFILE_KEYS
+    unknown = set(json_object(raw, f"profiles.{name}")) - _PROFILE_KEYS.keys()
     if unknown:
         raise ValueError(f"unknown keys in profile '{name}': {sorted(unknown)}")
     if "state_power_mw" not in raw:
         raise ValueError(f"profile '{name}' missing state_power_mw")
-    return PowerProfile(
-        name=name,
-        state_power_mw=parse_state_map(raw["state_power_mw"], f"{name}.state_power_mw"),
-        display_power_mw=parse_state_map(
-            raw.get("display_power_mw", {}), f"{name}.display_power_mw"
-        ),
-        entry_latency_ns=parse_state_map(
-            raw.get("entry_latency_us", {}), f"{name}.entry_latency_us", 1_000, True
-        ),
-        exit_latency_ns=parse_state_map(
-            raw.get("exit_latency_us", {}), f"{name}.exit_latency_us", 1_000, True
-        ),
-        entry_power_mw=parse_state_map(
-            raw.get("entry_power_mw", {}), f"{name}.entry_power_mw"
-        ),
-        exit_power_mw=parse_state_map(
-            raw.get("exit_power_mw", {}), f"{name}.exit_power_mw"
-        ),
-    )
+    return PowerProfile(name=name, **{
+        attr: parse_state_map(raw.get(key, {}), f"{name}.{key}",
+                              *((1_000, True) if key.endswith("_us") else ()))
+        for key, attr in _PROFILE_KEYS.items()})
 
 
 def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
@@ -261,8 +256,8 @@ def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
         description=json_string(data.get("description", ""), "description"),
         conventional=_profile_from_dict("conventional", profiles["conventional"]),
         burst=_profile_from_dict("burst", profiles["burst"]),
-        vd_gate_delta_mw=json_number(data.get("vd_gate_delta_mw", 95.0), "vd_gate_delta_mw"),
-        drfb_power_mw=json_number(data.get("drfb_power_mw", 58.0), "drfb_power_mw"),
+        **{key: json_number(data[key], key)
+           for key in ("vd_gate_delta_mw", "drfb_power_mw") if key in data},
     )
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 from itertools import accumulate, product
 from typing import NamedTuple, Sequence
 
-from .core import Scheme, SimConfig, WorkloadKind, encoded_frame_bytes, frame_bytes
+from .core import (BURST_WAKE_SHARE, CACHED_TRAFFIC_FRACTION, Scheme, SimConfig, WorkloadKind,
+                   encoded_frame_bytes, frame_bytes)
 from .cstates import CalibrationSet, PackageCState, transition_cost
 from .timeline import selective_update_bytes
 
@@ -240,7 +241,7 @@ class _P(NamedTuple):
 
 def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
                     fbc_ratio: float = 1.0, batch_every: int = 1,
-                    cached_traffic_fraction: float = 0.34,
+                    cached_traffic_fraction: float = CACHED_TRAFFIC_FRACTION,
                     dirty_trace: Sequence[float] | None = None) -> OracleResult:
     """Simulate the run with the event machine and return merged spans.
 
@@ -259,7 +260,7 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
         chunk=sys_cfg.dc_buffer_bytes,
         o=sys_cfg.orchestration_time,
         o_b=(sys_cfg.burst_orchestration_time
-             if sys_cfg.burst_orchestration_time is not None else 0.02 * W),
+             if sys_cfg.burst_orchestration_time is not None else float(BURST_WAKE_SHARE) * W),
         f=sys_cfg.decode_rate,
         b=sys_cfg.dram_fetch_rate,
         p=sys_cfg.vd_paced_rate if sys_cfg.vd_paced_rate else sys_cfg.decode_rate,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any, Mapping, NamedTuple
 
-from .core import ConfigurationError, Scheme, SimConfig, SystemConfig
+from .core import Scheme, SimConfig, SystemConfig
 from .cstates import (
     STATE_DRAM_MODE,
     CalibrationSet,
@@ -113,11 +113,9 @@ class WindowEnergy(NamedTuple):
 
     ``dram_uj``/``display_uj``/``others_uj`` is the component view (background
     attribution plus operating traffic; display slice plus the panel-buffer
-    adder; everything else) and always sums to ``total_uj``.  Windows with
-    the same bill share its values; ``_replace`` sets each one's index.
+    adder; everything else) and always sums to ``total_uj``.
     """
 
-    window: int
     kind: str
     transition_uj: float
     dram_operating_uj: float
@@ -271,33 +269,32 @@ def window_energy_breakdown(
     timeline: WindowTimeline,
     cfg: SimConfig,
     calibration: CalibrationSet,
-) -> tuple[WindowEnergy, ...]:
-    """Per-window bill; boundary transitions are charged to the later window.
+) -> tuple[tuple[WindowEnergy, ...], tuple[int, ...]]:
+    """Per-window bills, stored as the timeline stores windows: the distinct
+    bills, and each window's index into them.  Boundary transitions are
+    charged to the later window.
 
     A window's bill depends only on its template and the state the previous
     window ended in, so each such pair is tallied and priced once.
     """
     profile = calibration.profile_for(timeline.scheme)
-    bills: dict[tuple[int, PackageCState | None], WindowEnergy] = {}
-    out: list[WindowEnergy] = []
-    for w, pair in enumerate(timeline.window_pairs):
-        row = bills.get(pair)
-        if row is None:
-            bill = _price(timeline_totals(timeline, {pair: 1}), profile, cfg.system,
-                          calibration.drfb_power_mw)
-            row = bills[pair] = WindowEnergy(
-                window=0,
-                kind=timeline.templates[pair[0]].kind,
-                transition_uj=bill.transition_energy_uj,
-                dram_operating_uj=bill.dram.operating_uj,
-                adders_uj=bill.drfb_energy_uj + bill.gpu_energy_uj + bill.fbc_energy_uj,
-                dram_uj=bill.component_energy_uj["dram"],
-                display_uj=bill.component_energy_uj["display"],
-                others_uj=bill.component_energy_uj["others"],
-                total_uj=bill.total_energy_uj,
-            )
-        out.append(row._replace(window=w))
-    return tuple(out)
+    index: dict[tuple[int, PackageCState | None], int] = {}
+    window_bill = tuple(index.setdefault(pair, len(index)) for pair in timeline.window_pairs)
+    bills: list[WindowEnergy] = []
+    for pair in index:  # each distinct pair, in order of first use
+        bill = _price(timeline_totals(timeline, {pair: 1}), profile, cfg.system,
+                      calibration.drfb_power_mw)
+        bills.append(WindowEnergy(
+            kind=timeline.templates[pair[0]].kind,
+            transition_uj=bill.transition_energy_uj,
+            dram_operating_uj=bill.dram.operating_uj,
+            adders_uj=bill.drfb_energy_uj + bill.gpu_energy_uj + bill.fbc_energy_uj,
+            dram_uj=bill.component_energy_uj["dram"],
+            display_uj=bill.component_energy_uj["display"],
+            others_uj=bill.component_energy_uj["others"],
+            total_uj=bill.total_energy_uj,
+        ))
+    return tuple(bills), window_bill
 
 
 def streaming_report(
@@ -318,7 +315,6 @@ def streaming_report(
 
 
 __all__ = [
-    "ConfigurationError",
     "DramEnergy",
     "EnergyReport",
     "WindowEnergy",

@@ -40,7 +40,7 @@ _REF_SYSTEM = SystemConfig(
     decode_rate=6.2208e9,
     vd_paced_rate=982e6,
     orchestration_time=1.0e-3,
-    burst_orchestration_time=None,  # 2% of the window
+    burst_orchestration_time=None,  # BURST_WAKE_SHARE of the window
     dram_coeff_read=0.0,
     dram_coeff_write=0.0,
 )

@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .core import Scheme, SimConfig, WorkloadKind, read_text, replace
+from .core import CACHED_TRAFFIC_FRACTION, Scheme, SimConfig, WorkloadKind, read_text, replace
 from .cstates import CalibrationSet
 from .power import EnergyReport, streaming_report
 
@@ -73,23 +73,16 @@ def apply_batching(
     cfg: SimConfig,
     batch_every: int,
     calibration: CalibrationSet | str = "default",
-    cached_traffic_fraction: float = 0.34,
+    cached_traffic_fraction: float = CACHED_TRAFFIC_FRACTION,
     n_windows: int | None = None,
 ) -> ScenarioResult:
     """Decode batching: one window decodes ``batch_every`` frames ahead.
 
     The other windows of the batch skip the decoder wake-up entirely, and the
     frames parked in DRAM are kept in a cache-friendly layout that cuts their
-    write/fetch traffic by ``cached_traffic_fraction``.  Only meaningful for
-    plain video playback on the conventional scheme.
+    write/fetch traffic by ``cached_traffic_fraction``.  The timeline build
+    rejects batching outside plain video playback on the conventional scheme.
     """
-    if cfg.workload.kind is not WorkloadKind.VIDEO:
-        raise ValueError("BATCH_KIND: decode batching applies to video playback only")
-    if cfg.workload.scheme is not Scheme.BASELINE:
-        raise ValueError(
-            "BATCH_SCHEME: decode batching requires the conventional scheme "
-            f"(got '{cfg.workload.scheme.value}')"
-        )
     # The batched run defaults to whole batch cycles, so the cadence is
     # represented faithfully; the plain run covers the same windows.
     modified = streaming_report(

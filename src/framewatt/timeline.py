@@ -54,6 +54,8 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .core import (
+    BURST_WAKE_SHARE,
+    CACHED_TRAFFIC_FRACTION,
     NS_PER_S,
     Scheme,
     SimConfig,
@@ -487,7 +489,7 @@ def _knobs(cfg: SimConfig, fbc_ratio: float, traffic_cut: float) -> _Knobs:
     F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
     W, burst_o = frame_window(disp_cfg.refresh_hz), sys_cfg.burst_orchestration_time
     times = (W, Fraction(sys_cfg.orchestration_time),
-             W * Fraction(1, 50) if burst_o is None else Fraction(burst_o))
+             W * BURST_WAKE_SHARE if burst_o is None else Fraction(burst_o))
     rates = (*map(Fraction, (sys_cfg.decode_rate, sys_cfg.dram_fetch_rate,
                              sys_cfg.vd_paced_rate or sys_cfg.decode_rate)),
              Fraction(disp_cfg.edp_max_bits_per_s) / 8, Fraction(sys_cfg.gpu_pt_rate))
@@ -597,7 +599,7 @@ def build_timeline(
     *,
     fbc_ratio: float = 1.0,
     batch_every: int = 1,
-    cached_traffic_fraction: float = 0.34,
+    cached_traffic_fraction: float = CACHED_TRAFFIC_FRACTION,
     dirty_trace: Sequence[float] | None = None,
 ) -> WindowTimeline:
     """Construct the exact interval timeline for ``n_windows`` refresh windows.

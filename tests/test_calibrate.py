@@ -122,6 +122,12 @@ def test_runs_must_have_residencies_summing_to_one():
         MeasuredRun({C.C0: 0.5}, 1000.0, "half")
 
 
+def test_runs_reject_residencies_outside_zero_to_one():
+    # They sum to one, so only the range check can catch them.
+    with pytest.raises(ValueError, match=r"run 'hot': residencies of C0, C8 outside \[0, 1\]"):
+        MeasuredRun({C.C0: 1.5, C.C8: -0.5}, 3000.0, "hot")
+
+
 def test_runs_reject_negative_measured_power():
     with pytest.raises(ValueError, match="negative"):
         MeasuredRun({C.C0: 1.0}, -5.0, "neg")

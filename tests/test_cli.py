@@ -320,12 +320,18 @@ _C7P = "must equal C7 - 50.0 mW (expected"
       f"C7P {_C7P} 1480.0, got 1435.0)"]),
     (None, (("drfb_power_mw",), -1), [],
      ["OUT_OF_RANGE\tdrfb_power_mw\tdrfb_power_mw must be non-negative (>= 0), got -1.0"]),
+    (None, ((*_CONV, "entry_latency_us"), {"C8": -50, "C9": 150}), ["--windows", "4"],
+     ["OUT_OF_RANGE\tprofiles.conventional.entry_latency_us.C8\tC8 must be non-negative "
+      "(>= 0), got -50.0"]),
+    (None, ((*_CONV, "exit_power_mw"), {"C9": -1}), [],
+     ["OUT_OF_RANGE\tprofiles.conventional.exit_power_mw.C9\tC9 must be non-negative "
+      "(>= 0), got -1.0"]),
 ], ids=["refresh", "bpp", "link", "dc-buffer", "fetch-rate", "decode-rate", "paced-rate",
         "gpu-rate", "encoded-bpp", "zero-capacity", "negative-capacity", "orchestration",
         "burst-orchestration", "coeff-read", "coeff-write", "gpu", "fbc", "negative-mode",
         "unknown-mode", "missing-mode", "split-exceeds-total", "fps", "missing-state-power",
         "negative-state-power", "deeper-draws-more", "display-split", "c7p-delta",
-        "negative-drfb"])
+        "negative-drfb", "negative-latency", "negative-transition-power"])
 def test_impossible_values_name_the_rule_and_key_path(config, calibration, argv, lines,
                                                        tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -576,8 +582,11 @@ _FPS = "violation\tOUT_OF_RANGE\tworkload.video_fps\tvideo_fps must be positive,
      {"runs": [{"residency": 5, "average_power_mw": 1}]}, "error: "),
     (["simulate", "--preset", "fhd30", "--calibration", "JSON"],
      {"profiles": {"conventional": {"state_power_mw": 5}, "burst": {}}}, "error: "),
+    (["calibrate", "--runs", "JSON"],
+     {"runs": [{"residency": {"C0": 1.5, "C8": -0.5}, "average_power_mw": 3000}]},
+     "error: run 'run0': residencies of C0, C8 outside [0, 1]"),
 ], ids=["argv0-None", "argv1-None", "argv2-None", "argv3-None", "argv4-doc4", "argv5-doc5",
-        "argv6-doc6"])
+        "argv6-doc6", "argv7-doc7"])
 def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, start, tmp_path, capsys):
     from importlib import resources
 

@@ -7,7 +7,8 @@ from importlib import resources
 
 import pytest
 
-from framewatt.core import RESOLUTIONS, Scheme, WorkloadKind, frame_bytes
+from framewatt import power
+from framewatt.core import RESOLUTIONS, ConfigurationError, Scheme, WorkloadKind, frame_bytes
 from framewatt.cstates import (
     STATE_DRAM_MODE,
     PackageCState,
@@ -15,7 +16,6 @@ from framewatt.cstates import (
     transition_cost,
 )
 from framewatt.power import (
-    ConfigurationError,
     average_power,
     report_from_timeline,
     streaming_report,
@@ -229,7 +229,8 @@ def test_window_breakdown_charges_every_boundary_transition(scheme, latency_cal)
     cfg = make_config("fhd", 30, scheme)
     tl = build_timeline(cfg, 6)
     report = report_from_timeline(tl, cfg, latency_cal)
-    rows = window_energy_breakdown(tl, cfg, latency_cal)
+    bills, window_bill = window_energy_breakdown(tl, cfg, latency_cal)
+    rows = [bills[b] for b in window_bill]
     assert report.transition_energy_uj > 0
     assert sum(r.transition_uj for r in rows) == pytest.approx(report.transition_energy_uj)
 
@@ -247,8 +248,9 @@ def test_window_breakdown_sums_to_the_report_totals(default_cal):
     cfg = make_config("fhd", 30, Scheme.BURSTLINK)
     tl = build_timeline(cfg, 4)
     report = report_from_timeline(tl, cfg, default_cal)
-    rows = window_energy_breakdown(tl, cfg, default_cal)
-    assert [r.window for r in rows] == [0, 1, 2, 3]
+    bills, window_bill = window_energy_breakdown(tl, cfg, default_cal)
+    rows = [bills[b] for b in window_bill]
+    assert len(rows) == 4
     assert sum(r.total_uj for r in rows) == pytest.approx(report.total_energy_uj)
     assert sum(r.dram_uj for r in rows) == pytest.approx(
         report.component_energy_uj["dram"]
@@ -265,7 +267,8 @@ def test_per_window_transition_charges_survive_the_breakdown(latency_cal):
     cfg = make_config("fhd", 30, Scheme.BURSTLINK)
     tl = build_timeline(cfg, 4)
     report = report_from_timeline(tl, cfg, latency_cal)
-    rows = window_energy_breakdown(tl, cfg, latency_cal)
+    bills, window_bill = window_energy_breakdown(tl, cfg, latency_cal)
+    rows = [bills[b] for b in window_bill]
     assert sum(r.transition_uj for r in rows) == pytest.approx(
         report.transition_energy_uj
     )
@@ -369,17 +372,28 @@ def test_breakdown_rows_match_a_per_interval_bill(cfg, kw, calibration):
     cal = load_calibration(calibration)
     tl = build_timeline(cfg, **kw)
     profile = cal.profile_for(tl.scheme)
-    rows = window_energy_breakdown(tl, cfg, cal)
-    assert len(rows) == tl.n_windows
+    bills, window_bill = window_energy_breakdown(tl, cfg, cal)
+    assert len(window_bill) == tl.n_windows
     prev = None
-    for w, (row, t) in enumerate(zip(rows, tl.window_template)):
+    for b, t in zip(window_bill, tl.window_template):
         ivs = tl.rows[t]
         expect = _window_bill(ivs, prev, profile, cfg.system, cal.drfb_power_mw)
-        got = row._asdict()
-        assert got.pop("window") == w
+        got = bills[b]._asdict()
         assert got.pop("kind") == expect.pop("kind")
         assert got == pytest.approx(expect, rel=1e-12)
         prev = ivs[-1].state
+
+
+@pytest.mark.parametrize("cfg, kw", _PRICED_RUNS)
+def test_breakdown_prices_each_distinct_window_pair_once(cfg, kw, monkeypatch):
+    tl = build_timeline(cfg, **kw)
+    priced = []
+    real = power._price
+    monkeypatch.setattr(power, "_price", lambda *a: priced.append(a) or real(*a))
+    bills, window_bill = window_energy_breakdown(tl, cfg, load_calibration("latency-demo"))
+    pairs = list(dict.fromkeys(tl.window_pairs))  # distinct, in order of first use
+    assert len(priced) == len(bills) == len(pairs)
+    assert window_bill == tuple(pairs.index(p) for p in tl.window_pairs)
 
 
 @pytest.mark.parametrize("cfg, kw", _PRICED_RUNS)

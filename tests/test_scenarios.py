@@ -101,13 +101,13 @@ def test_batch_savings_come_from_the_cached_layout_not_the_depth():
 
 
 def test_batching_rejects_non_video_workloads():
-    with pytest.raises(ValueError, match="BATCH_KIND"):
+    with pytest.raises(ValueError, match="batching applies only to video playback"):
         apply_batching(make_config(kind=WorkloadKind.VR360, scheme=Scheme.BASELINE),
                        batch_every=4, calibration="default")
 
 
 def test_batching_rejects_non_plain_schemes():
-    with pytest.raises(ValueError, match="BATCH_SCHEME"):
+    with pytest.raises(ValueError, match="under the plain scheme"):
         apply_batching(make_config(scheme=Scheme.BURSTLINK), batch_every=4,
                        calibration="default")
 
