@@ -24,9 +24,9 @@ Subcommands
 ``presets``
     List the built-in named configurations.
 
-Exit codes: 0 on success, 1 on a file that cannot be opened or written and on
-a cross-check deviation, 2 on usage or input problems (bad flags, unknown
-calibrations, files that are not UTF-8 or not JSON, failed validation,
+Exit codes: 0 on success, 1 on a file that is missing or cannot be opened or
+written and on a cross-check deviation, 2 on usage or input problems (bad
+flags, files that are not UTF-8 or not JSON, failed validation,
 under-determined fits).  All file output is deterministic: reports embed a
 run manifest with the resolved inputs and the tool version, never
 timestamps, so identical invocations produce byte-identical files.
@@ -698,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="fitted", metavar="NAME",
                    help="name embedded in the emitted calibration file")
     p.add_argument("--seed", type=int, metavar="N")
-    _add_out_args(p)
+    p.add_argument("--out", metavar="DIR", help="directory for the fit and fitted calibration")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser(

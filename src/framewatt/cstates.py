@@ -15,10 +15,8 @@ Three calibrations ship with the package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
@@ -262,19 +260,14 @@ def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
 
 
 def load_calibration(name_or_path: str | Path = "default") -> CalibrationSet:
-    """Load a built-in calibration by name, or any calibration JSON by path."""
-    key = str(name_or_path)
-    if key in _BUILTIN_FILES:
-        ref = resources.files("framewatt").joinpath("data", _BUILTIN_FILES[key])
-        data = json.loads(ref.read_text(encoding="utf-8"))
-        return calibration_from_dict(data)
-    path = Path(name_or_path)
-    if path.exists():
+    """Load a built-in calibration by name, or else a calibration JSON by path."""
+    builtin = _BUILTIN_FILES.get(str(name_or_path))
+    path = Path(__file__).parent / "data" / builtin if builtin else Path(name_or_path)
+    try:
         return calibration_from_dict(read_json(path))
-    raise ValueError(
-        f"unknown calibration {name_or_path!r}; built-ins are "
-        f"{sorted(_BUILTIN_FILES)} or pass a JSON file path"
-    )
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no calibration file {str(name_or_path)!r}; built-ins "
+                                f"are {sorted(_BUILTIN_FILES)}") from None
 
 
 def check_dram_split_consistency(

@@ -75,14 +75,6 @@ def average_power(
     return avg
 
 
-def transition_counts(
-    timeline: WindowTimeline,
-) -> dict[tuple[PackageCState, PackageCState], int]:
-    """State changes between adjacent intervals, keyed in order of first
-    occurrence along the timeline."""
-    return timeline_totals(timeline).transitions
-
-
 # -- DRAM energy ---------------------------------------------------------------
 
 
@@ -232,19 +224,13 @@ def report_from_timeline(
 ) -> EnergyReport:
     """Price a timeline under a calibration."""
     profile = calibration.profile_for(timeline.scheme)
+    # Splits fit each state's total within 0.5 mW, so "others" is >= -0.5 mW overall.
     check_dram_split_consistency(profile, cfg.system.dram_background_mw)
     totals = timeline_totals(timeline)
     bill = _price(totals, profile, cfg.system, calibration.drfb_power_mw)
     spans = totals.state_spans_ns
     total_ns = timeline.total_ns
-    total_ms = total_ns * 1e-6
     residency = {s: spans[s] / total_ns for s in PackageCState}
-    others_uj = bill.component_energy_uj["others"]
-    if others_uj < -0.5 * total_ms:  # 0.5 mW of slack over the whole run
-        raise ValueError(
-            f"calibration '{calibration.name}': component splits exceed state "
-            f"totals (others = {others_uj:.3f} uJ)"
-        )
     return EnergyReport(
         scheme=timeline.scheme,
         calibration_name=calibration.name,
@@ -258,7 +244,7 @@ def report_from_timeline(
         dram_write_bytes=totals.dram_write_bytes,
         edp_bytes=totals.edp_bytes,
         **bill._asdict(),
-        average_power_mw=bill.total_energy_uj / total_ms,
+        average_power_mw=bill.total_energy_uj / (total_ns * 1e-6),
         analytic_average_power_mw=average_power(
             profile, residency, totals.transitions, total_ns * 1e-9
         ),
@@ -321,6 +307,5 @@ __all__ = [
     "average_power",
     "report_from_timeline",
     "streaming_report",
-    "transition_counts",
     "window_energy_breakdown",
 ]

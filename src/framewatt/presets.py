@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import (
-    RESOLUTIONS,
     DisplayConfig,
     Scheme,
     SimConfig,
@@ -22,6 +21,7 @@ from .core import (
     WorkloadKind,
     WorkloadSpec,
     parse_resolution,
+    replace,
 )
 
 
@@ -70,22 +70,12 @@ PRESETS: dict[str, Preset] = {
         "4K 360-degree video, 60 fps",
     ),
     "fhd30-ref-baseline": Preset(
-        SimConfig(
-            display=DisplayConfig(resolution=RESOLUTIONS["fhd"], refresh_hz=60),
-            system=_REF_SYSTEM,
-            workload=WorkloadSpec(kind=WorkloadKind.VIDEO, scheme=Scheme.BASELINE,
-                                  video_fps=30),
-        ),
+        replace(_video("fhd", 60, 30, Scheme.BASELINE), system=_REF_SYSTEM),
         "reference-fhd30",
         "measured-table reproduction, conventional row",
     ),
     "fhd30-ref-burstlink": Preset(
-        SimConfig(
-            display=DisplayConfig(resolution=RESOLUTIONS["fhd"], refresh_hz=60),
-            system=_REF_SYSTEM,
-            workload=WorkloadSpec(kind=WorkloadKind.VIDEO, scheme=Scheme.BURSTLINK,
-                                  video_fps=30),
-        ),
+        replace(_video("fhd", 60, 30, Scheme.BURSTLINK), system=_REF_SYSTEM),
         "reference-fhd30",
         "measured-table reproduction, combined-scheme row",
     ),

@@ -229,15 +229,24 @@ class WindowTimeline:
         return list(zip(self.window_template, [None, *ends[:-1]]))
 
     def check_coverage(self) -> None:
-        """Run :func:`check_timeline`: exact tiling and traffic placement."""
-        check_timeline(self)
+        """Raise ValueError, naming the first window that uses the template,
+        unless every distinct window tiles [0, window] exactly (no gaps,
+        overlaps or empty intervals), its traffic rides only on states that can
+        move it, and its record still holds the tally its wake-up records and
+        phase give.  The build makes the same check as it tallies each template."""
+        for t, tpl in enumerate(self.templates):
+            try:
+                if _template(*tpl[:4], self.window_ns) != tpl:
+                    raise ValueError("template tally disagrees with its records")
+            except ValueError as exc:
+                raise ValueError(f"window {self.window_template.index(t)}: {exc}") from None
 
 
 #: States in which each traffic type may legitimately appear.  DRAM reads on
 #: C7 cover the direct-feed paths (encoded-stream and projection-source reads
 #: folded into the decoder-active state), although ``cstates.STATE_DRAM_MODE``
 #: prices C7's DRAM as ``self_refresh``.  The sets are written by hand because
-#: they are the independent rule that ``check_timeline`` holds the recipe to:
+#: they are the independent rule that ``check_coverage`` holds the recipe to:
 #: derived from the states the recipe and phase emit traffic on, the check
 #: would pass by construction.
 _READ_STATES = {PackageCState.C0, PackageCState.C2, PackageCState.C7}
@@ -245,20 +254,6 @@ _WRITE_STATES = {PackageCState.C0, PackageCState.C2}
 _LINK_SILENT_STATES = {PackageCState.C9, PackageCState.C10}
 #: Zero time in every state, in declaration order (reports follow it).
 _NO_SPANS: dict[PackageCState, int] = dict.fromkeys(PackageCState, 0)
-
-
-def check_timeline(timeline: WindowTimeline) -> None:
-    """Raise ValueError, naming the first window that uses the template,
-    unless every distinct window tiles [0, window] exactly (no gaps, overlaps
-    or empty intervals), its traffic rides only on states that can move it,
-    and its record still holds the tally its wake-up records and phase give.
-    The build makes the same check as it tallies each template."""
-    for t, tpl in enumerate(timeline.templates):
-        try:
-            if _template(*tpl[:4], timeline.window_ns) != tpl:
-                raise ValueError("template tally disagrees with its records")
-        except ValueError as exc:
-            raise ValueError(f"window {timeline.window_template.index(t)}: {exc}") from None
 
 
 def timeline_totals(
@@ -690,13 +685,6 @@ def build_timeline(
                           window_template=tuple(window_template))
 
 
-def _round_half_even(n: int, d: int) -> int:
-    """``round(Fraction(n, d))`` for ``d > 0``: nearest integer, ties to even.
-    ``_round_records`` inlines it for speed."""
-    q, r = divmod(n, d)
-    return q + (2 * r > d or (2 * r == d and q & 1))
-
-
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """``sum((a * i + b) // m for i in range(n))`` for ``m > 0`` and
     ``a, b >= 0``, in O(log m) steps (``floor_sum`` of the AtCoder Library,
@@ -717,7 +705,7 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
 
 
 def _round_sum(a: int, p: int, k: int, D: int) -> int:
-    """``sum(_round_half_even((a + i * p) * NS_PER_S, D) for i in range(k))``
+    """``sum(round(Fraction((a + i * p) * NS_PER_S, D)) for i in range(k))``
     for ``a, p >= 0``: the sum rounding half up, less the exact ties whose
     floor is even, which round down instead."""
     n2 = 2 * NS_PER_S
@@ -976,7 +964,6 @@ __all__ = [
     "TimelineTotals",
     "WindowTimeline",
     "build_timeline",
-    "check_timeline",
     "residencies",
     "selective_update_bytes",
     "timeline_totals",

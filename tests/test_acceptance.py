@@ -37,7 +37,7 @@ from framewatt.oracle import oracle_simulate
 from framewatt.power import average_power, report_from_timeline, streaming_report
 from framewatt.presets import PRESETS, validation_grid
 from framewatt.scenarios import apply_batching, apply_fbc, energy_reduction
-from framewatt.timeline import build_timeline, timeline_to_csv
+from framewatt.timeline import build_timeline, timeline_to_csv, timeline_totals
 from conftest import make_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -224,14 +224,12 @@ def _structural_invariants(case: tuple[SimConfig, int]) -> None:
     shares = residencies(timeline)
     assert abs(sum(shares.values()) - 1.0) <= 1e-9
 
-    from framewatt.power import transition_counts
-
     changes = sum(
         1
         for left, right in zip(intervals, intervals[1:])
         if left.state is not right.state
     )
-    assert sum(transition_counts(timeline).values()) == changes
+    assert sum(timeline_totals(timeline).transitions.values()) == changes
 
     # link-byte conservation: one full frame on the transfer window; repeat
     # windows re-stream only under the plain scheme

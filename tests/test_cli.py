@@ -369,6 +369,16 @@ def test_simulate_missing_config_file_is_a_runtime_error(capsys):
     assert main(["simulate", "--config", "/does/not/exist.json"]) == 1
 
 
+def test_simulate_missing_calibration_file_is_a_runtime_error(tmp_path, capsys):
+    # A missing calibration path exits as a missing config file does.
+    missing = tmp_path / "nope.json"
+    assert main(["simulate", "--preset", "fhd30", "--calibration", str(missing)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: no calibration file {str(missing)!r}")
+    assert "['default', 'latency-demo', 'reference-fhd30']" in err[0]
+
+
 def test_workload_overrides_reach_the_report(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["simulate", "--preset", "fhd30", "--scheme", "bypass_only",

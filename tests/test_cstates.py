@@ -211,7 +211,8 @@ def test_load_calibration_from_a_file_path(tmp_path, default_cal):
 
 
 def test_load_calibration_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown calibration"):
+    # A name that is not a built-in is read as a path; the error lists the built-ins.
+    with pytest.raises(FileNotFoundError, match=r"'does-not-exist'; built-ins are \['default'"):
         load_calibration("does-not-exist")
 
 

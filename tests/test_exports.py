@@ -34,18 +34,25 @@ def test_every_name_the_package_imports_resolves():
     assert [n for n in table if n not in dir(framewatt)] == []
 
 
-def _fresh(statement: str) -> list[str]:
-    """The framewatt modules loaded after ``statement`` in a new interpreter."""
+def _fresh(statement: str, prefix: str = "framewatt", *flags: str) -> list[str]:
+    """The ``prefix`` modules loaded after ``statement`` in a new interpreter
+    started with ``flags``."""
     script = (f"import sys; {statement}; "
-              "print(*sorted(m for m in sys.modules if m.startswith('framewatt')))")
+              f"print(*sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     env = {**os.environ, "PYTHONPATH": str(Path(framewatt.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     return proc.stdout.split()
 
 
 def test_importing_the_core_module_loads_no_other_module():
     assert _fresh("import framewatt.core") == ["framewatt", "framewatt.core"]
+
+
+def test_importing_the_cli_loads_no_package_resource_reader():
+    # The built-in calibrations are read as plain files next to the package.
+    # -S skips site, whose .pth hooks may import the reader in every process.
+    assert "importlib.resources" not in _fresh("import framewatt.cli", "importlib", "-S")
 
 
 def test_a_submodule_resolves_as_a_package_attribute():

@@ -19,7 +19,6 @@ from framewatt.power import (
     average_power,
     report_from_timeline,
     streaming_report,
-    transition_counts,
     window_energy_breakdown,
 )
 from framewatt.scenarios import read_dirty_trace
@@ -202,7 +201,7 @@ def test_streaming_report_validates_first():
 
 def test_transition_counts_track_adjacent_state_changes():
     tl = build_timeline(make_config("4k", 60, Scheme.BURSTLINK), None)
-    counts = transition_counts(tl)
+    counts = timeline_totals(tl).transitions
     changes = sum(
         1
         for prev, cur in zip(tl.intervals, tl.intervals[1:])
@@ -221,7 +220,7 @@ def test_transition_counts_keep_first_occurrence_order(scheme):
         if prev.state is not cur.state:
             key = (prev.state, cur.state)
             expected[key] = expected.get(key, 0) + 1
-    assert list(transition_counts(tl).items()) == list(expected.items())
+    assert list(timeline_totals(tl).transitions.items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

@@ -38,7 +38,6 @@ from framewatt.timeline import (
     Interval,
     TimelineTotals,
     build_timeline,
-    check_timeline,
     residencies,
     selective_update_bytes,
     timeline_to_csv,
@@ -193,7 +192,7 @@ def test_timeline_check_rejects_traffic_on_a_silent_state():
     phase = tl.templates[burst].phase._replace(drain_state=PackageCState.C9)
     broken = _replace_template(tl, burst, phase=phase)
     with pytest.raises(ValueError, match="link bytes on C9"):
-        check_timeline(broken)
+        broken.check_coverage()
 
 
 def test_timeline_check_rejects_a_coverage_gap():
@@ -202,14 +201,14 @@ def test_timeline_check_rejects_a_coverage_gap():
     state, start, end, *rest = wake[0]
     broken = _replace_template(tl, 0, wake=((state, start, end - 1, *rest),) + wake[1:])
     with pytest.raises(ValueError, match="window 0: coverage gap"):
-        check_timeline(broken)
+        broken.check_coverage()
 
 
 def test_timeline_check_rejects_a_stale_tally():
     tl = build_timeline(make_config("fhd", 30, Scheme.BASELINE), None)
     totals = tl.templates[1].totals._replace(edp_bytes=0)
     with pytest.raises(ValueError, match="window 1: template tally disagrees"):
-        check_timeline(_replace_template(tl, 1, totals=totals))
+        _replace_template(tl, 1, totals=totals).check_coverage()
 
 
 # -- per-template tallies ------------------------------------------------------
@@ -338,7 +337,7 @@ def _phase_template(start, W, payload, chunk, fill_rate, drain_rate, feed=False,
     phase = _tick_phase(start, W, payload, chunk, fill_rate, drain_rate, *states, "burst",
                         fill_read_total=payload if read_total is None else read_total,
                         gpu_fill=gpu_fill)
-    W_ns = tmod._round_half_even(W.numerator * NS_PER_S, W.denominator)
+    W_ns = _round_half_even(W.numerator * NS_PER_S, W.denominator)
     link = payload if link_bytes is None else link_bytes
     return (wake, phase, link), W_ns
 
@@ -453,7 +452,7 @@ def test_each_template_is_tallied_once_per_build(monkeypatch):
     window_energy_breakdown(tl, cfg, cal)
     timeline_totals(tl)
     assert len(tallied) == len(tl.templates)
-    check_timeline(tl)  # re-derives every template from its records
+    tl.check_coverage()  # re-derives every template from its records
     assert len(tallied) == 2 * len(tl.templates)
 
 
@@ -465,7 +464,7 @@ def test_rows_are_expanded_only_for_export(monkeypatch):
     tl = build_timeline(cfg, **kw)
     report_from_timeline(tl, cfg, cal)
     window_energy_breakdown(tl, cfg, cal)
-    check_timeline(tl)
+    tl.check_coverage()
     assert expanded == []
     timeline_to_csv(tl)
     timeline_to_svg(tl)
@@ -475,16 +474,23 @@ def test_rows_are_expanded_only_for_export(monkeypatch):
 # -- integer-time window arithmetic ----------------------------------------------
 
 
+def _round_half_even(n: int, d: int) -> int:
+    """``round(Fraction(n, d))`` for ``d > 0``: nearest integer, ties to even.
+    The reference that the rounding inlined in ``_round_records`` is held to."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
+
+
 @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=10**24))
 def test_integer_rounding_matches_fraction_rounding(n, d):
-    assert tmod._round_half_even(n * NS_PER_S, d) == round(Fraction(n, d) * NS_PER_S)
+    assert _round_half_even(n * NS_PER_S, d) == round(Fraction(n, d) * NS_PER_S)
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=10**9))
 def test_integer_rounding_breaks_exact_ties_to_even(k, m):
     n, d = (2 * k + 1) * m, 2 * NS_PER_S * m  # exactly k + 1/2 ns
     expected = k + k % 2
-    assert tmod._round_half_even(n * NS_PER_S, d) == expected
+    assert _round_half_even(n * NS_PER_S, d) == expected
     assert round(Fraction(n, d) * NS_PER_S) == expected
 
 
@@ -511,7 +517,7 @@ def _progressions(draw):
 def test_progression_round_sum_matches_rounding_each_term(case):
     a, p, k, D = case
     assert tmod._round_sum(a, p, k, D) == sum(
-        tmod._round_half_even((a + i * p) * NS_PER_S, D) for i in range(k))
+        _round_half_even((a + i * p) * NS_PER_S, D) for i in range(k))
 
 
 @given(st.integers(min_value=1, max_value=10**15), st.integers(min_value=1, max_value=10**6)
@@ -521,7 +527,7 @@ def test_window_rounding_rounds_each_boundary_like_the_reference(n, d):
     recs = [_rec(PackageCState.C0, Fraction(0), end, "wake"),
             _rec(PackageCState.C9, end, end + 1, "idle")]
     rows = tmod._round_window(recs, "update", n // d + NS_PER_S, 0)
-    assert rows[0].end_ns == tmod._round_half_even(end.numerator * NS_PER_S, end.denominator)
+    assert rows[0].end_ns == _round_half_even(end.numerator * NS_PER_S, end.denominator)
 
 
 def test_window_rounding_rejects_records_that_leave_a_gap():
