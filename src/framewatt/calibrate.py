@@ -13,13 +13,13 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import qr
 from scipy.optimize import nnls
 
-from .core import (ConfigurationError, check_finite, json_excerpt, json_number,
+from .core import (ConfigurationError, check_finite, json_excerpt, json_form, json_number,
                    json_object, read_json, read_text)
 from .cstates import PackageCState, parse_state_map
 
@@ -58,20 +58,14 @@ class MeasuredRun:
             raise ValueError(f"run '{self.label}': negative measured power")
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     state_power_mw: Mapping[PackageCState, float]
     states: tuple[PackageCState, ...]
     residual_rms_mw: float
     rank: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "state_power_mw": {s.value: p for s, p in self.state_power_mw.items()},
-            "states": [s.value for s in self.states],
-            "residual_rms_mw": self.residual_rms_mw,
-            "rank": self.rank,
-        }
+        return json_form(self)
 
 
 def fit_state_powers(
@@ -114,8 +108,7 @@ def fit_state_powers(
     )
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
+class AccuracyReport(NamedTuple):
     predicted_mw: tuple[float, ...]
     measured_mw: tuple[float, ...]
     abs_error_mw: tuple[float, ...]
@@ -130,17 +123,7 @@ class AccuracyReport:
         return 100.0 - self.mape_pct
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "predicted_mw": list(self.predicted_mw),
-            "measured_mw": list(self.measured_mw),
-            "abs_error_mw": list(self.abs_error_mw),
-            "mape_pct": self.mape_pct,
-            "max_abs_error_mw": self.max_abs_error_mw,
-            "accuracy_pct": self.accuracy_pct,
-            "per_state_accuracy_pct": {
-                s.value: a for s, a in self.per_state_accuracy_pct.items()
-            },
-        }
+        return {**json_form(self), "accuracy_pct": self.accuracy_pct}
 
 
 def model_accuracy(

@@ -44,10 +44,10 @@ from typing import Any, Callable, Sequence, TextIO
 
 from . import __version__
 from .core import (CACHED_TRAFFIC_FRACTION, ConfigurationError, Scheme, SimConfig, WorkloadKind,
-                   replace)
+                   json_form, replace)
 from .cstates import PackageCState, calibration_from_dict, load_calibration
 from .oracle import oracle_simulate
-from .power import (EnergyReport, report_from_timeline, streaming_report,
+from .power import (EnergyReport, WindowEnergy, report_from_timeline, streaming_report,
                     window_energy_breakdown)
 from .presets import PRESETS, _video, get_preset, validation_grid
 from .scenarios import energy_reduction, read_dirty_trace
@@ -281,11 +281,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format in ("csv", "both"):
         _write(out / "timeline.csv", lambda f: timeline_to_csv(timeline, f))
         bills, window_bill = window_energy_breakdown(timeline, cfg, calibration)
-        text = [f"{b.kind},{b.total_uj:.6f},{b.dram_uj:.6f},{b.display_uj:.6f},"
-                f"{b.others_uj:.6f},{b.transition_uj:.6f},"
-                f"{b.dram_operating_uj:.6f},{b.adders_uj:.6f}" for b in bills]
-        _write(out / "report.csv", "window,kind,total_uj,dram_uj,display_uj,others_uj,"
-               "transition_uj,dram_operating_uj,adders_uj\n"
+        text = [",".join([b.kind, *(f"{uj:.6f}" for uj in b[1:])]) for b in bills]
+        _write(out / "report.csv", ",".join(("window", *WindowEnergy._fields)) + "\n"
                + "".join(f"{w},{text[b]}\n" for w, b in enumerate(window_bill)))
     _write(out / "timeline.svg", lambda f: timeline_to_svg(timeline, f))
     return 0
@@ -385,7 +382,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "delta": {
                 "average_power_pct": delta_power,
                 "energy_per_window_pct": delta_epw,
-                "residency_pp": {s.value: d for s, d in residency_pp.items()},
+                "residency_pp": json_form(residency_pp),
                 **per_window_pct,
             },
         }
@@ -511,18 +508,16 @@ def _fitted_calibration_doc(
     powers.update(fit.state_power_mw)
     delta = powers[PackageCState.C7] - powers[PackageCState.C7P]
     profile = {
-        "state_power_mw": {s.value: round(powers[s], 6) for s in PackageCState},
-        "display_power_mw": {
-            s.value: p for s, p in base.conventional.display_power_mw.items()
-        },
+        "state_power_mw": {s: round(powers[s], 6) for s in PackageCState},
+        "display_power_mw": base.conventional.display_power_mw,
     }
-    return {
+    return json_form({
         "name": name,
         "description": "fitted from measured residency/power runs",
         "vd_gate_delta_mw": round(delta, 6),
         "drfb_power_mw": base.drfb_power_mw,
-        "profiles": {"conventional": profile, "burst": dict(profile)},
-    }
+        "profiles": {"conventional": profile, "burst": profile},
+    })
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
@@ -242,19 +242,28 @@ class SimConfig:
         return SimConfig.from_dict(read_json(path))
 
     def to_dict(self) -> dict[str, Any]:
-        sections = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: {f.name: _json_value(getattr(section, f.name)) for f in fields(section)}
-                for name, section in sections.items()}
+        return json_form(self)
 
 
-def _json_value(value: Any) -> Any:
-    """A config field's value as JSON: an enum by value, a resolution as
-    ``WxH`` and a mapping as a plain object."""
+def json_form(value: Any) -> Any:
+    """``value`` as JSON data; the one encoder of framewatt values.  An enum
+    is written by value and a resolution as ``WxH``.  A dataclass, named
+    tuple or mapping becomes an object, with a ``(from, to)`` state key as
+    ``from->to``, and any other tuple an array."""
+    if type(value) in (str, int, float, bool, type(None)):  # by exact type: a str enum is not
+        return value
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, Resolution):
         return str(value)
-    return dict(value) if isinstance(value, Mapping) else value
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    elif isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, Mapping):
+        return {"->".join(map(json_form, k)) if isinstance(k, tuple) else json_form(k):
+                json_form(v) for k, v in value.items()}
+    return [json_form(v) for v in value] if isinstance(value, tuple) else value
 
 
 #: JSON value types each config field annotation accepts, and their name.
@@ -591,6 +600,7 @@ __all__ = [
     "frame_window",
     "frame_window_ns",
     "json_excerpt",
+    "json_form",
     "json_number",
     "json_object",
     "json_string",

@@ -25,10 +25,9 @@ energy is additive.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Any, Mapping, NamedTuple
 
-from .core import Scheme, SimConfig, SystemConfig
+from .core import Scheme, SimConfig, SystemConfig, json_form
 from .cstates import (
     STATE_DRAM_MODE,
     CalibrationSet,
@@ -105,17 +104,18 @@ class WindowEnergy(NamedTuple):
 
     ``dram_uj``/``display_uj``/``others_uj`` is the component view (background
     attribution plus operating traffic; display slice plus the panel-buffer
-    adder; everything else) and always sums to ``total_uj``.
+    adder; everything else) and always sums to ``total_uj``.  Fields are in
+    ``report.csv`` column order.
     """
 
     kind: str
-    transition_uj: float
-    dram_operating_uj: float
-    adders_uj: float
+    total_uj: float
     dram_uj: float
     display_uj: float
     others_uj: float
-    total_uj: float
+    transition_uj: float
+    dram_operating_uj: float
+    adders_uj: float
 
 
 class EnergyReport(NamedTuple):
@@ -144,25 +144,11 @@ class EnergyReport(NamedTuple):
     analytic_average_power_mw: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {_REPORT_KEYS.get(k, k): _report_json(v) for k, v in self._asdict().items()}
+        return {_REPORT_KEYS.get(k, k): v for k, v in json_form(self).items()}
 
 
 #: Report fields that ``report.json`` names differently.
 _REPORT_KEYS = {"calibration_name": "calibration", "profile_name": "profile"}
-
-
-def _report_json(value: Any) -> Any:
-    """A report field's value as JSON: an enum by value, the DRAM view as an
-    object of its fields, and a mapping as an object keyed by state value
-    (a state change as ``from->to``)."""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, DramEnergy):
-        return {k: _report_json(v) for k, v in value._asdict().items()}
-    if isinstance(value, Mapping):
-        return {"->".join(s.value for s in k) if isinstance(k, tuple) else _report_json(k): v
-                for k, v in value.items()}
-    return value
 
 
 class _Bill(NamedTuple):

@@ -851,10 +851,7 @@ def _cycles_fill_ns(ph: _Phase, m: int) -> tuple[PackageCState, PackageCState, i
 
 # -- exports -----------------------------------------------------------------
 
-CSV_HEADER = (
-    "window,kind,state,start_ns,end_ns,label,dram_read_bytes,"
-    "dram_write_bytes,edp_bytes,drfb_active,gpu_active,fbc_active"
-)
+CSV_HEADER = ",".join(Interval._fields)
 
 
 def _stitch(timeline: WindowTimeline, cells: Callable, keys: Iterable[str], head: str,

@@ -27,6 +27,7 @@ from framewatt.core import (
     frame_window,
     frame_window_ns,
     json_excerpt,
+    json_form,
     panel_stream_rate,
     parse_resolution,
     validate_config,
@@ -176,13 +177,13 @@ def test_resolution_pixel_count():
 # -- dataclass field validation ------------------------------------------------
 
 
-#: The dataclasses outside ``calibrate``: each validates in ``__post_init__``,
-#: is rebuilt by ``replace`` and walked by ``fields`` (``SimConfig``), or
-#: caches a property (``WindowTimeline``).  Plain records are named tuples.
+#: The package's dataclasses: each validates in ``__post_init__``, is rebuilt
+#: by ``replace`` and walked by ``fields`` (``SimConfig``), or caches a
+#: property (``WindowTimeline``).  Plain records are named tuples.
 _KEPT_DATACLASSES = {
     "core.Resolution", "core.DisplayConfig", "core.SystemConfig", "core.WorkloadSpec",
     "core.SimConfig", "cstates.PowerProfile", "cstates.CalibrationSet",
-    "timeline.WindowTimeline",
+    "timeline.WindowTimeline", "calibrate.MeasuredRun",
 }
 
 
@@ -195,7 +196,7 @@ def test_only_validating_replaced_or_caching_classes_are_dataclasses():
 
     found = set()
     for info in pkgutil.iter_modules(framewatt.__path__):
-        if info.name in ("__main__", "calibrate"):  # calibrate loads with numpy
+        if info.name == "__main__":
             continue
         module = importlib.import_module(f"framewatt.{info.name}")
         found |= {f"{info.name}.{name}" for name, obj in vars(module).items()
@@ -318,6 +319,20 @@ def test_config_json_is_deterministic():
     a = json.dumps(cfg.to_dict(), sort_keys=True)
     b = json.dumps(make_config().to_dict(), sort_keys=True)
     assert a == b
+
+
+def test_json_form_writes_each_kind_of_value_one_way():
+    from framewatt.cstates import PackageCState as C
+
+    assert json_form({(C.C0, C.C8): 2, C.C7P: (1, Scheme.BURSTLINK, "x")}) == {
+        "C0->C8": 2, "C7P": [1, "burstlink", "x"]}
+    assert json_form(RESOLUTIONS["4k"]) == "3840x2160"
+    assert json_form(Violation("CODE", "a.b", "m")) == {"code": "CODE", "field": "a.b",
+                                                         "message": "m"}
+    assert json_form(WorkloadSpec()) == {"kind": "video", "scheme": "baseline",
+                                         "video_fps": 30, "psr_alternate_windows": False}
+    assert json_form(SimConfig()) == SimConfig().to_dict()
+    assert json.loads(json.dumps(json_form(SimConfig()))) == json_form(SimConfig())
 
 
 def test_from_dict_rejects_unknown_sections():
