@@ -102,8 +102,10 @@ _SIDE_DEFAULTS = {flag[2:].replace("-", "_"): default
                   for _, flag, _, default in _SIDE_FLAGS}
 
 #: The flags a side's manifest records under "overrides" when set away from
-#: the side's default (side B has none, so every value it is given counts).
-_RECORDED = ("scheme", "kind", "fps", "psr_alternate", "fbc_ratio", "batch_every")
+#: the side's default (side B has none, so every value it is given counts):
+#: all but the configuration source.
+_RECORDED = tuple(name for (title, *_), name in zip(_SIDE_FLAGS, _SIDE_DEFAULTS)
+                  if title != "configuration source")
 
 
 def _add_side_args(p: argparse.ArgumentParser, suffix: str = "") -> None:

@@ -438,6 +438,39 @@ def test_manifest_records_side_a_overlays_only_off_their_defaults(tmp_path, caps
     assert doc["manifest"]["overrides"] == {}
 
 
+#: For each flag the manifest records, a run that sets it away from side A's
+#: default (on a config it applies to) and the value recorded.
+_SET_AWAY = {
+    "scheme": (["--scheme", "burstlink"], "burstlink"),
+    "kind": (["--kind", "vr360"], "vr360"),
+    "fps": (["--fps", "60"], 60),
+    "psr_alternate": (["--psr-alternate"], True),
+    "fbc_ratio": (["--fbc-ratio", "0.5"], 0.5),
+    "batch_every": (["--batch-every", "2"], 2),
+    "cached_fraction": (["--batch-every", "2", "--cached-fraction", "0.5"], 0.5),
+    "trace": (["--preset", "fhd60", "--kind", "single_plane", "--scheme", "bursting_only",
+               "--trace", "TRACE"], "TRACE"),
+}
+
+
+def test_every_run_flag_has_a_set_away_case():
+    assert {flag[2:].replace("-", "_") for title, flag, *_ in cli._SIDE_FLAGS
+            if title != "configuration source"} == set(_SET_AWAY)
+
+
+@pytest.mark.parametrize("name", sorted(_SET_AWAY))
+def test_manifest_records_each_run_flag_set_away_from_its_default(name, tmp_path, capsys):
+    from importlib import resources
+
+    argv, value = _SET_AWAY[name]
+    ref = resources.files("framewatt").joinpath("data", "traces", "gaming.csv")
+    with resources.as_file(ref) as trace:
+        subs = {"TRACE": str(trace)}
+        source = [] if "--preset" in argv else ["--preset", "fhd30"]
+        doc = _result(tmp_path, ["simulate", *source, *(subs.get(a, a) for a in argv)])
+    assert doc["manifest"]["overrides"][name] == subs.get(value, value)
+
+
 def test_compare_side_b_with_its_own_preset_starts_pristine(tmp_path, capsys):
     doc = _result(tmp_path, ["compare", "--preset", "4k60", "--scheme", "burstlink",
                              "--fbc-ratio", "0.5", "--calibration", "latency-demo",
