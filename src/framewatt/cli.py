@@ -20,7 +20,8 @@ Subcommands
     loadable calibration file plus per-run residuals.
 ``validate``
     Check a configuration, then cross-check the analytic timeline against the
-    event-driven reference executor (``--grid`` covers the 50-point grid).
+    event-driven reference executor (``--grid`` covers the 50-point grid and
+    takes no run flags).
 ``presets``
     List the built-in named configurations.
 
@@ -581,6 +582,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     if args.grid:
+        side = _side(args, "")
+        given = [f"--{name.replace('_', '-')}" for name, default in _SIDE_DEFAULTS.items()
+                 if side[name] != default] + ["--windows"] * (args.windows is not None)
+        if given:
+            raise ValueError(f"--grid runs the fixed validation grid and takes no run "
+                             f"flags; got {', '.join(given)}")
         load = functools.cache(load_calibration)  # 2 distinct calibrations, 50 points
         points = [(label, cfg, load(calibration_id), None, {})
                   for label, cfg, calibration_id in validation_grid()]

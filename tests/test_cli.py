@@ -931,6 +931,22 @@ def test_validate_grid_cross_checks_every_point(tmp_path, capsys):
     assert doc["max_residency_deviation_pp"] < 0.1
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--preset", "4k60", "--scheme", "burstlink", "--fbc-ratio", "0.5"],
+     "--preset, --scheme, --fbc-ratio"),
+    (["--windows", "4"], "--windows"),
+    (["--calibration", "latency-demo", "--psr-alternate", "--cached-fraction", "0.5"],
+     "--calibration, --psr-alternate, --cached-fraction"),
+])
+def test_validate_grid_rejects_the_run_flags_it_would_ignore(flags, named, tmp_path,
+                                                              capsys):
+    out_dir = tmp_path / "val"
+    assert main(["validate", "--grid", *flags, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --grid runs the fixed validation grid and takes no run flags; got {named}"]
+    assert not out_dir.exists()
+
+
 def test_validate_grid_loads_each_calibration_once(monkeypatch, capsys):
     loads = []
 
