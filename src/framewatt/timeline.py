@@ -608,7 +608,8 @@ def build_timeline(
     This is the one gate every run passes: an invalid config raises
     ``ConfigurationError``, and an impossible overlay or batch raises
     ``ValueError``.  ``n_windows`` defaults to one batch cycle
-    (``batch_every`` frame groups); a dirty trace sets its own length.
+    (``batch_every`` frame groups); a dirty trace sets its own length, which
+    ``n_windows`` may only restate.
     """
     reject(validate_config(cfg))
     if not 0.0 < fbc_ratio <= 1.0:
@@ -637,6 +638,8 @@ def build_timeline(
         n = len(dirty_trace)
         if n == 0:
             raise ValueError("dirty_trace must not be empty")
+        if n_windows not in (None, n):
+            raise ValueError(f"n_windows must be the dirty trace's length {n}, got {n_windows}")
     else:
         n = n_windows if n_windows is not None else batch_every * k.group
         if n < 1:

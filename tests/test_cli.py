@@ -496,8 +496,7 @@ def test_compare_side_b_without_a_source_inherits_side_a(tmp_path, capsys):
 def test_compare_trace_b_drives_side_b_only(tmp_path, capsys):
     from importlib import resources
 
-    run = ["--preset", "fhd60", "--kind", "single_plane", "--scheme",
-           "bursting_only", "--windows", "12"]
+    run = ["--preset", "fhd60", "--kind", "single_plane", "--scheme", "bursting_only"]
     traces = resources.files("framewatt").joinpath("data", "traces")
     with resources.as_file(traces / "gaming.csv") as gaming, \
             resources.as_file(traces / "productivity.csv") as productivity:
@@ -620,6 +619,9 @@ _FPS = "violation\tOUT_OF_RANGE\tworkload.video_fps\tvideo_fps must be positive,
     (["compare", "--preset", "fhd30", "--fps-b", "0"], None, _FPS + "0"),
     (["simulate", "--preset", "fhd60", "--kind", "single_plane", "--scheme",
       "bursting_only", "--trace", "TRACE", "--fbc-ratio", "0.5"], None, "error: "),
+    (["simulate", "--preset", "fhd60", "--kind", "single_plane", "--scheme",
+      "bursting_only", "--trace", "TRACE", "--windows", "5"], None,
+     "error: n_windows must be the dirty trace's length 600, got 5"),
     (["calibrate", "--runs", "JSON"], {"runs": [5]}, "error: "),
     (["calibrate", "--runs", "JSON"],
      {"runs": [{"residency": 5, "average_power_mw": 1}]}, "error: "),
@@ -628,8 +630,8 @@ _FPS = "violation\tOUT_OF_RANGE\tworkload.video_fps\tvideo_fps must be positive,
     (["calibrate", "--runs", "JSON"],
      {"runs": [{"residency": {"C0": 1.5, "C8": -0.5}, "average_power_mw": 3000}]},
      "error: run 'run0': residencies of C0, C8 outside [0, 1]"),
-], ids=["argv0-None", "argv1-None", "argv2-None", "argv3-None", "argv4-doc4", "argv5-doc5",
-        "argv6-doc6", "argv7-doc7"])
+], ids=["argv0-None", "argv1-None", "argv2-None", "argv3-None", "trace-windows",
+        "argv4-doc4", "argv5-doc5", "argv6-doc6", "argv7-doc7"])
 def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, start, tmp_path, capsys):
     from importlib import resources
 

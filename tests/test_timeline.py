@@ -1084,6 +1084,14 @@ def test_single_plane_updates_follow_the_dirty_trace():
     }
 
 
+def test_a_dirty_trace_sets_the_window_count():
+    cfg = make_config("fhd", 60, Scheme.BURSTING_ONLY, kind=WorkloadKind.SINGLE_PLANE)
+    assert build_timeline(cfg, 3, dirty_trace=[0.0, 0.5, 1.0]).n_windows == 3
+    for n in (1, 5):
+        with pytest.raises(ValueError, match=f"length 3, got {n}$"):
+            build_timeline(cfg, n, dirty_trace=[0.0, 0.5, 1.0])
+
+
 # -- selective updates ------------------------------------------------------------
 
 
