@@ -86,15 +86,16 @@ class PowerProfile:
     ``display_power_mw`` is the portion of that attributable to the panel and
     link, and the DRAM background portion follows from the state's DRAM mode
     -- together they give the per-state split used in energy attributions.
-    Latencies/powers describe entering a state from above and exiting it
-    toward a shallower one; both default to zero (instant transitions).
+    Latencies (in us, as the calibration file gives them) and powers
+    describe entering a state from above and exiting it toward a shallower
+    one; both default to zero (instant transitions).
     """
 
     name: str
     state_power_mw: Mapping[PackageCState, float]
     display_power_mw: Mapping[PackageCState, float]
-    entry_latency_ns: Mapping[PackageCState, int] = field(default_factory=dict)
-    exit_latency_ns: Mapping[PackageCState, int] = field(default_factory=dict)
+    entry_latency_us: Mapping[PackageCState, float] = field(default_factory=dict)
+    exit_latency_us: Mapping[PackageCState, float] = field(default_factory=dict)
     entry_power_mw: Mapping[PackageCState, float] = field(default_factory=dict)
     exit_power_mw: Mapping[PackageCState, float] = field(default_factory=dict)
 
@@ -117,13 +118,9 @@ class PowerProfile:
                 found.append(Violation("DISPLAY_SPLIT_OUTSIDE_TOTAL",
                                        f"{where}.display_power_mw.{s}", f"profile "
                                        f"'{self.name}': display split for {s} outside [0, total]"))
-        # Transition energy is latency x power, so neither may be negative; latencies show in us.
-        for key, values in (("entry_latency_us", self.entry_latency_ns),
-                            ("exit_latency_us", self.exit_latency_ns),
-                            ("entry_power_mw", self.entry_power_mw),
-                            ("exit_power_mw", self.exit_power_mw)):
-            if key.endswith("_us"):
-                values = {s: ns / 1_000 for s, ns in values.items()}
+        # Transition energy is latency x power, so neither may be negative.
+        for key in ("entry_latency_us", "exit_latency_us", "entry_power_mw", "exit_power_mw"):
+            values = getattr(self, key)
             found += out_of_range(f"{where}.{key}.", values, at_least_zero=values)
         reject(found)
 
@@ -139,15 +136,16 @@ def transition_cost(
     """Latency and energy of moving between two states.
 
     Going deeper pays the target's entry cost; coming up pays the source's
-    exit cost; staying put is free.  Energy is power x latency.
+    exit cost; staying put is free.  The latency is rounded to integer ns
+    (half to even); energy is power x latency.
     """
     if frm is to:
         return TransitionCost(0, 0.0)
     if to.depth > frm.depth:
-        lat = int(profile.entry_latency_ns.get(to, 0))
+        lat = round(profile.entry_latency_us.get(to, 0) * 1_000)
         p = float(profile.entry_power_mw.get(to, 0.0))
     else:
-        lat = int(profile.exit_latency_ns.get(frm, 0))
+        lat = round(profile.exit_latency_us.get(frm, 0) * 1_000)
         p = float(profile.exit_power_mw.get(frm, 0.0))
     return TransitionCost(lat, p * lat * 1e-6)  # mW * ns -> uJ
 
@@ -196,23 +194,14 @@ _BUILTIN_FILES = {
     "latency-demo": "latency_demo.json",
 }
 
-#: Each profile key by the :class:`PowerProfile` field it fills; a latency
-#: is given in us and kept in integer ns.
-_PROFILE_KEYS = {
-    "state_power_mw": "state_power_mw",
-    "display_power_mw": "display_power_mw",
-    "entry_latency_us": "entry_latency_ns",
-    "exit_latency_us": "exit_latency_ns",
-    "entry_power_mw": "entry_power_mw",
-    "exit_power_mw": "exit_power_mw",
-}
+#: The profile keys, each the name of the :class:`PowerProfile` field it fills.
+_PROFILE_KEYS = ("state_power_mw", "display_power_mw", "entry_latency_us", "exit_latency_us",
+                 "entry_power_mw", "exit_power_mw")
 
 _TOP_KEYS = {"name", "description", "vd_gate_delta_mw", "drfb_power_mw", "profiles"}
 
 
-def parse_state_map(
-    raw: Any, where: str, scale: float = 1.0, as_int: bool = False
-) -> dict[PackageCState, Any]:
+def parse_state_map(raw: Any, where: str) -> dict[PackageCState, Any]:
     """Per-state numbers from a JSON object; a ValueError names the key."""
     out: dict[PackageCState, Any] = {}
     for key, val in json_object(raw, where).items():
@@ -220,21 +209,18 @@ def parse_state_map(
             state = PackageCState(key)
         except ValueError:
             raise ValueError(f"unknown state '{key}' in {where}") from None
-        num = json_number(val, f"{where}.{key}")
-        out[state] = int(round(num * scale)) if as_int else num
+        out[state] = json_number(val, f"{where}.{key}")
     return out
 
 
 def _profile_from_dict(name: str, raw: Mapping[str, Any]) -> PowerProfile:
-    unknown = set(json_object(raw, f"profiles.{name}")) - _PROFILE_KEYS.keys()
+    unknown = set(json_object(raw, f"profiles.{name}")) - set(_PROFILE_KEYS)
     if unknown:
         raise ValueError(f"unknown keys in profile '{name}': {sorted(unknown)}")
     if "state_power_mw" not in raw:
         raise ValueError(f"profile '{name}' missing state_power_mw")
     return PowerProfile(name=name, **{
-        attr: parse_state_map(raw.get(key, {}), f"{name}.{key}",
-                              *((1_000, True) if key.endswith("_us") else ()))
-        for key, attr in _PROFILE_KEYS.items()})
+        key: parse_state_map(raw.get(key, {}), f"{name}.{key}") for key in _PROFILE_KEYS})
 
 
 def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:

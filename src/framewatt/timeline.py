@@ -72,17 +72,14 @@ from .cstates import PackageCState
 
 
 class Interval(NamedTuple):
-    """One contiguous stretch of a single package state.
+    """One contiguous stretch of a single package state, in absolute ns.
 
-    ``window`` indexes the refresh window the interval belongs to (0 in a
-    template's rows, :attr:`WindowTimeline.rows`, whose times are
-    window-relative) and ``kind`` echoes that window's role
-    (transfer/repeat/update/idle).  Byte counters attribute traffic to the
-    interval; the three flags mark when a power adder applies (panel-side
-    frame buffer refresh, GPU projection, frame-buffer compression).
-
-    Rows are immutable named tuples, cheap to build, that every window using
-    a template shares; their ``state`` hashes by identity.
+    ``window`` indexes the refresh window the interval belongs to and
+    ``kind`` is that window's role (transfer/repeat/update/idle).  Byte
+    counters attribute traffic to the interval; the three flags mark when a
+    power adder applies (panel-side frame buffer refresh, GPU projection,
+    frame-buffer compression).  The fields after ``kind`` are a template row
+    (:attr:`WindowTimeline.rows`) with its times offset by the window start.
     """
 
     window: int
@@ -90,13 +87,13 @@ class Interval(NamedTuple):
     state: PackageCState
     start_ns: int
     end_ns: int
-    label: str = ""
-    dram_read_bytes: int = 0
-    dram_write_bytes: int = 0
-    edp_bytes: int = 0
-    drfb_active: bool = False
-    gpu_active: bool = False
-    fbc_active: bool = False
+    label: str
+    dram_read_bytes: int
+    dram_write_bytes: int
+    edp_bytes: int
+    drfb_active: bool
+    gpu_active: bool
+    fbc_active: bool
 
     @property
     def span_ns(self) -> int:
@@ -191,8 +188,10 @@ class WindowTimeline:
         return self.window_ns * self.n_windows
 
     @cached_property
-    def rows(self) -> tuple[tuple[Interval, ...], ...]:
-        """Each template's rows, with window-relative times, expanded once."""
+    def rows(self) -> tuple[tuple[tuple, ...], ...]:
+        """Each template's rows, with window-relative times, expanded once:
+        immutable tuples ``(state, start_ns, end_ns, label, read, write, edp,
+        drfb, gpu, fbc)`` that every window using the template shares."""
         return tuple(_expand(t, self.window_ns) for t in self.templates)
 
     @cached_property
@@ -200,9 +199,9 @@ class WindowTimeline:
         """Every row boundary as absolute-ns text (windows share their edges)
         and each window's offset into it.  Raises ValueError, naming the first
         window of a template whose rows do not abut each other and its edges."""
-        starts = [[iv.start_ns for iv in ivs] for ivs in self.rows]
-        for t, (s, ivs) in enumerate(zip(starts, self.rows)):
-            if [*s, self.window_ns] != [0, *(iv.end_ns for iv in ivs)]:
+        starts = [[row[1] for row in rows] for rows in self.rows]
+        for t, (s, rows) in enumerate(zip(starts, self.rows)):
+            if [*s, self.window_ns] != [0, *(row[2] for row in rows)]:
                 raise ValueError(f"window {self.window_template.index(t)}: rows do not abut")
         text, offsets = [], []
         for w, t in enumerate(self.window_template):
@@ -213,12 +212,13 @@ class WindowTimeline:
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
+        """Every window's rows as :class:`Interval` records, in order."""
         out: list[Interval] = []
         rows = self.rows
         for w, t in enumerate(self.window_template):
-            base = w * self.window_ns
-            out.extend(Interval(w, iv.kind, iv.state, base + iv.start_ns,
-                                base + iv.end_ns, *iv[5:]) for iv in rows[t])
+            base, kind = w * self.window_ns, self.templates[t].kind
+            out.extend(Interval(w, kind, row[0], base + row[1], base + row[2], *row[3:])
+                       for row in rows[t])
         return tuple(out)
 
     @property
@@ -777,25 +777,16 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
     return kept
 
 
-def _round_window(
-    recs: list[tuple], kind: str, W_ns: int, link_bytes: int
-) -> tuple[Interval, ...]:
-    """One window's rows: its records rounded by :func:`_round_records`."""
-    new_row = tuple.__new__  # skips the Python-level ``Interval.__new__``
-    return tuple(new_row(Interval, (0, kind, *row))
-                 for row in _round_records(recs, W_ns, link_bytes))
-
-
-def _expand(tpl: Template, W_ns: int) -> tuple[Interval, ...]:
+def _expand(tpl: Template, W_ns: int) -> tuple[tuple, ...]:
     """A template's rows, every record rounded one by one."""
-    return _round_window(_records(tpl.wake, tpl.phase), tpl.kind, W_ns, tpl.link_bytes)
+    return tuple(map(tuple, _round_records(_records(tpl.wake, tpl.phase), W_ns, tpl.link_bytes)))
 
 
 def _template(kind: str, link_bytes: int, wake: tuple[tuple, ...], phase: _Phase | None,
               W_ns: int) -> Template:
     """Check and tally one window's records without expanding its body.
 
-    The records are rounded as :func:`_round_window` rounds them, except
+    The records are rounded as :func:`_expand` rounds them, except
     the phase body (:func:`_body`), which stays one row.  One walk over
     the rows checks that traffic rides only on states that can move it and
     tallies them; the body's fill and drain spans are sums of rounded
@@ -861,7 +852,7 @@ def _stitch(timeline: WindowTimeline, cells: Callable, keys: Iterable[str], head
             out: TextIO) -> None:
     """Write ``head``, then each window stitched from its template's pieces.
 
-    ``cells(iv)`` gives a template row's fixed text around its three slots
+    ``cells(kind, row)`` gives a template row's fixed text around its three slots
     (the window's key from ``keys``, then the row's absolute start and end)
     as ``(before_key, key_to_start, start_to_end, after_end)``; the start and
     end are sliced from :attr:`WindowTimeline.boundary_text`, which raises
@@ -869,13 +860,13 @@ def _stitch(timeline: WindowTimeline, cells: Callable, keys: Iterable[str], head
     """
     text, offsets = timeline.boundary_text
     layouts = []
-    for ivs in timeline.rows:
+    for tpl, rows in zip(timeline.templates, timeline.rows):
         parts = [""]  # a row's head is joined onto the piece before it
-        for iv in ivs:
-            before, mid, sep, tail = cells(iv)
+        for row in rows:
+            before, mid, sep, tail = cells(tpl.kind, row)
             parts[-1] += before
             parts += ("", mid, "", sep, "", tail)
-        layouts.append((parts, len(ivs)))
+        layouts.append((parts, len(rows)))
     out.write(head)
     for t, key, i in zip(timeline.window_template, keys, offsets):
         parts, k = layouts[t]
@@ -888,11 +879,10 @@ def _stitch(timeline: WindowTimeline, cells: Callable, keys: Iterable[str], head
 def timeline_to_csv(timeline: WindowTimeline, out: TextIO | None = None) -> str | None:
     """Write the rows as CSV to ``out``, or return them as text without it."""
     # Each template's rows are formatted once; see _stitch for the windows.
-    def cells(iv: Interval) -> tuple[str, str, str, str]:
-        return ("", f",{iv.kind},{iv.state},", ",",
-                f",{iv.label},{iv.dram_read_bytes},{iv.dram_write_bytes},"
-                f"{iv.edp_bytes},{int(iv.drfb_active)},{int(iv.gpu_active)},"
-                f"{int(iv.fbc_active)}\n")
+    def cells(kind: str, row: tuple) -> tuple[str, str, str, str]:
+        state, _, _, label, read, write, edp, drfb, gpu, fbc = row
+        return ("", f",{kind},{state},", ",", f",{label},{read},{write},{edp},"
+                f"{int(drfb)},{int(gpu)},{int(fbc)}\n")
 
     buf = io.StringIO() if out is None else out
     _stitch(timeline, cells, map(str, range(timeline.n_windows)), CSV_HEADER + "\n", buf)
@@ -935,11 +925,12 @@ def timeline_to_svg(timeline: WindowTimeline, out: TextIO | None = None) -> str 
 
     # Block geometry is window-relative, so each template's blocks are
     # formatted once; windows add only their row and boundaries (see _stitch).
-    def cells(iv: Interval) -> tuple[str, str, str, str]:
-        return (f'<rect x="{left + iv.start_ns * sx:.2f}" y="',
-                f'" width="{max(iv.span_ns * sx, 0.5):.2f}" height="{row_h}" '
-                f'fill="{_STATE_COLORS[iv.state]}"><title>{iv.label} '
-                f"{iv.state} [", "-", "] ns</title></rect>\n")
+    def cells(kind: str, row: tuple) -> tuple[str, str, str, str]:
+        state, start, end, label = row[:4]
+        return (f'<rect x="{left + start * sx:.2f}" y="',
+                f'" width="{max((end - start) * sx, 0.5):.2f}" height="{row_h}" '
+                f'fill="{_STATE_COLORS[state]}"><title>{label} '
+                f"{state} [", "-", "] ns</title></rect>\n")
 
     ys = range(top, top + n * (row_h + gap), row_h + gap)
     buf = io.StringIO() if out is None else out

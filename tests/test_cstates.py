@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -246,8 +247,30 @@ def test_calibration_state_maps_must_hold_json_numbers(state_power, message):
     assert str(err.value) == message
 
 
-def test_demo_calibration_latencies_parse_to_nanoseconds(latency_cal):
+def test_demo_calibration_latencies_are_kept_in_microseconds(latency_cal):
     prof = latency_cal.conventional
-    assert prof.entry_latency_ns[PackageCState.C8] == 75_000
-    assert prof.entry_latency_ns[PackageCState.C9] == 150_000
-    assert prof.exit_latency_ns[PackageCState.C9] == 300_000
+    assert prof.entry_latency_us[PackageCState.C8] == 75.0
+    assert prof.entry_latency_us[PackageCState.C9] == 150.0
+    assert prof.exit_latency_us[PackageCState.C9] == 300.0
+    C0, C8, C9 = PackageCState.C0, PackageCState.C8, PackageCState.C9
+    assert transition_cost(prof, C0, C8).latency_ns == 75_000
+    assert transition_cost(prof, C8, C9).latency_ns == 150_000
+    assert transition_cost(prof, C9, C8).latency_ns == 300_000
+
+
+@pytest.mark.parametrize("us, ns", [
+    (0.0005, 0), (0.0015, 2), (0.0025, 2),  # half-ns ties go to the even ns
+    (0.0004, 0), (0.0006, 1), (1.2345, 1234), (12.3456, 12346),
+])
+def test_fractional_latencies_round_to_integer_ns_half_to_even(us, ns):
+    """A latency is kept in the calibration's us and rounded once per cost,
+    as the loader rounded it when profiles held integer ns."""
+    doc = json.loads(resources.files("framewatt").joinpath("data", "latency_demo.json")
+                     .read_text())
+    doc["profiles"]["conventional"]["entry_latency_us"]["C9"] = us
+    doc["profiles"]["conventional"]["exit_latency_us"]["C9"] = us
+    prof = calibration_from_dict(doc).conventional
+    down = transition_cost(prof, PackageCState.C8, PackageCState.C9)
+    up = transition_cost(prof, PackageCState.C9, PackageCState.C8)
+    assert down.latency_ns == up.latency_ns == ns == int(round(us * 1_000))
+    assert down.energy_uj == 1200.0 * ns * 1e-6  # C9's entry power, mW x ns -> uJ

@@ -22,7 +22,7 @@ from framewatt.power import (
     window_energy_breakdown,
 )
 from framewatt.scenarios import read_dirty_trace
-from framewatt.timeline import build_timeline, timeline_totals
+from framewatt.timeline import Interval, build_timeline, timeline_totals
 from conftest import make_config
 
 C = PackageCState
@@ -375,7 +375,7 @@ def test_breakdown_rows_match_a_per_interval_bill(cfg, kw, calibration):
     assert len(window_bill) == tl.n_windows
     prev = None
     for b, t in zip(window_bill, tl.window_template):
-        ivs = tl.rows[t]
+        ivs = [Interval(0, tl.templates[t].kind, *row) for row in tl.rows[t]]
         expect = _window_bill(ivs, prev, profile, cfg.system, cal.drfb_power_mw)
         got = bills[b]._asdict()
         assert got.pop("kind") == expect.pop("kind")

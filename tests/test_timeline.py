@@ -51,6 +51,16 @@ E_4K = encoded_frame_bytes(RESOLUTIONS["4k"], 0.5)
 F_FHD = frame_bytes(RESOLUTIONS["fhd"])
 
 
+def _as_intervals(rows, kind="update"):
+    """Template rows, or rounded records, as window-0 :class:`Interval`s."""
+    return tuple(Interval(0, kind, *row) for row in rows)
+
+
+def _template_intervals(timeline):
+    """Each template's rows as window-0 :class:`Interval`s of its kind."""
+    return [_as_intervals(rows, tpl.kind) for tpl, rows in zip(timeline.templates, timeline.rows)]
+
+
 def per_window(timeline, attr):
     out: dict[int, int] = {}
     for iv in timeline.intervals:
@@ -138,7 +148,7 @@ def _rebuild(cfg, n, batch_every=1, dirty_trace=None):
         out.extend(
             iv._replace(window=w, start_ns=base + iv.start_ns,
                         end_ns=base + iv.end_ns)
-            for iv in tmod._round_window(recs, kind, W_ns, link)
+            for iv in _as_intervals(tmod._round_records(recs, W_ns, link), kind)
         )
     return tuple(out)
 
@@ -268,7 +278,7 @@ def test_tallies_combine_to_a_walk_over_the_expanded_rows(run):
 
 
 def _template_matches_its_rows(tpl, W_ns):
-    rows = tmod._expand(tpl, W_ns)
+    rows = _as_intervals(tmod._expand(tpl, W_ns), tpl.kind)
     expected = _walk(rows)
     assert tpl.totals == expected
     assert list(tpl.totals.transitions) == list(expected.transitions)
@@ -344,7 +354,7 @@ def _phase_template(start, W, payload, chunk, fill_rate, drain_rate, feed=False,
 
 def _check_phase_template(parts, W_ns):
     wake, phase, link = parts
-    rows = tmod._round_window(tmod._records(wake, phase), "update", W_ns, link)
+    rows = _as_intervals(tmod._round_records(tmod._records(wake, phase), W_ns, link))
     violation = _first_violation(rows)
     if violation is not None:
         with pytest.raises(ValueError, match=f"^{violation}$"):
@@ -402,7 +412,7 @@ def test_a_body_of_records_up_to_1ns_is_rounded_record_by_record(start, chunk, d
                                   Fraction(10**10), drain_rate, read_total=0)
     assert tmod._body(parts[1]) == 0
     records = tmod._records(*parts[:2])
-    assert len(tmod._round_window(records, "update", W_ns, parts[2])) < len(records)
+    assert len(tmod._round_records(records, W_ns, parts[2])) < len(records)
     _check_phase_template(parts, W_ns)
 
 
@@ -526,7 +536,7 @@ def test_window_rounding_rounds_each_boundary_like_the_reference(n, d):
     end = Fraction(n + d, d * NS_PER_S)  # 1 + n / d ns
     recs = [_rec(PackageCState.C0, Fraction(0), end, "wake"),
             _rec(PackageCState.C9, end, end + 1, "idle")]
-    rows = tmod._round_window(recs, "update", n // d + NS_PER_S, 0)
+    rows = _as_intervals(tmod._round_records(recs, n // d + NS_PER_S, 0))
     assert rows[0].end_ns == _round_half_even(end.numerator * NS_PER_S, end.denominator)
 
 
@@ -534,7 +544,7 @@ def test_window_rounding_rejects_records_that_leave_a_gap():
     recs = [_rec(PackageCState.C0, Fraction(0), Fraction(1, 100), "wake"),
             _rec(PackageCState.C9, Fraction(1, 99), Fraction(1, 60), "idle")]
     with pytest.raises(ValueError, match="left a gap at 0.01 s"):
-        tmod._round_window(recs, "update", frame_window_ns(60), 0)
+        tmod._round_records(recs, frame_window_ns(60), 0)
 
 
 def duplex_phase(*args, **kwargs):
@@ -649,12 +659,12 @@ def test_rate_paced_phase_is_clipped_at_the_hard_end(fill_rate, drain_rate, expe
 
 
 def _streamed_link_bytes(link_bytes, *ends_ms):
-    """Link bytes that `_round_window` gives back-to-back streaming records
+    """Link bytes that `_round_records` gives back-to-back streaming records
     ending at ``ends_ms``."""
     bounds = [Fraction(0), *(Fraction(e, 1000) for e in ends_ms)]
     recs = [_rec(PackageCState.C2, a, b, "fetch", streams=True)
             for a, b in zip(bounds, bounds[1:])]
-    rows = tmod._round_window(recs, "update", ends_ms[-1] * 10**6, link_bytes)
+    rows = _as_intervals(tmod._round_records(recs, ends_ms[-1] * 10**6, link_bytes))
     return [iv.edp_bytes for iv in rows]
 
 
@@ -867,7 +877,7 @@ def test_integer_recipe_matches_the_fraction_recipe(
     got, expected = tmod._recipe(k, *args), _ref_recipe(ref, *args)
     assert _in_seconds(*got) == _in_seconds(*expected)
     W_ns = frame_window_ns(refresh)
-    rows = [_outcome(tmod._round_window, tmod._records(*parts), kind, W_ns, link_bytes)
+    rows = [_outcome(tmod._round_records, tmod._records(*parts), W_ns, link_bytes)
             for parts in (got, expected)]
     assert rows[0] == rows[1]
     tpls = [_outcome(tmod._template, kind, link_bytes, *parts, W_ns)
@@ -1148,11 +1158,24 @@ def test_csv_columns_follow_the_row_type():
 def test_template_rows_are_shared_and_immutable():
     tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), 4)
     row = tl.rows[0][0]
-    with pytest.raises(AttributeError):
-        row.edp_bytes = 1
-    with pytest.raises(AttributeError):
-        row.state = PackageCState.C10
-    assert tl.intervals[0] == row  # window 0 reads the template row as built
+    with pytest.raises(TypeError):
+        row[6] = 1  # edp bytes
+    with pytest.raises(TypeError):
+        row[0] = PackageCState.C10
+    # window 0 reads the template row as built
+    assert tl.intervals[0] == Interval(0, tl.templates[0].kind, *row)
+
+
+def test_template_rows_are_10_tuples_that_intervals_offset_by_the_window_start():
+    for case, tl in _export_timelines():
+        expected = []
+        for w, t in enumerate(tl.window_template):
+            base, kind = w * tl.window_ns, tl.templates[t].kind
+            for row in tl.rows[t]:
+                assert type(row) is tuple and len(row) == 10, case
+                state, start, end, *rest = row
+                expected.append(Interval(w, kind, state, base + start, base + end, *rest))
+        assert tl.intervals == tuple(expected), case
 
 
 def test_csv_export_is_deterministic():
@@ -1187,7 +1210,7 @@ def _ref_csv(timeline):
           f"{iv.edp_bytes},{int(iv.drfb_active)},{int(iv.gpu_active)},"
           f"{int(iv.fbc_active)}")
          for iv in ivs]
-        for ivs in timeline.rows
+        for ivs in _template_intervals(timeline)
     ]
     lines = [CSV_HEADER]
     for w, t in enumerate(timeline.window_template):
@@ -1225,7 +1248,7 @@ def _ref_svg(timeline):
           f'fill="{_STATE_COLORS[iv.state]}"><title>{html.escape(iv.label)} '
           f"{iv.state} [", iv.start_ns, iv.end_ns)
          for iv in ivs]
-        for ivs in timeline.rows
+        for ivs in _template_intervals(timeline)
     ]
     for w, t in enumerate(timeline.window_template):
         y = top + w * (row_h + gap)
@@ -1281,7 +1304,7 @@ def test_exports_reject_template_rows_that_do_not_abut(monkeypatch):
     tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), 4)
     rows = list(tl.rows)
     first, *rest = rows[1]
-    rows[1] = (first._replace(end_ns=first.end_ns - 1), *rest)
+    rows[1] = (first[:2] + (first[2] - 1,) + first[3:], *rest)  # end 1 ns early
     monkeypatch.setitem(vars(tl), "rows", tuple(rows))
     window = tl.window_template.index(1)
     for export in (timeline_to_csv, timeline_to_svg):
@@ -1293,7 +1316,7 @@ def test_exports_reject_a_template_whose_last_row_ends_short_of_the_window(monke
     tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), 4)
     rows = list(tl.rows)
     *rest, last = rows[1]
-    rows[1] = (*rest, last._replace(end_ns=last.end_ns - 1))
+    rows[1] = (*rest, last[:2] + (last[2] - 1,) + last[3:])  # end 1 ns early
     monkeypatch.setitem(vars(tl), "rows", tuple(rows))
     window = tl.window_template.index(1)
     for export in (timeline_to_csv, timeline_to_svg):
@@ -1314,7 +1337,8 @@ class _Recording(io.StringIO):
 def test_exports_write_nothing_when_rows_do_not_abut(monkeypatch):
     tl = build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), 4)
     first, *rest = tl.rows[0]
-    monkeypatch.setitem(vars(tl), "rows", ((first._replace(start_ns=1), *rest), *tl.rows[1:]))
+    first = first[:1] + (1,) + first[2:]  # start at 1 ns
+    monkeypatch.setitem(vars(tl), "rows", ((first, *rest), *tl.rows[1:]))
     for export in (timeline_to_csv, timeline_to_svg):
         out = _Recording()
         with pytest.raises(ValueError, match="window 0: rows do not abut"):
@@ -1343,7 +1367,7 @@ def test_svg_words_need_no_escaping():
     words = {scheme.value for scheme in Scheme}
     for _, tl in _export_timelines():
         words |= {tpl.kind for tpl in tl.templates}
-        words |= {iv.label for ivs in tl.rows for iv in ivs}
+        words |= {iv.label for ivs in _template_intervals(tl) for iv in ivs}
     assert {"wake+decode", "fetch", "idle", "psr", "transfer"} <= words
     assert not any(set(word) & set("&<>\"'") for word in words)
 
