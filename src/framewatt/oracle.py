@@ -247,7 +247,7 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
 
     Takes :func:`build_timeline`'s keywords and, like it, defaults to one
     batch cycle (``batch_every`` frame groups); a dirty trace sets its own
-    length.
+    length, which ``n_windows`` may only restate.
     """
     disp_cfg, sys_cfg, wl = cfg.display, cfg.system, cfg.workload
     F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
@@ -275,6 +275,8 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
         if not dirty_trace:
             raise ValueError("single-plane workloads need a dirty_trace")
         n = len(dirty_trace)
+        if n_windows not in (None, n):
+            raise ValueError(f"n_windows must be the dirty trace's length {n}, got {n_windows}")
     else:
         n = n_windows if n_windows is not None else batch_every * par.group
 

@@ -732,12 +732,13 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
     start) and assign link traffic: the rows that survive, as ``(state,
     start_ns, end_ns, label, read, write, edp, drfb, gpu, fbc)``.
 
-    One pass checks that the records abut exactly (exact rational times:
-    rounding only quantizes shared boundaries, it never papers over gaps),
-    rounds each end half-to-even (the last to the window end), folds the
-    traffic of records that round to nothing into the next survivor, and
-    sums the streaming spans; a second pass splits ``link_bytes`` over
-    those spans by cumulative flooring.
+    One pass checks that the records abut exactly and none runs backwards
+    (exact rational times: rounding only quantizes shared boundaries, it
+    never papers over gaps), rounds each end half-to-even and checks that
+    the last lands on the window end, folds the traffic of records that
+    round to nothing into the next survivor, and sums the streaming spans;
+    a second pass splits ``link_bytes`` over those spans by cumulative
+    flooring.
     """
     kept: list[list] = []
     cursor, cursor_den = 0, 1
@@ -747,12 +748,13 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
         if (start != cursor if den == cursor_den else start * cursor_den != cursor * den):
             raise ValueError(
                 f"coverage gap: window recipe left a gap at {cursor / cursor_den} s")
+        if end < start:
+            raise ValueError(f"coverage overlap: window recipe runs back to {end / den} s")
         cursor, cursor_den = end, den
-        if i == last:
-            end_ns = W_ns
-        else:
-            q, r = divmod(end * NS_PER_S, den)
-            end_ns = q + (2 * r > den or (2 * r == den and q & 1))
+        q, r = divmod(end * NS_PER_S, den)
+        end_ns = q + (2 * r > den or (2 * r == den and q & 1))
+        if i == last and end_ns != W_ns:
+            raise ValueError(f"coverage gap: window recipe ends at {end / den} s")
         if end_ns <= prev_ns:  # rounding must not reverse an edge
             carry_read += read
             carry_write += write
@@ -825,8 +827,6 @@ def _template(kind: str, link_bytes: int, wake: tuple[tuple, ...], phase: _Phase
         gpu += span * g
         fbc += span * f
         prev = state
-    if rows[-1][2] != W_ns:
-        raise ValueError(f"coverage ends at {rows[-1][2]} ns, expected {W_ns}")
     totals = TimelineTotals(spans, read, write, edp, drfb, gpu, fbc, changes)
     return Template(kind, link_bytes, wake, phase, rows[0][0], prev, totals)
 

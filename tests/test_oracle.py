@@ -118,6 +118,17 @@ def test_oracle_default_length_matches_the_builder(batch_every):
     assert oracle.n_windows == 2 * batch_every
 
 
+def test_oracle_rejects_a_window_count_the_dirty_trace_does_not_give():
+    cfg = make_config("fhd", 60, Scheme.BURSTING_ONLY, kind=WorkloadKind.SINGLE_PLANE)
+    trace = [0.5] * 12
+    assert oracle_simulate(cfg, 12, dirty_trace=trace).n_windows == 12
+    for n in (5, 13):
+        for run in (build_timeline, oracle_simulate):
+            with pytest.raises(ValueError,
+                               match=f"^n_windows must be the dirty trace's length 12, got {n}$"):
+                run(cfg, n, dirty_trace=trace)
+
+
 def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
     """Reference energy: step through every period in ticks of ``tick_s``."""
     profile = cal.profile_for(cfg.workload.scheme)

@@ -536,7 +536,7 @@ def test_window_rounding_rounds_each_boundary_like_the_reference(n, d):
     end = Fraction(n + d, d * NS_PER_S)  # 1 + n / d ns
     recs = [_rec(PackageCState.C0, Fraction(0), end, "wake"),
             _rec(PackageCState.C9, end, end + 1, "idle")]
-    rows = _as_intervals(tmod._round_records(recs, n // d + NS_PER_S, 0))
+    rows = _as_intervals(tmod._round_records(recs, round((end + 1) * NS_PER_S), 0))
     assert rows[0].end_ns == _round_half_even(end.numerator * NS_PER_S, end.denominator)
 
 
@@ -545,6 +545,37 @@ def test_window_rounding_rejects_records_that_leave_a_gap():
             _rec(PackageCState.C9, Fraction(1, 99), Fraction(1, 60), "idle")]
     with pytest.raises(ValueError, match="left a gap at 0.01 s"):
         tmod._round_records(recs, frame_window_ns(60), 0)
+
+
+def test_window_rounding_rejects_records_that_stop_short_of_the_window_end():
+    recs = (_rec(PackageCState.C0, Fraction(0), Fraction(1, 100), "wake"),
+            _rec(PackageCState.C9, Fraction(1, 100), Fraction(15, 1000), "idle"))
+    W_ns = frame_window_ns(60)
+    assert W_ns == 16_666_667
+    for build in (lambda: tmod._round_records(list(recs), W_ns, 0),
+                  lambda: tmod._template("update", 0, recs, None, W_ns)):
+        with pytest.raises(ValueError, match=r"^coverage gap: window recipe ends at 0\.015 s$"):
+            build()
+
+
+def test_window_rounding_rejects_a_record_that_runs_backwards():
+    recs = (_rec(PackageCState.C0, Fraction(0), Fraction(1, 100), "wake"),
+            _rec(PackageCState.C8, Fraction(1, 100), Fraction(1, 150), "drain"),
+            _rec(PackageCState.C9, Fraction(1, 150), Fraction(1, 60), "idle"))
+    for build in (lambda: tmod._round_records(list(recs), frame_window_ns(60), 0),
+                  lambda: tmod._template("update", 0, recs, None, frame_window_ns(60))):
+        with pytest.raises(ValueError, match="^coverage overlap: window recipe runs back to "
+                                             r"0\.00666"):
+            build()
+
+
+def test_window_rounding_keeps_zero_length_records_legal():
+    # A zero orchestration_time makes an empty wake-up record.
+    recs = [_rec(PackageCState.C0, Fraction(0), Fraction(0), "wake", read=5),
+            _rec(PackageCState.C2, Fraction(0), Fraction(1, 60), "fetch")]
+    rows = _as_intervals(tmod._round_records(recs, frame_window_ns(60), 0))
+    assert [(iv.state, iv.start_ns, iv.end_ns, iv.dram_read_bytes) for iv in rows] == [
+        (PackageCState.C2, 0, frame_window_ns(60), 5)]  # the empty record's reads fold in
 
 
 def duplex_phase(*args, **kwargs):
