@@ -5,8 +5,8 @@ to one package state and carrying its share of DRAM and display-link traffic.
 The knobs are resolved once per build into integers over one build tick of
 1/Q seconds, in which every time and every rate's time per byte is a whole
 number of ticks, so each interval boundary is an exact integer; it is
-rounded to integer nanoseconds once, with the final interval of each window
-absorbing the rounding so coverage is exact by construction.
+rounded to integer nanoseconds once.  The window end rounds to the window's
+length in ns, so a recipe that tiles the window exactly tiles it in ns too.
 
 Every window has one shape: a few wake-up records (wake, decode, projection)
 followed by one transfer phase that runs to the window end.  The data
@@ -36,11 +36,12 @@ not O(chunks): the records at the edges of a phase are rounded, checked and
 tallied one by one, and the run of whole fill/drain chunk cycles between
 them is tallied in closed form, as sums of rounded arithmetic progressions.
 Pricing combines the tallies per (template, entry state) pair.  Rows are
-expanded from the record only where rows are read -- the CSV and SVG
-exports and ``WindowTimeline.intervals`` -- once per template.  Each row
-boundary becomes text once per timeline, for both exports; each stitches its
-windows from text pieces formatted once per template and streams them, one
-window at a time, to the file given as ``out`` (else it returns a string).
+expanded from the record, as plain tuples, only where rows are read -- the
+CSV and SVG exports and ``WindowTimeline.intervals``, the one maker of
+:class:`Interval` records -- once per template.  Each row boundary becomes
+text once per timeline, for both exports; each stitches its windows from
+text pieces formatted once per template and streams them, one window at a
+time, to the file given as ``out`` (else it returns a string).
 """
 
 from __future__ import annotations
