@@ -744,19 +744,16 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
     kept: list[list] = []
     cursor, cursor_den = 0, 1
     prev_ns = carry_read = carry_write = streaming = 0
-    last = len(recs) - 1
-    for i, (state, start, end, den, label, read, write, gpu, fbc, drfb, streams) in enumerate(recs):
+    for state, start, end, den, label, read, write, gpu, fbc, drfb, streams in recs:
         if (start != cursor if den == cursor_den else start * cursor_den != cursor * den):
             raise ValueError(
                 f"coverage gap: window recipe left a gap at {cursor / cursor_den} s")
-        if end < start:
-            raise ValueError(f"coverage overlap: window recipe runs back to {end / den} s")
         cursor, cursor_den = end, den
         q, r = divmod(end * NS_PER_S, den)
         end_ns = q + (2 * r > den or (2 * r == den and q & 1))
-        if i == last and end_ns != W_ns:
-            raise ValueError(f"coverage gap: window recipe ends at {end / den} s")
         if end_ns <= prev_ns:  # rounding must not reverse an edge
+            if end < start:  # only a record that rounds to nothing can run backwards
+                raise ValueError(f"coverage overlap: window recipe runs back to {end / den} s")
             carry_read += read
             carry_write += write
             continue
@@ -766,9 +763,11 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
         if streams:
             streaming += end_ns - prev_ns
         prev_ns = end_ns
-    if kept:
-        kept[-1][4] += carry_read
-        kept[-1][5] += carry_write
+    # Rounded ends never decrease, so the last kept row ends where the last record does.
+    if prev_ns != W_ns:
+        raise ValueError(f"coverage gap: window recipe ends at {cursor / cursor_den} s")
+    kept[-1][4] += carry_read
+    kept[-1][5] += carry_write
     cum = handed = 0
     for row in kept:
         edp = 0
