@@ -46,7 +46,7 @@ from typing import Any, Callable, Sequence, TextIO
 from . import __version__
 from .core import (CACHED_TRAFFIC_FRACTION, ConfigurationError, Scheme, SimConfig, WorkloadKind,
                    json_form, replace)
-from .cstates import PackageCState, calibration_from_dict, load_calibration
+from .cstates import STATES_BY_DEPTH, PackageCState, calibration_from_dict, load_calibration
 from .oracle import oracle_simulate
 from .power import (EnergyReport, WindowEnergy, report_from_timeline, streaming_report,
                     window_energy_breakdown)
@@ -607,7 +607,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                                   - report.total_energy_uj) / report.total_energy_uj)
         o_res = oracle.residency()
         res_dev = max(abs(o_res.get(s, 0.0) - report.residency.get(s, 0.0)) * 100
-                      for s in PackageCState)
+                      for s in STATES_BY_DEPTH)
         results.append({"label": label, "energy_deviation_pct": energy_dev,
                         "residency_deviation_pp": res_dev})
         print(f"{label:<28} energy {energy_dev:9.6f}%   "

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache, cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
 from .core import (ConfigurationError, Scheme, Violation, check_finite, json_number, json_object,
@@ -60,6 +62,8 @@ class PackageCState(Enum):
 _DEPTH: dict[PackageCState, int] = {s: i for i, s in enumerate(PackageCState)}
 
 STATES_BY_DEPTH: tuple[PackageCState, ...] = tuple(PackageCState)
+#: Every (from, to) pair of states, shared by every profile's transition table.
+_CHANGES = tuple((frm, to) for frm in STATES_BY_DEPTH for to in STATES_BY_DEPTH)
 
 #: DRAM mode implied by each package state (background-power attribution).
 STATE_DRAM_MODE: dict[PackageCState, str] = {
@@ -124,30 +128,43 @@ class PowerProfile:
             found += out_of_range(f"{where}.{key}.", values, at_least_zero=values)
         reject(found)
 
+    @cached_property
+    def transition_costs(self) -> dict[tuple[PackageCState, PackageCState], TransitionCost]:
+        """Every state change's cost, each priced once per profile."""
+        return {change: _transition_cost(self, *change) for change in _CHANGES}
+
 
 class TransitionCost(NamedTuple):
     latency_ns: int
     energy_uj: float
 
 
+#: Staying put, or a change with no latency: one record that every table shares.
+_FREE = TransitionCost(0, 0.0)
+
+
 def transition_cost(
     profile: PowerProfile, frm: PackageCState, to: PackageCState
 ) -> TransitionCost:
-    """Latency and energy of moving between two states.
+    """Latency and energy of moving between two states, from the profile's table."""
+    return profile.transition_costs[frm, to]
 
-    Going deeper pays the target's entry cost; coming up pays the source's
-    exit cost; staying put is free.  The latency is rounded to integer ns
-    (half to even); energy is power x latency.
-    """
+
+def _transition_cost(profile: PowerProfile, frm: PackageCState,
+                     to: PackageCState) -> TransitionCost:
+    """The formula behind :func:`transition_cost`: going deeper pays the
+    target's entry cost; coming up pays the source's exit cost; staying put
+    is free.  The latency is rounded to integer ns (half to even); energy is
+    power x latency."""
     if frm is to:
-        return TransitionCost(0, 0.0)
+        return _FREE
     if to.depth > frm.depth:
         lat = round(profile.entry_latency_us.get(to, 0) * 1_000)
         p = float(profile.entry_power_mw.get(to, 0.0))
     else:
         lat = round(profile.exit_latency_us.get(frm, 0) * 1_000)
         p = float(profile.exit_power_mw.get(frm, 0.0))
-    return TransitionCost(lat, p * lat * 1e-6)  # mW * ns -> uJ
+    return TransitionCost(lat, p * lat * 1e-6) if lat else _FREE  # mW * ns -> uJ
 
 
 @dataclass(frozen=True)
@@ -220,7 +237,8 @@ def _profile_from_dict(name: str, raw: Mapping[str, Any]) -> PowerProfile:
     if "state_power_mw" not in raw:
         raise ValueError(f"profile '{name}' missing state_power_mw")
     return PowerProfile(name=name, **{
-        key: parse_state_map(raw.get(key, {}), f"{name}.{key}") for key in _PROFILE_KEYS})
+        key: MappingProxyType(parse_state_map(raw.get(key, {}), f"{name}.{key}"))
+        for key in _PROFILE_KEYS})
 
 
 def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
@@ -246,14 +264,22 @@ def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
 
 
 def load_calibration(name_or_path: str | Path = "default") -> CalibrationSet:
-    """Load a built-in calibration by name, or else a calibration JSON by path."""
+    """Load a built-in calibration by name, or else a calibration JSON by path.
+    A built-in is parsed once per process and shared; a path is read on every
+    call.  The per-state maps of a loaded calibration are read-only."""
     builtin = _BUILTIN_FILES.get(str(name_or_path))
-    path = Path(__file__).parent / "data" / builtin if builtin else Path(name_or_path)
+    if builtin:
+        return _load_builtin(builtin)
     try:
-        return calibration_from_dict(read_json(path))
+        return calibration_from_dict(read_json(name_or_path))
     except FileNotFoundError:
         raise FileNotFoundError(f"no calibration file {str(name_or_path)!r}; built-ins "
                                 f"are {sorted(_BUILTIN_FILES)}") from None
+
+
+@cache
+def _load_builtin(file: str) -> CalibrationSet:
+    return calibration_from_dict(read_json(Path(__file__).parent / "data" / file))
 
 
 def check_dram_split_consistency(
@@ -266,7 +292,7 @@ def check_dram_split_consistency(
     ConfigurationError naming each state that does not.
     """
     found: list[Violation] = []
-    for state in PackageCState:
+    for state in STATES_BY_DEPTH:
         bg = float(dram_background_mw[STATE_DRAM_MODE[state]])
         disp = float(profile.display_power_mw.get(state, 0.0))
         total = profile.state_power_mw[state]

@@ -3,12 +3,16 @@
 This module re-derives window state sequences from the config with a
 different implementation strategy: an event loop over the producer/consumer
 buffer machine that steps every window, float-second arithmetic and merged
-state spans, each priced at its own constant power.  Spans merge on one
-interned (state, drfb, gpu, fbc) key; each window's spans are folded into
-per-state time as the window closes, one walk over all spans prices the
-energy, and :attr:`OracleResult.periods` is built only when read.  It
-shares no interval construction with :mod:`framewatt.timeline` and no
-pricing with :mod:`framewatt.power`; agreement between the two (state
+state spans, each priced at its own constant power.  Each transfer phase is
+worked out as a list of ``(key, until)`` events, which one merge loop steps
+through: it clips each to the window end and merges spans on one interned
+(state, drfb, gpu, fbc) key.  Each window's spans are folded into per-state
+time as the window closes, one walk over all spans prices the energy (with
+the profile's transition table), and :attr:`OracleResult.periods` is built
+only when read.  It shares no interval construction with
+:mod:`framewatt.timeline` and no pricing with :mod:`framewatt.power`, only
+the run-shape checks (:func:`framewatt.timeline.check_run_shape`), so it
+rejects what the builder rejects; agreement between the two (state
 residencies within a tenth of a percentage point, energy within a tenth of
 a percent) is what the equivalence test suite asserts.
 
@@ -20,13 +24,13 @@ tail, and every window is cut off clean at its end.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
-from typing import NamedTuple, Sequence
+from itertools import accumulate, chain, product
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (BURST_WAKE_SHARE, CACHED_TRAFFIC_FRACTION, Scheme, SimConfig, WorkloadKind,
                    encoded_frame_bytes, frame_bytes)
-from .cstates import CalibrationSet, PackageCState, transition_cost
-from .timeline import selective_update_bytes
+from .cstates import STATES_BY_DEPTH, CalibrationSet, PackageCState
+from .timeline import check_run_shape, selective_update_bytes
 
 
 #: A span's merge key, (state, drfb, gpu, fbc).  ``_KEYS`` holds one object
@@ -91,9 +95,9 @@ class OracleResult(NamedTuple):
         """Integrate the energy bill over the spans in one walk.  Power is
         constant within a span, so each is integrated exactly as power times span."""
         profile = calibration.profile_for(cfg.workload.scheme)
-        # Each key and each state change that occurs is priced once per call.
+        changes = profile.transition_costs
+        # Each key that occurs is priced once per call.
         power: dict[_Key, float] = {}
-        change_uj: dict[tuple[PackageCState, PackageCState], float] = {}
         total_uj = 0.0
         prev_state: PackageCState | None = None
         for key, start_s, end_s in self.spans:
@@ -111,11 +115,7 @@ class OracleResult(NamedTuple):
             total_uj += power_mw * (end_s - start_s) * 1e3  # mW * s -> uJ
             state = key[0]
             if prev_state is not None and prev_state is not state:
-                uj = change_uj.get((prev_state, state))
-                if uj is None:
-                    uj = change_uj[prev_state, state] = transition_cost(
-                        profile, prev_state, state).energy_uj
-                total_uj += uj
+                total_uj += changes[prev_state, state].energy_uj
             prev_state = state
         total_uj += self.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
         total_uj += self.dram_write_bytes * cfg.system.dram_coeff_write * 1e6
@@ -141,25 +141,33 @@ class _WindowSim:
     def __init__(self) -> None:
         self.spans: list[list] = []
         self.window_bounds = [0]
-        self.state_s = dict.fromkeys(PackageCState, 0.0)
+        self.state_s = dict.fromkeys(STATES_BY_DEPTH, 0.0)
 
     def open(self, start_s: float, end_s: float) -> None:
         self.end = end_s
         self.t = start_s
         self.last = _NO_SPAN
 
+    def run(self, events: Iterable[tuple[_Key, float]]) -> None:
+        """Step through ``(key, until)`` events: each is clipped to the window
+        end, skipped if it does not move time on, and else extends the last
+        span if the key is the same or starts a new one."""
+        end, t, last, spans = self.end, self.t, self.last, self.spans
+        for key, until in events:
+            if until > end:
+                until = end
+            if until <= t:
+                continue
+            if last[0] is key:
+                last[2] = until
+            else:
+                last = [key, t, until]
+                spans.append(last)
+            t = until
+        self.t, self.last = t, last
+
     def emit(self, key: _Key, until: float) -> None:
-        if until > self.end:
-            until = self.end
-        if until <= self.t:
-            return
-        last = self.last
-        if last[0] is key:
-            last[2] = until
-        else:
-            self.last = [key, self.t, until]
-            self.spans.append(self.last)
-        self.t = until
+        self.run(((key, until),))
 
     def finish(self, tail: _Key) -> None:
         # Every span ends at or before the window's end, and the tail runs
@@ -181,43 +189,41 @@ def _run_phase(sim: _WindowSim, payload: int, chunk: int, fill_rate: float,
                drain_rate: float | None, fill_state: PackageCState,
                drain_state: PackageCState, *, gpu_fill: bool = False) -> None:
     """Drive the buffer machine; ``drain_rate`` None paces the drain across
-    the rest of the window."""
+    the rest of the window.  The phase's events are worked out first, then
+    stepped through in one :meth:`_WindowSim.run`."""
     if payload <= 0 or sim.t >= sim.end:
         return
     fill, drain = _key(fill_state, gpu=gpu_fill), _key(drain_state)
-    emit = sim.emit
-    start = sim.t
+    start, end = sim.t, sim.end
     span_mode = drain_rate is None
-    d = payload / (sim.end - start) if span_mode else float(drain_rate)
+    d = payload / (end - start) if span_mode else float(drain_rate)
     sizes = _chunks(payload, chunk)
+    events: list[tuple[_Key, float]] = []
+    fill_end = start
 
     if fill_rate <= d:
         # Lockstep: consumer is never the constraint; chunks go out as they
         # are produced and the phase ends with the last fill.
         for c in sizes:
-            emit(fill, sim.t + c / fill_rate)
+            fill_end += c / fill_rate
+            events.append((fill, fill_end))
         if span_mode:
-            emit(drain, sim.end)
-        return
-
-    first_fill_end = start + sizes[0] / fill_rate
-    drain_done = [first_fill_end + drained_after / d for drained_after in accumulate(sizes)]
-
-    fill_end_prev = start
-    for i, c in enumerate(sizes):
-        if i == 0:
-            fill_start = start
-        elif i == 1:
-            fill_start = fill_end_prev
-        else:
-            fill_start = max(fill_end_prev, drain_done[i - 2])
-        if fill_start > sim.t:
-            emit(drain, fill_start)
-        fill_end_prev = fill_start + c / fill_rate
-        emit(fill, fill_end_prev)
-        if sim.t >= sim.end:
-            return
-    emit(drain, drain_done[-1])
+            events.append((drain, end))
+    else:
+        first_fill_end = start + sizes[0] / fill_rate
+        drain_done = [first_fill_end + drained / d for drained in accumulate(sizes)]
+        # The first two fills land back-to-back; a later one waits for the
+        # chunk two places ahead of it to drain.
+        for c, ready in zip(sizes, chain((start, start), drain_done)):
+            if ready > fill_end:
+                fill_end = ready
+                events.append((drain, ready))
+            fill_end += c / fill_rate
+            events.append((fill, fill_end))
+            if fill_end >= end:  # every later event is clipped away
+                break
+        events.append((drain, drain_done[-1]))
+    sim.run(events)
 
 
 class _P(NamedTuple):
@@ -245,10 +251,13 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
                     dirty_trace: Sequence[float] | None = None) -> OracleResult:
     """Simulate the run with the event machine and return merged spans.
 
-    Takes :func:`build_timeline`'s keywords and, like it, defaults to one
-    batch cycle (``batch_every`` frame groups); a dirty trace sets its own
+    Takes :func:`build_timeline`'s keywords and rejects the run shapes it
+    rejects (:func:`check_run_shape`): like it, it defaults to one batch
+    cycle (``batch_every`` frame groups), and a dirty trace sets its own
     length, which ``n_windows`` may only restate.
     """
+    n = check_run_shape(cfg, n_windows, fbc_ratio, batch_every, cached_traffic_fraction,
+                        dirty_trace)
     disp_cfg, sys_cfg, wl = cfg.display, cfg.system, cfg.workload
     F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
     W = 1.0 / disp_cfg.refresh_hz
@@ -270,15 +279,6 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
         disp=round(F * fbc_ratio * cut),
         fbc_on=fbc_ratio != 1.0,
     )
-
-    if wl.kind is WorkloadKind.SINGLE_PLANE:
-        if not dirty_trace:
-            raise ValueError("single-plane workloads need a dirty_trace")
-        n = len(dirty_trace)
-        if n_windows not in (None, n):
-            raise ValueError(f"n_windows must be the dirty trace's length {n}, got {n_windows}")
-    else:
-        n = n_windows if n_windows is not None else batch_every * par.group
 
     sim = _WindowSim()
     reads = writes = link = 0

@@ -30,12 +30,12 @@ from typing import Any, Mapping, NamedTuple
 from .core import Scheme, SimConfig, SystemConfig, json_form
 from .cstates import (
     STATE_DRAM_MODE,
+    STATES_BY_DEPTH,
     CalibrationSet,
     PackageCState,
     PowerProfile,
     check_dram_split_consistency,
     load_calibration,
-    transition_cost,
 )
 from .timeline import (
     TimelineTotals,
@@ -68,8 +68,8 @@ def average_power(
         if total_time_s <= 0:
             raise ValueError("total_time_s must be positive")
         energy_uj = 0.0
-        for (frm, to), count in transition_counts.items():
-            energy_uj += count * transition_cost(profile, frm, to).energy_uj
+        for change, count in transition_counts.items():
+            energy_uj += count * profile.transition_costs[change].energy_uj
         avg += energy_uj / (total_time_s * 1e3)  # uJ per ms is mW
     return avg
 
@@ -168,11 +168,9 @@ def _price(totals: TimelineTotals, profile: PowerProfile, system: SystemConfig,
            drfb_power_mw: float) -> _Bill:
     """The one pricing formula: energies of an integer tally."""
     spans = totals.state_spans_ns
-    state_uj = {s: profile.state_power_mw[s] * spans[s] * 1e-6 for s in PackageCState}
-    trans_uj = sum(
-        c * transition_cost(profile, frm, to).energy_uj
-        for (frm, to), c in totals.transitions.items()
-    )
+    state_uj = {s: profile.state_power_mw[s] * spans[s] * 1e-6 for s in STATES_BY_DEPTH}
+    trans_uj = sum(c * profile.transition_costs[change].energy_uj
+                   for change, c in totals.transitions.items())
     by_mode: dict[str, int] = {m: 0 for m in system.dram_background_mw}
     for state, ns in spans.items():
         by_mode[STATE_DRAM_MODE[state]] += ns
@@ -194,7 +192,7 @@ def _price(totals: TimelineTotals, profile: PowerProfile, system: SystemConfig,
     # display-side, and everything else -- compute rest, transitions, GPU and
     # compression adders -- lands in "others".
     display_uj = (
-        sum(profile.display_power_mw.get(s, 0.0) * spans[s] * 1e-6 for s in PackageCState)
+        sum(profile.display_power_mw.get(s, 0.0) * spans[s] * 1e-6 for s in STATES_BY_DEPTH)
         + drfb_uj
     )
     dram_uj = dram.background_uj + dram.operating_uj
@@ -216,7 +214,7 @@ def report_from_timeline(
     bill = _price(totals, profile, cfg.system, calibration.drfb_power_mw)
     spans = totals.state_spans_ns
     total_ns = timeline.total_ns
-    residency = {s: spans[s] / total_ns for s in PackageCState}
+    residency = {s: spans[s] / total_ns for s in STATES_BY_DEPTH}
     return EnergyReport(
         scheme=timeline.scheme,
         calibration_name=calibration.name,

@@ -50,7 +50,6 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -479,26 +478,34 @@ class _Knobs(NamedTuple):
 
 def _knobs(cfg: SimConfig, fbc_ratio: float, traffic_cut: float) -> _Knobs:
     """The build's knobs over the least tick Q that makes every time a whole
-    number of ticks and every rate's time per byte too.  These are the only
-    ``Fraction``s of a build (the configs hold floats)."""
+    number of ticks and every rate's time per byte too.  The configs hold
+    ints and floats, each read as its exact ratio in lowest terms."""
     disp_cfg, sys_cfg, wl = cfg.display, cfg.system, cfg.workload
     F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
-    W, burst_o = frame_window(disp_cfg.refresh_hz), sys_cfg.burst_orchestration_time
-    times = (W, Fraction(sys_cfg.orchestration_time),
-             W * BURST_WAKE_SHARE if burst_o is None else Fraction(burst_o))
-    rates = (*map(Fraction, (sys_cfg.decode_rate, sys_cfg.dram_fetch_rate,
-                             sys_cfg.vd_paced_rate or sys_cfg.decode_rate)),
-             Fraction(disp_cfg.edp_max_bits_per_s) / 8, Fraction(sys_cfg.gpu_pt_rate))
-    Q = lcm(*(x.denominator for x in times), *(r.numerator for r in rates))
-    W, o, o_b = (Q // x.denominator * x.numerator for x in times)
-    f, b, p, e_B, gpu = (Q // r.numerator * r.denominator for r in rates)
+    hz, burst_o = disp_cfg.refresh_hz, sys_cfg.burst_orchestration_time
+    share = BURST_WAKE_SHARE
+    times = ((1, hz), sys_cfg.orchestration_time.as_integer_ratio(),
+             _lowest(share.numerator, share.denominator * hz) if burst_o is None
+             else burst_o.as_integer_ratio())
+    edp_num, edp_den = disp_cfg.edp_max_bits_per_s.as_integer_ratio()
+    rates = (*(r.as_integer_ratio() for r in (sys_cfg.decode_rate, sys_cfg.dram_fetch_rate,
+                                               sys_cfg.vd_paced_rate or sys_cfg.decode_rate)),
+             _lowest(edp_num, edp_den * 8), sys_cfg.gpu_pt_rate.as_integer_ratio())
+    Q = lcm(*(den for _, den in times), *(num for num, _ in rates))
+    W, o, o_b = (Q // den * num for num, den in times)
+    f, b, p, e_B, gpu = (Q // num * den for num, den in rates)
     return _Knobs(
         Q=Q, W=W, F=F,
         E=encoded_frame_bytes(disp_cfg.resolution, sys_cfg.encoded_bits_per_pixel),
         chunk=sys_cfg.dc_buffer_bytes, o=o, o_b=o_b, f=f, b=b, p=p, e_B=e_B, gpu=gpu,
-        group=max(disp_cfg.refresh_hz // wl.video_fps, 1),
+        group=max(hz // wl.video_fps, 1),
         disp=round(F * fbc_ratio * traffic_cut), fbc_on=fbc_ratio != 1.0,
     )
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _recipe(k: _Knobs, scheme: Scheme, kind: str, decodes: int, link_bytes: int,
@@ -571,22 +578,56 @@ def selective_update_bytes(full_frame_bytes: int, dirty_fraction: float) -> int:
     return min(round(full_frame_bytes * dirty_fraction) + 128, full_frame_bytes)
 
 
-def _check_batch_fits(cfg: SimConfig, batch_every: int) -> None:
-    """Raise ValueError unless ``batch_every`` decoded frames fit in DRAM and
-    their decodes fit in one refresh window."""
-    fbytes = frame_bytes(cfg.display.resolution, cfg.display.bits_per_pixel)
-    if batch_every * fbytes > cfg.system.dram_capacity_bytes:
+def check_run_shape(cfg: SimConfig, n_windows: int | None, fbc_ratio: float,
+                    batch_every: int, cached_traffic_fraction: float,
+                    dirty_trace: Sequence[float] | None) -> int:
+    """The run's window count; raises ValueError unless the run shape
+    (:func:`build_timeline`'s keywords) fits the config's workload."""
+    if not 0.0 < fbc_ratio <= 1.0:
+        raise ValueError(f"fbc_ratio must be in (0, 1], got {fbc_ratio}")
+    if batch_every < 1:
+        raise ValueError(f"batch_every must be >= 1, got {batch_every}")
+    if not 0.0 <= cached_traffic_fraction <= 1.0:
         raise ValueError(
-            f"BATCH_EXCEEDS_DRAM: {batch_every} frames of {fbytes} bytes exceed "
-            f"dram_capacity_bytes={cfg.system.dram_capacity_bytes}"
-        )
-    window_s = float(frame_window(cfg.display.refresh_hz))
-    busy = cfg.system.orchestration_time + batch_every * fbytes / cfg.system.decode_rate
-    if busy >= window_s:
-        raise ValueError(
-            f"BATCH_WINDOW_OVERRUN: decoding {batch_every} frames takes "
-            f"{busy * 1e3:.3f} ms, beyond the {window_s * 1e3:.3f} ms window"
-        )
+            f"cached_traffic_fraction must be in [0, 1], got {cached_traffic_fraction}")
+    wl = cfg.workload
+    if batch_every > 1:
+        if wl.kind is not WorkloadKind.VIDEO or wl.scheme is not Scheme.BASELINE:
+            raise ValueError(
+                "frame batching applies only to video playback under the plain scheme"
+            )
+        # The decoded frames must fit in DRAM and their decodes in one window.
+        fbytes = frame_bytes(cfg.display.resolution, cfg.display.bits_per_pixel)
+        if batch_every * fbytes > cfg.system.dram_capacity_bytes:
+            raise ValueError(
+                f"BATCH_EXCEEDS_DRAM: {batch_every} frames of {fbytes} bytes exceed "
+                f"dram_capacity_bytes={cfg.system.dram_capacity_bytes}"
+            )
+        window_s = float(frame_window(cfg.display.refresh_hz))
+        busy = cfg.system.orchestration_time + batch_every * fbytes / cfg.system.decode_rate
+        if busy >= window_s:
+            raise ValueError(
+                f"BATCH_WINDOW_OVERRUN: decoding {batch_every} frames takes "
+                f"{busy * 1e3:.3f} ms, beyond the {window_s * 1e3:.3f} ms window"
+            )
+    if fbc_ratio != 1.0 and wl.kind is WorkloadKind.SINGLE_PLANE:
+        raise ValueError("frame-buffer compression does not apply to single-plane workloads")
+    if wl.kind is WorkloadKind.SINGLE_PLANE:
+        if dirty_trace is None:
+            raise ValueError("single-plane workloads need a dirty_trace")
+        n = len(dirty_trace)
+        if n == 0:
+            raise ValueError("dirty_trace must not be empty")
+        if n_windows not in (None, n):
+            raise ValueError(f"n_windows must be the dirty trace's length {n}, got {n_windows}")
+        return n
+    n = n_windows if n_windows is not None else batch_every * max(
+        cfg.display.refresh_hz // wl.video_fps, 1)
+    if n < 1:
+        raise ValueError("n_windows must be >= 1")
+    if dirty_trace is not None:
+        raise ValueError("dirty_trace only applies to single-plane workloads")
+    return n
 
 
 def build_timeline(
@@ -613,40 +654,12 @@ def build_timeline(
     ``n_windows`` may only restate.
     """
     reject(validate_config(cfg))
-    if not 0.0 < fbc_ratio <= 1.0:
-        raise ValueError(f"fbc_ratio must be in (0, 1], got {fbc_ratio}")
-    if batch_every < 1:
-        raise ValueError(f"batch_every must be >= 1, got {batch_every}")
-    if not 0.0 <= cached_traffic_fraction <= 1.0:
-        raise ValueError(
-            f"cached_traffic_fraction must be in [0, 1], got {cached_traffic_fraction}")
+    n = check_run_shape(cfg, n_windows, fbc_ratio, batch_every, cached_traffic_fraction,
+                        dirty_trace)
     wl = cfg.workload
     scheme = wl.scheme
-    if batch_every > 1:
-        if wl.kind is not WorkloadKind.VIDEO or scheme is not Scheme.BASELINE:
-            raise ValueError(
-                "frame batching applies only to video playback under the plain scheme"
-            )
-        _check_batch_fits(cfg, batch_every)
-    if fbc_ratio != 1.0 and wl.kind is WorkloadKind.SINGLE_PLANE:
-        raise ValueError("frame-buffer compression does not apply to single-plane workloads")
     cut = (1.0 - cached_traffic_fraction) if batch_every > 1 else 1.0
     k = _knobs(cfg, fbc_ratio, cut)
-
-    if wl.kind is WorkloadKind.SINGLE_PLANE:
-        if dirty_trace is None:
-            raise ValueError("single-plane workloads need a dirty_trace")
-        n = len(dirty_trace)
-        if n == 0:
-            raise ValueError("dirty_trace must not be empty")
-        if n_windows not in (None, n):
-            raise ValueError(f"n_windows must be the dirty trace's length {n}, got {n_windows}")
-    else:
-        n = n_windows if n_windows is not None else batch_every * k.group
-        if n < 1:
-            raise ValueError("n_windows must be >= 1")
-        if dirty_trace is not None:
-            raise ValueError("dirty_trace only applies to single-plane workloads")
 
     vr = wl.kind is WorkloadKind.VR360
     plane = wl.kind is WorkloadKind.SINGLE_PLANE
@@ -737,7 +750,8 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
     (exact rational times: rounding only quantizes shared boundaries, it
     never papers over gaps), rounds each end half-to-even and checks that
     the last lands on the window end, folds the traffic of records that
-    round to nothing into the next survivor, and sums the streaming spans;
+    round to nothing into the next survivor (reads into the last survivor
+    that can read DRAM, if the next cannot), and sums the streaming spans;
     a second pass splits ``link_bytes`` over those spans by cumulative
     flooring.
     """
@@ -757,6 +771,12 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
             carry_read += read
             carry_write += write
             continue
+        if carry_read and state not in _READ_STATES:
+            # Reads of fills that rounded to nothing go back to the last surviving fill.
+            back = next((row for row in reversed(kept) if row[0] in _READ_STATES), None)
+            if back is not None:
+                back[4] += carry_read
+                carry_read = 0
         kept.append([state, prev_ns, end_ns, label, read + carry_read,
                      write + carry_write, streams, drfb, gpu, fbc])
         carry_read = carry_write = 0

@@ -8,15 +8,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from framewatt import cli
+from framewatt import cli, cstates
 from framewatt.cli import main
 from framewatt.cstates import load_calibration
 from conftest import make_config
-from framewatt.core import Scheme
+from framewatt.core import Scheme, read_json
 from framewatt.power import streaming_report
 
 
@@ -959,6 +960,39 @@ def test_validate_grid_loads_each_calibration_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "load_calibration", counting)
     assert main(["validate", "--grid"]) == 0
     assert sorted(loads) == ["default", "reference-fhd30"]
+
+
+def test_each_builtin_calibration_file_is_read_once_per_process(monkeypatch, capsys):
+    reads = []
+
+    def counting(path):
+        reads.append(Path(path).name)
+        return read_json(path)
+
+    cstates._load_builtin.cache_clear()
+    monkeypatch.setattr(cstates, "read_json", counting)
+    assert main(["validate", "--grid"]) == 0
+    assert main(["sweep", "--resolutions", "fhd"]) == 0
+    assert main(["sweep", "--resolutions", "fhd", "--calibration", "latency-demo"]) == 0
+    assert main(["simulate", "--preset", "fhd30-ref-burstlink", "--windows", "2"]) == 0
+    assert main(["validate", "--preset", "fhd30", "--windows", "2"]) == 0
+    assert sorted(reads) == ["default_calibration.json", "latency_demo.json",
+                             "reference_fhd30.json"]
+
+
+def test_a_sweep_prices_each_state_change_once_per_profile(monkeypatch, capsys):
+    priced = Counter()
+    formula = cstates._transition_cost
+
+    def counting(profile, frm, to):
+        priced[id(profile)] += 1
+        return formula(profile, frm, to)
+
+    cstates._load_builtin.cache_clear()
+    monkeypatch.setattr(cstates, "_transition_cost", counting)
+    assert main(["sweep", "--calibration", "latency-demo", "--fbc-ratios", "1.0,0.5",
+                 "--batch-sizes", "1,2"]) == 0
+    assert priced and max(priced.values()) <= 81
 
 
 # -- presets / entry points --------------------------------------------------------

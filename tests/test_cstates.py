@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from framewatt import cstates
 from framewatt.core import Scheme
 from framewatt.cstates import (
     STATE_DRAM_MODE,
@@ -209,6 +211,64 @@ def test_load_calibration_from_a_file_path(tmp_path, default_cal):
     cal = load_calibration(path)
     assert cal.name == "copy"
     assert cal.conventional.state_power_mw == default_cal.conventional.state_power_mw
+
+
+def _direct_cost(profile, frm, to):
+    """Reference: a state change's latency and energy by the formula."""
+    if frm is to:
+        return 0, 0.0
+    if to.depth > frm.depth:
+        lat = round(profile.entry_latency_us.get(to, 0) * 1_000)
+        return lat, float(profile.entry_power_mw.get(to, 0.0)) * lat * 1e-6
+    lat = round(profile.exit_latency_us.get(frm, 0) * 1_000)
+    return lat, float(profile.exit_power_mw.get(frm, 0.0)) * lat * 1e-6
+
+
+@pytest.mark.parametrize("name", ["default", "reference-fhd30", "latency-demo"])
+def test_transition_table_equals_the_formula_for_every_state_pair(name):
+    cal = load_calibration(name)
+    for prof in (cal.conventional, cal.burst):
+        table = prof.transition_costs
+        assert len(table) == 81
+        for frm in STATES_BY_DEPTH:
+            for to in STATES_BY_DEPTH:
+                assert table[frm, to] == _direct_cost(prof, frm, to)
+                assert transition_cost(prof, frm, to) is table[frm, to]
+
+
+def test_a_builtin_calibration_is_parsed_once_and_shared():
+    cstates._load_builtin.cache_clear()
+    cal = load_calibration("latency-demo")
+    assert load_calibration("latency-demo") is cal
+    assert load_calibration("default") is not cal
+
+
+def test_loaded_calibration_maps_cannot_be_assigned_to(tmp_path):
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(_calibration_doc("copy")), encoding="utf-8")
+    for cal in (load_calibration("default"), load_calibration(path)):
+        for prof in (cal.conventional, cal.burst):
+            for key in ("state_power_mw", "display_power_mw", "entry_latency_us",
+                        "exit_latency_us", "entry_power_mw", "exit_power_mw"):
+                with pytest.raises(TypeError):
+                    getattr(prof, key)[PackageCState.C0] = 1.0
+    assert load_calibration("default").conventional.state_power_mw[PackageCState.C0] == 5940.0
+
+
+def test_a_calibration_path_is_read_again_after_it_is_rewritten(tmp_path):
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(_calibration_doc("first")), encoding="utf-8")
+    assert load_calibration(path).name == "first"
+    path.write_text(json.dumps(_calibration_doc("second")), encoding="utf-8")
+    assert load_calibration(path).name == "second"
+    assert load_calibration(str(path)).name == "second"
+
+
+def _calibration_doc(name):
+    """The default calibration's file with another name."""
+    doc = json.loads((Path(cstates.__file__).parent / "data" / "default_calibration.json")
+                     .read_text(encoding="utf-8"))
+    return {**doc, "name": name}
 
 
 def test_load_calibration_rejects_unknown_names():

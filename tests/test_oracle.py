@@ -8,16 +8,19 @@ corners (overlays, traces, default run length) the grid does not cover.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from framewatt.core import Scheme, WorkloadKind
+import framewatt.oracle as omod
+from framewatt.core import CACHED_TRAFFIC_FRACTION, Scheme, WorkloadKind
 from framewatt.cstates import PackageCState, load_calibration, transition_cost
 from framewatt.oracle import oracle_simulate
 from framewatt.power import report_from_timeline
-from framewatt.timeline import build_timeline
+from framewatt.timeline import build_timeline, check_run_shape
 from conftest import make_config
 from test_acceptance import _valid_configs
 
@@ -129,6 +132,44 @@ def test_oracle_rejects_a_window_count_the_dirty_trace_does_not_give():
                 run(cfg, n, dirty_trace=trace)
 
 
+@pytest.mark.parametrize("run, message", [
+    ({"fbc_ratio": 7.0}, "fbc_ratio must be in (0, 1], got 7.0"),
+    ({"dirty_trace": [0.5]}, "dirty_trace only applies to single-plane workloads"),
+    ({"batch_every": 0}, "batch_every must be >= 1, got 0"),
+    ({"batch_every": 2, "cached_traffic_fraction": 1.5},
+     "cached_traffic_fraction must be in [0, 1], got 1.5"),
+], ids=["fbc-ratio", "dirty-trace", "batch-every", "cached-fraction"])
+def test_oracle_rejects_the_run_shapes_the_builder_rejects(run, message):
+    cfg = make_config("fhd", 60, Scheme.BURSTING_ONLY)
+    for sim in (build_timeline, oracle_simulate):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim(cfg, 4, **run)
+
+
+def test_oracle_rejects_batching_off_plain_video():
+    cfg = make_config("fhd", 60, Scheme.BURSTING_ONLY)
+    for sim in (build_timeline, oracle_simulate):
+        with pytest.raises(ValueError, match="^frame batching applies only to video playback"):
+            sim(cfg, 4, batch_every=2)
+
+
+def test_oracle_rejects_compression_and_empty_traces_on_single_planes():
+    cfg = make_config("fhd", 60, Scheme.BURSTING_ONLY, kind=WorkloadKind.SINGLE_PLANE)
+    for run, message in (({"fbc_ratio": 0.5, "dirty_trace": [0.5]},
+                          "frame-buffer compression does not apply to single-plane workloads"),
+                         ({"dirty_trace": []}, "dirty_trace must not be empty"),
+                         ({}, "single-plane workloads need a dirty_trace")):
+        for sim in (build_timeline, oracle_simulate):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sim(cfg, **run)
+
+
+def test_oracle_rejects_an_empty_run():
+    for sim in (build_timeline, oracle_simulate):
+        with pytest.raises(ValueError, match="^n_windows must be >= 1$"):
+            sim(make_config("fhd", 60), 0)
+
+
 def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
     """Reference energy: step through every period in ticks of ``tick_s``."""
     profile = cal.profile_for(cfg.workload.scheme)
@@ -221,6 +262,9 @@ def _oracle_runs(draw):
     if draw(st.booleans()):
         run["batch_every"] = draw(st.integers(2, 4))
         run["cached_traffic_fraction"] = draw(st.floats(0.0, 1.0))
+        # Batching applies only to plain-scheme video.
+        cfg = replace(cfg, workload=replace(cfg.workload, kind=WorkloadKind.VIDEO,
+                                            scheme=Scheme.BASELINE))
     shape = draw(st.sampled_from(["video", "psr", "trace"]))
     if shape == "psr":
         cfg = replace(cfg, workload=replace(cfg.workload, scheme=Scheme.BASELINE,
@@ -240,6 +284,14 @@ def _oracle_runs(draw):
 def test_folded_state_time_and_energy_equal_a_walk_over_the_periods(case):
     cfg, n_windows, run, calibration = case
     cal = load_calibration(calibration)
+    shape = {"fbc_ratio": 1.0, "batch_every": 1,
+             "cached_traffic_fraction": CACHED_TRAFFIC_FRACTION, "dirty_trace": None, **run}
+    try:
+        check_run_shape(cfg, n_windows, **shape)
+    except ValueError as exc:  # a batch that does not fit: both sides refuse it
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            oracle_simulate(cfg, n_windows, **run)
+        return
     oracle = oracle_simulate(cfg, n_windows, **run)
     times = _ref_state_time_s(oracle)
     assert oracle.residency() == {s: t / oracle.total_s for s, t in times.items()}
@@ -253,3 +305,121 @@ def test_folded_state_time_and_energy_equal_a_walk_over_the_periods(case):
         assert mine[-1].end_s == (w + 1) * oracle.window_s
         assert all(p.end_s > p.start_s for p in mine)
         assert all(a.end_s == b.start_s for a, b in zip(mine, mine[1:]))
+
+
+# -- the one merge loop against emit-per-span ---------------------------------------
+#
+# _RefWindowSim.emit and _ref_run_phase are the window stepper's emit and
+# _run_phase as they were before a phase's events were worked out first and
+# stepped through in one merge loop, kept as the reference that loop must
+# reproduce float for float.
+
+
+class _RefWindowSim(omod._WindowSim):
+    def emit(self, key, until):
+        if until > self.end:
+            until = self.end
+        if until <= self.t:
+            return
+        last = self.last
+        if last[0] is key:
+            last[2] = until
+        else:
+            self.last = [key, self.t, until]
+            self.spans.append(self.last)
+        self.t = until
+
+
+def _ref_run_phase(sim, payload, chunk, fill_rate, drain_rate, fill_state, drain_state, *,
+                   gpu_fill=False):
+    if payload <= 0 or sim.t >= sim.end:
+        return
+    fill, drain = omod._key(fill_state, gpu=gpu_fill), omod._key(drain_state)
+    emit = sim.emit
+    start = sim.t
+    span_mode = drain_rate is None
+    d = payload / (sim.end - start) if span_mode else float(drain_rate)
+    sizes = omod._chunks(payload, chunk)
+
+    if fill_rate <= d:
+        for c in sizes:
+            emit(fill, sim.t + c / fill_rate)
+        if span_mode:
+            emit(drain, sim.end)
+        return
+
+    first_fill_end = start + sizes[0] / fill_rate
+    drain_done = [first_fill_end + drained_after / d for drained_after in accumulate(sizes)]
+
+    fill_end_prev = start
+    for i, c in enumerate(sizes):
+        if i == 0:
+            fill_start = start
+        elif i == 1:
+            fill_start = fill_end_prev
+        else:
+            fill_start = max(fill_end_prev, drain_done[i - 2])
+        if fill_start > sim.t:
+            emit(drain, fill_start)
+        fill_end_prev = fill_start + c / fill_rate
+        emit(fill, fill_end_prev)
+        if sim.t >= sim.end:
+            return
+    emit(drain, drain_done[-1])
+
+
+_rates = st.floats(1e5, 1e11) | st.sampled_from([1e9 / 3, 5.2e9, 2.0e10])
+_states = st.sampled_from([PackageCState.C0, PackageCState.C2, PackageCState.C7,
+                           PackageCState.C7P, PackageCState.C8, PackageCState.C9])
+
+
+@st.composite
+def _phases(draw):
+    """Windows of one run, each a wake-up and one phase: span- or rate-paced,
+    lockstep or consumer-bound, often clipped at the window end."""
+    window_s = draw(st.sampled_from([1 / 30, 1 / 60, 1 / 144]) | st.floats(1e-5, 0.05))
+    windows = []
+    for _ in range(draw(st.integers(1, 3))):
+        chunk = draw(st.sampled_from([65536, 524288]) | st.integers(1, 2**20))
+        payload = draw(st.integers(0, 40)) * chunk + draw(st.integers(0, chunk - 1))
+        fill_rate = draw(_rates)
+        drain_rate = draw(st.none() | _rates | st.builds(lambda x: fill_rate * x,
+                                                         st.sampled_from([0.5, 1.0, 2.0])))
+        windows.append((draw(st.floats(0.0, 1.2)) * window_s, payload, chunk, fill_rate,
+                        drain_rate, draw(_states), draw(_states), draw(st.booleans()),
+                        draw(_states)))
+    return window_s, windows
+
+
+def _step(sim, run_phase, window_s, windows):
+    for w, (wake_s, payload, chunk, fill, drain, fill_state, drain_state, gpu, tail) in (
+            enumerate(windows)):
+        sim.open(w * window_s, (w + 1) * window_s)
+        sim.emit(omod._C0, sim.t + wake_s)
+        run_phase(sim, payload, chunk, fill, drain, fill_state, drain_state, gpu_fill=gpu)
+        sim.finish(omod._key(tail))
+    return sim.spans, sim.window_bounds, sim.state_s
+
+
+@given(_phases())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_merge_loop_phases_equal_emitting_each_span(case):
+    window_s, windows = case
+    got = _step(omod._WindowSim(), omod._run_phase, window_s, windows)
+    assert got == _step(_RefWindowSim(), _ref_run_phase, window_s, windows)
+
+
+@given(_oracle_runs())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_oracle_runs_equal_emitting_each_span(case):
+    cfg, n_windows, run, _ = case
+    try:
+        got = oracle_simulate(cfg, n_windows, **run)
+    except ValueError:
+        return  # a batch that does not fit; the rejection tests cover it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(omod, "_WindowSim", _RefWindowSim)
+        mp.setattr(omod, "_run_phase", _ref_run_phase)
+        ref = oracle_simulate(cfg, n_windows, **run)
+    assert got == ref

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from framewatt.core import (
+    BURST_WAKE_SHARE,
+    CACHED_TRAFFIC_FRACTION,
     NS_PER_S,
     RESOLUTIONS,
     ConfigurationError,
@@ -428,7 +430,8 @@ def test_a_body_of_longer_records_is_tallied_in_closed_form():
     # land on the drain record cut at the end.
     pytest.param(1_000_000, 100_000, 10**9, 20_000_000, 5_200_000, id="clipped-drain"),
     # 0.1 ns fills against 10 ns drains round to nothing, and their reads
-    # are carried onto the drain gap that follows each of them.
+    # are carried onto the drain gap that follows each of them; the first
+    # drain has no surviving fill before it to give them back to.
     pytest.param(1000, 1, 10**10, 10**8, 0, id="sub-nanosecond-fills"),
 ])
 def test_reads_carried_onto_a_drain_state_are_rejected(payload, chunk, fill_rate, drain_rate,
@@ -918,6 +921,91 @@ def test_integer_recipe_matches_the_fraction_recipe(
     else:  # equal but for the denominators their records are kept over
         assert tpls[0]._replace(wake=None, phase=None) == tpls[1]._replace(wake=None, phase=None)
         assert list(tpls[0].totals.transitions) == list(tpls[1].totals.transitions)
+
+
+def test_a_sub_ns_tail_fill_gives_its_reads_to_the_last_fill(tmp_path, capsys):
+    # 4k60 at dirty fraction 0.063205 updates 1,572,871 B: three 524,288-B
+    # chunks and a 7-B tail whose fill spans 0.225 ns and rounds to nothing
+    # right before a C8 drain, which cannot read DRAM.
+    cfg = get_preset("4k60").config
+    plane = dataclasses.replace(cfg, workload=dataclasses.replace(
+        cfg.workload, kind=WorkloadKind.SINGLE_PLANE, scheme=Scheme.BURSTING_ONLY))
+    tl = build_timeline(plane, dirty_trace=[0.063205])
+    tl.check_coverage()
+    reads = [(row[0], row[3], row[4]) for row in tl.rows[0] if row[4]]
+    assert reads == [(PackageCState.C2, "fetch", 524288)] * 2 + [
+        (PackageCState.C2, "fetch", 524288 + 7)]
+    assert timeline_totals(tl).dram_read_bytes == 1_572_871
+    comparison = single_plane_burst(cfg, [0.063205])
+    assert comparison.burst.dram_read_bytes == 1_572_871
+    trace = tmp_path / "trace.csv"
+    trace.write_text("window,dirty_fraction\n0,0.063205\n")
+    assert main(["simulate", "--preset", "4k60", "--kind", "single_plane", "--scheme",
+                 "bursting_only", "--trace", str(trace)]) == 0
+    assert "DRAM read bytes" not in capsys.readouterr().err
+
+
+def _fraction_knobs(cfg, fbc_ratio, traffic_cut):
+    """The build's knobs derived through ``Fraction``s, as the integer build
+    first did it, kept verbatim as the reference for the integer ratios."""
+    disp_cfg, sys_cfg, wl = cfg.display, cfg.system, cfg.workload
+    F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
+    W, burst_o = frame_window(disp_cfg.refresh_hz), sys_cfg.burst_orchestration_time
+    times = (W, Fraction(sys_cfg.orchestration_time),
+             W * BURST_WAKE_SHARE if burst_o is None else Fraction(burst_o))
+    rates = (*map(Fraction, (sys_cfg.decode_rate, sys_cfg.dram_fetch_rate,
+                             sys_cfg.vd_paced_rate or sys_cfg.decode_rate)),
+             Fraction(disp_cfg.edp_max_bits_per_s) / 8, Fraction(sys_cfg.gpu_pt_rate))
+    Q = lcm(*(x.denominator for x in times), *(r.numerator for r in rates))
+    W, o, o_b = (Q // x.denominator * x.numerator for x in times)
+    f, b, p, e_B, gpu = (Q // r.numerator * r.denominator for r in rates)
+    return tmod._Knobs(
+        Q=Q, W=W, F=F,
+        E=encoded_frame_bytes(disp_cfg.resolution, sys_cfg.encoded_bits_per_pixel),
+        chunk=sys_cfg.dc_buffer_bytes, o=o, o_b=o_b, f=f, b=b, p=p, e_B=e_B, gpu=gpu,
+        group=max(disp_cfg.refresh_hz // wl.video_fps, 1),
+        disp=round(F * fbc_ratio * traffic_cut), fbc_on=fbc_ratio != 1.0,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_integer_knobs_equal_the_fraction_knobs_on_every_preset(name):
+    cfg = get_preset(name).config
+    for fbc_ratio in (1.0, 0.5, 0.55, 0.6, 0.65, 0.7):
+        for cut in (1.0, 1.0 - CACHED_TRAFFIC_FRACTION, 0.5, 0.0):
+            k = tmod._knobs(cfg, fbc_ratio, cut)
+            assert k == _fraction_knobs(cfg, fbc_ratio, cut)
+            assert all(type(x) in (int, bool) for x in k)
+
+
+# Rates as floats, or as ints, some above 2**53 and some multiples of 8 (the
+# link's bits per byte).
+_any_rates = (_float_rates | st.integers(1, 2**64)
+              | st.integers(1, 2**61).map(lambda x: 8 * x) | st.just(2**53 + 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    system=st.builds(
+        SystemConfig,
+        dram_fetch_rate=_any_rates,
+        decode_rate=_any_rates,
+        vd_paced_rate=st.none() | _any_rates,
+        gpu_pt_rate=_any_rates,
+        orchestration_time=_float_times | st.just(1),
+        burst_orchestration_time=st.none() | _float_times | st.just(1),
+    ),
+    refresh=st.sampled_from([30, 60, 90, 120, 144]) | st.integers(1, 10**6),
+    edp=_any_rates,
+    fbc_ratio=st.sampled_from([1.0, 0.55]) | st.floats(min_value=0.01, max_value=1.0),
+    traffic_cut=st.sampled_from([1.0, 0.66, 0.0]) | st.floats(min_value=0.0, max_value=1.0),
+)
+def test_integer_knobs_equal_the_fraction_knobs(system, refresh, edp, fbc_ratio, traffic_cut):
+    display = dataclasses.replace(make_config("fhd").display, refresh_hz=refresh,
+                                  edp_max_bits_per_s=edp)
+    cfg = dataclasses.replace(make_config("fhd"), display=display, system=system)
+    assert tmod._knobs(cfg, fbc_ratio, traffic_cut) == _fraction_knobs(cfg, fbc_ratio,
+                                                                      traffic_cut)
 
 
 def _preset_or_trace_timeline(run, scheme):
