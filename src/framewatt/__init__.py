@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 _NAMES = {name: module for module, names in {
     "core": ("ConfigurationError", "DisplayConfig", "Resolution", "Scheme", "SimConfig",
              "SystemConfig", "Violation", "WorkloadKind", "WorkloadSpec",
-             "burst_transfer_time", "frame_bytes", "frame_window", "frame_window_ns",
+             "burst_transfer_time", "frame_bytes", "frame_window_ns",
              "panel_stream_rate", "validate_config"),
     "cstates": ("CalibrationSet", "PackageCState", "PowerProfile", "transition_cost"),
     "timeline": ("Interval", "WindowTimeline", "build_timeline", "residencies",

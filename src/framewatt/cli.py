@@ -109,6 +109,16 @@ _RECORDED = tuple(name for (title, *_), name in zip(_SIDE_FLAGS, _SIDE_DEFAULTS)
                   if title != "configuration source")
 
 
+def _window_count(text: str) -> int:
+    """The ``--windows`` type: an int of at least 1 (else a usage error)."""
+    try:
+        if (n := int(text)) >= 1:
+            return n
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+
+
 def _add_side_args(p: argparse.ArgumentParser, suffix: str = "") -> None:
     """Declare one run side's flags: side A's as tabled, with the ``--windows``
     and ``--seed`` both sides share, or ``<flag><suffix>`` twins in one group."""
@@ -124,7 +134,7 @@ def _add_side_args(p: argparse.ArgumentParser, suffix: str = "") -> None:
         groups[title].add_argument(flag + suffix, default=default, **kwargs)
     if not suffix:
         run = groups["run shape"]
-        run.add_argument("--windows", type=int, metavar="N",
+        run.add_argument("--windows", type=_window_count, metavar="N",
                          help="refresh windows to simulate (default: one frame "
                               "group, or one full batch cycle when batching)")
         run.add_argument("--seed", type=int, metavar="N",
@@ -223,7 +233,8 @@ def _dump_json(doc: dict[str, Any]) -> str:
 
 def _write(path: Path, content: str | Callable[[TextIO], object]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
+    # A 256 KiB buffer gathers an export's per-window blocks into few writes.
+    with path.open("w", encoding="utf-8", buffering=1 << 18) as f:
         if callable(content):
             content(f)
         else:
@@ -686,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     ax.add_argument("--kind", choices=["video", "vr360"], default="video")
     p.add_argument("--calibration", metavar="NAME_OR_PATH",
                    help="power calibration for every point (default: default)")
-    p.add_argument("--windows", type=int, metavar="N")
+    p.add_argument("--windows", type=_window_count, metavar="N")
     p.add_argument("--seed", type=int, metavar="N")
     _add_out_args(p)
     p.set_defaults(func=_cmd_sweep)

@@ -2,9 +2,8 @@
 
 Everything downstream (timeline builders, the event oracle, the power model)
 consumes the three config dataclasses defined here.  Geometry and timing
-helpers are exact: frame sizes are integers, window durations are integer
-nanoseconds, and the window period is also exposed as a `Fraction` so callers
-can do rate algebra without float drift.
+helpers are exact: frame sizes are integers and window durations are integer
+nanoseconds, rounded from the exact period in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -326,14 +325,15 @@ def encoded_frame_bytes(resolution: Resolution, encoded_bits_per_pixel: float) -
     return math.ceil(bits / 8)
 
 
-def frame_window(refresh_hz: int) -> Fraction:
-    """Refresh window period in seconds, exact."""
-    return Fraction(1, refresh_hz)
-
-
 def frame_window_ns(refresh_hz: int) -> int:
-    """Refresh window period in integer nanoseconds (rounded)."""
-    return round(NS_PER_S / Fraction(refresh_hz))
+    """Refresh window period in integer nanoseconds (rounded, ties to even)."""
+    q, r = divmod(NS_PER_S, refresh_hz)
+    return q + (2 * r + (q & 1) > refresh_hz)
+
+
+def windows_per_frame(cfg: SimConfig) -> int:
+    """Refresh windows per video frame: a frame group (at least one window)."""
+    return max(cfg.display.refresh_hz // cfg.workload.video_fps, 1)
 
 
 def panel_stream_rate(
@@ -505,7 +505,7 @@ def validate_config(cfg: SimConfig) -> list[Violation]:
     hz, link, fps, scheme = disp.refresh_hz, disp.edp_max_bits_per_s, wl.video_fps, wl.scheme
     bursting, bypass = scheme.uses_bursting, scheme.uses_bypass
     fbytes = frame_bytes(disp.resolution, disp.bits_per_pixel)
-    window_s = float(frame_window(hz))
+    window_s = 1 / hz
 
     native = panel_stream_rate(disp.resolution, hz, disp.bits_per_pixel)
     if native > link:
@@ -597,7 +597,6 @@ __all__ = [
     "dc_fetch_count",
     "encoded_frame_bytes",
     "frame_bytes",
-    "frame_window",
     "frame_window_ns",
     "json_excerpt",
     "json_form",
@@ -611,5 +610,6 @@ __all__ = [
     "read_text",
     "reject",
     "validate_config",
+    "windows_per_frame",
     "replace",
 ]

@@ -28,7 +28,7 @@ from itertools import accumulate, chain, product
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (BURST_WAKE_SHARE, CACHED_TRAFFIC_FRACTION, Scheme, SimConfig, WorkloadKind,
-                   encoded_frame_bytes, frame_bytes)
+                   encoded_frame_bytes, frame_bytes, windows_per_frame)
 from .cstates import STATES_BY_DEPTH, CalibrationSet, PackageCState
 from .timeline import check_run_shape, selective_update_bytes
 
@@ -275,7 +275,7 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
         p=sys_cfg.vd_paced_rate if sys_cfg.vd_paced_rate else sys_cfg.decode_rate,
         e_B=disp_cfg.edp_max_bits_per_s / 8,
         gpu=sys_cfg.gpu_pt_rate,
-        group=max(disp_cfg.refresh_hz // wl.video_fps, 1),
+        group=windows_per_frame(cfg),
         disp=round(F * fbc_ratio * cut),
         fbc_on=fbc_ratio != 1.0,
     )

@@ -40,8 +40,8 @@ expanded from the record, as plain tuples, only where rows are read -- the
 CSV and SVG exports and ``WindowTimeline.intervals``, the one maker of
 :class:`Interval` records -- once per template.  Each row boundary becomes
 text once per timeline, for both exports; each stitches its windows from
-text pieces formatted once per template and streams them, one window at a
-time, to the file given as ``out`` (else it returns a string).
+text pieces formatted once per template and writes one block per window to
+``out`` (else returns a string), which the CLI opens with a large buffer.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ from .core import (
     dc_fetch_count,
     encoded_frame_bytes,
     frame_bytes,
-    frame_window,
     frame_window_ns,
     reject,
     validate_config,
+    windows_per_frame,
 )
 from .cstates import PackageCState
 
@@ -204,9 +204,9 @@ class WindowTimeline:
             if [*s, self.window_ns] != [0, *(row[2] for row in rows)]:
                 raise ValueError(f"window {self.window_template.index(t)}: rows do not abut")
         text, offsets = [], []
-        for w, t in enumerate(self.window_template):
+        for base, t in zip(range(0, self.total_ns, self.window_ns), self.window_template):
             offsets.append(len(text))
-            text += map(str, map((w * self.window_ns).__add__, starts[t]))
+            text += [str(base + s) for s in starts[t]]
         text.append(str(self.total_ns))
         return text, offsets
 
@@ -480,7 +480,7 @@ def _knobs(cfg: SimConfig, fbc_ratio: float, traffic_cut: float) -> _Knobs:
     """The build's knobs over the least tick Q that makes every time a whole
     number of ticks and every rate's time per byte too.  The configs hold
     ints and floats, each read as its exact ratio in lowest terms."""
-    disp_cfg, sys_cfg, wl = cfg.display, cfg.system, cfg.workload
+    disp_cfg, sys_cfg = cfg.display, cfg.system
     F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
     hz, burst_o = disp_cfg.refresh_hz, sys_cfg.burst_orchestration_time
     share = BURST_WAKE_SHARE
@@ -498,7 +498,7 @@ def _knobs(cfg: SimConfig, fbc_ratio: float, traffic_cut: float) -> _Knobs:
         Q=Q, W=W, F=F,
         E=encoded_frame_bytes(disp_cfg.resolution, sys_cfg.encoded_bits_per_pixel),
         chunk=sys_cfg.dc_buffer_bytes, o=o, o_b=o_b, f=f, b=b, p=p, e_B=e_B, gpu=gpu,
-        group=max(hz // wl.video_fps, 1),
+        group=windows_per_frame(cfg),
         disp=round(F * fbc_ratio * traffic_cut), fbc_on=fbc_ratio != 1.0,
     )
 
@@ -603,7 +603,7 @@ def check_run_shape(cfg: SimConfig, n_windows: int | None, fbc_ratio: float,
                 f"BATCH_EXCEEDS_DRAM: {batch_every} frames of {fbytes} bytes exceed "
                 f"dram_capacity_bytes={cfg.system.dram_capacity_bytes}"
             )
-        window_s = float(frame_window(cfg.display.refresh_hz))
+        window_s = 1 / cfg.display.refresh_hz
         busy = cfg.system.orchestration_time + batch_every * fbytes / cfg.system.decode_rate
         if busy >= window_s:
             raise ValueError(
@@ -621,8 +621,7 @@ def check_run_shape(cfg: SimConfig, n_windows: int | None, fbc_ratio: float,
         if n_windows not in (None, n):
             raise ValueError(f"n_windows must be the dirty trace's length {n}, got {n_windows}")
         return n
-    n = n_windows if n_windows is not None else batch_every * max(
-        cfg.display.refresh_hz // wl.video_fps, 1)
+    n = n_windows if n_windows is not None else batch_every * windows_per_frame(cfg)
     if n < 1:
         raise ValueError("n_windows must be >= 1")
     if dirty_trace is not None:

@@ -68,6 +68,24 @@ def test_simulate_reports_each_written_file_in_order(tmp_path, capsys):
                      ("report.json", "timeline.csv", "report.csv", "timeline.svg")]
 
 
+def test_simulate_writes_every_file_through_a_large_buffer(tmp_path, monkeypatch, capsys):
+    opened = {}
+    path_open = Path.open
+
+    def spy(self, mode="r", buffering=-1, *args, **kwargs):
+        if "w" in mode:
+            opened[self] = buffering
+        return path_open(self, mode, buffering, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", spy)
+    assert main(["simulate", "--preset", "4k60", "--out", str(tmp_path)]) == 0
+    wrote = [Path(line.split(maxsplit=1)[1]) for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote")]
+    assert len(wrote) == 4
+    assert list(opened) == wrote
+    assert all(buffering >= 1 << 16 for buffering in opened.values()), opened
+
+
 def test_simulate_accepts_config_files(config_file, capsys):
     assert main(["simulate", "--config", str(config_file)]) == 0
     assert "burstlink" in capsys.readouterr().out
@@ -589,6 +607,21 @@ def test_two_main_calls_build_the_parser_once(monkeypatch, capsys):
     assert main(["presets"]) == 0
     assert main(["validate", "--preset", "fhd30"]) == 0
     assert len(calls) == 4  # simulate, compare's two sides and validate, once each
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", [["simulate", "--preset", "fhd30"],
+                                     ["compare", "--preset", "fhd30", "--preset-b", "4k60"],
+                                     ["validate", "--preset", "fhd30"], ["sweep"]],
+                         ids=lambda argv: argv[0])
+def test_windows_below_one_is_a_usage_error_naming_the_flag(command, value, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--windows", value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: framewatt {command[0]} ")
+    assert err[-1] == (f"framewatt {command[0]}: error: argument --windows: "
+                       f"must be >= 1, got {value}")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-5", "1.5"])

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from framewatt.core import (
+    NS_PER_S,
     RESOLUTIONS,
     ConfigurationError,
     DisplayConfig,
@@ -24,7 +25,6 @@ from framewatt.core import (
     dc_fetch_count,
     encoded_frame_bytes,
     frame_bytes,
-    frame_window,
     frame_window_ns,
     json_excerpt,
     json_form,
@@ -77,9 +77,18 @@ def test_encoded_frame_bytes_rounds_up_to_whole_bytes():
     assert encoded_frame_bytes(Resolution(1, 1), 0.5) == 1
 
 
-def test_frame_window_is_exact_rational():
-    assert frame_window(60) == Fraction(1, 60)
-    assert frame_window(120) == Fraction(1, 120)
+def frame_window(refresh_hz: int) -> Fraction:
+    """Refresh window period in seconds, exact: the reference that the
+    integer window length and the float window period are pinned against."""
+    return Fraction(1, refresh_hz)
+
+
+def test_window_length_and_period_equal_their_fraction_form():
+    # Integer divmod with ties to even, and 1 / hz (correctly rounded), for
+    # every refresh rate up to 10 kHz; 1024 and 5120 Hz are exact half-ns ties.
+    assert [hz for hz in range(1, 10_001)
+            if frame_window_ns(hz) != round(NS_PER_S * frame_window(hz))
+            or 1 / hz != float(frame_window(hz))] == []
 
 
 def test_frame_window_ns_rounds_to_integer_nanoseconds():
@@ -89,7 +98,7 @@ def test_frame_window_ns_rounds_to_integer_nanoseconds():
 
 def test_frame_window_rejects_zero_refresh():
     with pytest.raises((ValueError, ZeroDivisionError)):
-        frame_window(0)
+        frame_window_ns(0)
 
 
 def test_panel_stream_rate_uhd_60hz():

@@ -26,7 +26,6 @@ from framewatt.core import (
     dc_fetch_count,
     encoded_frame_bytes,
     frame_bytes,
-    frame_window,
     frame_window_ns,
 )
 from framewatt import timeline as tmod
@@ -708,6 +707,12 @@ def _streamed_link_bytes(link_bytes, *ends_ms):
 # _RefKnobs, _ref_knobs, _ref_recipe and _ref_phase are the Fraction-valued
 # knobs and window recipe that the build-tick integers replaced, kept
 # verbatim as the reference the integer build must reproduce exactly.
+
+
+def frame_window(refresh_hz: int) -> Fraction:
+    """Refresh window period in seconds, exact (the build's knobs hold it as
+    the integer ratio ``(1, refresh_hz)``)."""
+    return Fraction(1, refresh_hz)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1472,6 +1477,20 @@ def test_exports_write_to_a_stream_what_they_return():
             assert export(tl, out) is None
             assert out.getvalue() == export(tl), case
             assert len(out.writes) > tl.n_windows  # one write per window, and more
+
+
+@pytest.mark.parametrize("preset, run", [("fhd30", {"batch_every": 2}), ("4k60", {})],
+                         ids=["fhd30-batch-2", "4k60"])
+def test_exports_make_one_write_per_window(preset, run):
+    # Work counts, not timings: the CSV writes its header and then one block
+    # per window, the SVG its head, one block per window and its labels with
+    # the legend, so doubling the run doubles only the per-window writes.
+    for n in (30, 60):
+        tl = build_timeline(get_preset(preset).config, n, **run)
+        for export, fixed in ((timeline_to_csv, 1), (timeline_to_svg, 2)):
+            out = _Recording()
+            export(tl, out)
+            assert len(out.writes) == fixed + n, (export.__name__, n)
 
 
 def test_boundary_text_is_every_interval_start_and_the_run_end():
