@@ -33,9 +33,9 @@ _NAMES = {name: module for module, names in {
              "SystemConfig", "Violation", "WorkloadKind", "WorkloadSpec",
              "burst_transfer_time", "frame_bytes", "frame_window_ns",
              "panel_stream_rate", "validate_config"),
-    "cstates": ("CalibrationSet", "PackageCState", "PowerProfile", "transition_cost"),
-    "timeline": ("Interval", "WindowTimeline", "build_timeline", "residencies",
-                 "timeline_to_csv", "timeline_to_svg"),
+    "cstates": ("CalibrationSet", "PackageCState", "PowerProfile"),
+    "timeline": ("Interval", "WindowTimeline", "build_timeline", "timeline_to_csv",
+                 "timeline_to_svg"),
     "power": ("EnergyReport", "average_power", "report_from_timeline", "streaming_report",
               "window_energy_breakdown"),
     "oracle": ("OracleResult", "oracle_simulate"),

@@ -599,8 +599,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         if given:
             raise ValueError(f"--grid runs the fixed validation grid and takes no run "
                              f"flags; got {', '.join(given)}")
-        load = functools.cache(load_calibration)  # 2 distinct calibrations, 50 points
-        points = [(label, cfg, load(calibration_id), None, {})
+        points = [(label, cfg, load_calibration(calibration_id), None, {})
                   for label, cfg, calibration_id in validation_grid()]
     else:
         cfg, calibration_id, run = _resolve_side(args)

@@ -101,10 +101,8 @@ RESOLUTIONS: dict[str, Resolution] = {
 }
 
 
-def parse_resolution(value: str | Resolution) -> Resolution:
+def parse_resolution(value: str) -> Resolution:
     """Accept a preset name ('fhd', '4k', ...) or 'WxH' string."""
-    if isinstance(value, Resolution):
-        return value
     key = value.strip().lower()
     if key in RESOLUTIONS:
         return RESOLUTIONS[key]

@@ -143,19 +143,12 @@ class TransitionCost(NamedTuple):
 _FREE = TransitionCost(0, 0.0)
 
 
-def transition_cost(
-    profile: PowerProfile, frm: PackageCState, to: PackageCState
-) -> TransitionCost:
-    """Latency and energy of moving between two states, from the profile's table."""
-    return profile.transition_costs[frm, to]
-
-
 def _transition_cost(profile: PowerProfile, frm: PackageCState,
                      to: PackageCState) -> TransitionCost:
-    """The formula behind :func:`transition_cost`: going deeper pays the
-    target's entry cost; coming up pays the source's exit cost; staying put
-    is free.  The latency is rounded to integer ns (half to even); energy is
-    power x latency."""
+    """The formula behind :attr:`PowerProfile.transition_costs`: going deeper
+    pays the target's entry cost; coming up pays the source's exit cost;
+    staying put is free.  The latency is rounded to integer ns (half to
+    even); energy is power x latency."""
     if frm is to:
         return _FREE
     if to.depth > frm.depth:
@@ -315,5 +308,4 @@ __all__ = [
     "check_dram_split_consistency",
     "load_calibration",
     "parse_state_map",
-    "transition_cost",
 ]

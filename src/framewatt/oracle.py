@@ -7,14 +7,16 @@ state spans, each priced at its own constant power.  Each transfer phase is
 worked out as a list of ``(key, until)`` events, which one merge loop steps
 through: it clips each to the window end and merges spans on one interned
 (state, drfb, gpu, fbc) key.  Each window's spans are folded into per-state
-time as the window closes, one walk over all spans prices the energy (with
-the profile's transition table), and :attr:`OracleResult.periods` is built
-only when read.  It shares no interval construction with
-:mod:`framewatt.timeline` and no pricing with :mod:`framewatt.power`, only
-the run-shape checks (:func:`framewatt.timeline.check_run_shape`), so it
-rejects what the builder rejects; agreement between the two (state
-residencies within a tenth of a percentage point, energy within a tenth of
-a percent) is what the equivalence test suite asserts.
+time as the window closes, one walk over all spans prices the energy, and
+:attr:`OracleResult.periods` is built only when read.  It shares no interval
+construction with :mod:`framewatt.timeline` and no pricing code with
+:mod:`framewatt.power`, only definitions that give a config its meaning:
+``check_run_shape`` (what a run may be), ``frame_bytes``,
+``encoded_frame_bytes`` and ``selective_update_bytes`` (a window's payload),
+``windows_per_frame`` (the frame group), ``BURST_WAKE_SHARE`` and
+``CACHED_TRAFFIC_FRACTION`` (defaults), and the profile's ``transition_costs``
+(the table ``power`` prices from).  The equivalence tests hold the two within
+a tenth of a percentage point of residency and a tenth of a percent of energy.
 
 Semantics mirrored here (and nowhere loosened): the first two chunk fills of
 a phase land back-to-back, later fills wait for the chunk two places ahead

@@ -41,12 +41,11 @@ CSV and SVG exports and ``WindowTimeline.intervals``, the one maker of
 :class:`Interval` records -- once per template.  Each row boundary becomes
 text once per timeline, for both exports; each stitches its windows from
 text pieces formatted once per template and writes one block per window to
-``out`` (else returns a string), which the CLI opens with a large buffer.
+``out``, which the CLI opens with a large buffer.
 """
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,10 +93,6 @@ class Interval(NamedTuple):
     drfb_active: bool
     gpu_active: bool
     fbc_active: bool
-
-    @property
-    def span_ns(self) -> int:
-        return self.end_ns - self.start_ns
 
 
 class TimelineTotals(NamedTuple):
@@ -287,13 +282,6 @@ def timeline_totals(
         gpu += tally.gpu_ns * m
         fbc += tally.fbc_ns * m
     return TimelineTotals(spans, read, write, edp, drfb, gpu, fbc, changes)
-
-
-def residencies(timeline: WindowTimeline) -> dict[PackageCState, float]:
-    """Fraction of total time spent in each state (sums to 1.0)."""
-    spans = timeline_totals(timeline).state_spans_ns
-    total = timeline.total_ns
-    return {s: spans[s] / total for s in PackageCState}
 
 
 # -- window construction ------------------------------------------------------
@@ -895,17 +883,15 @@ def _stitch(timeline: WindowTimeline, cells: Callable, keys: Iterable[str], head
         out.write("".join(parts))
 
 
-def timeline_to_csv(timeline: WindowTimeline, out: TextIO | None = None) -> str | None:
-    """Write the rows as CSV to ``out``, or return them as text without it."""
+def timeline_to_csv(timeline: WindowTimeline, out: TextIO) -> None:
+    """Write the rows as CSV to ``out``."""
     # Each template's rows are formatted once; see _stitch for the windows.
     def cells(kind: str, row: tuple) -> tuple[str, str, str, str]:
         state, _, _, label, read, write, edp, drfb, gpu, fbc = row
         return ("", f",{kind},{state},", ",", f",{label},{read},{write},{edp},"
                 f"{int(drfb)},{int(gpu)},{int(fbc)}\n")
 
-    buf = io.StringIO() if out is None else out
-    _stitch(timeline, cells, map(str, range(timeline.n_windows)), CSV_HEADER + "\n", buf)
-    return buf.getvalue() if out is None else None
+    _stitch(timeline, cells, map(str, range(timeline.n_windows)), CSV_HEADER + "\n", out)
 
 
 _STATE_COLORS = {
@@ -921,8 +907,8 @@ _STATE_COLORS = {
 }
 
 
-def timeline_to_svg(timeline: WindowTimeline, out: TextIO | None = None) -> str | None:
-    """Render the timeline as a self-contained Gantt-style SVG, to ``out`` or as a string.
+def timeline_to_svg(timeline: WindowTimeline, out: TextIO) -> None:
+    """Write the timeline to ``out`` as a self-contained Gantt-style SVG.
 
     One row per refresh window, blocks colored by package state, with a
     legend; pure text output with no plotting dependencies.  Its words (scheme,
@@ -952,8 +938,7 @@ def timeline_to_svg(timeline: WindowTimeline, out: TextIO | None = None) -> str 
                 f"{state} [", "-", "] ns</title></rect>\n")
 
     ys = range(top, top + n * (row_h + gap), row_h + gap)
-    buf = io.StringIO() if out is None else out
-    _stitch(timeline, cells, map(str, ys), head, buf)
+    _stitch(timeline, cells, map(str, ys), head, out)
     parts = [f'<text x="4" y="{y + row_h - 8}">w{w} {timeline.templates[t].kind[:4]}</text>'
              for w, (t, y) in enumerate(zip(timeline.window_template, ys))]
     lx = left
@@ -963,8 +948,7 @@ def timeline_to_svg(timeline: WindowTimeline, out: TextIO | None = None) -> str 
         parts.append(f'<text x="{lx + 16}" y="{ly}">{state}</text>')
         lx += 64
     parts.append("</svg>")
-    buf.write("\n".join(parts))
-    return buf.getvalue() if out is None else None
+    out.write("\n".join(parts))
 
 
 __all__ = [
@@ -974,7 +958,6 @@ __all__ = [
     "TimelineTotals",
     "WindowTimeline",
     "build_timeline",
-    "residencies",
     "selective_update_bytes",
     "timeline_totals",
     "timeline_to_csv",

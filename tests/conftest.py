@@ -7,6 +7,7 @@ so the gate's outcome is readable without scrolling the full log.
 
 from __future__ import annotations
 
+import io
 import re
 
 import pytest
@@ -50,6 +51,13 @@ def make_config(
             psr_alternate_windows=psr_alternate,
         ),
     )
+
+
+def export_text(export, timeline) -> str:
+    """What a timeline export (``timeline_to_csv`` or ``timeline_to_svg``) writes."""
+    out = io.StringIO()
+    export(timeline, out)
+    return out.getvalue()
 
 
 @pytest.fixture(scope="session")

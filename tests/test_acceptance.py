@@ -38,7 +38,7 @@ from framewatt.power import average_power, report_from_timeline, streaming_repor
 from framewatt.presets import PRESETS, validation_grid
 from framewatt.scenarios import apply_batching, apply_fbc, energy_reduction
 from framewatt.timeline import build_timeline, timeline_to_csv, timeline_totals
-from conftest import make_config
+from conftest import export_text, make_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -219,9 +219,7 @@ def _structural_invariants(case: tuple[SimConfig, int]) -> None:
         assert left.end_ns == right.start_ns
         assert left.end_ns > left.start_ns
 
-    from framewatt.timeline import residencies
-
-    shares = residencies(timeline)
+    shares = report_from_timeline(timeline, cfg, load_calibration("default")).residency
     assert abs(sum(shares.values()) - 1.0) <= 1e-9
 
     changes = sum(
@@ -367,7 +365,7 @@ def test_criterion_8_byte_reproducible_reports(tmp_path, capsys):
         for _ in range(2):
             report = streaming_report(preset.config, preset.calibration)
             docs.append(json.dumps(report.to_dict(), sort_keys=True))
-            csvs.append(timeline_to_csv(build_timeline(preset.config)))
+            csvs.append(export_text(timeline_to_csv, build_timeline(preset.config)))
         assert docs[0] == docs[1], name
         assert csvs[0] == csvs[1], name
 

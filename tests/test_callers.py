@@ -1,0 +1,93 @@
+"""Every public name in ``src/framewatt`` has a caller outside the tests.
+
+A public module-level function, class or constant, and a public method or
+property of a public class, must be referenced from code in ``src/``,
+``tools/`` or ``perfbench/``: a ``Name``, an ``Attribute`` or a ``from``
+import.  Strings and comments are not references, so the lists in
+``__all__`` and ``framewatt._NAMES`` do not count.  The match is by name
+alone, which can only let a name through, never fail a used one.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Names kept without a caller, each with its reason.
+ALLOWED = {
+    "timeline.WindowTimeline.check_coverage":
+        "acceptance criterion 4 calls it to re-derive every template from its records",
+}
+
+
+def _trees(root: Path, *dirs: str) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for d in dirs for path in sorted((root / d).rglob("*.py"))}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, bare name) of each public definition in a module."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [(name, name) for name in names if _public(name)]
+        if isinstance(node, ast.ClassDef) and _public(node.name):
+            found += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and _public(item.name)]
+    return found
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name a module's code reads: loaded names and attributes, and
+    the names it imports from other modules."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced(root: Path) -> list[str]:
+    """Public names under ``root/src/framewatt`` that no code references."""
+    refs = set().union(*map(_references, _trees(root, "src", "tools", "perfbench").values()))
+    return sorted(f"{path.stem}.{qualified}"
+                  for path, tree in _trees(root, "src/framewatt").items()
+                  for qualified, bare in _definitions(tree) if bare not in refs)
+
+
+def test_every_public_name_in_src_has_a_caller_outside_the_tests():
+    assert unreferenced(REPO) == sorted(ALLOWED)
+
+
+def test_the_scan_sees_definitions_and_ignores_strings_and_stores(tmp_path):
+    pkg = tmp_path / "src" / "framewatt"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tools").mkdir()
+    (pkg / "m.py").write_text(
+        "LIMIT = 3\nUNUSED = 4\n__all__ = ['UNUSED', 'lonely']\n"
+        "def lonely():\n    pass  # called by LIMIT\n"
+        "def used():\n    return LIMIT\n"
+        "class Box:\n    def read(self):\n        self.write = used()\n"
+        "    def write(self):\n        pass\n    def _own(self):\n        pass\n",
+        encoding="utf-8")
+    (tmp_path / "tools" / "t.py").write_text(
+        "from framewatt.m import Box\nBox().read()\n'used'\n", encoding="utf-8")
+    assert unreferenced(tmp_path) == ["m.Box.write", "m.UNUSED", "m.lonely"]

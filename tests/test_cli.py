@@ -983,18 +983,6 @@ def test_validate_grid_rejects_the_run_flags_it_would_ignore(flags, named, tmp_p
     assert not out_dir.exists()
 
 
-def test_validate_grid_loads_each_calibration_once(monkeypatch, capsys):
-    loads = []
-
-    def counting(name):
-        loads.append(name)
-        return load_calibration(name)
-
-    monkeypatch.setattr(cli, "load_calibration", counting)
-    assert main(["validate", "--grid"]) == 0
-    assert sorted(loads) == ["default", "reference-fhd30"]
-
-
 def test_each_builtin_calibration_file_is_read_once_per_process(monkeypatch, capsys):
     reads = []
 

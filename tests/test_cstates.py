@@ -19,7 +19,6 @@ from framewatt.cstates import (
     calibration_from_dict,
     check_dram_split_consistency,
     load_calibration,
-    transition_cost,
 )
 
 
@@ -113,35 +112,35 @@ def test_dram_split_consistency_check_rejects_oversized_background(default_cal):
 
 
 def test_staying_in_a_state_costs_nothing(default_cal):
-    tc = transition_cost(default_cal.conventional, PackageCState.C8, PackageCState.C8)
+    tc = default_cal.conventional.transition_costs[PackageCState.C8, PackageCState.C8]
     assert (tc.latency_ns, tc.energy_uj) == (0, 0.0)
 
 
 def test_default_calibration_has_instant_transitions(default_cal):
     for frm in PackageCState:
         for to in PackageCState:
-            tc = transition_cost(default_cal.conventional, frm, to)
+            tc = default_cal.conventional.transition_costs[frm, to]
             assert tc.latency_ns == 0
             assert tc.energy_uj == 0.0
 
 
 def test_demo_calibration_charges_deep_sleep_entry(latency_cal):
-    tc = transition_cost(latency_cal.conventional, PackageCState.C8, PackageCState.C9)
+    tc = latency_cal.conventional.transition_costs[PackageCState.C8, PackageCState.C9]
     assert tc.latency_ns == 150_000
     assert tc.energy_uj == pytest.approx(180.0)  # 150 us at 1200 mW
 
 
 def test_demo_calibration_charges_deep_sleep_exit(latency_cal):
-    tc = transition_cost(latency_cal.conventional, PackageCState.C9, PackageCState.C8)
+    tc = latency_cal.conventional.transition_costs[PackageCState.C9, PackageCState.C8]
     assert tc.latency_ns == 300_000
     assert tc.energy_uj == pytest.approx(360.0)
 
 
 def test_descents_pay_the_target_entry_and_ascents_the_source_exit(latency_cal):
     prof = latency_cal.conventional
-    down = transition_cost(prof, PackageCState.C0, PackageCState.C8)
+    down = prof.transition_costs[PackageCState.C0, PackageCState.C8]
     assert down.latency_ns == 75_000  # C8's entry cost, wherever it starts from
-    up = transition_cost(prof, PackageCState.C8, PackageCState.C0)
+    up = prof.transition_costs[PackageCState.C8, PackageCState.C0]
     assert up.latency_ns == 150_000  # C8's exit cost
 
 
@@ -233,7 +232,6 @@ def test_transition_table_equals_the_formula_for_every_state_pair(name):
         for frm in STATES_BY_DEPTH:
             for to in STATES_BY_DEPTH:
                 assert table[frm, to] == _direct_cost(prof, frm, to)
-                assert transition_cost(prof, frm, to) is table[frm, to]
 
 
 def test_a_builtin_calibration_is_parsed_once_and_shared():
@@ -313,9 +311,9 @@ def test_demo_calibration_latencies_are_kept_in_microseconds(latency_cal):
     assert prof.entry_latency_us[PackageCState.C9] == 150.0
     assert prof.exit_latency_us[PackageCState.C9] == 300.0
     C0, C8, C9 = PackageCState.C0, PackageCState.C8, PackageCState.C9
-    assert transition_cost(prof, C0, C8).latency_ns == 75_000
-    assert transition_cost(prof, C8, C9).latency_ns == 150_000
-    assert transition_cost(prof, C9, C8).latency_ns == 300_000
+    assert prof.transition_costs[C0, C8].latency_ns == 75_000
+    assert prof.transition_costs[C8, C9].latency_ns == 150_000
+    assert prof.transition_costs[C9, C8].latency_ns == 300_000
 
 
 @pytest.mark.parametrize("us, ns", [
@@ -330,7 +328,7 @@ def test_fractional_latencies_round_to_integer_ns_half_to_even(us, ns):
     doc["profiles"]["conventional"]["entry_latency_us"]["C9"] = us
     doc["profiles"]["conventional"]["exit_latency_us"]["C9"] = us
     prof = calibration_from_dict(doc).conventional
-    down = transition_cost(prof, PackageCState.C8, PackageCState.C9)
-    up = transition_cost(prof, PackageCState.C9, PackageCState.C8)
+    down = prof.transition_costs[PackageCState.C8, PackageCState.C9]
+    up = prof.transition_costs[PackageCState.C9, PackageCState.C8]
     assert down.latency_ns == up.latency_ns == ns == int(round(us * 1_000))
     assert down.energy_uj == 1200.0 * ns * 1e-6  # C9's entry power, mW x ns -> uJ

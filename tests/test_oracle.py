@@ -8,16 +8,18 @@ corners (overlays, traces, default run length) the grid does not cover.
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import replace
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import framewatt.oracle as omod
 from framewatt.core import CACHED_TRAFFIC_FRACTION, Scheme, WorkloadKind
-from framewatt.cstates import PackageCState, load_calibration, transition_cost
+from framewatt.cstates import PackageCState, load_calibration
 from framewatt.oracle import oracle_simulate
 from framewatt.power import report_from_timeline
 from framewatt.timeline import build_timeline, check_run_shape
@@ -189,7 +191,7 @@ def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
             total_uj += power_mw * dt * 1e3
             remaining -= dt
         if prev_state is not None and prev_state is not p.state:
-            total_uj += transition_cost(profile, prev_state, p.state).energy_uj
+            total_uj += profile.transition_costs[prev_state, p.state].energy_uj
         prev_state = p.state
     total_uj += oracle.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
     total_uj += oracle.dram_write_bytes * cfg.system.dram_coeff_write * 1e6
@@ -244,7 +246,7 @@ def _ref_energy_uj(oracle, cfg, calibration):
             power_mw += cfg.system.fbc_compute_mw
         total_uj += power_mw * (end_s - start_s) * 1e3
         if prev_state is not None and prev_state is not state:
-            total_uj += transition_cost(profile, prev_state, state).energy_uj
+            total_uj += profile.transition_costs[prev_state, state].energy_uj
         prev_state = state
     total_uj += oracle.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
     total_uj += oracle.dram_write_bytes * cfg.system.dram_coeff_write * 1e6
@@ -423,3 +425,28 @@ def test_oracle_runs_equal_emitting_each_span(case):
         mp.setattr(omod, "_run_phase", _ref_run_phase)
         ref = oracle_simulate(cfg, n_windows, **run)
     assert got == ref
+
+
+#: What the oracle takes from the builder's and the pricer's modules.  Each is
+#: a definition, not a construction; the oracle docstring says why each is
+#: shared.  A new name here is new sharing between the two sides.
+_ORACLE_SHARES = {
+    "core": {"BURST_WAKE_SHARE", "CACHED_TRAFFIC_FRACTION", "Scheme", "SimConfig",
+             "WorkloadKind", "encoded_frame_bytes", "frame_bytes", "windows_per_frame"},
+    "cstates": {"STATES_BY_DEPTH", "CalibrationSet", "PackageCState"},
+    "timeline": {"check_run_shape", "selective_update_bytes"},
+    "power": set(),
+}
+
+
+def test_oracle_imports_from_the_builder_side_only_the_shared_names():
+    tree = ast.parse(Path(omod.__file__).read_text(encoding="utf-8"))
+    imported = {module: set() for module in _ORACLE_SHARES}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "framewatt"
+                                                 or node.module.startswith("framewatt.")):
+            module = node.module.rpartition(".")[2]
+            imported.setdefault(module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "framewatt" for a in node.names)
+    assert imported == _ORACLE_SHARES

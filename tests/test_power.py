@@ -13,7 +13,6 @@ from framewatt.cstates import (
     STATE_DRAM_MODE,
     PackageCState,
     load_calibration,
-    transition_cost,
 )
 from framewatt.power import (
     average_power,
@@ -307,12 +306,12 @@ def _window_bill(ivs, prev_state, profile, system, drfb_power_mw):
     state_uj: dict = {}
     trans_uj = dram_op_uj = dram_bg_uj = display_uj = adders_uj = 0.0
     for iv in ivs:
-        ms = iv.span_ns * 1e-6
+        ms = (iv.end_ns - iv.start_ns) * 1e-6
         state_uj[iv.state] = (
             state_uj.get(iv.state, 0.0) + profile.state_power_mw[iv.state] * ms
         )
         if prev_state is not None and prev_state is not iv.state:
-            trans_uj += transition_cost(profile, prev_state, iv.state).energy_uj
+            trans_uj += profile.transition_costs[prev_state, iv.state].energy_uj
         prev_state = iv.state
         dram_op_uj += (
             iv.dram_read_bytes * system.dram_coeff_read
@@ -403,13 +402,14 @@ def test_whole_run_tally_matches_a_tally_over_every_interval(cfg, kw):
     changes: dict = {}
     ivs = tl.intervals
     for i, iv in enumerate(ivs):
-        spans[iv.state] += iv.span_ns
+        span = iv.end_ns - iv.start_ns
+        spans[iv.state] += span
         sums["read"] += iv.dram_read_bytes
         sums["write"] += iv.dram_write_bytes
         sums["edp"] += iv.edp_bytes
-        sums["drfb"] += iv.span_ns * iv.drfb_active
-        sums["gpu"] += iv.span_ns * iv.gpu_active
-        sums["fbc"] += iv.span_ns * iv.fbc_active
+        sums["drfb"] += span * iv.drfb_active
+        sums["gpu"] += span * iv.gpu_active
+        sums["fbc"] += span * iv.fbc_active
         if i and ivs[i - 1].state is not iv.state:
             key = (ivs[i - 1].state, iv.state)
             changes[key] = changes.get(key, 0) + 1
