@@ -238,16 +238,3 @@ def runs_from_json(path: str | Path) -> list[MeasuredRun]:
         except KeyError as exc:
             raise ValueError(f"run {i}: missing field {exc}") from None
     return out
-
-
-__all__ = [
-    "AccuracyReport",
-    "FitResult",
-    "MeasuredRun",
-    "UnderDeterminedError",
-    "fit_state_powers",
-    "load_runs",
-    "model_accuracy",
-    "runs_from_csv",
-    "runs_from_json",
-]

@@ -50,7 +50,7 @@ from .cstates import STATES_BY_DEPTH, PackageCState, calibration_from_dict, load
 from .oracle import oracle_simulate
 from .power import (EnergyReport, WindowEnergy, report_from_timeline, streaming_report,
                     window_energy_breakdown)
-from .presets import PRESETS, _video, get_preset, validation_grid
+from .presets import PRESETS, get_preset, validation_grid, video_config
 from .scenarios import energy_reduction, read_dirty_trace
 from .timeline import build_timeline, timeline_to_csv, timeline_to_svg
 
@@ -410,12 +410,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # -- sweep -----------------------------------------------------------------------
 
 
-def _axis(raw: str | None, default: str, label: str) -> list[str]:
+def _axis(raw: str | None, default: str, label: str,
+          convert: Callable[[str], Any] = str) -> list[Any]:
+    """One grid flag's comma-separated values, each through ``convert``."""
     items = [s.strip() for s in (raw if raw is not None else default).split(",")
              if s.strip()]
     if not items:
         raise ValueError(f"empty sweep grid: no values for {label}")
-    return items
+    try:
+        return [convert(v) for v in items]
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
 
 
 _SWEEP_COLUMNS = [
@@ -430,7 +435,7 @@ def _sweep_point(
     fbc: float, batch: int, calibration: Any, windows: int | None,
 ) -> tuple[dict[str, Any], Any]:
     """Evaluate one grid point; returns (row, report-or-None)."""
-    cfg = _video(res, refresh, fps, scheme, kind)
+    cfg = video_config(res, refresh, fps, scheme, kind)
     row: dict[str, Any] = dict.fromkeys(_SWEEP_COLUMNS)
     row.update(resolution=str(cfg.display.resolution), refresh_hz=refresh, fps=fps,
                kind=kind.value, scheme=scheme.value, fbc_ratio=fbc, batch_every=batch,
@@ -451,12 +456,11 @@ def _sweep_point(
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     resolutions = _axis(args.resolutions, "fhd,qhd,4k,5k", "--resolutions")
-    fps_axis = [int(v) for v in _axis(args.fps, "30,60", "--fps")]
-    schemes = [Scheme(v) for v in _axis(args.schemes, ",".join(_SCHEME_NAMES),
-                                        "--schemes")]
-    fbc_axis = [float(v) for v in _axis(args.fbc_ratios, "1.0", "--fbc-ratios")]
-    batch_axis = [int(v) for v in _axis(args.batch_sizes, "1", "--batch-sizes")]
-    kind = WorkloadKind(args.kind or WorkloadKind.VIDEO.value)
+    fps_axis = _axis(args.fps, "30,60", "--fps", int)
+    schemes = _axis(args.schemes, ",".join(_SCHEME_NAMES), "--schemes", Scheme)
+    fbc_axis = _axis(args.fbc_ratios, "1.0", "--fbc-ratios", float)
+    batch_axis = _axis(args.batch_sizes, "1", "--batch-sizes", int)
+    kind = WorkloadKind(args.kind)
     calibration = load_calibration(args.calibration or "default")
 
     points = [

@@ -573,41 +573,3 @@ def validate_config(cfg: SimConfig) -> list[Violation]:
         out.append(Violation("VR_SCHEME_UNSUPPORTED", "workload.scheme",
                              "360-degree playback is modeled for 'baseline' and 'burstlink' only"))
     return out
-
-
-__all__ = [
-    "DEFAULT_DC_BUFFER_BYTES",
-    "DEFAULT_EDP_MAX_BITS_PER_S",
-    "MAX_DC_FETCHES_PER_FRAME",
-    "NS_PER_S",
-    "ConfigurationError",
-    "DisplayConfig",
-    "RESOLUTIONS",
-    "Resolution",
-    "Scheme",
-    "SimConfig",
-    "SystemConfig",
-    "Violation",
-    "WorkloadKind",
-    "WorkloadSpec",
-    "burst_transfer_time",
-    "check_finite",
-    "dc_fetch_count",
-    "encoded_frame_bytes",
-    "frame_bytes",
-    "frame_window_ns",
-    "json_excerpt",
-    "json_form",
-    "json_number",
-    "json_object",
-    "json_string",
-    "panel_stream_rate",
-    "parse_resolution",
-    "out_of_range",
-    "read_json",
-    "read_text",
-    "reject",
-    "validate_config",
-    "windows_per_frame",
-    "replace",
-]

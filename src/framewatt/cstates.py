@@ -295,17 +295,3 @@ def check_dram_split_consistency(
                 f"profile '{profile.name}': DRAM background {bg} mW + display "
                 f"{disp} mW exceeds {state} total {total} mW"))
     reject(found)
-
-
-__all__ = [
-    "CalibrationSet",
-    "PackageCState",
-    "PowerProfile",
-    "STATES_BY_DEPTH",
-    "STATE_DRAM_MODE",
-    "TransitionCost",
-    "calibration_from_dict",
-    "check_dram_split_consistency",
-    "load_calibration",
-    "parse_state_map",
-]

@@ -391,6 +391,3 @@ def _sim_plane(
                    PackageCState.C2, PackageCState.C8)
     sim.finish(_C9_DRFB)
     return update, 0, update
-
-
-__all__ = ["OraclePeriod", "OracleResult", "oracle_simulate"]

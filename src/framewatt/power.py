@@ -282,14 +282,3 @@ def streaming_report(
     if isinstance(calibration, str):
         calibration = load_calibration(calibration)
     return report_from_timeline(build_timeline(cfg, n_windows, **run), cfg, calibration)
-
-
-__all__ = [
-    "DramEnergy",
-    "EnergyReport",
-    "WindowEnergy",
-    "average_power",
-    "report_from_timeline",
-    "streaming_report",
-    "window_energy_breakdown",
-]

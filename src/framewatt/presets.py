@@ -46,8 +46,9 @@ _REF_SYSTEM = SystemConfig(
 )
 
 
-def _video(res: str, refresh: int, fps: int, scheme: Scheme = Scheme.BASELINE,
-           kind: WorkloadKind = WorkloadKind.VIDEO) -> SimConfig:
+def video_config(res: str, refresh: int, fps: int, scheme: Scheme = Scheme.BASELINE,
+                 kind: WorkloadKind = WorkloadKind.VIDEO) -> SimConfig:
+    """Playback on the stock system model; ``res`` is a named size or ``WxH``."""
     return SimConfig(
         display=DisplayConfig(resolution=parse_resolution(res), refresh_hz=refresh),
         system=SystemConfig(),
@@ -56,26 +57,26 @@ def _video(res: str, refresh: int, fps: int, scheme: Scheme = Scheme.BASELINE,
 
 
 PRESETS: dict[str, Preset] = {
-    "fhd30": Preset(_video("fhd", 60, 30), "default", "full-HD video, 30 fps on 60 Hz"),
-    "fhd60": Preset(_video("fhd", 60, 60), "default", "full-HD video, 60 fps"),
-    "qhd30": Preset(_video("qhd", 60, 30), "default", "QHD video, 30 fps on 60 Hz"),
-    "qhd60": Preset(_video("qhd", 60, 60), "default", "QHD video, 60 fps"),
-    "4k30": Preset(_video("4k", 60, 30), "default", "4K video, 30 fps on 60 Hz"),
-    "4k60": Preset(_video("4k", 60, 60), "default", "4K video, 60 fps"),
-    "5k30": Preset(_video("5k", 60, 30), "default", "5K video, 30 fps on 60 Hz"),
-    "5k60": Preset(_video("5k", 60, 60), "default", "5K video, 60 fps"),
+    "fhd30": Preset(video_config("fhd", 60, 30), "default", "full-HD video, 30 fps on 60 Hz"),
+    "fhd60": Preset(video_config("fhd", 60, 60), "default", "full-HD video, 60 fps"),
+    "qhd30": Preset(video_config("qhd", 60, 30), "default", "QHD video, 30 fps on 60 Hz"),
+    "qhd60": Preset(video_config("qhd", 60, 60), "default", "QHD video, 60 fps"),
+    "4k30": Preset(video_config("4k", 60, 30), "default", "4K video, 30 fps on 60 Hz"),
+    "4k60": Preset(video_config("4k", 60, 60), "default", "4K video, 60 fps"),
+    "5k30": Preset(video_config("5k", 60, 30), "default", "5K video, 30 fps on 60 Hz"),
+    "5k60": Preset(video_config("5k", 60, 60), "default", "5K video, 60 fps"),
     "4k60-vr": Preset(
-        _video("4k", 60, 60, kind=WorkloadKind.VR360),
+        video_config("4k", 60, 60, kind=WorkloadKind.VR360),
         "default",
         "4K 360-degree video, 60 fps",
     ),
     "fhd30-ref-baseline": Preset(
-        replace(_video("fhd", 60, 30, Scheme.BASELINE), system=_REF_SYSTEM),
+        replace(video_config("fhd", 60, 30, Scheme.BASELINE), system=_REF_SYSTEM),
         "reference-fhd30",
         "measured-table reproduction, conventional row",
     ),
     "fhd30-ref-burstlink": Preset(
-        replace(_video("fhd", 60, 30, Scheme.BURSTLINK), system=_REF_SYSTEM),
+        replace(video_config("fhd", 60, 30, Scheme.BURSTLINK), system=_REF_SYSTEM),
         "reference-fhd30",
         "measured-table reproduction, combined-scheme row",
     ),
@@ -105,19 +106,16 @@ def validation_grid() -> list[tuple[str, SimConfig, str]]:
         for fps in (30, 60):
             for scheme in Scheme:
                 grid.append(
-                    (f"{res}-{fps}-{scheme.value}", _video(res, 60, fps, scheme),
+                    (f"{res}-{fps}-{scheme.value}", video_config(res, 60, fps, scheme),
                      "default")
                 )
             for scheme in (Scheme.BASELINE, Scheme.BURSTLINK):
                 grid.append(
                     (f"{res}-{fps}-vr-{scheme.value}",
-                     _video(res, 60, fps, scheme, kind=WorkloadKind.VR360),
+                     video_config(res, 60, fps, scheme, kind=WorkloadKind.VR360),
                      "default")
                 )
     for name in ("fhd30-ref-baseline", "fhd30-ref-burstlink"):
         preset = PRESETS[name]
         grid.append((name, preset.config, preset.calibration))
     return grid
-
-
-__all__ = ["PRESETS", "Preset", "get_preset", "validation_grid"]

@@ -162,15 +162,3 @@ def write_dirty_trace(path: str | Path, trace: Sequence[float]) -> None:
         writer.writerow(["window", "dirty_fraction"])
         for i, d in enumerate(trace):
             writer.writerow([i, f"{float(d):.6f}"])
-
-
-__all__ = [
-    "PlaneComparison",
-    "ScenarioResult",
-    "apply_batching",
-    "apply_fbc",
-    "energy_reduction",
-    "read_dirty_trace",
-    "single_plane_burst",
-    "write_dirty_trace",
-]

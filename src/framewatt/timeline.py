@@ -949,17 +949,3 @@ def timeline_to_svg(timeline: WindowTimeline, out: TextIO) -> None:
         lx += 64
     parts.append("</svg>")
     out.write("\n".join(parts))
-
-
-__all__ = [
-    "CSV_HEADER",
-    "Interval",
-    "Template",
-    "TimelineTotals",
-    "WindowTimeline",
-    "build_timeline",
-    "selective_update_bytes",
-    "timeline_totals",
-    "timeline_to_csv",
-    "timeline_to_svg",
-]

@@ -1,11 +1,16 @@
-"""Every public name in ``src/framewatt`` has a caller outside the tests.
+"""Every public name in ``src/framewatt`` has a caller outside the tests,
+and the underscore is the one mark of what is public.
 
 A public module-level function, class or constant, and a public method or
 property of a public class, must be referenced from code in ``src/``,
 ``tools/`` or ``perfbench/``: a ``Name``, an ``Attribute`` or a ``from``
-import.  Strings and comments are not references, so the lists in
-``__all__`` and ``framewatt._NAMES`` do not count.  The match is by name
+import.  Strings and comments are not references.  The match is by name
 alone, which can only let a name through, never fail a used one.
+
+A name is imported from the module that defines it: no module keeps an
+``__all__`` list or a module ``__getattr__``/``__dir__``, the package
+``__init__`` binds only ``__version__``, and no module imports a sibling's
+underscore name.
 """
 
 from __future__ import annotations
@@ -29,6 +34,20 @@ def _trees(root: Path, *dirs: str) -> dict[Path, ast.Module]:
 
 def _public(name: str) -> bool:
     return not name.startswith("_")
+
+
+def _bindings(tree: ast.Module) -> list[str]:
+    """Every name a module's top-level statements bind, imports included."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+        else:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return names
 
 
 def _definitions(tree: ast.Module) -> list[tuple[str, str]]:
@@ -91,3 +110,20 @@ def test_the_scan_sees_definitions_and_ignores_strings_and_stores(tmp_path):
     (tmp_path / "tools" / "t.py").write_text(
         "from framewatt.m import Box\nBox().read()\n'used'\n", encoding="utf-8")
     assert unreferenced(tmp_path) == ["m.Box.write", "m.UNUSED", "m.lonely"]
+
+
+def test_no_module_lists_or_resolves_names_besides_defining_them():
+    trees = _trees(REPO, "src/framewatt")
+    assert [f"{path.stem}.{name}" for path, tree in trees.items() for name in _bindings(tree)
+            if name in ("__all__", "__getattr__", "__dir__")] == []
+    assert _bindings(trees[REPO / "src" / "framewatt" / "__init__.py"]) == ["__version__"]
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    found = [f"{path.stem}: {node.module}.{alias.name}"
+             for path, tree in _trees(REPO, "src/framewatt").items()
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").partition(".")[0] == "framewatt")
+             for alias in node.names
+             if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert found == []

@@ -856,6 +856,19 @@ def test_sweep_skips_infeasible_decode_batches(tmp_path, capsys):
     assert rows[1]["reduction_vs_baseline_pct"] is None
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--fps", "30,x", "--fps: invalid literal for int() with base 10: 'x'"),
+    ("--fbc-ratios", "1.0,abc", "--fbc-ratios: could not convert string to float: 'abc'"),
+    ("--batch-sizes", "1,2.5", "--batch-sizes: invalid literal for int() with base 10: '2.5'"),
+    ("--schemes", "burstlink,nope", "--schemes: 'nope' is not a valid Scheme"),
+    ("--fps", ",", "empty sweep grid: no values for --fps"),
+])
+def test_a_bad_sweep_axis_names_its_flag(flag, value, message, capsys):
+    assert main(["sweep", "--resolutions", "fhd", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_sweep_runs_each_distinct_point_once(monkeypatch, capsys):
     calls = []
 
@@ -1039,7 +1052,7 @@ def test_module_entry_point_reports_its_version():
 
 @pytest.mark.parametrize("statement, loaded", [
     ("import framewatt.cli", False),
-    ("from framewatt import fit_state_powers", True),
+    ("from framewatt.calibrate import fit_state_powers", True),
 ])
 def test_scipy_loads_only_with_the_calibration_fitter(statement, loaded):
     proc = subprocess.run(

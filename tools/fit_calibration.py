@@ -25,18 +25,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 from scipy.optimize import minimize  # noqa: E402
 
-from framewatt.core import (  # noqa: E402
-    RESOLUTIONS,
-    DisplayConfig,
-    Scheme,
-    SimConfig,
-    SystemConfig,
-    WorkloadKind,
-    WorkloadSpec,
-    replace,
-)
+from framewatt.core import Scheme, SimConfig, SystemConfig, WorkloadKind, replace  # noqa: E402
 from framewatt.cstates import PackageCState, load_calibration  # noqa: E402
 from framewatt.power import streaming_report  # noqa: E402
+from framewatt.presets import video_config  # noqa: E402
 from framewatt.scenarios import (  # noqa: E402
     apply_batching,
     apply_fbc,
@@ -73,11 +65,7 @@ METRICS = [
 
 def _cfg(res: str, fps: int, scheme: Scheme, system: SystemConfig,
          kind: WorkloadKind = WorkloadKind.VIDEO) -> SimConfig:
-    return SimConfig(
-        display=DisplayConfig(resolution=RESOLUTIONS[res], refresh_hz=60),
-        system=system,
-        workload=WorkloadSpec(kind=kind, scheme=scheme, video_fps=fps),
-    )
+    return replace(video_config(res, 60, fps, scheme, kind), system=system)
 
 
 def _burst_idle_share(cfg: SimConfig, calibration) -> float:
