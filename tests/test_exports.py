@@ -1,13 +1,64 @@
-"""What importing a framewatt module loads."""
+"""Every name imported from a framewatt module resolves, and what importing
+a framewatt module loads."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import framewatt
+
+REPO = Path(__file__).resolve().parents[1]
+MODULES = sorted(m.name for m in pkgutil.iter_modules(framewatt.__path__)
+                 if not m.name.startswith("_"))
+
+
+def _imported(*dirs: str) -> list[tuple[str, str, str]]:
+    """(importing file, framewatt module, name) of each ``from`` import of a
+    framewatt module's name in the ``.py`` files under ``dirs``, including
+    imports made inside functions."""
+    found = []
+    for d in dirs:
+        for path in sorted((REPO / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom) or not node.module:
+                    continue
+                if node.level:
+                    module = node.module
+                elif node.module.startswith("framewatt."):
+                    module = node.module.removeprefix("framewatt.")
+                else:
+                    continue
+                found += [(path.relative_to(REPO).as_posix(), module, alias.name)
+                          for alias in node.names]
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_a_module_all_resolves(name):
+    # No module keeps an __all__ list: a module's public surface is what its
+    # callers import from it, and every such name must be defined there.
+    module = importlib.import_module(f"framewatt.{name}")
+    assert not hasattr(module, "__all__")
+    used = [(path, n) for path, m, n in _imported("tools", "perfbench", "tests") if m == name]
+    assert used
+    assert [(path, n) for path, n in used if not hasattr(module, n)] == []
+
+
+def test_every_name_the_package_imports_resolves():
+    # A function-level import of a missing name fails only when the function
+    # runs, so each of the package's own imports is checked here.
+    used = _imported("src/framewatt")
+    assert used
+    assert [(path, m, n) for path, m, n in used
+            if not hasattr(importlib.import_module(f"framewatt.{m}"), n)] == []
 
 
 def _fresh(statement: str, prefix: str = "framewatt", *flags: str) -> list[str]:
@@ -30,3 +81,13 @@ def test_importing_the_cli_loads_no_package_resource_reader():
     # -S skips site, whose .pth hooks may import the reader in every process.
     assert "importlib.resources" not in _fresh("import framewatt.cli", "importlib", "-S")
 
+
+
+def test_a_submodule_resolves_as_a_package_attribute():
+    # perfbench imports its submodules from the package itself; the import
+    # system binds each as a package attribute, with no name table.
+    loaded = _fresh("from framewatt import cstates, presets, scenarios; "
+                    "import framewatt; framewatt.presets.video_config")
+    assert {"framewatt.cstates", "framewatt.presets", "framewatt.scenarios"} <= set(loaded)
+    with pytest.raises(AttributeError, match="no attribute 'nowhere'"):
+        framewatt.nowhere
