@@ -45,7 +45,7 @@ from typing import Any, Callable, Sequence, TextIO
 
 from . import __version__
 from .core import (CACHED_TRAFFIC_FRACTION, ConfigurationError, Scheme, SimConfig, WorkloadKind,
-                   json_form, replace)
+                   json_form, parse_resolution, replace)
 from .cstates import STATES_BY_DEPTH, PackageCState, calibration_from_dict, load_calibration
 from .oracle import oracle_simulate
 from .power import (EnergyReport, WindowEnergy, report_from_timeline, streaming_report,
@@ -434,13 +434,14 @@ def _sweep_point(
     res: str, refresh: int, fps: int, kind: WorkloadKind, scheme: Scheme,
     fbc: float, batch: int, calibration: Any, windows: int | None,
 ) -> tuple[dict[str, Any], Any]:
-    """Evaluate one grid point; returns (row, report-or-None)."""
-    cfg = video_config(res, refresh, fps, scheme, kind)
+    """Evaluate one grid point; returns (row, report-or-None).  A value that
+    the config or the build rejects makes a skipped row."""
     row: dict[str, Any] = dict.fromkeys(_SWEEP_COLUMNS)
-    row.update(resolution=str(cfg.display.resolution), refresh_hz=refresh, fps=fps,
+    row.update(resolution=str(parse_resolution(res)), refresh_hz=refresh, fps=fps,
                kind=kind.value, scheme=scheme.value, fbc_ratio=fbc, batch_every=batch,
                calibration=calibration.name, status="ok", violations="")
     try:
+        cfg = video_config(res, refresh, fps, scheme, kind)
         report = streaming_report(cfg, calibration, windows, fbc_ratio=fbc,
                                   batch_every=batch)
     except ValueError as exc:
@@ -482,12 +483,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for point in points:
         res, refresh, fps, _, scheme, fbc, batch = point
         row, report = run(point)
-        if report is not None:
-            base = refs.get((res, refresh, fps))
-            if scheme is Scheme.BASELINE and fbc == 1.0 and batch == 1:
-                row["reduction_vs_baseline_pct"] = 0.0
-            elif base is not None:
-                row["reduction_vs_baseline_pct"] = round(energy_reduction(base, report), 4)
+        base = refs[res, refresh, fps]
+        if report is not None and base is not None:
+            row["reduction_vs_baseline_pct"] = round(energy_reduction(base, report), 4)
         rows.append(row)
 
     print(" ".join(f"{h:>{max(len(h), 10)}}" for h in _SWEEP_COLUMNS))

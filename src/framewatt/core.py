@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
@@ -37,8 +36,9 @@ DEFAULT_EDP_MAX_BITS_PER_S = 25.92e9
 #: Buffer-traffic share that decode batching's cached layout saves, by default.
 CACHED_TRAFFIC_FRACTION = 0.34
 
-#: Burst-window wake-up as a share of the refresh window, by default.
-BURST_WAKE_SHARE = Fraction(1, 50)
+#: Burst-window wake-up as a share of the refresh window, by default, as an
+#: integer (numerator, denominator) pair.
+BURST_WAKE_SHARE = (1, 50)
 
 
 class Scheme(str, Enum):
@@ -555,7 +555,8 @@ def validate_config(cfg: SimConfig) -> list[Violation]:
     elif sys_.burst_orchestration_time is not None:
         t_orch = sys_.burst_orchestration_time
     else:
-        t_orch = window_s * float(BURST_WAKE_SHARE)
+        num, den = BURST_WAKE_SHARE
+        t_orch = window_s * (num / den)
     if bypass:
         pace = sys_.vd_paced_rate or sys_.decode_rate
         busy = t_orch + fbytes / (min(pace, link / 8) if bursting else pace)

@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cache, cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Mapping
 
 from .core import (ConfigurationError, Scheme, Violation, check_finite, json_number, json_object,
                    json_string, out_of_range, read_json, reject)
@@ -129,35 +129,25 @@ class PowerProfile:
         reject(found)
 
     @cached_property
-    def transition_costs(self) -> dict[tuple[PackageCState, PackageCState], TransitionCost]:
-        """Every state change's cost, each priced once per profile."""
+    def transition_costs(self) -> dict[tuple[PackageCState, PackageCState], float]:
+        """Every state change's energy in uJ, each priced once per profile."""
         return {change: _transition_cost(self, *change) for change in _CHANGES}
 
 
-class TransitionCost(NamedTuple):
-    latency_ns: int
-    energy_uj: float
-
-
-#: Staying put, or a change with no latency: one record that every table shares.
-_FREE = TransitionCost(0, 0.0)
-
-
-def _transition_cost(profile: PowerProfile, frm: PackageCState,
-                     to: PackageCState) -> TransitionCost:
+def _transition_cost(profile: PowerProfile, frm: PackageCState, to: PackageCState) -> float:
     """The formula behind :attr:`PowerProfile.transition_costs`: going deeper
     pays the target's entry cost; coming up pays the source's exit cost;
     staying put is free.  The latency is rounded to integer ns (half to
     even); energy is power x latency."""
     if frm is to:
-        return _FREE
+        return 0.0
     if to.depth > frm.depth:
         lat = round(profile.entry_latency_us.get(to, 0) * 1_000)
         p = float(profile.entry_power_mw.get(to, 0.0))
     else:
         lat = round(profile.exit_latency_us.get(frm, 0) * 1_000)
         p = float(profile.exit_power_mw.get(frm, 0.0))
-    return TransitionCost(lat, p * lat * 1e-6) if lat else _FREE  # mW * ns -> uJ
+    return p * lat * 1e-6  # mW * ns -> uJ
 
 
 @dataclass(frozen=True)
@@ -173,7 +163,6 @@ class CalibrationSet:
     """
 
     name: str
-    description: str
     conventional: PowerProfile
     burst: PowerProfile
     vd_gate_delta_mw: float = 95.0
@@ -246,9 +235,9 @@ def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
     missing = {"conventional", "burst"} - set(profiles)
     if missing:
         raise ValueError(f"calibration missing profiles: {sorted(missing)}")
+    json_string(data.get("description", ""), "description")  # checked, not kept
     return CalibrationSet(
         name=json_string(data.get("name", "unnamed"), "name"),
-        description=json_string(data.get("description", ""), "description"),
         conventional=_profile_from_dict("conventional", profiles["conventional"]),
         burst=_profile_from_dict("burst", profiles["burst"]),
         **{key: json_number(data[key], key)

@@ -15,7 +15,7 @@ construction with :mod:`framewatt.timeline` and no pricing code with
 ``encoded_frame_bytes`` and ``selective_update_bytes`` (a window's payload),
 ``windows_per_frame`` (the frame group), ``BURST_WAKE_SHARE`` and
 ``CACHED_TRAFFIC_FRACTION`` (defaults), and the profile's ``transition_costs``
-(the table ``power`` prices from).  The equivalence tests hold the two within
+(the energies ``power`` prices from).  The equivalence tests hold the two within
 a tenth of a percentage point of residency and a tenth of a percent of energy.
 
 Semantics mirrored here (and nowhere loosened): the first two chunk fills of
@@ -117,7 +117,7 @@ class OracleResult(NamedTuple):
             total_uj += power_mw * (end_s - start_s) * 1e3  # mW * s -> uJ
             state = key[0]
             if prev_state is not None and prev_state is not state:
-                total_uj += changes[prev_state, state].energy_uj
+                total_uj += changes[prev_state, state]
             prev_state = state
         total_uj += self.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
         total_uj += self.dram_write_bytes * cfg.system.dram_coeff_write * 1e6
@@ -264,6 +264,7 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
     F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
     W = 1.0 / disp_cfg.refresh_hz
     cut = (1.0 - cached_traffic_fraction) if batch_every > 1 else 1.0
+    share_num, share_den = BURST_WAKE_SHARE
     par = _P(
         W=W,
         F=F,
@@ -271,7 +272,7 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
         chunk=sys_cfg.dc_buffer_bytes,
         o=sys_cfg.orchestration_time,
         o_b=(sys_cfg.burst_orchestration_time
-             if sys_cfg.burst_orchestration_time is not None else float(BURST_WAKE_SHARE) * W),
+             if sys_cfg.burst_orchestration_time is not None else share_num / share_den * W),
         f=sys_cfg.decode_rate,
         b=sys_cfg.dram_fetch_rate,
         p=sys_cfg.vd_paced_rate if sys_cfg.vd_paced_rate else sys_cfg.decode_rate,

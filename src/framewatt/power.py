@@ -69,7 +69,7 @@ def average_power(
             raise ValueError("total_time_s must be positive")
         energy_uj = 0.0
         for change, count in transition_counts.items():
-            energy_uj += count * profile.transition_costs[change].energy_uj
+            energy_uj += count * profile.transition_costs[change]
         avg += energy_uj / (total_time_s * 1e3)  # uJ per ms is mW
     return avg
 
@@ -169,7 +169,7 @@ def _price(totals: TimelineTotals, profile: PowerProfile, system: SystemConfig,
     """The one pricing formula: energies of an integer tally."""
     spans = totals.state_spans_ns
     state_uj = {s: profile.state_power_mw[s] * spans[s] * 1e-6 for s in STATES_BY_DEPTH}
-    trans_uj = sum(c * profile.transition_costs[change].energy_uj
+    trans_uj = sum(c * profile.transition_costs[change]
                    for change, c in totals.transitions.items())
     by_mode: dict[str, int] = {m: 0 for m in system.dram_background_mw}
     for state, ns in spans.items():

@@ -34,7 +34,6 @@ def energy_reduction(base: EnergyReport, improved: EnergyReport) -> float:
 class ScenarioResult(NamedTuple):
     """A plain run and its modified counterpart."""
 
-    name: str
     base: EnergyReport
     modified: EnergyReport
 
@@ -66,7 +65,7 @@ def apply_fbc(
         ratio = 1.0
     base = streaming_report(cfg, calibration, n_windows)
     modified = streaming_report(cfg, calibration, n_windows, fbc_ratio=ratio)
-    return ScenarioResult(name=f"fbc[{ratio}]", base=base, modified=modified)
+    return ScenarioResult(base=base, modified=modified)
 
 
 def apply_batching(
@@ -90,7 +89,7 @@ def apply_batching(
         cached_traffic_fraction=cached_traffic_fraction,
     )
     base = streaming_report(cfg, calibration, modified.n_windows)
-    return ScenarioResult(name=f"batching[{batch_every}]", base=base, modified=modified)
+    return ScenarioResult(base=base, modified=modified)
 
 
 class PlaneComparison(NamedTuple):
@@ -98,10 +97,6 @@ class PlaneComparison(NamedTuple):
 
     burst: EnergyReport
     stream: EnergyReport
-
-    @property
-    def reduction(self) -> float:
-        return energy_reduction(self.stream, self.burst)
 
 
 def single_plane_burst(

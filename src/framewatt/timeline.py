@@ -291,7 +291,7 @@ def timeline_totals(
 # integer numerators over ``den`` seconds, relative to the window start.  A
 # wake-up record counts build ticks (``den`` is the build's ``Q``); the
 # records of one transfer phase share the phase's denominator.  So each
-# boundary costs integer multiplies, adds and compares, and no ``Fraction``
+# boundary costs integer multiplies, adds and compares, and no rational number
 # is built per window.  ``streams`` marks a record eligible to carry link
 # traffic.
 
@@ -471,9 +471,9 @@ def _knobs(cfg: SimConfig, fbc_ratio: float, traffic_cut: float) -> _Knobs:
     disp_cfg, sys_cfg = cfg.display, cfg.system
     F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
     hz, burst_o = disp_cfg.refresh_hz, sys_cfg.burst_orchestration_time
-    share = BURST_WAKE_SHARE
+    share_num, share_den = BURST_WAKE_SHARE
     times = ((1, hz), sys_cfg.orchestration_time.as_integer_ratio(),
-             _lowest(share.numerator, share.denominator * hz) if burst_o is None
+             _lowest(share_num, share_den * hz) if burst_o is None
              else burst_o.as_integer_ratio())
     edp_num, edp_den = disp_cfg.edp_max_bits_per_s.as_integer_ratio()
     rates = (*(r.as_integer_ratio() for r in (sys_cfg.decode_rate, sys_cfg.dram_fetch_rate,
@@ -709,9 +709,9 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
 
 
 def _round_sum(a: int, p: int, k: int, D: int) -> int:
-    """``sum(round(Fraction((a + i * p) * NS_PER_S, D)) for i in range(k))``
-    for ``a, p >= 0``: the sum rounding half up, less the exact ties whose
-    floor is even, which round down instead."""
+    """``sum(round((a + i * p) * NS_PER_S / D) for i in range(k))`` with each
+    quotient taken exactly, for ``a, p >= 0``: the sum rounding half up, less
+    the exact ties whose floor is even, which round down instead."""
     n2 = 2 * NS_PER_S
     up = _floor_sum(k, 2 * D, n2 * p, n2 * a + D)
     # (a + i * p) * NS_PER_S is an even integer plus a half times D exactly

@@ -138,6 +138,11 @@ def test_fit_requires_at_least_one_run():
         fit_state_powers([])
 
 
+def test_fit_requires_at_least_one_state():
+    with pytest.raises(ValueError, match="^no states to fit$"):
+        fit_state_powers([synth_run({C.C0: 1.0})], [])
+
+
 # -- accuracy grading ----------------------------------------------------------------
 
 
@@ -157,6 +162,11 @@ def test_accuracy_grades_dominant_states_individually():
     ]
     report = model_accuracy(TRUE, runs)
     assert set(report.per_state_accuracy_pct) == {C.C8, C.C9}
+
+
+def test_accuracy_requires_at_least_one_run():
+    with pytest.raises(ValueError, match="^need at least one measured run$"):
+        model_accuracy(TRUE, [])
 
 
 def test_biased_table_loses_accuracy():
@@ -199,6 +209,18 @@ def test_csv_requires_a_power_column(tmp_path):
         runs_from_csv(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty runs file"),
+    ("label,C0,power_mw\n", "runs file has no rows"),
+], ids=["empty", "header-only"])
+def test_csv_without_runs_is_rejected(text, message, tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        runs_from_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_csv_pins_bad_rows_to_line_numbers(tmp_path):
     path = tmp_path / "runs.csv"
     path.write_text("label,C0,power_mw\nok,1.0,100\nbad,oops,100\n",
@@ -227,6 +249,15 @@ def test_json_rejects_unknown_run_keys(tmp_path):
         runs_from_json(path)
 
 
+def test_json_rejects_unknown_top_level_keys(tmp_path):
+    path = tmp_path / "runs.json"
+    doc = {"runs": [{"residency": {"C0": 1.0}, "average_power_mw": 1.0}], "meter": "x"}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        runs_from_json(path)
+    assert str(err.value) == "unknown keys in measured-runs file: ['meter']"
+
+
 @pytest.mark.parametrize("runs, message", [
     ([5], "run 0 must be an object, got 5"),
     ([{"residency": 5, "average_power_mw": 1}], "run 0.residency must be an object, got 5"),
@@ -234,6 +265,8 @@ def test_json_rejects_unknown_run_keys(tmp_path):
      'run 0.residency.C0 must be a number, got "x"'),
     ([{"residency": {"C0": 1.0}, "average_power_mw": None}],
      "run 0.average_power_mw must be a number, got null"),
+    ([], "measured-runs file has no runs"),
+    ([{"residency": {"C0": 1.0}}], "run 0: missing field 'average_power_mw'"),
 ])
 def test_json_runs_of_the_wrong_shape_name_the_key(runs, message, tmp_path):
     path = tmp_path / "runs.json"

@@ -4,8 +4,13 @@ and the underscore is the one mark of what is public.
 A public module-level function, class or constant, and a public method or
 property of a public class, must be referenced from code in ``src/``,
 ``tools/`` or ``perfbench/``: a ``Name``, an ``Attribute`` or a ``from``
-import.  Strings and comments are not references.  The match is by name
-alone, which can only let a name through, never fail a used one.
+import.  A public field of a public class (an annotated name in its body)
+must be read there as an ``Attribute``, unless the class is an output
+record, whose fields are all written out whole: a class that defines
+``to_dict``, a class whose ``_fields`` some code reads, and the declared
+type of an output record's field.  Strings and comments are not references.
+The match is by name alone, which can only let a name through, never fail
+a used one.
 
 A name is imported from the module that defines it: no module keeps an
 ``__all__`` list or a module ``__getattr__``/``__dir__``, the package
@@ -24,6 +29,8 @@ REPO = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "timeline.WindowTimeline.check_coverage":
         "acceptance criterion 4 calls it to re-derive every template from its records",
+    "oracle.OraclePeriod.drfb": "part of the reference view test_oracle.py compares against",
+    "oracle.OraclePeriod.fbc": "part of the reference view test_oracle.py compares against",
 }
 
 
@@ -84,12 +91,46 @@ def _references(tree: ast.Module) -> set[str]:
     return refs
 
 
+def _fields(cls: ast.ClassDef) -> dict[str, set[str]]:
+    """Each field a class body annotates, with the names its type mentions."""
+    return {item.target.id: {n.id for n in ast.walk(item.annotation) if isinstance(n, ast.Name)}
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+
+
+def _unread_fields(classes: dict[str, tuple[str, ast.ClassDef]],
+                   code: list[ast.Module]) -> list[str]:
+    """Public fields of the public ``classes`` (by name: module stem and
+    node) that no ``code`` reads as an attribute, output records aside."""
+    nodes = [node for tree in code for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)]
+    read = {node.attr for node in nodes}
+    fields = {name: _fields(cls) for name, (_, cls) in classes.items()}
+    output = {name for name, (_, cls) in classes.items() if any(
+        isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in cls.body)}
+    output |= {node.value.id for node in nodes if node.attr == "_fields"
+               and isinstance(node.value, ast.Name) and node.value.id in classes}
+    todo = list(output)
+    while todo:  # the declared types of an output record's fields are output too
+        for types in fields[todo.pop()].values():
+            found = (types & fields.keys()) - output
+            output |= found
+            todo += found
+    return [f"{classes[name][0]}.{name}.{field}" for name in classes if name not in output
+            for field in fields[name] if _public(field) and field not in read]
+
+
 def unreferenced(root: Path) -> list[str]:
-    """Public names under ``root/src/framewatt`` that no code references."""
-    refs = set().union(*map(_references, _trees(root, "src", "tools", "perfbench").values()))
-    return sorted(f"{path.stem}.{qualified}"
-                  for path, tree in _trees(root, "src/framewatt").items()
-                  for qualified, bare in _definitions(tree) if bare not in refs)
+    """Public names under ``root/src/framewatt`` that no code references,
+    and public record fields that no code reads."""
+    code = list(_trees(root, "src", "tools", "perfbench").values())
+    refs = set().union(*map(_references, code))
+    trees = _trees(root, "src/framewatt")
+    classes = {node.name: (path.stem, node) for path, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef) and _public(node.name)}
+    return sorted([f"{path.stem}.{qualified}" for path, tree in trees.items()
+                   for qualified, bare in _definitions(tree) if bare not in refs]
+                  + _unread_fields(classes, code))
 
 
 def test_every_public_name_in_src_has_a_caller_outside_the_tests():
@@ -127,3 +168,26 @@ def test_no_module_imports_a_private_name_from_a_sibling():
              for alias in node.names
              if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert found == []
+
+
+def test_the_scan_needs_an_attribute_read_of_each_field_not_written_out_whole(tmp_path):
+    pkg = tmp_path / "src" / "framewatt"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tools").mkdir()
+    module = ("from typing import NamedTuple\n"
+              "class Part(NamedTuple):\n    size: int\n    _own: int\n"
+              "class Report(NamedTuple):\n    part: Part\n    total: float\n"
+              "    def to_dict(self):\n        return {}\n"
+              "class Row(NamedTuple):\n    cells: int\n"
+              "class Plain(NamedTuple):\n    used: int\n    stored: int\n    named: int\n"
+              "def touch(p, named):\n    p.stored = p.used\n"
+              "    return named, Report(Part(1, 2), 0.0).to_dict(), Row._fields\n")
+    (pkg / "m.py").write_text(module, encoding="utf-8")
+    (tmp_path / "tools" / "t.py").write_text(
+        "from framewatt.m import Plain, touch\ntouch(Plain(1, 2, 3), 'stored')\n",
+        encoding="utf-8")
+    assert unreferenced(tmp_path) == ["m.Plain.named", "m.Plain.stored"]
+    # Without its ``to_dict``, the report and the type of its field need readers.
+    (pkg / "m.py").write_text(module.replace("to_dict", "as_dict"), encoding="utf-8")
+    assert unreferenced(tmp_path) == ["m.Part.size", "m.Plain.named", "m.Plain.stored",
+                                      "m.Report.part", "m.Report.total"]

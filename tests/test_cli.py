@@ -624,6 +624,16 @@ def test_windows_below_one_is_a_usage_error_naming_the_flag(command, value, caps
                        f"must be >= 1, got {value}")
 
 
+def test_a_windows_count_that_is_no_int_is_a_usage_error_naming_the_flag(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--preset", "fhd30", "--windows", "x"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: framewatt simulate ")
+    assert [line for line in err if "error:" in line] == [
+        "framewatt simulate: error: argument --windows: invalid int value: 'x'"]
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-5", "1.5"])
 @pytest.mark.parametrize("command", [["simulate"], ["validate"],
                                      ["compare", "--preset-b", "fhd30"]])
@@ -869,6 +879,24 @@ def test_a_bad_sweep_axis_names_its_flag(flag, value, message, capsys):
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+def test_sweep_skips_a_point_whose_config_is_rejected(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--resolutions", "fhd", "--fps", "30,0", "--schemes", "baseline",
+                 "--out", str(out_dir)]) == 0
+    rows = json.loads((out_dir / "sweep.json").read_text(encoding="utf-8"))["rows"]
+    assert [(r["fps"], r["status"], r["violations"], r["reduction_vs_baseline_pct"])
+            for r in rows] == [(30, "ok", "", 0.0), (0, "skipped", "OUT_OF_RANGE", None)]
+    assert capsys.readouterr().err == ""
+
+
+def test_a_sweep_resolution_that_does_not_parse_is_a_usage_error(capsys):
+    assert main(["sweep", "--resolutions", "fhd,8k", "--fps", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: unknown resolution '8k'; use one of ['4k', '5k', 'fhd', 'qhd'] or 'WIDTHxHEIGHT'"]
+
+
 def test_sweep_runs_each_distinct_point_once(monkeypatch, capsys):
     calls = []
 
@@ -937,6 +965,53 @@ def test_calibrate_fits_and_emits_a_loadable_calibration(runs_file, tmp_path, ca
     default = load_calibration("default").conventional.state_power_mw
     for state, power in fitted.conventional.state_power_mw.items():
         assert power == pytest.approx(default[state], abs=1e-3)
+
+
+def test_calibrate_grades_dominant_states_and_writes_nothing_without_out(tmp_path, capsys):
+    path = tmp_path / "runs.csv"
+    path.write_text("label,C0,C8,C9,power_mw\nbusy,1.0,0,0,5940\ndrain,0,1.0,0,1285\n"
+                    "sleep,0,0,1.0,1090\nmix,0.5,0.3,0.2,3573.5\n", encoding="utf-8")
+    assert main(["calibrate", "--runs", str(path), "--states", "C0,C8,C9"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[1] == "states fitted    C0, C8, C9 (rank 3)"
+    assert lines[-3:] == [f"  {s:<5}    100.00% (runs dominated by this state)"
+                          for s in ("C0", "C8", "C9")]
+    assert captured.err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.csv"]
+
+
+def test_calibrate_warns_and_skips_a_fit_that_is_no_calibration(tmp_path, capsys):
+    # C9 fits above the base table's C8, so deeper would draw more.
+    path = tmp_path / "runs.csv"
+    path.write_text("label,C0,C9,power_mw\nbusy,1.0,0,5940\nsleep,0,1.0,2000\n",
+                    encoding="utf-8")
+    out_dir = tmp_path / "fit"
+    assert main(["calibrate", "--runs", str(path), "--out", str(out_dir)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: fitted powers do not form a loadable calibration "
+                             "(DEEPER_STATE_DRAWS_MORE [profiles.conventional.state_power_mw.C9]")
+    assert err[0].endswith("; skipping calibration file")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["calibration_fit.json"]
+
+
+@pytest.mark.parametrize("argv, name, text, line", [
+    (["calibrate", "--runs", "PATH", "--states", "C0,Q"], "runs.csv",
+     "label,C0,power_mw\nx,1.0,5940\n", "error: 'Q' is not a valid PackageCState"),
+    (["calibrate", "--runs", "PATH"], "runs.csv", "", "error: PATH: empty runs file"),
+    (["calibrate", "--runs", "PATH"], "runs.json", '{"runs": [{"residency": {"C0": 1.0}}]}',
+     "error: run 0: missing field 'average_power_mw'"),
+    (["simulate", "--preset", "fhd60", "--kind", "single_plane", "--scheme", "bursting_only",
+      "--trace", "PATH"], "trace.csv", "window,dirty_fraction\n0,half\n",
+     "error: PATH:2: bad trace row ['0', 'half']"),
+], ids=["unknown-state", "empty-runs-csv", "run-missing-power", "bad-trace-row"])
+def test_rejected_inputs_end_in_one_error_line(argv, name, text, line, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main([str(path) if a == "PATH" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line.replace("PATH", str(path))]
 
 
 def test_calibrate_under_determined_runs_exit_with_usage_error(tmp_path, capsys):
@@ -1037,6 +1112,15 @@ def test_presets_listing_names_every_builtin(capsys):
     out = capsys.readouterr().out
     for name in ("fhd30", "4k60", "4k60-vr", "fhd30-ref-baseline"):
         assert name in out
+
+
+def test_an_unknown_preset_name_lists_the_builtins():
+    # The CLI's --preset takes only listed choices; the lookup itself names them too.
+    from framewatt.presets import PRESETS, get_preset
+
+    with pytest.raises(ValueError) as err:
+        get_preset("nope")
+    assert str(err.value) == f"unknown preset 'nope'; available: {', '.join(sorted(PRESETS))}"
 
 
 def test_module_entry_point_reports_its_version():

@@ -31,6 +31,7 @@ from framewatt.core import (
     panel_stream_rate,
     parse_resolution,
     validate_config,
+    windows_per_frame,
 )
 from conftest import make_config
 
@@ -94,6 +95,13 @@ def test_window_length_and_period_equal_their_fraction_form():
 def test_frame_window_ns_rounds_to_integer_nanoseconds():
     assert frame_window_ns(60) == 16_666_667
     assert frame_window_ns(120) == 8_333_333
+
+
+@pytest.mark.parametrize("refresh, fps, windows", [(60, 30, 2), (60, 24, 2), (30, 60, 1),
+                                                    (60, 60, 1)])
+def test_windows_per_frame_by_hand(refresh, fps, windows):
+    # Whole windows per frame, at least one: 60/24 = 2.5 shows 2, and 30/60 shows 1.
+    assert windows_per_frame(make_config(fps=fps, refresh=refresh)) == windows
 
 
 def test_frame_window_rejects_zero_refresh():
@@ -344,6 +352,11 @@ def test_json_form_writes_each_kind_of_value_one_way():
     assert json.loads(json.dumps(json_form(SimConfig()))) == json_form(SimConfig())
 
 
+def test_from_dict_rejects_a_document_that_is_no_object():
+    with pytest.raises(ValueError, match="^config must be a JSON object$"):
+        SimConfig.from_dict([{"display": {}}])
+
+
 def test_from_dict_rejects_unknown_sections():
     with pytest.raises(ValueError, match="unknown config sections"):
         SimConfig.from_dict({"display": {}, "panel": {}})
@@ -482,6 +495,15 @@ def test_slow_paced_feed_overruns_the_window_for_direct_feed_schemes():
 def test_long_orchestration_overruns_the_window():
     system = SystemConfig(orchestration_time=20e-3)
     assert "WINDOW_OVERRUN" in codes(make_config("fhd", 60, system=system))
+
+
+def test_long_burst_wake_up_overruns_the_window():
+    # Only the burst schemes take the hardware-assisted wake-up.
+    system = SystemConfig(burst_orchestration_time=20e-3)
+    for scheme in (Scheme.BURSTING_ONLY, Scheme.BURSTLINK):
+        assert "WINDOW_OVERRUN" in codes(make_config("fhd", 60, scheme, system=system))
+    for scheme in (Scheme.BASELINE, Scheme.BYPASS_ONLY):
+        assert codes(make_config("fhd", 60, scheme, system=system)) == set()
 
 
 def test_vr_only_supports_plain_and_combined_schemes():

@@ -112,36 +112,33 @@ def test_dram_split_consistency_check_rejects_oversized_background(default_cal):
 
 
 def test_staying_in_a_state_costs_nothing(default_cal):
-    tc = default_cal.conventional.transition_costs[PackageCState.C8, PackageCState.C8]
-    assert (tc.latency_ns, tc.energy_uj) == (0, 0.0)
+    assert default_cal.conventional.transition_costs[PackageCState.C8, PackageCState.C8] == 0.0
 
 
 def test_default_calibration_has_instant_transitions(default_cal):
     for frm in PackageCState:
         for to in PackageCState:
-            tc = default_cal.conventional.transition_costs[frm, to]
-            assert tc.latency_ns == 0
-            assert tc.energy_uj == 0.0
+            assert default_cal.conventional.transition_costs[frm, to] == 0.0
 
 
 def test_demo_calibration_charges_deep_sleep_entry(latency_cal):
-    tc = latency_cal.conventional.transition_costs[PackageCState.C8, PackageCState.C9]
-    assert tc.latency_ns == 150_000
-    assert tc.energy_uj == pytest.approx(180.0)  # 150 us at 1200 mW
+    energy_uj = latency_cal.conventional.transition_costs[PackageCState.C8, PackageCState.C9]
+    assert energy_uj == 1200.0 * 150_000 * 1e-6
+    assert energy_uj == pytest.approx(180.0)  # 150 us at 1200 mW
 
 
 def test_demo_calibration_charges_deep_sleep_exit(latency_cal):
-    tc = latency_cal.conventional.transition_costs[PackageCState.C9, PackageCState.C8]
-    assert tc.latency_ns == 300_000
-    assert tc.energy_uj == pytest.approx(360.0)
+    energy_uj = latency_cal.conventional.transition_costs[PackageCState.C9, PackageCState.C8]
+    assert energy_uj == 1200.0 * 300_000 * 1e-6
+    assert energy_uj == pytest.approx(360.0)
 
 
 def test_descents_pay_the_target_entry_and_ascents_the_source_exit(latency_cal):
     prof = latency_cal.conventional
     down = prof.transition_costs[PackageCState.C0, PackageCState.C8]
-    assert down.latency_ns == 75_000  # C8's entry cost, wherever it starts from
+    assert down == 1300.0 * 75_000 * 1e-6  # C8's entry cost, wherever it starts from
     up = prof.transition_costs[PackageCState.C8, PackageCState.C0]
-    assert up.latency_ns == 150_000  # C8's exit cost
+    assert up == 1300.0 * 150_000 * 1e-6  # C8's exit cost
 
 
 # -- calibration sets ---------------------------------------------------------------
@@ -150,13 +147,13 @@ def test_descents_pay_the_target_entry_and_ascents_the_source_exit(latency_cal):
 def test_calibration_enforces_the_decoder_gating_delta():
     prof = PowerProfile("p", _powers(), {})
     with pytest.raises(ValueError, match="C7P"):
-        CalibrationSet("c", "", prof, prof, vd_gate_delta_mw=50.0)
+        CalibrationSet("c", prof, prof, vd_gate_delta_mw=50.0)
 
 
 def test_calibration_rejects_negative_adders():
     prof = PowerProfile("p", _powers(), {})
     with pytest.raises(ValueError, match=">= 0"):
-        CalibrationSet("c", "", prof, prof, vd_gate_delta_mw=95.0,
+        CalibrationSet("c", prof, prof, vd_gate_delta_mw=95.0,
                        drfb_power_mw=-1.0)
 
 
@@ -213,14 +210,14 @@ def test_load_calibration_from_a_file_path(tmp_path, default_cal):
 
 
 def _direct_cost(profile, frm, to):
-    """Reference: a state change's latency and energy by the formula."""
+    """Reference: a state change's energy by the formula."""
     if frm is to:
-        return 0, 0.0
+        return 0.0
     if to.depth > frm.depth:
         lat = round(profile.entry_latency_us.get(to, 0) * 1_000)
-        return lat, float(profile.entry_power_mw.get(to, 0.0)) * lat * 1e-6
+        return float(profile.entry_power_mw.get(to, 0.0)) * lat * 1e-6
     lat = round(profile.exit_latency_us.get(frm, 0) * 1_000)
-    return lat, float(profile.exit_power_mw.get(frm, 0.0)) * lat * 1e-6
+    return float(profile.exit_power_mw.get(frm, 0.0)) * lat * 1e-6
 
 
 @pytest.mark.parametrize("name", ["default", "reference-fhd30", "latency-demo"])
@@ -292,6 +289,19 @@ def test_calibration_dict_rejects_unknown_states():
         calibration_from_dict(doc)
 
 
+@pytest.mark.parametrize("profiles, message", [
+    ({"conventional": {"state_power_mw": {}, "idle_mw": {}}, "burst": {}},
+     "unknown keys in profile 'conventional': ['idle_mw']"),
+    ({"conventional": {"display_power_mw": {}}, "burst": {}},
+     "profile 'conventional' missing state_power_mw"),
+    ({"conventional": {}, "burst": {}, "turbo": {}}, "unknown profiles in calibration: ['turbo']"),
+], ids=["unknown-key", "no-state-powers", "unknown-profile"])
+def test_calibration_profiles_of_the_wrong_shape_are_rejected(profiles, message):
+    with pytest.raises(ValueError) as err:
+        calibration_from_dict({"profiles": profiles})
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("state_power, message", [
     (5, "conventional.state_power_mw must be an object, got 5"),
     ({"C0": "big"}, 'conventional.state_power_mw.C0 must be a number, got "big"'),
@@ -311,9 +321,9 @@ def test_demo_calibration_latencies_are_kept_in_microseconds(latency_cal):
     assert prof.entry_latency_us[PackageCState.C9] == 150.0
     assert prof.exit_latency_us[PackageCState.C9] == 300.0
     C0, C8, C9 = PackageCState.C0, PackageCState.C8, PackageCState.C9
-    assert prof.transition_costs[C0, C8].latency_ns == 75_000
-    assert prof.transition_costs[C8, C9].latency_ns == 150_000
-    assert prof.transition_costs[C9, C8].latency_ns == 300_000
+    assert prof.transition_costs[C0, C8] == 1300.0 * 75_000 * 1e-6
+    assert prof.transition_costs[C8, C9] == 1200.0 * 150_000 * 1e-6
+    assert prof.transition_costs[C9, C8] == 1200.0 * 300_000 * 1e-6
 
 
 @pytest.mark.parametrize("us, ns", [
@@ -330,5 +340,6 @@ def test_fractional_latencies_round_to_integer_ns_half_to_even(us, ns):
     prof = calibration_from_dict(doc).conventional
     down = prof.transition_costs[PackageCState.C8, PackageCState.C9]
     up = prof.transition_costs[PackageCState.C9, PackageCState.C8]
-    assert down.latency_ns == up.latency_ns == ns == int(round(us * 1_000))
-    assert down.energy_uj == 1200.0 * ns * 1e-6  # C9's entry power, mW x ns -> uJ
+    assert ns == int(round(us * 1_000))
+    # C9's entry and exit power are both 1200 mW; mW x ns -> uJ
+    assert down == up == 1200.0 * ns * 1e-6

@@ -82,6 +82,11 @@ def test_importing_the_cli_loads_no_package_resource_reader():
     assert "importlib.resources" not in _fresh("import framewatt.cli", "importlib", "-S")
 
 
+def test_importing_the_cli_loads_no_rational_number_modules():
+    # The burst wake-up share is an integer pair, so nothing loads fractions
+    # or the decimal and numbers modules that fractions imports.  -S as above.
+    assert {"fractions", "decimal", "numbers"}.isdisjoint(_fresh("import framewatt.cli", "", "-S"))
+
 
 def test_a_submodule_resolves_as_a_package_attribute():
     # perfbench imports its submodules from the package itself; the import

@@ -18,13 +18,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import framewatt.oracle as omod
-from framewatt.core import CACHED_TRAFFIC_FRACTION, Scheme, WorkloadKind
+from framewatt.core import CACHED_TRAFFIC_FRACTION, Scheme, SystemConfig, WorkloadKind
 from framewatt.cstates import PackageCState, load_calibration
 from framewatt.oracle import oracle_simulate
 from framewatt.power import report_from_timeline
 from framewatt.timeline import build_timeline, check_run_shape
 from conftest import make_config
 from test_acceptance import _valid_configs
+from test_scenarios import bundled_trace
 
 
 def cross_check(cfg, calibration, n_windows=None, **overlays):
@@ -96,6 +97,26 @@ def test_executors_agree_on_dirty_rect_traces():
     )
     assert energy_pct < 0.01
     assert residency_pp < 0.01
+
+
+@pytest.mark.parametrize("scheme, kind, trace", [
+    (Scheme.BURSTLINK, WorkloadKind.VIDEO, None),
+    (Scheme.BURSTING_ONLY, WorkloadKind.VIDEO, None),
+    (Scheme.BURSTLINK, WorkloadKind.VR360, None),
+    (Scheme.BURSTING_ONLY, WorkloadKind.SINGLE_PLANE, "gaming"),
+], ids=["burstlink", "bursting_only", "vr360", "trace"])
+def test_executors_agree_on_a_set_burst_wake_up(scheme, kind, trace):
+    overlays = {"dirty_trace": bundled_trace(trace)} if trace else {}
+    runs = [cross_check(make_config("4k", 60, scheme, kind=kind, system=system), "default",
+                        **overlays)
+            for system in (SystemConfig(), SystemConfig(burst_orchestration_time=0.5e-3))]
+    for _, _, energy_pct, residency_pp in runs:
+        assert energy_pct < 0.01
+        assert residency_pp < 0.01
+    # Every window wakes up for 0.5 ms, not the default 1/50 of 16.7 ms: 1 pp more C0.
+    (_, default, *_), (_, set_wake, *_) = runs
+    c0_pp = 100 * (set_wake.residency[PackageCState.C0] - default.residency[PackageCState.C0])
+    assert c0_pp == pytest.approx(1.0, abs=1e-4)
 
 
 def test_executors_agree_with_transition_latencies():
@@ -191,7 +212,7 @@ def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
             total_uj += power_mw * dt * 1e3
             remaining -= dt
         if prev_state is not None and prev_state is not p.state:
-            total_uj += profile.transition_costs[prev_state, p.state].energy_uj
+            total_uj += profile.transition_costs[prev_state, p.state]
         prev_state = p.state
     total_uj += oracle.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
     total_uj += oracle.dram_write_bytes * cfg.system.dram_coeff_write * 1e6
@@ -246,7 +267,7 @@ def _ref_energy_uj(oracle, cfg, calibration):
             power_mw += cfg.system.fbc_compute_mw
         total_uj += power_mw * (end_s - start_s) * 1e3
         if prev_state is not None and prev_state is not state:
-            total_uj += profile.transition_costs[prev_state, state].energy_uj
+            total_uj += profile.transition_costs[prev_state, state]
         prev_state = state
     total_uj += oracle.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
     total_uj += oracle.dram_write_bytes * cfg.system.dram_coeff_write * 1e6

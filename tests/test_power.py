@@ -52,6 +52,12 @@ def test_average_power_amortizes_transition_energy(latency_cal):
     assert with_entry - base == pytest.approx(0.18)
 
 
+def test_average_power_needs_a_positive_run_time_to_amortize_transitions(latency_cal):
+    with pytest.raises(ValueError, match="^total_time_s must be positive$"):
+        average_power(latency_cal.conventional, {C.C8: 0.5, C.C9: 0.5},
+                      {(C.C8, C.C9): 1}, total_time_s=0)
+
+
 def test_average_power_reproduces_the_measured_conventional_row(reference_cal):
     avg = average_power(
         reference_cal.conventional, {C.C0: 0.09, C.C2: 0.11, C.C8: 0.80}
@@ -311,7 +317,7 @@ def _window_bill(ivs, prev_state, profile, system, drfb_power_mw):
             state_uj.get(iv.state, 0.0) + profile.state_power_mw[iv.state] * ms
         )
         if prev_state is not None and prev_state is not iv.state:
-            trans_uj += profile.transition_costs[prev_state, iv.state].energy_uj
+            trans_uj += profile.transition_costs[prev_state, iv.state]
         prev_state = iv.state
         dram_op_uj += (
             iv.dram_read_bytes * system.dram_coeff_read

@@ -134,7 +134,7 @@ def test_static_screens_idle_almost_the_entire_window():
                       kind=WorkloadKind.SINGLE_PLANE)
     comp = single_plane_burst(cfg, [0.0] * 600, calibration="default")
     assert comp.burst.residency[PackageCState.C9] == pytest.approx(0.98, abs=5e-3)
-    assert comp.reduction == pytest.approx(40.1869, abs=5e-4)
+    assert energy_reduction(comp.stream, comp.burst) == pytest.approx(40.1869, abs=5e-4)
 
 
 def test_static_screen_saving_stays_under_the_idle_power_ratio_bound():
@@ -144,15 +144,16 @@ def test_static_screen_saving_stays_under_the_idle_power_ratio_bound():
                       kind=WorkloadKind.SINGLE_PLANE)
     comp = single_plane_burst(cfg, [0.0] * 600, calibration="default")
     bound = 100.0 * (1090.0 / 1285.0)
-    assert comp.reduction <= bound
+    assert energy_reduction(comp.stream, comp.burst) <= bound
 
 
 def test_busier_screens_save_less():
     cfg = make_config("4k", 60, Scheme.BURSTING_ONLY,
                       kind=WorkloadKind.SINGLE_PLANE)
     reductions = [
-        single_plane_burst(cfg, [d] * 120, calibration="default").reduction
-        for d in (0.0, 0.5, 1.0)
+        energy_reduction(comp.stream, comp.burst)
+        for comp in (single_plane_burst(cfg, [d] * 120, calibration="default")
+                     for d in (0.0, 0.5, 1.0))
     ]
     assert reductions == sorted(reductions, reverse=True)
     assert reductions[-1] == pytest.approx(24.4554, abs=5e-4)
@@ -188,6 +189,25 @@ def test_trace_reader_pins_errors_to_line_numbers(tmp_path):
         read_dirty_trace(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "bad.csv: empty trace file"),
+    ("window,dirty_fraction\n", "bad.csv: trace has no rows"),
+    ("window,dirty_fraction\n0\n", "bad.csv:2: bad trace row ['0']"),
+], ids=["empty", "header-only", "short-row"])
+def test_trace_reader_rejects_traces_without_usable_rows(text, message, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_dirty_trace(path)
+    assert str(err.value) == f"{tmp_path / message}"
+
+
+def test_trace_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("window,dirty_fraction\n0,0.5\n\n1,0.25\n", encoding="utf-8")
+    assert read_dirty_trace(path) == [0.5, 0.25]
+
+
 def test_trace_reader_rejects_out_of_range_fractions(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("window,dirty_fraction\n0,1.5\n", encoding="utf-8")
@@ -219,16 +239,16 @@ def test_casual_gaming_trace_saves_a_quarter_to_a_third_at_uhd():
     cfg = make_config("4k", 60, Scheme.BURSTING_ONLY,
                       kind=WorkloadKind.SINGLE_PLANE)
     comp = single_plane_burst(cfg, bundled_trace("gaming"), calibration="default")
-    assert 25.0 <= comp.reduction <= 30.0
-    assert comp.reduction == pytest.approx(27.0015, abs=5e-4)
+    reduction = energy_reduction(comp.stream, comp.burst)
+    assert 25.0 <= reduction <= 30.0
+    assert reduction == pytest.approx(27.0015, abs=5e-4)
 
 
 def test_mostly_static_traces_save_more_than_busy_ones():
     cfg = make_config("4k", 60, Scheme.BURSTING_ONLY,
                       kind=WorkloadKind.SINGLE_PLANE)
-    by_trace = {
-        name: single_plane_burst(cfg, bundled_trace(name),
-                                 calibration="default").reduction
-        for name in ("gaming", "conferencing", "productivity")
-    }
+    comps = {name: single_plane_burst(cfg, bundled_trace(name), calibration="default")
+             for name in ("gaming", "conferencing", "productivity")}
+    by_trace = {name: energy_reduction(comp.stream, comp.burst)
+                for name, comp in comps.items()}
     assert by_trace["gaming"] < by_trace["conferencing"] < by_trace["productivity"]

@@ -418,6 +418,15 @@ def test_a_body_of_records_up_to_1ns_is_rounded_record_by_record(start, chunk, d
     _check_phase_template(parts, W_ns)
 
 
+def test_a_body_whose_drains_outlast_its_fills_by_up_to_1ns_is_rounded_record_by_record():
+    # Consumer-bound 2 ns fills, one every 3 ns: each drain gap is 1 ns.
+    parts, W_ns = _phase_template(Fraction(1, 2 * 10**9), Fraction(1, 60), 100 * 20, 20,
+                                  Fraction(10**10), Fraction(2 * 10**10, 3), read_total=0)
+    assert not parts[1].producer
+    assert tmod._body(parts[1]) == 0
+    _check_phase_template(parts, W_ns)
+
+
 def test_a_body_of_longer_records_is_tallied_in_closed_form():
     parts, W_ns = _phase_template(Fraction(1, 10**4), Fraction(1, 60), 10**6, 4096,
                                   Fraction(10**10), Fraction(10**9))
@@ -958,7 +967,7 @@ def _fraction_knobs(cfg, fbc_ratio, traffic_cut):
     F = frame_bytes(disp_cfg.resolution, disp_cfg.bits_per_pixel)
     W, burst_o = frame_window(disp_cfg.refresh_hz), sys_cfg.burst_orchestration_time
     times = (W, Fraction(sys_cfg.orchestration_time),
-             W * BURST_WAKE_SHARE if burst_o is None else Fraction(burst_o))
+             W * Fraction(*BURST_WAKE_SHARE) if burst_o is None else Fraction(burst_o))
     rates = (*map(Fraction, (sys_cfg.decode_rate, sys_cfg.dram_fetch_rate,
                              sys_cfg.vd_paced_rate or sys_cfg.decode_rate)),
              Fraction(disp_cfg.edp_max_bits_per_s) / 8, Fraction(sys_cfg.gpu_pt_rate))
