@@ -264,7 +264,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     total_s = report.total_ns * 1e-9
     print(f"scheme           {report.scheme.value}")
-    print(f"calibration      {report.calibration_name} ({report.profile_name} profile)")
+    print(f"calibration      {report.calibration} ({report.profile} profile)")
     print(f"windows          {report.n_windows} ({total_s * 1e3:.3f} ms)")
     print(f"average power    {report.average_power_mw:.2f} mW")
     print(f"analytic power   {report.analytic_average_power_mw:.2f} mW")
@@ -355,7 +355,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     rows: list[tuple[str, str, str, str]] = [
         ("scheme", rep_a.scheme.value, rep_b.scheme.value, ""),
-        ("calibration", rep_a.calibration_name, rep_b.calibration_name, ""),
+        ("calibration", rep_a.calibration, rep_b.calibration, ""),
         ("windows", str(rep_a.n_windows), str(rep_b.n_windows), ""),
         ("average_power_mw", f"{rep_a.average_power_mw:.2f}",
          f"{rep_b.average_power_mw:.2f}", _fmt_delta(delta_power)),

@@ -548,8 +548,10 @@ def validate_config(cfg: SimConfig) -> list[Violation]:
     # Bypass schemes decode straight into the DC buffer, the decoder possibly
     # pacing itself below its peak rate (and, under burstlink, below the
     # link); the others decode into DRAM, then burst the frame or stream it
-    # in what is left of the window.  Burst schemes wake up with hardware
-    # help, by default in BURST_WAKE_SHARE of the window.
+    # in what is left of the window.  VR adds the GPU's projection: back into
+    # DRAM, or under bypass from a frame decoded into DRAM straight into the
+    # DC buffer, in place of the decoder's feed.  Burst schemes wake up with
+    # hardware help, by default in BURST_WAKE_SHARE of the window.
     if not bursting:
         t_orch = sys_.orchestration_time
     elif sys_.burst_orchestration_time is not None:
@@ -557,14 +559,24 @@ def validate_config(cfg: SimConfig) -> list[Violation]:
     else:
         num, den = BURST_WAKE_SHARE
         t_orch = window_s * (num / den)
-    if bypass:
+    vr = wl.kind is WorkloadKind.VR360
+    if bypass and vr:
+        feed = min(sys_.gpu_pt_rate, link / 8) if bursting else sys_.gpu_pt_rate
+        busy = t_orch + fbytes / sys_.decode_rate + fbytes / feed
+        work, rate = "decode + projection feed", "gpu_pt_rate"
+    elif bypass:
         pace = sys_.vd_paced_rate or sys_.decode_rate
         busy = t_orch + fbytes / (min(pace, link / 8) if bursting else pace)
         work = "direct-feed transfer"
         rate = "vd_paced_rate" if sys_.vd_paced_rate else "decode_rate"
     else:
         busy = t_orch + fbytes / sys_.decode_rate + t_burst
-        work, rate = "decode + burst" if bursting else "decode", "decode_rate"
+        work, rate = "decode", "decode_rate"
+        if vr:
+            busy += fbytes / sys_.gpu_pt_rate
+            work, rate = "decode + projection", "gpu_pt_rate"
+        if bursting:
+            work += " + burst"
     if busy >= window_s:
         out.append(Violation("WINDOW_OVERRUN", f"system.{rate}",
                              f"wake-up + {work} takes {busy*1e3:.3f} ms, "

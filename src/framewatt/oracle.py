@@ -8,9 +8,10 @@ worked out as a list of ``(key, until)`` events, which one merge loop steps
 through: it clips each to the window end and merges spans on one interned
 (state, drfb, gpu, fbc) key.  Each window's spans are folded into per-state
 time as the window closes, one walk over all spans prices the energy, and
-:attr:`OracleResult.periods` is built only when read.  It shares no interval
-construction with :mod:`framewatt.timeline` and no pricing code with
-:mod:`framewatt.power`, only definitions that give a config its meaning:
+:attr:`OracleResult.periods` (each span's window, state and stretch) is built
+only when read.  It shares no interval construction with
+:mod:`framewatt.timeline` and no pricing code with :mod:`framewatt.power`,
+only definitions that give a config its meaning:
 ``check_run_shape`` (what a run may be), ``frame_bytes``,
 ``encoded_frame_bytes`` and ``selective_update_bytes`` (a window's payload),
 ``windows_per_frame`` (the frame group), ``BURST_WAKE_SHARE`` and
@@ -47,16 +48,13 @@ def _key(state: PackageCState, drfb: bool = False, gpu: bool = False,
 
 
 class OraclePeriod(NamedTuple):
-    """One merged stretch of one state and adder set, in float seconds: an
-    immutable named tuple, cheap to build and unpack; states hash by identity."""
+    """One merged span's window, state and stretch in float seconds; its
+    adders are in the span's key in :attr:`OracleResult.spans`."""
 
     window: int
     state: PackageCState
     start_s: float
     end_s: float
-    drfb: bool = False
-    gpu: bool = False
-    fbc: bool = False
 
     @property
     def span_s(self) -> float:
@@ -85,9 +83,9 @@ class OracleResult(NamedTuple):
     def periods(self) -> tuple[OraclePeriod, ...]:
         """The spans as :class:`OraclePeriod` records, built on each read."""
         bounds = self.window_bounds
-        return tuple(OraclePeriod(w, state, start_s, end_s, drfb, gpu, fbc)
+        return tuple(OraclePeriod(w, key[0], start_s, end_s)
                      for w, (first, end) in enumerate(zip(bounds, bounds[1:]))
-                     for (state, drfb, gpu, fbc), start_s, end_s in self.spans[first:end])
+                     for key, start_s, end_s in self.spans[first:end])
 
     def residency(self) -> dict[PackageCState, float]:
         total = self.total_s

@@ -122,8 +122,8 @@ class EnergyReport(NamedTuple):
     """Complete energy accounting for one simulated run."""
 
     scheme: Scheme
-    calibration_name: str
-    profile_name: str
+    calibration: str
+    profile: str
     n_windows: int
     total_ns: int
     residency: Mapping[PackageCState, float]
@@ -144,11 +144,7 @@ class EnergyReport(NamedTuple):
     analytic_average_power_mw: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {_REPORT_KEYS.get(k, k): v for k, v in json_form(self).items()}
-
-
-#: Report fields that ``report.json`` names differently.
-_REPORT_KEYS = {"calibration_name": "calibration", "profile_name": "profile"}
+        return json_form(self)
 
 
 class _Bill(NamedTuple):
@@ -217,8 +213,8 @@ def report_from_timeline(
     residency = {s: spans[s] / total_ns for s in STATES_BY_DEPTH}
     return EnergyReport(
         scheme=timeline.scheme,
-        calibration_name=calibration.name,
-        profile_name=profile.name,
+        calibration=calibration.name,
+        profile=profile.name,
         n_windows=timeline.n_windows,
         total_ns=total_ns,
         residency=residency,

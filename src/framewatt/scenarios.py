@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .core import CACHED_TRAFFIC_FRACTION, Scheme, SimConfig, WorkloadKind, read_text, replace
+from .core import Scheme, SimConfig, WorkloadKind, read_text, replace
 from .cstates import CalibrationSet
 from .power import EnergyReport, streaming_report
 
@@ -46,7 +46,6 @@ def apply_fbc(
     cfg: SimConfig,
     ratio: float,
     calibration: CalibrationSet | str = "default",
-    n_windows: int | None = None,
 ) -> ScenarioResult:
     """Frame-buffer compression: the display-bound buffer shrinks to ``ratio``.
 
@@ -63,8 +62,8 @@ def apply_fbc(
             stacklevel=2,
         )
         ratio = 1.0
-    base = streaming_report(cfg, calibration, n_windows)
-    modified = streaming_report(cfg, calibration, n_windows, fbc_ratio=ratio)
+    base = streaming_report(cfg, calibration)
+    modified = streaming_report(cfg, calibration, fbc_ratio=ratio)
     return ScenarioResult(base=base, modified=modified)
 
 
@@ -72,22 +71,17 @@ def apply_batching(
     cfg: SimConfig,
     batch_every: int,
     calibration: CalibrationSet | str = "default",
-    cached_traffic_fraction: float = CACHED_TRAFFIC_FRACTION,
-    n_windows: int | None = None,
 ) -> ScenarioResult:
     """Decode batching: one window decodes ``batch_every`` frames ahead.
 
     The other windows of the batch skip the decoder wake-up entirely, and the
     frames parked in DRAM are kept in a cache-friendly layout that cuts their
-    write/fetch traffic by ``cached_traffic_fraction``.  The timeline build
+    write/fetch traffic by ``core.CACHED_TRAFFIC_FRACTION``.  The timeline build
     rejects batching outside plain video playback on the conventional scheme.
     """
-    # The batched run defaults to whole batch cycles, so the cadence is
+    # The batched run covers one whole batch cycle, so the cadence is
     # represented faithfully; the plain run covers the same windows.
-    modified = streaming_report(
-        cfg, calibration, n_windows, batch_every=batch_every,
-        cached_traffic_fraction=cached_traffic_fraction,
-    )
+    modified = streaming_report(cfg, calibration, batch_every=batch_every)
     base = streaming_report(cfg, calibration, modified.n_windows)
     return ScenarioResult(base=base, modified=modified)
 

@@ -736,15 +736,15 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
     One pass checks that the records abut exactly and none runs backwards
     (exact rational times: rounding only quantizes shared boundaries, it
     never papers over gaps), rounds each end half-to-even and checks that
-    the last lands on the window end, folds the traffic of records that
-    round to nothing into the next survivor (reads into the last survivor
-    that can read DRAM, if the next cannot), and sums the streaming spans;
-    a second pass splits ``link_bytes`` over those spans by cumulative
-    flooring.
+    the last lands on the window end, gives the reads and writes of a
+    record that rounds to nothing back to the last kept rows that can move
+    them (if there is none, the record keeps 1 ns), and sums the streaming
+    spans; a second pass splits ``link_bytes`` over those spans by
+    cumulative flooring.
     """
     kept: list[list] = []
     cursor, cursor_den = 0, 1
-    prev_ns = carry_read = carry_write = streaming = 0
+    prev_ns = streaming = 0
     for state, start, end, den, label, read, write, gpu, fbc, drfb, streams in recs:
         if (start != cursor if den == cursor_den else start * cursor_den != cursor * den):
             raise ValueError(
@@ -755,26 +755,23 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
         if end_ns <= prev_ns:  # rounding must not reverse an edge
             if end < start:  # only a record that rounds to nothing can run backwards
                 raise ValueError(f"coverage overlap: window recipe runs back to {end / den} s")
-            carry_read += read
-            carry_write += write
-            continue
-        if carry_read and state not in _READ_STATES:
-            # Reads of fills that rounded to nothing go back to the last surviving fill.
-            back = next((row for row in reversed(kept) if row[0] in _READ_STATES), None)
-            if back is not None:
-                back[4] += carry_read
-                carry_read = 0
-        kept.append([state, prev_ns, end_ns, label, read + carry_read,
-                     write + carry_write, streams, drfb, gpu, fbc])
-        carry_read = carry_write = 0
+            # Its traffic goes back to the last kept rows that can move it, if any.
+            reader = read and next((row for row in reversed(kept) if row[0] in _READ_STATES), 0)
+            writer = write and next((row for row in reversed(kept) if row[0] in _WRITE_STATES), 0)
+            if (reader or not read) and (writer or not write):
+                if read:
+                    reader[4] += read
+                if write:
+                    writer[5] += write
+                continue
+            end_ns = prev_ns + 1
+        kept.append([state, prev_ns, end_ns, label, read, write, streams, drfb, gpu, fbc])
         if streams:
             streaming += end_ns - prev_ns
         prev_ns = end_ns
     # Rounded ends never decrease, so the last kept row ends where the last record does.
     if prev_ns != W_ns:
         raise ValueError(f"coverage gap: window recipe ends at {cursor / cursor_den} s")
-    kept[-1][4] += carry_read
-    kept[-1][5] += carry_write
     cum = handed = 0
     for row in kept:
         edp = 0

@@ -12,6 +12,11 @@ type of an output record's field.  Strings and comments are not references.
 The match is by name alone, which can only let a name through, never fail
 a used one.
 
+Every option has a caller too: each defaulted parameter of a function or
+method in ``src/framewatt`` must be passed by some call of that name in
+``src/``, ``tools/`` or ``perfbench/``, by keyword, by position or through
+``*args`` or ``**kwargs``.
+
 A name is imported from the module that defines it: no module keeps an
 ``__all__`` list or a module ``__getattr__``/``__dir__``, the package
 ``__init__`` binds only ``__version__``, and no module imports a sibling's
@@ -29,8 +34,6 @@ REPO = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "timeline.WindowTimeline.check_coverage":
         "acceptance criterion 4 calls it to re-derive every template from its records",
-    "oracle.OraclePeriod.drfb": "part of the reference view test_oracle.py compares against",
-    "oracle.OraclePeriod.fbc": "part of the reference view test_oracle.py compares against",
 }
 
 
@@ -133,8 +136,85 @@ def unreferenced(root: Path) -> list[str]:
                   + _unread_fields(classes, code))
 
 
+def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef,
+               method: bool) -> list[tuple[str, int | None]]:
+    """Each defaulted parameter of ``fn`` with its position among the
+    arguments a call passes (None if keyword-only); a method's ``self`` or
+    ``cls`` is not passed."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    bound = method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                               for d in fn.decorator_list)
+    first = len(positional) - len(args.defaults)
+    found = [(arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first]
+    return found + [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter: by keyword, by position, or
+    through ``*args`` or ``**kwargs``."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(arg, ast.Starred) for arg in call.args) or position < len(call.args)
+
+
+def unpassed_options(root: Path) -> list[str]:
+    """Defaulted parameters of the functions and methods under
+    ``root/src/framewatt`` that no call of that name in ``src/``, ``tools/``
+    or ``perfbench/`` passes, as ``module.function(parameter)``.  A class's
+    ``__init__`` is called by the class's name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in _trees(root, "src", "tools", "perfbench").values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path, tree in _trees(root, "src/framewatt").items():
+        functions = [(node.name, node.name, node, False) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        functions += [(f"{node.name}.{item.name}",
+                       node.name if item.name == "__init__" else item.name, item, True)
+                      for node in tree.body if isinstance(node, ast.ClassDef)
+                      for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        found += [f"{path.stem}.{qualified}({param})"
+                  for qualified, called, fn, method in functions
+                  for param, position in _defaulted(fn, method)
+                  if not any(_passes(call, param, position) for call in calls.get(called, []))]
+    return sorted(found)
+
+
 def test_every_public_name_in_src_has_a_caller_outside_the_tests():
     assert unreferenced(REPO) == sorted(ALLOWED)
+
+
+def test_every_defaulted_parameter_in_src_is_passed_outside_the_tests():
+    assert unpassed_options(REPO) == []
+
+
+def test_the_option_scan_counts_keywords_positions_and_unpacking(tmp_path):
+    pkg = tmp_path / "src" / "framewatt"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tools").mkdir()
+    (pkg / "m.py").write_text(
+        "def run(cfg, n=None, *, fast=False, slow=False, quiet=False):\n    pass\n"
+        "def spread(a=1, b=2, c=3):\n    pass\n"
+        "def packed(a=1, *, b=2):\n    pass\n"
+        "class Box:\n    def __init__(self, size=1, tag=''):\n        pass\n"
+        "    def put(self, item, many=False):\n        pass\n"
+        "    @staticmethod\n    def make(kind='a'):\n        pass\n"
+        "def inner(x=0):\n    run(None, fast=True)\n    spread(0, *[1])\n"
+        "    packed(**{})\n    Box(2).put(1)\n    Box.make('b')\n",
+        encoding="utf-8")
+    (tmp_path / "tools" / "t.py").write_text(
+        "from framewatt.m import run\nrun(None, 4, slow=True)\n'quiet'\n", encoding="utf-8")
+    assert unpassed_options(tmp_path) == ["m.Box.__init__(tag)", "m.Box.put(many)",
+                                          "m.inner(x)", "m.run(quiet)"]
 
 
 def test_the_scan_sees_definitions_and_ignores_strings_and_stores(tmp_path):

@@ -243,6 +243,19 @@ _WINDOW = "leaving no room in the 16.667 ms window"
     pytest.param({"system": {"vd_paced_rate": 1e8}, "workload": {"scheme": "burstlink"}},
                  ["WINDOW_OVERRUN\tsystem.vd_paced_rate\twake-up + direct-feed transfer "
                   f"takes 62.541 ms, {_WINDOW}"], id="overrun-direct-feed-paced"),
+    # VR under burstlink decodes into DRAM, then the GPU feeds the DC buffer.
+    pytest.param({"display": {"resolution": "4k", "refresh_hz": 120},
+                  "workload": {"kind": "vr360", "scheme": "burstlink", "video_fps": 60}},
+                 ["WINDOW_OVERRUN\tsystem.gpu_pt_rate\twake-up + decode + projection feed "
+                  "takes 8.953 ms, leaving no room in the 8.333 ms window"],
+                 id="overrun-vr-projection-feed"),
+    # VR under the plain scheme projects the decoded frame back into DRAM.
+    pytest.param({"display": {"resolution": "4k", "refresh_hz": 240,
+                              "edp_max_bits_per_s": 1e11},
+                  "workload": {"kind": "vr360", "scheme": "baseline", "video_fps": 60}},
+                 ["WINDOW_OVERRUN\tsystem.gpu_pt_rate\twake-up + decode + projection takes "
+                  "4.250 ms, leaving no room in the 4.167 ms window"],
+                 id="overrun-vr-projection"),
     pytest.param({"workload": {"kind": "vr360", "scheme": "bypass_only"}},
                  ["VR_SCHEME_UNSUPPORTED\tworkload.scheme\t360-degree playback is modeled "
                   "for 'baseline' and 'burstlink' only"], id="vr-scheme-unsupported"),

@@ -492,6 +492,16 @@ def test_slow_paced_feed_overruns_the_window_for_direct_feed_schemes():
     assert found.get("WINDOW_OVERRUN") == "system.vd_paced_rate"
 
 
+def test_vr_under_burstlink_is_budgeted_by_the_gpu_feed_not_the_paced_decoder():
+    # The VR recipe decodes at the full rate and feeds the projection at the
+    # GPU's, so the decoder's direct-feed pacing does not enter its budget.
+    vr = {"scheme": Scheme.BURSTLINK, "kind": WorkloadKind.VR360}
+    assert validate_config(make_config(system=SystemConfig(vd_paced_rate=1e8), **vr)) == []
+    found = {v.code: v.field
+             for v in validate_config(make_config(system=SystemConfig(gpu_pt_rate=1e9), **vr))}
+    assert found == {"WINDOW_OVERRUN": "system.gpu_pt_rate"}
+
+
 def test_long_orchestration_overruns_the_window():
     system = SystemConfig(orchestration_time=20e-3)
     assert "WINDOW_OVERRUN" in codes(make_config("fhd", 60, system=system))

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import framewatt.oracle as omod
-from framewatt.core import CACHED_TRAFFIC_FRACTION, Scheme, SystemConfig, WorkloadKind
+from framewatt.core import (CACHED_TRAFFIC_FRACTION, DisplayConfig, Resolution, Scheme,
+                            SimConfig, SystemConfig, WorkloadKind, WorkloadSpec,
+                            frame_bytes, validate_config)
 from framewatt.cstates import PackageCState, load_calibration
 from framewatt.oracle import oracle_simulate
 from framewatt.power import report_from_timeline
@@ -194,17 +196,18 @@ def test_oracle_rejects_an_empty_run():
 
 
 def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
-    """Reference energy: step through every period in ticks of ``tick_s``."""
+    """Reference energy: step through every period in ticks of ``tick_s``,
+    with the adders its span's key sets."""
     profile = cal.profile_for(cfg.workload.scheme)
     total_uj = 0.0
     prev_state = None
-    for p in oracle.periods:
+    for p, ((_, drfb, gpu, fbc), _, _) in zip(oracle.periods, oracle.spans, strict=True):
         power_mw = profile.state_power_mw[p.state]
-        if p.drfb:
+        if drfb:
             power_mw += cal.drfb_power_mw
-        if p.gpu:
+        if gpu:
             power_mw += cfg.system.gpu_active_mw
-        if p.fbc:
+        if fbc:
             power_mw += cfg.system.fbc_compute_mw
         remaining = p.span_s
         while remaining > 0:
@@ -217,6 +220,59 @@ def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
     total_uj += oracle.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
     total_uj += oracle.dram_write_bytes * cfg.system.dram_coeff_write * 1e6
     return total_uj
+
+
+#: Rates from 1 GB/s to 1 PB/s, at whole and odd mantissas.
+_RATES = st.integers(9, 14).flatmap(lambda e: st.sampled_from([1.0, 2.5, 7.3]).map(
+    lambda m: m * 10.0**e)) | st.just(1e15)
+#: Wake-ups of nothing, a tenth of a ns, a us and a ms.
+_WAKES = st.sampled_from([0.0, 1e-10, 1e-6, 1e-3])
+
+
+@st.composite
+def _edge_configs(draw):
+    """A config from a wide space, with the dirty trace of a single-plane
+    workload: panels from 16x16 to 4K at 30-240 Hz, rates, wake-ups and DC
+    buffers (1 B to 512 KiB, at most 1,024 fills a frame) far from the
+    shipped ones."""
+    refresh = draw(st.sampled_from([30, 48, 60, 90, 120, 144, 240]))
+    scheme, kind = draw(st.sampled_from(Scheme)), draw(st.sampled_from(WorkloadKind))
+    display = DisplayConfig(
+        resolution=Resolution(4 * draw(st.integers(4, 960)), draw(st.integers(16, 2160))),
+        refresh_hz=refresh, bits_per_pixel=draw(st.sampled_from([16, 24, 30, 32])),
+        edp_max_bits_per_s=8 * draw(_RATES))
+    fills = draw(st.integers(1, 1024))
+    system = SystemConfig(
+        dc_buffer_bytes=min(-(-frame_bytes(display.resolution, display.bits_per_pixel) // fills),
+                            512 * 1024),
+        dram_fetch_rate=draw(_RATES), decode_rate=draw(_RATES),
+        vd_paced_rate=draw(st.none() | _RATES), gpu_pt_rate=draw(_RATES),
+        orchestration_time=draw(_WAKES), burst_orchestration_time=draw(st.none() | _WAKES))
+    workload = WorkloadSpec(
+        kind=kind, scheme=scheme,
+        video_fps=refresh if kind is WorkloadKind.SINGLE_PLANE
+        else refresh // draw(st.sampled_from([d for d in (1, 2, 3, 4) if refresh % d == 0])),
+        psr_alternate_windows=draw(st.booleans()))
+    trace = (draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=1, max_size=3))
+             if kind is WorkloadKind.SINGLE_PLANE else None)
+    return SimConfig(display, system, workload), trace
+
+
+@given(_edge_configs())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_every_validated_config_builds_and_agrees_with_the_oracle(case):
+    cfg, trace = case
+    if validate_config(cfg):
+        return
+    check_run_shape(cfg, None, 1.0, 1, CACHED_TRAFFIC_FRACTION, trace)
+    build_timeline(cfg, dirty_trace=trace).check_coverage()
+    # The default calibration prices no state change: the timeline drops the
+    # changes of records that round to nothing, which the oracle still prices.
+    _, _, energy_pct, residency_pp = cross_check(cfg, "default", dirty_trace=trace)
+    assert energy_pct < 0.1  # criterion 3's tolerances
+    assert residency_pp < 0.1
 
 
 @pytest.mark.parametrize("cfg, calibration, n_windows, overlays", [
@@ -253,11 +309,13 @@ def _ref_state_time_s(oracle):
 
 
 def _ref_energy_uj(oracle, cfg, calibration):
-    """Reference: the energy bill priced period by period."""
+    """Reference: the energy bill priced period by period, with the adders
+    its span's key sets."""
     profile = calibration.profile_for(cfg.workload.scheme)
     total_uj = 0.0
     prev_state = None
-    for _, state, start_s, end_s, drfb, gpu, fbc in oracle.periods:
+    for (_, state, start_s, end_s), ((_, drfb, gpu, fbc), _, _) in zip(
+            oracle.periods, oracle.spans, strict=True):
         power_mw = profile.state_power_mw[state]
         if drfb:
             power_mw += calibration.drfb_power_mw

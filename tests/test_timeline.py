@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import html
 import io
+import json
 from fractions import Fraction
 from importlib import resources
 from itertools import accumulate
@@ -438,10 +439,6 @@ def test_a_body_of_longer_records_is_tallied_in_closed_form():
     # The fill that would start after the hard end is dropped; its reads
     # land on the drain record cut at the end.
     pytest.param(1_000_000, 100_000, 10**9, 20_000_000, 5_200_000, id="clipped-drain"),
-    # 0.1 ns fills against 10 ns drains round to nothing, and their reads
-    # are carried onto the drain gap that follows each of them; the first
-    # drain has no surviving fill before it to give them back to.
-    pytest.param(1000, 1, 10**10, 10**8, 0, id="sub-nanosecond-fills"),
 ])
 def test_reads_carried_onto_a_drain_state_are_rejected(payload, chunk, fill_rate, drain_rate,
                                                        where):
@@ -449,6 +446,46 @@ def test_reads_carried_onto_a_drain_state_are_rejected(payload, chunk, fill_rate
                                   Fraction(fill_rate), Fraction(drain_rate))
     with pytest.raises(ValueError, match=f"^DRAM read bytes on C8 at {where} ns$"):
         tmod._template("update", parts[2], *parts[:2], W_ns)
+
+
+def test_sub_nanosecond_fills_keep_the_first_for_1ns_and_give_it_their_reads():
+    # 0.1 ns fills against 10 ns drains round to nothing.  The first has no
+    # kept row before it that can read DRAM, so it keeps 1 ns; every later
+    # one gives its read back to it.
+    parts, W_ns = _phase_template(Fraction(0), Fraction(9, 1000), 1000, 1,
+                                  Fraction(10**10), Fraction(10**8))
+    tpl = _check_phase_template(parts, W_ns)
+    rows = tmod._round_records(tmod._records(*parts[:2]), W_ns, parts[2])
+    assert rows[0][:5] == [PackageCState.C2, 0, 1, "fetch", 1000]
+    assert [row[4] for row in rows[1:]] == [0] * (len(rows) - 1)
+    assert tpl.totals.dram_read_bytes == 1000
+
+
+@pytest.mark.parametrize("before, read, write, expected", [
+    # A fetch can take both back.
+    pytest.param(PackageCState.C2, 3, 4, [(PackageCState.C2, 0, 5_000_000, 3, 4),
+                                         (PackageCState.C9, 5_000_000, 16_666_667, 0, 0)],
+                 id="given-back"),
+    # A direct feed can read but not write DRAM, so the record keeps 1 ns.
+    pytest.param(PackageCState.C7, 3, 4, [(PackageCState.C7, 0, 5_000_000, 0, 0),
+                                         (PackageCState.C0, 5_000_000, 5_000_001, 3, 4),
+                                         (PackageCState.C9, 5_000_001, 16_666_667, 0, 0)],
+                 id="write-kept"),
+    pytest.param(PackageCState.C8, 0, 4, [(PackageCState.C8, 0, 5_000_000, 0, 0),
+                                         (PackageCState.C0, 5_000_000, 5_000_001, 0, 4),
+                                         (PackageCState.C9, 5_000_001, 16_666_667, 0, 0)],
+                 id="drain-then-write"),
+])
+def test_a_record_that_rounds_to_nothing_gives_its_traffic_back_or_keeps_1ns(
+        before, read, write, expected):
+    recs = [_rec(before, Fraction(0), Fraction(1, 200), "before"),
+            _rec(PackageCState.C0, Fraction(1, 200), Fraction(1, 200), "empty",
+                 read=read, write=write),
+            _rec(PackageCState.C9, Fraction(1, 200), Fraction(1, 60), "idle")]
+    rows = tmod._round_records(recs, frame_window_ns(60), 0)
+    assert [(row[0], row[1], row[2], row[4], row[5]) for row in rows] == expected
+    assert tmod._template("update", 0, tuple(recs), None, frame_window_ns(60)).totals[1:3] == (
+        read, write)
 
 
 def _counting(monkeypatch, name):
@@ -582,12 +619,13 @@ def test_window_rounding_rejects_a_record_that_runs_backwards():
 
 
 def test_window_rounding_keeps_zero_length_records_legal():
-    # A zero orchestration_time makes an empty wake-up record.
+    # A zero orchestration_time makes an empty wake-up record.  With no
+    # kept row before it to take its reads, it keeps 1 ns.
     recs = [_rec(PackageCState.C0, Fraction(0), Fraction(0), "wake", read=5),
             _rec(PackageCState.C2, Fraction(0), Fraction(1, 60), "fetch")]
     rows = _as_intervals(tmod._round_records(recs, frame_window_ns(60), 0))
     assert [(iv.state, iv.start_ns, iv.end_ns, iv.dram_read_bytes) for iv in rows] == [
-        (PackageCState.C2, 0, frame_window_ns(60), 5)]  # the empty record's reads fold in
+        (PackageCState.C0, 0, 1, 5), (PackageCState.C2, 1, frame_window_ns(60), 0)]
 
 
 def duplex_phase(*args, **kwargs):
@@ -958,6 +996,34 @@ def test_a_sub_ns_tail_fill_gives_its_reads_to_the_last_fill(tmp_path, capsys):
     assert main(["simulate", "--preset", "4k60", "--kind", "single_plane", "--scheme",
                  "bursting_only", "--trace", str(trace)]) == 0
     assert "DRAM read bytes" not in capsys.readouterr().err
+
+
+def test_a_zero_wake_up_before_sub_ns_fetches_builds_and_agrees_with_the_oracle(tmp_path, capsys):
+    # No wake-up time and a 1e15 B/s fetch: every record before the first
+    # drain rounds to nothing, so the first fill keeps 1 ns and takes the reads.
+    doc = {"display": {"resolution": "4k", "refresh_hz": 60},
+           "system": {"burst_orchestration_time": 0.0, "dram_fetch_rate": 1e15},
+           "workload": {"kind": "single_plane", "scheme": "bursting_only", "video_fps": 60}}
+    config, trace = tmp_path / "config.json", tmp_path / "trace.csv"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    trace.write_text("window,dirty_fraction\n0,0.0\n1,0.5\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(config), "--trace", str(trace)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["validate", "--config", str(config), "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(": OK")
+
+
+def test_a_window_that_fails_its_check_is_named_by_the_build(monkeypatch):
+    recipe = tmod._recipe
+
+    def reads_on_idle(k, scheme, kind, *rest):
+        if kind == "repeat":  # window 1 of a 30 fps video on a 60 Hz panel
+            return (_rec(PackageCState.C9, Fraction(0), Fraction(1, 60), "idle", read=1),), None
+        return recipe(k, scheme, kind, *rest)
+
+    monkeypatch.setattr(tmod, "_recipe", reads_on_idle)
+    with pytest.raises(ValueError, match="^window 1: DRAM read bytes on C9 at 0 ns$"):
+        build_timeline(make_config("fhd", 30, Scheme.BURSTLINK), 2)
 
 
 def _fraction_knobs(cfg, fbc_ratio, traffic_cut):
