@@ -353,6 +353,22 @@ def dc_fetch_count(n_bytes: int, dc_buffer_bytes: int) -> int:
     return -(-n_bytes // dc_buffer_bytes)  # ceil
 
 
+def selective_update_bytes(full_frame_bytes: int, dirty_fraction: float) -> int:
+    """Link payload for a partial update: dirty pixels plus a 128-byte
+    rectangle header.
+
+    The header is charged even when nothing changed (the panel still receives
+    an update descriptor), while a fully dirty frame is sent whole with no
+    header, so a 1.0 fraction is byte-identical to a plain full-frame
+    transfer.
+    """
+    if not 0.0 <= dirty_fraction <= 1.0:
+        raise ValueError(f"dirty_fraction must be in [0, 1], got {dirty_fraction}")
+    if dirty_fraction == 1.0:
+        return full_frame_bytes
+    return min(round(full_frame_bytes * dirty_fraction) + 128, full_frame_bytes)
+
+
 # -- validation ------------------------------------------------------------
 
 
@@ -586,3 +602,57 @@ def validate_config(cfg: SimConfig) -> list[Violation]:
         out.append(Violation("VR_SCHEME_UNSUPPORTED", "workload.scheme",
                              "360-degree playback is modeled for 'baseline' and 'burstlink' only"))
     return out
+
+
+def check_run_shape(cfg: SimConfig, n_windows: int | None, fbc_ratio: float,
+                    batch_every: int, cached_traffic_fraction: float,
+                    dirty_trace: Sequence[float] | None) -> int:
+    """The run's window count.  This is the one gate every run passes, in
+    the timeline builder and the event oracle alike: an invalid config
+    raises ``ConfigurationError`` first, then a run shape (the builder's
+    keywords) that does not fit the config's workload raises ValueError."""
+    reject(validate_config(cfg))
+    if not 0.0 < fbc_ratio <= 1.0:
+        raise ValueError(f"fbc_ratio must be in (0, 1], got {fbc_ratio}")
+    if batch_every < 1:
+        raise ValueError(f"batch_every must be >= 1, got {batch_every}")
+    if not 0.0 <= cached_traffic_fraction <= 1.0:
+        raise ValueError(
+            f"cached_traffic_fraction must be in [0, 1], got {cached_traffic_fraction}")
+    wl = cfg.workload
+    if batch_every > 1:
+        if wl.kind is not WorkloadKind.VIDEO or wl.scheme is not Scheme.BASELINE:
+            raise ValueError(
+                "frame batching applies only to video playback under the plain scheme"
+            )
+        # The decoded frames must fit in DRAM and their decodes in one window.
+        fbytes = frame_bytes(cfg.display.resolution, cfg.display.bits_per_pixel)
+        if batch_every * fbytes > cfg.system.dram_capacity_bytes:
+            raise ValueError(
+                f"BATCH_EXCEEDS_DRAM: {batch_every} frames of {fbytes} bytes exceed "
+                f"dram_capacity_bytes={cfg.system.dram_capacity_bytes}"
+            )
+        window_s = 1 / cfg.display.refresh_hz
+        busy = cfg.system.orchestration_time + batch_every * fbytes / cfg.system.decode_rate
+        if busy >= window_s:
+            raise ValueError(
+                f"BATCH_WINDOW_OVERRUN: decoding {batch_every} frames takes "
+                f"{busy * 1e3:.3f} ms, beyond the {window_s * 1e3:.3f} ms window"
+            )
+    if fbc_ratio != 1.0 and wl.kind is WorkloadKind.SINGLE_PLANE:
+        raise ValueError("frame-buffer compression does not apply to single-plane workloads")
+    if wl.kind is WorkloadKind.SINGLE_PLANE:
+        if dirty_trace is None:
+            raise ValueError("single-plane workloads need a dirty_trace")
+        n = len(dirty_trace)
+        if n == 0:
+            raise ValueError("dirty_trace must not be empty")
+        if n_windows not in (None, n):
+            raise ValueError(f"n_windows must be the dirty trace's length {n}, got {n_windows}")
+        return n
+    n = n_windows if n_windows is not None else batch_every * windows_per_frame(cfg)
+    if n < 1:
+        raise ValueError("n_windows must be >= 1")
+    if dirty_trace is not None:
+        raise ValueError("dirty_trace only applies to single-plane workloads")
+    return n

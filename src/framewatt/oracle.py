@@ -9,9 +9,9 @@ through: it clips each to the window end and merges spans on one interned
 (state, drfb, gpu, fbc) key.  Each window's spans are folded into per-state
 time as the window closes, one walk over all spans prices the energy, and
 :attr:`OracleResult.periods` (each span's window, state and stretch) is built
-only when read.  It shares no interval construction with
-:mod:`framewatt.timeline` and no pricing code with :mod:`framewatt.power`,
-only definitions that give a config its meaning:
+only when read.  It imports nothing from :mod:`framewatt.timeline` or
+:mod:`framewatt.power`: every name it shares comes from :mod:`framewatt.core`
+or :mod:`framewatt.cstates`, a definition that gives a config its meaning:
 ``check_run_shape`` (what a run may be), ``frame_bytes``,
 ``encoded_frame_bytes`` and ``selective_update_bytes`` (a window's payload),
 ``windows_per_frame`` (the frame group), ``BURST_WAKE_SHARE`` and
@@ -31,9 +31,9 @@ from itertools import accumulate, chain, product
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (BURST_WAKE_SHARE, CACHED_TRAFFIC_FRACTION, Scheme, SimConfig, WorkloadKind,
-                   encoded_frame_bytes, frame_bytes, windows_per_frame)
+                   check_run_shape, encoded_frame_bytes, frame_bytes, selective_update_bytes,
+                   windows_per_frame)
 from .cstates import STATES_BY_DEPTH, CalibrationSet, PackageCState
-from .timeline import check_run_shape, selective_update_bytes
 
 
 #: A span's merge key, (state, drfb, gpu, fbc).  ``_KEYS`` holds one object
@@ -251,10 +251,9 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
                     dirty_trace: Sequence[float] | None = None) -> OracleResult:
     """Simulate the run with the event machine and return merged spans.
 
-    Takes :func:`build_timeline`'s keywords and rejects the run shapes it
-    rejects (:func:`check_run_shape`): like it, it defaults to one batch
-    cycle (``batch_every`` frame groups), and a dirty trace sets its own
-    length, which ``n_windows`` may only restate.
+    Takes :func:`build_timeline`'s keywords and defaults to the same
+    length; :func:`check_run_shape` alone decides whether the run exists,
+    so it refuses what the builder refuses, with the same errors.
     """
     n = check_run_shape(cfg, n_windows, fbc_ratio, batch_every, cached_traffic_fraction,
                         dirty_trace)

@@ -59,12 +59,12 @@ from .core import (
     Scheme,
     SimConfig,
     WorkloadKind,
+    check_run_shape,
     dc_fetch_count,
     encoded_frame_bytes,
     frame_bytes,
     frame_window_ns,
-    reject,
-    validate_config,
+    selective_update_bytes,
     windows_per_frame,
 )
 from .cstates import PackageCState
@@ -550,73 +550,6 @@ def _recipe(k: _Knobs, scheme: Scheme, kind: str, decodes: int, link_bytes: int,
     )
 
 
-def selective_update_bytes(full_frame_bytes: int, dirty_fraction: float) -> int:
-    """Link payload for a partial update: dirty pixels plus a 128-byte
-    rectangle header.
-
-    The header is charged even when nothing changed (the panel still receives
-    an update descriptor), while a fully dirty frame is sent whole with no
-    header, so a 1.0 fraction is byte-identical to a plain full-frame
-    transfer.
-    """
-    if not 0.0 <= dirty_fraction <= 1.0:
-        raise ValueError(f"dirty_fraction must be in [0, 1], got {dirty_fraction}")
-    if dirty_fraction == 1.0:
-        return full_frame_bytes
-    return min(round(full_frame_bytes * dirty_fraction) + 128, full_frame_bytes)
-
-
-def check_run_shape(cfg: SimConfig, n_windows: int | None, fbc_ratio: float,
-                    batch_every: int, cached_traffic_fraction: float,
-                    dirty_trace: Sequence[float] | None) -> int:
-    """The run's window count; raises ValueError unless the run shape
-    (:func:`build_timeline`'s keywords) fits the config's workload."""
-    if not 0.0 < fbc_ratio <= 1.0:
-        raise ValueError(f"fbc_ratio must be in (0, 1], got {fbc_ratio}")
-    if batch_every < 1:
-        raise ValueError(f"batch_every must be >= 1, got {batch_every}")
-    if not 0.0 <= cached_traffic_fraction <= 1.0:
-        raise ValueError(
-            f"cached_traffic_fraction must be in [0, 1], got {cached_traffic_fraction}")
-    wl = cfg.workload
-    if batch_every > 1:
-        if wl.kind is not WorkloadKind.VIDEO or wl.scheme is not Scheme.BASELINE:
-            raise ValueError(
-                "frame batching applies only to video playback under the plain scheme"
-            )
-        # The decoded frames must fit in DRAM and their decodes in one window.
-        fbytes = frame_bytes(cfg.display.resolution, cfg.display.bits_per_pixel)
-        if batch_every * fbytes > cfg.system.dram_capacity_bytes:
-            raise ValueError(
-                f"BATCH_EXCEEDS_DRAM: {batch_every} frames of {fbytes} bytes exceed "
-                f"dram_capacity_bytes={cfg.system.dram_capacity_bytes}"
-            )
-        window_s = 1 / cfg.display.refresh_hz
-        busy = cfg.system.orchestration_time + batch_every * fbytes / cfg.system.decode_rate
-        if busy >= window_s:
-            raise ValueError(
-                f"BATCH_WINDOW_OVERRUN: decoding {batch_every} frames takes "
-                f"{busy * 1e3:.3f} ms, beyond the {window_s * 1e3:.3f} ms window"
-            )
-    if fbc_ratio != 1.0 and wl.kind is WorkloadKind.SINGLE_PLANE:
-        raise ValueError("frame-buffer compression does not apply to single-plane workloads")
-    if wl.kind is WorkloadKind.SINGLE_PLANE:
-        if dirty_trace is None:
-            raise ValueError("single-plane workloads need a dirty_trace")
-        n = len(dirty_trace)
-        if n == 0:
-            raise ValueError("dirty_trace must not be empty")
-        if n_windows not in (None, n):
-            raise ValueError(f"n_windows must be the dirty trace's length {n}, got {n_windows}")
-        return n
-    n = n_windows if n_windows is not None else batch_every * windows_per_frame(cfg)
-    if n < 1:
-        raise ValueError("n_windows must be >= 1")
-    if dirty_trace is not None:
-        raise ValueError("dirty_trace only applies to single-plane workloads")
-    return n
-
-
 def build_timeline(
     cfg: SimConfig,
     n_windows: int | None = None,
@@ -634,13 +567,11 @@ def build_timeline(
     ``dirty_trace`` drives single-plane workloads (one dirty fraction per
     window).  Defaults leave the plain scheme untouched.
 
-    This is the one gate every run passes: an invalid config raises
-    ``ConfigurationError``, and an impossible overlay or batch raises
-    ``ValueError``.  ``n_windows`` defaults to one batch cycle
-    (``batch_every`` frame groups); a dirty trace sets its own length, which
-    ``n_windows`` may only restate.
+    :func:`~framewatt.core.check_run_shape` alone decides whether the run
+    exists.  ``n_windows`` defaults to one batch cycle (``batch_every``
+    frame groups); a dirty trace sets its own length, which ``n_windows``
+    may only restate.
     """
-    reject(validate_config(cfg))
     n = check_run_shape(cfg, n_windows, fbc_ratio, batch_every, cached_traffic_fraction,
                         dirty_trace)
     wl = cfg.workload

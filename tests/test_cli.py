@@ -190,8 +190,9 @@ def test_wrong_type_inside_an_object_names_the_nested_key(tmp_path, capsys):
 
 _WINDOW = "leaving no room in the 16.667 ms window"
 
-
-@pytest.mark.parametrize("doc, lines", [
+#: One config per cross-field rule of ``validate_config``, with the
+#: ``violation`` lines it prints; every run of these configs is refused.
+CROSS_FIELD_RULES = [
     pytest.param({"display": {"resolution": "4k", "edp_max_bits_per_s": 1e9}},
                  ["LINK_TOO_SLOW\tdisplay.edp_max_bits_per_s\tpanel needs 11.944 Gb/s to "
                   "stream 3840x2160@60 but the link caps at 1.000 Gb/s"], id="link-too-slow"),
@@ -259,7 +260,10 @@ _WINDOW = "leaving no room in the 16.667 ms window"
     pytest.param({"workload": {"kind": "vr360", "scheme": "bypass_only"}},
                  ["VR_SCHEME_UNSUPPORTED\tworkload.scheme\t360-degree playback is modeled "
                   "for 'baseline' and 'burstlink' only"], id="vr-scheme-unsupported"),
-])
+]
+
+
+@pytest.mark.parametrize("doc, lines", CROSS_FIELD_RULES)
 def test_each_cross_field_rule_prints_its_violation_line(doc, lines, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -76,6 +76,13 @@ def test_importing_the_core_module_loads_no_other_module():
     assert _fresh("import framewatt.core") == ["framewatt", "framewatt.core"]
 
 
+def test_importing_the_oracle_loads_no_builder_or_pricer_module():
+    # The oracle cross-checks the builder and the pricer, so it imports
+    # neither; -S keeps site's .pth hooks out of the module set.
+    assert _fresh("import framewatt.oracle", "framewatt", "-S") == [
+        "framewatt", "framewatt.core", "framewatt.cstates", "framewatt.oracle"]
+
+
 def test_importing_the_cli_loads_no_package_resource_reader():
     # The built-in calibrations are read as plain files next to the package.
     # -S skips site, whose .pth hooks may import the reader in every process.

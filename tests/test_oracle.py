@@ -18,15 +18,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import framewatt.oracle as omod
-from framewatt.core import (CACHED_TRAFFIC_FRACTION, DisplayConfig, Resolution, Scheme,
-                            SimConfig, SystemConfig, WorkloadKind, WorkloadSpec,
-                            frame_bytes, validate_config)
+from framewatt.core import (CACHED_TRAFFIC_FRACTION, ConfigurationError, DisplayConfig,
+                            Resolution, Scheme, SimConfig, SystemConfig, WorkloadKind,
+                            WorkloadSpec, check_run_shape, frame_bytes, validate_config)
 from framewatt.cstates import PackageCState, load_calibration
 from framewatt.oracle import oracle_simulate
 from framewatt.power import report_from_timeline
-from framewatt.timeline import build_timeline, check_run_shape
+from framewatt.timeline import build_timeline
 from conftest import make_config
 from test_acceptance import _valid_configs
+from test_cli import CROSS_FIELD_RULES
 from test_scenarios import bundled_trace
 
 
@@ -193,6 +194,18 @@ def test_oracle_rejects_an_empty_run():
     for sim in (build_timeline, oracle_simulate):
         with pytest.raises(ValueError, match="^n_windows must be >= 1$"):
             sim(make_config("fhd", 60), 0)
+
+
+@pytest.mark.parametrize("doc, lines", CROSS_FIELD_RULES)
+def test_oracle_refuses_the_configs_the_builder_refuses(doc, lines):
+    cfg = SimConfig.from_dict(doc)
+    refused = []
+    for sim in (build_timeline, oracle_simulate):
+        with pytest.raises(ConfigurationError) as caught:
+            sim(cfg)
+        refused.append(caught.value.violations)
+    assert refused[1] == refused[0]
+    assert ["\t".join(v) for v in refused[1]] == lines
 
 
 def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
@@ -511,9 +524,10 @@ def test_oracle_runs_equal_emitting_each_span(case):
 #: shared.  A new name here is new sharing between the two sides.
 _ORACLE_SHARES = {
     "core": {"BURST_WAKE_SHARE", "CACHED_TRAFFIC_FRACTION", "Scheme", "SimConfig",
-             "WorkloadKind", "encoded_frame_bytes", "frame_bytes", "windows_per_frame"},
+             "WorkloadKind", "check_run_shape", "encoded_frame_bytes", "frame_bytes",
+             "selective_update_bytes", "windows_per_frame"},
     "cstates": {"STATES_BY_DEPTH", "CalibrationSet", "PackageCState"},
-    "timeline": {"check_run_shape", "selective_update_bytes"},
+    "timeline": set(),
     "power": set(),
 }
 

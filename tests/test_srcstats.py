@@ -33,7 +33,13 @@ def test_srcstats_alternates_checkouts_and_reports_quartiles(tmp_path, monkeypat
                         lambda c: launches.append(c) or 1000 * len(launches))
     assert srcstats.main([str(REPO), str(other)]) == 0
     assert launches == [REPO, other, other, REPO] * 5 + [REPO, other]
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert [row.split()[1:] for row in rows] == [
+    table, modules = capsys.readouterr().out.split("\n\n")
+    assert [row.split()[1:] for row in table.splitlines()[1:]] == [
         [str(srcstats.line_count(REPO)), "12.0", "[6.5,", "16.5]"],
         ["2", "11.0", "[6.5,", "16.5]"]]
+    # Then each module's lines, a column per checkout, "-" where it has none.
+    ours = {p.name: len(p.read_text(encoding="utf-8").splitlines())
+            for p in (REPO / "src" / "framewatt").glob("*.py")}
+    assert modules.splitlines()[0].split() == ["module", "lines", REPO.name, "other"]
+    assert [row.split() for row in modules.splitlines()[1:]] == sorted(
+        [[name, str(n), "-"] for name, n in ours.items()] + [["m.py", "-", "2"]])

@@ -28,6 +28,7 @@ from framewatt.core import (
     encoded_frame_bytes,
     frame_bytes,
     frame_window_ns,
+    selective_update_bytes,
 )
 from framewatt import timeline as tmod
 from framewatt.cli import main
@@ -40,7 +41,6 @@ from framewatt.timeline import (
     Interval,
     TimelineTotals,
     build_timeline,
-    selective_update_bytes,
     timeline_to_csv,
     timeline_to_svg,
     timeline_totals,
@@ -1312,15 +1312,20 @@ def test_selective_update_of_a_clean_frame_is_just_the_header():
 def test_selective_update_scales_with_the_dirty_fraction():
     assert selective_update_bytes(F_FHD, 0.25) == round(F_FHD * 0.25) + 128
     assert selective_update_bytes(F_FHD, 0.5) == round(F_FHD * 0.5) + 128
+    # Worked by hand: 1,555,200 B and 1,572,742.656 B (rounded up), plus the header.
+    assert selective_update_bytes(6_220_800, 0.25) == 1_555_328
+    assert selective_update_bytes(24_883_200, 0.063205) == 1_572_871
 
 
 def test_selective_update_of_a_fully_dirty_frame_is_one_whole_frame():
     assert selective_update_bytes(F_FHD, 1.0) == F_FHD
+    assert selective_update_bytes(24_883_200, 1.0) == 24_883_200  # no header
 
 
 def test_selective_update_never_exceeds_a_full_frame():
     tiny = 100
     assert selective_update_bytes(tiny, 0.999) == tiny
+    assert selective_update_bytes(tiny, 0.9) == tiny  # 90 B plus the header is capped
 
 
 # -- exports -----------------------------------------------------------------------

@@ -10,7 +10,9 @@ the sum of the ``framewatt*`` self times that
 reports, each launch run against a fresh, empty ``PYTHONPYCACHEPREFIX`` so
 that no bytecode cache is read.  It makes a fixed 11 launches per checkout,
 alternating checkouts (and which one goes first) launch by launch, and
-reports the median and quartiles in milliseconds.
+reports the median and quartiles in milliseconds.  After that table it
+prints each module's line count, one column per checkout in the same order,
+so that lines moved between modules show as moved.
 
 Usage: python tools/srcstats.py [CHECKOUT ...]
 """
@@ -30,9 +32,15 @@ LAUNCHES = 11
 _LINE = re.compile(r"^import time:\s+(\d+) \|\s+\d+ \|\s*(\S+)$", re.MULTILINE)
 
 
+def module_lines(checkout: Path) -> dict[str, int]:
+    """Lines in each ``src/framewatt/*.py`` file, as ``wc -l`` counts them."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in (checkout / "src" / "framewatt").glob("*.py")}
+
+
 def line_count(checkout: Path) -> int:
     """Lines in ``src/framewatt/*.py``, as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "framewatt").glob("*.py"))
+    return sum(module_lines(checkout).values())
 
 
 def compile_us(checkout: Path) -> int:
@@ -59,6 +67,13 @@ def main(argv: list[str]) -> int:
         q1, med, q3 = statistics.quantiles(us, n=4, method="inclusive")
         print(f"{str(c):<40} {line_count(c):>9}  {med / 1e3:.1f} "
               f"[{q1 / 1e3:.1f}, {q3 / 1e3:.1f}]")
+    counts = [module_lines(c) for c in checkouts]
+    widths = [max(len(c.name), 6) for c in checkouts]
+    print()
+    print(f"{'module lines':<16}" + "".join(f" {c.name:>{w}}" for c, w in zip(checkouts, widths)))
+    for module in sorted(set().union(*counts)):
+        print(f"{module:<16}" + "".join(f" {n.get(module, '-'):>{w}}"
+                                        for n, w in zip(counts, widths)))
     return 0
 
 
