@@ -5,19 +5,21 @@ different implementation strategy: an event loop over the producer/consumer
 buffer machine that steps every window, float-second arithmetic and merged
 state spans, each priced at its own constant power.  Each transfer phase is
 worked out as a list of ``(key, until)`` events, which one merge loop steps
-through: it clips each to the window end and merges spans on one interned
-(state, drfb, gpu, fbc) key.  Each window's spans are folded into per-state
-time as the window closes, one walk over all spans prices the energy, and
-:attr:`OracleResult.periods` (each span's window, state and stretch) is built
-only when read.  It imports nothing from :mod:`framewatt.timeline` or
-:mod:`framewatt.power`: every name it shares comes from :mod:`framewatt.core`
-or :mod:`framewatt.cstates`, a definition that gives a config its meaning:
-``check_run_shape`` (what a run may be), ``frame_bytes``,
-``encoded_frame_bytes`` and ``selective_update_bytes`` (a window's payload),
-``windows_per_frame`` (the frame group), ``BURST_WAKE_SHARE`` and
-``CACHED_TRAFFIC_FRACTION`` (defaults), and the profile's ``transition_costs``
-(the energies ``power`` prices from).  The equivalence tests hold the two within
-a tenth of a percentage point of residency and a tenth of a percent of energy.
+through: it clips each to the window end and merges spans on one (state,
+drfb, gpu, fbc) key.  Each span goes onto three run-long packed columns
+(its key's index in one key table, its start, its end: 17 bytes and no
+Python object), and its time onto its state's as it closes.  One walk over
+the columns prices the energy, and :attr:`OracleResult.periods` (each span's
+window, state and stretch) is built only when read.  It imports nothing from
+:mod:`framewatt.timeline` or :mod:`framewatt.power`: every name it shares
+comes from :mod:`framewatt.core` or :mod:`framewatt.cstates`, a definition
+that gives a config its meaning: ``check_run_shape`` (what a run may be),
+``frame_bytes``, ``encoded_frame_bytes`` and ``selective_update_bytes`` (a
+window's payload), ``windows_per_frame`` (the frame group),
+``BURST_WAKE_SHARE`` and ``CACHED_TRAFFIC_FRACTION`` (defaults), and the
+profile's ``transition_costs`` (the energies ``power`` prices from).  The
+equivalence tests hold the two within a tenth of a percentage point of
+residency and a tenth of a percent of energy.
 
 Semantics mirrored here (and nowhere loosened): the first two chunk fills of
 a phase land back-to-back, later fills wait for the chunk two places ahead
@@ -27,7 +29,8 @@ tail, and every window is cut off clean at its end.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, product
+from array import array
+from itertools import accumulate, chain, islice, product
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (BURST_WAKE_SHARE, CACHED_TRAFFIC_FRACTION, Scheme, SimConfig, WorkloadKind,
@@ -36,20 +39,21 @@ from .core import (BURST_WAKE_SHARE, CACHED_TRAFFIC_FRACTION, Scheme, SimConfig,
 from .cstates import STATES_BY_DEPTH, CalibrationSet, PackageCState
 
 
-#: A span's merge key, (state, drfb, gpu, fbc).  ``_KEYS`` holds one object
-#: for each, so spans merge on an identity check.
+#: The key table: every span merge key (state, drfb, gpu, fbc) in product order, so
+#: ``index >> 3`` is the state's place in ``STATES_BY_DEPTH``.  Spans merge on the index.
 _Key = tuple[PackageCState, bool, bool, bool]
-_KEYS: dict[_Key, _Key] = {k: k for k in product(PackageCState, *[(False, True)] * 3)}
+_KEYS: tuple[_Key, ...] = tuple(product(PackageCState, *[(False, True)] * 3))
+_INDEX: dict[_Key, int] = {k: i for i, k in enumerate(_KEYS)}
 
 
 def _key(state: PackageCState, drfb: bool = False, gpu: bool = False,
-         fbc: bool = False) -> _Key:
-    return _KEYS[state, drfb, gpu, fbc]
+         fbc: bool = False) -> int:
+    return _INDEX[state, drfb, gpu, fbc]
 
 
 class OraclePeriod(NamedTuple):
     """One merged span's window, state and stretch in float seconds; its
-    adders are in the span's key in :attr:`OracleResult.spans`."""
+    adders are in its key, at the same place in :attr:`OracleResult.keys`."""
 
     window: int
     state: PackageCState
@@ -62,13 +66,16 @@ class OraclePeriod(NamedTuple):
 
 
 class OracleResult(NamedTuple):
-    """``spans`` holds the merged ``[key, start_s, end_s]`` spans in time
-    order, window ``w``'s at ``spans[window_bounds[w]:window_bounds[w + 1]]``;
-    ``state_s`` is each state's time, summed in that order as windows close."""
+    """The merged spans in time order, as three packed columns: ``keys``
+    (indices into the key table), ``start_s`` and ``end_s``.  Window ``w``'s
+    are at ``[window_bounds[w]:window_bounds[w + 1]]``; ``state_s`` is each
+    state's time, summed in that order as spans close."""
 
     n_windows: int
     window_s: float
-    spans: list[list]
+    keys: array
+    start_s: array
+    end_s: array
     window_bounds: list[int]
     state_s: dict[PackageCState, float]
     dram_read_bytes: int
@@ -82,28 +89,28 @@ class OracleResult(NamedTuple):
     @property
     def periods(self) -> tuple[OraclePeriod, ...]:
         """The spans as :class:`OraclePeriod` records, built on each read."""
-        bounds = self.window_bounds
-        return tuple(OraclePeriod(w, key[0], start_s, end_s)
+        bounds, spans = self.window_bounds, zip(self.keys, self.start_s, self.end_s)
+        return tuple(OraclePeriod(w, _KEYS[key][0], start_s, end_s)
                      for w, (first, end) in enumerate(zip(bounds, bounds[1:]))
-                     for key, start_s, end_s in self.spans[first:end])
+                     for key, start_s, end_s in islice(spans, end - first))
 
     def residency(self) -> dict[PackageCState, float]:
         total = self.total_s
         return {s: t / total for s, t in self.state_s.items()}
 
     def energy_uj(self, cfg: SimConfig, calibration: CalibrationSet) -> float:
-        """Integrate the energy bill over the spans in one walk.  Power is
+        """Integrate the energy bill over the span columns in one walk.  Power is
         constant within a span, so each is integrated exactly as power times span."""
         profile = calibration.profile_for(cfg.workload.scheme)
         changes = profile.transition_costs
         # Each key that occurs is priced once per call.
-        power: dict[_Key, float] = {}
+        power: dict[int, float] = {}
         total_uj = 0.0
         prev_state: PackageCState | None = None
-        for key, start_s, end_s in self.spans:
+        for key, start_s, end_s in zip(self.keys, self.start_s, self.end_s):
             power_mw = power.get(key)
             if power_mw is None:
-                state, drfb, gpu, fbc = key
+                state, drfb, gpu, fbc = _KEYS[key]
                 power_mw = profile.state_power_mw[state]
                 if drfb:
                     power_mw += calibration.drfb_power_mw
@@ -113,7 +120,7 @@ class OracleResult(NamedTuple):
                     power_mw += cfg.system.fbc_compute_mw
                 power[key] = power_mw
             total_uj += power_mw * (end_s - start_s) * 1e3  # mW * s -> uJ
-            state = key[0]
+            state = _KEYS[key][0]
             if prev_state is not None and prev_state is not state:
                 total_uj += changes[prev_state, state]
             prev_state = state
@@ -129,55 +136,56 @@ _C0 = _key(PackageCState.C0)
 _C8 = _key(PackageCState.C8)
 _C7P = _key(PackageCState.C7P)
 _C9_DRFB = _key(PackageCState.C9, drfb=True)
-#: Matches no key, so a window's first span never merges into the last window.
-_NO_SPAN: list = [None, 0.0, 0.0]
 
 
 class _WindowSim:
-    """Steps one window at a time, appending merged ``[key, start, end]``
-    spans to one run-long list and folding each into its state's time as
-    the window closes."""
+    """Steps one window at a time.  A span goes onto the run-long ``keys``
+    and ``start_s`` columns as it opens, and its time onto its state's as it
+    closes.  A window's spans tile it, so each ends where the next starts and
+    the last at the window's end: ``finish`` copies those onto ``end_s``."""
 
     def __init__(self) -> None:
-        self.spans: list[list] = []
+        self.keys, self.start_s, self.end_s = array("B"), array("d"), array("d")
         self.window_bounds = [0]
-        self.state_s = dict.fromkeys(STATES_BY_DEPTH, 0.0)
+        self.state_s = [0.0] * len(STATES_BY_DEPTH)  # by depth, at key >> 3
 
     def open(self, start_s: float, end_s: float) -> None:
         self.end = end_s
-        self.t = start_s
-        self.last = _NO_SPAN
+        self.t = self.start = start_s
+        self.key = -1  # no span is open, so none merges across windows
 
-    def run(self, events: Iterable[tuple[_Key, float]]) -> None:
+    def run(self, events: Iterable[tuple[int, float]]) -> None:
         """Step through ``(key, until)`` events: each is clipped to the window
-        end, skipped if it does not move time on, and else extends the last
-        span if the key is the same or starts a new one."""
-        end, t, last, spans = self.end, self.t, self.last, self.spans
-        for key, until in events:
+        end, skipped if it does not move time on, and else extends the open
+        span if the key is the same or closes it and opens a new one."""
+        end, t, key, start = self.end, self.t, self.key, self.start
+        keys, starts, state_s = self.keys, self.start_s, self.state_s
+        for k, until in events:
             if until > end:
                 until = end
             if until <= t:
                 continue
-            if last[0] is key:
-                last[2] = until
-            else:
-                last = [key, t, until]
-                spans.append(last)
+            if k != key:
+                if key >= 0:
+                    state_s[key >> 3] += t - start
+                key, start = k, t
+                keys.append(k)
+                starts.append(t)
             t = until
-        self.t, self.last = t, last
+        self.t, self.key, self.start = t, key, start
 
-    def emit(self, key: _Key, until: float) -> None:
+    def emit(self, key: int, until: float) -> None:
         self.run(((key, until),))
 
-    def finish(self, tail: _Key) -> None:
+    def finish(self, tail: int) -> None:
         # Every span ends at or before the window's end, and the tail runs
         # up to it exactly, so no float drift leaks across windows.
         if self.t < self.end:
             self.emit(tail, self.end)
-        state_s = self.state_s
-        for key, start_s, end_s in self.spans[self.window_bounds[-1]:]:
-            state_s[key[0]] += end_s - start_s
-        self.window_bounds.append(len(self.spans))
+        self.state_s[self.key >> 3] += self.t - self.start
+        self.end_s.extend(self.start_s[self.window_bounds[-1] + 1:])
+        self.end_s.append(self.t)
+        self.window_bounds.append(len(self.keys))
 
 
 def _chunks(payload: int, chunk: int) -> list[int]:
@@ -198,15 +206,15 @@ def _run_phase(sim: _WindowSim, payload: int, chunk: int, fill_rate: float,
     span_mode = drain_rate is None
     d = payload / (end - start) if span_mode else float(drain_rate)
     sizes = _chunks(payload, chunk)
-    events: list[tuple[_Key, float]] = []
+    events: list[tuple[int, float]] = []
     fill_end = start
 
     if fill_rate <= d:
         # Lockstep: consumer is never the constraint; chunks go out as they
-        # are produced and the phase ends with the last fill.
+        # are produced, so the phase is one fill span ending with the last fill.
         for c in sizes:
             fill_end += c / fill_rate
-            events.append((fill, fill_end))
+        events.append((fill, fill_end))
         if span_mode:
             events.append((drain, end))
     else:
@@ -313,7 +321,8 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
         writes += wr
         link += lk
 
-    return OracleResult(n, W, sim.spans, sim.window_bounds, sim.state_s, reads, writes, link)
+    return OracleResult(n, W, sim.keys, sim.start_s, sim.end_s, sim.window_bounds,
+                        dict(zip(STATES_BY_DEPTH, sim.state_s)), reads, writes, link)
 
 
 def _sim_baseline(

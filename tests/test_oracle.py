@@ -9,7 +9,9 @@ corners (overlays, traces, default run length) the grid does not cover.
 from __future__ import annotations
 
 import ast
+import gc
 import re
+from array import array
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
@@ -21,9 +23,10 @@ import framewatt.oracle as omod
 from framewatt.core import (CACHED_TRAFFIC_FRACTION, ConfigurationError, DisplayConfig,
                             Resolution, Scheme, SimConfig, SystemConfig, WorkloadKind,
                             WorkloadSpec, check_run_shape, frame_bytes, validate_config)
-from framewatt.cstates import PackageCState, load_calibration
+from framewatt.cstates import STATES_BY_DEPTH, PackageCState, load_calibration
 from framewatt.oracle import oracle_simulate
 from framewatt.power import report_from_timeline
+from framewatt.presets import PRESETS
 from framewatt.timeline import build_timeline
 from conftest import make_config
 from test_acceptance import _valid_configs
@@ -208,13 +211,20 @@ def test_oracle_refuses_the_configs_the_builder_refuses(doc, lines):
     assert ["\t".join(v) for v in refused[1]] == lines
 
 
+def _spans(oracle):
+    """The oracle's merged spans as ``(key, start_s, end_s)``, zipped from
+    its packed columns, each key looked up in the key table."""
+    return [(omod._KEYS[key], start_s, end_s)
+            for key, start_s, end_s in zip(oracle.keys, oracle.start_s, oracle.end_s)]
+
+
 def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
     """Reference energy: step through every period in ticks of ``tick_s``,
     with the adders its span's key sets."""
     profile = cal.profile_for(cfg.workload.scheme)
     total_uj = 0.0
     prev_state = None
-    for p, ((_, drfb, gpu, fbc), _, _) in zip(oracle.periods, oracle.spans, strict=True):
+    for p, ((_, drfb, gpu, fbc), _, _) in zip(oracle.periods, _spans(oracle), strict=True):
         power_mw = profile.state_power_mw[p.state]
         if drfb:
             power_mw += cal.drfb_power_mw
@@ -283,9 +293,11 @@ def test_every_validated_config_builds_and_agrees_with_the_oracle(case):
     build_timeline(cfg, dirty_trace=trace).check_coverage()
     # The default calibration prices no state change: the timeline drops the
     # changes of records that round to nothing, which the oracle still prices.
-    _, _, energy_pct, residency_pp = cross_check(cfg, "default", dirty_trace=trace)
+    oracle, report, energy_pct, residency_pp = cross_check(cfg, "default", dirty_trace=trace)
     assert energy_pct < 0.1  # criterion 3's tolerances
     assert residency_pp < 0.1
+    assert (oracle.dram_read_bytes, oracle.dram_write_bytes) == (
+        report.dram_read_bytes, report.dram_write_bytes)
 
 
 @pytest.mark.parametrize("cfg, calibration, n_windows, overlays", [
@@ -313,6 +325,20 @@ def test_oracle_periods_tile_the_run():
     assert sum(oracle.residency().values()) == pytest.approx(1.0)
 
 
+def test_a_held_oracle_result_keeps_almost_no_gc_tracked_objects():
+    # The spans live in packed columns, not in a Python object each, so a
+    # held result gives the cyclic collector a handful of objects to walk
+    # however long the run (a list per span kept 9,201 for these 400 windows).
+    cfg = PRESETS["fhd30"].config
+    oracle_simulate(cfg, 2)
+    gc.collect()
+    before = len(gc.get_objects())
+    held = oracle_simulate(cfg, 400)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 50
+    assert len(held.keys) > 400 * 20
+
+
 def _ref_state_time_s(oracle):
     """Reference: each state's time, summed over the periods in order."""
     out = {s: 0.0 for s in PackageCState}
@@ -328,7 +354,7 @@ def _ref_energy_uj(oracle, cfg, calibration):
     total_uj = 0.0
     prev_state = None
     for (_, state, start_s, end_s), ((_, drfb, gpu, fbc), _, _) in zip(
-            oracle.periods, oracle.spans, strict=True):
+            oracle.periods, _spans(oracle), strict=True):
         power_mw = profile.state_power_mw[state]
         if drfb:
             power_mw += calibration.drfb_power_mw
@@ -403,25 +429,48 @@ def test_folded_state_time_and_energy_equal_a_walk_over_the_periods(case):
 
 # -- the one merge loop against emit-per-span ---------------------------------------
 #
-# _RefWindowSim.emit and _ref_run_phase are the window stepper's emit and
-# _run_phase as they were before a phase's events were worked out first and
-# stepped through in one merge loop, kept as the reference that loop must
-# reproduce float for float.
+# _RefWindowSim and _ref_run_phase are the window stepper and _run_phase as
+# they were before a phase's events were worked out first and stepped through
+# in one merge loop, and before spans were packed into columns: a run-long list
+# of [key, start, end] spans, each event emitted on its own, and each window's
+# spans folded into state time as it closes.  They are kept, standing alone, as
+# the reference the oracle must reproduce float for float.
 
 
-class _RefWindowSim(omod._WindowSim):
+class _RefWindowSim:
+    def __init__(self):
+        self.spans = []
+        self.window_bounds = [0]
+        self.state_s = [0.0] * len(STATES_BY_DEPTH)  # in depth order, as the oracle reads it
+
+    def open(self, start_s, end_s):
+        self.end = end_s
+        self.t = start_s
+        self.last = [None, 0.0, 0.0]  # matches no key: no span merges across windows
+
     def emit(self, key, until):
         if until > self.end:
             until = self.end
         if until <= self.t:
             return
-        last = self.last
-        if last[0] is key:
-            last[2] = until
+        if self.last[0] == key:
+            self.last[2] = until
         else:
             self.last = [key, self.t, until]
             self.spans.append(self.last)
         self.t = until
+
+    def finish(self, tail):
+        if self.t < self.end:
+            self.emit(tail, self.end)
+        for key, start_s, end_s in self.spans[self.window_bounds[-1]:]:
+            self.state_s[STATES_BY_DEPTH.index(omod._KEYS[key][0])] += end_s - start_s
+        self.window_bounds.append(len(self.spans))
+
+    # The columns oracle_simulate reads off its stepper.
+    keys = property(lambda self: array("B", [key for key, _, _ in self.spans]))
+    start_s = property(lambda self: array("d", [start_s for _, start_s, _ in self.spans]))
+    end_s = property(lambda self: array("d", [end_s for _, _, end_s in self.spans]))
 
 
 def _ref_run_phase(sim, payload, chunk, fill_rate, drain_rate, fill_state, drain_state, *,
@@ -492,7 +541,7 @@ def _step(sim, run_phase, window_s, windows):
         sim.emit(omod._C0, sim.t + wake_s)
         run_phase(sim, payload, chunk, fill, drain, fill_state, drain_state, gpu_fill=gpu)
         sim.finish(omod._key(tail))
-    return sim.spans, sim.window_bounds, sim.state_s
+    return _spans(sim), sim.window_bounds, sim.state_s
 
 
 @given(_phases())
