@@ -1,17 +1,16 @@
-"""What-if studies layered on the base schemes.
+"""Energy savings as the difference between two runs of one model.
 
-Each study rebuilds the timeline with one knob turned and prices both the
-plain and the modified run, so results always come as a pair.  Compression
-scales buffer traffic and batching changes the decode cadence; both are
-keywords of the one timeline build, which scales the display buffer by their
-product, so there is no order in which they are applied.
+A study prices a plain and a modified run and compares them with
+:func:`energy_reduction`.  Compression (``fbc_ratio``) and batching
+(``batch_every``) are keywords of the one timeline build, so each of their
+studies is two :func:`~framewatt.power.streaming_report` calls; the
+single-plane study drives a dirty-rectangle trace through both pipelines.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import warnings
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -29,61 +28,6 @@ def energy_reduction(base: EnergyReport, improved: EnergyReport) -> float:
     base_rate = base.total_energy_uj / base.total_ns
     imp_rate = improved.total_energy_uj / improved.total_ns
     return 100.0 * (1.0 - imp_rate / base_rate)
-
-
-class ScenarioResult(NamedTuple):
-    """A plain run and its modified counterpart."""
-
-    base: EnergyReport
-    modified: EnergyReport
-
-    @property
-    def reduction(self) -> float:
-        return energy_reduction(self.base, self.modified)
-
-
-def apply_fbc(
-    cfg: SimConfig,
-    ratio: float,
-    calibration: CalibrationSet | str = "default",
-) -> ScenarioResult:
-    """Frame-buffer compression: the display-bound buffer shrinks to ``ratio``.
-
-    Writes of the composed frame, DC fetches, and the fetch bursts all scale
-    with the ratio; the compression engine draws extra power while the frame
-    is produced.  Schemes that never put the frame in DRAM have nothing to
-    compress: the knob is ignored with a warning and the result shows no
-    change.
-    """
-    if cfg.workload.scheme.uses_bypass and ratio != 1.0:
-        warnings.warn(
-            f"scheme '{cfg.workload.scheme.value}' keeps no DRAM frame buffer; "
-            "compression ratio ignored",
-            stacklevel=2,
-        )
-        ratio = 1.0
-    base = streaming_report(cfg, calibration)
-    modified = streaming_report(cfg, calibration, fbc_ratio=ratio)
-    return ScenarioResult(base=base, modified=modified)
-
-
-def apply_batching(
-    cfg: SimConfig,
-    batch_every: int,
-    calibration: CalibrationSet | str = "default",
-) -> ScenarioResult:
-    """Decode batching: one window decodes ``batch_every`` frames ahead.
-
-    The other windows of the batch skip the decoder wake-up entirely, and the
-    frames parked in DRAM are kept in a cache-friendly layout that cuts their
-    write/fetch traffic by ``core.CACHED_TRAFFIC_FRACTION``.  The timeline build
-    rejects batching outside plain video playback on the conventional scheme.
-    """
-    # The batched run covers one whole batch cycle, so the cadence is
-    # represented faithfully; the plain run covers the same windows.
-    modified = streaming_report(cfg, calibration, batch_every=batch_every)
-    base = streaming_report(cfg, calibration, modified.n_windows)
-    return ScenarioResult(base=base, modified=modified)
 
 
 class PlaneComparison(NamedTuple):
@@ -144,10 +88,3 @@ def read_dirty_trace(path: str | Path) -> list[float]:
         raise ValueError(f"{path}: trace has no rows")
     return rows
 
-
-def write_dirty_trace(path: str | Path, trace: Sequence[float]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "dirty_fraction"])
-        for i, d in enumerate(trace):
-            writer.writerow([i, f"{float(d):.6f}"])

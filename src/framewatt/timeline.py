@@ -671,7 +671,8 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
     record that rounds to nothing back to the last kept rows that can move
     them (if there is none, the record keeps 1 ns), and sums the streaming
     spans; a second pass splits ``link_bytes`` over those spans by
-    cumulative flooring.
+    cumulative flooring, or, if every streaming record rounded to nothing,
+    gives them to the last kept row that can carry them.
     """
     kept: list[list] = []
     cursor, cursor_den = 0, 1
@@ -711,6 +712,11 @@ def _round_records(recs: list[tuple], W_ns: int, link_bytes: int) -> list[tuple]
             edp = link_bytes * cum // streaming - handed
             handed += edp
         row[6] = edp
+    if link_bytes and not streaming:  # every streaming record rounded to nothing
+        for row in reversed(kept):
+            if row[0] not in _LINK_SILENT_STATES:
+                row[6] = link_bytes
+                break
     return kept
 
 

@@ -7,8 +7,11 @@ so the gate's outcome is readable without scrolling the full log.
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,8 @@ from framewatt.core import (
     WorkloadSpec,
 )
 from framewatt.cstates import load_calibration
+
+REPO = Path(__file__).resolve().parents[1]
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_")
 
@@ -58,6 +63,15 @@ def export_text(export, timeline) -> str:
     out = io.StringIO()
     export(timeline, out)
     return out.getvalue()
+
+
+def load_tool(name: str):
+    """Import ``tools/<name>.py`` as a module (registered first, as
+    ``dataclasses`` needs)."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ from framewatt.cstates import PackageCState, load_calibration
 from framewatt.oracle import oracle_simulate
 from framewatt.power import average_power, report_from_timeline, streaming_report
 from framewatt.presets import PRESETS, validation_grid
-from framewatt.scenarios import apply_batching, apply_fbc, energy_reduction
+from framewatt.scenarios import energy_reduction
 from framewatt.timeline import build_timeline, timeline_to_csv, timeline_totals
 from conftest import export_text, make_config
 
@@ -312,8 +312,12 @@ def test_criterion_6_shipped_reduction_bands():
     )
     assert abs(burstlink_fhd - 37.0) <= 3.0
 
-    assert abs(apply_fbc(four_k, 0.5).reduction - 9.0) <= 3.0
-    assert abs(apply_batching(four_k, 4).reduction - 6.0) <= 3.0
+    fbc = energy_reduction(streaming_report(four_k), streaming_report(four_k, fbc_ratio=0.5))
+    assert abs(fbc - 9.0) <= 3.0
+
+    batched = streaming_report(four_k, batch_every=4)
+    batching = energy_reduction(streaming_report(four_k, "default", batched.n_windows), batched)
+    assert abs(batching - 6.0) <= 3.0
 
     assert (REPO_ROOT / "tools" / "fit_calibration.py").is_file()
     assert (REPO_ROOT / "docs" / "calibration_fit.md").is_file()

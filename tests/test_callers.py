@@ -1,9 +1,9 @@
-"""Every public name in ``src/framewatt`` has a caller outside the tests,
-and the underscore is the one mark of what is public.
+"""Every public name in ``src/framewatt`` has a caller in the package or
+the benchmark, and the underscore is the one mark of what is public.
 
 A public module-level function, class or constant, and a public method or
-property of a public class, must be referenced from code in ``src/``,
-``tools/`` or ``perfbench/``: a ``Name``, an ``Attribute`` or a ``from``
+property of a public class, must be referenced from code in ``src/`` or
+``perfbench/``: a ``Name``, an ``Attribute`` or a ``from``
 import.  A public field of a public class (an annotated name in its body)
 must be read there as an ``Attribute``, unless the class is an output
 record, whose fields are all written out whole: a class that defines
@@ -14,8 +14,11 @@ a used one.
 
 Every option has a caller too: each defaulted parameter of a function or
 method in ``src/framewatt`` must be passed by some call of that name in
-``src/``, ``tools/`` or ``perfbench/``, by keyword, by position or through
-``*args`` or ``**kwargs``.
+``src/`` or ``perfbench/``, by keyword, by position or through ``*args`` or
+``**kwargs``.
+
+The dev tools in ``tools/`` and the tests are not callers: code that only
+they use lives with them, not in the package.
 
 A name is imported from the module that defines it: no module keeps an
 ``__all__`` list or a module ``__getattr__``/``__dir__``, the package
@@ -126,7 +129,7 @@ def _unread_fields(classes: dict[str, tuple[str, ast.ClassDef]],
 def unreferenced(root: Path) -> list[str]:
     """Public names under ``root/src/framewatt`` that no code references,
     and public record fields that no code reads."""
-    code = list(_trees(root, "src", "tools", "perfbench").values())
+    code = list(_trees(root, "src", "perfbench").values())
     refs = set().union(*map(_references, code))
     trees = _trees(root, "src/framewatt")
     classes = {node.name: (path.stem, node) for path, tree in trees.items()
@@ -163,11 +166,11 @@ def _passes(call: ast.Call, name: str, position: int | None) -> bool:
 
 def unpassed_options(root: Path) -> list[str]:
     """Defaulted parameters of the functions and methods under
-    ``root/src/framewatt`` that no call of that name in ``src/``, ``tools/``
-    or ``perfbench/`` passes, as ``module.function(parameter)``.  A class's
+    ``root/src/framewatt`` that no call of that name in ``src/`` or
+    ``perfbench/`` passes, as ``module.function(parameter)``.  A class's
     ``__init__`` is called by the class's name."""
     calls: dict[str, list[ast.Call]] = {}
-    for tree in _trees(root, "src", "tools", "perfbench").values():
+    for tree in _trees(root, "src", "perfbench").values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -200,7 +203,7 @@ def test_every_defaulted_parameter_in_src_is_passed_outside_the_tests():
 def test_the_option_scan_counts_keywords_positions_and_unpacking(tmp_path):
     pkg = tmp_path / "src" / "framewatt"
     pkg.mkdir(parents=True)
-    (tmp_path / "tools").mkdir()
+    (tmp_path / "perfbench").mkdir()
     (pkg / "m.py").write_text(
         "def run(cfg, n=None, *, fast=False, slow=False, quiet=False):\n    pass\n"
         "def spread(a=1, b=2, c=3):\n    pass\n"
@@ -211,7 +214,7 @@ def test_the_option_scan_counts_keywords_positions_and_unpacking(tmp_path):
         "def inner(x=0):\n    run(None, fast=True)\n    spread(0, *[1])\n"
         "    packed(**{})\n    Box(2).put(1)\n    Box.make('b')\n",
         encoding="utf-8")
-    (tmp_path / "tools" / "t.py").write_text(
+    (tmp_path / "perfbench" / "t.py").write_text(
         "from framewatt.m import run\nrun(None, 4, slow=True)\n'quiet'\n", encoding="utf-8")
     assert unpassed_options(tmp_path) == ["m.Box.__init__(tag)", "m.Box.put(many)",
                                           "m.inner(x)", "m.run(quiet)"]
@@ -220,7 +223,7 @@ def test_the_option_scan_counts_keywords_positions_and_unpacking(tmp_path):
 def test_the_scan_sees_definitions_and_ignores_strings_and_stores(tmp_path):
     pkg = tmp_path / "src" / "framewatt"
     pkg.mkdir(parents=True)
-    (tmp_path / "tools").mkdir()
+    (tmp_path / "perfbench").mkdir()
     (pkg / "m.py").write_text(
         "LIMIT = 3\nUNUSED = 4\n__all__ = ['UNUSED', 'lonely']\n"
         "def lonely():\n    pass  # called by LIMIT\n"
@@ -228,7 +231,7 @@ def test_the_scan_sees_definitions_and_ignores_strings_and_stores(tmp_path):
         "class Box:\n    def read(self):\n        self.write = used()\n"
         "    def write(self):\n        pass\n    def _own(self):\n        pass\n",
         encoding="utf-8")
-    (tmp_path / "tools" / "t.py").write_text(
+    (tmp_path / "perfbench" / "t.py").write_text(
         "from framewatt.m import Box\nBox().read()\n'used'\n", encoding="utf-8")
     assert unreferenced(tmp_path) == ["m.Box.write", "m.UNUSED", "m.lonely"]
 
@@ -253,7 +256,7 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 def test_the_scan_needs_an_attribute_read_of_each_field_not_written_out_whole(tmp_path):
     pkg = tmp_path / "src" / "framewatt"
     pkg.mkdir(parents=True)
-    (tmp_path / "tools").mkdir()
+    (tmp_path / "perfbench").mkdir()
     module = ("from typing import NamedTuple\n"
               "class Part(NamedTuple):\n    size: int\n    _own: int\n"
               "class Report(NamedTuple):\n    part: Part\n    total: float\n"
@@ -263,7 +266,7 @@ def test_the_scan_needs_an_attribute_read_of_each_field_not_written_out_whole(tm
               "def touch(p, named):\n    p.stored = p.used\n"
               "    return named, Report(Part(1, 2), 0.0).to_dict(), Row._fields\n")
     (pkg / "m.py").write_text(module, encoding="utf-8")
-    (tmp_path / "tools" / "t.py").write_text(
+    (tmp_path / "perfbench" / "t.py").write_text(
         "from framewatt.m import Plain, touch\ntouch(Plain(1, 2, 3), 'stored')\n",
         encoding="utf-8")
     assert unreferenced(tmp_path) == ["m.Plain.named", "m.Plain.stored"]
@@ -271,3 +274,19 @@ def test_the_scan_needs_an_attribute_read_of_each_field_not_written_out_whole(tm
     (pkg / "m.py").write_text(module.replace("to_dict", "as_dict"), encoding="utf-8")
     assert unreferenced(tmp_path) == ["m.Part.size", "m.Plain.named", "m.Plain.stored",
                                       "m.Report.part", "m.Report.total"]
+
+
+def test_a_name_or_option_only_the_tools_use_has_no_caller(tmp_path):
+    pkg = tmp_path / "src" / "framewatt"
+    pkg.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "tools").mkdir()
+    (pkg / "m.py").write_text(
+        "def run(cfg, fast=False):\n    pass\ndef helper():\n    pass\n", encoding="utf-8")
+    (tmp_path / "perfbench" / "b.py").write_text(
+        "from framewatt.m import run\nrun(None)\n", encoding="utf-8")
+    (tmp_path / "tools" / "t.py").write_text(
+        "from framewatt.m import helper, run\nhelper()\nrun(None, fast=True)\n",
+        encoding="utf-8")
+    assert unreferenced(tmp_path) == ["m.helper"]
+    assert unpassed_options(tmp_path) == ["m.run(fast)"]

@@ -401,6 +401,21 @@ def test_simulate_accepts_5k_deep_color_in_small_chunks(tmp_path, capsys):
     assert "traffic          reads=921600 B" in capsys.readouterr().out
 
 
+def test_simulate_keeps_link_bytes_whose_streaming_rows_round_to_nothing(tmp_path, capsys):
+    # An 8 Pb/s link sends each 129,600 B frame in well under half a ns, so
+    # every streaming record of the frame's window rounds to nothing.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "display": {"resolution": "16x2160", "refresh_hz": 30, "bits_per_pixel": 30,
+                    "edp_max_bits_per_s": 8e15},
+        "system": {"dc_buffer_bytes": 32400, "dram_fetch_rate": 1e15, "decode_rate": 1e15,
+                   "vd_paced_rate": 1e15, "gpu_pt_rate": 1e15, "orchestration_time": 0.001},
+        "workload": {"kind": "video", "scheme": "burstlink", "video_fps": 15}}),
+        encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--windows", "2"]) == 0
+    assert "link=129600 B" in capsys.readouterr().out
+
+
 def test_simulate_missing_config_file_is_a_runtime_error(capsys):
     assert main(["simulate", "--config", "/does/not/exist.json"]) == 1
 

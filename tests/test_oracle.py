@@ -296,8 +296,8 @@ def test_every_validated_config_builds_and_agrees_with_the_oracle(case):
     oracle, report, energy_pct, residency_pp = cross_check(cfg, "default", dirty_trace=trace)
     assert energy_pct < 0.1  # criterion 3's tolerances
     assert residency_pp < 0.1
-    assert (oracle.dram_read_bytes, oracle.dram_write_bytes) == (
-        report.dram_read_bytes, report.dram_write_bytes)
+    assert (oracle.dram_read_bytes, oracle.dram_write_bytes, oracle.edp_bytes) == (
+        report.dram_read_bytes, report.dram_write_bytes, report.edp_bytes)
 
 
 @pytest.mark.parametrize("cfg, calibration, n_windows, overlays", [

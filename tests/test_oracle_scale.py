@@ -2,22 +2,11 @@
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
-REPO = Path(__file__).resolve().parents[1]
-
-
-def _oracle_scale():
-    spec = importlib.util.spec_from_file_location("oracle_scale",
-                                                  REPO / "tools" / "oracle_scale.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import REPO, load_tool
 
 
 def test_oracle_scale_times_the_oracle_and_a_validate_launch(monkeypatch, capsys):
-    scale = _oracle_scale()
+    scale = load_tool("oracle_scale")
     monkeypatch.setattr(scale, "SIZES", (200,))
     monkeypatch.setattr(scale, "LAUNCHES", 1)
     assert scale.main([str(REPO)]) == 0
@@ -29,7 +18,7 @@ def test_oracle_scale_times_the_oracle_and_a_validate_launch(monkeypatch, capsys
 
 
 def test_oracle_scale_alternates_checkouts_and_reports_the_least_launch(tmp_path, monkeypatch, capsys):
-    scale = _oracle_scale()
+    scale = load_tool("oracle_scale")
     other = tmp_path / "other"
     launches = []
     monkeypatch.setattr(scale, "SIZES", (10, 20))

@@ -10,15 +10,8 @@ import pytest
 from framewatt.core import Scheme, WorkloadKind
 from framewatt.cstates import PackageCState
 from framewatt.power import streaming_report
-from framewatt.scenarios import (
-    apply_batching,
-    apply_fbc,
-    energy_reduction,
-    read_dirty_trace,
-    single_plane_burst,
-    write_dirty_trace,
-)
-from conftest import make_config
+from framewatt.scenarios import energy_reduction, read_dirty_trace, single_plane_burst
+from conftest import load_tool, make_config
 
 
 def bundled_trace(name: str):
@@ -48,82 +41,86 @@ def test_energy_reduction_is_zero_against_itself():
 # -- frame-buffer compression ----------------------------------------------------
 
 
+def fbc_pair(cfg, ratio):
+    """The plain run and the run with the frame buffer compressed to ``ratio``."""
+    return streaming_report(cfg, "default"), streaming_report(cfg, "default", fbc_ratio=ratio)
+
+
 def test_half_rate_compression_saves_mid_single_digits_at_uhd():
-    sr = apply_fbc(make_config("4k", 60, Scheme.BASELINE), ratio=0.5,
-                   calibration="default")
-    assert sr.reduction == pytest.approx(6.3172, abs=5e-4)
-    assert sr.base.average_power_mw > sr.modified.average_power_mw
+    base, modified = fbc_pair(make_config("4k", 60, Scheme.BASELINE), 0.5)
+    assert energy_reduction(base, modified) == pytest.approx(6.3172, abs=5e-4)
+    assert base.average_power_mw > modified.average_power_mw
 
 
 def test_stronger_compression_saves_more():
     cfg = make_config("4k", 60, Scheme.BASELINE)
-    mild = apply_fbc(cfg, ratio=0.8, calibration="default").reduction
-    strong = apply_fbc(cfg, ratio=0.4, calibration="default").reduction
+    mild = energy_reduction(*fbc_pair(cfg, 0.8))
+    strong = energy_reduction(*fbc_pair(cfg, 0.4))
     assert strong > mild > 0.0
 
 
 def test_unit_ratio_compression_is_a_no_op():
-    sr = apply_fbc(make_config("4k", 60, Scheme.BASELINE), ratio=1.0,
-                   calibration="default")
-    assert sr.reduction == 0.0
-    assert sr.base.total_energy_uj == sr.modified.total_energy_uj
+    base, modified = fbc_pair(make_config("4k", 60, Scheme.BASELINE), 1.0)
+    assert energy_reduction(base, modified) == 0.0
+    assert base.total_energy_uj == modified.total_energy_uj
 
 
 def test_compression_is_ignored_for_direct_feed_schemes():
-    with pytest.warns(UserWarning, match="no DRAM frame buffer"):
-        sr = apply_fbc(make_config("4k", 60, Scheme.BURSTLINK), ratio=0.5,
-                       calibration="default")
-    assert sr.reduction == 0.0
+    base, modified = fbc_pair(make_config("4k", 60, Scheme.BURSTLINK), 0.5)
+    assert energy_reduction(base, modified) == 0.0
+    assert base.total_energy_uj == modified.total_energy_uj
 
 
 def test_compression_ratio_bounds_are_enforced():
     with pytest.raises(ValueError):
-        apply_fbc(make_config(), ratio=0.0, calibration="default")
+        streaming_report(make_config(), "default", fbc_ratio=0.0)
 
 
 # -- decode batching ---------------------------------------------------------------
 
 
+def batching_reduction(cfg, batch_every):
+    """Saving of one batch cycle over the plain run of the same windows."""
+    batched = streaming_report(cfg, "default", batch_every=batch_every)
+    return energy_reduction(streaming_report(cfg, "default", batched.n_windows), batched)
+
+
 def test_batching_four_frames_saves_low_single_digits_at_uhd():
-    sr = apply_batching(make_config("4k", 60, Scheme.BASELINE), batch_every=4,
-                        calibration="default")
-    assert sr.reduction == pytest.approx(4.5455, abs=5e-4)
+    assert batching_reduction(make_config("4k", 60, Scheme.BASELINE), 4) == pytest.approx(
+        4.5455, abs=5e-4)
 
 
 def test_batch_savings_come_from_the_cached_layout_not_the_depth():
     # The cache-friendly layout cuts the same per-frame traffic whatever the
     # batch depth, so any depth >= 2 lands on (almost) the same reduction.
     cfg = make_config("4k", 60, Scheme.BASELINE)
-    shallow = apply_batching(cfg, batch_every=2, calibration="default").reduction
-    deep = apply_batching(cfg, batch_every=8, calibration="default").reduction
+    shallow = batching_reduction(cfg, 2)
+    deep = batching_reduction(cfg, 8)
     assert shallow > 0.0
     assert deep == pytest.approx(shallow, abs=1e-3)
 
 
 def test_batching_rejects_non_video_workloads():
     with pytest.raises(ValueError, match="batching applies only to video playback"):
-        apply_batching(make_config(kind=WorkloadKind.VR360, scheme=Scheme.BASELINE),
-                       batch_every=4, calibration="default")
+        streaming_report(make_config(kind=WorkloadKind.VR360, scheme=Scheme.BASELINE),
+                         "default", batch_every=4)
 
 
 def test_batching_rejects_non_plain_schemes():
     with pytest.raises(ValueError, match="under the plain scheme"):
-        apply_batching(make_config(scheme=Scheme.BURSTLINK), batch_every=4,
-                       calibration="default")
+        streaming_report(make_config(scheme=Scheme.BURSTLINK), "default", batch_every=4)
 
 
 def test_batching_respects_memory_capacity():
     # a 4 GiB working set fits at most ~172 decoded UHD frames
     with pytest.raises(ValueError, match="BATCH_EXCEEDS_DRAM"):
-        apply_batching(make_config("4k", 60, Scheme.BASELINE), batch_every=200,
-                       calibration="default")
+        streaming_report(make_config("4k", 60, Scheme.BASELINE), "default", batch_every=200)
 
 
 def test_batching_respects_the_decode_window():
     # wake-up plus 14 frame decodes cannot fit one 60 Hz window
     with pytest.raises(ValueError, match="BATCH_WINDOW_OVERRUN"):
-        apply_batching(make_config("4k", 60, Scheme.BASELINE), batch_every=14,
-                       calibration="default")
+        streaming_report(make_config("4k", 60, Scheme.BASELINE), "default", batch_every=14)
 
 
 # -- dirty-rect traces ----------------------------------------------------------------
@@ -171,7 +168,7 @@ def test_single_plane_requires_a_usable_trace():
 def test_trace_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     trace = [0.0, 0.123456, 1.0]
-    write_dirty_trace(path, trace)
+    load_tool("make_traces").write_dirty_trace(path, trace)
     assert read_dirty_trace(path) == trace
 
 

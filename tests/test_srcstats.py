@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
-REPO = Path(__file__).resolve().parents[1]
-
-
-def _srcstats():
-    spec = importlib.util.spec_from_file_location("srcstats", REPO / "tools" / "srcstats.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import REPO, load_tool
 
 
 def test_srcstats_counts_lines_and_measures_one_cold_compile():
-    srcstats = _srcstats()
+    srcstats = load_tool("srcstats")
     lines = sum(len(p.read_text(encoding="utf-8").splitlines())
                 for p in (REPO / "src" / "framewatt").glob("*.py"))
     assert srcstats.line_count(REPO) == lines
@@ -24,7 +14,7 @@ def test_srcstats_counts_lines_and_measures_one_cold_compile():
 
 
 def test_srcstats_alternates_checkouts_and_reports_quartiles(tmp_path, monkeypatch, capsys):
-    srcstats = _srcstats()
+    srcstats = load_tool("srcstats")
     other = tmp_path / "other"
     (other / "src" / "framewatt").mkdir(parents=True)
     (other / "src" / "framewatt" / "m.py").write_text("a = 1\nb = 2\n", encoding="utf-8")

@@ -29,11 +29,7 @@ from framewatt.core import Scheme, SimConfig, SystemConfig, WorkloadKind, replac
 from framewatt.cstates import PackageCState, load_calibration  # noqa: E402
 from framewatt.power import streaming_report  # noqa: E402
 from framewatt.presets import video_config  # noqa: E402
-from framewatt.scenarios import (  # noqa: E402
-    apply_batching,
-    apply_fbc,
-    energy_reduction,
-)
+from framewatt.scenarios import energy_reduction  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,13 @@ def evaluate(knobs: np.ndarray) -> dict[str, float]:
         out[name] = energy_reduction(base, combo)
 
     base_4k = _cfg("4k", 60, Scheme.BASELINE, system)
-    out["batching4_extra_pct"] = apply_batching(base_4k, 4, cal).reduction
-    out["fbc_half_extra_pct"] = apply_fbc(base_4k, 0.5, cal).reduction
+    batched = streaming_report(base_4k, cal, batch_every=4)
+    out["batching4_extra_pct"] = energy_reduction(
+        streaming_report(base_4k, cal, batched.n_windows), batched
+    )
+    out["fbc_half_extra_pct"] = energy_reduction(
+        streaming_report(base_4k, cal), streaming_report(base_4k, cal, fbc_ratio=0.5)
+    )
 
     vr_base = _cfg("4k", 60, Scheme.BASELINE, system, WorkloadKind.VR360)
     vr_combo = _cfg("4k", 60, Scheme.BURSTLINK, system, WorkloadKind.VR360)

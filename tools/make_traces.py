@@ -23,13 +23,10 @@ Usage: python tools/make_traces.py [--out DIR]
 from __future__ import annotations
 
 import argparse
+import csv
 import random
-import sys
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from framewatt.scenarios import write_dirty_trace  # noqa: E402
+from typing import Sequence
 
 WINDOWS = 600
 REFRESH_HZ = 60
@@ -89,6 +86,15 @@ def make_productivity(rng: random.Random) -> list[float]:
             w += 1
         w += rng.randint(60, 160)  # reading pause
     return trace
+
+
+def write_dirty_trace(path: Path, trace: Sequence[float]) -> None:
+    """Write a trace as ``framewatt.scenarios.read_dirty_trace`` reads it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["window", "dirty_fraction"])
+        for i, d in enumerate(trace):
+            writer.writerow([i, f"{float(d):.6f}"])
 
 
 def main() -> int:
