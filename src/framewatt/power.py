@@ -35,7 +35,6 @@ from .cstates import (
     PackageCState,
     PowerProfile,
     check_dram_split_consistency,
-    load_calibration,
 )
 from .timeline import (
     TimelineTotals,
@@ -265,16 +264,10 @@ def window_energy_breakdown(
 
 def streaming_report(
     cfg: SimConfig,
-    calibration: CalibrationSet | str = "default",
+    calibration: CalibrationSet,
     n_windows: int | None = None,
     **run: Any,
 ) -> EnergyReport:
-    """Build the timeline for a config and price it in one step.
-
-    ``calibration`` is a :class:`CalibrationSet` or a name or path string
-    for :func:`load_calibration`; ``run`` takes :func:`build_timeline`'s
-    keywords.
-    """
-    if isinstance(calibration, str):
-        calibration = load_calibration(calibration)
+    """Build the timeline for a config and price it in one step; ``run``
+    takes :func:`build_timeline`'s keywords."""
     return report_from_timeline(build_timeline(cfg, n_windows, **run), cfg, calibration)

@@ -40,7 +40,7 @@ class PlaneComparison(NamedTuple):
 def single_plane_burst(
     cfg: SimConfig,
     dirty_trace: Sequence[float],
-    calibration: CalibrationSet | str = "default",
+    calibration: CalibrationSet,
 ) -> PlaneComparison:
     """Drive a dirty-rectangle trace through both single-plane pipelines.
 

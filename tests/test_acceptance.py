@@ -57,13 +57,13 @@ def test_criterion_1_table_power_reproduction():
     assert abs(conventional - 2162.0) <= 1.0
 
     preset = PRESETS["fhd30-ref-burstlink"]
-    report = streaming_report(preset.config, preset.calibration)
+    report = streaming_report(preset.config, load_calibration(preset.calibration))
     combined = average_power(cal.burst, report.residency)
     assert abs(combined - 1274.0) <= 1.0
     assert report.average_power_mw == pytest.approx(combined, abs=0.5)
 
     baseline = PRESETS["fhd30-ref-baseline"]
-    end_to_end = streaming_report(baseline.config, baseline.calibration)
+    end_to_end = streaming_report(baseline.config, load_calibration(baseline.calibration))
     assert abs(end_to_end.average_power_mw - 2162.0) <= 1.0
 
 
@@ -270,11 +270,12 @@ def test_criterion_4_random_config_invariants():
 
 def test_criterion_5_scheme_energy_orderings():
     """Scheme energies stay strictly ordered across the resolution grid."""
+    cal = load_calibration()
     reductions = {}
     for res in ("fhd", "qhd", "4k", "5k"):
         for fps in (30, 60):
             reports = {
-                scheme: streaming_report(make_config(res, fps, scheme))
+                scheme: streaming_report(make_config(res, fps, scheme), cal)
                 for scheme in Scheme
             }
             energy = {s: r.total_energy_uj for s, r in reports.items()}
@@ -297,26 +298,28 @@ def test_criterion_5_scheme_energy_orderings():
 
 def test_criterion_6_shipped_reduction_bands():
     """One shipped calibration hits all four documented reduction bands."""
+    cal = load_calibration()
     four_k = make_config("4k", 60)
     fhd = make_config("fhd", 30)
 
     burstlink_4k = energy_reduction(
-        streaming_report(four_k),
-        streaming_report(make_config("4k", 60, Scheme.BURSTLINK)),
+        streaming_report(four_k, cal),
+        streaming_report(make_config("4k", 60, Scheme.BURSTLINK), cal),
     )
     assert abs(burstlink_4k - 41.0) <= 3.0
 
     burstlink_fhd = energy_reduction(
-        streaming_report(fhd),
-        streaming_report(make_config("fhd", 30, Scheme.BURSTLINK)),
+        streaming_report(fhd, cal),
+        streaming_report(make_config("fhd", 30, Scheme.BURSTLINK), cal),
     )
     assert abs(burstlink_fhd - 37.0) <= 3.0
 
-    fbc = energy_reduction(streaming_report(four_k), streaming_report(four_k, fbc_ratio=0.5))
+    fbc = energy_reduction(streaming_report(four_k, cal),
+                           streaming_report(four_k, cal, fbc_ratio=0.5))
     assert abs(fbc - 9.0) <= 3.0
 
-    batched = streaming_report(four_k, batch_every=4)
-    batching = energy_reduction(streaming_report(four_k, "default", batched.n_windows), batched)
+    batched = streaming_report(four_k, cal, batch_every=4)
+    batching = energy_reduction(streaming_report(four_k, cal, batched.n_windows), batched)
     assert abs(batching - 6.0) <= 3.0
 
     assert (REPO_ROOT / "tools" / "fit_calibration.py").is_file()
@@ -367,7 +370,7 @@ def test_criterion_8_byte_reproducible_reports(tmp_path, capsys):
         docs = []
         csvs = []
         for _ in range(2):
-            report = streaming_report(preset.config, preset.calibration)
+            report = streaming_report(preset.config, load_calibration(preset.calibration))
             docs.append(json.dumps(report.to_dict(), sort_keys=True))
             csvs.append(export_text(timeline_to_csv, build_timeline(preset.config)))
         assert docs[0] == docs[1], name

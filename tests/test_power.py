@@ -24,6 +24,8 @@ from framewatt.scenarios import read_dirty_trace
 from framewatt.timeline import Interval, build_timeline, timeline_totals
 from conftest import make_config
 
+DEFAULT = load_calibration()
+
 C = PackageCState
 
 
@@ -70,7 +72,7 @@ def test_average_power_reproduces_the_measured_burst_row(reference_cal):
     from framewatt.presets import get_preset
 
     preset = get_preset("fhd30-ref-burstlink")
-    report = streaming_report(preset.config, preset.calibration)
+    report = streaming_report(preset.config, load_calibration(preset.calibration))
     direct = average_power(reference_cal.burst, report.residency)
     assert direct == pytest.approx(report.average_power_mw)
     assert abs(direct - 1274.0) <= 1.0
@@ -155,7 +157,7 @@ def test_combined_uhd_report_matches_frozen_figures(default_cal):
 
 def test_component_energies_partition_the_total():
     for scheme in Scheme:
-        report = streaming_report(make_config("qhd", 30, scheme), "default")
+        report = streaming_report(make_config("qhd", 30, scheme), DEFAULT)
         comp = report.component_energy_uj
         assert comp["dram"] + comp["display"] + comp["others"] == pytest.approx(
             report.total_energy_uj, rel=1e-12
@@ -167,7 +169,7 @@ def test_analytic_power_decomposes_the_priced_timeline():
     # The closed-form figure covers the state table and transitions; the
     # priced timeline adds per-byte DRAM energy and the three power adders.
     for scheme in Scheme:
-        report = streaming_report(make_config("4k", 60, scheme), "default")
+        report = streaming_report(make_config("4k", 60, scheme), DEFAULT)
         total_ms = report.total_ns * 1e-6
         extras_mw = (
             report.dram.operating_read_uj
@@ -182,10 +184,10 @@ def test_analytic_power_decomposes_the_priced_timeline():
 
 
 def test_report_dict_is_json_serializable_and_stable():
-    report = streaming_report(make_config("fhd", 60, Scheme.BURSTLINK), "default")
+    report = streaming_report(make_config("fhd", 60, Scheme.BURSTLINK), DEFAULT)
     doc = report.to_dict()
     a = json.dumps(doc, sort_keys=True)
-    report2 = streaming_report(make_config("fhd", 60, Scheme.BURSTLINK), "default")
+    report2 = streaming_report(make_config("fhd", 60, Scheme.BURSTLINK), DEFAULT)
     b = json.dumps(report2.to_dict(), sort_keys=True)
     assert a == b
     parsed = json.loads(a)
@@ -200,7 +202,7 @@ def test_streaming_report_validates_first():
         display=DisplayConfig(resolution=RESOLUTIONS["4k"], panel_has_drfb=False),
     )
     with pytest.raises(ConfigurationError) as err:
-        streaming_report(cfg, "default")
+        streaming_report(cfg, DEFAULT)
     assert "BURST_NEEDS_DRFB" in str(err.value)
 
 
@@ -241,9 +243,9 @@ def test_window_breakdown_charges_every_boundary_transition(scheme, latency_cal)
 
 def test_transition_energy_appears_only_with_latencied_calibrations():
     cfg = make_config("4k", 60, Scheme.BURSTLINK)
-    plain = streaming_report(cfg, "default")
+    plain = streaming_report(cfg, DEFAULT)
     assert plain.transition_energy_uj == 0.0
-    priced = streaming_report(cfg, "latency-demo")
+    priced = streaming_report(cfg, load_calibration("latency-demo"))
     assert priced.transition_energy_uj == pytest.approx(180.0)
     assert priced.average_power_mw > plain.average_power_mw
 
@@ -280,26 +282,26 @@ def test_per_window_transition_charges_survive_the_breakdown(latency_cal):
 
 
 def test_burst_scheme_report_tracks_panel_buffer_energy():
-    report = streaming_report(make_config("4k", 60, Scheme.BURSTLINK), "default")
+    report = streaming_report(make_config("4k", 60, Scheme.BURSTLINK), DEFAULT)
     assert report.drfb_energy_uj > 0.0
-    plain = streaming_report(make_config("4k", 60, Scheme.BASELINE), "default")
+    plain = streaming_report(make_config("4k", 60, Scheme.BASELINE), DEFAULT)
     assert plain.drfb_energy_uj == 0.0
 
 
 def test_vr_reports_include_gpu_projection_energy():
     report = streaming_report(
-        make_config("4k", 60, Scheme.BURSTLINK, kind=WorkloadKind.VR360), "default"
+        make_config("4k", 60, Scheme.BURSTLINK, kind=WorkloadKind.VR360), DEFAULT
     )
     assert report.gpu_energy_uj > 0.0
-    flat = streaming_report(make_config("4k", 60, Scheme.BURSTLINK), "default")
+    flat = streaming_report(make_config("4k", 60, Scheme.BURSTLINK), DEFAULT)
     assert flat.gpu_energy_uj == 0.0
 
 
 def test_compression_compute_energy_is_billed_when_compressing():
     cfg = make_config("4k", 60, Scheme.BASELINE)
-    squeezed = streaming_report(cfg, "default", fbc_ratio=0.5)
+    squeezed = streaming_report(cfg, DEFAULT, fbc_ratio=0.5)
     assert squeezed.fbc_energy_uj > 0.0
-    plain = streaming_report(cfg, "default")
+    plain = streaming_report(cfg, DEFAULT)
     assert plain.fbc_energy_uj == 0.0
 
 

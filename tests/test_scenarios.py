@@ -8,10 +8,12 @@ from importlib import resources
 import pytest
 
 from framewatt.core import Scheme, WorkloadKind
-from framewatt.cstates import PackageCState
+from framewatt.cstates import PackageCState, load_calibration
 from framewatt.power import streaming_report
 from framewatt.scenarios import energy_reduction, read_dirty_trace, single_plane_burst
 from conftest import load_tool, make_config
+
+DEFAULT = load_calibration()
 
 
 def bundled_trace(name: str):
@@ -24,8 +26,8 @@ def bundled_trace(name: str):
 
 
 def test_energy_reduction_compares_per_unit_time_rates():
-    base = streaming_report(make_config("4k", 60, Scheme.BASELINE), "default")
-    better = streaming_report(make_config("4k", 60, Scheme.BURSTLINK), "default")
+    base = streaming_report(make_config("4k", 60, Scheme.BASELINE), DEFAULT)
+    better = streaming_report(make_config("4k", 60, Scheme.BURSTLINK), DEFAULT)
     red = energy_reduction(base, better)
     assert red == pytest.approx(
         100.0 * (1 - better.average_power_mw / base.average_power_mw)
@@ -34,7 +36,7 @@ def test_energy_reduction_compares_per_unit_time_rates():
 
 
 def test_energy_reduction_is_zero_against_itself():
-    report = streaming_report(make_config("fhd", 30, Scheme.BASELINE), "default")
+    report = streaming_report(make_config("fhd", 30, Scheme.BASELINE), DEFAULT)
     assert energy_reduction(report, report) == 0.0
 
 
@@ -43,7 +45,7 @@ def test_energy_reduction_is_zero_against_itself():
 
 def fbc_pair(cfg, ratio):
     """The plain run and the run with the frame buffer compressed to ``ratio``."""
-    return streaming_report(cfg, "default"), streaming_report(cfg, "default", fbc_ratio=ratio)
+    return streaming_report(cfg, DEFAULT), streaming_report(cfg, DEFAULT, fbc_ratio=ratio)
 
 
 def test_half_rate_compression_saves_mid_single_digits_at_uhd():
@@ -73,7 +75,7 @@ def test_compression_is_ignored_for_direct_feed_schemes():
 
 def test_compression_ratio_bounds_are_enforced():
     with pytest.raises(ValueError):
-        streaming_report(make_config(), "default", fbc_ratio=0.0)
+        streaming_report(make_config(), DEFAULT, fbc_ratio=0.0)
 
 
 # -- decode batching ---------------------------------------------------------------
@@ -81,8 +83,8 @@ def test_compression_ratio_bounds_are_enforced():
 
 def batching_reduction(cfg, batch_every):
     """Saving of one batch cycle over the plain run of the same windows."""
-    batched = streaming_report(cfg, "default", batch_every=batch_every)
-    return energy_reduction(streaming_report(cfg, "default", batched.n_windows), batched)
+    batched = streaming_report(cfg, DEFAULT, batch_every=batch_every)
+    return energy_reduction(streaming_report(cfg, DEFAULT, batched.n_windows), batched)
 
 
 def test_batching_four_frames_saves_low_single_digits_at_uhd():
@@ -103,24 +105,24 @@ def test_batch_savings_come_from_the_cached_layout_not_the_depth():
 def test_batching_rejects_non_video_workloads():
     with pytest.raises(ValueError, match="batching applies only to video playback"):
         streaming_report(make_config(kind=WorkloadKind.VR360, scheme=Scheme.BASELINE),
-                         "default", batch_every=4)
+                         DEFAULT, batch_every=4)
 
 
 def test_batching_rejects_non_plain_schemes():
     with pytest.raises(ValueError, match="under the plain scheme"):
-        streaming_report(make_config(scheme=Scheme.BURSTLINK), "default", batch_every=4)
+        streaming_report(make_config(scheme=Scheme.BURSTLINK), DEFAULT, batch_every=4)
 
 
 def test_batching_respects_memory_capacity():
     # a 4 GiB working set fits at most ~172 decoded UHD frames
     with pytest.raises(ValueError, match="BATCH_EXCEEDS_DRAM"):
-        streaming_report(make_config("4k", 60, Scheme.BASELINE), "default", batch_every=200)
+        streaming_report(make_config("4k", 60, Scheme.BASELINE), DEFAULT, batch_every=200)
 
 
 def test_batching_respects_the_decode_window():
     # wake-up plus 14 frame decodes cannot fit one 60 Hz window
     with pytest.raises(ValueError, match="BATCH_WINDOW_OVERRUN"):
-        streaming_report(make_config("4k", 60, Scheme.BASELINE), "default", batch_every=14)
+        streaming_report(make_config("4k", 60, Scheme.BASELINE), DEFAULT, batch_every=14)
 
 
 # -- dirty-rect traces ----------------------------------------------------------------
@@ -129,7 +131,7 @@ def test_batching_respects_the_decode_window():
 def test_static_screens_idle_almost_the_entire_window():
     cfg = make_config("4k", 60, Scheme.BURSTING_ONLY,
                       kind=WorkloadKind.SINGLE_PLANE)
-    comp = single_plane_burst(cfg, [0.0] * 600, calibration="default")
+    comp = single_plane_burst(cfg, [0.0] * 600, calibration=DEFAULT)
     assert comp.burst.residency[PackageCState.C9] == pytest.approx(0.98, abs=5e-3)
     assert energy_reduction(comp.stream, comp.burst) == pytest.approx(40.1869, abs=5e-4)
 
@@ -139,7 +141,7 @@ def test_static_screen_saving_stays_under_the_idle_power_ratio_bound():
     # saving cannot exceed the gap between those two state powers
     cfg = make_config("4k", 60, Scheme.BURSTING_ONLY,
                       kind=WorkloadKind.SINGLE_PLANE)
-    comp = single_plane_burst(cfg, [0.0] * 600, calibration="default")
+    comp = single_plane_burst(cfg, [0.0] * 600, calibration=DEFAULT)
     bound = 100.0 * (1090.0 / 1285.0)
     assert energy_reduction(comp.stream, comp.burst) <= bound
 
@@ -149,7 +151,7 @@ def test_busier_screens_save_less():
                       kind=WorkloadKind.SINGLE_PLANE)
     reductions = [
         energy_reduction(comp.stream, comp.burst)
-        for comp in (single_plane_burst(cfg, [d] * 120, calibration="default")
+        for comp in (single_plane_burst(cfg, [d] * 120, calibration=DEFAULT)
                      for d in (0.0, 0.5, 1.0))
     ]
     assert reductions == sorted(reductions, reverse=True)
@@ -160,9 +162,9 @@ def test_single_plane_requires_a_usable_trace():
     cfg = make_config("4k", 60, Scheme.BURSTING_ONLY,
                       kind=WorkloadKind.SINGLE_PLANE)
     with pytest.raises(ValueError):
-        single_plane_burst(cfg, [], calibration="default")
+        single_plane_burst(cfg, [], calibration=DEFAULT)
     with pytest.raises(ValueError):
-        single_plane_burst(cfg, [0.5, 1.2], calibration="default")
+        single_plane_burst(cfg, [0.5, 1.2], calibration=DEFAULT)
 
 
 def test_trace_round_trip(tmp_path):
@@ -235,7 +237,7 @@ def test_bundled_traces_cover_the_activity_spectrum():
 def test_casual_gaming_trace_saves_a_quarter_to_a_third_at_uhd():
     cfg = make_config("4k", 60, Scheme.BURSTING_ONLY,
                       kind=WorkloadKind.SINGLE_PLANE)
-    comp = single_plane_burst(cfg, bundled_trace("gaming"), calibration="default")
+    comp = single_plane_burst(cfg, bundled_trace("gaming"), calibration=DEFAULT)
     reduction = energy_reduction(comp.stream, comp.burst)
     assert 25.0 <= reduction <= 30.0
     assert reduction == pytest.approx(27.0015, abs=5e-4)
@@ -244,7 +246,7 @@ def test_casual_gaming_trace_saves_a_quarter_to_a_third_at_uhd():
 def test_mostly_static_traces_save_more_than_busy_ones():
     cfg = make_config("4k", 60, Scheme.BURSTING_ONLY,
                       kind=WorkloadKind.SINGLE_PLANE)
-    comps = {name: single_plane_burst(cfg, bundled_trace(name), calibration="default")
+    comps = {name: single_plane_burst(cfg, bundled_trace(name), calibration=DEFAULT)
              for name in ("gaming", "conferencing", "productivity")}
     by_trace = {name: energy_reduction(comp.stream, comp.burst)
                 for name, comp in comps.items()}

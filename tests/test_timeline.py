@@ -989,7 +989,7 @@ def test_a_sub_ns_tail_fill_gives_its_reads_to_the_last_fill(tmp_path, capsys):
     assert reads == [(PackageCState.C2, "fetch", 524288)] * 2 + [
         (PackageCState.C2, "fetch", 524288 + 7)]
     assert timeline_totals(tl).dram_read_bytes == 1_572_871
-    comparison = single_plane_burst(cfg, [0.063205])
+    comparison = single_plane_burst(cfg, [0.063205], load_calibration())
     assert comparison.burst.dram_read_bytes == 1_572_871
     trace = tmp_path / "trace.csv"
     trace.write_text("window,dirty_fraction\n0,0.063205\n")
