@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -19,9 +20,9 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.optimize import nnls
 
-from .core import (ConfigurationError, check_finite, json_excerpt, json_form, json_number,
-                   json_object, read_json, read_text)
-from .cstates import PackageCState, parse_state_map
+from .core import (ConfigurationError, check_finite, json_array, json_form, json_keys, json_number,
+                   json_string, read_json, read_text)
+from .cstates import PackageCState, read_state_map
 
 
 class UnderDeterminedError(ValueError):
@@ -209,32 +210,19 @@ def load_runs(path: str | Path) -> list[MeasuredRun]:
     return runs_from_csv(p)
 
 
+#: The reader of a measured-runs file's one key, an array of run objects.
+_RUNS_KEYS = {"runs": json_array(partial(
+    json_keys, readers={"label": json_string, "residency": read_state_map,
+                        "average_power_mw": json_number},
+    required=("residency", "average_power_mw")))}
+
+
 def runs_from_json(path: str | Path) -> list[MeasuredRun]:
     """Load measured runs from ``{"runs": [{label, residency, average_power_mw}]}``."""
     data = read_json(path)
     check_finite(data)
-    unknown = set(json_object(data, "measured-runs file")) - {"runs"}
-    if unknown:
-        raise ValueError(f"unknown keys in measured-runs file: {sorted(unknown)}")
-    raw_runs = data.get("runs")
-    if not raw_runs:
+    runs = json_keys(data, "", _RUNS_KEYS, required=("runs",))["runs"]
+    if not runs:
         raise ValueError("measured-runs file has no runs")
-    if not isinstance(raw_runs, list):
-        raise ValueError(f"runs must be an array, got {json_excerpt(raw_runs)}")
-    out: list[MeasuredRun] = []
-    for i, raw in enumerate(raw_runs):
-        unknown = set(json_object(raw, f"run {i}")) - {"label", "residency", "average_power_mw"}
-        if unknown:
-            raise ValueError(f"run {i}: unknown keys {sorted(unknown)}")
-        try:
-            out.append(
-                MeasuredRun(
-                    residency=parse_state_map(raw["residency"], f"run {i}.residency"),
-                    average_power_mw=json_number(raw["average_power_mw"],
-                                                 f"run {i}.average_power_mw"),
-                    label=str(raw.get("label", f"run{i}")),
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"run {i}: missing field {exc}") from None
-    return out
+    return [MeasuredRun(run["residency"], run["average_power_mw"], run.get("label", f"run{i}"))
+            for i, run in enumerate(runs)]

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 NS_PER_S = 1_000_000_000
 
@@ -132,10 +134,13 @@ class DisplayConfig:
 
     def __post_init__(self) -> None:
         found = out_of_range("display.", vars(self), positive=("refresh_hz", "edp_max_bits_per_s"))
-        if self.bits_per_pixel not in (16, 24, 30, 32):
+        bpp = self.bits_per_pixel
+        if bpp not in (16, 24, 30, 32):
             found.append(Violation("OUT_OF_RANGE", "display.bits_per_pixel",
-                                   f"bits_per_pixel must be one of 16/24/30/32, "
-                                   f"got {self.bits_per_pixel}"))
+                                   f"bits_per_pixel must be one of 16/24/30/32, got {bpp}"))
+        elif self.resolution.pixels * bpp % 8:
+            found.append(Violation("OUT_OF_RANGE", "display.bits_per_pixel",
+                                   f"{self.resolution} at {bpp} bpp is not byte-aligned"))
         reject(found)
 
 
@@ -220,19 +225,8 @@ class SimConfig:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "SimConfig":
-        if not isinstance(data, Mapping):
-            raise ValueError("config must be a JSON object")
         check_finite(data)
-        unknown = set(data) - {f.name for f in fields(SimConfig)}
-        if unknown:
-            raise ValueError(f"unknown config sections: {sorted(unknown)}")
-        display = _section(data, "display", DisplayConfig)
-        workload = _section(data, "workload", WorkloadSpec)
-        return SimConfig(
-            display=DisplayConfig(**display),
-            system=SystemConfig(**_section(data, "system", SystemConfig)),
-            workload=WorkloadSpec(**workload),
-        )
+        return _read_fields(SimConfig, data, "")
 
     @staticmethod
     def from_json(path: str | Path) -> "SimConfig":
@@ -261,49 +255,6 @@ def json_form(value: Any) -> Any:
         return {"->".join(map(json_form, k)) if isinstance(k, tuple) else json_form(k):
                 json_form(v) for k, v in value.items()}
     return [json_form(v) for v in value] if isinstance(value, tuple) else value
-
-
-#: JSON value types each config field annotation accepts, and their name.
-_JSON_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "float | None": ((int, float, type(None)), "a number or null"),
-    "bool": ((bool,), "true or false"),
-    "Mapping[str, float]": ((dict,), "an object"),
-    "Resolution": ((str,), "a string"),
-    "WorkloadKind": ((str,), "a string"),
-    "Scheme": ((str,), "a string"),
-}
-
-#: Parsers of the field types JSON holds as strings.
-_PARSERS = {"Resolution": parse_resolution, "WorkloadKind": WorkloadKind, "Scheme": Scheme}
-
-
-def _section(data: Mapping[str, Any], name: str, cls: type) -> dict[str, Any]:
-    """One config section as constructor keywords, each value of its field's
-    JSON type; raises ValueError naming the first offending key."""
-    section = data.get(name, {})
-    if not isinstance(section, Mapping):
-        raise ValueError(f"config section '{name}' must be an object, "
-                         f"got {json_excerpt(section)}")
-    annotations = {f.name: f.type for f in fields(cls)}
-    unknown = set(section) - set(annotations)
-    if unknown:
-        raise ValueError(f"unknown keys in '{name}' config: {sorted(unknown)}")
-    for key, value in section.items():
-        checks = [(f"{name}.{key}", value, annotations[key])]
-        if isinstance(value, Mapping):  # the one object field maps names to numbers
-            checks += [(f"{name}.{key}.{k}", v, "float") for k, v in value.items()]
-        for where, item, annotation in checks:
-            accepted, expected = _JSON_TYPES[annotation]
-            if not isinstance(item, accepted) or (isinstance(item, bool)
-                                                  and bool not in accepted):
-                raise ValueError(f"config key '{where}' must be {expected}, "
-                                 f"got {json_excerpt(item)}")
-    # Parsed in declaration order, so the first bad field named is the same
-    # whatever the key order of the input.
-    return {f.name: _PARSERS[f.type](section[f.name]) if f.type in _PARSERS
-            else section[f.name] for f in fields(cls) if f.name in section}
 
 
 # -- frame arithmetic ------------------------------------------------------
@@ -486,25 +437,106 @@ def _clip(value: Any, depth: int) -> Any:
     return value
 
 
-def json_number(value: Any, where: str) -> float:
-    """``value`` as a float; ValueError naming ``where`` unless a JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} must be a number, got {json_excerpt(value)}")
-    return float(value)
+#: A JSON value reader: takes a parsed value and its key path, returns the
+#: value as kept, or raises ConfigurationError at that path or under it.
+Reader = Callable[[Any, str], Any]
 
 
-def json_object(value: Any, where: str) -> Mapping[str, Any]:
-    """``value`` unchanged; ValueError naming ``where`` unless a JSON object."""
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{where} must be an object, got {json_excerpt(value)}")
+def _rejected(code: str, where: str, message: str) -> ConfigurationError:
+    return ConfigurationError([Violation(code, where or "<root>", message)])
+
+
+def _expect(value: Any, where: str, accepted: tuple[type, ...], expected: str) -> Any:
+    """``value`` if of an ``accepted`` type (a bool only where ``bool`` is),
+    else ``WRONG_TYPE``; an integer too large for a float is ``NON_FINITE``."""
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+        raise _rejected("WRONG_TYPE", where, f"expected {expected}, got {json_excerpt(value)}")
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise _rejected("NON_FINITE", where, f"{json_excerpt(value)} is too large for a float")
     return value
+
+
+def json_keys(raw: Any, where: str, readers: Mapping[str, Reader],
+              required: Iterable[str] = ()) -> dict[str, Any]:
+    """The JSON object ``raw`` at key path ``where``, each value read by its
+    key's reader, in the object's key order; the one check of every config,
+    calibration and measured-runs object.  The first offence raises, at a
+    path of :func:`check_finite`'s form: ``WRONG_TYPE`` if no object, then
+    ``UNKNOWN_KEY``, ``MISSING_KEY`` for a ``required`` key, the readers'."""
+    _expect(raw, where, (Mapping,), "an object")
+    prefix = f"{where}." if where else ""
+    for key in raw:
+        if key not in readers:
+            raise _rejected("UNKNOWN_KEY", f"{prefix}{key}",
+                            f"unknown key {key!r}; expected one of {', '.join(readers)}")
+    for key in required:
+        if key not in raw:
+            raise _rejected("MISSING_KEY", prefix + key, f"missing required key {key!r}")
+    return {key: readers[key](value, f"{prefix}{key}") for key, value in raw.items()}
+
+
+def json_map(read: Reader, keys: Mapping[str, Any] | None = None) -> Reader:
+    """A reader of an object whose values ``read`` reads, keyed by each
+    name's entry in ``keys``, or by the name when no ``keys`` are given."""
+    def read_map(raw: Any, where: str) -> dict[Any, Any]:
+        names = keys or {name: name for name in _expect(raw, where, (Mapping,), "an object")}
+        found = json_keys(raw, where, dict.fromkeys(names, read))
+        return {names[k]: v for k, v in found.items()}
+    return read_map
+
+
+def json_array(read: Reader) -> Reader:
+    """A reader of an array whose items ``read`` reads at ``where[i]``."""
+    def read_array(raw: Any, where: str) -> list[Any]:
+        items = _expect(raw, where, (list,), "an array")
+        return [read(item, f"{where}[{i}]") for i, item in enumerate(items)]
+    return read_array
+
+
+_number = partial(_expect, accepted=(int, float), expected="a number")
+
+
+def json_number(value: Any, where: str) -> float:
+    return float(_number(value, where))
 
 
 def json_string(value: Any, where: str) -> str:
-    """``value`` unchanged; ValueError naming ``where`` unless a JSON string."""
-    if not isinstance(value, str):
-        raise ValueError(f"{where} must be a string, got {json_excerpt(value)}")
-    return value
+    return _expect(value, where, (str,), "a string")
+
+
+def _parsed(parse: Callable[[str], Any]) -> Reader:
+    """A reader of a string that ``parse`` turns into a value; a string it
+    refuses with a ValueError is ``UNKNOWN_VALUE``."""
+    def read(value: Any, where: str) -> Any:
+        try:
+            return parse(json_string(value, where))
+        except ConfigurationError:  # the string check's, or the value's own rule
+            raise
+        except ValueError as exc:
+            raise _rejected("UNKNOWN_VALUE", where, str(exc)) from None
+    return read
+
+
+def _read_fields(cls: type, raw: Any, where: str) -> Any:
+    """A ``cls`` from an object of some of its fields, read by annotation."""
+    return cls(**json_keys(raw, where, {f.name: _READERS[f.type] for f in fields(cls)}))
+
+
+#: The reader of each config field annotation; numbers keep their JSON type.
+_READERS: dict[str, Reader] = {
+    "int": partial(_expect, accepted=(int,), expected="an integer"),
+    "float": _number,
+    "float | None": partial(_expect, accepted=(int, float, type(None)),
+                            expected="a number or null"),
+    "bool": partial(_expect, accepted=(bool,), expected="true or false"),
+    "Mapping[str, float]": json_map(_number),
+    "Resolution": _parsed(parse_resolution),
+    "WorkloadKind": _parsed(WorkloadKind),
+    "Scheme": _parsed(Scheme),
+    "DisplayConfig": partial(_read_fields, DisplayConfig),
+    "SystemConfig": partial(_read_fields, SystemConfig),
+    "WorkloadSpec": partial(_read_fields, WorkloadSpec),
+}
 
 
 def validate_config(cfg: SimConfig) -> list[Violation]:

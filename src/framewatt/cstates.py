@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping
 
-from .core import (ConfigurationError, Scheme, Violation, check_finite, json_number, json_object,
-                   json_string, out_of_range, read_json, reject)
+from .core import (ConfigurationError, Reader, Scheme, Violation, check_finite, json_keys,
+                   json_map, json_number, json_string, out_of_range, read_json, reject)
 
 
 class PackageCState(Enum):
@@ -197,52 +197,34 @@ _BUILTIN_FILES = {
 _PROFILE_KEYS = ("state_power_mw", "display_power_mw", "entry_latency_us", "exit_latency_us",
                  "entry_power_mw", "exit_power_mw")
 
-_TOP_KEYS = {"name", "description", "vd_gate_delta_mw", "drfb_power_mw", "profiles"}
+#: Reads a per-state map: an object of numbers keyed by state name.
+read_state_map = json_map(json_number, {s.value: s for s in PackageCState})
 
 
-def parse_state_map(raw: Any, where: str) -> dict[PackageCState, Any]:
-    """Per-state numbers from a JSON object; a ValueError names the key."""
-    out: dict[PackageCState, Any] = {}
-    for key, val in json_object(raw, where).items():
-        try:
-            state = PackageCState(key)
-        except ValueError:
-            raise ValueError(f"unknown state '{key}' in {where}") from None
-        out[state] = json_number(val, f"{where}.{key}")
-    return out
+def _read_profile(raw: Any, where: str) -> PowerProfile:
+    """The profile object at ``where``, named by its key."""
+    maps = json_keys(raw, where, dict.fromkeys(_PROFILE_KEYS, read_state_map),
+                     required=("state_power_mw",))
+    return PowerProfile(name=where.rpartition(".")[2], **{
+        key: MappingProxyType(maps.get(key, {})) for key in _PROFILE_KEYS})
 
 
-def _profile_from_dict(name: str, raw: Mapping[str, Any]) -> PowerProfile:
-    unknown = set(json_object(raw, f"profiles.{name}")) - set(_PROFILE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown keys in profile '{name}': {sorted(unknown)}")
-    if "state_power_mw" not in raw:
-        raise ValueError(f"profile '{name}' missing state_power_mw")
-    return PowerProfile(name=name, **{
-        key: MappingProxyType(parse_state_map(raw.get(key, {}), f"{name}.{key}"))
-        for key in _PROFILE_KEYS})
+_PROFILES = ("conventional", "burst")
+
+#: The reader of each key of a calibration file; the description is checked, not kept.
+_CALIBRATION_KEYS: dict[str, Reader] = {
+    "name": json_string, "description": json_string,
+    "vd_gate_delta_mw": json_number, "drfb_power_mw": json_number,
+    "profiles": partial(json_keys, readers=dict.fromkeys(_PROFILES, _read_profile),
+                        required=_PROFILES),
+}
 
 
 def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
     check_finite(data)
-    unknown = set(json_object(data, "calibration")) - _TOP_KEYS
-    if unknown:
-        raise ValueError(f"unknown keys in calibration: {sorted(unknown)}")
-    profiles = json_object(data.get("profiles", {}), "profiles")
-    unknown_p = set(profiles) - {"conventional", "burst"}
-    if unknown_p:
-        raise ValueError(f"unknown profiles in calibration: {sorted(unknown_p)}")
-    missing = {"conventional", "burst"} - set(profiles)
-    if missing:
-        raise ValueError(f"calibration missing profiles: {sorted(missing)}")
-    json_string(data.get("description", ""), "description")  # checked, not kept
-    return CalibrationSet(
-        name=json_string(data.get("name", "unnamed"), "name"),
-        conventional=_profile_from_dict("conventional", profiles["conventional"]),
-        burst=_profile_from_dict("burst", profiles["burst"]),
-        **{key: json_number(data[key], key)
-           for key in ("vd_gate_delta_mw", "drfb_power_mw") if key in data},
-    )
+    read = json_keys(data, "", _CALIBRATION_KEYS, required=("profiles",))
+    read.pop("description", None)
+    return CalibrationSet(name=read.pop("name", "unnamed"), **read.pop("profiles"), **read)
 
 
 def load_calibration(name_or_path: str | Path = "default") -> CalibrationSet:

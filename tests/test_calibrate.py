@@ -245,8 +245,10 @@ def test_json_rejects_unknown_run_keys(tmp_path):
     doc = {"runs": [{"label": "a", "residency": {"C0": 1.0},
                      "average_power_mw": 1.0, "comment": "x"}]}
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown keys"):
+    with pytest.raises(ValueError) as err:
         runs_from_json(path)
+    assert str(err.value) == ("UNKNOWN_KEY [runs[0].comment]: unknown key 'comment'; expected "
+                              "one of label, residency, average_power_mw")
 
 
 def test_json_rejects_unknown_top_level_keys(tmp_path):
@@ -255,18 +257,20 @@ def test_json_rejects_unknown_top_level_keys(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError) as err:
         runs_from_json(path)
-    assert str(err.value) == "unknown keys in measured-runs file: ['meter']"
+    assert str(err.value) == "UNKNOWN_KEY [meter]: unknown key 'meter'; expected one of runs"
 
 
 @pytest.mark.parametrize("runs, message", [
-    ([5], "run 0 must be an object, got 5"),
-    ([{"residency": 5, "average_power_mw": 1}], "run 0.residency must be an object, got 5"),
+    ([5], "WRONG_TYPE [runs[0]]: expected an object, got 5"),
+    ([{"residency": 5, "average_power_mw": 1}],
+     "WRONG_TYPE [runs[0].residency]: expected an object, got 5"),
     ([{"residency": {"C0": "x"}, "average_power_mw": 1}],
-     'run 0.residency.C0 must be a number, got "x"'),
+     'WRONG_TYPE [runs[0].residency.C0]: expected a number, got "x"'),
     ([{"residency": {"C0": 1.0}, "average_power_mw": None}],
-     "run 0.average_power_mw must be a number, got null"),
+     "WRONG_TYPE [runs[0].average_power_mw]: expected a number, got null"),
     ([], "measured-runs file has no runs"),
-    ([{"residency": {"C0": 1.0}}], "run 0: missing field 'average_power_mw'"),
+    ([{"residency": {"C0": 1.0}}],
+     "MISSING_KEY [runs[0].average_power_mw]: missing required key 'average_power_mw'"),
 ])
 def test_json_runs_of_the_wrong_shape_name_the_key(runs, message, tmp_path):
     path = tmp_path / "runs.json"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from framewatt import cstates
-from framewatt.core import Scheme
+from framewatt.core import ConfigurationError, Scheme, Violation
 from framewatt.cstates import (
     STATE_DRAM_MODE,
     STATES_BY_DEPTH,
@@ -272,47 +272,59 @@ def test_load_calibration_rejects_unknown_names():
         load_calibration("does-not-exist")
 
 
+def _violation(doc):
+    with pytest.raises(ConfigurationError) as err:
+        calibration_from_dict(doc)
+    (violation,) = err.value.violations
+    return violation
+
+
 def test_calibration_dict_rejects_unknown_top_level_keys():
-    with pytest.raises(ValueError, match="unknown keys"):
-        calibration_from_dict({"name": "x", "extra": 1})
+    assert _violation({"name": "x", "extra": 1}) == Violation(
+        "UNKNOWN_KEY", "extra", "unknown key 'extra'; expected one of name, description, "
+        "vd_gate_delta_mw, drfb_power_mw, profiles")
 
 
 def test_calibration_dict_requires_both_profiles():
-    with pytest.raises(ValueError, match="missing profiles"):
-        calibration_from_dict({"name": "x", "profiles": {}})
+    assert _violation({"name": "x", "profiles": {}}) == Violation(
+        "MISSING_KEY", "profiles.conventional", "missing required key 'conventional'")
 
 
 def test_calibration_dict_rejects_unknown_states():
     doc = {"profiles": {"conventional": {"state_power_mw": {"C1": 1.0}},
                         "burst": {"state_power_mw": {}}}}
-    with pytest.raises(ValueError, match="unknown state"):
-        calibration_from_dict(doc)
+    assert _violation(doc) == Violation(
+        "UNKNOWN_KEY", "profiles.conventional.state_power_mw.C1",
+        "unknown key 'C1'; expected one of C0, C2, C3, C6, C7, C7P, C8, C9, C10")
 
 
-@pytest.mark.parametrize("profiles, message", [
+@pytest.mark.parametrize("profiles, violation", [
     ({"conventional": {"state_power_mw": {}, "idle_mw": {}}, "burst": {}},
-     "unknown keys in profile 'conventional': ['idle_mw']"),
+     ("UNKNOWN_KEY", "profiles.conventional.idle_mw", "unknown key 'idle_mw'; expected one of "
+      "state_power_mw, display_power_mw, entry_latency_us, exit_latency_us, entry_power_mw, "
+      "exit_power_mw")),
     ({"conventional": {"display_power_mw": {}}, "burst": {}},
-     "profile 'conventional' missing state_power_mw"),
-    ({"conventional": {}, "burst": {}, "turbo": {}}, "unknown profiles in calibration: ['turbo']"),
+     ("MISSING_KEY", "profiles.conventional.state_power_mw",
+      "missing required key 'state_power_mw'")),
+    ({"conventional": {}, "burst": {}, "turbo": {}},
+     ("UNKNOWN_KEY", "profiles.turbo", "unknown key 'turbo'; expected one of conventional, "
+      "burst")),
 ], ids=["unknown-key", "no-state-powers", "unknown-profile"])
-def test_calibration_profiles_of_the_wrong_shape_are_rejected(profiles, message):
-    with pytest.raises(ValueError) as err:
-        calibration_from_dict({"profiles": profiles})
-    assert str(err.value) == message
+def test_calibration_profiles_of_the_wrong_shape_are_rejected(profiles, violation):
+    assert _violation({"profiles": profiles}) == Violation(*violation)
 
 
-@pytest.mark.parametrize("state_power, message", [
-    (5, "conventional.state_power_mw must be an object, got 5"),
-    ({"C0": "big"}, 'conventional.state_power_mw.C0 must be a number, got "big"'),
-    ({"C0": True}, "conventional.state_power_mw.C0 must be a number, got true"),
+@pytest.mark.parametrize("state_power, violation", [
+    (5, ("WRONG_TYPE", "profiles.conventional.state_power_mw", "expected an object, got 5")),
+    ({"C0": "big"}, ("WRONG_TYPE", "profiles.conventional.state_power_mw.C0",
+                     'expected a number, got "big"')),
+    ({"C0": True}, ("WRONG_TYPE", "profiles.conventional.state_power_mw.C0",
+                    "expected a number, got true")),
 ])
-def test_calibration_state_maps_must_hold_json_numbers(state_power, message):
+def test_calibration_state_maps_must_hold_json_numbers(state_power, violation):
     doc = {"profiles": {"conventional": {"state_power_mw": state_power},
                         "burst": {"state_power_mw": {}}}}
-    with pytest.raises(ValueError) as err:
-        calibration_from_dict(doc)
-    assert str(err.value) == message
+    assert _violation(doc) == Violation(*violation)
 
 
 def test_demo_calibration_latencies_are_kept_in_microseconds(latency_cal):
