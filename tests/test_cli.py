@@ -788,6 +788,112 @@ def test_json_of_the_wrong_shape_names_the_key(argv, doc, message, tmp_path, cap
     assert err[0].startswith(message.replace("PATH", str(path)))
 
 
+def _default_calibration() -> dict:
+    from importlib import resources
+
+    return json.loads(resources.files("framewatt").joinpath(
+        "data", "default_calibration.json").read_text(encoding="utf-8"))
+
+
+def _run_with(argv, text, tmp_path, capsys):
+    """``main`` on ``argv`` with ``JSON`` naming a file holding ``text``;
+    the exit code and the lines of stderr."""
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    code = main([str(path) if a == "JSON" else a for a in argv])
+    return code, capsys.readouterr().err.splitlines()
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, doc, field", [
+    (["simulate", "--preset", "fhd30", "--calibration", "JSON"],
+     {**_default_calibration(), "drfb_power_mw": "HUGE"}, "drfb_power_mw"),
+    (["calibrate", "--runs", "JSON"],
+     {"runs": [{"residency": {"C0": 1.0}, "average_power_mw": "HUGE"}]},
+     "runs[0].average_power_mw"),
+    (["simulate", "--config", "JSON"], {"display": {"refresh_hz": "HUGE"}}, "display.refresh_hz"),
+], ids=["calibration", "runs", "config"])
+def test_an_integer_too_large_for_a_float_is_a_violation(argv, doc, field, tmp_path, capsys):
+    text = json.dumps(doc).replace('"HUGE"', _HUGE)
+    assert _run_with(argv, text, tmp_path, capsys) == (2, [
+        f"violation\tNON_FINITE\t{field}\t{_HUGE[:60]}... is too large for a float"])
+
+
+@pytest.mark.parametrize("label, excerpt", [([1, 2], "[1, 2]"), ({"x": 1}, '{"x": 1}')],
+                         ids=["array", "object"])
+def test_a_run_label_must_be_a_json_string(label, excerpt, tmp_path, capsys):
+    doc = {"runs": [{"label": label, "residency": {"C0": 1.0}, "average_power_mw": 5940}]}
+    argv = ["calibrate", "--runs", "JSON", "--out", str(tmp_path / "fit")]
+    assert _run_with(argv, json.dumps(doc), tmp_path, capsys) == (2, [
+        f"violation\tWRONG_TYPE\truns[0].label\texpected a string, got {excerpt}"])
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("runs, line", [
+    ({}, "violation\tWRONG_TYPE\truns\texpected an array, got {}"),
+    (0, "violation\tWRONG_TYPE\truns\texpected an array, got 0"),
+    ([], "error: measured-runs file has no runs"),
+], ids=["object", "zero", "empty-array"])
+def test_runs_must_be_a_non_empty_array(runs, line, tmp_path, capsys):
+    text = json.dumps({"runs": runs})
+    assert _run_with(["calibrate", "--runs", "JSON"], text, tmp_path, capsys) == (2, [line])
+
+
+def test_a_missing_runs_key_is_a_violation(tmp_path, capsys):
+    assert _run_with(["calibrate", "--runs", "JSON"], "{}", tmp_path, capsys) == (2, [
+        "violation\tMISSING_KEY\truns\tmissing required key 'runs'"])
+
+
+@pytest.mark.parametrize("doc, line", [
+    ({"workload": {"scheme": "turbo"}},
+     "workload.scheme\t'turbo' is not a valid Scheme"),
+    ({"workload": {"kind": "film"}},
+     "workload.kind\t'film' is not a valid WorkloadKind"),
+    ({"display": {"resolution": "8k"}},
+     "display.resolution\tunknown resolution '8k'; use one of ['4k', '5k', 'fhd', 'qhd'] "
+     "or 'WIDTHxHEIGHT'"),
+], ids=["scheme", "kind", "resolution"])
+def test_a_config_name_that_does_not_parse_is_an_unknown_value(doc, line, tmp_path, capsys):
+    assert _run_with(["simulate", "--config", "JSON"], json.dumps(doc), tmp_path, capsys) == (
+        2, [f"violation\tUNKNOWN_VALUE\t{line}"])
+
+
+@pytest.mark.parametrize("extra", [{}, {"workload": {"video_fps": 120}}],
+                         ids=["alone", "with-fps-above-refresh"])
+def test_a_frame_that_is_not_byte_aligned_is_a_violation(extra, tmp_path, capsys):
+    doc = {"display": {"resolution": "1x1", "bits_per_pixel": 30}, **extra}
+    assert _run_with(["simulate", "--config", "JSON"], json.dumps(doc), tmp_path, capsys) == (
+        2, ["violation\tOUT_OF_RANGE\tdisplay.bits_per_pixel\t1x1 at 30 bpp is not "
+            "byte-aligned"])
+
+
+def _with_c0(value):
+    cal = _default_calibration()
+    cal["profiles"]["conventional"]["state_power_mw"]["C0"] = value
+    return cal
+
+
+@pytest.mark.parametrize("argv, doc, field", [
+    (["simulate", "--config", "JSON"], {"display": {"refresh_hz": "VALUE"}},
+     "display.refresh_hz"),
+    (["simulate", "--preset", "fhd30", "--calibration", "JSON"], _with_c0("VALUE"),
+     "profiles.conventional.state_power_mw.C0"),
+    (["calibrate", "--runs", "JSON"],
+     {"runs": [{"residency": {"C0": 1.0}, "average_power_mw": "VALUE"}]},
+     "runs[0].average_power_mw"),
+], ids=["config", "calibration", "runs"])
+def test_a_type_error_and_a_non_finite_value_name_one_key_path(argv, doc, field, tmp_path,
+                                                               capsys):
+    text = json.dumps(doc)
+    wrong_type = _run_with(argv, text.replace('"VALUE"', "[1]"), tmp_path, capsys)
+    non_finite = _run_with(argv, text.replace('"VALUE"', "NaN"), tmp_path, capsys)
+    assert [line.split("\t")[:3] for line in wrong_type[1] + non_finite[1]] == [
+        ["violation", "WRONG_TYPE", field], ["violation", "NON_FINITE", field]]
+    assert wrong_type[0] == non_finite[0] == 2
+
+
 _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position"
 
 

@@ -58,6 +58,14 @@ def test_frame_bytes_rejects_unaligned_bit_depth():
         frame_bytes(Resolution(1, 1), 30)
 
 
+def test_display_rejects_a_frame_that_is_not_byte_aligned():
+    with pytest.raises(ConfigurationError) as exc:
+        DisplayConfig(resolution=Resolution(1, 1), bits_per_pixel=30)
+    assert exc.value.violations == (Violation(
+        "OUT_OF_RANGE", "display.bits_per_pixel", "1x1 at 30 bpp is not byte-aligned"),)
+    assert DisplayConfig(resolution=Resolution(2, 2), bits_per_pixel=30).bits_per_pixel == 30
+
+
 def test_zero_width_resolution_is_rejected():
     with pytest.raises(ValueError):
         Resolution(0, 1080)
@@ -392,6 +400,16 @@ def test_from_dict_parses_resolution_strings():
     assert cfg.display.resolution == RESOLUTIONS["4k"]
     cfg = SimConfig.from_dict({"display": {"resolution": "1280x720"}})
     assert cfg.display.resolution == Resolution(1280, 720)
+
+
+def test_from_dict_keeps_json_number_types_and_key_order():
+    modes = {"off": 0, "active": 450, "fast_powerdown": 150.0, "self_refresh": 25}
+    cfg = SimConfig.from_dict({"system": {"dram_fetch_rate": 31104000000,
+                                          "dram_background_mw": modes}})
+    system = cfg.to_dict()["system"]
+    assert type(system["dram_fetch_rate"]) is int
+    assert list(system["dram_background_mw"].items()) == list(modes.items())
+    assert [type(v) for v in system["dram_background_mw"].values()] == [int, int, float, int]
 
 
 def test_from_json_reads_files(tmp_path):
