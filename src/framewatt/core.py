@@ -471,7 +471,7 @@ def json_keys(raw: Any, where: str, readers: Mapping[str, Reader],
                             f"unknown key {key!r}; expected one of {', '.join(readers)}")
     for key in required:
         if key not in raw:
-            raise _rejected("MISSING_KEY", prefix + key, f"missing required key {key!r}")
+            raise _rejected("MISSING_KEY", f"{prefix}{key}", f"missing required key {key!r}")
     return {key: readers[key](value, f"{prefix}{key}") for key, value in raw.items()}
 
 
