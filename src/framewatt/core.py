@@ -403,10 +403,12 @@ def read_text(path: str | Path) -> str:
 
 def read_json(path: str | Path) -> Any:
     """The parsed JSON file at ``path``; ValueError naming it if it is not
-    UTF-8, not JSON or nested too deeply."""
+    UTF-8, not JSON (an integer literal past the decoder's digit limit
+    included) or nested too deeply."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None

@@ -869,6 +869,13 @@ def test_a_frame_that_is_not_byte_aligned_is_a_violation(extra, tmp_path, capsys
             "byte-aligned"])
 
 
+def test_an_integer_literal_past_the_digit_limit_names_the_file(tmp_path, capsys):
+    text = '{"runs": [{"residency": {"C0": 1.0}, "average_power_mw": 1' + "0" * 5000 + "}]}"
+    code, err = _run_with(["calibrate", "--runs", "JSON"], text, tmp_path, capsys)
+    assert (code, len(err)) == (2, 1)
+    assert err[0].startswith(f"error: {tmp_path / 'input.json'}: Exceeds the limit (4300 digits)")
+
+
 def _with_c0(value):
     cal = _default_calibration()
     cal["profiles"]["conventional"]["state_power_mw"]["C0"] = value
