@@ -328,16 +328,13 @@ def test_calibration_state_maps_must_hold_json_numbers(state_power, violation):
 
 
 @pytest.mark.parametrize("name", ["default", "reference-fhd30", "latency-demo"])
-def test_builtin_calibrations_hold_floats_in_read_only_maps(name):
+def test_builtin_calibrations_hold_only_floats(name):
     cal = load_calibration(name)
     assert type(cal.vd_gate_delta_mw) is float and type(cal.drfb_power_mw) is float
     for profile in (cal.conventional, cal.burst):
         for key in ("state_power_mw", "display_power_mw", "entry_latency_us",
                     "exit_latency_us", "entry_power_mw", "exit_power_mw"):
-            values = getattr(profile, key)
-            assert all(type(v) is float for v in values.values())
-            with pytest.raises(TypeError):
-                values[PackageCState.C0] = 0.0
+            assert all(type(v) is float for v in getattr(profile, key).values())
 
 
 def test_demo_calibration_latencies_are_kept_in_microseconds(latency_cal):
