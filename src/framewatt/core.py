@@ -134,13 +134,14 @@ class DisplayConfig:
 
     def __post_init__(self) -> None:
         found = out_of_range("display.", vars(self), positive=("refresh_hz", "edp_max_bits_per_s"))
-        bpp = self.bits_per_pixel
-        if bpp not in (16, 24, 30, 32):
+        if self.bits_per_pixel not in (16, 24, 30, 32):
             found.append(Violation("OUT_OF_RANGE", "display.bits_per_pixel",
-                                   f"bits_per_pixel must be one of 16/24/30/32, got {bpp}"))
-        elif self.resolution.pixels * bpp % 8:
+                                   f"bits_per_pixel must be one of 16/24/30/32, "
+                                   f"got {self.bits_per_pixel}"))
+        elif self.resolution.pixels * self.bits_per_pixel % 8:  # as frame_bytes requires
             found.append(Violation("OUT_OF_RANGE", "display.bits_per_pixel",
-                                   f"{self.resolution} at {bpp} bpp is not byte-aligned"))
+                                   f"{self.resolution} at {self.bits_per_pixel} bpp is not "
+                                   "byte-aligned"))
         reject(found)
 
 
@@ -496,14 +497,11 @@ def json_array(read: Reader) -> Reader:
 
 
 _number = partial(_expect, accepted=(int, float), expected="a number")
+json_string = partial(_expect, accepted=(str,), expected="a string")
 
 
 def json_number(value: Any, where: str) -> float:
     return float(_number(value, where))
-
-
-def json_string(value: Any, where: str) -> str:
-    return _expect(value, where, (str,), "a string")
 
 
 def _parsed(parse: Callable[[str], Any]) -> Reader:

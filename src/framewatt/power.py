@@ -268,6 +268,8 @@ def streaming_report(
     n_windows: int | None = None,
     **run: Any,
 ) -> EnergyReport:
-    """Build the timeline for a config and price it in one step; ``run``
-    takes :func:`build_timeline`'s keywords."""
+    """Build the timeline for a config and price it in one step.
+
+    ``run`` takes :func:`build_timeline`'s keywords.
+    """
     return report_from_timeline(build_timeline(cfg, n_windows, **run), cfg, calibration)
