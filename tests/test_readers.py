@@ -101,7 +101,7 @@ def _read(fmt, doc, tmp_path):
 def test_one_mutation_is_read_or_refused_at_its_key_path(data, fmt, how, tmp_path):
     starts, required = _FORMATS[fmt]
     doc = copy.deepcopy(data.draw(st.sampled_from(starts)))
-    if how == "drop" and required:
+    if how == "drop" and required:  # no config key is required: a replacement instead
         path = data.draw(st.sampled_from(required))
         container, key = next((c, k) for at, c, k in _locations(doc) if at == path)
         del container[key]
