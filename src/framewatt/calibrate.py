@@ -9,8 +9,6 @@ Powers are physical quantities, so the solver is non-negative least squares.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -20,8 +18,8 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.optimize import nnls
 
-from .core import (ConfigurationError, check_finite, json_array, json_form, json_keys, json_number,
-                   json_string, read_json, read_text)
+from .core import (Reader, csv_cell, csv_records, json_array, json_form, json_keys, json_number,
+                   json_string, read_json, rejection)
 from .cstates import PackageCState, read_state_map
 
 
@@ -165,41 +163,30 @@ def model_accuracy(
     )
 
 
+def _run(where: str, residency: Mapping[PackageCState, float], power: float,
+         label: str) -> MeasuredRun:
+    """The run read at ``where``; a value it refuses is ``OUT_OF_RANGE`` there."""
+    try:
+        return MeasuredRun(residency, power, label)
+    except ValueError as exc:
+        raise rejection("OUT_OF_RANGE", where, str(exc)) from None
+
+
+#: The columns of a measured-runs CSV: the label, one residency column per
+#: state, the power and a bandwidth column the fit ignores.
+_RUN_COLUMNS: dict[str, Reader] = {
+    "label": json_string, **{s.value: csv_cell(json_number) for s in PackageCState},
+    "power_mw": csv_cell(json_number), "dram_bandwidth": json_string}
+
+
 def runs_from_csv(path: str | Path) -> list[MeasuredRun]:
     """Load measured runs from CSV: label, one residency column per state,
     power_mw, and an optional dram_bandwidth column (ignored by the fit)."""
-    out: list[MeasuredRun] = []
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    if reader.fieldnames is None:
-        raise ValueError(f"{path}: empty runs file")
-    state_names = {s.value for s in PackageCState}
-    known = state_names | {"label", "power_mw", "dram_bandwidth"}
-    unknown = set(reader.fieldnames) - known
-    if unknown:
-        raise ValueError(f"{path}: unknown columns {sorted(unknown)}")
-    if "power_mw" not in reader.fieldnames:
-        raise ValueError(f"{path}: missing power_mw column")
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            cells = {c: float(row[c]) for c in reader.fieldnames
-                     if c in state_names and row[c] not in (None, "")}
-            cells["power_mw"] = float(row["power_mw"])
-            check_finite({f"{path}:{lineno}": cells})
-            power = cells.pop("power_mw")
-            out.append(
-                MeasuredRun(
-                    residency={PackageCState(c): r for c, r in cells.items()},
-                    average_power_mw=power,
-                    label=row.get("label") or f"run{lineno - 2}",
-                )
-            )
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad run row: {exc}") from None
-    if not out:
-        raise ValueError(f"{path}: runs file has no rows")
-    return out
+    rows = csv_records(path, _RUN_COLUMNS, required=("power_mw",))
+    return [_run(f"{path}:{line}", {PackageCState(c): r for c, r in row.items()
+                                     if c not in ("label", "power_mw", "dram_bandwidth")},
+                 row["power_mw"], row.get("label", f"run{i}"))
+            for i, (line, row) in enumerate(rows.items())]
 
 
 def load_runs(path: str | Path) -> list[MeasuredRun]:
@@ -210,7 +197,7 @@ def load_runs(path: str | Path) -> list[MeasuredRun]:
     return runs_from_csv(p)
 
 
-#: The reader of a measured-runs file's one key, an array of run objects.
+#: The reader of a measured-runs file's one key, a non-empty array of run objects.
 _RUNS_KEYS = {"runs": json_array(partial(
     json_keys, readers={"label": json_string, "residency": read_state_map,
                         "average_power_mw": json_number},
@@ -219,10 +206,7 @@ _RUNS_KEYS = {"runs": json_array(partial(
 
 def runs_from_json(path: str | Path) -> list[MeasuredRun]:
     """Load measured runs from ``{"runs": [{label, residency, average_power_mw}]}``."""
-    data = read_json(path)
-    check_finite(data)
-    runs = json_keys(data, "", _RUNS_KEYS, required=("runs",))["runs"]
-    if not runs:
-        raise ValueError("measured-runs file has no runs")
-    return [MeasuredRun(run["residency"], run["average_power_mw"], run.get("label", f"run{i}"))
+    runs = json_keys(read_json(path), "", _RUNS_KEYS, required=("runs",))["runs"]
+    return [_run(f"runs[{i}]", run["residency"], run["average_power_mw"],
+                 run.get("label", f"run{i}"))
             for i, run in enumerate(runs)]

@@ -45,7 +45,7 @@ from typing import Any, Callable, Sequence, TextIO
 
 from . import __version__
 from .core import (CACHED_TRAFFIC_FRACTION, ConfigurationError, Scheme, SimConfig, WorkloadKind,
-                   json_form, parse_resolution, replace)
+                   json_excerpt, json_form, parse_resolution, rejection, replace)
 from .cstates import STATES_BY_DEPTH, PackageCState, calibration_from_dict, load_calibration
 from .oracle import oracle_simulate
 from .power import (EnergyReport, WindowEnergy, report_from_timeline, streaming_report,
@@ -541,11 +541,14 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .calibrate import UnderDeterminedError, fit_state_powers, load_runs, model_accuracy
 
     runs = load_runs(args.runs)
-    states = None
-    if args.states:
-        states = [PackageCState(s) for s in args.states.split(",")]
+    names = {s.value: s for s in PackageCState}
+    states = args.states.split(",") if args.states else []
+    for name in states:
+        if name not in names:
+            raise rejection("UNKNOWN_VALUE", "--states",
+                            f"unknown state {json_excerpt(name)}; use one of {', '.join(names)}")
     try:
-        fit = fit_state_powers(runs, states)
+        fit = fit_state_powers(runs, [names[name] for name in states] or None)
     except UnderDeterminedError as exc:
         print(f"under-determined: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,8 @@ nanoseconds, rounded from the exact period in integer arithmetic.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import sys
@@ -81,11 +83,6 @@ class Resolution:
     width: int
     height: int
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigurationError([Violation("OUT_OF_RANGE", "display.resolution",
-                                                f"resolution must be positive, got {self}")])
-
     @property
     def pixels(self) -> int:
         return self.width * self.height
@@ -104,21 +101,15 @@ RESOLUTIONS: dict[str, Resolution] = {
 
 
 def parse_resolution(value: str) -> Resolution:
-    """Accept a preset name ('fhd', '4k', ...) or 'WxH' string."""
+    """Accept a preset name ('fhd', '4k', ...) or 'WxH' string (of any size:
+    :class:`DisplayConfig` checks it)."""
     key = value.strip().lower()
-    if key in RESOLUTIONS:
-        return RESOLUTIONS[key]
-    if "x" in key:
-        w, _, h = key.partition("x")
-        try:
-            size = int(w), int(h)
-        except ValueError:
-            pass
-        else:  # a size out of range raises Resolution's coded violation
-            return Resolution(*size)
-    raise ValueError(
-        f"unknown resolution {value!r}; use one of {sorted(RESOLUTIONS)} or 'WIDTHxHEIGHT'"
-    )
+    w, _, h = key.partition("x")
+    try:
+        return RESOLUTIONS.get(key) or Resolution(int(w), int(h))
+    except ValueError:
+        raise ValueError(f"unknown resolution {json_excerpt(value)}; use one of "
+                         f"{sorted(RESOLUTIONS)} or 'WIDTHxHEIGHT'") from None
 
 
 @dataclass(frozen=True)
@@ -133,15 +124,25 @@ class DisplayConfig:
     panel_has_drfb: bool = True  # remote frame buffer wide enough for full frames
 
     def __post_init__(self) -> None:
+        res, hz = self.resolution, self.refresh_hz
         found = out_of_range("display.", vars(self), positive=("refresh_hz", "edp_max_bits_per_s"))
+        if res.width <= 0 or res.height <= 0:
+            found.insert(0, Violation("OUT_OF_RANGE", "display.resolution",
+                                      f"resolution must be positive, got {res}"))
+        frame_bits = res.pixels * self.bits_per_pixel
         if self.bits_per_pixel not in (16, 24, 30, 32):
             found.append(Violation("OUT_OF_RANGE", "display.bits_per_pixel",
                                    f"bits_per_pixel must be one of 16/24/30/32, "
                                    f"got {self.bits_per_pixel}"))
-        elif self.resolution.pixels * self.bits_per_pixel % 8:  # as frame_bytes requires
+        elif frame_bits % 8:  # as frame_bytes requires
             found.append(Violation("OUT_OF_RANGE", "display.bits_per_pixel",
-                                   f"{self.resolution} at {self.bits_per_pixel} bpp is not "
+                                   f"{res} at {self.bits_per_pixel} bpp is not "
                                    "byte-aligned"))
+        elif frame_bits * hz > sys.float_info.max:  # validate_config's rates are floats
+            key, value = ("refresh_hz", hz) if hz > frame_bits else ("resolution", str(res))
+            found.append(Violation("OUT_OF_RANGE", f"display.{key}",
+                                   f"{key} {json_excerpt(value)} needs a native stream rate "
+                                   "too large for a float"))
         reject(found)
 
 
@@ -226,7 +227,6 @@ class SimConfig:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "SimConfig":
-        check_finite(data)
         return _read_fields(SimConfig, data, "")
 
     @staticmethod
@@ -327,8 +327,9 @@ def selective_update_bytes(full_frame_bytes: int, dirty_fraction: float) -> int:
 class Violation(NamedTuple):
     """One machine-readable config or calibration problem.
 
-    ``code`` is stable (screaming-snake identifier), ``field`` is the JSON
-    key path of the offending value, ``message`` is for humans.
+    ``code`` is stable (screaming-snake identifier), ``field`` is the place
+    of the offending value (a JSON key path, ``path:line.column`` in a CSV
+    file, a flag), ``message`` is for humans.
     """
 
     code: str
@@ -371,25 +372,6 @@ def out_of_range(prefix: str, values: Mapping[Any, Any], positive: Iterable[Any]
             found.append(Violation("OUT_OF_RANGE", f"{prefix}{key}",
                                    f"{key} must be non-negative (>= 0), got {value}"))
     return found
-
-
-def check_finite(data: Any) -> None:
-    """Raise ConfigurationError naming every NaN or infinite number in
-    parsed JSON (``json`` accepts ``NaN`` and ``Infinity`` literals).  The
-    walk keeps its own stack, so any depth the decoder reads is walked."""
-    found: list[Violation] = []
-    stack: list[tuple[Any, str]] = [(data, "")]
-    while stack:
-        value, where = stack.pop()
-        if isinstance(value, float) and not math.isfinite(value):
-            found.append(Violation("NON_FINITE", where or "<root>",
-                                   f"{value} is not a finite number"))
-        elif isinstance(value, Mapping):  # pushed reversed: popped in key order
-            stack += [(item, f"{where}.{key}" if where else str(key))
-                      for key, item in value.items()][::-1]
-        elif isinstance(value, list):
-            stack += [(item, f"{where}[{i}]") for i, item in enumerate(value)][::-1]
-    reject(found)
 
 
 def read_text(path: str | Path) -> str:
@@ -445,36 +427,40 @@ def _clip(value: Any, depth: int) -> Any:
 Reader = Callable[[Any, str], Any]
 
 
-def _rejected(code: str, where: str, message: str) -> ConfigurationError:
+def rejection(code: str, where: str, message: str) -> ConfigurationError:
+    """The error of one violation at key path ``where`` (``<root>`` if empty)."""
     return ConfigurationError([Violation(code, where or "<root>", message)])
 
 
 def _expect(value: Any, where: str, accepted: tuple[type, ...], expected: str) -> Any:
     """``value`` if of an ``accepted`` type (a bool only where ``bool`` is),
-    else ``WRONG_TYPE``; an integer too large for a float is ``NON_FINITE``."""
+    else ``WRONG_TYPE``; a NaN or an infinity, whatever type is expected,
+    and an integer too large for a float are ``NON_FINITE``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise rejection("NON_FINITE", where, f"{value} is not a finite number")
     if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
-        raise _rejected("WRONG_TYPE", where, f"expected {expected}, got {json_excerpt(value)}")
+        raise rejection("WRONG_TYPE", where, f"expected {expected}, got {json_excerpt(value)}")
     if type(value) is int and abs(value) > sys.float_info.max:
-        raise _rejected("NON_FINITE", where, f"{json_excerpt(value)} is too large for a float")
+        raise rejection("NON_FINITE", where, f"{json_excerpt(value)} is too large for a float")
     return value
 
 
 def json_keys(raw: Any, where: str, readers: Mapping[str, Reader],
               required: Iterable[str] = ()) -> dict[str, Any]:
     """The JSON object ``raw`` at key path ``where``, each value read by its
-    key's reader, in the object's key order; the one check of every config,
-    calibration and measured-runs object.  The first offence raises, at a
-    path of :func:`check_finite`'s form: ``WRONG_TYPE`` if no object, then
-    ``UNKNOWN_KEY``, ``MISSING_KEY`` for a ``required`` key, the readers'."""
+    key's reader, in the object's key order; the one check of every object
+    and CSV row in an input file.  The first offence raises, at a key path
+    (``runs[0].residency.C0``, ``trace.csv:3.window``): ``WRONG_TYPE`` if no
+    object, then ``UNKNOWN_KEY``, ``MISSING_KEY`` for a ``required`` key, the readers'."""
     _expect(raw, where, (Mapping,), "an object")
     prefix = f"{where}." if where else ""
     for key in raw:
         if key not in readers:
-            raise _rejected("UNKNOWN_KEY", f"{prefix}{key}",
+            raise rejection("UNKNOWN_KEY", f"{prefix}{key}",
                             f"unknown key {key!r}; expected one of {', '.join(readers)}")
     for key in required:
         if key not in raw:
-            raise _rejected("MISSING_KEY", f"{prefix}{key}", f"missing required key {key!r}")
+            raise rejection("MISSING_KEY", f"{prefix}{key}", f"missing required key {key!r}")
     return {key: readers[key](value, f"{prefix}{key}") for key, value in raw.items()}
 
 
@@ -489,19 +475,57 @@ def json_map(read: Reader, keys: Mapping[str, Any] | None = None) -> Reader:
 
 
 def json_array(read: Reader) -> Reader:
-    """A reader of an array whose items ``read`` reads at ``where[i]``."""
+    """A reader of a non-empty array whose items ``read`` reads at ``where[i]``."""
     def read_array(raw: Any, where: str) -> list[Any]:
         items = _expect(raw, where, (list,), "an array")
+        if not items:
+            raise rejection("EMPTY", where, "expected at least one item, got []")
         return [read(item, f"{where}[{i}]") for i, item in enumerate(items)]
     return read_array
 
 
 _number = partial(_expect, accepted=(int, float), expected="a number")
+json_integer = partial(_expect, accepted=(int,), expected="an integer")
 json_string = partial(_expect, accepted=(str,), expected="a string")
 
 
 def json_number(value: Any, where: str) -> float:
     return float(_number(value, where))
+
+
+def csv_cell(read: Reader) -> Reader:
+    """A reader of a CSV cell's text: ``read`` takes it as an integer if it
+    parses as one, else as a float if it parses as one, else as text."""
+    def read_cell(text: str, where: str) -> Any:
+        for parse in (int, float):
+            try:
+                value = parse(text)
+            except ValueError:
+                continue
+            return read(value, where)
+        return read(text, where)
+    return read_cell
+
+
+def csv_records(path: str | Path, readers: Mapping[str, Reader],
+                required: Iterable[str]) -> dict[int, dict[str, Any]]:
+    """Each non-blank row of the CSV file at ``path`` by line number: an object
+    keyed by the header's stripped column names, empty cells left out, read
+    by :func:`json_keys` at ``path:line``.  The header's names are checked
+    first, at ``path:1``; a file of no rows is ``EMPTY``."""
+    rows = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        names = [name.strip() for name in next(rows, [])]
+        json_keys(dict.fromkeys(names, ""), f"{path}:1", dict.fromkeys(readers, json_string),
+                  required)  # the header's names alone
+        records = {line: json_keys({k: v for k, v in zip(names, row) if v}, f"{path}:{line}",
+                                   readers, required)
+                   for line, row in enumerate(rows, start=2) if row}
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise ValueError(f"{path}:{rows.line_num}: {exc}") from None
+    if not records:
+        raise rejection("EMPTY", f"{path}:2", "expected a row under the header")
+    return records
 
 
 def _parsed(parse: Callable[[str], Any]) -> Reader:
@@ -513,7 +537,7 @@ def _parsed(parse: Callable[[str], Any]) -> Reader:
         except ConfigurationError:  # the string check's, or the value's own rule
             raise
         except ValueError as exc:
-            raise _rejected("UNKNOWN_VALUE", where, str(exc)) from None
+            raise rejection("UNKNOWN_VALUE", where, str(exc)) from None
     return read
 
 
@@ -524,7 +548,7 @@ def _read_fields(cls: type, raw: Any, where: str) -> Any:
 
 #: The reader of each config field annotation; numbers keep their JSON type.
 _READERS: dict[str, Reader] = {
-    "int": partial(_expect, accepted=(int,), expected="an integer"),
+    "int": json_integer,
     "float": _number,
     "float | None": partial(_expect, accepted=(int, float, type(None)),
                             expected="a number or null"),

@@ -22,8 +22,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping
 
-from .core import (ConfigurationError, Reader, Scheme, Violation, check_finite, json_keys,
-                   json_map, json_number, json_string, out_of_range, read_json, reject)
+from .core import (ConfigurationError, Reader, Scheme, Violation, json_keys, json_map,
+                   json_number, json_string, out_of_range, read_json, reject)
 
 
 class PackageCState(Enum):
@@ -221,7 +221,6 @@ _CALIBRATION_KEYS: dict[str, Reader] = {
 
 
 def calibration_from_dict(data: Mapping[str, Any]) -> CalibrationSet:
-    check_finite(data)
     read = json_keys(data, "", _CALIBRATION_KEYS, required=("profiles",))
     read.pop("description", None)
     return CalibrationSet(name=read.pop("name", "unnamed"), **read.pop("profiles"), **read)

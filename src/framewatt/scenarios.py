@@ -9,12 +9,11 @@ single-plane study drives a dirty-rectangle trace through both pipelines.
 
 from __future__ import annotations
 
-import csv
-import io
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .core import Scheme, SimConfig, WorkloadKind, read_text, replace
+from .core import (Scheme, SimConfig, WorkloadKind, csv_cell, csv_records, json_integer,
+                   json_number, rejection, replace)
 from .cstates import CalibrationSet
 from .power import EnergyReport, streaming_report
 
@@ -61,30 +60,19 @@ def single_plane_burst(
 # -- dirty-fraction trace files -------------------------------------------------
 
 
-def read_dirty_trace(path: str | Path) -> list[float]:
-    """Load a per-window dirty-fraction trace CSV (columns: window, dirty_fraction)."""
-    rows: list[float] = []
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty trace file")
-    if [c.strip() for c in header] != ["window", "dirty_fraction"]:
-        raise ValueError(
-            f"{path}: expected header 'window,dirty_fraction', got {header}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            idx, dirty = int(row[0]), float(row[1])
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad trace row {row}") from exc
-        if idx != len(rows):
-            raise ValueError(f"{path}:{lineno}: window indices must be 0,1,2,...")
-        if not 0.0 <= dirty <= 1.0:
-            raise ValueError(f"{path}:{lineno}: dirty fraction {dirty} outside [0, 1]")
-        rows.append(dirty)
-    if not rows:
-        raise ValueError(f"{path}: trace has no rows")
-    return rows
+#: The columns of a trace file, both required.
+_TRACE_COLUMNS = {"window": csv_cell(json_integer), "dirty_fraction": csv_cell(json_number)}
 
+
+def read_dirty_trace(path: str | Path) -> list[float]:
+    """Load a per-window dirty-fraction trace CSV (columns: window, dirty_fraction);
+    windows count 0, 1, 2, ... and each fraction is in [0, 1]."""
+    rows = csv_records(path, _TRACE_COLUMNS, required=_TRACE_COLUMNS)
+    for i, (line, row) in enumerate(rows.items()):
+        if row["window"] != i:
+            raise rejection("OUT_OF_RANGE", f"{path}:{line}.window",
+                            f"expected window {i}, got {row['window']}")
+        if not 0.0 <= row["dirty_fraction"] <= 1.0:
+            raise rejection("OUT_OF_RANGE", f"{path}:{line}.dirty_fraction",
+                            f"dirty_fraction must be in [0, 1], got {row['dirty_fraction']}")
+    return [row["dirty_fraction"] for row in rows.values()]

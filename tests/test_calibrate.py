@@ -198,7 +198,8 @@ def test_runs_load_from_csv(tmp_path):
 def test_csv_rejects_unknown_columns(tmp_path):
     path = tmp_path / "runs.csv"
     path.write_text("label,C0,C11,power_mw\nx,1.0,0.0,100\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown columns"):
+    with pytest.raises(ValueError,
+                       match=r"^UNKNOWN_KEY \[.*runs\.csv:1\.C11\]: unknown key 'C11'"):
         runs_from_csv(path)
 
 
@@ -210,15 +211,15 @@ def test_csv_requires_a_power_column(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("", "empty runs file"),
-    ("label,C0,power_mw\n", "runs file has no rows"),
+    ("", "MISSING_KEY [PATH:1.power_mw]: missing required key 'power_mw'"),
+    ("label,C0,power_mw\n", "EMPTY [PATH:2]: expected a row under the header"),
 ], ids=["empty", "header-only"])
 def test_csv_without_runs_is_rejected(text, message, tmp_path):
     path = tmp_path / "runs.csv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as err:
         runs_from_csv(path)
-    assert str(err.value) == f"{path}: {message}"
+    assert str(err.value) == message.replace("PATH", str(path))
 
 
 def test_csv_pins_bad_rows_to_line_numbers(tmp_path):
@@ -268,7 +269,7 @@ def test_json_rejects_unknown_top_level_keys(tmp_path):
      'WRONG_TYPE [runs[0].residency.C0]: expected a number, got "x"'),
     ([{"residency": {"C0": 1.0}, "average_power_mw": None}],
      "WRONG_TYPE [runs[0].average_power_mw]: expected a number, got null"),
-    ([], "measured-runs file has no runs"),
+    ([], "EMPTY [runs]: expected at least one item, got []"),
     ([{"residency": {"C0": 1.0}}],
      "MISSING_KEY [runs[0].average_power_mw]: missing required key 'average_power_mw'"),
 ])

@@ -708,7 +708,7 @@ _FPS = "violation\tOUT_OF_RANGE\tworkload.video_fps\tvideo_fps must be positive,
      "violation\tWRONG_TYPE\tprofiles.conventional.state_power_mw\texpected an object, got 5"),
     (["calibrate", "--runs", "JSON"],
      {"runs": [{"residency": {"C0": 1.5, "C8": -0.5}, "average_power_mw": 3000}]},
-     "error: run 'run0': residencies of C0, C8 outside [0, 1]"),
+     "violation\tOUT_OF_RANGE\truns[0]\trun 'run0': residencies of C0, C8 outside [0, 1]"),
 ], ids=["argv0-None", "argv1-None", "argv2-None", "argv3-None", "trace-windows",
         "argv4-doc4", "argv5-doc5", "argv6-doc6", "argv7-doc7"])
 def test_inputs_that_cannot_apply_are_usage_errors(argv, doc, start, tmp_path, capsys):
@@ -834,7 +834,7 @@ def test_a_run_label_must_be_a_json_string(label, excerpt, tmp_path, capsys):
 @pytest.mark.parametrize("runs, line", [
     ({}, "violation\tWRONG_TYPE\truns\texpected an array, got {}"),
     (0, "violation\tWRONG_TYPE\truns\texpected an array, got 0"),
-    ([], "error: measured-runs file has no runs"),
+    ([], "violation\tEMPTY\truns\texpected at least one item, got []"),
 ], ids=["object", "zero", "empty-array"])
 def test_runs_must_be_a_non_empty_array(runs, line, tmp_path, capsys):
     text = json.dumps({"runs": runs})
@@ -852,9 +852,12 @@ def test_a_missing_runs_key_is_a_violation(tmp_path, capsys):
     ({"workload": {"kind": "film"}},
      "workload.kind\t'film' is not a valid WorkloadKind"),
     ({"display": {"resolution": "8k"}},
-     "display.resolution\tunknown resolution '8k'; use one of ['4k', '5k', 'fhd', 'qhd'] "
+     "display.resolution\tunknown resolution \"8k\"; use one of ['4k', '5k', 'fhd', 'qhd'] "
      "or 'WIDTHxHEIGHT'"),
-], ids=["scheme", "kind", "resolution"])
+    ({"display": {"resolution": "y" * 5000}},
+     f"display.resolution\tunknown resolution \"{'y' * 59}...; use one of ['4k', '5k', 'fhd', "
+     "'qhd'] or 'WIDTHxHEIGHT'"),
+], ids=["scheme", "kind", "resolution", "resolution-quoted-to-60"])
 def test_a_config_name_that_does_not_parse_is_an_unknown_value(doc, line, tmp_path, capsys):
     assert _run_with(["simulate", "--config", "JSON"], json.dumps(doc), tmp_path, capsys) == (
         2, [f"violation\tUNKNOWN_VALUE\t{line}"])
@@ -923,6 +926,21 @@ def test_undecodable_input_files_name_the_path(name, data, argv, position, tmp_p
         f"error: {path}: {_NOT_UTF8} {position}: invalid start byte"]
 
 
+@pytest.mark.parametrize("name, text, argv", [
+    ("trace.csv", "window,dirty_fraction\n0,0.5\n1,0.LONG\n",
+     ["simulate", "--preset", "fhd60", "--kind", "single_plane", "--scheme", "burstlink",
+      "--trace", "PATH"]),
+    ("runs.csv", "label,C0,power_mw\nLONG,1.0,5940\n", ["calibrate", "--runs", "PATH"]),
+], ids=["trace", "runs"])
+def test_a_csv_cell_past_the_field_limit_names_its_line(name, text, argv, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text.replace("LONG", "5" * 200_000), encoding="utf-8")
+    assert main([str(path) if a == "PATH" else a for a in argv]) == 2
+    line = text.count("\n")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}:{line}: field larger than field limit (131072)"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", "PATH"],
     ["simulate", "--preset", "fhd30", "--calibration", "PATH"],
@@ -943,6 +961,42 @@ def test_a_resolution_out_of_range_prints_its_violation(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "violation\tOUT_OF_RANGE\tdisplay.resolution\tresolution must be positive, got 0x5"]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("display, field, value", [
+    ({"resolution": "HUGEx1"}, "resolution", '"' + _HUGE[:59]),
+    ({"refresh_hz": "TOP"}, "refresh_hz", _HUGE[:60]),
+], ids=["resolution", "refresh"])
+def test_a_native_stream_rate_too_large_for_a_float_is_a_violation(display, field, value,
+                                                                   tmp_path, capsys):
+    text = json.dumps({"display": display}).replace("HUGE", _HUGE).replace(
+        '"TOP"', "1" + "0" * 308)
+    assert _run_with(["simulate", "--config", "JSON"], text, tmp_path, capsys) == (2, [
+        f"violation\tOUT_OF_RANGE\tdisplay.{field}\t{field} {value}... needs a native stream "
+        "rate too large for a float"])
+
+
+@pytest.mark.parametrize("flags, row", [
+    (["--resolutions", "fhd", "--refresh", _HUGE], ("1920x1080", int(_HUGE))),
+    (["--resolutions", "0x5"], ("0x5", 60)),
+], ids=["refresh-too-large", "resolution-out-of-range"])
+def test_a_sweep_value_the_display_rejects_is_a_skipped_row(flags, row, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", *flags, "--fps", "30", "--schemes", "baseline",
+                 "--out", str(out_dir)]) == 0
+    rows = json.loads((out_dir / "sweep.json").read_text(encoding="utf-8"))["rows"]
+    assert [(r["resolution"], r["refresh_hz"], r["status"], r["violations"]) for r in rows] == [
+        (*row, "skipped", "OUT_OF_RANGE")]
+    assert capsys.readouterr().err == ""
+
+
+def test_an_unknown_calibrate_state_is_quoted_to_60_characters(tmp_path, capsys):
+    path = tmp_path / "runs.csv"
+    path.write_text("label,C0,power_mw\nx,1.0,5940\n", encoding="utf-8")
+    assert main(["calibrate", "--runs", str(path), "--states", "C0," + "C" * 5000]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f'violation\tUNKNOWN_VALUE\t--states\tunknown state "{"C" * 59}...; use one of C0, C2, '
+        "C3, C6, C7, C7P, C8, C9, C10"]
 
 
 @pytest.mark.parametrize("argv, text, line", [
@@ -1046,7 +1100,8 @@ def test_a_sweep_resolution_that_does_not_parse_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: unknown resolution '8k'; use one of ['4k', '5k', 'fhd', 'qhd'] or 'WIDTHxHEIGHT'"]
+        "error: unknown resolution \"8k\"; use one of ['4k', '5k', 'fhd', 'qhd'] "
+        "or 'WIDTHxHEIGHT'"]
 
 
 def test_sweep_runs_each_distinct_point_once(monkeypatch, capsys):
@@ -1150,14 +1205,17 @@ def test_calibrate_warns_and_skips_a_fit_that_is_no_calibration(tmp_path, capsys
 
 @pytest.mark.parametrize("argv, name, text, line", [
     (["calibrate", "--runs", "PATH", "--states", "C0,Q"], "runs.csv",
-     "label,C0,power_mw\nx,1.0,5940\n", "error: 'Q' is not a valid PackageCState"),
-    (["calibrate", "--runs", "PATH"], "runs.csv", "", "error: PATH: empty runs file"),
+     "label,C0,power_mw\nx,1.0,5940\n",
+     "violation\tUNKNOWN_VALUE\t--states\tunknown state \"Q\"; use one of C0, C2, C3, C6, C7, "
+     "C7P, C8, C9, C10"),
+    (["calibrate", "--runs", "PATH"], "runs.csv", "",
+     "violation\tMISSING_KEY\tPATH:1.power_mw\tmissing required key 'power_mw'"),
     (["calibrate", "--runs", "PATH"], "runs.json", '{"runs": [{"residency": {"C0": 1.0}}]}',
      "violation\tMISSING_KEY\truns[0].average_power_mw\tmissing required key "
      "'average_power_mw'"),
     (["simulate", "--preset", "fhd60", "--kind", "single_plane", "--scheme", "bursting_only",
       "--trace", "PATH"], "trace.csv", "window,dirty_fraction\n0,half\n",
-     "error: PATH:2: bad trace row ['0', 'half']"),
+     "violation\tWRONG_TYPE\tPATH:2.dirty_fraction\texpected a number, got \"half\""),
 ], ids=["unknown-state", "empty-runs-csv", "run-missing-power", "bad-trace-row"])
 def test_rejected_inputs_end_in_one_error_line(argv, name, text, line, tmp_path, capsys):
     path = tmp_path / name

@@ -21,13 +21,16 @@ from framewatt.core import (
     WorkloadKind,
     WorkloadSpec,
     burst_transfer_time,
-    check_finite,
     dc_fetch_count,
     encoded_frame_bytes,
     frame_bytes,
     frame_window_ns,
+    json_array,
     json_excerpt,
     json_form,
+    json_keys,
+    json_map,
+    json_number,
     panel_stream_rate,
     parse_resolution,
     validate_config,
@@ -68,12 +71,12 @@ def test_display_rejects_a_frame_that_is_not_byte_aligned():
 
 def test_zero_width_resolution_is_rejected():
     with pytest.raises(ValueError):
-        Resolution(0, 1080)
+        DisplayConfig(resolution=Resolution(0, 1080))
 
 
 def test_negative_height_resolution_is_rejected():
     with pytest.raises(ValueError):
-        Resolution(1920, -1)
+        DisplayConfig(resolution=Resolution(1920, -1))
 
 
 def test_encoded_frame_bytes_uhd_half_bit_per_pixel():
@@ -184,10 +187,10 @@ def test_parse_resolution_rejects_unknown_names():
 
 def test_parse_resolution_raises_the_coded_violation_for_a_size_out_of_range():
     with pytest.raises(ConfigurationError) as exc:
-        parse_resolution("0x5")
+        DisplayConfig(resolution=parse_resolution("0x5"))
     assert exc.value.violations == (Violation(
         "OUT_OF_RANGE", "display.resolution", "resolution must be positive, got 0x5"),)
-    with pytest.raises(ValueError, match="unknown resolution 'wxh'"):
+    with pytest.raises(ValueError, match='unknown resolution "wxh"'):
         parse_resolution("wxh")
 
 
@@ -274,7 +277,7 @@ def test_system_config_rejects_negative_dram_coefficients():
 @pytest.mark.parametrize("build, violation", [
     (lambda: replace(SystemConfig(), dc_buffer_bytes=0),
      ("OUT_OF_RANGE", "system.dc_buffer_bytes", "dc_buffer_bytes must be positive, got 0")),
-    (lambda: Resolution(0, 5),
+    (lambda: DisplayConfig(resolution=Resolution(0, 5)),
      ("OUT_OF_RANGE", "display.resolution", "resolution must be positive, got 0x5")),
 ], ids=["replace", "resolution"])
 def test_constructors_and_replace_raise_coded_violations(build, violation):
@@ -574,9 +577,9 @@ def _nested(depth: int, leaf: object) -> list:
 def test_finite_check_and_excerpt_take_any_depth_without_recursing():
     deep = {"a": _nested(100_000, float("nan"))}
     with pytest.raises(ConfigurationError) as exc:
-        check_finite(deep)
+        json_keys(deep, "", {"a": json_array(json_number)})
     (violation,) = exc.value.violations
-    assert violation.field == "a" + "[0]" * 100_000
+    assert violation == ("WRONG_TYPE", "a[0]", "expected a number, got " + "[" * 60 + "...")
     assert json_excerpt(deep) == '{"a": ' + "[" * 54 + "..."
 
 
@@ -591,5 +594,6 @@ def test_excerpt_quotes_the_start_of_the_full_json(value):
 
 def test_finite_check_names_non_finite_values_in_document_order():
     with pytest.raises(ConfigurationError) as exc:
-        check_finite({"b": [1.0, float("inf")], "a": {"x": float("nan"), "y": -float("inf")}})
-    assert [v.field for v in exc.value.violations] == ["b[1]", "a.x", "a.y"]
+        json_keys({"b": [1.0, float("inf")], "a": {"x": float("nan"), "y": -float("inf")}}, "",
+                  {"b": json_array(json_number), "a": json_map(json_number)})
+    assert [v.field for v in exc.value.violations] == ["b[1]"]

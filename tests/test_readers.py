@@ -1,5 +1,6 @@
-"""Fuzzing the three JSON readers: one mutation of a valid document either
-reads cleanly or is refused by a violation at the mutated key path."""
+"""Fuzzing the input readers: one mutation of a valid JSON document or CSV
+file either reads cleanly or is refused by a violation at the mutated key
+path or row."""
 
 from __future__ import annotations
 
@@ -10,10 +11,11 @@ from importlib import resources
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from framewatt.calibrate import runs_from_json
+from framewatt.calibrate import runs_from_csv, runs_from_json
 from framewatt.core import ConfigurationError, SimConfig
 from framewatt.cstates import calibration_from_dict
 from framewatt.presets import PRESETS
+from framewatt.scenarios import read_dirty_trace
 
 _CALIBRATION = json.loads(resources.files("framewatt").joinpath(
     "data", "default_calibration.json").read_text(encoding="utf-8"))
@@ -130,3 +132,66 @@ def test_one_mutation_is_read_or_refused_at_its_key_path(data, fmt, how, tmp_pat
 def test_every_start_document_reads_cleanly(fmt, tmp_path):
     for doc in _FORMATS[fmt][0]:
         _read(fmt, copy.deepcopy(doc), tmp_path)
+
+
+# -- CSV files ----------------------------------------------------------------
+
+_TRACE = "".join(resources.files("framewatt").joinpath(
+    "data", "traces", "gaming.csv").read_text(encoding="utf-8").splitlines(True)[:6])
+
+#: Each CSV reader's start file and the mutations that apply to it.
+_CSV = {
+    "trace.csv": (read_dirty_trace, _TRACE,
+                  ["cell", "rename", "drop", "cut", "skip", "fraction"]),
+    "runs.csv": (runs_from_csv, "label,C0,C8,power_mw,dram_bandwidth\n"
+                                "busy,0.25,0.75,2000,4.1\nidle,0,1.0,1285,\n",
+                 ["cell", "rename", "drop", "cut", "fraction"]),
+}
+
+#: The columns a fraction mutation may put outside [0, 1].
+_FRACTIONS = {"dirty_fraction", "C0", "C8"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), name=st.sampled_from(sorted(_CSV)))
+def test_one_mutation_of_a_csv_file_is_read_or_refused_at_its_row(data, name, tmp_path):
+    read, text, mutations = _CSV[name]
+    rows = [line.split(",") for line in text.splitlines()]
+    header = rows[0]
+    how = data.draw(st.sampled_from(mutations))
+    row = data.draw(st.integers(1, len(rows) - 1))
+    column = data.draw(st.integers(0, len(header) - 1))
+    lines = [row + 1]  # the lines whose place a violation may name
+    if how == "cell":
+        rows[row][column] = data.draw(st.sampled_from(["x", "nan", "inf", str(_HUGE), ""]))
+    elif how == "rename":
+        header[column] = data.draw(st.sampled_from(["zz", "", "Window"]))
+        lines = [1]
+    elif how == "drop":
+        for cells in rows:
+            del cells[column]
+        lines = range(1, len(rows) + 1)
+    elif how == "cut":
+        del rows[row][data.draw(st.integers(1, len(header) - 1)):]
+    elif how == "skip":
+        for cells in rows[row:]:
+            cells[0] = str(int(cells[0]) + 1)
+    else:
+        column = header.index(data.draw(st.sampled_from(sorted(_FRACTIONS & set(header)))))
+        rows[row][column] = data.draw(st.sampled_from(["1.5", "-0.25"]))
+    path = tmp_path / name
+    path.write_text("".join(",".join(cells) + "\n" for cells in rows), encoding="utf-8")
+    try:
+        read(path)
+    except ConfigurationError as exc:
+        field = exc.violations[0].field
+        assert any(_under(field, f"{path}:{line}") for line in lines), (field, list(lines), exc)
+
+
+@pytest.mark.parametrize("name", sorted(_CSV))
+def test_every_csv_start_file_reads_cleanly(name, tmp_path):
+    read, text, _ = _CSV[name]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    read(path)

@@ -177,7 +177,7 @@ def test_trace_round_trip(tmp_path):
 def test_trace_reader_rejects_malformed_headers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("frame,dirty\n0,0.5\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ValueError, match=r"bad\.csv:1\.frame\]: unknown key 'frame'"):
         read_dirty_trace(path)
 
 
@@ -189,16 +189,17 @@ def test_trace_reader_pins_errors_to_line_numbers(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("", "bad.csv: empty trace file"),
-    ("window,dirty_fraction\n", "bad.csv: trace has no rows"),
-    ("window,dirty_fraction\n0\n", "bad.csv:2: bad trace row ['0']"),
+    ("", "MISSING_KEY [PATH:1.window]: missing required key 'window'"),
+    ("window,dirty_fraction\n", "EMPTY [PATH:2]: expected a row under the header"),
+    ("window,dirty_fraction\n0\n",
+     "MISSING_KEY [PATH:2.dirty_fraction]: missing required key 'dirty_fraction'"),
 ], ids=["empty", "header-only", "short-row"])
 def test_trace_reader_rejects_traces_without_usable_rows(text, message, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as err:
         read_dirty_trace(path)
-    assert str(err.value) == f"{tmp_path / message}"
+    assert str(err.value) == message.replace("PATH", str(path))
 
 
 def test_trace_reader_skips_blank_lines(tmp_path):
