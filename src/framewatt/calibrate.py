@@ -9,7 +9,6 @@ Powers are physical quantities, so the solver is non-negative least squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -18,8 +17,8 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.optimize import nnls
 
-from .core import (Reader, csv_cell, csv_records, json_array, json_form, json_keys, json_number,
-                   json_string, read_json, rejection)
+from .core import (Reader, Record, csv_cell, csv_records, json_array, json_form, json_keys,
+                   json_number, json_string, read_json, rejection)
 from .cstates import PackageCState, read_state_map
 
 
@@ -35,8 +34,7 @@ class UnderDeterminedError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class MeasuredRun:
+class MeasuredRun(Record):
     """One power measurement: residencies plus the average the meter saw."""
 
     residency: Mapping[PackageCState, float]
@@ -182,11 +180,10 @@ _RUN_COLUMNS: dict[str, Reader] = {
 def runs_from_csv(path: str | Path) -> list[MeasuredRun]:
     """Load measured runs from CSV: label, one residency column per state,
     power_mw, and an optional dram_bandwidth column (ignored by the fit)."""
-    rows = csv_records(path, _RUN_COLUMNS, required=("power_mw",))
-    return [_run(f"{path}:{line}", {PackageCState(c): r for c, r in row.items()
-                                     if c not in ("label", "power_mw", "dram_bandwidth")},
-                 row["power_mw"], row.get("label", f"run{i}"))
-            for i, (line, row) in enumerate(rows.items())]
+    return csv_records(path, _RUN_COLUMNS, ("power_mw",), lambda row, where, i: _run(
+        where, {PackageCState(c): r for c, r in row.items()
+                if c not in ("label", "power_mw", "dram_bandwidth")},
+        row["power_mw"], row.get("label", f"run{i}")))
 
 
 def load_runs(path: str | Path) -> list[MeasuredRun]:

@@ -1,7 +1,7 @@
 """Core configuration types and frame arithmetic.
 
 Everything downstream (timeline builders, the event oracle, the power model)
-consumes the three config dataclasses defined here.  Geometry and timing
+consumes the three config records defined here.  Geometry and timing
 helpers are exact: frame sizes are integers and window durations are integer
 nanoseconds, rounded from the exact period in integer arithmetic.
 """
@@ -13,11 +13,11 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import partial
 from itertools import islice
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 NS_PER_S = 1_000_000_000
@@ -78,8 +78,59 @@ class WorkloadKind(str, Enum):
     SINGLE_PLANE = "single_plane"  # interactive UI driven by a dirty-rect trace
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Record:
+    """A frozen record.  Its fields are the names its class body annotates,
+    in order, and a field's default is its class-body value, shared by every
+    record that takes it (so immutable).  Each class gets its own
+    ``__init__``, which calls ``__post_init__`` if the class has one, so
+    every construction and :func:`replace` validates.  Records of one class
+    compare and hash by their fields."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # Defaults leave the class body, so that no class attribute shadows
+        # a field and CPython keeps specialising field reads.
+        cls._fields = fields = tuple(vars(cls).get("__annotations__", ()))
+        defaults = {f: vars(cls)[f] for f in fields if f in vars(cls)}
+        for f in defaults:
+            delattr(cls, f)
+        params = ", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in fields)
+        body = "".join(f" _set(self, {f!r}, {f})\n" for f in fields)
+        post = " self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        namespace = {"_set": object.__setattr__, "_d": defaults}
+        exec(f"def __init__(self, {params}):\n{body}{post}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __setattr__(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def replace(record: Record, **changes: Any) -> Any:
+    """A copy of ``record`` with ``changes`` to its fields, built (and so
+    validated) as a new record is."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
+
+
+class Resolution(Record):
     width: int
     height: int
 
@@ -112,8 +163,7 @@ def parse_resolution(value: str) -> Resolution:
                          f"{sorted(RESOLUTIONS)} or 'WIDTHxHEIGHT'") from None
 
 
-@dataclass(frozen=True)
-class DisplayConfig:
+class DisplayConfig(Record):
     """Panel geometry, refresh timing, and link/panel capabilities."""
 
     resolution: Resolution = RESOLUTIONS["fhd"]
@@ -125,7 +175,7 @@ class DisplayConfig:
 
     def __post_init__(self) -> None:
         res, hz = self.resolution, self.refresh_hz
-        found = out_of_range("display.", vars(self), positive=("refresh_hz", "edp_max_bits_per_s"))
+        found = out_of_range("display.", self, positive=("refresh_hz", "edp_max_bits_per_s"))
         if res.width <= 0 or res.height <= 0:
             found.insert(0, Violation("OUT_OF_RANGE", "display.resolution",
                                       f"resolution must be positive, got {res}"))
@@ -146,8 +196,7 @@ class DisplayConfig:
         reject(found)
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Record):
     """SoC-side rates, buffer sizes, and DRAM energy coefficients.
 
     Rates are bytes per second unless the name says otherwise.  Times are
@@ -167,20 +216,18 @@ class SystemConfig:
     encoded_bits_per_pixel: float = 0.5     # compressed stream density
     dram_coeff_read: float = 43e-12         # J per byte read
     dram_coeff_write: float = 43e-12        # J per byte written
-    dram_background_mw: Mapping[str, float] = field(
-        default_factory=lambda: {
-            "active": 450.0,
-            "fast_powerdown": 150.0,
-            "self_refresh": 25.0,
-            "off": 0.0,
-        }
-    )
+    dram_background_mw: Mapping[str, float] = MappingProxyType({
+        "active": 450.0,
+        "fast_powerdown": 150.0,
+        "self_refresh": 25.0,
+        "off": 0.0,
+    })
     dram_capacity_bytes: int = 4 * 1024**3  # working-set ceiling for batching
     fbc_compute_mw: float = 50.0            # extra decode power while compressing
     gpu_active_mw: float = 1500.0           # GPU adder on projection intervals
 
     def __post_init__(self) -> None:
-        found = out_of_range("system.", vars(self), positive=(
+        found = out_of_range("system.", self, positive=(
             "dc_buffer_bytes", "dram_fetch_rate", "decode_rate", "vd_paced_rate", "gpu_pt_rate",
             "encoded_bits_per_pixel", "dram_capacity_bytes"), at_least_zero=(
             "orchestration_time", "burst_orchestration_time", "dram_coeff_read",
@@ -201,8 +248,7 @@ class SystemConfig:
 _DRAM_MODES = frozenset({"active", "fast_powerdown", "self_refresh", "off"})
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Record):
     """What is being played and how the pipeline is configured to show it."""
 
     kind: WorkloadKind = WorkloadKind.VIDEO
@@ -212,46 +258,22 @@ class WorkloadSpec:
                                          # panel-self-refresh instead of re-transfers
 
     def __post_init__(self) -> None:
-        reject(out_of_range("workload.", vars(self), positive=("video_fps",)))
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Bundle handed to the simulator: panel + SoC + workload."""
-
-    display: DisplayConfig = field(default_factory=DisplayConfig)
-    system: SystemConfig = field(default_factory=SystemConfig)
-    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-
-    # -- serialization ----------------------------------------------------
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "SimConfig":
-        return _read_fields(SimConfig, data, "")
-
-    @staticmethod
-    def from_json(path: str | Path) -> "SimConfig":
-        return SimConfig.from_dict(read_json(path))
-
-    def to_dict(self) -> dict[str, Any]:
-        return json_form(self)
+        reject(out_of_range("workload.", self, positive=("video_fps",)))
 
 
 def json_form(value: Any) -> Any:
     """``value`` as JSON data; the one encoder of framewatt values.  An enum
-    is written by value and a resolution as ``WxH``.  A dataclass, named
-    tuple or mapping becomes an object, with a ``(from, to)`` state key as
-    ``from->to``, and any other tuple an array."""
+    is written by value and a resolution as ``WxH``.  A record, named
+    tuple or mapping becomes an object, its fields in order and a
+    ``(from, to)`` state key as ``from->to``, and any other tuple an array."""
     if type(value) in (str, int, float, bool, type(None)):  # by exact type: a str enum is not
         return value
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, Resolution):
         return str(value)
-    if is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in fields(value)}
-    elif isinstance(value, tuple) and hasattr(value, "_asdict"):
-        value = value._asdict()
+    if hasattr(value, "_fields"):  # a record or a named tuple
+        value = {f: getattr(value, f) for f in value._fields}
     if isinstance(value, Mapping):
         return {"->".join(map(json_form, k)) if isinstance(k, tuple) else json_form(k):
                 json_form(v) for k, v in value.items()}
@@ -354,20 +376,22 @@ def reject(violations: Sequence[Violation]) -> None:
         raise ConfigurationError(violations)
 
 
-def out_of_range(prefix: str, values: Mapping[Any, Any], positive: Iterable[Any] = (),
+def out_of_range(prefix: str, values: Mapping[Any, Any] | Record, positive: Iterable[Any] = (),
                  at_least_zero: Iterable[Any] = ()) -> list[Violation]:
     """An ``OUT_OF_RANGE`` violation at key path ``prefix + key`` for each
-    key in ``positive`` whose value is not above zero and each key in
-    ``at_least_zero`` whose value is below zero.  A None value is an unset
-    optional knob and passes.  Messages are built only for failures."""
+    key (of a mapping, or field of a record) in ``positive`` whose value is
+    not above zero and each key in ``at_least_zero`` whose value is below
+    zero.  A None value is an unset optional knob and passes.  Messages are
+    built only for failures."""
+    get = partial(getattr, values) if isinstance(values, Record) else values.__getitem__
     found: list[Violation] = []
     for key in positive:
-        value = values[key]
+        value = get(key)
         if value is not None and value <= 0:
             found.append(Violation("OUT_OF_RANGE", f"{prefix}{key}",
                                    f"{key} must be positive, got {value}"))
     for key in at_least_zero:
-        value = values[key]
+        value = get(key)
         if value is not None and value < 0:
             found.append(Violation("OUT_OF_RANGE", f"{prefix}{key}",
                                    f"{key} must be non-negative (>= 0), got {value}"))
@@ -507,25 +531,51 @@ def csv_cell(read: Reader) -> Reader:
     return read_cell
 
 
-def csv_records(path: str | Path, readers: Mapping[str, Reader],
-                required: Iterable[str]) -> dict[int, dict[str, Any]]:
-    """Each non-blank row of the CSV file at ``path`` by line number: an object
-    keyed by the header's stripped column names, empty cells left out, read
-    by :func:`json_keys` at ``path:line``.  The header's names are checked
-    first, at ``path:1``; a file of no rows is ``EMPTY``."""
+def csv_records(path: str | Path, readers: Mapping[str, Reader], required: Iterable[str],
+                record: Callable[[dict[str, Any], str, int], Any]) -> list[Any]:
+    """Each non-blank row of the CSV file at ``path``, in file order, as
+    ``record(row, where, i)`` makes it from the ``i``-th row's object at
+    ``where`` (``path:line``).  The object is keyed by the header's stripped
+    column names, empty cells left out, and read by :func:`json_keys`.  The
+    header's names are checked first, at ``path:1``: a name given twice is
+    ``DUPLICATE_KEY``.  A row with a cell past the header's columns is
+    ``EXTRA_CELLS``; a file of no rows is ``EMPTY``.  Each row is read and
+    made before the next, so the first offence in the file raises."""
     rows = csv.reader(io.StringIO(read_text(path), newline=""))
+    records: list[Any] = []
     try:
         names = [name.strip() for name in next(rows, [])]
         json_keys(dict.fromkeys(names, ""), f"{path}:1", dict.fromkeys(readers, json_string),
                   required)  # the header's names alone
-        records = {line: json_keys({k: v for k, v in zip(names, row) if v}, f"{path}:{line}",
-                                   readers, required)
-                   for line, row in enumerate(rows, start=2) if row}
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise rejection("DUPLICATE_KEY", f"{path}:1.{name}", f"column {name!r} named twice")
+        for line, row in enumerate(rows, start=2):
+            where = f"{path}:{line}"
+            if any(row[len(names):]):
+                raise rejection("EXTRA_CELLS", where, f"{len(row)} cells, past the header's "
+                                f"{len(names)} columns")
+            if row:
+                records.append(record(json_keys({k: v for k, v in zip(names, row) if v}, where,
+                                                readers, required), where, len(records)))
     except csv.Error as exc:  # a cell longer than csv.field_size_limit()
         raise ValueError(f"{path}:{rows.line_num}: {exc}") from None
     if not records:
         raise rejection("EMPTY", f"{path}:2", "expected a row under the header")
     return records
+
+
+def _member(enum: type[Enum]) -> Reader:
+    """A reader of an ``enum`` member by its value; another string is
+    ``UNKNOWN_VALUE``, quoted to 60 characters, with the values listed."""
+    def read(value: Any, where: str) -> Enum:
+        text = json_string(value, where)
+        for member in enum:
+            if member.value == text:
+                return member
+        raise rejection("UNKNOWN_VALUE", where, f"unknown {where.rpartition('.')[2]} "
+                        f"{json_excerpt(text)}; use one of {', '.join(m.value for m in enum)}")
+    return read
 
 
 def _parsed(parse: Callable[[str], Any]) -> Reader:
@@ -541,9 +591,31 @@ def _parsed(parse: Callable[[str], Any]) -> Reader:
     return read
 
 
+class SimConfig(Record):
+    """Bundle handed to the simulator: panel + SoC + workload."""
+
+    display: DisplayConfig = DisplayConfig()
+    system: SystemConfig = SystemConfig()
+    workload: WorkloadSpec = WorkloadSpec()
+
+    # -- serialization ----------------------------------------------------
+
+    @staticmethod
+    def from_dict(data: Mapping[str, Any]) -> "SimConfig":
+        return _read_fields(SimConfig, data, "")
+
+    @staticmethod
+    def from_json(path: str | Path) -> "SimConfig":
+        return SimConfig.from_dict(read_json(path))
+
+    def to_dict(self) -> dict[str, Any]:
+        return json_form(self)
+
+
 def _read_fields(cls: type, raw: Any, where: str) -> Any:
     """A ``cls`` from an object of some of its fields, read by annotation."""
-    return cls(**json_keys(raw, where, {f.name: _READERS[f.type] for f in fields(cls)}))
+    return cls(**json_keys(raw, where, {f: _READERS[cls.__annotations__[f]]
+                                        for f in cls._fields}))
 
 
 #: The reader of each config field annotation; numbers keep their JSON type.
@@ -555,8 +627,8 @@ _READERS: dict[str, Reader] = {
     "bool": partial(_expect, accepted=(bool,), expected="true or false"),
     "Mapping[str, float]": json_map(_number),
     "Resolution": _parsed(parse_resolution),
-    "WorkloadKind": _parsed(WorkloadKind),
-    "Scheme": _parsed(Scheme),
+    "WorkloadKind": _member(WorkloadKind),
+    "Scheme": _member(Scheme),
     "DisplayConfig": partial(_read_fields, DisplayConfig),
     "SystemConfig": partial(_read_fields, SystemConfig),
     "WorkloadSpec": partial(_read_fields, WorkloadSpec),
@@ -566,7 +638,7 @@ _READERS: dict[str, Reader] = {
 def validate_config(cfg: SimConfig) -> list[Violation]:
     """Cross-field checks.  Returns an empty list when the config is runnable.
 
-    Per-field range checks already live in the dataclass constructors; this
+    Per-field range checks already live in the record constructors; this
     catches combinations that are individually fine but jointly impossible.
     Each rule formats its message only when it fails.
     """

@@ -15,14 +15,13 @@ Three calibrations ship with the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property, partial
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping
 
-from .core import (ConfigurationError, Reader, Scheme, Violation, json_keys, json_map,
+from .core import (ConfigurationError, Reader, Record, Scheme, Violation, json_keys, json_map,
                    json_number, json_string, out_of_range, read_json, reject)
 
 
@@ -82,8 +81,7 @@ STATE_DRAM_MODE: dict[PackageCState, str] = {
 # -- power profiles ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(Record):
     """Per-state package power plus transition latencies for one pipeline mode.
 
     ``state_power_mw`` is the whole-package draw while resting in a state;
@@ -98,10 +96,10 @@ class PowerProfile:
     name: str
     state_power_mw: Mapping[PackageCState, float]
     display_power_mw: Mapping[PackageCState, float]
-    entry_latency_us: Mapping[PackageCState, float] = field(default_factory=dict)
-    exit_latency_us: Mapping[PackageCState, float] = field(default_factory=dict)
-    entry_power_mw: Mapping[PackageCState, float] = field(default_factory=dict)
-    exit_power_mw: Mapping[PackageCState, float] = field(default_factory=dict)
+    entry_latency_us: Mapping[PackageCState, float] = MappingProxyType({})
+    exit_latency_us: Mapping[PackageCState, float] = MappingProxyType({})
+    entry_power_mw: Mapping[PackageCState, float] = MappingProxyType({})
+    exit_power_mw: Mapping[PackageCState, float] = MappingProxyType({})
 
     def __post_init__(self) -> None:
         where, powers = f"profiles.{self.name}", self.state_power_mw
@@ -150,8 +148,7 @@ def _transition_cost(profile: PowerProfile, frm: PackageCState, to: PackageCStat
     return p * lat * 1e-6  # mW * ns -> uJ
 
 
-@dataclass(frozen=True)
-class CalibrationSet:
+class CalibrationSet(Record):
     """Named pair of power profiles plus pipeline-wide adders.
 
     ``conventional`` covers schemes that drive the panel every window
@@ -169,7 +166,7 @@ class CalibrationSet:
     drfb_power_mw: float = 58.0
 
     def __post_init__(self) -> None:
-        found = out_of_range("", vars(self), at_least_zero=("vd_gate_delta_mw", "drfb_power_mw"))
+        found = out_of_range("", self, at_least_zero=("vd_gate_delta_mw", "drfb_power_mw"))
         for prof in (self.conventional, self.burst):
             c7 = prof.state_power_mw[PackageCState.C7]
             c7p = prof.state_power_mw[PackageCState.C7P]

@@ -9,8 +9,9 @@ single-plane study drives a dirty-rectangle trace through both pipelines.
 
 from __future__ import annotations
 
+from itertools import count
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .core import (Scheme, SimConfig, WorkloadKind, csv_cell, csv_records, json_integer,
                    json_number, rejection, replace)
@@ -60,19 +61,24 @@ def single_plane_burst(
 # -- dirty-fraction trace files -------------------------------------------------
 
 
-#: The columns of a trace file, both required.
-_TRACE_COLUMNS = {"window": csv_cell(json_integer), "dirty_fraction": csv_cell(json_number)}
+def _fraction(value: Any, where: str) -> float:
+    fraction = json_number(value, where)
+    if not 0.0 <= fraction <= 1.0:
+        raise rejection("OUT_OF_RANGE", where, f"dirty_fraction must be in [0, 1], got {fraction}")
+    return fraction
 
 
 def read_dirty_trace(path: str | Path) -> list[float]:
     """Load a per-window dirty-fraction trace CSV (columns: window, dirty_fraction);
-    windows count 0, 1, 2, ... and each fraction is in [0, 1]."""
-    rows = csv_records(path, _TRACE_COLUMNS, required=_TRACE_COLUMNS)
-    for i, (line, row) in enumerate(rows.items()):
-        if row["window"] != i:
-            raise rejection("OUT_OF_RANGE", f"{path}:{line}.window",
-                            f"expected window {i}, got {row['window']}")
-        if not 0.0 <= row["dirty_fraction"] <= 1.0:
-            raise rejection("OUT_OF_RANGE", f"{path}:{line}.dirty_fraction",
-                            f"dirty_fraction must be in [0, 1], got {row['dirty_fraction']}")
-    return [row["dirty_fraction"] for row in rows.values()]
+    windows count 0, 1, 2, ... and each fraction is in [0, 1].  Each cell is
+    checked as it is read, so the first offence in the file raises."""
+    windows = count()
+
+    def window(value: Any, where: str) -> int:
+        expected = next(windows)  # the reader sees each row's window once, in order
+        if json_integer(value, where) != expected:
+            raise rejection("OUT_OF_RANGE", where, f"expected window {expected}, got {value}")
+        return value
+
+    columns = {"window": csv_cell(window), "dirty_fraction": csv_cell(_fraction)}
+    return csv_records(path, columns, columns, lambda row, where, i: row["dirty_fraction"])

@@ -47,7 +47,6 @@ text pieces formatted once per template and writes one block per window to
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
@@ -56,6 +55,7 @@ from .core import (
     BURST_WAKE_SHARE,
     CACHED_TRAFFIC_FRACTION,
     NS_PER_S,
+    Record,
     Scheme,
     SimConfig,
     WorkloadKind,
@@ -157,8 +157,7 @@ class Template(NamedTuple):
     totals: TimelineTotals
 
 
-@dataclass(frozen=True)
-class WindowTimeline:
+class WindowTimeline(Record):
     """Interval tiling of refresh windows for one scheme.
 
     Windows built from the same recipe (kind, decodes, update bytes) are

@@ -230,6 +230,22 @@ def test_csv_pins_bad_rows_to_line_numbers(tmp_path):
         runs_from_csv(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("label,C0,power_mw\nx,1.0,100,7\n",
+     "EXTRA_CELLS [PATH:2]: 4 cells, past the header's 3 columns"),
+    ("label,C0,C0,power_mw\nx,0.0,1.0,5\n",
+     "DUPLICATE_KEY [PATH:1.C0]: column 'C0' named twice"),
+    ("label,C0,power_mw\nbad,0.5,100\nok,x,100\n",
+     "OUT_OF_RANGE [PATH:2]: run 'bad': residencies sum to 0.5000, expected 1"),
+], ids=["cell-past-the-header", "column-named-twice", "run-rule-before-a-later-bad-cell"])
+def test_csv_names_the_first_offence_and_drops_no_cell(text, message, tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        runs_from_csv(path)
+    assert str(err.value) == message.replace("PATH", str(path))
+
+
 def test_runs_load_from_json(tmp_path):
     path = tmp_path / "runs.json"
     doc = {"runs": [

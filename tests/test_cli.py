@@ -848,16 +848,23 @@ def test_a_missing_runs_key_is_a_violation(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, line", [
     ({"workload": {"scheme": "turbo"}},
-     "workload.scheme\t'turbo' is not a valid Scheme"),
+     "workload.scheme\tunknown scheme \"turbo\"; use one of baseline, bypass_only, "
+     "bursting_only, burstlink"),
     ({"workload": {"kind": "film"}},
-     "workload.kind\t'film' is not a valid WorkloadKind"),
+     "workload.kind\tunknown kind \"film\"; use one of video, vr360, single_plane"),
+    ({"workload": {"scheme": "t" * 5000}},
+     f"workload.scheme\tunknown scheme \"{'t' * 59}...; use one of baseline, bypass_only, "
+     "bursting_only, burstlink"),
+    ({"workload": {"kind": "k" * 5000}},
+     f"workload.kind\tunknown kind \"{'k' * 59}...; use one of video, vr360, single_plane"),
     ({"display": {"resolution": "8k"}},
      "display.resolution\tunknown resolution \"8k\"; use one of ['4k', '5k', 'fhd', 'qhd'] "
      "or 'WIDTHxHEIGHT'"),
     ({"display": {"resolution": "y" * 5000}},
      f"display.resolution\tunknown resolution \"{'y' * 59}...; use one of ['4k', '5k', 'fhd', "
      "'qhd'] or 'WIDTHxHEIGHT'"),
-], ids=["scheme", "kind", "resolution", "resolution-quoted-to-60"])
+], ids=["scheme", "kind", "scheme-quoted-to-60", "kind-quoted-to-60", "resolution",
+        "resolution-quoted-to-60"])
 def test_a_config_name_that_does_not_parse_is_an_unknown_value(doc, line, tmp_path, capsys):
     assert _run_with(["simulate", "--config", "JSON"], json.dumps(doc), tmp_path, capsys) == (
         2, [f"violation\tUNKNOWN_VALUE\t{line}"])

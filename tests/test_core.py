@@ -1,10 +1,10 @@
-"""Frame arithmetic, configuration dataclasses, and cross-field validation."""
+"""Frame arithmetic, configuration records, and cross-field validation."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -13,6 +13,7 @@ from framewatt.core import (
     RESOLUTIONS,
     ConfigurationError,
     DisplayConfig,
+    Record,
     Resolution,
     Scheme,
     SimConfig,
@@ -33,6 +34,7 @@ from framewatt.core import (
     json_number,
     panel_stream_rate,
     parse_resolution,
+    replace,
     validate_config,
     windows_per_frame,
 )
@@ -202,37 +204,130 @@ def test_resolution_pixel_count():
     assert RESOLUTIONS["4k"].pixels == 3840 * 2160
 
 
-# -- dataclass field validation ------------------------------------------------
+# -- records ---------------------------------------------------------------------
 
 
-#: The package's dataclasses: each validates in ``__post_init__``, is rebuilt
-#: by ``replace`` and walked by ``fields`` (``SimConfig``), or caches a
-#: property (``WindowTimeline``).  Plain records are named tuples.
-_KEPT_DATACLASSES = {
+#: The package's records: each validates in ``__post_init__``, is rebuilt by
+#: ``replace`` and read field by field (``SimConfig``), or caches a property
+#: (``PowerProfile``, ``WindowTimeline``).  Plain records are named tuples.
+_RECORDS = {
     "core.Resolution", "core.DisplayConfig", "core.SystemConfig", "core.WorkloadSpec",
     "core.SimConfig", "cstates.PowerProfile", "cstates.CalibrationSet",
     "timeline.WindowTimeline", "calibrate.MeasuredRun",
 }
 
 
-def test_only_validating_replaced_or_caching_classes_are_dataclasses():
-    import dataclasses
+def _record_classes() -> dict[str, type]:
     import importlib
     import pkgutil
 
     import framewatt
 
-    found = set()
+    found = {}
     for info in pkgutil.iter_modules(framewatt.__path__):
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"framewatt.{info.name}")
-        found |= {f"{info.name}.{name}" for name, obj in vars(module).items()
-                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        found |= {f"{info.name}.{name}": obj for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
                   and obj.__module__ == module.__name__}
-    assert not found - _KEPT_DATACLASSES, (
-        f"plain records should be NamedTuples: {sorted(found - _KEPT_DATACLASSES)}")
-    assert found == _KEPT_DATACLASSES
+    return found
+
+
+def test_only_validating_replaced_or_caching_classes_are_records():
+    found = set(_record_classes())
+    assert not found - _RECORDS, f"plain records should be NamedTuples: {sorted(found - _RECORDS)}"
+    assert found == _RECORDS
+
+
+def test_a_record_field_is_no_class_attribute():
+    # A class attribute named like a field would stop CPython specialising
+    # that field's reads; defaults live in the generated __init__ alone.
+    for name, cls in _record_classes().items():
+        assert cls._fields == tuple(cls.__annotations__), name
+        shadowed = [f for f in cls._fields for base in cls.__mro__ if f in vars(base)]
+        assert shadowed == [], name
+
+
+class _Pair(Record):
+    a: int
+    b: tuple = ()
+
+    def __post_init__(self):
+        if self.a < 0:
+            raise ValueError(f"a must be >= 0, got {self.a}")
+
+
+class _Other(Record):
+    a: int
+    b: tuple = ()
+
+
+def test_a_record_takes_its_fields_in_order_with_class_body_defaults():
+    assert _Pair._fields == ("a", "b")
+    assert (_Pair(1).a, _Pair(1).b) == (1, ())
+    assert _Pair(1, (2,)) == _Pair(b=(2,), a=1)
+    assert repr(_Pair(1, (2,))) == "_Pair(a=1, b=(2,))"
+    with pytest.raises(TypeError, match=r"_Pair.__init__\(\) missing 1 required"):
+        _Pair()
+    with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
+        replace(_Pair(1), c=2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _Pair(-1), lambda: _Pair(a=-1), lambda: replace(_Pair(1), a=-1),
+], ids=["positional", "keyword", "replace"])
+def test_every_way_of_building_a_record_validates(build):
+    with pytest.raises(ValueError, match="a must be >= 0, got -1"):
+        build()
+
+
+def test_a_record_refuses_assignment_and_deletion():
+    pair = _Pair(1)
+    with pytest.raises(AttributeError, match="a _Pair is frozen"):
+        pair.a = 2
+    with pytest.raises(AttributeError, match="a _Pair is frozen"):
+        pair.c = 2
+    with pytest.raises(AttributeError, match="a _Pair is frozen"):
+        del pair.a
+    assert pair.a == 1
+
+
+def test_records_compare_and_hash_by_fields_within_one_class():
+    assert _Pair(1, (2,)) == _Pair(1, (2,)) and hash(_Pair(1, (2,))) == hash(_Pair(1, (2,)))
+    assert _Pair(1) != _Pair(2)
+    assert _Pair(1) != _Other(1)
+    assert Resolution(1, 2) != (1, 2) and (1, 2) != Resolution(1, 2)
+    assert len({Resolution(1, 2), Resolution(1, 2), Resolution(2, 1)}) == 2
+
+
+def test_replace_changes_only_the_named_fields():
+    cfg = SimConfig()
+    changed = replace(cfg, workload=replace(cfg.workload, video_fps=60))
+    assert changed.workload.video_fps == 60 and cfg.workload.video_fps == 30
+    assert (changed.display, changed.system) == (cfg.display, cfg.system)
+
+
+def test_a_cached_property_is_computed_once_per_record(default_cal):
+    profile = replace(default_cal.conventional)
+    assert profile.transition_costs is profile.transition_costs
+    assert profile == default_cal.conventional
+
+
+def test_no_record_default_can_be_changed_through_a_record():
+    # A default is shared by every record that takes it, so none is mutable.
+    from framewatt.cstates import PackageCState, PowerProfile
+
+    powers = {s: 0.0 for s in PackageCState}
+    one, two = PowerProfile("p", powers, powers), PowerProfile("q", powers, powers)
+    for defaults in (one.entry_latency_us, SystemConfig().dram_background_mw):
+        with pytest.raises(TypeError):
+            defaults["C0"] = 1.0
+    assert one.entry_latency_us == two.entry_latency_us == {}
+    assert SystemConfig().dram_background_mw["active"] == 450.0
+    for name, cls in _record_classes().items():
+        for value in cls.__init__.__defaults__ or ():
+            assert isinstance(value, (Record, MappingProxyType)) or hash(value) is not None, name
 
 
 def test_display_config_rejects_nonpositive_refresh():
@@ -335,9 +430,9 @@ def test_config_dict_round_trip_with_overridden_system_knobs():
     )
     default = SimConfig()
     for section in ("display", "system", "workload"):
-        for f in fields(getattr(cfg, section)):
-            assert (getattr(getattr(cfg, section), f.name)
-                    != getattr(getattr(default, section), f.name)), f"{section}.{f.name}"
+        for name in getattr(cfg, section)._fields:
+            assert (getattr(getattr(cfg, section), name)
+                    != getattr(getattr(default, section), name)), f"{section}.{name}"
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
     assert SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
@@ -371,7 +466,7 @@ def _violations(data):
 
 def _unknown(field, key, cls):
     return (Violation("UNKNOWN_KEY", field, f"unknown key {key!r}; expected one of "
-                      + ", ".join(f.name for f in fields(cls))),)
+                      + ", ".join(cls._fields)),)
 
 
 def test_from_dict_rejects_a_document_that_is_no_object():

@@ -95,6 +95,13 @@ def test_importing_the_cli_loads_no_rational_number_modules():
     assert {"fractions", "decimal", "numbers"}.isdisjoint(_fresh("import framewatt.cli", "", "-S"))
 
 
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # Records are core.Record, which needs neither dataclasses nor the
+    # source-inspection modules it imports.  -S as above.
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize"}.isdisjoint(
+        _fresh("import framewatt.cli", "", "-S"))
+
+
 def test_a_submodule_resolves_as_a_package_attribute():
     # perfbench imports its submodules from the package itself; the import
     # system binds each as a package attribute, with no name table.

@@ -12,7 +12,6 @@ import ast
 import gc
 import re
 from array import array
-from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -22,7 +21,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import framewatt.oracle as omod
 from framewatt.core import (CACHED_TRAFFIC_FRACTION, ConfigurationError, DisplayConfig,
                             Resolution, Scheme, SimConfig, SystemConfig, WorkloadKind,
-                            WorkloadSpec, check_run_shape, frame_bytes, validate_config)
+                            WorkloadSpec, check_run_shape, frame_bytes, replace,
+                            validate_config)
 from framewatt.cstates import STATES_BY_DEPTH, PackageCState, load_calibration
 from framewatt.oracle import oracle_simulate
 from framewatt.power import report_from_timeline

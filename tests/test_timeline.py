@@ -28,6 +28,7 @@ from framewatt.core import (
     encoded_frame_bytes,
     frame_bytes,
     frame_window_ns,
+    replace,
     selective_update_bytes,
 )
 from framewatt import timeline as tmod
@@ -195,7 +196,7 @@ def test_trace_windows_expand_to_a_window_by_window_rebuild(scheme):
 def _replace_template(tl, t, **fields):
     templates = list(tl.templates)
     templates[t] = templates[t]._replace(**fields)
-    return dataclasses.replace(tl, templates=tuple(templates))
+    return replace(tl, templates=tuple(templates))
 
 
 def test_timeline_check_rejects_traffic_on_a_silent_state():
@@ -236,11 +237,11 @@ def _tally_run(run):
     """(config, build keywords) of a bundled trace burst or a preset."""
     if run in ("gaming", "conferencing"):
         cfg = get_preset("4k60").config
-        cfg = dataclasses.replace(cfg, workload=dataclasses.replace(
+        cfg = replace(cfg, workload=replace(
             cfg.workload, kind=WorkloadKind.SINGLE_PLANE, scheme=Scheme.BURSTING_ONLY))
         return cfg, {"dirty_trace": _bundled_trace(run)}
     cfg = get_preset(run).config
-    return dataclasses.replace(cfg, workload=dataclasses.replace(
+    return replace(cfg, workload=replace(
         cfg.workload, scheme=Scheme.BURSTLINK)), {"n_windows": 24}
 
 
@@ -951,7 +952,7 @@ _float_times = _mostly(st.floats(0.0, 0.004) | st.sampled_from([0.0, 1.9e-3, 1e-
 def test_integer_recipe_matches_the_fraction_recipe(
     system, res, refresh, edp, scheme, vr, psr_alt, fbc_ratio, traffic_cut, window,
 ):
-    display = dataclasses.replace(make_config(res, refresh=refresh).display,
+    display = replace(make_config(res, refresh=refresh).display,
                                   edp_max_bits_per_s=edp)
     cfg = make_config(res, refresh, display=display, system=system)
     k, ref = tmod._knobs(cfg, fbc_ratio, traffic_cut), _ref_knobs(cfg, fbc_ratio, traffic_cut)
@@ -981,7 +982,7 @@ def test_a_sub_ns_tail_fill_gives_its_reads_to_the_last_fill(tmp_path, capsys):
     # chunks and a 7-B tail whose fill spans 0.225 ns and rounds to nothing
     # right before a C8 drain, which cannot read DRAM.
     cfg = get_preset("4k60").config
-    plane = dataclasses.replace(cfg, workload=dataclasses.replace(
+    plane = replace(cfg, workload=replace(
         cfg.workload, kind=WorkloadKind.SINGLE_PLANE, scheme=Scheme.BURSTING_ONLY))
     tl = build_timeline(plane, dirty_trace=[0.063205])
     tl.check_coverage()
@@ -1082,9 +1083,9 @@ _any_rates = (_float_rates | st.integers(1, 2**64)
     traffic_cut=st.sampled_from([1.0, 0.66, 0.0]) | st.floats(min_value=0.0, max_value=1.0),
 )
 def test_integer_knobs_equal_the_fraction_knobs(system, refresh, edp, fbc_ratio, traffic_cut):
-    display = dataclasses.replace(make_config("fhd").display, refresh_hz=refresh,
+    display = replace(make_config("fhd").display, refresh_hz=refresh,
                                   edp_max_bits_per_s=edp)
-    cfg = dataclasses.replace(make_config("fhd"), display=display, system=system)
+    cfg = replace(make_config("fhd"), display=display, system=system)
     assert tmod._knobs(cfg, fbc_ratio, traffic_cut) == _fraction_knobs(cfg, fbc_ratio,
                                                                       traffic_cut)
 
@@ -1097,7 +1098,7 @@ def _preset_or_trace_timeline(run, scheme):
     else:
         cfg, kw = make_config("4k", 60, kind=WorkloadKind.SINGLE_PLANE), {
             "dirty_trace": _bundled_trace(run)}
-    cfg = dataclasses.replace(cfg, workload=dataclasses.replace(cfg.workload, scheme=scheme))
+    cfg = replace(cfg, workload=replace(cfg.workload, scheme=scheme))
     try:
         return build_timeline(cfg, **kw)
     except ConfigurationError:
