@@ -17,7 +17,6 @@ from enum import Enum
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 NS_PER_S = 1_000_000_000
@@ -80,11 +79,12 @@ class WorkloadKind(str, Enum):
 
 class Record:
     """A frozen record.  Its fields are the names its class body annotates,
-    in order, and a field's default is its class-body value, shared by every
-    record that takes it (so immutable).  Each class gets its own
-    ``__init__``, which calls ``__post_init__`` if the class has one, so
-    every construction and :func:`replace` validates.  Records of one class
-    compare and hash by their fields."""
+    in order, and a field's default is its class-body value: a dict is
+    copied for each record that takes it, any other value is shared (so
+    immutable).  Each class gets its own ``__init__``, which calls
+    ``__post_init__`` if the class has one, so every construction and
+    :func:`replace` validates.  Records of one class compare and hash by
+    their fields."""
 
     _fields: tuple[str, ...] = ()
 
@@ -96,7 +96,9 @@ class Record:
         for f in defaults:
             delattr(cls, f)
         params = ", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in fields)
-        body = "".join(f" _set(self, {f!r}, {f})\n" for f in fields)
+        fresh = {f: f"dict({f}) if {f} is _d[{f!r}] else " for f, v in defaults.items()
+                 if type(v) is dict}
+        body = "".join(f" _set(self, {f!r}, {fresh.get(f, '')}{f})\n" for f in fields)
         post = " self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
         namespace = {"_set": object.__setattr__, "_d": defaults}
         exec(f"def __init__(self, {params}):\n{body}{post}", namespace)
@@ -216,12 +218,12 @@ class SystemConfig(Record):
     encoded_bits_per_pixel: float = 0.5     # compressed stream density
     dram_coeff_read: float = 43e-12         # J per byte read
     dram_coeff_write: float = 43e-12        # J per byte written
-    dram_background_mw: Mapping[str, float] = MappingProxyType({
+    dram_background_mw: Mapping[str, float] = {
         "active": 450.0,
         "fast_powerdown": 150.0,
         "self_refresh": 25.0,
         "off": 0.0,
-    })
+    }
     dram_capacity_bytes: int = 4 * 1024**3  # working-set ceiling for batching
     fbc_compute_mw: float = 50.0            # extra decode power while compressing
     gpu_active_mw: float = 1500.0           # GPU adder on projection intervals

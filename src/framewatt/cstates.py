@@ -96,10 +96,10 @@ class PowerProfile(Record):
     name: str
     state_power_mw: Mapping[PackageCState, float]
     display_power_mw: Mapping[PackageCState, float]
-    entry_latency_us: Mapping[PackageCState, float] = MappingProxyType({})
-    exit_latency_us: Mapping[PackageCState, float] = MappingProxyType({})
-    entry_power_mw: Mapping[PackageCState, float] = MappingProxyType({})
-    exit_power_mw: Mapping[PackageCState, float] = MappingProxyType({})
+    entry_latency_us: Mapping[PackageCState, float] = {}
+    exit_latency_us: Mapping[PackageCState, float] = {}
+    entry_power_mw: Mapping[PackageCState, float] = {}
+    exit_power_mw: Mapping[PackageCState, float] = {}
 
     def __post_init__(self) -> None:
         where, powers = f"profiles.{self.name}", self.state_power_mw

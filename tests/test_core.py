@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 
@@ -314,20 +313,35 @@ def test_a_cached_property_is_computed_once_per_record(default_cal):
     assert profile == default_cal.conventional
 
 
-def test_no_record_default_can_be_changed_through_a_record():
-    # A default is shared by every record that takes it, so none is mutable.
+def test_no_record_shares_a_mutable_default_with_another():
+    # A dict default is copied for each record, as a dataclass's
+    # default_factory made one; every other default is immutable and shared.
     from framewatt.cstates import PackageCState, PowerProfile
 
     powers = {s: 0.0 for s in PackageCState}
     one, two = PowerProfile("p", powers, powers), PowerProfile("q", powers, powers)
-    for defaults in (one.entry_latency_us, SystemConfig().dram_background_mw):
-        with pytest.raises(TypeError):
-            defaults["C0"] = 1.0
     assert one.entry_latency_us == two.entry_latency_us == {}
-    assert SystemConfig().dram_background_mw["active"] == 450.0
+    assert one.entry_latency_us is not two.entry_latency_us
+    first, second = SystemConfig(), SystemConfig()
+    first.dram_background_mw["active"] = 1.0
+    assert second.dram_background_mw["active"] == SystemConfig().dram_background_mw["active"] == 450.0
+    mine = dict(second.dram_background_mw)
+    assert SystemConfig(dram_background_mw=mine).dram_background_mw is mine
+    assert _Pair(1).b is _Pair(2).b
     for name, cls in _record_classes().items():
         for value in cls.__init__.__defaults__ or ():
-            assert isinstance(value, (Record, MappingProxyType)) or hash(value) is not None, name
+            assert isinstance(value, (Record, dict)) or hash(value) is not None, name
+
+
+def test_a_record_pickles_and_copies(default_cal):
+    import copy
+    import pickle
+
+    from framewatt.presets import get_preset
+
+    cfg = get_preset("4k60").config
+    assert pickle.loads(pickle.dumps(cfg)) == cfg == copy.deepcopy(cfg)
+    assert copy.copy(default_cal) == default_cal
 
 
 def test_display_config_rejects_nonpositive_refresh():

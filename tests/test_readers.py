@@ -142,10 +142,10 @@ _TRACE = "".join(resources.files("framewatt").joinpath(
 #: Each CSV reader's start file and the mutations that apply to it.
 _CSV = {
     "trace.csv": (read_dirty_trace, _TRACE,
-                  ["cell", "rename", "drop", "cut", "skip", "fraction"]),
+                  ["cell", "rename", "drop", "cut", "skip", "fraction", "extra", "twice"]),
     "runs.csv": (runs_from_csv, "label,C0,C8,power_mw,dram_bandwidth\n"
                                 "busy,0.25,0.75,2000,4.1\nidle,0,1.0,1285,\n",
-                 ["cell", "rename", "drop", "cut", "fraction"]),
+                 ["cell", "rename", "drop", "cut", "fraction", "extra", "twice"]),
 }
 
 #: The columns a fraction mutation may put outside [0, 1].
@@ -177,6 +177,11 @@ def test_one_mutation_of_a_csv_file_is_read_or_refused_at_its_row(data, name, tm
     elif how == "skip":
         for cells in rows[row:]:
             cells[0] = str(int(cells[0]) + 1)
+    elif how == "extra":  # a cell past the header, which no column would read
+        rows[row] += [""] * (len(header) - len(rows[row])) + ["0.5"]
+    elif how == "twice":  # a column named twice, whose first cells no key would keep
+        header[column] = header[column - 1]
+        lines = [1]
     else:
         column = header.index(data.draw(st.sampled_from(sorted(_FRACTIONS & set(header)))))
         rows[row][column] = data.draw(st.sampled_from(["1.5", "-0.25"]))
@@ -187,6 +192,8 @@ def test_one_mutation_of_a_csv_file_is_read_or_refused_at_its_row(data, name, tm
     except ConfigurationError as exc:
         field = exc.violations[0].field
         assert any(_under(field, f"{path}:{line}") for line in lines), (field, list(lines), exc)
+    else:
+        assert how not in ("extra", "twice"), "a cell was dropped without a word"
 
 
 @pytest.mark.parametrize("name", sorted(_CSV))
