@@ -555,7 +555,7 @@ def csv_records(path: str | Path, readers: Mapping[str, Reader], required: Itera
         for line, row in enumerate(rows, start=2):
             where = f"{path}:{line}"
             if any(row[len(names):]):
-                raise rejection("EXTRA_CELLS", where, f"{len(row)} cells, past the header's "
+                raise rejection("EXTRA_CELLS", where, f"{len(row)} cells where the header names "
                                 f"{len(names)} columns")
             if row:
                 records.append(record(json_keys({k: v for k, v in zip(names, row) if v}, where,
@@ -593,6 +593,7 @@ def _parsed(parse: Callable[[str], Any]) -> Reader:
     return read
 
 
+# SimConfig comes after the rules above: making it builds, and so checks, its default sections.
 class SimConfig(Record):
     """Bundle handed to the simulator: panel + SoC + workload."""
 

@@ -232,7 +232,7 @@ def test_csv_pins_bad_rows_to_line_numbers(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("label,C0,power_mw\nx,1.0,100,7\n",
-     "EXTRA_CELLS [PATH:2]: 4 cells, past the header's 3 columns"),
+     "EXTRA_CELLS [PATH:2]: 4 cells where the header names 3 columns"),
     ("label,C0,C0,power_mw\nx,0.0,1.0,5\n",
      "DUPLICATE_KEY [PATH:1.C0]: column 'C0' named twice"),
     ("label,C0,power_mw\nbad,0.5,100\nok,x,100\n",

@@ -324,7 +324,8 @@ def test_no_record_shares_a_mutable_default_with_another():
     assert one.entry_latency_us is not two.entry_latency_us
     first, second = SystemConfig(), SystemConfig()
     first.dram_background_mw["active"] = 1.0
-    assert second.dram_background_mw["active"] == SystemConfig().dram_background_mw["active"] == 450.0
+    assert second.dram_background_mw["active"] == 450.0
+    assert SystemConfig().dram_background_mw["active"] == 450.0
     mine = dict(second.dram_background_mw)
     assert SystemConfig(dram_background_mw=mine).dram_background_mw is mine
     assert _Pair(1).b is _Pair(2).b

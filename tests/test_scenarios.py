@@ -223,7 +223,7 @@ def test_trace_reader_takes_empty_cells_past_the_header(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("window,dirty_fraction\n0,0.5\n1,0.5,0.9\n",
-     "EXTRA_CELLS [PATH:3]: 3 cells, past the header's 2 columns"),
+     "EXTRA_CELLS [PATH:3]: 3 cells where the header names 2 columns"),
     ("window,dirty_fraction,window\n0,0.5,0\n",
      "DUPLICATE_KEY [PATH:1.window]: column 'window' named twice"),
     ("window,dirty_fraction\n0,0.5\n2,nan\n",
