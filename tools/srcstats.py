@@ -67,8 +67,13 @@ def compile_us(checkout: Path) -> int:
                                "import framewatt.cli"], env=env, capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"{checkout}: import framewatt.cli failed:\n{proc.stderr[-500:]}")
-    return sum(int(us) for us, name in _LINE.findall(proc.stderr)
-               if name == "framewatt" or name.startswith("framewatt."))
+    return sum(_self_times(proc.stderr).values())
+
+
+def _self_times(importtime: str) -> dict[str, int]:
+    """Each framewatt module's self time, in us, from ``-X importtime`` output."""
+    return {name: int(us) for us, name in _LINE.findall(importtime)
+            if name == "framewatt" or name.startswith("framewatt.")}
 
 
 def _launch(package_root: Path, *args: str) -> subprocess.CompletedProcess:
@@ -90,9 +95,8 @@ def launch_s(package_root: Path) -> float:
 
 def self_us(package_root: Path) -> dict[str, int]:
     """Each framewatt module's self time, in us, in one ``-X importtime`` launch."""
-    stderr = _launch(package_root, "-X", "importtime", "-c", "import framewatt.cli").stderr
-    return {name: int(us) for us, name in _LINE.findall(stderr)
-            if name == "framewatt" or name.startswith("framewatt.")}
+    proc = _launch(package_root, "-X", "importtime", "-c", "import framewatt.cli")
+    return _self_times(proc.stderr)
 
 
 def stdlib_beyond(package_root: Path) -> set[str]:
@@ -162,9 +166,7 @@ def main(argv: list[str]) -> int:
     print(f"{'checkout':<40} {'src lines':>9}  cold compile ms, median [q1, q3] "
           f"of {LAUNCHES}")
     for c, us in times.items():
-        q1, med, q3 = statistics.quantiles(us, n=4, method="inclusive")
-        print(f"{str(c):<40} {line_count(c):>9}  {med / 1e3:.1f} "
-              f"[{q1 / 1e3:.1f}, {q3 / 1e3:.1f}]")
+        print(f"{str(c):<40} {line_count(c):>9}  {_quartiles([u / 1e3 for u in us])}")
     counts = [module_lines(c) for c in checkouts]
     widths = [max(len(c.name), 6) for c in checkouts]
     print()
