@@ -294,10 +294,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _write(out / "report.json", _dump_json(doc))
     if args.format in ("csv", "both"):
         _write(out / "timeline.csv", lambda f: timeline_to_csv(timeline, f))
-        bills, window_bill = window_energy_breakdown(timeline, cfg, calibration)
-        text = [",".join([b.kind, *(f"{uj:.6f}" for uj in b[1:])]) for b in bills]
+        text = [",".join([b.kind, *(f"{uj:.6f}" for uj in b[1:])])
+                for b in window_energy_breakdown(timeline, cfg, calibration)]
         _write(out / "report.csv", ",".join(("window", *WindowEnergy._fields)) + "\n"
-               + "".join(f"{w},{text[b]}\n" for w, b in enumerate(window_bill)))
+               + "".join(f"{w},{text[t]}\n" for w, t in enumerate(timeline.window_template)))
     _write(out / "timeline.svg", lambda f: timeline_to_svg(timeline, f))
     return 0
 
@@ -417,10 +417,13 @@ def _axis(raw: str | None, default: str, label: str,
              if s.strip()]
     if not items:
         raise ValueError(f"empty sweep grid: no values for {label}")
+    values = []
     try:
-        return [convert(v) for v in items]
-    except ValueError as exc:
-        raise ValueError(f"{label}: {exc}") from None
+        for v in items:
+            values.append(convert(v))
+    except ValueError:
+        raise ValueError(f"{label}: {json_excerpt(v)} is not a valid {convert.__name__}") from None
+    return values
 
 
 _SWEEP_COLUMNS = [

@@ -410,13 +410,26 @@ def read_text(path: str | Path) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
+class _Repeats(dict):
+    """A JSON object that names its ``key`` twice or more, its last value kept."""
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        obj = _Repeats(pairs)
+        obj.key = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
+
+
 def read_json(path: str | Path) -> Any:
-    """The parsed JSON file at ``path``; ValueError naming it if it is not
-    UTF-8, not JSON (an integer literal past the decoder's digit limit
-    included) or nested too deeply."""
+    """The parsed JSON file at ``path``, each object that repeats a key as a
+    :class:`_Repeats`; ValueError naming it if it is not UTF-8, not JSON (an
+    integer literal past the decoder's digit limit included) or nested too deeply."""
     text = read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
@@ -477,7 +490,8 @@ def json_keys(raw: Any, where: str, readers: Mapping[str, Reader],
     key's reader, in the object's key order; the one check of every object
     and CSV row in an input file.  The first offence raises, at a key path
     (``runs[0].residency.C0``, ``trace.csv:3.window``): ``WRONG_TYPE`` if no
-    object, then ``UNKNOWN_KEY``, ``MISSING_KEY`` for a ``required`` key, the readers'."""
+    object, then ``UNKNOWN_KEY``, ``MISSING_KEY`` for a ``required`` key,
+    ``DUPLICATE_KEY`` for a key :func:`read_json` read twice, the readers'."""
     _expect(raw, where, (Mapping,), "an object")
     prefix = f"{where}." if where else ""
     for key in raw:
@@ -487,6 +501,8 @@ def json_keys(raw: Any, where: str, readers: Mapping[str, Reader],
     for key in required:
         if key not in raw:
             raise rejection("MISSING_KEY", f"{prefix}{key}", f"missing required key {key!r}")
+    if type(raw) is _Repeats:
+        raise rejection("DUPLICATE_KEY", f"{prefix}{raw.key}", f"key {raw.key!r} named twice")
     return {key: readers[key](value, f"{prefix}{key}") for key, value in raw.items()}
 
 
@@ -547,11 +563,8 @@ def csv_records(path: str | Path, readers: Mapping[str, Reader], required: Itera
     records: list[Any] = []
     try:
         names = [name.strip() for name in next(rows, [])]
-        json_keys(dict.fromkeys(names, ""), f"{path}:1", dict.fromkeys(readers, json_string),
-                  required)  # the header's names alone
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise rejection("DUPLICATE_KEY", f"{path}:1.{name}", f"column {name!r} named twice")
+        json_keys(_object([(name, "") for name in names]), f"{path}:1",
+                  dict.fromkeys(readers, json_string), required)  # the header's names alone
         for line, row in enumerate(rows, start=2):
             where = f"{path}:{line}"
             if any(row[len(names):]):

@@ -11,11 +11,11 @@ Two deliberately different power views exist side by side:
   adders (panel-side frame buffer, GPU projection, compression engine).
   Its ``average_power_mw`` is total energy over total time.
 
-Pricing is an integer tally, then one price: each distinct window's tally
-(state spans, bytes, adder spans and state changes) is made once, in the walk
-that checks it when the timeline is built; ``timeline_totals`` adds those
-tallies per (template, entry state) pair without walking rows, and one formula
-turns a tally into energies, for the whole run or for one window.
+Pricing is an integer tally, then one price: each template's tally (state
+spans, bytes, adder spans, and state changes from its entry state on) is made
+once, in the walk that checks it when the timeline is built; ``timeline_totals``
+adds those tallies times their window counts without walking rows, and one
+formula turns a tally into energies, for the whole run or for one window.
 
 DRAM background power is part of each state's package power, so the DRAM
 breakdown reports it as an attribution (carved out of the state totals using
@@ -234,23 +234,16 @@ def window_energy_breakdown(
     timeline: WindowTimeline,
     cfg: SimConfig,
     calibration: CalibrationSet,
-) -> tuple[tuple[WindowEnergy, ...], tuple[int, ...]]:
-    """Per-window bills, stored as the timeline stores windows: the distinct
-    bills, and each window's index into them.  Boundary transitions are
-    charged to the later window.
-
-    A window's bill depends only on its template and the state the previous
-    window ended in, so each such pair is tallied and priced once.
-    """
+) -> tuple[WindowEnergy, ...]:
+    """The bill of each template's windows, in template order; the timeline's
+    ``window_template`` gives each window's.  Boundary transitions are
+    charged to the later window."""
     profile = calibration.profile_for(timeline.scheme)
-    index: dict[tuple[int, PackageCState | None], int] = {}
-    window_bill = tuple(index.setdefault(pair, len(index)) for pair in timeline.window_pairs)
     bills: list[WindowEnergy] = []
-    for pair in index:  # each distinct pair, in order of first use
-        bill = _price(timeline_totals(timeline, {pair: 1}), profile, cfg.system,
-                      calibration.drfb_power_mw)
+    for tpl in timeline.templates:
+        bill = _price(tpl.totals, profile, cfg.system, calibration.drfb_power_mw)
         bills.append(WindowEnergy(
-            kind=timeline.templates[pair[0]].kind,
+            kind=tpl.kind,
             transition_uj=bill.transition_energy_uj,
             dram_operating_uj=bill.dram.operating_uj,
             adders_uj=bill.drfb_energy_uj + bill.gpu_energy_uj + bill.fbc_energy_uj,
@@ -259,7 +252,7 @@ def window_energy_breakdown(
             others_uj=bill.component_energy_uj["others"],
             total_uj=bill.total_energy_uj,
         ))
-    return tuple(bills), window_bill
+    return tuple(bills)
 
 
 def streaming_report(

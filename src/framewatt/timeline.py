@@ -35,13 +35,13 @@ kind.  The record is tallied when the timeline is built, in O(phases) and
 not O(chunks): the records at the edges of a phase are rounded, checked and
 tallied one by one, and the run of whole fill/drain chunk cycles between
 them is tallied in closed form, as sums of rounded arithmetic progressions.
-Pricing combines the tallies per (template, entry state) pair.  Rows are
-expanded from the record, as plain tuples, only where rows are read -- the
-CSV and SVG exports and ``WindowTimeline.intervals``, the one maker of
-:class:`Interval` records -- once per template.  Each row boundary becomes
-text once per timeline, for both exports; each stitches its windows from
-text pieces formatted once per template and writes one block per window to
-``out``, which the CLI opens with a large buffer.
+A template's tally starts with the change into it from the state it is
+entered in, so pricing is each template's tally times its windows.  Rows are
+expanded, as plain tuples, only where rows are read -- the CSV and SVG exports
+and ``WindowTimeline.intervals``, the one maker of :class:`Interval` records --
+once per row shape.  Each row boundary becomes text once per timeline; each
+export stitches its windows from text pieces formatted once per row shape and
+writes one block per window to ``out``, which the CLI opens with a large buffer.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from .core import (
     BURST_WAKE_SHARE,
@@ -144,15 +144,15 @@ class _Phase(NamedTuple):
 
 
 class Template(NamedTuple):
-    """One distinct window: its wake-up records, its transfer phase (None if
-    the wake-up records fill the window), and what the build derived from
-    them -- the states its first and last rows are in and its tally."""
+    """One distinct window: its wake-up records, its transfer phase (None if the
+    wake-up records fill the window), the state it is entered in (None for window
+    0), and what the build derived: the state its last row is in and its tally."""
 
     kind: str
     link_bytes: int
     wake: tuple[tuple, ...]
     phase: _Phase | None
-    first: PackageCState
+    entry: PackageCState | None
     last: PackageCState
     totals: TimelineTotals
 
@@ -160,12 +160,12 @@ class Template(NamedTuple):
 class WindowTimeline(Record):
     """Interval tiling of refresh windows for one scheme.
 
-    Windows built from the same recipe (kind, decodes, update bytes) are
-    identical once rounded, because rounding is relative to the window
-    start.  Each distinct window is therefore stored once, in ``templates``,
-    and ``window_template`` gives the template of every window.  Pricing
-    combines the templates' tallies; ``rows`` and ``intervals`` expand the
-    rows for export, on demand.
+    Windows built from the same recipe (kind, decodes, update bytes) and
+    entered from the same state are identical once rounded, because rounding
+    is relative to the window start.  Each distinct window is therefore
+    stored once, in ``templates``, and ``window_template`` gives the template
+    of every window.  Pricing combines the templates' tallies; ``rows`` and
+    ``intervals`` expand the rows for export, on demand.
     """
 
     scheme: Scheme
@@ -183,10 +183,12 @@ class WindowTimeline(Record):
 
     @cached_property
     def rows(self) -> tuple[tuple[tuple, ...], ...]:
-        """Each template's rows, with window-relative times, expanded once:
-        immutable tuples ``(state, start_ns, end_ns, label, read, write, edp,
-        drfb, gpu, fbc)`` that every window using the template shares."""
-        return tuple(_expand(t, self.window_ns) for t in self.templates)
+        """Each template's rows, with window-relative times, expanded once per
+        row shape, ``Template[:4]``: immutable tuples ``(state, start_ns, end_ns,
+        label, read, write, edp, drfb, gpu, fbc)`` that its windows share."""
+        last = {t[:4]: t for t in self.templates}  # a template of each shape
+        shapes = {shape: _expand(t, self.window_ns) for shape, t in last.items()}
+        return tuple(shapes[t[:4]] for t in self.templates)
 
     @cached_property
     def boundary_text(self) -> tuple[list[str], list[int]]:
@@ -215,13 +217,6 @@ class WindowTimeline(Record):
                        for row in rows[t])
         return tuple(out)
 
-    @property
-    def window_pairs(self) -> list[tuple[int, PackageCState | None]]:
-        """Each window's template and the state the previous window ended in
-        (None for the first window)."""
-        ends = [self.templates[t].last for t in self.window_template]
-        return list(zip(self.window_template, [None, *ends[:-1]]))
-
     def check_coverage(self) -> None:
         """Raise ValueError, naming the first window that uses the template,
         unless every distinct window tiles [0, window] exactly (no gaps,
@@ -230,7 +225,7 @@ class WindowTimeline(Record):
         phase give.  The build makes the same check as it tallies each template."""
         for t, tpl in enumerate(self.templates):
             try:
-                if _template(*tpl[:4], self.window_ns) != tpl:
+                if _template(*tpl[:4], tpl.entry, self.window_ns) != tpl:
                     raise ValueError("template tally disagrees with its records")
             except ValueError as exc:
                 raise ValueError(f"window {self.window_template.index(t)}: {exc}") from None
@@ -250,26 +245,15 @@ _LINK_SILENT_STATES = {PackageCState.C9, PackageCState.C10}
 _NO_SPANS: dict[PackageCState, int] = dict.fromkeys(PackageCState, 0)
 
 
-def timeline_totals(
-    timeline: WindowTimeline,
-    pairs: Mapping[tuple[int, PackageCState | None], int] | None = None,
-) -> TimelineTotals:
-    """Tally windows given as (template, state the previous window ended in)
-    pairs with their counts, as each template's tally times its count.  The
-    change into a window's first state is counted for that window, before
-    the template's own changes.  ``pairs`` defaults to every window of the
-    timeline (:attr:`WindowTimeline.window_pairs`), counted in order, so the
-    changes keep their order of first occurrence along the timeline."""
-    if pairs is None:
-        pairs = Counter(timeline.window_pairs)
+def timeline_totals(timeline: WindowTimeline) -> TimelineTotals:
+    """Tally every window of the timeline, as each template's tally times its
+    count of windows.  Templates are in order of first use, so the changes
+    keep their order of first occurrence along the timeline."""
     spans = _NO_SPANS.copy()
     changes: dict[tuple[PackageCState, PackageCState], int] = {}
     read = write = edp = drfb = gpu = fbc = 0
-    for (t, prev), m in pairs.items():
-        tpl = timeline.templates[t]
-        tally, first = tpl.totals, tpl.first
-        if prev is not None and prev is not first:
-            changes[(prev, first)] = changes.get((prev, first), 0) + m
+    for t, m in Counter(timeline.window_template).items():
+        tally = timeline.templates[t].totals
         for change, c in tally.transitions.items():
             changes[change] = changes.get(change, 0) + c * m
         for state, ns in tally.state_spans_ns.items():
@@ -582,20 +566,21 @@ def build_timeline(
     plane = wl.kind is WorkloadKind.SINGLE_PLANE
     psr_alt = wl.psr_alternate_windows
 
-    # A window is fully determined by (kind, decodes, link bytes); each
-    # distinct key is built and tallied once.
+    # A window is fully determined by (kind, decodes, link bytes) and the state
+    # it is entered in; each distinct key is built and tallied once.
     W_ns = frame_window_ns(cfg.display.refresh_hz)
     templates: list[Template] = []
-    index: dict[tuple[str, int, int], int] = {}
+    index: dict[tuple[str, int, int, PackageCState | None], int] = {}
     window_template: list[int] = []
+    entry = None
     for w in range(n):
         if plane:
             dirty = float(dirty_trace[w])  # type: ignore[index]
             update = selective_update_bytes(k.F, dirty)
             if scheme is Scheme.BASELINE:
-                key = ("update", 0, k.F)
+                key = ("update", 0, k.F, entry)
             else:
-                key = ("update" if update > 0 else "idle", 0, update)
+                key = ("update" if update > 0 else "idle", 0, update, entry)
         else:
             is_transfer = w % k.group == 0
             decodes = 0
@@ -604,16 +589,17 @@ def build_timeline(
                 decodes = batch_every
             restream = scheme is Scheme.BASELINE and not psr_alt
             link_bytes = k.F if is_transfer or restream else 0
-            key = ("transfer" if is_transfer else "repeat", decodes, link_bytes)
+            key = ("transfer" if is_transfer else "repeat", decodes, link_bytes, entry)
         t = index.get(key)
         if t is None:
             t = index[key] = len(templates)
             try:
-                templates.append(_template(key[0], key[2],
-                                           *_recipe(k, scheme, *key, vr, psr_alt), W_ns))
+                wake, phase = _recipe(k, scheme, *key[:3], vr, psr_alt)
+                templates.append(_template(key[0], key[2], wake, phase, entry, W_ns))
             except ValueError as exc:
                 raise ValueError(f"window {w}: {exc}") from None
         window_template.append(t)
+        entry = templates[t].last
 
     return WindowTimeline(scheme=scheme, window_ns=W_ns, templates=tuple(templates),
                           window_template=tuple(window_template))
@@ -725,13 +711,13 @@ def _expand(tpl: Template, W_ns: int) -> tuple[tuple, ...]:
 
 
 def _template(kind: str, link_bytes: int, wake: tuple[tuple, ...], phase: _Phase | None,
-              W_ns: int) -> Template:
+              entry: PackageCState | None, W_ns: int) -> Template:
     """Check and tally one window's records without expanding its body.
 
-    The records are rounded as :func:`_expand` rounds them, except
-    the phase body (:func:`_body`), which stays one row.  One walk over
-    the rows checks that traffic rides only on states that can move it and
-    tallies them; the body's fill and drain spans are sums of rounded
+    The records are rounded as :func:`_expand` rounds them, except the phase
+    body (:func:`_body`), which stays one row.  One walk over the rows, from
+    ``entry`` on, checks that traffic rides only on states that can move it
+    and tallies them; the body's fill and drain spans are sums of rounded
     arithmetic progressions, and each of its cycles changes state twice.
     Raises ValueError naming the offending row.
     """
@@ -740,7 +726,7 @@ def _template(kind: str, link_bytes: int, wake: tuple[tuple, ...], phase: _Phase
     spans = _NO_SPANS.copy()
     changes: dict[tuple[PackageCState, PackageCState], int] = {}
     read = write = edp = drfb = gpu = fbc = 0
-    prev = None
+    prev = entry
     for state, start, end, _, r, w, e, d, g, f in rows:
         span = end - start
         if state is None:  # the consumer-bound body: chunk cycles 3..m
@@ -768,7 +754,7 @@ def _template(kind: str, link_bytes: int, wake: tuple[tuple, ...], phase: _Phase
         fbc += span * f
         prev = state
     totals = TimelineTotals(spans, read, write, edp, drfb, gpu, fbc, changes)
-    return Template(kind, link_bytes, wake, phase, rows[0][0], prev, totals)
+    return Template(kind, link_bytes, wake, phase, entry, prev, totals)
 
 
 def _cycles_fill_ns(ph: _Phase, m: int) -> tuple[PackageCState, PackageCState, int]:
@@ -799,14 +785,15 @@ def _stitch(timeline: WindowTimeline, cells: Callable, keys: Iterable[str], head
     ValueError before ``head`` is written if a template's rows do not abut.
     """
     text, offsets = timeline.boundary_text
-    layouts = []
-    for tpl, rows in zip(timeline.templates, timeline.rows):
+    shapes = {id(rows): (tpl.kind, rows) for tpl, rows in zip(timeline.templates, timeline.rows)}
+    for shape, (kind, rows) in shapes.items():  # each rows object, once
         parts = [""]  # a row's head is joined onto the piece before it
         for row in rows:
-            before, mid, sep, tail = cells(tpl.kind, row)
+            before, mid, sep, tail = cells(kind, row)
             parts[-1] += before
             parts += ("", mid, "", sep, "", tail)
-        layouts.append((parts, len(rows)))
+        shapes[shape] = (parts, len(rows))
+    layouts = [shapes[id(rows)] for rows in timeline.rows]
     out.write(head)
     for t, key, i in zip(timeline.window_template, keys, offsets):
         parts, k = layouts[t]

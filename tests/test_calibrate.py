@@ -234,7 +234,7 @@ def test_csv_pins_bad_rows_to_line_numbers(tmp_path):
     ("label,C0,power_mw\nx,1.0,100,7\n",
      "EXTRA_CELLS [PATH:2]: 4 cells where the header names 3 columns"),
     ("label,C0,C0,power_mw\nx,0.0,1.0,5\n",
-     "DUPLICATE_KEY [PATH:1.C0]: column 'C0' named twice"),
+     "DUPLICATE_KEY [PATH:1.C0]: key 'C0' named twice"),
     ("label,C0,power_mw\nbad,0.5,100\nok,x,100\n",
      "OUT_OF_RANGE [PATH:2]: run 'bad': residencies sum to 0.5000, expected 1"),
 ], ids=["cell-past-the-header", "column-named-twice", "run-rule-before-a-later-bad-cell"])

@@ -841,6 +841,31 @@ def test_runs_must_be_a_non_empty_array(runs, line, tmp_path, capsys):
     assert _run_with(["calibrate", "--runs", "JSON"], text, tmp_path, capsys) == (2, [line])
 
 
+def test_a_config_that_repeats_a_key_is_a_violation(tmp_path, capsys):
+    # Read without the check, the file runs the last value, burstlink.
+    text = '{"workload": {"scheme": "baseline", "scheme": "burstlink"}}'
+    assert _run_with(["simulate", "--config", "JSON"], text, tmp_path, capsys) == (2, [
+        "violation\tDUPLICATE_KEY\tworkload.scheme\tkey 'scheme' named twice"])
+
+
+@pytest.mark.parametrize("argv, text, line", [
+    (["simulate", "--config", "JSON"],
+     '{"workload": {"kind": "video", "video_fps": 30, "video_fps": 30, "kind": "video"}}',
+     "workload.video_fps\tkey 'video_fps' named twice"),
+    (["simulate", "--config", "JSON"], '{"display": {}, "system": {}, "display": {}}',
+     "display\tkey 'display' named twice"),
+    (["simulate", "--preset", "fhd30", "--calibration", "JSON"],
+     json.dumps(_default_calibration()).replace('"burst": {', '"burst": {"exit_power_mw": {}, '
+                                                '"exit_power_mw": {}, '),
+     "profiles.burst.exit_power_mw\tkey 'exit_power_mw' named twice"),
+    (["calibrate", "--runs", "JSON"],
+     '{"runs": [{"residency": {"C0": 1.0}, "average_power_mw": 5, "average_power_mw": 6}]}',
+     "runs[0].average_power_mw\tkey 'average_power_mw' named twice"),
+], ids=["first-repeat-in-file-order", "config-section", "calibration", "runs"])
+def test_a_json_object_that_repeats_a_key_names_it(argv, text, line, tmp_path, capsys):
+    assert _run_with(argv, text, tmp_path, capsys) == (2, [f"violation\tDUPLICATE_KEY\t{line}"])
+
+
 def test_a_missing_runs_key_is_a_violation(tmp_path, capsys):
     assert _run_with(["calibrate", "--runs", "JSON"], "{}", tmp_path, capsys) == (2, [
         "violation\tMISSING_KEY\truns\tmissing required key 'runs'"])
@@ -1080,16 +1105,25 @@ def test_sweep_skips_infeasible_decode_batches(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--fps", "30,x", "--fps: invalid literal for int() with base 10: 'x'"),
-    ("--fbc-ratios", "1.0,abc", "--fbc-ratios: could not convert string to float: 'abc'"),
-    ("--batch-sizes", "1,2.5", "--batch-sizes: invalid literal for int() with base 10: '2.5'"),
-    ("--schemes", "burstlink,nope", "--schemes: 'nope' is not a valid Scheme"),
+    ("--fps", "30,x", '--fps: "x" is not a valid int'),
+    ("--fbc-ratios", "1.0,abc", '--fbc-ratios: "abc" is not a valid float'),
+    ("--batch-sizes", "1,2.5", '--batch-sizes: "2.5" is not a valid int'),
+    ("--schemes", "burstlink,nope", '--schemes: "nope" is not a valid Scheme'),
     ("--fps", ",", "empty sweep grid: no values for --fps"),
 ])
 def test_a_bad_sweep_axis_names_its_flag(flag, value, message, capsys):
     assert main(["sweep", "--resolutions", "fhd", flag, value]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag, name", [("--schemes", "Scheme"), ("--fps", "int"),
+                                        ("--fbc-ratios", "float")])
+def test_a_bad_sweep_axis_value_is_quoted_to_60_characters(flag, name, capsys):
+    assert main(["sweep", "--resolutions", "fhd", flag, "t" * 80]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f'error: {flag}: "{"t" * 59}... is not a valid {name}\n')
 
 
 def test_sweep_skips_a_point_whose_config_is_rejected(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -20,6 +21,7 @@ from framewatt.power import (
     streaming_report,
     window_energy_breakdown,
 )
+from framewatt.presets import get_preset
 from framewatt.scenarios import read_dirty_trace
 from framewatt.timeline import Interval, build_timeline, timeline_totals
 from conftest import make_config
@@ -235,8 +237,8 @@ def test_window_breakdown_charges_every_boundary_transition(scheme, latency_cal)
     cfg = make_config("fhd", 30, scheme)
     tl = build_timeline(cfg, 6)
     report = report_from_timeline(tl, cfg, latency_cal)
-    bills, window_bill = window_energy_breakdown(tl, cfg, latency_cal)
-    rows = [bills[b] for b in window_bill]
+    bills = window_energy_breakdown(tl, cfg, latency_cal)
+    rows = [bills[t] for t in tl.window_template]
     assert report.transition_energy_uj > 0
     assert sum(r.transition_uj for r in rows) == pytest.approx(report.transition_energy_uj)
 
@@ -254,8 +256,8 @@ def test_window_breakdown_sums_to_the_report_totals(default_cal):
     cfg = make_config("fhd", 30, Scheme.BURSTLINK)
     tl = build_timeline(cfg, 4)
     report = report_from_timeline(tl, cfg, default_cal)
-    bills, window_bill = window_energy_breakdown(tl, cfg, default_cal)
-    rows = [bills[b] for b in window_bill]
+    bills = window_energy_breakdown(tl, cfg, default_cal)
+    rows = [bills[t] for t in tl.window_template]
     assert len(rows) == 4
     assert sum(r.total_uj for r in rows) == pytest.approx(report.total_energy_uj)
     assert sum(r.dram_uj for r in rows) == pytest.approx(
@@ -273,8 +275,8 @@ def test_per_window_transition_charges_survive_the_breakdown(latency_cal):
     cfg = make_config("fhd", 30, Scheme.BURSTLINK)
     tl = build_timeline(cfg, 4)
     report = report_from_timeline(tl, cfg, latency_cal)
-    bills, window_bill = window_energy_breakdown(tl, cfg, latency_cal)
-    rows = [bills[b] for b in window_bill]
+    bills = window_energy_breakdown(tl, cfg, latency_cal)
+    rows = [bills[t] for t in tl.window_template]
     assert sum(r.transition_uj for r in rows) == pytest.approx(
         report.transition_energy_uj
     )
@@ -378,28 +380,52 @@ def test_breakdown_rows_match_a_per_interval_bill(cfg, kw, calibration):
     cal = load_calibration(calibration)
     tl = build_timeline(cfg, **kw)
     profile = cal.profile_for(tl.scheme)
-    bills, window_bill = window_energy_breakdown(tl, cfg, cal)
-    assert len(window_bill) == tl.n_windows
+    bills = window_energy_breakdown(tl, cfg, cal)
+    assert len(bills) == len(tl.templates)
     prev = None
-    for b, t in zip(window_bill, tl.window_template):
+    for t in tl.window_template:
         ivs = [Interval(0, tl.templates[t].kind, *row) for row in tl.rows[t]]
         expect = _window_bill(ivs, prev, profile, cfg.system, cal.drfb_power_mw)
-        got = bills[b]._asdict()
+        got = bills[t]._asdict()
         assert got.pop("kind") == expect.pop("kind")
         assert got == pytest.approx(expect, rel=1e-12)
         prev = ivs[-1].state
 
 
 @pytest.mark.parametrize("cfg, kw", _PRICED_RUNS)
-def test_breakdown_prices_each_distinct_window_pair_once(cfg, kw, monkeypatch):
+def test_breakdown_prices_each_template_once(cfg, kw, monkeypatch):
     tl = build_timeline(cfg, **kw)
     priced = []
     real = power._price
     monkeypatch.setattr(power, "_price", lambda *a: priced.append(a) or real(*a))
-    bills, window_bill = window_energy_breakdown(tl, cfg, load_calibration("latency-demo"))
-    pairs = list(dict.fromkeys(tl.window_pairs))  # distinct, in order of first use
-    assert len(priced) == len(bills) == len(pairs)
-    assert window_bill == tuple(pairs.index(p) for p in tl.window_pairs)
+    bills = window_energy_breakdown(tl, cfg, load_calibration("latency-demo"))
+    # A template is one distinct (row shape, entry state) window, in order of first use.
+    assert len({tpl[:5] for tpl in tl.templates}) == len(tl.templates)
+    firsts = [tl.window_template.index(t) for t in range(len(tl.templates))]
+    assert firsts == sorted(firsts)
+    assert len(priced) == len(bills) == len(tl.templates)
+    assert [b.kind for b in bills] == [tpl.kind for tpl in tl.templates]
+
+
+def test_pricing_memory_does_not_grow_with_the_run():
+    # Pricing reads each template once and counts windows without a list per
+    # window, so its peak is the same at twice the windows.
+    cfg, cal = get_preset("fhd30").config, load_calibration("default")
+    warm = build_timeline(cfg, 10)  # fills the caches that the first pricing fills
+    report_from_timeline(warm, cfg, cal)
+    window_energy_breakdown(warm, cfg, cal)
+    peaks = []
+    for n in (50_000, 100_000):
+        tl = build_timeline(cfg, n)
+        for price in (report_from_timeline, window_energy_breakdown):
+            tracemalloc.start()
+            try:
+                price(tl, cfg, cal)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    for small, large in zip(peaks[:2], peaks[2:]):
+        assert abs(large - small) < 4096, peaks
 
 
 @pytest.mark.parametrize("cfg, kw", _PRICED_RUNS)

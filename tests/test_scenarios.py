@@ -225,7 +225,7 @@ def test_trace_reader_takes_empty_cells_past_the_header(tmp_path):
     ("window,dirty_fraction\n0,0.5\n1,0.5,0.9\n",
      "EXTRA_CELLS [PATH:3]: 3 cells where the header names 2 columns"),
     ("window,dirty_fraction,window\n0,0.5,0\n",
-     "DUPLICATE_KEY [PATH:1.window]: column 'window' named twice"),
+     "DUPLICATE_KEY [PATH:1.window]: key 'window' named twice"),
     ("window,dirty_fraction\n0,0.5\n2,nan\n",
      "OUT_OF_RANGE [PATH:3.window]: expected window 1, got 2"),
     ("window,dirty_fraction\n0,0.5\n2,0.5\n2,0.5\n3,x\n",

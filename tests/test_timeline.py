@@ -162,7 +162,8 @@ def test_batched_windows_expand_to_a_window_by_window_rebuild(batch_every):
     n = 4 * batch_every + 3
     tl = build_timeline(cfg, n, batch_every=batch_every)
     assert tl.intervals == _rebuild(cfg, n, batch_every)
-    assert len(tl.templates) == (2 if batch_every == 1 else 3)
+    # Window 0 enters from no state, so its recipe gets a second template.
+    assert len(tl.templates) == (3 if batch_every == 1 else 4)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -273,20 +274,20 @@ def test_tallies_combine_to_a_walk_over_the_expanded_rows(run):
     whole = timeline_totals(tl)
     assert whole == _walk(tl.intervals)
     assert list(whole.transitions) == list(_walk(tl.intervals).transitions)
-    pairs = tl.window_pairs
-    for pair in dict.fromkeys(pairs):
-        got = timeline_totals(tl, {pair: 1})
-        expected = _walk(rows[pairs.index(pair)], pair[1])
-        assert got == expected
-        assert list(got.transitions) == list(expected.transitions)
+    for t, tpl in enumerate(tl.templates):
+        w = tl.window_template.index(t)
+        assert tpl.entry == (rows[w - 1][-1].state if w else None)
+        expected = _walk(rows[w], tpl.entry)
+        assert tpl.totals == expected
+        assert list(tpl.totals.transitions) == list(expected.transitions)
 
 
 def _template_matches_its_rows(tpl, W_ns):
     rows = _as_intervals(tmod._expand(tpl, W_ns), tpl.kind)
-    expected = _walk(rows)
+    expected = _walk(rows, tpl.entry)
     assert tpl.totals == expected
     assert list(tpl.totals.transitions) == list(expected.transitions)
-    assert (tpl.first, tpl.last) == (rows[0].state, rows[-1].state)
+    assert tpl.last == rows[-1].state
 
 
 def _preset_and_trace_runs():
@@ -362,9 +363,9 @@ def _check_phase_template(parts, W_ns):
     violation = _first_violation(rows)
     if violation is not None:
         with pytest.raises(ValueError, match=f"^{violation}$"):
-            tmod._template("update", link, wake, phase, W_ns)
+            tmod._template("update", link, wake, phase, None, W_ns)
         return None
-    tpl = tmod._template("update", link, wake, phase, W_ns)
+    tpl = tmod._template("update", link, wake, phase, None, W_ns)
     _template_matches_its_rows(tpl, W_ns)
     return tpl
 
@@ -446,7 +447,7 @@ def test_reads_carried_onto_a_drain_state_are_rejected(payload, chunk, fill_rate
     parts, W_ns = _phase_template(Fraction(0), Fraction(9, 1000), payload, chunk,
                                   Fraction(fill_rate), Fraction(drain_rate))
     with pytest.raises(ValueError, match=f"^DRAM read bytes on C8 at {where} ns$"):
-        tmod._template("update", parts[2], *parts[:2], W_ns)
+        tmod._template("update", parts[2], *parts[:2], None, W_ns)
 
 
 def test_sub_nanosecond_fills_keep_the_first_for_1ns_and_give_it_their_reads():
@@ -485,8 +486,8 @@ def test_a_record_that_rounds_to_nothing_gives_its_traffic_back_or_keeps_1ns(
             _rec(PackageCState.C9, Fraction(1, 200), Fraction(1, 60), "idle")]
     rows = tmod._round_records(recs, frame_window_ns(60), 0)
     assert [(row[0], row[1], row[2], row[4], row[5]) for row in rows] == expected
-    assert tmod._template("update", 0, tuple(recs), None, frame_window_ns(60)).totals[1:3] == (
-        read, write)
+    tpl = tmod._template("update", 0, tuple(recs), None, None, frame_window_ns(60))
+    assert tpl.totals[1:3] == (read, write)
 
 
 def _counting(monkeypatch, name):
@@ -528,7 +529,34 @@ def test_rows_are_expanded_only_for_export(monkeypatch):
     assert expanded == []
     export_text(timeline_to_csv, tl)
     export_text(timeline_to_svg, tl)
-    assert expanded == list(tl.templates)
+    shapes: dict = {}  # templates that differ only in their entry state share rows
+    for tpl in tl.templates:
+        shapes.setdefault(tpl[:4], tpl)
+    assert expanded == list(shapes.values())
+
+
+@pytest.mark.parametrize("preset, kw", [("fhd30", {"batch_every": 2}), ("4k60-vr", {})])
+def test_a_periodic_run_keeps_its_templates_and_bills_at_twice_the_windows(preset, kw):
+    cfg = get_preset(preset).config
+    cal = load_calibration("default")
+    counts = []
+    for n in (1_000, 2_000):
+        tl = build_timeline(cfg, n, **kw)
+        counts.append(len(tl.templates))
+        assert len(window_energy_breakdown(tl, cfg, cal)) == len(tl.templates)
+    assert counts[0] == counts[1]
+
+
+def test_simulate_out_expands_each_row_shape_once(monkeypatch, tmp_path, capsys):
+    # Window 0 enters from no state, so it has a template of its own whose rows
+    # are a later template's: they are expanded, and formatted, once.
+    expanded = _counting(monkeypatch, "_expand")
+    assert main(["simulate", "--preset", "4k60", "--windows", "40",
+                 "--out", str(tmp_path)]) == 0
+    tl = build_timeline(get_preset("4k60").config, 40)
+    shapes = {tpl[:4] for tpl in tl.templates}
+    assert len(expanded) == len(shapes) < len(tl.templates)
+    assert {tpl[:4] for tpl in expanded} == shapes
 
 
 # -- integer-time window arithmetic ----------------------------------------------
@@ -603,7 +631,7 @@ def test_window_rounding_rejects_records_that_stop_short_of_the_window_end():
     W_ns = frame_window_ns(60)
     assert W_ns == 16_666_667
     for build in (lambda: tmod._round_records(list(recs), W_ns, 0),
-                  lambda: tmod._template("update", 0, recs, None, W_ns)):
+                  lambda: tmod._template("update", 0, recs, None, None, W_ns)):
         with pytest.raises(ValueError, match=r"^coverage gap: window recipe ends at 0\.015 s$"):
             build()
 
@@ -613,7 +641,7 @@ def test_window_rounding_rejects_a_record_that_runs_backwards():
             _rec(PackageCState.C8, Fraction(1, 100), Fraction(1, 150), "drain"),
             _rec(PackageCState.C9, Fraction(1, 150), Fraction(1, 60), "idle"))
     for build in (lambda: tmod._round_records(list(recs), frame_window_ns(60), 0),
-                  lambda: tmod._template("update", 0, recs, None, frame_window_ns(60))):
+                  lambda: tmod._template("update", 0, recs, None, None, frame_window_ns(60))):
         with pytest.raises(ValueError, match="^coverage overlap: window recipe runs back to "
                                              r"0\.00666"):
             build()
@@ -968,7 +996,7 @@ def test_integer_recipe_matches_the_fraction_recipe(
     rows = [_outcome(tmod._round_records, tmod._records(*parts), W_ns, link_bytes)
             for parts in (got, expected)]
     assert rows[0] == rows[1]
-    tpls = [_outcome(tmod._template, kind, link_bytes, *parts, W_ns)
+    tpls = [_outcome(tmod._template, kind, link_bytes, *parts, None, W_ns)
             for parts in (got, expected)]
     if isinstance(tpls[0], str):
         assert tpls[0] == tpls[1]
