@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
 from enum import Enum
 from functools import partial
@@ -236,12 +237,12 @@ class SystemConfig(Record):
             "dram_coeff_write", "fbc_compute_mw", "gpu_active_mw"))
         modes = self.dram_background_mw
         if modes.keys() != _DRAM_MODES:
-            names = set(modes)
-            for label, wrong in (("missing", _DRAM_MODES - names),
-                                 ("has unknown", names - _DRAM_MODES)):
+            for label, wrong in (("missing", _DRAM_MODES - modes.keys()),
+                                 ("has unknown", modes.keys() - _DRAM_MODES)):
                 if wrong:
                     found.append(Violation("DRAM_MODES", "system.dram_background_mw",
-                                           f"dram_background_mw {label} modes: {sorted(wrong)}"))
+                                           f"dram_background_mw {label} modes: "
+                                           f"{sorted(map(_cut, wrong))}"))
         found += out_of_range("system.dram_background_mw.", modes, at_least_zero=modes)
         reject(found)
 
@@ -387,16 +388,13 @@ def out_of_range(prefix: str, values: Mapping[Any, Any] | Record, positive: Iter
     built only for failures."""
     get = partial(getattr, values) if isinstance(values, Record) else values.__getitem__
     found: list[Violation] = []
-    for key in positive:
-        value = get(key)
-        if value is not None and value <= 0:
-            found.append(Violation("OUT_OF_RANGE", f"{prefix}{key}",
-                                   f"{key} must be positive, got {value}"))
-    for key in at_least_zero:
-        value = get(key)
-        if value is not None and value < 0:
-            found.append(Violation("OUT_OF_RANGE", f"{prefix}{key}",
-                                   f"{key} must be non-negative (>= 0), got {value}"))
+    for keys, fails, rule in ((positive, operator.le, "positive"),
+                              (at_least_zero, operator.lt, "non-negative (>= 0)")):
+        for key in keys:
+            value = get(key)
+            if value is not None and fails(value, 0):
+                found.append(Violation("OUT_OF_RANGE", f"{prefix}{_cut(key)}",
+                                       f"{_cut(key)} must be {rule}, got {value}"))
     return found
 
 
@@ -436,15 +434,19 @@ def read_json(path: str | Path) -> Any:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-#: Most characters of an offending value's JSON that an error line quotes.
+#: Most characters of an offending value's JSON, or of a key, that an error line quotes.
 _EXCERPT_CHARS = 60
 
 
 def json_excerpt(value: Any) -> str:
-    """``value`` as JSON for an error line, cut to ``_EXCERPT_CHARS``
-    characters and ``...`` when longer, so a large input of the wrong
-    shape still gives a short line."""
-    text = json.dumps(_clip(value, _EXCERPT_CHARS + 1))
+    """``value`` as JSON for an error line, cut by :func:`_cut`, so a large
+    input of the wrong shape still gives a short line."""
+    return _cut(json.dumps(_clip(value, _EXCERPT_CHARS + 1)))
+
+
+def _cut(key: Any) -> str:
+    """``key`` as text, cut to ``_EXCERPT_CHARS`` characters and ``...`` when longer."""
+    text = str(key)
     return text if len(text) <= _EXCERPT_CHARS else text[:_EXCERPT_CHARS] + "..."
 
 
@@ -496,14 +498,15 @@ def json_keys(raw: Any, where: str, readers: Mapping[str, Reader],
     prefix = f"{where}." if where else ""
     for key in raw:
         if key not in readers:
-            raise rejection("UNKNOWN_KEY", f"{prefix}{key}",
-                            f"unknown key {key!r}; expected one of {', '.join(readers)}")
+            raise rejection("UNKNOWN_KEY", f"{prefix}{_cut(key)}",
+                            f"unknown key {_cut(key)!r}; expected one of {', '.join(readers)}")
     for key in required:
         if key not in raw:
             raise rejection("MISSING_KEY", f"{prefix}{key}", f"missing required key {key!r}")
     if type(raw) is _Repeats:
-        raise rejection("DUPLICATE_KEY", f"{prefix}{raw.key}", f"key {raw.key!r} named twice")
-    return {key: readers[key](value, f"{prefix}{key}") for key, value in raw.items()}
+        raise rejection("DUPLICATE_KEY", f"{prefix}{_cut(raw.key)}",
+                        f"key {_cut(raw.key)!r} named twice")
+    return {key: readers[key](value, f"{prefix}{_cut(key)}") for key, value in raw.items()}
 
 
 def json_map(read: Reader, keys: Mapping[str, Any] | None = None) -> Reader:

@@ -6,11 +6,12 @@ buffer machine that steps every window, float-second arithmetic and merged
 state spans, each priced at its own constant power.  Each transfer phase is
 worked out as a list of ``(key, until)`` events, which one merge loop steps
 through: it clips each to the window end and merges spans on one (state,
-drfb, gpu, fbc) key.  Each span goes onto three run-long packed columns
-(its key's index in one key table, its start, its end: 17 bytes and no
-Python object), and its time onto its state's as it closes.  One walk over
-the columns prices the energy, and :attr:`OracleResult.periods` (each span's
-window, state and stretch) is built only when read.  It imports nothing from
+drfb, gpu, fbc) key.  Each span goes onto two run-long packed columns (its
+key's index in one key table and its start: 9 bytes and no Python object),
+and its time onto its state's as it closes; it ends where the next span
+starts, or at the run's end.  One walk over the columns prices the energy,
+and :attr:`OracleResult.periods` (each span's state and stretch) is built
+only when read.  It imports nothing from
 :mod:`framewatt.timeline` or :mod:`framewatt.power`: every name it shares
 comes from :mod:`framewatt.core` or :mod:`framewatt.cstates`, a definition
 that gives a config its meaning: ``check_run_shape`` (what a run may be),
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate, chain, islice, product
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (BURST_WAKE_SHARE, CACHED_TRAFFIC_FRACTION, Scheme, SimConfig, WorkloadKind,
                    check_run_shape, encoded_frame_bytes, frame_bytes, selective_update_bytes,
@@ -52,10 +53,9 @@ def _key(state: PackageCState, drfb: bool = False, gpu: bool = False,
 
 
 class OraclePeriod(NamedTuple):
-    """One merged span's window, state and stretch in float seconds; its
-    adders are in its key, at the same place in :attr:`OracleResult.keys`."""
+    """One merged span's state and stretch in float seconds; its adders are
+    in its key, at the same place in :attr:`OracleResult.keys`."""
 
-    window: int
     state: PackageCState
     start_s: float
     end_s: float
@@ -66,17 +66,15 @@ class OraclePeriod(NamedTuple):
 
 
 class OracleResult(NamedTuple):
-    """The merged spans in time order, as three packed columns: ``keys``
-    (indices into the key table), ``start_s`` and ``end_s``.  Window ``w``'s
-    are at ``[window_bounds[w]:window_bounds[w + 1]]``; ``state_s`` is each
-    state's time, summed in that order as spans close."""
+    """The merged spans in time order, as two packed columns: ``keys``
+    (indices into the key table) and ``start_s``.  They tile the run: each
+    span ends where the next starts, and the last at :attr:`total_s`.
+    ``state_s`` is each state's time, summed in that order as spans close."""
 
     n_windows: int
     window_s: float
     keys: array
     start_s: array
-    end_s: array
-    window_bounds: list[int]
     state_s: dict[PackageCState, float]
     dram_read_bytes: int
     dram_write_bytes: int
@@ -86,13 +84,16 @@ class OracleResult(NamedTuple):
     def total_s(self) -> float:
         return self.n_windows * self.window_s
 
+    def _spans(self) -> Iterator[tuple[int, float, float]]:
+        """Each span's key, start and end (the next span's start, or :attr:`total_s`)."""
+        starts = self.start_s
+        return zip(self.keys, starts, chain(islice(starts, 1, None), (self.total_s,)))
+
     @property
     def periods(self) -> tuple[OraclePeriod, ...]:
         """The spans as :class:`OraclePeriod` records, built on each read."""
-        bounds, spans = self.window_bounds, zip(self.keys, self.start_s, self.end_s)
-        return tuple(OraclePeriod(w, _KEYS[key][0], start_s, end_s)
-                     for w, (first, end) in enumerate(zip(bounds, bounds[1:]))
-                     for key, start_s, end_s in islice(spans, end - first))
+        return tuple(OraclePeriod(_KEYS[key][0], start_s, end_s)
+                     for key, start_s, end_s in self._spans())
 
     def residency(self) -> dict[PackageCState, float]:
         total = self.total_s
@@ -106,8 +107,8 @@ class OracleResult(NamedTuple):
         # Each key that occurs is priced once per call.
         power: dict[int, float] = {}
         total_uj = 0.0
-        prev_state: PackageCState | None = None
-        for key, start_s, end_s in zip(self.keys, self.start_s, self.end_s):
+        prev_state = _KEYS[self.keys[0]][0]  # staying put costs 0.0 in ``changes``
+        for key, start_s, end_s in self._spans():
             power_mw = power.get(key)
             if power_mw is None:
                 state, drfb, gpu, fbc = _KEYS[key]
@@ -121,8 +122,7 @@ class OracleResult(NamedTuple):
                 power[key] = power_mw
             total_uj += power_mw * (end_s - start_s) * 1e3  # mW * s -> uJ
             state = _KEYS[key][0]
-            if prev_state is not None and prev_state is not state:
-                total_uj += changes[prev_state, state]
+            total_uj += changes[prev_state, state]
             prev_state = state
         total_uj += self.dram_read_bytes * cfg.system.dram_coeff_read * 1e6
         total_uj += self.dram_write_bytes * cfg.system.dram_coeff_write * 1e6
@@ -142,11 +142,10 @@ class _WindowSim:
     """Steps one window at a time.  A span goes onto the run-long ``keys``
     and ``start_s`` columns as it opens, and its time onto its state's as it
     closes.  A window's spans tile it, so each ends where the next starts and
-    the last at the window's end: ``finish`` copies those onto ``end_s``."""
+    the last at the window's end, where the next window's first starts."""
 
     def __init__(self) -> None:
-        self.keys, self.start_s, self.end_s = array("B"), array("d"), array("d")
-        self.window_bounds = [0]
+        self.keys, self.start_s = array("B"), array("d")
         self.state_s = [0.0] * len(STATES_BY_DEPTH)  # by depth, at key >> 3
 
     def open(self, start_s: float, end_s: float) -> None:
@@ -183,9 +182,6 @@ class _WindowSim:
         if self.t < self.end:
             self.emit(tail, self.end)
         self.state_s[self.key >> 3] += self.t - self.start
-        self.end_s.extend(self.start_s[self.window_bounds[-1] + 1:])
-        self.end_s.append(self.t)
-        self.window_bounds.append(len(self.keys))
 
 
 def _chunks(payload: int, chunk: int) -> list[int]:
@@ -321,8 +317,8 @@ def oracle_simulate(cfg: SimConfig, n_windows: int | None = None, *,
         writes += wr
         link += lk
 
-    return OracleResult(n, W, sim.keys, sim.start_s, sim.end_s, sim.window_bounds,
-                        dict(zip(STATES_BY_DEPTH, sim.state_s)), reads, writes, link)
+    return OracleResult(n, W, sim.keys, sim.start_s, dict(zip(STATES_BY_DEPTH, sim.state_s)),
+                        reads, writes, link)
 
 
 def _sim_baseline(

@@ -895,6 +895,32 @@ def test_a_config_name_that_does_not_parse_is_an_unknown_value(doc, line, tmp_pa
         2, [f"violation\tUNKNOWN_VALUE\t{line}"])
 
 
+def test_an_unknown_key_is_quoted_to_60_characters(tmp_path, capsys):
+    doc = {"display": {"x" * 5000: 1}}
+    code, err = _run_with(["simulate", "--config", "JSON"], json.dumps(doc), tmp_path, capsys)
+    assert (code, err) == (2, [
+        f"violation\tUNKNOWN_KEY\tdisplay.{'x' * 60}...\tunknown key '{'x' * 60}...'; "
+        "expected one of resolution, refresh_hz, bits_per_pixel, edp_max_bits_per_s, "
+        "panel_psr_capable, panel_has_drfb"])
+    assert all(len(line.encode()) < 400 for line in err)
+
+
+@pytest.mark.parametrize("value, lines", [
+    (-1, ["DRAM_MODES\tsystem.dram_background_mw\tdram_background_mw has unknown modes: "
+          f"['{'m' * 60}...']",
+          f"OUT_OF_RANGE\tsystem.dram_background_mw.{'m' * 60}...\t{'m' * 60}... "
+          "must be non-negative (>= 0), got -1"]),
+    ("x", [f"WRONG_TYPE\tsystem.dram_background_mw.{'m' * 60}...\texpected a number, "
+           'got "x"']),
+], ids=["negative", "wrong-type"])
+def test_an_unknown_dram_mode_is_quoted_to_60_characters(value, lines, tmp_path, capsys):
+    modes = {"active": 1, "fast_powerdown": 1, "self_refresh": 1, "off": 0, "m" * 5000: value}
+    doc = {"system": {"dram_background_mw": modes}}
+    code, err = _run_with(["simulate", "--config", "JSON"], json.dumps(doc), tmp_path, capsys)
+    assert (code, err) == (2, [f"violation\t{line}" for line in lines])
+    assert all(len(line.encode()) < 400 for line in err)
+
+
 @pytest.mark.parametrize("extra", [{}, {"workload": {"video_fps": 120}}],
                          ids=["alone", "with-fps-above-refresh"])
 def test_a_frame_that_is_not_byte_aligned_is_a_violation(extra, tmp_path, capsys):

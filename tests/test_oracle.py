@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import gc
 import re
+import tracemalloc
 from array import array
 from itertools import accumulate
 from pathlib import Path
@@ -211,11 +212,23 @@ def test_oracle_refuses_the_configs_the_builder_refuses(doc, lines):
     assert ["\t".join(v) for v in refused[1]] == lines
 
 
-def _spans(oracle):
-    """The oracle's merged spans as ``(key, start_s, end_s)``, zipped from
-    its packed columns, each key looked up in the key table."""
+def _spans(sim):
+    """A window stepper's merged spans as ``(key, start_s, end_s)``, zipped
+    from its columns, each key looked up in the key table."""
     return [(omod._KEYS[key], start_s, end_s)
-            for key, start_s, end_s in zip(oracle.keys, oracle.start_s, oracle.end_s)]
+            for key, start_s, end_s in zip(sim.keys, sim.start_s, sim.end_s, strict=True)]
+
+
+def _adders(oracle):
+    """Each of the oracle's periods with its span's key, looked up in the key table."""
+    return zip(oracle.periods, (omod._KEYS[key] for key in oracle.keys), strict=True)
+
+
+def _window_bounds(oracle):
+    """Where each window's spans begin in the oracle's columns (window ``w``'s
+    first starts at ``w * W``), then the span count."""
+    return [oracle.start_s.index(w * oracle.window_s) for w in range(oracle.n_windows)] + [
+        len(oracle.keys)]
 
 
 def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
@@ -224,7 +237,7 @@ def tick_quadrature_uj(oracle, cfg, cal, tick_s=1e-6):
     profile = cal.profile_for(cfg.workload.scheme)
     total_uj = 0.0
     prev_state = None
-    for p, ((_, drfb, gpu, fbc), _, _) in zip(oracle.periods, _spans(oracle), strict=True):
+    for p, (_, drfb, gpu, fbc) in _adders(oracle):
         power_mw = profile.state_power_mw[p.state]
         if drfb:
             power_mw += cal.drfb_power_mw
@@ -339,6 +352,23 @@ def test_a_held_oracle_result_keeps_almost_no_gc_tracked_objects():
     assert len(held.keys) > 400 * 20
 
 
+def test_oracle_memory_grows_by_under_12_bytes_a_span():
+    # A span is a key byte and a start double; no column or list holds its
+    # end or its window (an end column and a window list read 19.2 bytes).
+    cfg = PRESETS["fhd30"].config
+    oracle_simulate(cfg, 2)
+    grown = []
+    for n in (5_000, 10_000):
+        tracemalloc.start()
+        try:
+            spans = len(oracle_simulate(cfg, n).keys)
+            grown.append((tracemalloc.get_traced_memory()[1], spans))
+        finally:
+            tracemalloc.stop()
+    (peak_n, spans_n), (peak_2n, spans_2n) = grown
+    assert (peak_2n - peak_n) / (spans_2n - spans_n) < 12
+
+
 def _ref_state_time_s(oracle):
     """Reference: each state's time, summed over the periods in order."""
     out = {s: 0.0 for s in PackageCState}
@@ -353,8 +383,7 @@ def _ref_energy_uj(oracle, cfg, calibration):
     profile = calibration.profile_for(cfg.workload.scheme)
     total_uj = 0.0
     prev_state = None
-    for (_, state, start_s, end_s), ((_, drfb, gpu, fbc), _, _) in zip(
-            oracle.periods, _spans(oracle), strict=True):
+    for (state, start_s, end_s), (_, drfb, gpu, fbc) in _adders(oracle):
         power_mw = profile.state_power_mw[state]
         if drfb:
             power_mw += calibration.drfb_power_mw
@@ -417,14 +446,32 @@ def test_folded_state_time_and_energy_equal_a_walk_over_the_periods(case):
     assert oracle.residency() == {s: t / oracle.total_s for s, t in times.items()}
     assert oracle.energy_uj(cfg, cal) == _ref_energy_uj(oracle, cfg, cal)
 
-    periods = oracle.periods
-    assert [p.window for p in periods] == sorted(p.window for p in periods)
-    for w in range(oracle.n_windows):
-        mine = [p for p in periods if p.window == w]
+    periods, bounds = oracle.periods, _window_bounds(oracle)
+    assert bounds == sorted(bounds)
+    for w, (first, end) in enumerate(zip(bounds, bounds[1:])):
+        mine = periods[first:end]
         assert mine[0].start_s == w * oracle.window_s
         assert mine[-1].end_s == (w + 1) * oracle.window_s
         assert all(p.end_s > p.start_s for p in mine)
         assert all(a.end_s == b.start_s for a, b in zip(mine, mine[1:]))
+
+
+@given(_oracle_runs())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_span_starts_tile_the_run(case):
+    # What OracleResult derives each span's end from: the next start, or the
+    # run's end for the last, with every window opening on a span's start.
+    cfg, n_windows, run, _ = case
+    try:
+        oracle = oracle_simulate(cfg, n_windows, **run)
+    except ValueError:
+        return  # a batch that does not fit; the rejection tests cover it
+    starts = oracle.start_s
+    assert starts[0] == 0.0
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    assert starts[-1] < oracle.total_s
+    assert {w * oracle.window_s for w in range(oracle.n_windows)} <= set(starts)
 
 
 # -- the one merge loop against emit-per-span ---------------------------------------
@@ -467,10 +514,26 @@ class _RefWindowSim:
             self.state_s[STATES_BY_DEPTH.index(omod._KEYS[key][0])] += end_s - start_s
         self.window_bounds.append(len(self.spans))
 
-    # The columns oracle_simulate reads off its stepper.
+    # The columns oracle_simulate reads off its stepper, and the ends it kept.
     keys = property(lambda self: array("B", [key for key, _, _ in self.spans]))
     start_s = property(lambda self: array("d", [start_s for _, start_s, _ in self.spans]))
     end_s = property(lambda self: array("d", [end_s for _, _, end_s in self.spans]))
+
+
+class _BoundedWindowSim(omod._WindowSim):
+    """The oracle's stepper, noting where each window's spans begin, with
+    each span's end read as the oracle reads it: the next span's start, or
+    the last window's end."""
+
+    def __init__(self):
+        super().__init__()
+        self.window_bounds = [0]
+
+    def finish(self, tail):
+        super().finish(tail)
+        self.window_bounds.append(len(self.keys))
+
+    end_s = property(lambda self: array("d", [*self.start_s[1:], self.end]))
 
 
 def _ref_run_phase(sim, payload, chunk, fill_rate, drain_rate, fill_state, drain_state, *,
@@ -548,7 +611,7 @@ def _step(sim, run_phase, window_s, windows):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_merge_loop_phases_equal_emitting_each_span(case):
     window_s, windows = case
-    got = _step(omod._WindowSim(), omod._run_phase, window_s, windows)
+    got = _step(_BoundedWindowSim(), omod._run_phase, window_s, windows)
     assert got == _step(_RefWindowSim(), _ref_run_phase, window_s, windows)
 
 
@@ -561,11 +624,20 @@ def test_oracle_runs_equal_emitting_each_span(case):
         got = oracle_simulate(cfg, n_windows, **run)
     except ValueError:
         return  # a batch that does not fit; the rejection tests cover it
+    made = []
+
+    def ref_sim():
+        made.append(_RefWindowSim())
+        return made[-1]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(omod, "_WindowSim", _RefWindowSim)
+        mp.setattr(omod, "_WindowSim", ref_sim)
         mp.setattr(omod, "_run_phase", _ref_run_phase)
         ref = oracle_simulate(cfg, n_windows, **run)
     assert got == ref
+    # The ends and windows the result derives are the ones the reference kept.
+    assert [p.end_s for p in got.periods] == list(made[0].end_s)
+    assert _window_bounds(got) == made[0].window_bounds
 
 
 #: What the oracle takes from the builder's and the pricer's modules.  Each is

@@ -30,7 +30,7 @@ import sys
 import time
 from pathlib import Path
 
-SIZES = (10_000, 30_000, 100_000)
+SIZES = (10_000, 30_000, 100_000, 300_000)
 LAUNCHES = 5
 
 _TIME_ORACLE = """\
